@@ -4,11 +4,12 @@
 //!
 //! 1. full probability-matrix builds — reference kernel vs the
 //!    class-cached fast kernel vs the parallel chunked build;
-//! 2. complete planning passes — a fresh `DynamicPlacement` per pass
-//!    (re-allocating plan, matrix and caches) vs one policy reusing its
-//!    planning arena;
-//! 3. an end-to-end week simulation with the dynamic scheme under both
-//!    kernels, asserting the reported energy is identical;
+//! 2. complete dense planning passes — a fresh `DynamicPlacement` per
+//!    pass (re-allocating plan, matrix and caches) vs one policy reusing
+//!    its planning arena;
+//! 3. an end-to-end week simulation with the dynamic scheme on the dense
+//!    planner under both matrix kernels, asserting the reported energy is
+//!    identical;
 //! 4. the checked-mode oracle's end-to-end overhead — the same scenario
 //!    with and without `SimConfig.checked`, asserting zero violations,
 //!    an unperturbed trace, and overhead within the DESIGN.md §9 budget;
@@ -25,9 +26,9 @@
 //! 7. plan-kernel rows — steady-state passes of the dense kernel vs the
 //!    class-compressed planner on the same converged fleets, recording
 //!    the per-kernel row counts (`M` PM rows vs `C` superclasses), the
-//!    superclass bucket occupancy and poison status, the kernel
-//!    `PlanKernel::Auto` selects at that fleet size, and that the two
-//!    kernels propose identical migration plans;
+//!    superclass bucket occupancy and poison status, the kernel the
+//!    default `PlanKernel::Auto` policy ran (from its pass counters), and
+//!    that the kernels propose identical migration plans;
 //! 8. dense-sweep rows — the scalar reference best-candidate sweep vs the
 //!    lane-chunked (SIMD-screened) sweep and the sharded parallel sweep,
 //!    up to a 100k-row fleet, asserting all variants return bit-identical
@@ -142,8 +143,9 @@ struct PlanKernelBench {
     occupied_buckets: usize,
     /// The compressed planner poisoned and fell back to the dense path.
     poisoned: bool,
-    /// Kernel [`PlanKernel::Auto`] selects at this fleet size
-    /// ("dense" or "compressed") and its measured time.
+    /// Kernel the default [`PlanKernel::Auto`] policy ran at this shape,
+    /// read from its pass counters ("dense" or "compressed"), and that
+    /// kernel's measured time.
     chosen_kernel: &'static str,
     chosen_ns: f64,
     /// The faster of the two kernels at this shape.
@@ -268,8 +270,9 @@ struct ScalingBench {
     vm_requests: usize,
     days: u64,
     policy: &'static str,
-    /// Planning kernel [`PlanKernel::Auto`] selects for dynamic rows at
-    /// this fleet size ("dense" or "compressed"); "n/a" for first-fit.
+    /// Planning kernel the default [`PlanKernel::Auto`] policy runs on
+    /// this fleet (probe pass counters: "dense" or "compressed"); "n/a"
+    /// for first-fit.
     plan_kernel: &'static str,
     /// Reliability model shaping the fleet ("uniform" or "jittered").
     reliability: &'static str,
@@ -483,11 +486,18 @@ fn bench_plan_pass(n_vms: u32, iters: usize) -> PlanPassBench {
         vms: &vms,
         now: dvmp_simcore::SimTime::from_secs(1_000),
     };
+    // The arena is the dense planner's, so both sides pin that kernel.
+    let dense = || {
+        DynamicPlacement::new(DynamicConfig {
+            plan_kernel: PlanKernel::Dense,
+            ..DynamicConfig::default()
+        })
+    };
     let fresh_policy_ns = median_ns(iters, || {
-        let mut policy = DynamicPlacement::paper_default();
+        let mut policy = dense();
         policy.plan_migrations(&view);
     });
-    let mut reused = DynamicPlacement::paper_default();
+    let mut reused = dense();
     reused.plan_migrations(&view); // warm the arena
     let reused_arena_ns = median_ns(iters, || {
         reused.plan_migrations(&view);
@@ -611,8 +621,8 @@ fn bench_incremental_plan(pm_count: usize, n_vms: u32, iters: usize) -> Incremen
 }
 
 /// Dense vs class-compressed planning kernel on the same converged fleet,
-/// both fed the same steady-state fleet delta per pass — the apples-to-
-/// apples comparison `PlanKernel::Auto` decides between at runtime.
+/// both fed the same steady-state fleet delta per pass, plus the kernel
+/// the default `PlanKernel::Auto` policy actually ran there.
 fn bench_plan_kernel(pm_count: usize, n_vms: u32, iters: usize) -> PlanKernelBench {
     let (dc, vms) = converged_fixture(pm_count, n_vms);
     let now = dvmp_simcore::SimTime::from_secs(1_000);
@@ -643,20 +653,22 @@ fn bench_plan_kernel(pm_count: usize, n_vms: u32, iters: usize) -> PlanKernelBen
         comp.plan_migrations(&view);
     });
 
+    // The default policy's own counters say which kernel `Auto` ran.
+    let mut auto = DynamicPlacement::new(DynamicConfig::default());
+    auto.plan_migrations(&view);
+
     dense.note_fleet_delta(delta.clone());
     comp.note_fleet_delta(delta.clone());
+    auto.note_fleet_delta(delta.clone());
     let a = dense.plan_migrations(&view);
     let b = comp.plan_migrations(&view);
+    let c = auto.plan_migrations(&view);
     assert!(
         !comp.compressed_poisoned() && comp.compressed_passes() > 0,
         "forced compressed kernel fell back to dense at {pm_count} PMs"
     );
 
-    let chosen_kernel = if pm_count >= dvmp_placement::COMPRESSED_ROWS_CUTOFF {
-        "compressed"
-    } else {
-        "dense"
-    };
+    let chosen_kernel = ran_kernel(&auto);
     let chosen_ns = if chosen_kernel == "compressed" {
         compressed_ns
     } else {
@@ -677,7 +689,7 @@ fn bench_plan_kernel(pm_count: usize, n_vms: u32, iters: usize) -> PlanKernelBen
         dense_ns,
         compressed_ns,
         speedup_compressed: dense_ns / compressed_ns,
-        plans_identical: a == b,
+        plans_identical: a == b && a == c,
         class_tolerance: 0.0,
         occupied_buckets: comp.compressed_occupied_buckets(),
         poisoned: comp.compressed_poisoned(),
@@ -688,11 +700,24 @@ fn bench_plan_kernel(pm_count: usize, n_vms: u32, iters: usize) -> PlanKernelBen
     }
 }
 
-/// One forced-compressed plan pass over a fleet with no VMs: registers
+/// The kernel a dynamic policy's passes ran on, from its own counters:
+/// "compressed" while the persistent compressed planner serves them,
+/// "dense" if it never ran or poisoned (after which passes fall back to
+/// one-shot compressed plans or the dense kernel).
+fn ran_kernel(policy: &DynamicPlacement) -> &'static str {
+    if policy.compressed_passes() > 0 && !policy.compressed_poisoned() {
+        "compressed"
+    } else {
+        "dense"
+    }
+}
+
+/// One default-kernel plan pass over a fleet with no VMs: registers
 /// every powered PM's superclass at `tolerance` and reports `(C,
-/// poisoned)` — the fragmentation the bucketing must absorb for this
-/// fleet shape, independent of any workload.
-fn probe_superclasses(fleet: &Datacenter, tolerance: f64) -> (usize, bool) {
+/// poisoned, kernel)` — the fragmentation the bucketing must absorb for
+/// this fleet shape, independent of any workload, and the kernel the
+/// pass ran on.
+fn probe_superclasses(fleet: &Datacenter, tolerance: f64) -> (usize, bool, &'static str) {
     // Fresh scenario fleets start powered off (the simulator boots PMs on
     // demand); the probe powers a copy on so every PM registers its class,
     // the same registration a live run performs as the fleet powers up.
@@ -708,12 +733,15 @@ fn probe_superclasses(fleet: &Datacenter, tolerance: f64) -> (usize, bool) {
         now: dvmp_simcore::SimTime::from_secs(0),
     };
     let mut probe = DynamicPlacement::new(DynamicConfig {
-        plan_kernel: PlanKernel::Compressed,
         class_tolerance: tolerance,
         ..DynamicConfig::default()
     });
     probe.plan_migrations(&view);
-    (probe.compressed_superclasses(), probe.compressed_poisoned())
+    (
+        probe.compressed_superclasses(),
+        probe.compressed_poisoned(),
+        ran_kernel(&probe),
+    )
 }
 
 /// Scalar vs screened (SIMD) vs sharded best-candidate sweeps over the
@@ -816,8 +844,8 @@ fn bench_quantization(
     seed: u64,
 ) -> QuantizationBench {
     let scenario = Scenario::scaled_jittered(pm_count, spread, seed).with_days(days);
-    let (exact_superclasses, exact_poisoned) = probe_superclasses(scenario.fleet(), 0.0);
-    let (bucketed_superclasses, bucketed_poisoned) =
+    let (exact_superclasses, exact_poisoned, _) = probe_superclasses(scenario.fleet(), 0.0);
+    let (bucketed_superclasses, bucketed_poisoned, _) =
         probe_superclasses(scenario.fleet(), tolerance);
     let run = |class_tolerance: f64| {
         scenario.run(Box::new(DynamicPlacement::new(DynamicConfig {
@@ -849,11 +877,14 @@ fn bench_quantization(
 
 fn bench_end_to_end(seed: u64, days: u64) -> EndToEndBench {
     let scenario = Scenario::paper(seed).with_days(days);
+    // Matrix kernels fill the dense planner's matrix, so both runs pin it.
     let run = |kernel: MatrixKernel| {
         let t = Instant::now();
-        let report = scenario.run(Box::new(
-            DynamicPlacement::paper_default().with_kernel(kernel),
-        ));
+        let policy = DynamicPlacement::new(DynamicConfig {
+            plan_kernel: PlanKernel::Dense,
+            ..DynamicConfig::default()
+        });
+        let report = scenario.run(Box::new(policy.with_kernel(kernel)));
         (t.elapsed().as_secs_f64(), report)
     };
     let (fast_seconds, fast_report) = run(MatrixKernel::Fast);
@@ -914,21 +945,14 @@ fn bench_scaling(
     let pm_count = scenario.fleet().len();
     let days = scenario.days();
     let vm_requests = scenario.requests().len();
-    let (superclasses, compressed_poisoned) = probe_superclasses(scenario.fleet(), class_tolerance);
+    let (superclasses, compressed_poisoned, probe_kernel) =
+        probe_superclasses(scenario.fleet(), class_tolerance);
     let t = Instant::now();
     let (report, events) = scenario.run_counting(make());
     let wall_seconds = t.elapsed().as_secs_f64();
     assert!(report.total_arrivals > 0, "scaled scenario saw no arrivals");
     let dynamic = policy.starts_with("dynamic");
-    let plan_kernel = if !dynamic {
-        "n/a"
-    } else if compressed_poisoned {
-        "dense"
-    } else if pm_count >= dvmp_placement::COMPRESSED_ROWS_CUTOFF {
-        "compressed"
-    } else {
-        "dense"
-    };
+    let plan_kernel = if dynamic { probe_kernel } else { "n/a" };
     ScalingBench {
         pms: pm_count,
         vm_requests,
@@ -1215,8 +1239,7 @@ fn main() {
     // Heterogeneous rows: jittered reliability at a spread the tolerance
     // bucketing collapses back to hardware superclasses. The 10k-PM week
     // is the DESIGN.md §12 acceptance row; the 100k-PM day is the
-    // sharded-fleet operating point. Smoke keeps one row just above the
-    // compressed Auto cutoff so the kernel path is the full-scale one.
+    // sharded-fleet operating point. Smoke keeps one 600-PM row.
     let hetero_rows: &[(usize, u64)] = if smoke {
         &[(600, 1)]
     } else {
@@ -1376,13 +1399,8 @@ fn main() {
             healthy = false;
         }
     }
-    // Kernel selection is only gated at and above the Auto cutoff: below
-    // it both kernels are sub-millisecond, the choice is immaterial, and
-    // per-run noise at that scale must not fail CI.
     for b in &report.plan_kernel {
-        if b.pms >= dvmp_placement::COMPRESSED_ROWS_CUTOFF
-            && b.chosen_ns > KERNEL_SELECTION_TOLERANCE * b.winner_ns
-        {
+        if b.chosen_ns > KERNEL_SELECTION_TOLERANCE * b.winner_ns {
             eprintln!(
                 "FAIL: auto-selected {} plan kernel at {}x{} measures {:.2} ms vs winner {} at {:.2} ms",
                 b.chosen_kernel,

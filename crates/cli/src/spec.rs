@@ -146,10 +146,11 @@ pub struct PolicySpec {
     /// `MIG_round` (dynamic only).
     #[serde(default)]
     pub mig_round: Option<u32>,
-    /// Planning kernel (dynamic only): `"auto"` (default, pick by fleet
-    /// size), `"dense"` (the M×N probability matrix), or `"compressed"`
-    /// (the class-compressed sparse planner). Both produce bit-identical
-    /// plans; this is an A/B lever, like `--full-replan`.
+    /// Planning kernel (dynamic only): `"auto"` (default) or
+    /// `"compressed"` (the class-compressed sparse planner, at every fleet
+    /// size), or `"dense"` (the M×N probability matrix it falls back to).
+    /// Both produce bit-identical plans; this is an A/B lever, like
+    /// `--full-replan`.
     #[serde(default)]
     pub plan_kernel: Option<String>,
     /// Capacity basis for planning feasibility (dynamic only):

@@ -55,7 +55,8 @@
 //! only the host into a real candidate. Re-syncs that leave a row at its
 //! previous level are skipped entirely, so no-op churn does not mark
 //! buckets. Removals leave bounds stale-high, which is merely conservative.
-//! A planning pass then reduces to: patch, take `max dbar`; if it clears
+//! A planning pass then reduces to: patch, take `max dbar` (carried as a
+//! running upper bound, so this is O(1)); if it clears
 //! `MIG_threshold`, exactly refresh the exceeders; only if a genuine
 //! exceeder survives does the pass materialize per-column exact bests and
 //! run Algorithm 1's round loop — whose winner scan, tie-breaks and repair
@@ -71,12 +72,14 @@
 //!
 //! ## Poisoning
 //!
-//! Structures the compressed form cannot represent — demand/superclass
-//! registries past their caps, level counts past 63, capacity dimensions
-//! that disagree with `min_vm` — permanently poison the planner;
-//! [`DynamicPlacement`](crate::dynamic::DynamicPlacement) then routes
-//! every subsequent pass to the dense kernel, which is the reference
-//! definition of the output, so behavior is unchanged.
+//! Structures the compressed form cannot represent — more than 64
+//! superclasses, more than 128 demand vectors in use at once, level counts
+//! past 63, capacity dimensions that disagree with `min_vm` — permanently
+//! poison the planner.
+//! [`DynamicPlacement`](crate::dynamic::DynamicPlacement) then serves
+//! every later pass with a one-shot compressed plan built from scratch,
+//! or with the dense kernel — the reference definition of the output —
+//! when that plan cannot be compressed either, so behavior is unchanged.
 
 use crate::config::DynamicConfig;
 use crate::factors::class_table::{self, ClassEntry};
@@ -95,8 +98,12 @@ use std::collections::{BTreeSet, HashMap};
 /// combinations than this poisons the planner (a fleet that heterogeneous
 /// has little row redundancy to compress anyway).
 pub const MAX_SUPERCLASSES: usize = 64;
-/// Demand registry cap (also the stride of the per-row level cache).
-pub const MAX_DEMANDS: usize = 64;
+/// Demand registry cap (also the stride of the per-row level cache). A
+/// slot no live column uses is recycled for the next new demand vector,
+/// so only this many *simultaneously used* demands poison the planner —
+/// an elastic week resizes through far more distinct vectors than that,
+/// and the 1k-PM overbooked-elastic week peaks at 75 in use at once.
+pub const MAX_DEMANDS: usize = 128;
 /// Highest representable Eq. 4 level (the non-empty masks are `u64`).
 const MAX_LEVEL: u64 = 63;
 /// `row_w` sentinel: infeasible / not bucketed.
@@ -214,10 +221,17 @@ pub(crate) struct CompressedPlanner {
     sclass_lookup: HashMap<SuperKey, u16>,
     demands: Vec<ResourceVector>,
     demand_lookup: HashMap<ResourceVector, u8>,
+    /// Live columns per demand slot; a zero-count slot may be recycled.
+    demand_cols: Vec<u32>,
     rows: Vec<Row>,
     row_ids: Vec<PmId>,
-    /// Level cache, `rows.len() × MAX_DEMANDS`.
+    /// Level cache, `rows.len() × stride`: row `r`'s level for demand
+    /// slot `d` sits at `r * stride + d`.
     row_w: Vec<u8>,
+    /// Demand slots per row in `row_w`. Doubles (up to `MAX_DEMANDS`) as
+    /// demands register, so a fleet that sees few demand shapes keeps a
+    /// small level cache.
+    stride: usize,
     host_vms: Vec<BTreeSet<VmId>>,
     active_rows: usize,
     /// `sclasses.len() × MAX_DEMANDS` level buckets.
@@ -225,16 +239,23 @@ pub(crate) struct CompressedPlanner {
     touched_buckets: Vec<u32>,
     snapshots_armed: bool,
     cols: Vec<Col>,
+    /// Upper bound on every column's `dbar`: raised with each bound,
+    /// recomputed exactly whenever a pass scans all columns, and left
+    /// stale-high by drops in between — so the stage-1 scan reads one
+    /// value instead of every column.
+    dbar_max: f64,
     /// VMs seen mid-creation: re-examined once their ready time passes
     /// (the creation-done transition is not journaled — the datacenter's
     /// occupancy does not change at that instant).
     stash: BTreeSet<(SimTime, VmId)>,
     /// Rows / VMs this planner's own previous pass touched — re-read from
     /// the authoritative view at the next patch, exactly like the dense
-    /// planner's snapshot touched-sets.
-    self_dirty_pms: BTreeSet<PmId>,
-    self_dirty_vms: BTreeSet<VmId>,
-    // Round-loop scratch, reused across passes.
+    /// planner's snapshot touched-sets. Unsorted, with repeats, until the
+    /// patch sorts and dedups them; cleared (not freed) after use.
+    self_dirty_pms: Vec<PmId>,
+    self_dirty_vms: Vec<VmId>,
+    // Patch and round-loop scratch, reused across passes.
+    dirty_cols: Vec<VmId>,
     rem: Vec<u64>,
     best: Vec<Option<(u32, f64)>>,
 }
@@ -325,7 +346,9 @@ impl CompressedPlanner {
     }
 
     /// Registers a demand vector, backfilling the level cache and buckets
-    /// of every existing row for the new demand index. On large fleets the
+    /// of every existing row for its slot — a new one, or, once all
+    /// `MAX_DEMANDS` exist, a recycled slot no live column uses (none
+    /// free poisons). On large fleets the
     /// per-row level computation is sharded across the crossbeam pool
     /// (contiguous row ranges into disjoint scratch slices); the bucket
     /// inserts then replay serially in ascending row order, so the
@@ -335,11 +358,26 @@ impl CompressedPlanner {
         if let Some(&d) = self.demand_lookup.get(res) {
             return Ok(d);
         }
-        if self.demands.len() >= MAX_DEMANDS || res.k() != cfg.min_vm.k() {
+        if res.k() != cfg.min_vm.k() {
             return Err(Poison);
         }
-        let d = self.demands.len() as u8;
-        self.demands.push(*res);
+        let d = if self.demands.len() < MAX_DEMANDS {
+            if self.demands.len() == self.stride {
+                self.grow_stride();
+            }
+            self.demands.push(*res);
+            self.demand_cols.push(0);
+            self.demands.len() - 1
+        } else {
+            let d = self
+                .demand_cols
+                .iter()
+                .position(|&n| n == 0)
+                .ok_or(Poison)?;
+            self.retire_demand(d);
+            self.demands[d] = *res;
+            d
+        } as u8;
         self.demand_lookup.insert(*res, d);
         let m = self.rows.len();
         let shards = cfg.resolve_shards(m);
@@ -370,11 +408,11 @@ impl CompressedPlanner {
             .expect("backfill worker panicked");
             for (r, &w) in scratch.iter().enumerate() {
                 if w != INFEASIBLE {
-                    // Fresh demand index: the old level is always
+                    // Fresh or retired slot: the old level is always
                     // INFEASIBLE, so this is insert-only — exactly what
                     // `bucket_row_demand` would do.
                     let b_idx = self.rows[r].sclass as usize * MAX_DEMANDS + d as usize;
-                    self.row_w[r * MAX_DEMANDS + d as usize] = w;
+                    self.row_w[r * self.stride + d as usize] = w;
                     self.buckets[b_idx].insert(w, r as u32);
                     self.note_insert(b_idx);
                 }
@@ -387,6 +425,37 @@ impl CompressedPlanner {
             }
         }
         Ok(d)
+    }
+
+    /// Doubles the level cache's per-row stride (to at least 8), keeping
+    /// every row's cached levels.
+    fn grow_stride(&mut self) {
+        let old = self.stride;
+        let new = (old * 2).clamp(8, MAX_DEMANDS);
+        let mut row_w = vec![INFEASIBLE; self.rows.len() * new];
+        if old > 0 {
+            for (dst, src) in row_w.chunks_mut(new).zip(self.row_w.chunks(old)) {
+                dst[..old].copy_from_slice(src);
+            }
+        }
+        self.row_w = row_w;
+        self.stride = new;
+    }
+
+    /// Empties demand slot `d`, which no live column uses, for reuse: its
+    /// bucket in every superclass and every row's cached level for it. No
+    /// column reads the slot, so no bound depends on what it held.
+    fn retire_demand(&mut self, d: usize) {
+        debug_assert_eq!(self.demand_cols[d], 0);
+        self.demand_lookup.remove(&self.demands[d]);
+        for s in 0..self.sclasses.len() {
+            let b = &mut self.buckets[s * MAX_DEMANDS + d];
+            b.levels.iter_mut().for_each(BTreeSet::clear);
+            b.mask = 0;
+        }
+        for r in 0..self.rows.len() {
+            self.row_w[r * self.stride + d] = INFEASIBLE;
+        }
     }
 
     // -------------------------------------------------------------------
@@ -410,10 +479,10 @@ impl CompressedPlanner {
     fn unbucket_row(&mut self, r: usize) {
         let s = self.rows[r].sclass as usize;
         for d in 0..self.demands.len() {
-            let w = self.row_w[r * MAX_DEMANDS + d];
+            let w = self.row_w[r * self.stride + d];
             if w != INFEASIBLE {
                 self.buckets[s * MAX_DEMANDS + d].remove(w, r as u32);
-                self.row_w[r * MAX_DEMANDS + d] = INFEASIBLE;
+                self.row_w[r * self.stride + d] = INFEASIBLE;
             }
         }
     }
@@ -430,7 +499,7 @@ impl CompressedPlanner {
         } else {
             INFEASIBLE
         };
-        let old = self.row_w[r * MAX_DEMANDS + d];
+        let old = self.row_w[r * self.stride + d];
         if old == w {
             return;
         }
@@ -438,7 +507,7 @@ impl CompressedPlanner {
         if old != INFEASIBLE {
             self.buckets[b_idx].remove(old, r as u32);
         }
-        self.row_w[r * MAX_DEMANDS + d] = w;
+        self.row_w[r * self.stride + d] = w;
         if w != INFEASIBLE {
             self.buckets[b_idx].insert(w, r as u32);
             self.note_insert(b_idx);
@@ -529,7 +598,7 @@ impl CompressedPlanner {
         if !r.active {
             return 0.0;
         }
-        let w = self.row_w[row * MAX_DEMANDS + self.cols[c].demand as usize];
+        let w = self.row_w[row * self.stride + self.cols[c].demand as usize];
         if w == INFEASIBLE {
             return 0.0;
         }
@@ -660,11 +729,12 @@ impl CompressedPlanner {
         self.row_ids.clear();
         self.row_ids.extend((0..m as u32).map(PmId));
         self.row_w.clear();
-        self.row_w.resize(m * MAX_DEMANDS, INFEASIBLE);
+        self.row_w.resize(m * self.stride, INFEASIBLE);
         self.host_vms.clear();
         self.host_vms.resize_with(m, BTreeSet::new);
         self.active_rows = 0;
         self.cols.clear();
+        self.demand_cols.fill(0);
         self.stash.clear();
         self.self_dirty_pms.clear();
         self.self_dirty_vms.clear();
@@ -680,6 +750,7 @@ impl CompressedPlanner {
                     let r = pm.0 as usize;
                     if self.rows.get(r).is_some_and(|row| row.active) {
                         let d = self.register_demand(vm.demand(), cfg)?;
+                        self.demand_cols[d as usize] += 1;
                         self.cols.push(Col {
                             id: vm.spec.id,
                             demand: d,
@@ -696,11 +767,21 @@ impl CompressedPlanner {
                 _ => {}
             }
         }
+        self.dbar_max = f64::NEG_INFINITY;
         for c in 0..self.cols.len() {
-            let rem = self.cols[c].deadline.saturating_since(view.now).as_secs();
-            self.cols[c].dbar = self.exact_best(c, rem, cfg).map_or(0.0, |(_, d)| d);
+            self.refresh_bound(c, view.now, cfg);
         }
         Ok(())
+    }
+
+    /// Sets column `c`'s bound to its exact best score at `now` and
+    /// returns it.
+    fn refresh_bound(&mut self, c: usize, now: SimTime, cfg: &DynamicConfig) -> f64 {
+        let rem = self.cols[c].deadline.saturating_since(now).as_secs();
+        let d = self.exact_best(c, rem, cfg).map_or(0.0, |(_, d)| d);
+        self.cols[c].dbar = d;
+        self.dbar_max = self.dbar_max.max(d);
+        d
     }
 
     /// Mirrors [`PlanState::refill`]'s row construction exactly —
@@ -732,6 +813,7 @@ impl CompressedPlanner {
         if let Ok(i) = self.col_index(vm) {
             let host = self.cols[i].host as usize;
             self.host_vms[host].remove(&vm);
+            self.demand_cols[self.cols[i].demand as usize] -= 1;
             self.cols.remove(i);
         }
     }
@@ -743,10 +825,13 @@ impl CompressedPlanner {
         cfg: &DynamicConfig,
     ) -> Result<(), Poison> {
         self.snapshots_armed = true;
-        let mut dirty_cols: BTreeSet<VmId> = BTreeSet::new();
+        let mut dirty_cols = std::mem::take(&mut self.dirty_cols);
+        dirty_cols.clear();
 
         // Rows: journal dirt plus this planner's own previous-pass touches.
-        let self_pms = std::mem::take(&mut self.self_dirty_pms);
+        let mut self_pms = std::mem::take(&mut self.self_dirty_pms);
+        self_pms.sort_unstable();
+        self_pms.dedup();
         let mut dirty_rows = 0u64;
         for &id in delta.dirty_pms().iter().chain(self_pms.iter()) {
             let r = id.0 as usize;
@@ -766,19 +851,23 @@ impl CompressedPlanner {
                 dirty_cols.extend(pm.hosted_vms());
             }
         }
+        self_pms.clear();
+        self.self_dirty_pms = self_pms;
 
         // Stash: creation deadlines that have passed.
-        while let Some(&(t, vm)) = self.stash.iter().next() {
+        while let Some(&(t, vm)) = self.stash.first() {
             if t > view.now {
                 break;
             }
-            self.stash.remove(&(t, vm));
-            dirty_cols.insert(vm);
+            self.stash.pop_first();
+            dirty_cols.push(vm);
         }
 
         dirty_cols.extend(delta.dirty_vms().iter().copied());
-        let self_vms = std::mem::take(&mut self.self_dirty_vms);
-        dirty_cols.extend(self_vms);
+        dirty_cols.append(&mut self.self_dirty_vms);
+        // Ascending and unique, as the dense planner's column order is.
+        dirty_cols.sort_unstable();
+        dirty_cols.dedup();
 
         // Columns: re-read each dirty VM from the authoritative map.
         for &vm_id in &dirty_cols {
@@ -798,6 +887,8 @@ impl CompressedPlanner {
                                 self.host_vms[old_host].remove(&vm_id);
                                 self.host_vms[r].insert(vm_id);
                             }
+                            self.demand_cols[self.cols[i].demand as usize] -= 1;
+                            self.demand_cols[d as usize] += 1;
                             let col = &mut self.cols[i];
                             col.demand = d;
                             col.host = pm.0;
@@ -805,6 +896,7 @@ impl CompressedPlanner {
                             col.dbar = f64::INFINITY;
                         }
                         Err(i) => {
+                            self.demand_cols[d as usize] += 1;
                             self.cols.insert(
                                 i,
                                 Col {
@@ -832,42 +924,64 @@ impl CompressedPlanner {
         // level that held only a column's own host into a real candidate,
         // so a top comparison alone would be unsound).
         self.snapshots_armed = false;
-        let touched = std::mem::take(&mut self.touched_buckets);
-        for &b_idx in &touched {
-            self.buckets[b_idx as usize].marked = false;
-            let Some(top) = self.buckets[b_idx as usize].top() else {
-                continue;
-            };
-            let s = b_idx as usize / MAX_DEMANDS;
-            let d = (b_idx as usize % MAX_DEMANDS) as u8;
-            let sc = &self.sclasses[s];
-            let rel_cap = if cfg.use_rel { sc.rel } else { 1.0 };
-            let p_cap = rel_cap * sc.entry.level_eff[top as usize];
-            for col in &mut self.cols {
-                if col.demand != d {
-                    continue;
-                }
-                let h = self.rows[col.host as usize].h;
-                let bound = if h > 0.0 { p_cap / h } else { f64::INFINITY };
-                if bound > col.dbar {
-                    col.dbar = bound;
-                }
-            }
-        }
-        self.touched_buckets = touched;
-        self.touched_buckets.clear();
+        self.raise_bounds(cfg);
 
         // Exact refresh of every dirty column that survived as live.
         let mut refreshed = 0u64;
         for &vm_id in &dirty_cols {
             if let Ok(c) = self.col_index(vm_id) {
-                let rem = self.cols[c].deadline.saturating_since(view.now).as_secs();
-                self.cols[c].dbar = self.exact_best(c, rem, cfg).map_or(0.0, |(_, d)| d);
+                self.refresh_bound(c, view.now, cfg);
                 refreshed += 1;
             }
         }
+        dirty_cols.clear();
+        self.dirty_cols = dirty_cols;
         dvmp_obs::note_compressed_patch(dirty_rows, refreshed);
         Ok(())
+    }
+
+    /// Raises every column's bound past anything the buckets touched
+    /// since the last patch can now score for it, then clears the touched
+    /// list. One sweep over the columns: the touched buckets first fold
+    /// into the largest `p^rel·level_eff[top]` cap per demand, and since
+    /// dividing by a fixed `H(host) > 0` is monotone,
+    /// `max(a/H, b/H) == max(a, b)/H` — the same bound a sweep per bucket
+    /// would leave. A zero `H` raises to ∞ for any touched demand.
+    fn raise_bounds(&mut self, cfg: &DynamicConfig) {
+        let mut caps = [f64::NEG_INFINITY; MAX_DEMANDS];
+        let mut touched = 0u128;
+        for &b_idx in &self.touched_buckets {
+            let bucket = &mut self.buckets[b_idx as usize];
+            bucket.marked = false;
+            let Some(top) = bucket.top() else {
+                continue;
+            };
+            let s = b_idx as usize / MAX_DEMANDS;
+            let d = b_idx as usize % MAX_DEMANDS;
+            let sc = &self.sclasses[s];
+            let rel_cap = if cfg.use_rel { sc.rel } else { 1.0 };
+            caps[d] = caps[d].max(rel_cap * sc.entry.level_eff[top as usize]);
+            touched |= 1 << d;
+        }
+        self.touched_buckets.clear();
+        if touched == 0 {
+            return;
+        }
+        for col in &mut self.cols {
+            if touched & (1 << col.demand) == 0 {
+                continue;
+            }
+            let h = self.rows[col.host as usize].h;
+            let bound = if h > 0.0 {
+                caps[col.demand as usize] / h
+            } else {
+                f64::INFINITY
+            };
+            if bound > col.dbar {
+                col.dbar = bound;
+                self.dbar_max = self.dbar_max.max(bound);
+            }
+        }
     }
 
     // -------------------------------------------------------------------
@@ -904,20 +1018,34 @@ impl CompressedPlanner {
                 exact,
                 view.now.as_secs(),
             );
+            debug_assert!(
+                self.cols[c].dbar <= self.dbar_max || self.cols[c].dbar.is_nan(),
+                "dbar_max below a bound"
+            );
         }
-        // Stage 1: the bound scan. Most passes end here.
+        #[cfg(debug_assertions)]
+        {
+            let mut live = vec![0u32; self.demand_cols.len()];
+            for col in &self.cols {
+                live[col.demand as usize] += 1;
+            }
+            debug_assert_eq!(live, self.demand_cols, "per-demand column counts");
+        }
+        // Stage 1: the bound check. Most passes end here. (`dbar_max` is
+        // never NaN: `f64::max` skips NaN bounds, as `dbar > thr` would.)
         let thr = cfg.mig_threshold;
-        if !self.cols.iter().any(|c| c.dbar > thr) {
+        if self.dbar_max <= thr {
             return Some((Vec::new(), false));
         }
-        // Stage 2: exact refresh of the exceeders at the current instant.
+        // Stage 2: exact refresh of the exceeders at the current instant,
+        // re-deriving the running maximum from scratch on the way.
         let mut any = false;
+        self.dbar_max = f64::NEG_INFINITY;
         for c in 0..self.cols.len() {
             if self.cols[c].dbar > thr {
-                let rem = self.cols[c].deadline.saturating_since(view.now).as_secs();
-                let d = self.exact_best(c, rem, cfg).map_or(0.0, |(_, d)| d);
-                self.cols[c].dbar = d;
-                any |= d > thr;
+                any |= self.refresh_bound(c, view.now, cfg) > thr;
+            } else {
+                self.dbar_max = self.dbar_max.max(self.cols[c].dbar);
             }
         }
         if !any {
@@ -1023,13 +1151,14 @@ impl CompressedPlanner {
         }
         // The exact bests become the carried bounds, and the pass's own
         // touches are re-read authoritatively next patch.
+        self.dbar_max = f64::NEG_INFINITY;
         for (col, b) in self.cols.iter_mut().zip(best.iter()) {
             col.dbar = b.map_or(0.0, |(_, d)| d);
+            self.dbar_max = self.dbar_max.max(col.dbar);
         }
         for m in &moves {
-            self.self_dirty_pms.insert(m.from);
-            self.self_dirty_pms.insert(m.to);
-            self.self_dirty_vms.insert(m.vm);
+            self.self_dirty_pms.extend([m.from, m.to]);
+            self.self_dirty_vms.push(m.vm);
         }
         self.rem = rem;
         self.best = best;
@@ -1109,7 +1238,7 @@ pub(crate) fn one_shot(
     let m = plan.pms.len();
     p.rows.resize_with(m, Row::default);
     p.row_ids.extend(plan.pms.iter().map(|pm| pm.id));
-    p.row_w.resize(m * MAX_DEMANDS, INFEASIBLE);
+    p.row_w.resize(m * p.stride, INFEASIBLE);
     p.host_vms.resize_with(m, BTreeSet::new);
     for r in 0..m {
         let pm = plan.pms[r].clone();
@@ -1123,6 +1252,7 @@ pub(crate) fn one_shot(
             p.poison();
             return None;
         };
+        p.demand_cols[d as usize] += 1;
         p.cols.push(Col {
             id: vm.id,
             demand: d,
@@ -1174,9 +1304,13 @@ mod tests {
 
     impl Twin {
         fn new(kernel: PlanKernel) -> Self {
+            Twin::sized(kernel, 6, 6)
+        }
+
+        fn sized(kernel: PlanKernel, fast: usize, slow: usize) -> Self {
             let dc = FleetBuilder::new()
-                .add_class(PmClass::paper_fast(), 6, 0.99)
-                .add_class(PmClass::paper_slow(), 6, 0.95)
+                .add_class(PmClass::paper_fast(), fast, 0.99)
+                .add_class(PmClass::paper_slow(), slow, 0.95)
                 .initially_on(true)
                 .build();
             Twin {
@@ -1563,11 +1697,12 @@ mod tests {
 
     #[test]
     fn poisoned_planner_falls_back_to_dense_and_still_matches() {
-        // More distinct demand vectors than MAX_DEMANDS: the compressed
-        // planner must poison itself and route everything to the dense
-        // kernel, with no observable difference.
-        let mut dense = Twin::new(PlanKernel::Dense);
-        let mut comp = Twin::new(PlanKernel::Compressed);
+        // More distinct demand vectors live at once than MAX_DEMANDS (on a
+        // fleet with room for them all): the compressed planner must
+        // poison itself and route everything to the dense kernel, with no
+        // observable difference.
+        let mut dense = Twin::sized(PlanKernel::Dense, 18, 6);
+        let mut comp = Twin::sized(PlanKernel::Compressed, 18, 6);
         let mut t = 0u64;
         for i in 0..(MAX_DEMANDS as u32 + 6) {
             let now = SimTime::from_secs(t);
@@ -1587,12 +1722,121 @@ mod tests {
         assert_eq!(dense.plan(now), comp.plan(now), "post-poison plans match");
     }
 
+    /// Recomputes every active row's level for every registered demand
+    /// from scratch and checks the level cache and the buckets hold
+    /// exactly that — no stale level, no stale bucket entry.
+    fn assert_level_cache_exact(p: &CompressedPlanner) {
+        let mut expected_entries = 0usize;
+        for (r, row) in p.rows.iter().enumerate() {
+            for (d, demand) in p.demands.iter().enumerate() {
+                let cached = p.row_w[r * p.stride + d];
+                if !row.active {
+                    assert_eq!(cached, INFEASIBLE, "inactive row {r}, demand {d}");
+                    continue;
+                }
+                let sc = &p.sclasses[row.sclass as usize];
+                let w = if sc.usable && row.used.fits_with(demand, &sc.entry.capacity) {
+                    class_table::class_level(&row.used.add(demand), &sc.entry) as u8
+                } else {
+                    INFEASIBLE
+                };
+                assert_eq!(cached, w, "row {r}, demand {d}");
+                if w != INFEASIBLE {
+                    expected_entries += 1;
+                    let b = &p.buckets[row.sclass as usize * MAX_DEMANDS + d];
+                    assert!(b.levels[w as usize].contains(&(r as u32)));
+                }
+            }
+        }
+        let entries: usize = p
+            .buckets
+            .iter()
+            .flat_map(|b| &b.levels)
+            .map(BTreeSet::len)
+            .sum();
+        assert_eq!(entries, expected_entries, "stale bucket entries");
+    }
+
     #[test]
-    fn auto_kernel_stays_dense_below_cutoff() {
-        // Paper-scale fleets (≪ cutoff) must keep the dense reference
-        // kernel under Auto — golden traces depend on it only in the sense
-        // that both kernels are identical, but the counters make the
-        // selection observable.
+    fn level_cache_survives_stride_growth_and_slot_recycling() {
+        // A loaded fleet, then new demand shapes one at a time: each
+        // growth of the per-row stride must carry every cached level over,
+        // and past MAX_DEMANDS each recycled slot must be wiped and
+        // refilled — never one a live column still uses.
+        let mut twin = Twin::new(PlanKernel::Compressed);
+        for (i, pm) in [0u32, 0, 1, 2, 6, 6, 7].iter().enumerate() {
+            let s = spec(i as u32 + 1, 512 + 256 * i as u64, 150_000);
+            install(&mut twin.dc, &mut twin.vms, s, PmId(*pm), SimTime::ZERO);
+        }
+        let view = PlacementView {
+            dc: &twin.dc,
+            vms: &twin.vms,
+            now: SimTime::ZERO,
+        };
+        let cfg = cfg_with(PlanKernel::Compressed);
+        let mut p = CompressedPlanner::new();
+        assert!(p.ensure_synced(&view, None, &cfg));
+        for i in 0..(MAX_DEMANDS as u64 + 20) {
+            p.register_demand(&ResourceVector::cpu_mem(1 + i % 3, 100 + 37 * i), &cfg)
+                .expect("a slot is free");
+            assert_level_cache_exact(&p);
+        }
+        assert_eq!((p.stride, p.demands.len()), (MAX_DEMANDS, MAX_DEMANDS));
+        for col in &p.cols {
+            assert_eq!(
+                &p.demands[col.demand as usize],
+                twin.vms[&col.id].demand(),
+                "a live column's slot was recycled"
+            );
+        }
+    }
+
+    #[test]
+    fn demand_slots_recycle_through_elastic_churn() {
+        // Three times MAX_DEMANDS distinct demand vectors over the run, but
+        // never more than a handful live at once: freed slots must be
+        // reused (no poisoning), and every decision must stay the dense
+        // kernel's. Half the arrivals skip `place` so the patch path
+        // registers (and recycles) too.
+        let mut dense = Twin::new(PlanKernel::Dense);
+        let mut comp = Twin::new(PlanKernel::Compressed);
+        let mut live = std::collections::VecDeque::new();
+        for i in 0..(3 * MAX_DEMANDS as u32) {
+            let now = SimTime::from_secs(100 * u64::from(i));
+            let s = spec(i + 1, 128 + u64::from(i), 150_000);
+            // A fast PM (ids 0–5) holds all six live VMs if it must.
+            let pm = if i % 2 == 0 {
+                let pa = dense.place(&s, now);
+                assert_eq!(pa, comp.place(&s, now), "vm {i}");
+                pa.expect("the fleet has room")
+            } else {
+                PmId(i % 6)
+            };
+            for twin in [&mut dense, &mut comp] {
+                install(&mut twin.dc, &mut twin.vms, s.clone(), pm, now);
+            }
+            live.push_back(s.id);
+            if live.len() > 6 {
+                let gone = live.pop_front().expect("non-empty");
+                for twin in [&mut dense, &mut comp] {
+                    twin.dc.remove_vm(gone);
+                    twin.vms.remove(&gone);
+                }
+            }
+            assert_eq!(dense.plan(now), comp.plan(now), "vm {i}");
+        }
+        assert!(!comp.policy.compressed_poisoned());
+        assert_eq!(
+            comp.policy.compressed_passes(),
+            3 * MAX_DEMANDS as u64,
+            "every pass ran on the persistent compressed planner"
+        );
+    }
+
+    #[test]
+    fn auto_kernel_runs_compressed_at_paper_scale() {
+        // Auto is the compressed planner at every fleet size: even a 4-PM
+        // fleet runs it, and its plan is the dense kernel's.
         let mut dc = small_fleet();
         let mut vms = BTreeMap::new();
         for (i, pm) in [0u32, 1, 2, 3].iter().enumerate() {
@@ -1604,15 +1848,83 @@ mod tests {
                 SimTime::ZERO,
             );
         }
-        let mut policy = DynamicPlacement::paper_default();
         let view = PlacementView {
             dc: &dc,
             vms: &vms,
             now: SimTime::ZERO,
         };
+        let mut policy = DynamicPlacement::paper_default();
         let moves = policy.plan_migrations(&view);
         assert!(!moves.is_empty());
-        assert_eq!(policy.compressed_passes(), 0, "Auto stays dense at 4 PMs");
+        assert!(
+            policy.compressed_passes() > 0,
+            "Auto runs compressed at 4 PMs"
+        );
+        let mut dense = DynamicPlacement::new(cfg_with(PlanKernel::Dense));
+        assert_eq!(moves, dense.plan_migrations(&view));
+        assert_eq!(dense.compressed_passes(), 0);
+    }
+
+    #[test]
+    fn fused_raise_takes_the_largest_touched_cap_per_demand() {
+        // Two superclasses (fast, slow) × one demand: mark both buckets
+        // touched at different tops and check every column's bound lands
+        // on the larger `p_cap / h`, and on ∞ over a zero-`h` host.
+        let mut twin = Twin::new(PlanKernel::Compressed);
+        let now = SimTime::ZERO;
+        for (i, pm) in [0u32, 6].iter().enumerate() {
+            install(
+                &mut twin.dc,
+                &mut twin.vms,
+                spec(i as u32 + 1, 512, 200_000),
+                PmId(*pm),
+                now,
+            );
+        }
+        let view = PlacementView {
+            dc: &twin.dc,
+            vms: &twin.vms,
+            now,
+        };
+        let cfg = cfg_with(PlanKernel::Compressed);
+        let mut planner = CompressedPlanner::new();
+        assert!(planner.ensure_synced(&view, None, &cfg));
+        let p = &mut planner;
+        assert_eq!((p.sclasses.len(), p.demands.len(), p.cols.len()), (2, 1, 2));
+        let caps: Vec<f64> = (0..2)
+            .map(|s| {
+                let top = p.buckets[s * MAX_DEMANDS].top().expect("occupied bucket");
+                p.sclasses[s].rel * p.sclasses[s].entry.level_eff[top as usize]
+            })
+            .collect();
+        assert_ne!(caps[0], caps[1], "the two tops must differ");
+        let cap = caps[0].max(caps[1]);
+        // Either touch order must land on the larger cap.
+        for order in [[0, MAX_DEMANDS as u32], [MAX_DEMANDS as u32, 0]] {
+            p.touched_buckets = order.to_vec();
+            for col in &mut p.cols {
+                col.dbar = 0.0;
+            }
+            p.raise_bounds(&cfg);
+            for col in &p.cols {
+                let h = p.rows[col.host as usize].h;
+                assert!(h > 0.0);
+                assert_eq!(col.dbar.to_bits(), (cap / h).to_bits(), "vm {:?}", col.id);
+            }
+            assert!(p.touched_buckets.is_empty());
+            assert!(p.buckets.iter().all(|b| !b.marked));
+        }
+
+        // A zero-`h` host still raises to ∞; an untouched demand does not.
+        let host = p.cols[0].host as usize;
+        p.rows[host].h = 0.0;
+        p.cols[0].dbar = 0.0;
+        p.touched_buckets = vec![MAX_DEMANDS as u32];
+        p.raise_bounds(&cfg);
+        assert_eq!(p.cols[0].dbar, f64::INFINITY);
+        p.cols[0].dbar = 0.0;
+        p.raise_bounds(&cfg);
+        assert_eq!(p.cols[0].dbar, 0.0, "nothing touched, nothing raised");
     }
 
     #[test]

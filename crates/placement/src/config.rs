@@ -21,15 +21,16 @@ pub enum OverheadMode {
 /// them to it); this knob trades constant factors only.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
 pub enum PlanKernel {
-    /// Pick by total fleet size: the dense matrix below
-    /// [`COMPRESSED_ROWS_CUTOFF`] PMs, class-compressed at or above it.
+    /// The class-compressed planner at every fleet size — the production
+    /// path. The dense matrix serves a pass only as the fallback the
+    /// compressed form cannot cover: a poisoned planner (registry caps
+    /// exceeded), extension factors, or `use_eff = false`.
     #[default]
     Auto,
     /// Always the dense M×N probability matrix (the reference kernel).
     Dense,
-    /// Always the class-compressed sparse planner (falls back to dense
-    /// only when the fleet cannot be compressed — see
-    /// `compressed.rs`).
+    /// The class-compressed sparse planner, with the same dense fallback
+    /// as `Auto` (see `compressed.rs`); names the kernel explicitly.
     Compressed,
 }
 
@@ -71,16 +72,6 @@ pub enum CapacityBasis {
     /// Raw hardware capacity, ignoring overbook ratios.
     Physical,
 }
-
-/// Total fleet size at which `PlanKernel::Auto` switches from the dense
-/// matrix to the class-compressed planner. Below this the dense kernel's
-/// simplicity wins (its per-pass cost is small in absolute terms and the
-/// compressed bookkeeping isn't free); above it the dense O(M·N) refill
-/// dominates everything else in the run. Deliberately keyed on the
-/// *fleet*, not the powered count: the spare-server controller moves the
-/// powered count across any threshold mid-run, and kernel flapping costs
-/// a compressed rebuild per flip.
-pub const COMPRESSED_ROWS_CUTOFF: usize = 512;
 
 /// Tunables of [`crate::DynamicPlacement`].
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -124,10 +115,10 @@ pub struct DynamicConfig {
     /// any dirt; `1.0` never falls back.
     #[serde(default = "default_rebuild_threshold")]
     pub rebuild_threshold: f64,
-    /// Planning-kernel selection (see [`PlanKernel`]). `Auto` keeps
-    /// paper-scale fleets on the dense reference kernel and switches to
-    /// the class-compressed planner at [`COMPRESSED_ROWS_CUTOFF`] active
-    /// rows; both produce identical output.
+    /// Planning-kernel selection (see [`PlanKernel`]). `Auto` runs the
+    /// class-compressed planner at every fleet size and keeps the dense
+    /// matrix only as its fallback and as the differential-test
+    /// reference; both produce identical output.
     #[serde(default)]
     pub plan_kernel: PlanKernel,
     /// Which capacity bound planning admits against (see

@@ -16,7 +16,7 @@
 //! the paper calls out at the end of Section III-C.
 
 use crate::compressed::{self, CompressedPlanner};
-use crate::config::{DynamicConfig, PlanKernel, COMPRESSED_ROWS_CUTOFF};
+use crate::config::{DynamicConfig, PlanKernel};
 use crate::factors::{self, EvalContext, ExtraFactor};
 use crate::matrix::{MatrixKernel, ProbabilityMatrix};
 use crate::plan::PlanState;
@@ -290,22 +290,16 @@ impl DynamicPlacement {
         self.comp.occupied_buckets()
     }
 
-    /// Whether the next pass over `view` would run the class-compressed
-    /// kernel (kernel knob, extension factors, ablation switches and the
-    /// `Auto` fleet-size cutoff all considered).
-    fn compressed_wanted(&self, view: &PlacementView<'_>) -> bool {
-        if self.comp.poisoned() || !self.extras.is_empty() || !self.cfg.use_eff {
-            return false;
-        }
-        match self.cfg.plan_kernel {
-            PlanKernel::Dense => false,
-            PlanKernel::Compressed => true,
-            // Total fleet size, not the powered count: the spare-server
-            // controller moves the powered count across any threshold
-            // mid-run, and every dense-served pass desyncs the compressed
-            // mirror — a fleet-stable basis keeps one kernel per run.
-            PlanKernel::Auto => view.dc.len() >= COMPRESSED_ROWS_CUTOFF,
-        }
+    /// Whether a pass may run the class-compressed kernel: every kernel
+    /// setting but `Dense`, unless extension factors are registered or the
+    /// `p^eff` ablation is on (the compressed levels are keyed on it).
+    fn compressible(&self) -> bool {
+        self.cfg.plan_kernel != PlanKernel::Dense && self.extras.is_empty() && self.cfg.use_eff
+    }
+
+    /// Whether the next live pass runs the persistent compressed planner.
+    fn compressed_wanted(&self) -> bool {
+        self.compressible() && !self.comp.poisoned()
     }
 
     /// Algorithm 1 against an explicit plan state (exposed for tests and
@@ -322,10 +316,7 @@ impl DynamicPlacement {
             self.pending_delta = delta;
             return Vec::new();
         }
-        if self.cfg.plan_kernel == PlanKernel::Compressed
-            && self.extras.is_empty()
-            && self.cfg.use_eff
-        {
+        if self.compressible() {
             // One-shot compression of the explicit plan; `None` means the
             // plan's structure cannot be compressed — run dense below.
             let _span = dvmp_obs::span!(dvmp_obs::Phase::CompressedPlan);
@@ -500,7 +491,7 @@ impl PlacementPolicy for DynamicPlacement {
     /// fall back to the overhead-free column so feasible requests are never
     /// starved (DESIGN.md I9).
     fn place(&mut self, view: &PlacementView<'_>, vm: &VmSpec) -> Option<PmId> {
-        if self.compressed_wanted(view) {
+        if self.compressed_wanted() {
             let delta = self.pending_delta.take();
             // The compressed planner consumes the journal continuity; a
             // dense pass after this point must rebuild from scratch.
@@ -544,7 +535,7 @@ impl PlacementPolicy for DynamicPlacement {
     }
 
     fn plan_migrations(&mut self, view: &PlacementView<'_>) -> Vec<Migration> {
-        if self.compressed_wanted(view) {
+        if self.compressed_wanted() {
             let delta = self.pending_delta.take();
             self.snap.valid = false;
             let _span = dvmp_obs::span!(dvmp_obs::Phase::CompressedPlan);
@@ -593,6 +584,15 @@ mod tests {
     use dvmp_cluster::vm::VmId;
     use dvmp_simcore::SimTime;
     use std::collections::BTreeMap;
+
+    /// The default configuration pinned to the dense kernel, for tests of
+    /// its own machinery (incremental matrix, arena, matrix kernels).
+    fn dense_cfg() -> DynamicConfig {
+        DynamicConfig {
+            plan_kernel: PlanKernel::Dense,
+            ..DynamicConfig::default()
+        }
+    }
 
     fn view_of<'a>(
         dc: &'a dvmp_cluster::datacenter::Datacenter,
@@ -854,14 +854,15 @@ mod tests {
             }
             (dc, vms)
         };
-        let mut reused = DynamicPlacement::paper_default();
+        // The arena is the dense kernel's.
+        let mut reused = DynamicPlacement::new(dense_cfg());
         let (dc_a, vms_a) = build(false);
         let (dc_b, vms_b) = build(true);
         let first = reused.plan_migrations(&view_of(&dc_a, &vms_a, 0));
         let second = reused.plan_migrations(&view_of(&dc_b, &vms_b, 100));
 
-        let mut fresh_a = DynamicPlacement::paper_default();
-        let mut fresh_b = DynamicPlacement::paper_default();
+        let mut fresh_a = DynamicPlacement::new(dense_cfg());
+        let mut fresh_b = DynamicPlacement::new(dense_cfg());
         assert_eq!(first, fresh_a.plan_migrations(&view_of(&dc_a, &vms_a, 0)));
         assert_eq!(
             second,
@@ -892,9 +893,10 @@ mod tests {
         };
         let (dc1, vms1) = build();
         let (dc2, vms2) = build();
-        let mut fast = DynamicPlacement::paper_default();
+        // Matrix kernels only matter on the dense planner.
+        let mut fast = DynamicPlacement::new(dense_cfg());
         let mut reference =
-            DynamicPlacement::paper_default().with_kernel(crate::matrix::MatrixKernel::Reference);
+            DynamicPlacement::new(dense_cfg()).with_kernel(crate::matrix::MatrixKernel::Reference);
         assert_eq!(
             fast.plan_migrations(&view_of(&dc1, &vms1, 0)),
             reference.plan_migrations(&view_of(&dc2, &vms2, 0))
@@ -961,12 +963,19 @@ mod tests {
             let view = view_of(&dc, &vms, 0);
             let mut plan = PlanState::from_view(&view, &cfg.min_vm);
             let expected = naive_plan(&cfg, &mut plan);
-            let mut policy = DynamicPlacement::paper_default();
-            assert_eq!(
-                policy.plan_migrations(&view),
-                expected,
-                "shape {shape_no}: repair loop diverged from full rescan"
-            );
+            // Both kernels' repair loops: the dense one and the compressed
+            // mirror of it that the default policy runs.
+            for kernel in [PlanKernel::Dense, PlanKernel::Auto] {
+                let mut policy = DynamicPlacement::new(DynamicConfig {
+                    plan_kernel: kernel,
+                    ..DynamicConfig::default()
+                });
+                assert_eq!(
+                    policy.plan_migrations(&view),
+                    expected,
+                    "shape {shape_no}: {kernel:?} repair loop diverged from full rescan"
+                );
+            }
         }
     }
 
@@ -986,10 +995,12 @@ mod tests {
                 SimTime::ZERO,
             );
         }
-        let mut inc = DynamicPlacement::paper_default();
-        let mut full_cfg = DynamicConfig::default();
-        full_cfg.incremental = false;
-        let mut full = DynamicPlacement::new(full_cfg);
+        // Dense on both sides: the incremental matrix is the subject.
+        let mut inc = DynamicPlacement::new(dense_cfg());
+        let mut full = DynamicPlacement::new(DynamicConfig {
+            incremental: false,
+            ..dense_cfg()
+        });
 
         inc.note_fleet_delta(dc.take_fleet_delta());
         let m1 = inc.plan_migrations(&view_of(&dc, &vms, 0));
@@ -1048,7 +1059,7 @@ mod tests {
                 SimTime::ZERO,
             );
         }
-        let mut policy = DynamicPlacement::paper_default();
+        let mut policy = DynamicPlacement::new(dense_cfg());
         let first = policy.plan_migrations(&view_of(&dc, &vms, 0));
         assert_eq!(first.len(), 3);
         let again = policy.plan_migrations(&view_of(&dc, &vms, 0));

@@ -38,9 +38,7 @@ pub mod threshold;
 pub mod worstfit;
 
 pub use bestfit::BestFit;
-pub use config::{
-    CapacityBasis, DenseSweep, DynamicConfig, OverheadMode, PlanKernel, COMPRESSED_ROWS_CUTOFF,
-};
+pub use config::{CapacityBasis, DenseSweep, DynamicConfig, OverheadMode, PlanKernel};
 pub use dynamic::DynamicPlacement;
 pub use firstfit::FirstFit;
 pub use matrix::{MatrixKernel, ProbabilityMatrix};

@@ -217,13 +217,17 @@ proptest! {
         let mut next_id = 100u32;
         // Fallback disabled: every pass after the first must take the
         // incremental path, maximizing coverage of the delta machinery.
+        // Both pinned to the dense kernel: this is the dense incremental
+        // matrix's own contract.
         let inc_cfg = DynamicConfig {
             rebuild_threshold: 1.0,
+            plan_kernel: PlanKernel::Dense,
             ..DynamicConfig::default()
         };
         let mut inc = DynamicPlacement::new(inc_cfg);
         let full_cfg = DynamicConfig {
             incremental: false,
+            plan_kernel: PlanKernel::Dense,
             ..DynamicConfig::default()
         };
         let mut full = DynamicPlacement::new(full_cfg);
@@ -273,6 +277,7 @@ proptest! {
         let mut comp = DynamicPlacement::new(comp_cfg);
         let dense_cfg = DynamicConfig {
             incremental: false,
+            plan_kernel: PlanKernel::Dense,
             ..DynamicConfig::default()
         };
         let mut dense = DynamicPlacement::new(dense_cfg);
