@@ -83,14 +83,20 @@ impl FleetEntry {
 #[serde(deny_unknown_fields)]
 pub struct WorkloadSpec {
     /// `"paper_calibrated"`, `"paper_strict"`, `"light"`, `"hpc_mixed"`,
-    /// or `"swf"` (with `path`).
+    /// `"swf"` (with `path`), or `"scaled"` (with `pms`).
     pub profile: String,
-    /// Days to simulate (clamped to the profile's length).
+    /// Days to simulate (at least 1; clamped to the profile's length).
     #[serde(default = "default_days")]
     pub days: u64,
     /// SWF file path (profile `"swf"` only).
     #[serde(default)]
     pub path: Option<String>,
+    /// Fleet size (profile `"scaled"` only, at least 4): the paper's
+    /// calibrated week scaled to this many PMs in a 1:3 fast:slow mix,
+    /// as `Scenario::scaled` builds it. The profile brings its own fleet,
+    /// so the spec's `fleet` must be empty.
+    #[serde(default)]
+    pub pms: Option<usize>,
     /// Minimum per-core memory filter in MiB (SWF preprocessing).
     #[serde(default)]
     pub min_memory_mib: u64,
@@ -284,13 +290,66 @@ fn default_seed() -> u64 {
 }
 
 impl ScenarioSpec {
-    /// Parses a spec from JSON.
+    /// Parses a spec from JSON and checks the values serde cannot.
     pub fn from_json(text: &str) -> Result<Self, String> {
-        serde_json::from_str(text).map_err(|e| format!("invalid scenario JSON: {e}"))
+        let spec: ScenarioSpec =
+            serde_json::from_str(text).map_err(|e| format!("invalid scenario JSON: {e}"))?;
+        spec.validate()?;
+        Ok(spec)
+    }
+
+    /// Rejects workload values that would build a run simulating nothing
+    /// or trip a constructor's assertion.
+    fn validate(&self) -> Result<(), String> {
+        let w = &self.workload;
+        if w.days == 0 {
+            return Err("workload `days` must be at least 1".into());
+        }
+        match (w.profile.as_str(), w.pms) {
+            ("scaled", None) => Err("workload profile \"scaled\" needs `pms`".into()),
+            ("scaled", Some(pms)) if pms < 4 => Err(format!(
+                "workload profile \"scaled\" needs `pms` ≥ 4, got {pms}"
+            )),
+            ("scaled", Some(_)) if !self.fleet.is_empty() => {
+                Err("workload profile \"scaled\" builds its own fleet; omit `fleet`".into())
+            }
+            ("scaled", Some(_)) => Ok(()),
+            (_, Some(_)) => Err("`pms` applies to workload profile \"scaled\" only".into()),
+            (_, None) => Ok(()),
+        }
     }
 
     /// Builds the runnable scenario.
     pub fn build(&self) -> Result<Scenario, String> {
+        self.validate()?;
+        let mut scenario = match (self.workload.profile.as_str(), self.workload.pms) {
+            ("scaled", Some(pms)) => {
+                let mut s = Scenario::scaled(pms, self.seed).with_days(self.workload.days);
+                s.name = self.name.clone();
+                s
+            }
+            _ => self.build_from_trace()?,
+        };
+        if self.all_machines_on {
+            scenario.sim.spare = None;
+        }
+        if let Some(overbook) = &self.overbook {
+            scenario = scenario.with_overbooking(overbook.ratios()?);
+        }
+        if let Some(elasticity) = &self.elasticity {
+            let profile = match elasticity.as_str() {
+                "none" => ElasticityProfile::none(),
+                "moderate" => ElasticityProfile::moderate(),
+                "aggressive" => ElasticityProfile::aggressive(),
+                other => return Err(format!("unknown elasticity preset {other:?}")),
+            };
+            scenario = scenario.with_elasticity(&profile);
+        }
+        Ok(scenario)
+    }
+
+    /// The scenario of a trace-driven profile over the spec's fleet.
+    fn build_from_trace(&self) -> Result<Scenario, String> {
         let fleet = if self.fleet.is_empty() {
             paper_fleet()
         } else {
@@ -330,24 +389,8 @@ impl ScenarioSpec {
         let mut sim = SimConfig::default();
         sim.seed = self.seed;
         sim.horizon = SimTime::from_days(self.workload.days);
-        if self.all_machines_on {
-            sim.spare = None;
-        }
-        let mut scenario = Scenario::from_trace(self.name.clone(), fleet, &trace, sim)
-            .with_days(self.workload.days);
-        if let Some(overbook) = &self.overbook {
-            scenario = scenario.with_overbooking(overbook.ratios()?);
-        }
-        if let Some(elasticity) = &self.elasticity {
-            let profile = match elasticity.as_str() {
-                "none" => ElasticityProfile::none(),
-                "moderate" => ElasticityProfile::moderate(),
-                "aggressive" => ElasticityProfile::aggressive(),
-                other => return Err(format!("unknown elasticity preset {other:?}")),
-            };
-            scenario = scenario.with_elasticity(&profile);
-        }
-        Ok(scenario)
+        Ok(Scenario::from_trace(self.name.clone(), fleet, &trace, sim)
+            .with_days(self.workload.days))
     }
 }
 
@@ -642,6 +685,67 @@ mod tests {
         }"#;
         let err = ScenarioSpec::from_json(text).unwrap().build().unwrap_err();
         assert!(err.contains("path"), "{err}");
+    }
+
+    #[test]
+    fn zero_days_is_rejected_at_load() {
+        let text = r#"{
+            "name": "t",
+            "workload": { "profile": "light", "days": 0 },
+            "policy": { "kind": "first-fit" }
+        }"#;
+        let err = ScenarioSpec::from_json(text).unwrap_err();
+        assert!(err.contains("days"), "{err}");
+        let mut spec = ScenarioSpec::from_json(MINIMAL).unwrap();
+        spec.workload.days = 0;
+        assert!(spec.build().is_err(), "build checks it too");
+    }
+
+    #[test]
+    fn scaled_profile_reproduces_scenario_scaled() {
+        let text = r#"{
+            "name": "scaled-week",
+            "workload": { "profile": "scaled", "pms": 40 },
+            "policy": { "kind": "dynamic" },
+            "seed": 7
+        }"#;
+        let spec = ScenarioSpec::from_json(text).unwrap();
+        let core_json = |scenario: Scenario| {
+            let mut report = scenario.run(spec.policy.build(spec.seed, false).unwrap());
+            report.meta = None;
+            serde_json::to_string(&report).unwrap()
+        };
+        let from_spec = spec.build().unwrap();
+        assert_eq!(from_spec.fleet().len(), 40);
+        assert_eq!(
+            core_json(from_spec),
+            core_json(Scenario::scaled(40, 7)),
+            "the spec builds exactly Scenario::scaled"
+        );
+    }
+
+    #[test]
+    fn scaled_profile_rejects_bad_fleet_sizes() {
+        let spec_with = |workload: &str, fleet: &str| {
+            format!(
+                r#"{{ "name": "t", "workload": {workload}, {fleet}
+                      "policy": {{ "kind": "first-fit" }} }}"#
+            )
+        };
+        for (workload, fleet, needle) in [
+            (r#"{ "profile": "scaled", "pms": 3 }"#, "", "pms"),
+            (r#"{ "profile": "scaled", "pms": 0 }"#, "", "pms"),
+            (r#"{ "profile": "scaled" }"#, "", "pms"),
+            (r#"{ "profile": "light", "pms": 40 }"#, "", "pms"),
+            (
+                r#"{ "profile": "scaled", "pms": 40 }"#,
+                r#""fleet": [ { "preset": "paper_fast", "count": 2 } ],"#,
+                "fleet",
+            ),
+        ] {
+            let err = ScenarioSpec::from_json(&spec_with(workload, fleet)).unwrap_err();
+            assert!(err.contains(needle), "{workload}: {err}");
+        }
     }
 
     #[test]

@@ -173,17 +173,21 @@ impl Vm {
             .map(|s| s + self.spec.actual_runtime + self.overhead)
     }
 
+    /// The instant the *estimate* runs out: start + estimated runtime +
+    /// accumulated overheads. `None` while queued.
+    pub fn estimated_end(&self) -> Option<SimTime> {
+        self.started_at
+            .map(|s| s + self.spec.estimated_runtime + self.overhead)
+    }
+
     /// The *estimated* remaining runtime at `now` — the paper's `T_i^re`,
     /// computed from the user estimate, never from the actual runtime.
     /// Zero once the estimate is exhausted (the scheme then sees a VM "about
     /// to finish" and leaves it alone).
     pub fn estimated_remaining(&self, now: SimTime) -> SimDuration {
-        match self.started_at {
+        match self.estimated_end() {
             None => self.spec.estimated_runtime,
-            Some(start) => {
-                let deadline = start + self.spec.estimated_runtime + self.overhead;
-                deadline.saturating_since(now)
-            }
+            Some(end) => end.saturating_since(now),
         }
     }
 

@@ -38,13 +38,12 @@ use dvmp_cluster::pm::{PmId, PmState};
 use dvmp_cluster::reliability::FailureProcess;
 use dvmp_cluster::resources::ResourceVector;
 use dvmp_cluster::vm::{Vm, VmId, VmSpec, VmState};
-use dvmp_forecast::departure::departures_within;
 use dvmp_forecast::spare::SpareServerController;
 use dvmp_metrics::recorder::{RunMeta, RunReport, SimulationRecorder};
 use dvmp_placement::{Migration, PlacementPolicy, PlacementView};
 use dvmp_simcore::event::EventId;
 use dvmp_simcore::{Engine, Scheduler, SimTime, World};
-use std::collections::{BTreeMap, HashMap, HashSet, VecDeque};
+use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet, VecDeque};
 
 /// Simulation events.
 #[derive(Debug, Clone, Copy)]
@@ -102,6 +101,11 @@ struct SimWorld {
     creation_events: HashMap<VmId, EventId>,
     migration_events: HashMap<VmId, EventId>,
     failure_events: HashMap<PmId, EventId>,
+    /// `(estimated end, id)` of every active VM, so the spare controller
+    /// counts `n_departure` over the VMs ending within its window instead
+    /// of scanning every VM ever submitted. Updated wherever a VM's start
+    /// or overhead changes or it leaves the active set.
+    departure_index: BTreeSet<(SimTime, VmId)>,
     /// Requests whose first start was already counted toward QoS — a VM
     /// restarted after a PM failure is not a new request.
     qos_started: HashSet<VmId>,
@@ -133,6 +137,21 @@ impl SimWorld {
     fn mark(&mut self, at: SimTime, m: Milestone) {
         if let Some(tl) = &mut self.timeline {
             tl.push(at, m);
+        }
+    }
+
+    /// Adds `id`'s current estimated end to the departure index.
+    fn index_departure(&mut self, id: VmId) {
+        if let Some(end) = self.vms[&id].estimated_end() {
+            self.departure_index.insert((end, id));
+        }
+    }
+
+    /// Drops `id`'s current estimated end from the departure index; call
+    /// before its start or overhead changes.
+    fn unindex_departure(&mut self, id: VmId) {
+        if let Some(end) = self.vms[&id].estimated_end() {
+            self.departure_index.remove(&(end, id));
         }
     }
 
@@ -173,6 +192,7 @@ impl SimWorld {
         }
         let ev = sched.schedule_at(ready, Event::CreationDone(id));
         self.creation_events.insert(id, ev);
+        self.index_departure(id);
         self.note(now, || FleetOp::Place {
             vm: id,
             pm,
@@ -347,6 +367,7 @@ impl SimWorld {
         });
         let t_mig = self.dc.pm(m.to).class.migration_time;
         let done = now + t_mig;
+        self.unindex_departure(m.vm);
         let vm = self.vms.get_mut(&m.vm).expect("VM exists");
         vm.state = VmState::Migrating {
             from: m.from,
@@ -355,6 +376,7 @@ impl SimWorld {
         };
         vm.overhead += t_mig;
         vm.migrations += 1;
+        self.index_departure(m.vm);
         let ev = sched.schedule_at(done, Event::MigrationDone(m.vm));
         self.migration_events.insert(m.vm, ev);
         self.reschedule_departure(m.vm, sched);
@@ -468,6 +490,7 @@ impl SimWorld {
                 sched.cancel(ev);
             }
         }
+        self.unindex_departure(id);
         let vm = self.vms.get_mut(&id).expect("VM exists");
         vm.state = VmState::Queued;
         vm.started_at = None;
@@ -498,9 +521,11 @@ impl SimWorld {
                             sched.cancel(ev);
                         }
                         let t_mig = self.dc.pm(to).class.migration_time;
+                        self.unindex_departure(id);
                         let vm = self.vms.get_mut(&id).expect("VM exists");
                         vm.overhead = vm.overhead.saturating_sub(t_mig);
                         vm.state = VmState::Running { pm: from };
+                        self.index_departure(id);
                         self.reschedule_departure(id, sched);
                         self.recorder.record_failure_aborted_migration();
                         dvmp_obs::note_migration_aborted(id.0 as u64);
@@ -531,12 +556,19 @@ impl SimWorld {
         let Some(sp) = &mut self.spare else { return };
         let period = sp.config().control_period;
         let _span = dvmp_obs::span!(dvmp_obs::Phase::SpareControl);
-        let n_dep = departures_within(
-            self.vms
-                .values()
-                .filter(|vm| vm.is_active())
-                .map(|vm| vm.estimated_remaining(now)),
-            period,
+        // Remaining time ≤ T exactly when the estimated end is ≤ now + T.
+        let horizon = (now + period, VmId(u32::MAX));
+        let n_dep = self.departure_index.range(..=horizon).count() as u64;
+        debug_assert_eq!(
+            n_dep,
+            dvmp_forecast::departure::departures_within(
+                self.vms
+                    .values()
+                    .filter(|vm| vm.is_active())
+                    .map(|vm| vm.estimated_remaining(now)),
+                period,
+            ),
+            "indexed n_departure disagrees with the full scan at t={now}"
         );
         self.spare_target = sp.spare_servers(now, n_dep);
         let target = self.spare_target;
@@ -581,6 +613,7 @@ impl World for SimWorld {
             }
             Event::Departure(id) => {
                 self.departure_events.remove(&id);
+                self.unindex_departure(id);
                 if let Some(ev) = self.migration_events.remove(&id) {
                     sched.cancel(ev);
                 }
@@ -713,6 +746,7 @@ impl Simulation {
             creation_events: HashMap::new(),
             migration_events: HashMap::new(),
             failure_events: HashMap::new(),
+            departure_index: BTreeSet::new(),
             qos_started: HashSet::new(),
             timeline: None,
             oracle: None,
@@ -1386,6 +1420,109 @@ mod tests {
             engine.world().vms[&VmId(1)].state,
             VmState::Completed { .. }
         ));
+    }
+
+    #[test]
+    fn indexed_departure_count_matches_a_full_scan() {
+        // Every event that starts, stretches, refunds or ends a VM's
+        // estimate must keep the departure index in step with a full scan.
+        // The first checks sit 20 s inside the window edge of VM 1's
+        // estimated end, so a missed update moves the count.
+        let mut cfg = base_cfg();
+        cfg.consolidate_on_arrival = false;
+        cfg.consolidate_on_departure = false;
+        cfg.failures = Some(FailureConfig {
+            base_rate: 0.0,
+            repair_time: SimDuration::from_hours(1),
+        });
+        let sp = cfg.spare.as_mut().expect("spare control is on by default");
+        // A large spare target keeps every PM powered for the migrations.
+        sp.bootstrap_arrivals = 1_000.0;
+        let period = sp.control_period;
+        let requests = vec![spec(1, 0, 4_000), spec(2, 0, 4_000), spec(3, 0, 30_000)];
+        let mut engine = surgical::world_with(requests, cfg);
+        engine.run_until(SimTime::from_secs(200));
+
+        let check = |engine: &mut Engine<SimWorld>, now: SimTime| -> u64 {
+            let (world, sched) = engine.world_and_scheduler();
+            world.handle_control_period(now, sched);
+            let brute = world
+                .vms
+                .values()
+                .filter(|vm| vm.is_active() && vm.estimated_remaining(now) <= period)
+                .count() as u64;
+            let snap = world.spare.as_ref().and_then(|sp| sp.last_forecast());
+            let n = snap.expect("a decision was made").n_departure;
+            assert_eq!(n, brute, "n_departure at t={now}");
+            n
+        };
+        let idle_dest = |engine: &Engine<SimWorld>, not: PmId| -> PmId {
+            let dc = &engine.world().dc;
+            dc.pms()
+                .iter()
+                .find(|pm| pm.id != not && pm.is_available() && pm.is_idle())
+                .map(|pm| pm.id)
+                .expect("an idle powered PM")
+        };
+
+        // Migration begin: T_mig pushes VM 1's estimated end out.
+        let end = engine.world().vms[&VmId(1)]
+            .estimated_end()
+            .expect("started");
+        let t1 = end - period + SimDuration::from_secs(20);
+        assert!(t1 > SimTime::from_secs(200));
+        let before = check(&mut engine, t1);
+        let source = surgical::running_on(&engine, VmId(1)).expect("running");
+        let dest = idle_dest(&engine, source);
+        surgical::force_migration(&mut engine, VmId(1), dest, t1);
+        assert_eq!(check(&mut engine, t1), before - 1, "VM 1 left the window");
+        // Its stretched end re-enters the window 30 s later.
+        let t1b = t1 + SimDuration::from_secs(30);
+        assert_eq!(check(&mut engine, t1b), before, "VM 1's new end is indexed");
+
+        // Destination failure: the migration aborts, T_mig is refunded.
+        let t2 = t1b + SimDuration::from_secs(5);
+        let (world, sched) = engine.world_and_scheduler();
+        world.handle_pm_failure(dest, t2, sched);
+        assert_eq!(
+            engine.world().vms[&VmId(1)].state,
+            VmState::Running { pm: source }
+        );
+        assert_eq!(check(&mut engine, t2), before, "VM 1 is back in the window");
+
+        // Source failure: VM 1 migrates again and its source dies; it is
+        // requeued (and the drain may re-place it at once).
+        let t3 = t2 + SimDuration::from_secs(5);
+        let dest = idle_dest(&engine, source);
+        surgical::force_migration(&mut engine, VmId(1), dest, t3);
+        let (world, sched) = engine.world_and_scheduler();
+        world.handle_pm_failure(source, t3, sched);
+        assert_ne!(
+            engine.world().vms[&VmId(1)].state,
+            VmState::Running { pm: source }
+        );
+        check(&mut engine, t3);
+
+        // Departure: VM 2 completes and leaves the index.
+        let end2 = engine.world().vms[&VmId(2)]
+            .projected_departure()
+            .expect("started");
+        let t4 = end2 + SimDuration::from_secs(1);
+        engine.run_until(t4);
+        assert!(matches!(
+            engine.world().vms[&VmId(2)].state,
+            VmState::Completed { .. }
+        ));
+        check(&mut engine, t4);
+        assert_eq!(
+            engine.world().departure_index.len(),
+            engine
+                .world()
+                .vms
+                .values()
+                .filter(|vm| vm.is_active())
+                .count()
+        );
     }
 
     #[test]

@@ -25,12 +25,17 @@
 //!   beyond one ulp — so the top level strictly dominates after rounding).
 //! - Per row: the hosted-entry probability `H = p^rel·p^eff(used)` and a
 //!   per-demand level cache, so a candidate probe costs one table load.
-//! - Per column (one per migratable VM, kept sorted by `VmId` to match the
-//!   dense planner's column order): its demand, host row, authoritative
-//!   completion deadline, and `dbar` — an **upper bound** on the column's
-//!   best normalized score `max_r d(r,c)`.
+//! - Per column (one per migratable VM): its demand, host row,
+//!   authoritative completion deadline, and `dbar` — an **upper bound**
+//!   on the column's best normalized score `max_r d(r,c)` (see below).
+//!   Columns sit in a slab in no particular order: removal is a
+//!   `swap_remove` plus a `VmId → slot` table update, O(1). The round
+//!   loop's winner scan therefore breaks an exact tie in `d` by the
+//!   lowest `VmId` — the column the dense planner, whose columns are
+//!   `VmId`-sorted, meets first. A one-shot plan never removes columns
+//!   and ties by plan index, the dense planner's order for that plan.
 //!
-//! ## The `dbar` bound and why stale is sound
+//! ## The effective bound and why stale is sound
 //!
 //! `p^vir` decays monotonically as remaining time shrinks, so a column's
 //! exact score computed at pass `t` upper-bounds its score at every later
@@ -39,13 +44,20 @@
 //! bound's validity for each kind of movement:
 //!
 //! - a dirty row re-syncs `H` and its level buckets, and every column it
-//!   hosts is exactly refreshed (its denominator changed);
-//! - dirty VMs are exactly refreshed (or dropped / stashed);
+//!   hosts is exactly re-scored (its denominator changed). A row that
+//!   stays active re-scores its columns as they stand, without re-reading
+//!   them from the VM map: the journal marks every VM whose host, demand
+//!   or overhead changed, so a clean VM's column is unchanged. A row that
+//!   drops out removes its columns;
+//! - dirty VMs (journal, planner self-dirt, ripe stash entries) are
+//!   re-read and exactly refreshed (or dropped / stashed);
 //! - when a `(s, d)` bucket gains *any insert* during a patch (a row
-//!   arriving at a level it did not occupy before), every demand-`d`
-//!   column's bound is raised to `p^rel_s·level_eff[top] / H(host)` — an
-//!   upper bound on any score the bucket can now produce, since
-//!   `p^vir·p^rel ≤ p^rel` and every candidate sits at or below the top.
+//!   arriving at a level it did not occupy before), its cap
+//!   `p^rel_s·level_eff[top]` folds into `pending[d]`: every demand-`d`
+//!   column's *effective* bound is `max(dbar, pending[d] / H(host))` —
+//!   an upper bound on any score the bucket can now produce, since
+//!   `p^vir·p^rel ≤ p^rel` and every candidate sits at or below the top
+//!   (`H ≤ 0` makes it ∞, as such a host scores every candidate ∞).
 //!
 //! Inserts are the only candidate-side events that can raise a column's
 //! exact score: removals shrink the candidate set, and a *membership*
@@ -55,13 +67,24 @@
 //! only the host into a real candidate. Re-syncs that leave a row at its
 //! previous level are skipped entirely, so no-op churn does not mark
 //! buckets. Removals leave bounds stale-high, which is merely conservative.
-//! A planning pass then reduces to: patch, take `max dbar` (carried as a
-//! running upper bound, so this is O(1)); if it clears
-//! `MIG_threshold`, exactly refresh the exceeders; only if a genuine
+//!
+//! The fold visits no column. Two running values bound every effective
+//! bound at once: `hmin[d]`, a lower bound on `H(host)` over the live
+//! demand-`d` columns (lowered in `refresh_bound`, which every column
+//! whose host's `H` changed passes through), and
+//! `pending_max ≥ max_d pending[d] / hmin[d]`; `dbar_max` covers the
+//! `dbar`s. A planning pass then reduces to: patch; exit if
+//! `max(dbar_max, pending_max) ≤ MIG_threshold` (O(1)); else scan every
+//! column once, folding `pending` into its `dbar`, exactly refreshing the
+//! exceeders and re-deriving `hmin` and the maxima; only if a genuine
 //! exceeder survives does the pass materialize per-column exact bests and
 //! run Algorithm 1's round loop — whose winner scan, tie-breaks and repair
 //! heuristics mirror the dense planner operation-for-operation, so the
-//! proposed migration sequence is bit-identical.
+//! proposed migration sequence is bit-identical. A looser bound cannot
+//! change the moves: the output depends only on whether some column's
+//! *exact* score exceeds `MIG_threshold`, and both the early exit and the
+//! exceeder refresh are decided against valid upper bounds, so any valid
+//! bound yields the same plan — a loose one costs only an extra scan.
 //!
 //! The planner's own hypothetical row mutations (and any divergence from
 //! the simulator skipping a proposed move, or the double-reservation
@@ -74,8 +97,8 @@
 //!
 //! Structures the compressed form cannot represent — more than 64
 //! superclasses, more than 128 demand vectors in use at once, level counts
-//! past 63, capacity dimensions that disagree with `min_vm` — permanently
-//! poison the planner.
+//! past 63, capacity dimensions that disagree with `min_vm`, VM ids past
+//! the column slot table's 2²⁴ — permanently poison the planner.
 //! [`DynamicPlacement`](crate::dynamic::DynamicPlacement) then serves
 //! every later pass with a one-shot compressed plan built from scratch,
 //! or with the dense kernel — the reference definition of the output —
@@ -108,6 +131,24 @@ pub const MAX_DEMANDS: usize = 128;
 const MAX_LEVEL: u64 = 63;
 /// `row_w` sentinel: infeasible / not bucketed.
 const INFEASIBLE: u8 = u8::MAX;
+/// `col_slot` sentinel: the VM has no column.
+const NO_COL: u32 = u32::MAX;
+/// Largest VM id the column slot table indexes (a 64 MiB table); every
+/// workload generator numbers VMs densely from 0 or 1, far below it.
+const MAX_VM_ID: usize = (1 << 24) - 1;
+
+/// `cap / h`: the largest score a bucket capped at `cap` can give a
+/// column hosted where `H = h` — ∞ when `h ≤ 0`, `-∞` when no cap is
+/// pending.
+fn cap_over(cap: f64, h: f64) -> f64 {
+    if cap == f64::NEG_INFINITY {
+        f64::NEG_INFINITY
+    } else if h > 0.0 {
+        cap / h
+    } else {
+        f64::INFINITY
+    }
+}
 
 /// Exact equality key under which two PM rows are column-wise
 /// bit-identical.
@@ -238,12 +279,25 @@ pub(crate) struct CompressedPlanner {
     buckets: Vec<Bucket>,
     touched_buckets: Vec<u32>,
     snapshots_armed: bool,
+    /// Column storage in no particular order (removal is `swap_remove`).
     cols: Vec<Col>,
+    /// `VmId.0 → index into cols`, `NO_COL` where the VM has no column.
+    col_slot: Vec<u32>,
     /// Upper bound on every column's `dbar`: raised with each bound,
     /// recomputed exactly whenever a pass scans all columns, and left
     /// stale-high by drops in between — so the stage-1 scan reads one
     /// value instead of every column.
     dbar_max: f64,
+    /// Per demand slot: the largest `p^rel·level_eff[top]` of a bucket
+    /// that gained an insert since the last fold (`-∞`: none). Every
+    /// demand-`d` column's effective bound is
+    /// `max(dbar, pending[d] / H(host))`; see the module docs.
+    pending: Vec<f64>,
+    /// Per demand slot: a lower bound on `H(host)` over the live
+    /// demand-`d` columns (`+∞`: none seen since the last re-derivation).
+    hmin: Vec<f64>,
+    /// Upper bound on `pending[d] / hmin[d]` over every demand slot.
+    pending_max: f64,
     /// VMs seen mid-creation: re-examined once their ready time passes
     /// (the creation-done transition is not journaled — the datacenter's
     /// occupancy does not change at that instant).
@@ -255,7 +309,8 @@ pub(crate) struct CompressedPlanner {
     self_dirty_pms: Vec<PmId>,
     self_dirty_vms: Vec<VmId>,
     // Patch and round-loop scratch, reused across passes.
-    dirty_cols: Vec<VmId>,
+    reread_cols: Vec<VmId>,
+    rescore_cols: Vec<VmId>,
     rem: Vec<u64>,
     best: Vec<Option<(u32, f64)>>,
 }
@@ -295,6 +350,7 @@ impl CompressedPlanner {
         self.rows.clear();
         self.buckets.clear();
         self.cols.clear();
+        self.col_slot.clear();
         self.host_vms.clear();
         self.stash.clear();
     }
@@ -367,6 +423,8 @@ impl CompressedPlanner {
             }
             self.demands.push(*res);
             self.demand_cols.push(0);
+            self.pending.push(f64::NEG_INFINITY);
+            self.hmin.push(f64::INFINITY);
             self.demands.len() - 1
         } else {
             let d = self
@@ -448,6 +506,8 @@ impl CompressedPlanner {
     fn retire_demand(&mut self, d: usize) {
         debug_assert_eq!(self.demand_cols[d], 0);
         self.demand_lookup.remove(&self.demands[d]);
+        self.pending[d] = f64::NEG_INFINITY;
+        self.hmin[d] = f64::INFINITY;
         for s in 0..self.sclasses.len() {
             let b = &mut self.buckets[s * MAX_DEMANDS + d];
             b.levels.iter_mut().for_each(BTreeSet::clear);
@@ -734,6 +794,7 @@ impl CompressedPlanner {
         self.host_vms.resize_with(m, BTreeSet::new);
         self.active_rows = 0;
         self.cols.clear();
+        self.col_slot.clear();
         self.demand_cols.fill(0);
         self.stash.clear();
         self.self_dirty_pms.clear();
@@ -750,15 +811,13 @@ impl CompressedPlanner {
                     let r = pm.0 as usize;
                     if self.rows.get(r).is_some_and(|row| row.active) {
                         let d = self.register_demand(vm.demand(), cfg)?;
-                        self.demand_cols[d as usize] += 1;
-                        self.cols.push(Col {
+                        self.insert_col(Col {
                             id: vm.spec.id,
                             demand: d,
                             host: pm.0,
                             deadline: view.now + vm.estimated_remaining(view.now),
                             dbar: f64::INFINITY,
-                        });
-                        self.host_vms[r].insert(vm.spec.id);
+                        })?;
                     }
                 }
                 VmState::Creating { ready_at, .. } => {
@@ -768,6 +827,8 @@ impl CompressedPlanner {
             }
         }
         self.dbar_max = f64::NEG_INFINITY;
+        self.reset_pending();
+        self.hmin.fill(f64::INFINITY);
         for c in 0..self.cols.len() {
             self.refresh_bound(c, view.now, cfg);
         }
@@ -775,13 +836,35 @@ impl CompressedPlanner {
     }
 
     /// Sets column `c`'s bound to its exact best score at `now` and
-    /// returns it.
+    /// returns it. Every column whose host's `H` changed passes through
+    /// here, which is what keeps `hmin` a lower bound.
     fn refresh_bound(&mut self, c: usize, now: SimTime, cfg: &DynamicConfig) -> f64 {
         let rem = self.cols[c].deadline.saturating_since(now).as_secs();
         let d = self.exact_best(c, rem, cfg).map_or(0.0, |(_, d)| d);
-        self.cols[c].dbar = d;
+        let col = &mut self.cols[c];
+        col.dbar = d;
         self.dbar_max = self.dbar_max.max(d);
+        let (dm, h) = (col.demand as usize, self.rows[col.host as usize].h);
+        if h < self.hmin[dm] {
+            self.hmin[dm] = h;
+            self.pending_max = self.pending_max.max(cap_over(self.pending[dm], h));
+        }
         d
+    }
+
+    /// Clears every pending cap, once the caller has folded them into the
+    /// columns' `dbar` or replaced `dbar` with exact scores.
+    fn reset_pending(&mut self) {
+        self.pending.fill(f64::NEG_INFINITY);
+        self.pending_max = f64::NEG_INFINITY;
+    }
+
+    /// Column `c`'s effective bound: its `dbar`, raised by the pending cap
+    /// of its demand over its host's current `H`.
+    fn effective_bound(&self, c: usize) -> f64 {
+        let col = &self.cols[c];
+        let h = self.rows[col.host as usize].h;
+        col.dbar.max(cap_over(self.pending[col.demand as usize], h))
     }
 
     /// Mirrors [`PlanState::refill`]'s row construction exactly —
@@ -805,16 +888,40 @@ impl CompressedPlanner {
         }
     }
 
-    fn col_index(&self, vm: VmId) -> Result<usize, usize> {
-        self.cols.binary_search_by_key(&vm, |c| c.id)
+    fn col_index(&self, vm: VmId) -> Option<usize> {
+        match self.col_slot.get(vm.0 as usize) {
+            Some(&i) if i != NO_COL => Some(i as usize),
+            _ => None,
+        }
+    }
+
+    /// Appends a column for a VM that has none. Ids past `MAX_VM_ID`
+    /// poison rather than size the slot table after them.
+    fn insert_col(&mut self, col: Col) -> Result<(), Poison> {
+        let id = col.id.0 as usize;
+        if id > MAX_VM_ID {
+            return Err(Poison);
+        }
+        if self.col_slot.len() <= id {
+            self.col_slot.resize(id + 1, NO_COL);
+        }
+        debug_assert_eq!(self.col_slot[id], NO_COL, "vm {id} already has a column");
+        self.col_slot[id] = self.cols.len() as u32;
+        self.demand_cols[col.demand as usize] += 1;
+        self.host_vms[col.host as usize].insert(col.id);
+        self.cols.push(col);
+        Ok(())
     }
 
     fn remove_col(&mut self, vm: VmId) {
-        if let Ok(i) = self.col_index(vm) {
-            let host = self.cols[i].host as usize;
-            self.host_vms[host].remove(&vm);
-            self.demand_cols[self.cols[i].demand as usize] -= 1;
-            self.cols.remove(i);
+        if let Some(i) = self.col_index(vm) {
+            let col = self.cols.swap_remove(i);
+            self.col_slot[vm.0 as usize] = NO_COL;
+            if let Some(moved) = self.cols.get(i) {
+                self.col_slot[moved.id.0 as usize] = i as u32;
+            }
+            self.host_vms[col.host as usize].remove(&vm);
+            self.demand_cols[col.demand as usize] -= 1;
         }
     }
 
@@ -825,8 +932,12 @@ impl CompressedPlanner {
         cfg: &DynamicConfig,
     ) -> Result<(), Poison> {
         self.snapshots_armed = true;
-        let mut dirty_cols = std::mem::take(&mut self.dirty_cols);
-        dirty_cols.clear();
+        // `reread`: VMs whose column may have changed, re-read from the
+        // VM map. `rescore`: clean columns on a dirty row that stays
+        // active — only their host's `H` and the buckets moved under
+        // them, so they are re-scored as they stand.
+        let mut reread = std::mem::take(&mut self.reread_cols);
+        let mut rescore = std::mem::take(&mut self.rescore_cols);
 
         // Rows: journal dirt plus this planner's own previous-pass touches.
         let mut self_pms = std::mem::take(&mut self.self_dirty_pms);
@@ -839,16 +950,20 @@ impl CompressedPlanner {
                 return Err(Poison);
             }
             let was_active = self.rows[r].active;
-            if was_active {
-                dirty_cols.extend(self.host_vms[r].iter().copied());
-            }
             let pm = view.dc.pm(id);
             let plan_pm = Self::plan_pm_of(pm, cfg);
             self.sync_row(r, pm.is_available(), &plan_pm, cfg)?;
             dirty_rows += 1;
-            if self.rows[r].active && !was_active {
+            match (was_active, self.rows[r].active) {
+                (true, true) => rescore.extend(self.host_vms[r].iter().copied()),
+                (true, false) => {
+                    for vm in std::mem::take(&mut self.host_vms[r]) {
+                        self.remove_col(vm);
+                    }
+                }
                 // Freshly available again: adopt whatever it already hosts.
-                dirty_cols.extend(pm.hosted_vms());
+                (false, true) => reread.extend(pm.hosted_vms()),
+                (false, false) => {}
             }
         }
         self_pms.clear();
@@ -860,17 +975,16 @@ impl CompressedPlanner {
                 break;
             }
             self.stash.pop_first();
-            dirty_cols.push(vm);
+            reread.push(vm);
         }
 
-        dirty_cols.extend(delta.dirty_vms().iter().copied());
-        dirty_cols.append(&mut self.self_dirty_vms);
-        // Ascending and unique, as the dense planner's column order is.
-        dirty_cols.sort_unstable();
-        dirty_cols.dedup();
+        reread.extend(delta.dirty_vms().iter().copied());
+        reread.append(&mut self.self_dirty_vms);
+        reread.sort_unstable();
+        reread.dedup();
 
         // Columns: re-read each dirty VM from the authoritative map.
-        for &vm_id in &dirty_cols {
+        for &vm_id in &reread {
             match view.vms.get(&vm_id).map(|vm| (vm, vm.state)) {
                 Some((vm, VmState::Running { pm })) => {
                     let r = pm.0 as usize;
@@ -880,36 +994,27 @@ impl CompressedPlanner {
                     }
                     let d = self.register_demand(vm.demand(), cfg)?;
                     let deadline = view.now + vm.estimated_remaining(view.now);
-                    match self.col_index(vm_id) {
-                        Ok(i) => {
-                            let old_host = self.cols[i].host as usize;
-                            if old_host != r {
-                                self.host_vms[old_host].remove(&vm_id);
-                                self.host_vms[r].insert(vm_id);
-                            }
-                            self.demand_cols[self.cols[i].demand as usize] -= 1;
-                            self.demand_cols[d as usize] += 1;
-                            let col = &mut self.cols[i];
-                            col.demand = d;
-                            col.host = pm.0;
-                            col.deadline = deadline;
-                            col.dbar = f64::INFINITY;
-                        }
-                        Err(i) => {
-                            self.demand_cols[d as usize] += 1;
-                            self.cols.insert(
-                                i,
-                                Col {
-                                    id: vm_id,
-                                    demand: d,
-                                    host: pm.0,
-                                    deadline,
-                                    dbar: f64::INFINITY,
-                                },
-                            );
-                            self.host_vms[r].insert(vm_id);
-                        }
+                    let Some(i) = self.col_index(vm_id) else {
+                        self.insert_col(Col {
+                            id: vm_id,
+                            demand: d,
+                            host: pm.0,
+                            deadline,
+                            dbar: f64::INFINITY,
+                        })?;
+                        continue;
+                    };
+                    let old_host = self.cols[i].host as usize;
+                    if old_host != r {
+                        self.host_vms[old_host].remove(&vm_id);
+                        self.host_vms[r].insert(vm_id);
                     }
+                    self.demand_cols[self.cols[i].demand as usize] -= 1;
+                    self.demand_cols[d as usize] += 1;
+                    let col = &mut self.cols[i];
+                    col.demand = d;
+                    col.host = pm.0;
+                    col.deadline = deadline;
                 }
                 Some((_, VmState::Creating { ready_at, .. })) => {
                     self.remove_col(vm_id);
@@ -919,37 +1024,67 @@ impl CompressedPlanner {
             }
         }
 
-        // Bound-raise triggers: buckets that gained an insert can now score
-        // higher for *any* demand-matching column (a newcomer can turn a
-        // level that held only a column's own host into a real candidate,
-        // so a top comparison alone would be unsound).
+        // Buckets that gained an insert can now score higher for *any*
+        // demand-matching column (a newcomer can turn a level that held
+        // only a column's own host into a real candidate, so a top
+        // comparison alone would be unsound): fold them into `pending`.
         self.snapshots_armed = false;
-        self.raise_bounds(cfg);
+        self.fold_touched(cfg);
 
-        // Exact refresh of every dirty column that survived as live.
+        // Exact refresh of every re-read or re-scored column still live.
+        reread.append(&mut rescore);
+        reread.sort_unstable();
+        reread.dedup();
         let mut refreshed = 0u64;
-        for &vm_id in &dirty_cols {
-            if let Ok(c) = self.col_index(vm_id) {
+        for &vm_id in &reread {
+            if let Some(c) = self.col_index(vm_id) {
+                #[cfg(debug_assertions)]
+                self.assert_col_matches(c, view);
                 self.refresh_bound(c, view.now, cfg);
                 refreshed += 1;
             }
         }
-        dirty_cols.clear();
-        self.dirty_cols = dirty_cols;
+        reread.clear();
+        self.reread_cols = reread;
+        self.rescore_cols = rescore;
         dvmp_obs::note_compressed_patch(dirty_rows, refreshed);
         Ok(())
     }
 
-    /// Raises every column's bound past anything the buckets touched
-    /// since the last patch can now score for it, then clears the touched
-    /// list. One sweep over the columns: the touched buckets first fold
-    /// into the largest `p^rel·level_eff[top]` cap per demand, and since
-    /// dividing by a fixed `H(host) > 0` is monotone,
-    /// `max(a/H, b/H) == max(a, b)/H` — the same bound a sweep per bucket
-    /// would leave. A zero `H` raises to ∞ for any touched demand.
-    fn raise_bounds(&mut self, cfg: &DynamicConfig) {
-        let mut caps = [f64::NEG_INFINITY; MAX_DEMANDS];
-        let mut touched = 0u128;
+    /// Checked mode: column `c` agrees with the authoritative VM map. The
+    /// deadline is compared as remaining time, since an overdue VM's
+    /// stored deadline saturates at the instant it was read.
+    #[cfg(debug_assertions)]
+    fn assert_col_matches(&self, c: usize, view: &PlacementView<'_>) {
+        let col = &self.cols[c];
+        let vm = &view.vms[&col.id];
+        assert_eq!(
+            vm.state,
+            VmState::Running {
+                pm: self.row_ids[col.host as usize]
+            },
+            "vm {:?}: stale column host",
+            col.id
+        );
+        assert_eq!(
+            &self.demands[col.demand as usize],
+            vm.demand(),
+            "vm {:?}: stale demand",
+            col.id
+        );
+        assert_eq!(
+            col.deadline.saturating_since(view.now),
+            vm.estimated_remaining(view.now),
+            "vm {:?}: stale remaining time",
+            col.id
+        );
+    }
+
+    /// Folds the buckets touched since the last patch into `pending`, then
+    /// clears the touched list. O(touched buckets): the columns themselves
+    /// only see the raise through [`effective_bound`](Self::effective_bound)
+    /// until a full scan folds it into their `dbar`.
+    fn fold_touched(&mut self, cfg: &DynamicConfig) {
         for &b_idx in &self.touched_buckets {
             let bucket = &mut self.buckets[b_idx as usize];
             bucket.marked = false;
@@ -960,28 +1095,11 @@ impl CompressedPlanner {
             let d = b_idx as usize % MAX_DEMANDS;
             let sc = &self.sclasses[s];
             let rel_cap = if cfg.use_rel { sc.rel } else { 1.0 };
-            caps[d] = caps[d].max(rel_cap * sc.entry.level_eff[top as usize]);
-            touched |= 1 << d;
+            let cap = self.pending[d].max(rel_cap * sc.entry.level_eff[top as usize]);
+            self.pending[d] = cap;
+            self.pending_max = self.pending_max.max(cap_over(cap, self.hmin[d]));
         }
         self.touched_buckets.clear();
-        if touched == 0 {
-            return;
-        }
-        for col in &mut self.cols {
-            if touched & (1 << col.demand) == 0 {
-                continue;
-            }
-            let h = self.rows[col.host as usize].h;
-            let bound = if h > 0.0 {
-                caps[col.demand as usize] / h
-            } else {
-                f64::INFINITY
-            };
-            if bound > col.dbar {
-                col.dbar = bound;
-                self.dbar_max = self.dbar_max.max(bound);
-            }
-        }
     }
 
     // -------------------------------------------------------------------
@@ -1002,25 +1120,35 @@ impl CompressedPlanner {
         if self.cols.is_empty() || self.active_rows < 2 {
             return Some((Vec::new(), false));
         }
-        // Checked mode: in debug builds, prove the carried bounds dominate
-        // the exact scores before trusting the early-out on them.
+        // Checked mode: in debug builds, prove the effective bounds
+        // dominate the exact scores before trusting the early-out on them.
         #[cfg(debug_assertions)]
         for c in 0..self.cols.len() {
-            let rem = self.cols[c].deadline.saturating_since(view.now).as_secs();
+            let col = &self.cols[c];
+            let rem = col.deadline.saturating_since(view.now).as_secs();
             let exact = self.exact_best(c, rem, cfg).map_or(0.0, |(_, d)| d);
+            let bound = self.effective_bound(c);
+            let h = self.rows[col.host as usize].h;
             debug_assert!(
-                self.cols[c].dbar >= exact,
-                "stale-low bound: vm {:?} host {} demand {} dbar {} exact {} (t={})",
-                self.cols[c].id,
-                self.cols[c].host,
-                self.cols[c].demand,
-                self.cols[c].dbar,
+                bound >= exact,
+                "stale-low bound: vm {:?} host {} demand {} bound {} exact {} (t={})",
+                col.id,
+                col.host,
+                col.demand,
+                bound,
                 exact,
                 view.now.as_secs(),
             );
             debug_assert!(
-                self.cols[c].dbar <= self.dbar_max || self.cols[c].dbar.is_nan(),
-                "dbar_max below a bound"
+                self.hmin[col.demand as usize] <= h,
+                "hmin above a host's H: vm {:?} host {} h {}",
+                col.id,
+                col.host,
+                h
+            );
+            debug_assert!(
+                bound <= self.dbar_max.max(self.pending_max) || bound.is_nan(),
+                "running maxima below a bound"
             );
         }
         #[cfg(debug_assertions)]
@@ -1031,23 +1159,31 @@ impl CompressedPlanner {
             }
             debug_assert_eq!(live, self.demand_cols, "per-demand column counts");
         }
-        // Stage 1: the bound check. Most passes end here. (`dbar_max` is
-        // never NaN: `f64::max` skips NaN bounds, as `dbar > thr` would.)
+        // Stage 1: the bound check. Most passes end here. (The maxima are
+        // never NaN: `f64::max` skips NaN bounds, as `bound > thr` would.)
         let thr = cfg.mig_threshold;
-        if self.dbar_max <= thr {
+        if self.dbar_max.max(self.pending_max) <= thr {
             return Some((Vec::new(), false));
         }
-        // Stage 2: exact refresh of the exceeders at the current instant,
-        // re-deriving the running maximum from scratch on the way.
+        // Stage 2: fold the pending caps into every column, exactly
+        // refresh the exceeders at the current instant, and re-derive the
+        // running maximum and `hmin` from scratch on the way.
         let mut any = false;
         self.dbar_max = f64::NEG_INFINITY;
+        self.hmin.fill(f64::INFINITY);
         for c in 0..self.cols.len() {
-            if self.cols[c].dbar > thr {
+            let bound = self.effective_bound(c);
+            if bound > thr {
                 any |= self.refresh_bound(c, view.now, cfg) > thr;
             } else {
-                self.dbar_max = self.dbar_max.max(self.cols[c].dbar);
+                let col = &mut self.cols[c];
+                col.dbar = bound;
+                self.dbar_max = self.dbar_max.max(bound);
+                let hmin = &mut self.hmin[col.demand as usize];
+                *hmin = hmin.min(self.rows[col.host as usize].h);
             }
         }
+        self.reset_pending();
         if !any {
             return Some((Vec::new(), false));
         }
@@ -1078,13 +1214,22 @@ impl CompressedPlanner {
         for (c, &r) in rem.iter().enumerate() {
             best.push(self.exact_best(c, r, cfg));
         }
+        // Equal scores go to the column the dense planner meets first: the
+        // lowest `VmId` (persistent columns sit in no particular order), or
+        // the lowest plan index for a one-shot plan.
+        let one_shot = plan.is_some();
+        let rank = |cols: &[Col], c: usize| if one_shot { c as u32 } else { cols[c].id.0 };
         let mut moves = Vec::new();
         let mut capped = true;
         for _round in 0..cfg.mig_round {
             let mut winner: Option<(usize, u32, f64)> = None;
             for (c, entry) in best.iter().enumerate() {
                 if let Some((row, d)) = *entry {
-                    if d > cfg.mig_threshold && winner.map_or(true, |(_, _, wd)| d > wd) {
+                    if d > cfg.mig_threshold
+                        && winner.map_or(true, |(wc, _, wd)| {
+                            d > wd || (d == wd && rank(&self.cols, c) < rank(&self.cols, wc))
+                        })
+                    {
                         winner = Some((c, row, d));
                     }
                 }
@@ -1149,12 +1294,17 @@ impl CompressedPlanner {
                 }
             }
         }
-        // The exact bests become the carried bounds, and the pass's own
-        // touches are re-read authoritatively next patch.
+        // The exact bests become the carried bounds (nothing is pending
+        // past them), and the pass's own touches are re-read
+        // authoritatively next patch.
         self.dbar_max = f64::NEG_INFINITY;
+        self.reset_pending();
+        self.hmin.fill(f64::INFINITY);
         for (col, b) in self.cols.iter_mut().zip(best.iter()) {
             col.dbar = b.map_or(0.0, |(_, d)| d);
             self.dbar_max = self.dbar_max.max(col.dbar);
+            let hmin = &mut self.hmin[col.demand as usize];
+            *hmin = hmin.min(self.rows[col.host as usize].h);
         }
         for m in &moves {
             self.self_dirty_pms.extend([m.from, m.to]);
@@ -1722,6 +1872,31 @@ mod tests {
         assert_eq!(dense.plan(now), comp.plan(now), "post-poison plans match");
     }
 
+    #[test]
+    fn vm_ids_past_the_slot_table_poison_and_still_match() {
+        // A VM id the column slot table does not cover poisons the planner
+        // instead of sizing the table after it; the plan is unchanged.
+        let mut dense = Twin::new(PlanKernel::Dense);
+        let mut comp = Twin::new(PlanKernel::Compressed);
+        for (i, id) in [1, MAX_VM_ID as u32 + 1].into_iter().enumerate() {
+            for twin in [&mut dense, &mut comp] {
+                let s = spec(id, 512, 150_000);
+                install(
+                    &mut twin.dc,
+                    &mut twin.vms,
+                    s,
+                    PmId(6 + i as u32),
+                    SimTime::ZERO,
+                );
+            }
+        }
+        let now = SimTime::from_secs(60);
+        let moves = dense.plan(now);
+        assert!(!moves.is_empty());
+        assert_eq!(moves, comp.plan(now));
+        assert!(comp.policy.compressed_poisoned());
+    }
+
     /// Recomputes every active row's level for every registered demand
     /// from scratch and checks the level cache and the buckets hold
     /// exactly that — no stale level, no stale bucket entry.
@@ -1865,11 +2040,24 @@ mod tests {
         assert_eq!(dense.compressed_passes(), 0);
     }
 
+    /// A compressed planner synced to `twin`'s fleet at `now`.
+    fn synced_planner(twin: &Twin, now: SimTime, cfg: &DynamicConfig) -> CompressedPlanner {
+        let view = PlacementView {
+            dc: &twin.dc,
+            vms: &twin.vms,
+            now,
+        };
+        let mut p = CompressedPlanner::new();
+        assert!(p.ensure_synced(&view, None, cfg));
+        p
+    }
+
     #[test]
-    fn fused_raise_takes_the_largest_touched_cap_per_demand() {
-        // Two superclasses (fast, slow) × one demand: mark both buckets
-        // touched at different tops and check every column's bound lands
-        // on the larger `p_cap / h`, and on ∞ over a zero-`h` host.
+    fn lazy_raise_takes_the_largest_touched_cap_per_demand() {
+        // Two superclasses (fast, slow) × one demand: fold both buckets as
+        // touched at different tops and check every column's effective
+        // bound lands on the larger `p_cap / h`, and on ∞ over a zero-`h`
+        // host — and that the running maximum covers it.
         let mut twin = Twin::new(PlanKernel::Compressed);
         let now = SimTime::ZERO;
         for (i, pm) in [0u32, 6].iter().enumerate() {
@@ -1881,14 +2069,8 @@ mod tests {
                 now,
             );
         }
-        let view = PlacementView {
-            dc: &twin.dc,
-            vms: &twin.vms,
-            now,
-        };
         let cfg = cfg_with(PlanKernel::Compressed);
-        let mut planner = CompressedPlanner::new();
-        assert!(planner.ensure_synced(&view, None, &cfg));
+        let mut planner = synced_planner(&twin, now, &cfg);
         let p = &mut planner;
         assert_eq!((p.sclasses.len(), p.demands.len(), p.cols.len()), (2, 1, 2));
         let caps: Vec<f64> = (0..2)
@@ -1899,32 +2081,142 @@ mod tests {
             .collect();
         assert_ne!(caps[0], caps[1], "the two tops must differ");
         let cap = caps[0].max(caps[1]);
+        let clear = |p: &mut CompressedPlanner| {
+            p.reset_pending();
+            p.hmin.fill(f64::INFINITY);
+            for c in 0..p.cols.len() {
+                p.cols[c].dbar = 0.0;
+                let (d, h) = (p.cols[c].demand as usize, p.rows[p.cols[c].host as usize].h);
+                p.hmin[d] = p.hmin[d].min(h);
+            }
+            p.dbar_max = 0.0;
+        };
         // Either touch order must land on the larger cap.
         for order in [[0, MAX_DEMANDS as u32], [MAX_DEMANDS as u32, 0]] {
+            clear(p);
             p.touched_buckets = order.to_vec();
-            for col in &mut p.cols {
-                col.dbar = 0.0;
-            }
-            p.raise_bounds(&cfg);
-            for col in &p.cols {
-                let h = p.rows[col.host as usize].h;
+            p.fold_touched(&cfg);
+            for c in 0..p.cols.len() {
+                let h = p.rows[p.cols[c].host as usize].h;
                 assert!(h > 0.0);
-                assert_eq!(col.dbar.to_bits(), (cap / h).to_bits(), "vm {:?}", col.id);
+                let bound = p.effective_bound(c);
+                assert_eq!(
+                    bound.to_bits(),
+                    (cap / h).to_bits(),
+                    "vm {:?}",
+                    p.cols[c].id
+                );
+                assert!(bound <= p.pending_max, "pending_max covers the bound");
+                assert_eq!(p.cols[c].dbar, 0.0, "the fold leaves dbar alone");
             }
             assert!(p.touched_buckets.is_empty());
             assert!(p.buckets.iter().all(|b| !b.marked));
         }
 
         // A zero-`h` host still raises to ∞; an untouched demand does not.
+        clear(p);
         let host = p.cols[0].host as usize;
         p.rows[host].h = 0.0;
-        p.cols[0].dbar = 0.0;
+        p.hmin[0] = 0.0;
         p.touched_buckets = vec![MAX_DEMANDS as u32];
-        p.raise_bounds(&cfg);
-        assert_eq!(p.cols[0].dbar, f64::INFINITY);
-        p.cols[0].dbar = 0.0;
-        p.raise_bounds(&cfg);
-        assert_eq!(p.cols[0].dbar, 0.0, "nothing touched, nothing raised");
+        p.fold_touched(&cfg);
+        assert_eq!(p.effective_bound(0), f64::INFINITY);
+        assert_eq!(p.pending_max, f64::INFINITY);
+        clear(p);
+        p.fold_touched(&cfg);
+        assert_eq!(p.effective_bound(0), 0.0, "nothing touched, nothing raised");
+        assert_eq!(p.pending_max, f64::NEG_INFINITY);
+    }
+
+    #[test]
+    fn hmin_follows_a_host_whose_h_drops_after_the_touch() {
+        // A cap is pending for the only demand; then the host of two of its
+        // columns loses one VM, so its `H` drops. The patch re-scores the
+        // surviving column, `hmin` must follow `H` down, and the running
+        // maximum must still cover every effective bound.
+        let mut twin = Twin::new(PlanKernel::Compressed);
+        let now = SimTime::ZERO;
+        for (i, pm) in [0u32, 0, 6].iter().enumerate() {
+            install(
+                &mut twin.dc,
+                &mut twin.vms,
+                spec(i as u32 + 1, 512, 200_000),
+                PmId(*pm),
+                now,
+            );
+        }
+        let _ = twin.dc.take_fleet_delta();
+        let cfg = cfg_with(PlanKernel::Compressed);
+        let mut p = synced_planner(&twin, now, &cfg);
+        p.touched_buckets = vec![0];
+        p.fold_touched(&cfg);
+        assert!(p.pending[0] > 0.0);
+        let h_before = p.rows[0].h;
+        assert_eq!(p.hmin[0], h_before.min(p.rows[6].h));
+
+        twin.dc.remove_vm(VmId(2));
+        twin.vms.remove(&VmId(2));
+        let delta = twin.dc.take_fleet_delta();
+        let view = PlacementView {
+            dc: &twin.dc,
+            vms: &twin.vms,
+            now,
+        };
+        assert!(p.ensure_synced(&view, Some(delta), &cfg));
+        let h_after = p.rows[0].h;
+        assert!(h_after < h_before, "H fell with the host's load");
+        assert!(p.hmin[0] <= h_after, "hmin {} above H {h_after}", p.hmin[0]);
+        let ceiling = p.dbar_max.max(p.pending_max);
+        for c in 0..p.cols.len() {
+            let rem = p.cols[c].deadline.saturating_since(now).as_secs();
+            let exact = p.exact_best(c, rem, &cfg).map_or(0.0, |(_, d)| d);
+            let bound = p.effective_bound(c);
+            assert!(exact <= bound && bound <= ceiling, "vm {:?}", p.cols[c].id);
+        }
+    }
+
+    #[test]
+    fn tied_winner_is_the_lowest_vm_id_after_swap_remove() {
+        // Four identical VMs alone on four identical slow PMs score exactly
+        // alike. Removing the first column swaps the last (VM 4) into its
+        // slot, ahead of VMs 2 and 3: the winner must still be the dense
+        // planner's, the lowest id.
+        let mut dense = Twin::new(PlanKernel::Dense);
+        let mut comp = Twin::new(PlanKernel::Compressed);
+        let now = SimTime::ZERO;
+        let cfg = cfg_with(PlanKernel::Compressed);
+        for twin in [&mut dense, &mut comp] {
+            for i in 0..4u32 {
+                install(
+                    &mut twin.dc,
+                    &mut twin.vms,
+                    spec(i + 1, 512, 200_000),
+                    PmId(6 + i),
+                    now,
+                );
+            }
+            let _ = twin.dc.take_fleet_delta();
+        }
+        let mut p = synced_planner(&comp, now, &cfg);
+        for twin in [&mut dense, &mut comp] {
+            twin.dc.remove_vm(VmId(1));
+            twin.vms.remove(&VmId(1));
+        }
+        let later = SimTime::from_secs(60);
+        let delta = comp.dc.take_fleet_delta();
+        let view = PlacementView {
+            dc: &comp.dc,
+            vms: &comp.vms,
+            now: later,
+        };
+        let (moves, _) = p
+            .plan_migrations(&view, Some(delta), &cfg)
+            .expect("stays compressible");
+        let ids: Vec<u32> = p.cols.iter().map(|c| c.id.0).collect();
+        assert_eq!(ids, [4, 2, 3], "swap_remove reordered the columns");
+        assert!(!moves.is_empty(), "the tied VMs consolidate");
+        assert_eq!(moves[0].vm, VmId(2), "lowest id wins the tie");
+        assert_eq!(dense.plan(later), moves);
     }
 
     #[test]

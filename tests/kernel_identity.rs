@@ -1,8 +1,10 @@
-//! The default planner against the dense reference kernel on the paper's
-//! own 100-PM fleet. `PlanKernel::Auto` runs the class-compressed planner
-//! at every fleet size, so this is the end-to-end check that it changes
-//! nothing but speed where the paper measured: one simulated day must
-//! produce the same report under both kernels, byte for byte.
+//! The default planner against the dense reference kernel, end to end.
+//! `PlanKernel::Auto` runs the class-compressed planner at every fleet
+//! size, so these check that it changes nothing but speed: a run must
+//! produce the same report under both kernels, byte for byte — on the
+//! paper's own 100-PM fleet, and on a 1k-PM scaled fleet whose thousands
+//! of live columns exercise the persistent planner's bound bookkeeping,
+//! column churn and tie-breaks at scale.
 
 use dvmp::prelude::*;
 
@@ -15,8 +17,7 @@ fn core_json(mut report: RunReport) -> String {
     serde_json::to_string(&report).expect("report serializes")
 }
 
-fn run_day(kernel: PlanKernel) -> RunReport {
-    let scenario = Scenario::paper(42).with_days(1);
+fn run_with(scenario: &Scenario, kernel: PlanKernel) -> RunReport {
     let policy = DynamicPlacement::new(DynamicConfig {
         plan_kernel: kernel,
         ..DynamicConfig::default()
@@ -24,12 +25,28 @@ fn run_day(kernel: PlanKernel) -> RunReport {
     scenario.run(Box::new(policy))
 }
 
-#[test]
-fn auto_and_dense_kernels_report_identically_on_a_paper_day() {
-    let auto = run_day(PlanKernel::Auto);
+fn assert_kernels_agree(scenario: Scenario) {
+    let auto = run_with(&scenario, PlanKernel::Auto);
     assert!(
         auto.total_migrations > 0,
-        "the day must exercise the planner"
+        "the run must exercise the planner"
     );
-    assert_eq!(core_json(auto), core_json(run_day(PlanKernel::Dense)));
+    assert_eq!(
+        core_json(auto),
+        core_json(run_with(&scenario, PlanKernel::Dense))
+    );
+}
+
+#[test]
+fn auto_and_dense_kernels_report_identically_on_a_paper_day() {
+    assert_kernels_agree(Scenario::paper(42).with_days(1));
+}
+
+#[test]
+#[cfg_attr(
+    debug_assertions,
+    ignore = "a 1k-PM dense run is release-only (CI golden job)"
+)]
+fn auto_and_dense_kernels_report_identically_on_a_1k_pm_fleet() {
+    assert_kernels_agree(Scenario::scaled(1_000, 42));
 }
