@@ -39,11 +39,6 @@ fn bench_matrix_build(c: &mut Criterion) {
                 )
             });
         });
-        let mut par_cfg = cfg.clone();
-        par_cfg.par_rows_cutoff = 1;
-        group.bench_with_input(BenchmarkId::new("parallel", n), &n, |b, _| {
-            b.iter(|| ProbabilityMatrix::build(&plan, &EvalContext::new(&par_cfg)));
-        });
     }
     group.finish();
 }

@@ -3,7 +3,7 @@
 //! Measures, at paper scale (the Table II fleet: 100 PMs, 500+ VMs):
 //!
 //! 1. full probability-matrix builds — reference kernel vs the
-//!    class-cached fast kernel vs the parallel chunked build;
+//!    class-cached fast kernel;
 //! 2. complete dense planning passes — a fresh `DynamicPlacement` per
 //!    pass (re-allocating plan, matrix and caches) vs one policy reusing
 //!    its planning arena;
@@ -27,32 +27,24 @@
 //!    class-compressed planner on the same converged fleets, recording
 //!    the per-kernel row counts (`M` PM rows vs `C` superclasses), the
 //!    superclass bucket occupancy and poison status, the kernel the
-//!    default `PlanKernel::Auto` policy ran (from its pass counters), and
-//!    that the kernels propose identical migration plans;
-//! 8. dense-sweep rows — the scalar reference best-candidate sweep vs the
-//!    lane-chunked (SIMD-screened) sweep and the sharded parallel sweep,
-//!    up to a 100k-row fleet, asserting all variants return bit-identical
-//!    candidates at every shard count (DESIGN.md §12);
-//! 9. heterogeneous scaling rows — jittered-reliability fleets whose
+//!    default policy ran (from its pass counters), and that the kernels
+//!    propose identical migration plans;
+//! 8. heterogeneous scaling rows — jittered-reliability fleets whose
 //!    per-PM spread fragments the exact class key, planned with tolerance
 //!    bucketing (`class_tolerance`) so the compressed kernel survives;
 //!    every scaling row records the superclass count and poison status
 //!    the fleet registers at its tolerance;
-//! 10. quantization divergence — the same jittered week planned exact
-//!     (t = 0, which poisons to dense) vs bucketed, reporting the energy
-//!     and migration divergence so the approximation is measured, never
-//!     silent.
-//!
-//! Each matrix-build row also records the kernel
-//! `DynamicConfig::auto_par_rows_cutoff` selects for that shape next to
-//! the measured per-kernel timings; the CI gate fails when the selected
-//! kernel is not (within noise) the measured winner.
+//! 9. quantization divergence — the same jittered week planned exact
+//!    (t = 0, which poisons to dense) vs bucketed, reporting the energy
+//!    and migration divergence so the approximation is measured, never
+//!    silent.
 //!
 //! Results go to stdout and to `BENCH_placement.json` in the working
 //! directory (schema documented in DESIGN.md §8). `--smoke` shrinks the
 //! workload for CI.
 //!
-//! Usage: `perf_report [--smoke] [--history <file.jsonl>] [seed]`
+//! Usage: `perf_report [--smoke] [--history <file.jsonl>] [seed]` — an
+//! unknown flag or a seed that is not a number is a usage error (exit 2).
 //!
 //! `--history` appends one JSONL trajectory entry (headline speedups plus
 //! run provenance: seed, git sha, host threads) to the given file after
@@ -78,17 +70,8 @@ struct MatrixBuildBench {
     iters: usize,
     reference_ns: f64,
     fast_ns: f64,
-    parallel_ns: f64,
     speedup_fast_vs_reference: f64,
-    speedup_parallel_vs_reference: f64,
     bit_identical: bool,
-    /// Kernel `DynamicConfig::auto_par_rows_cutoff` picks at this shape on
-    /// this host ("sequential" or "parallel") and its measured time.
-    chosen_kernel: &'static str,
-    chosen_ns: f64,
-    /// The faster of the two auto-selectable kernels at this shape.
-    winner_kernel: &'static str,
-    winner_ns: f64,
 }
 
 #[derive(Serialize)]
@@ -96,7 +79,7 @@ struct IncrementalPlanBench {
     pms: usize,
     vms: usize,
     iters: usize,
-    /// Median full planning pass with `incremental = false` (fresh matrix
+    /// Median full planning pass of a policy fed no journal (fresh matrix
     /// rebuild each pass, arena reuse on).
     fresh_ns: f64,
     /// Median planning pass consuming a small steady-state fleet delta
@@ -131,7 +114,8 @@ struct PlanKernelBench {
     /// Median steady-state pass under the forced dense kernel, fed the
     /// same per-pass fleet delta as the compressed policy.
     dense_ns: f64,
-    /// Median steady-state pass under the forced class-compressed kernel.
+    /// Median steady-state pass under the default (class-compressed)
+    /// policy.
     compressed_ns: f64,
     speedup_compressed: f64,
     /// Both kernels proposed identical migration sequences.
@@ -143,43 +127,14 @@ struct PlanKernelBench {
     occupied_buckets: usize,
     /// The compressed planner poisoned and fell back to the dense path.
     poisoned: bool,
-    /// Kernel the default [`PlanKernel::Auto`] policy ran at this shape,
-    /// read from its pass counters ("dense" or "compressed"), and that
-    /// kernel's measured time.
+    /// Kernel the default policy ran at this shape, read from its pass
+    /// counters ("dense" or "compressed"), and that kernel's measured
+    /// time.
     chosen_kernel: &'static str,
     chosen_ns: f64,
     /// The faster of the two kernels at this shape.
     winner_kernel: &'static str,
     winner_ns: f64,
-}
-
-#[derive(Serialize)]
-struct DenseSweepBench {
-    /// Planning rows (powered PMs) in the swept matrix.
-    rows: usize,
-    /// Columns (live VMs) in the swept matrix.
-    cols: usize,
-    iters: usize,
-    /// Median full best-candidate sweep under the scalar reference loop.
-    scalar_ns: f64,
-    /// Median sweep under the lane-chunked screened (SIMD) loop.
-    simd_ns: f64,
-    speedup_simd: f64,
-    /// The screened sweep returned bit-identical candidates to scalar.
-    simd_identical: bool,
-    /// Shard count the auto sizing resolves at this row count (what a
-    /// production pass would fan out to).
-    shards: usize,
-    /// Median sweep sharded across `shards` workers.
-    sharded_ns: f64,
-    speedup_sharded: f64,
-    /// Every tried shard count (both sweeps) returned candidates
-    /// bit-identical to the sequential scalar sweep.
-    shard_counts: Vec<usize>,
-    /// Median screened-sweep time at each entry of `shard_counts` — the
-    /// shard-count sweep EXPERIMENTS.md tabulates.
-    shard_sweep_ns: Vec<f64>,
-    sharded_identical: bool,
 }
 
 #[derive(Serialize)]
@@ -239,7 +194,7 @@ struct ElasticityBench {
     /// Checked-mode wall time of the overbooked+elastic scenario under
     /// the forced dense kernel.
     dense_seconds: f64,
-    /// Same scenario, same seed, forced class-compressed kernel.
+    /// Same scenario, same seed, the default (class-compressed) policy.
     compressed_seconds: f64,
     total_resizes: u64,
     rejected_resizes: u64,
@@ -270,9 +225,8 @@ struct ScalingBench {
     vm_requests: usize,
     days: u64,
     policy: &'static str,
-    /// Planning kernel the default [`PlanKernel::Auto`] policy runs on
-    /// this fleet (probe pass counters: "dense" or "compressed"); "n/a"
-    /// for first-fit.
+    /// Planning kernel the default policy runs on this fleet (probe pass
+    /// counters: "dense" or "compressed"); "n/a" for first-fit.
     plan_kernel: &'static str,
     /// Reliability model shaping the fleet ("uniform" or "jittered").
     reliability: &'static str,
@@ -298,15 +252,10 @@ struct PerfReport {
     /// Short git sha of the benched tree (`"unknown"` off-repo).
     git_sha: String,
     host_threads: usize,
-    /// Worker threads a chunked matrix (re)build actually fans out to at
-    /// the largest benchmarked scale (`matrix::parallel_workers`), as
-    /// opposed to `host_threads`, which is just the host's parallelism.
-    matrix_workers: usize,
     matrix_build: Vec<MatrixBuildBench>,
     plan_pass: PlanPassBench,
     incremental_plan: Vec<IncrementalPlanBench>,
     plan_kernel: Vec<PlanKernelBench>,
-    dense_sweep: Vec<DenseSweepBench>,
     end_to_end: EndToEndBench,
     oracle_overhead: OracleOverheadBench,
     elasticity: ElasticityBench,
@@ -348,9 +297,10 @@ struct HistoryMetrics {
 /// beat a fresh rebuild by at least this factor (DESIGN.md §8).
 const DELTA_SPEEDUP_FLOOR: f64 = 5.0;
 
-/// Tolerance for the kernel auto-selection check: the selected kernel may
-/// measure at most this much slower than the per-shape winner before the
-/// report (and the CI gate) treat it as a mis-selection rather than noise.
+/// Tolerance for the plan-kernel selection check: the kernel the default
+/// policy runs may measure at most this much slower than the per-shape
+/// winner before the report treats it as a mis-selection rather than
+/// noise.
 const KERNEL_SELECTION_TOLERANCE: f64 = 1.3;
 
 /// The acceptance budget for checked mode: the oracle may cost at most
@@ -371,12 +321,9 @@ const ELASTIC_1K_BUDGET_SECONDS: f64 = 30.0;
 /// existed (DESIGN.md §12).
 const DYNAMIC_HETERO_10K_BUDGET_SECONDS: f64 = 15.0;
 
-/// Wall-clock budget for the jittered 100k-PM 1-day sharded scaling row —
-/// the fleet size the sharded sweep and bucketed superclasses exist for.
-const SHARDED_100K_BUDGET_SECONDS: f64 = 120.0;
-
-/// Budget for one sharded best-candidate sweep over a 100k-row matrix.
-const SHARDED_SWEEP_100K_BUDGET_SECONDS: f64 = 0.5;
+/// Wall-clock budget for the jittered 100k-PM 1-day scaling row — the
+/// fleet size bucketed superclasses exist for.
+const DYNAMIC_HETERO_100K_BUDGET_SECONDS: f64 = 120.0;
 
 /// Per-PM reliability jitter of the heterogeneous rows. At ±0.004 every
 /// PM gets a distinct exact class key (C = M, instant poison), while
@@ -406,11 +353,9 @@ fn bench_matrix_build(n_vms: u32, iters: usize) -> MatrixBuildBench {
         vms: &vms,
         now: dvmp_simcore::SimTime::from_secs(1_000),
     };
-    let mut cfg = DynamicConfig::default();
+    let cfg = DynamicConfig::default();
     let plan = PlanState::from_view(&view, &cfg.min_vm);
 
-    // Sequential reference vs sequential fast: cutoff above the fleet.
-    cfg.par_rows_cutoff = usize::MAX;
     let reference_ns = median_ns(iters, || {
         ProbabilityMatrix::build_with_kernel(
             &plan,
@@ -421,46 +366,18 @@ fn bench_matrix_build(n_vms: u32, iters: usize) -> MatrixBuildBench {
     let fast_ns = median_ns(iters, || {
         ProbabilityMatrix::build(&plan, &EvalContext::new(&cfg));
     });
-    let seq_ref = ProbabilityMatrix::build_with_kernel(
+    let reference = ProbabilityMatrix::build_with_kernel(
         &plan,
         &EvalContext::new(&cfg),
         MatrixKernel::Reference,
     );
-    let seq_fast = ProbabilityMatrix::build(&plan, &EvalContext::new(&cfg));
-
-    // Parallel chunked fast build: cutoff 1 forces chunking.
-    cfg.par_rows_cutoff = 1;
-    let parallel_ns = median_ns(iters, || {
-        ProbabilityMatrix::build(&plan, &EvalContext::new(&cfg));
-    });
-    let par_fast = ProbabilityMatrix::build(&plan, &EvalContext::new(&cfg));
-
+    let fast = ProbabilityMatrix::build(&plan, &EvalContext::new(&cfg));
     let mut bit_identical = true;
-    for row in 0..seq_ref.rows() {
-        for col in 0..seq_ref.cols() {
-            let r = seq_ref.get(row, col).to_bits();
-            bit_identical &=
-                r == seq_fast.get(row, col).to_bits() && r == par_fast.get(row, col).to_bits();
+    for row in 0..reference.rows() {
+        for col in 0..reference.cols() {
+            bit_identical &= reference.get(row, col).to_bits() == fast.get(row, col).to_bits();
         }
     }
-
-    // What auto selection would run at this shape on this host, vs the
-    // kernel that actually measured fastest here.
-    let chosen_kernel = if plan.pms.len() >= DynamicConfig::auto_par_rows_cutoff() {
-        "parallel"
-    } else {
-        "sequential"
-    };
-    let chosen_ns = if chosen_kernel == "parallel" {
-        parallel_ns
-    } else {
-        fast_ns
-    };
-    let (winner_kernel, winner_ns) = if fast_ns <= parallel_ns {
-        ("sequential", fast_ns)
-    } else {
-        ("parallel", parallel_ns)
-    };
 
     MatrixBuildBench {
         pms: plan.pms.len(),
@@ -468,14 +385,8 @@ fn bench_matrix_build(n_vms: u32, iters: usize) -> MatrixBuildBench {
         iters,
         reference_ns,
         fast_ns,
-        parallel_ns,
         speedup_fast_vs_reference: reference_ns / fast_ns,
-        speedup_parallel_vs_reference: reference_ns / parallel_ns,
         bit_identical,
-        chosen_kernel,
-        chosen_ns,
-        winner_kernel,
-        winner_ns,
     }
 }
 
@@ -487,12 +398,7 @@ fn bench_plan_pass(n_vms: u32, iters: usize) -> PlanPassBench {
         now: dvmp_simcore::SimTime::from_secs(1_000),
     };
     // The arena is the dense planner's, so both sides pin that kernel.
-    let dense = || {
-        DynamicPlacement::new(DynamicConfig {
-            plan_kernel: PlanKernel::Dense,
-            ..DynamicConfig::default()
-        })
-    };
+    let dense = || DynamicPlacement::dense_reference(DynamicConfig::default());
     let fresh_policy_ns = median_ns(iters, || {
         let mut policy = dense();
         policy.plan_migrations(&view);
@@ -565,9 +471,9 @@ fn steady_state_delta(
     delta
 }
 
-/// Steady-state incremental planning: time full passes of a
-/// forced-rebuild policy against passes of an incremental policy fed a
-/// small per-pass fleet delta through the journal interface.
+/// Steady-state incremental planning: time full passes of a policy fed no
+/// journal (so every pass rebuilds) against passes of a policy fed a small
+/// per-pass fleet delta through the journal interface.
 fn bench_incremental_plan(pm_count: usize, n_vms: u32, iters: usize) -> IncrementalPlanBench {
     let (dc, vms) = converged_fixture(pm_count, n_vms);
     let now = dvmp_simcore::SimTime::from_secs(1_000);
@@ -581,22 +487,13 @@ fn bench_incremental_plan(pm_count: usize, n_vms: u32, iters: usize) -> Incremen
     // Both policies pinned to the dense kernel: this section measures the
     // dense journal-driven delta path against dense fresh rebuilds; the
     // compressed kernel gets its own section (`bench_plan_kernel`).
-    let fresh_cfg = DynamicConfig {
-        incremental: false,
-        plan_kernel: PlanKernel::Dense,
-        ..DynamicConfig::default()
-    };
-    let mut fresh = DynamicPlacement::new(fresh_cfg);
+    let mut fresh = DynamicPlacement::dense_reference(DynamicConfig::default());
     fresh.plan_migrations(&view); // warm the arenas
     let fresh_ns = median_ns(iters, || {
         fresh.plan_migrations(&view);
     });
 
-    let inc_cfg = DynamicConfig {
-        plan_kernel: PlanKernel::Dense,
-        ..DynamicConfig::default()
-    };
-    let mut inc = DynamicPlacement::new(inc_cfg);
+    let mut inc = DynamicPlacement::dense_reference(DynamicConfig::default());
     inc.plan_migrations(&view); // warm: full build + snapshot capture
     let delta_ns = median_ns(iters, || {
         inc.note_fleet_delta(delta.clone());
@@ -622,7 +519,7 @@ fn bench_incremental_plan(pm_count: usize, n_vms: u32, iters: usize) -> Incremen
 
 /// Dense vs class-compressed planning kernel on the same converged fleet,
 /// both fed the same steady-state fleet delta per pass, plus the kernel
-/// the default `PlanKernel::Auto` policy actually ran there.
+/// the default policy actually ran there.
 fn bench_plan_kernel(pm_count: usize, n_vms: u32, iters: usize) -> PlanKernelBench {
     let (dc, vms) = converged_fixture(pm_count, n_vms);
     let now = dvmp_simcore::SimTime::from_secs(1_000);
@@ -633,47 +530,29 @@ fn bench_plan_kernel(pm_count: usize, n_vms: u32, iters: usize) -> PlanKernelBen
         now,
     };
 
-    let mut dense = DynamicPlacement::new(DynamicConfig {
-        plan_kernel: PlanKernel::Dense,
-        ..DynamicConfig::default()
-    });
+    let mut dense = DynamicPlacement::dense_reference(DynamicConfig::default());
     dense.plan_migrations(&view); // warm: full build + snapshot capture
     let dense_ns = median_ns(iters, || {
         dense.note_fleet_delta(delta.clone());
         dense.plan_migrations(&view);
     });
 
-    let mut comp = DynamicPlacement::new(DynamicConfig {
-        plan_kernel: PlanKernel::Compressed,
-        ..DynamicConfig::default()
-    });
+    let mut comp = DynamicPlacement::paper_default();
     comp.plan_migrations(&view); // warm: compressed rebuild from the view
     let compressed_ns = median_ns(iters, || {
         comp.note_fleet_delta(delta.clone());
         comp.plan_migrations(&view);
     });
 
-    // The default policy's own counters say which kernel `Auto` ran.
-    let mut auto = DynamicPlacement::new(DynamicConfig::default());
-    auto.plan_migrations(&view);
-
     dense.note_fleet_delta(delta.clone());
     comp.note_fleet_delta(delta.clone());
-    auto.note_fleet_delta(delta.clone());
     let a = dense.plan_migrations(&view);
     let b = comp.plan_migrations(&view);
-    let c = auto.plan_migrations(&view);
     assert!(
         !comp.compressed_poisoned() && comp.compressed_passes() > 0,
-        "forced compressed kernel fell back to dense at {pm_count} PMs"
+        "default policy fell back to the dense kernel at {pm_count} PMs"
     );
 
-    let chosen_kernel = ran_kernel(&auto);
-    let chosen_ns = if chosen_kernel == "compressed" {
-        compressed_ns
-    } else {
-        dense_ns
-    };
     let (winner_kernel, winner_ns) = if dense_ns <= compressed_ns {
         ("dense", dense_ns)
     } else {
@@ -689,12 +568,14 @@ fn bench_plan_kernel(pm_count: usize, n_vms: u32, iters: usize) -> PlanKernelBen
         dense_ns,
         compressed_ns,
         speedup_compressed: dense_ns / compressed_ns,
-        plans_identical: a == b && a == c,
+        plans_identical: a == b,
         class_tolerance: 0.0,
         occupied_buckets: comp.compressed_occupied_buckets(),
         poisoned: comp.compressed_poisoned(),
-        chosen_kernel,
-        chosen_ns,
+        // The assert above: the default policy's own counters say it ran
+        // the compressed kernel.
+        chosen_kernel: "compressed",
+        chosen_ns: compressed_ns,
         winner_kernel,
         winner_ns,
     }
@@ -742,94 +623,6 @@ fn probe_superclasses(fleet: &Datacenter, tolerance: f64) -> (usize, bool, &'sta
         probe.compressed_poisoned(),
         ran_kernel(&probe),
     )
-}
-
-/// Scalar vs screened (SIMD) vs sharded best-candidate sweeps over the
-/// same probability matrix, asserting every variant returns bit-identical
-/// candidate columns (DESIGN.md §12). `converge` runs the planning-scheme
-/// convergence loop first (realistic steady-state occupancy); the 100k-row
-/// shape skips it — converging 100k PMs under the dense scheme is exactly
-/// the cliff this sweep removes.
-fn bench_dense_sweep(pm_count: usize, n_vms: u32, iters: usize, converge: bool) -> DenseSweepBench {
-    let (dc, vms) = if converge {
-        converged_fixture(pm_count, n_vms)
-    } else {
-        fragmented_fixture_scaled(pm_count, n_vms)
-    };
-    let view = PlacementView {
-        dc: &dc,
-        vms: &vms,
-        now: dvmp_simcore::SimTime::from_secs(1_000),
-    };
-    let cfg = DynamicConfig::default();
-    let plan = PlanState::from_view(&view, &cfg.min_vm);
-    let mut matrix = ProbabilityMatrix::build(&plan, &EvalContext::new(&cfg));
-    let rows = matrix.rows();
-    let cols = matrix.cols();
-    let mut best = Vec::new();
-    let bits = |best: &Vec<Option<(usize, f64)>>| -> Vec<Option<(usize, u64)>> {
-        best.iter()
-            .map(|slot| slot.map(|(row, d)| (row, d.to_bits())))
-            .collect()
-    };
-
-    matrix.set_sweep(DenseSweep::Scalar);
-    let scalar_ns = median_ns(iters, || {
-        matrix.refill_best_sharded(&plan, &mut best, 1);
-    });
-    matrix.refill_best_sharded(&plan, &mut best, 1);
-    let scalar_bits = bits(&best);
-
-    matrix.set_sweep(DenseSweep::Simd);
-    let simd_ns = median_ns(iters, || {
-        matrix.refill_best_sharded(&plan, &mut best, 1);
-    });
-    matrix.refill_best_sharded(&plan, &mut best, 1);
-    let simd_identical = bits(&best) == scalar_bits;
-
-    // The shard count a production pass would auto-size to (at least 2,
-    // so small shapes still exercise the merge), timed on the screened
-    // sweep, then both sweeps checked for invariance across shard counts.
-    let shards = cfg.resolve_shards(rows).max(2);
-    let sharded_ns = median_ns(iters, || {
-        matrix.refill_best_sharded(&plan, &mut best, shards);
-    });
-    let mut shard_counts = vec![2, 3, 4, 7, 8, shards];
-    shard_counts.sort_unstable();
-    shard_counts.dedup();
-    let mut sharded_identical = true;
-    for sweep in [DenseSweep::Scalar, DenseSweep::Simd] {
-        matrix.set_sweep(sweep);
-        for &k in &shard_counts {
-            matrix.refill_best_sharded(&plan, &mut best, k);
-            sharded_identical &= bits(&best) == scalar_bits;
-        }
-    }
-    matrix.set_sweep(DenseSweep::Simd);
-    let shard_sweep_ns: Vec<f64> = shard_counts
-        .iter()
-        .map(|&k| {
-            median_ns(iters, || {
-                matrix.refill_best_sharded(&plan, &mut best, k);
-            })
-        })
-        .collect();
-
-    DenseSweepBench {
-        rows,
-        cols,
-        iters,
-        scalar_ns,
-        simd_ns,
-        speedup_simd: scalar_ns / simd_ns,
-        simd_identical,
-        shards,
-        sharded_ns,
-        speedup_sharded: scalar_ns / sharded_ns,
-        shard_counts,
-        shard_sweep_ns,
-        sharded_identical,
-    }
 }
 
 /// The measured cost of tolerance bucketing: the same jittered week run
@@ -880,10 +673,7 @@ fn bench_end_to_end(seed: u64, days: u64) -> EndToEndBench {
     // Matrix kernels fill the dense planner's matrix, so both runs pin it.
     let run = |kernel: MatrixKernel| {
         let t = Instant::now();
-        let policy = DynamicPlacement::new(DynamicConfig {
-            plan_kernel: PlanKernel::Dense,
-            ..DynamicConfig::default()
-        });
+        let policy = DynamicPlacement::dense_reference(DynamicConfig::default());
         let report = scenario.run(Box::new(policy.with_kernel(kernel)));
         (t.elapsed().as_secs_f64(), report)
     };
@@ -974,18 +764,15 @@ fn bench_scaling(
 /// both planning kernels. The oracle must stay clean (saturation is SLA
 /// metering, not a violation) and the two kernels must agree bit for bit.
 fn bench_elasticity(pm_count: usize, days: u64, seed: u64) -> ElasticityBench {
-    let run = |kernel: PlanKernel| {
+    let run = |policy: DynamicPlacement| {
         let mut scenario = Scenario::overbooked_elastic(pm_count, seed).with_days(days);
         scenario.sim.checked = true;
         let t = Instant::now();
-        let report = scenario.run(Box::new(DynamicPlacement::new(DynamicConfig {
-            plan_kernel: kernel,
-            ..DynamicConfig::default()
-        })));
+        let report = scenario.run(Box::new(policy));
         (t.elapsed().as_secs_f64(), report)
     };
-    let (dense_seconds, dense) = run(PlanKernel::Dense);
-    let (compressed_seconds, comp) = run(PlanKernel::Compressed);
+    let (dense_seconds, dense) = run(DynamicPlacement::dense_reference(DynamicConfig::default()));
+    let (compressed_seconds, comp) = run(DynamicPlacement::paper_default());
     let violations = [&dense, &comp]
         .iter()
         .map(|r| {
@@ -1035,21 +822,55 @@ fn bench_profiled_run(seed: u64, days: u64) -> ProfiledRunBench {
     }
 }
 
+/// Parsed command line.
+#[derive(Debug, PartialEq)]
+struct Args {
+    smoke: bool,
+    history_path: Option<String>,
+    seed: u64,
+}
+
+/// Parses `[--smoke] [--history <file.jsonl>] [seed]`. An unknown flag, a
+/// `--history` without a path, a seed that is not a number and a second
+/// positional argument are all errors — never a silent fallback.
+fn parse_args(args: &[String]) -> Result<Args, String> {
+    let mut parsed = Args {
+        smoke: false,
+        history_path: None,
+        seed: 42,
+    };
+    let mut seed_seen = false;
+    let mut it = args.iter();
+    while let Some(a) = it.next() {
+        match a.as_str() {
+            "--smoke" => parsed.smoke = true,
+            "--history" => match it.next() {
+                Some(path) => parsed.history_path = Some(path.clone()),
+                None => return Err("--history takes a file path".into()),
+            },
+            flag if flag.starts_with("--") => return Err(format!("unknown flag {flag}")),
+            _ if seed_seen => return Err(format!("unexpected argument {a:?}")),
+            seed => {
+                parsed.seed = seed
+                    .parse()
+                    .map_err(|_| format!("seed must be a number, got {seed:?}"))?;
+                seed_seen = true;
+            }
+        }
+    }
+    Ok(parsed)
+}
+
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let smoke = args.iter().any(|a| a == "--smoke");
-    let history_idx = args.iter().position(|a| a == "--history");
-    let history_path = history_idx.and_then(|i| args.get(i + 1)).cloned();
-    if history_idx.is_some() && history_path.is_none() {
-        eprintln!("error: --history takes a file path");
+    let Args {
+        smoke,
+        history_path,
+        seed,
+    } = parse_args(&args).unwrap_or_else(|e| {
+        eprintln!("error: {e}\nusage: perf_report [--smoke] [--history <file.jsonl>] [seed]");
         std::process::exit(2);
-    }
-    let seed = args
-        .iter()
-        .enumerate()
-        .filter(|(i, a)| !a.starts_with("--") && history_idx != Some(i.wrapping_sub(1)))
-        .find_map(|(_, a)| a.parse().ok())
-        .unwrap_or(42);
+    });
     let (scales, iters, days): (&[u32], usize, u64) = if smoke {
         (&[100], 5, 1)
     } else {
@@ -1069,14 +890,12 @@ fn main() {
         .map(|&n| {
             let b = bench_matrix_build(n, iters);
             eprintln!(
-                "matrix build {}x{}: reference {:.2} ms, fast {:.2} ms ({:.2}x), parallel {:.2} ms ({:.2}x), bit-identical: {}",
+                "matrix build {}x{}: reference {:.2} ms, fast {:.2} ms ({:.2}x), bit-identical: {}",
                 b.pms,
                 b.vms,
                 b.reference_ns / 1e6,
                 b.fast_ns / 1e6,
                 b.speedup_fast_vs_reference,
-                b.parallel_ns / 1e6,
-                b.speedup_parallel_vs_reference,
                 b.bit_identical
             );
             b
@@ -1124,7 +943,7 @@ fn main() {
         .map(|&(pms, n_vms)| {
             let b = bench_plan_kernel(pms, n_vms, iters);
             eprintln!(
-                "plan kernel {}x{}: dense {:.2} ms ({} rows), compressed {:.2} ms ({} superclasses, {} buckets, poisoned: {}, {:.2}x), auto picks {}, plans identical: {}",
+                "plan kernel {}x{}: dense {:.2} ms ({} rows), compressed {:.2} ms ({} superclasses, {} buckets, poisoned: {}, {:.2}x), default runs {}, plans identical: {}",
                 b.pms,
                 b.vms,
                 b.dense_ns / 1e6,
@@ -1136,35 +955,6 @@ fn main() {
                 b.speedup_compressed,
                 b.chosen_kernel,
                 b.plans_identical
-            );
-            b
-        })
-        .collect();
-
-    // Dense-sweep rows: scalar vs screened (SIMD) vs sharded candidate
-    // sweeps. The 100k-row shape is the sharded-fleet operating point; it
-    // skips the convergence loop (see `bench_dense_sweep`).
-    let sweep_shapes: &[(usize, u32, usize, bool)] = if smoke {
-        &[(100, 500, 5, true)]
-    } else {
-        &[(1_000, 5_000, 11, true), (100_000, 500, 5, false)]
-    };
-    let dense_sweep: Vec<DenseSweepBench> = sweep_shapes
-        .iter()
-        .map(|&(pms, n_vms, sweep_iters, converge)| {
-            let b = bench_dense_sweep(pms, n_vms, sweep_iters, converge);
-            eprintln!(
-                "dense sweep {}x{}: scalar {:.2} ms, simd {:.2} ms ({:.2}x, identical: {}), {} shards {:.2} ms ({:.2}x, shard-invariant: {})",
-                b.rows,
-                b.cols,
-                b.scalar_ns / 1e6,
-                b.simd_ns / 1e6,
-                b.speedup_simd,
-                b.simd_identical,
-                b.shards,
-                b.sharded_ns / 1e6,
-                b.speedup_sharded,
-                b.sharded_identical
             );
             b
         })
@@ -1238,8 +1028,8 @@ fn main() {
     };
     // Heterogeneous rows: jittered reliability at a spread the tolerance
     // bucketing collapses back to hardware superclasses. The 10k-PM week
-    // is the DESIGN.md §12 acceptance row; the 100k-PM day is the
-    // sharded-fleet operating point. Smoke keeps one 600-PM row.
+    // is the DESIGN.md §12 acceptance row; the 100k-PM day is the largest
+    // fleet it is run at. Smoke keeps one 600-PM row.
     let hetero_rows: &[(usize, u64)] = if smoke {
         &[(600, 1)]
     } else {
@@ -1309,19 +1099,16 @@ fn main() {
         profile.profile.phases.len()
     );
 
-    let max_rows = matrix_build.iter().map(|b| b.pms).max().unwrap_or(2);
     let report = PerfReport {
-        schema: "dvmp/perf-report/v8",
+        schema: "dvmp/perf-report/v9",
         smoke,
         seed,
         git_sha: dvmp_obs::git_sha().to_string(),
         host_threads: std::thread::available_parallelism().map_or(1, |n| n.get()),
-        matrix_workers: dvmp_placement::matrix::parallel_workers(max_rows),
         matrix_build,
         plan_pass,
         incremental_plan,
         plan_kernel,
-        dense_sweep,
         end_to_end,
         oracle_overhead,
         elasticity,
@@ -1349,25 +1136,6 @@ fn main() {
     if !report.plan_kernel.iter().all(|b| b.plans_identical) {
         eprintln!("FAIL: compressed kernel diverged from the dense plans");
         healthy = false;
-    }
-    // The DESIGN.md §12 sweep contract: the screened (SIMD) sweep and the
-    // sharded sweep are bit-identical to the scalar reference at every
-    // shard count, on every benchmarked shape.
-    for b in &report.dense_sweep {
-        if !b.simd_identical {
-            eprintln!(
-                "FAIL: screened dense sweep diverged from the scalar sweep at {}x{}",
-                b.rows, b.cols
-            );
-            healthy = false;
-        }
-        if !b.sharded_identical {
-            eprintln!(
-                "FAIL: sharded dense sweep is not shard-count-invariant at {}x{}",
-                b.rows, b.cols
-            );
-            healthy = false;
-        }
     }
     // Tolerance bucketing must rescue the jittered fleet: exact keys
     // fragment past the registry cap (that poisoning is the point of the
@@ -1402,21 +1170,7 @@ fn main() {
     for b in &report.plan_kernel {
         if b.chosen_ns > KERNEL_SELECTION_TOLERANCE * b.winner_ns {
             eprintln!(
-                "FAIL: auto-selected {} plan kernel at {}x{} measures {:.2} ms vs winner {} at {:.2} ms",
-                b.chosen_kernel,
-                b.pms,
-                b.vms,
-                b.chosen_ns / 1e6,
-                b.winner_kernel,
-                b.winner_ns / 1e6
-            );
-            healthy = false;
-        }
-    }
-    for b in &report.matrix_build {
-        if b.chosen_ns > KERNEL_SELECTION_TOLERANCE * b.winner_ns {
-            eprintln!(
-                "FAIL: auto-selected {} kernel at {}x{} measures {:.2} ms vs winner {} at {:.2} ms",
+                "FAIL: default policy's {} plan kernel at {}x{} measures {:.2} ms vs winner {} at {:.2} ms",
                 b.chosen_kernel,
                 b.pms,
                 b.vms,
@@ -1528,7 +1282,7 @@ fn main() {
         }
         // Heterogeneous acceptance rows (DESIGN.md §12): the jittered
         // 10k-PM week on the bucketed compressed kernel, and the jittered
-        // 100k-PM day the sharded path exists for.
+        // 100k-PM day.
         match report
             .scaling
             .iter()
@@ -1556,25 +1310,10 @@ fn main() {
                 eprintln!("FAIL: full run is missing the jittered 100k-PM scaling row");
                 healthy = false;
             }
-            Some(big) if big.wall_seconds > SHARDED_100K_BUDGET_SECONDS => {
+            Some(big) if big.wall_seconds > DYNAMIC_HETERO_100K_BUDGET_SECONDS => {
                 eprintln!(
-                    "FAIL: jittered 100k-PM day took {:.1} s, over the {SHARDED_100K_BUDGET_SECONDS} s budget",
+                    "FAIL: jittered 100k-PM day took {:.1} s, over the {DYNAMIC_HETERO_100K_BUDGET_SECONDS} s budget",
                     big.wall_seconds
-                );
-                healthy = false;
-            }
-            Some(_) => {}
-        }
-        match report.dense_sweep.iter().find(|b| b.rows >= 100_000) {
-            None => {
-                eprintln!("FAIL: full run is missing the 100k-row dense-sweep shape");
-                healthy = false;
-            }
-            Some(big) if big.sharded_ns > SHARDED_SWEEP_100K_BUDGET_SECONDS * 1e9 => {
-                eprintln!(
-                    "FAIL: sharded 100k-row sweep took {:.0} ms, over the {:.0} ms budget",
-                    big.sharded_ns / 1e6,
-                    SHARDED_SWEEP_100K_BUDGET_SECONDS * 1e3
                 );
                 healthy = false;
             }
@@ -1625,5 +1364,51 @@ fn main() {
     }
     if !healthy {
         std::process::exit(1);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn parse(line: &str) -> Result<Args, String> {
+        let args: Vec<String> = line.split_whitespace().map(String::from).collect();
+        parse_args(&args)
+    }
+
+    #[test]
+    fn parses_flags_history_and_seed() {
+        assert_eq!(
+            parse(""),
+            Ok(Args {
+                smoke: false,
+                history_path: None,
+                seed: 42
+            })
+        );
+        assert_eq!(
+            parse("--smoke --history h.jsonl 7"),
+            Ok(Args {
+                smoke: true,
+                history_path: Some("h.jsonl".into()),
+                seed: 7
+            })
+        );
+        // A history path that looks like a number is still the path.
+        assert_eq!(
+            parse("--history 9 3").map(|a| (a.history_path, a.seed)),
+            Ok((Some("9".into()), 3))
+        );
+    }
+
+    #[test]
+    fn rejects_unknown_flags_and_bad_seeds() {
+        let err = parse("--smok").unwrap_err();
+        assert!(err.contains("--smok"), "{err}");
+        let err = parse("--smoke forty-two").unwrap_err();
+        assert!(err.contains("forty-two"), "{err}");
+        assert!(parse("--history").is_err());
+        assert!(parse("7 8").is_err());
+        assert!(parse("-1").is_err());
     }
 }

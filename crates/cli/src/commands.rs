@@ -12,8 +12,6 @@ pub struct RunOptions {
     pub json: bool,
     /// Audit every event with the invariant oracle (DESIGN.md §9).
     pub checked: bool,
-    /// Rebuild the dynamic policy's matrix from scratch every interval.
-    pub full_replan: bool,
     /// Arm the obs layer and append per-run counters + phase profile.
     pub obs_summary: bool,
     /// Write a chrome://tracing JSON of every timed span to this path.
@@ -26,12 +24,9 @@ pub struct RunOptions {
 /// `run <spec.json>` — run the spec's policy and summarize. With
 /// `checked`, the release-grade invariant oracle audits every event and
 /// the summary (or JSON report) carries its verdict; a violating run is
-/// an error so scripts fail loudly. With `full_replan`, the dynamic
-/// policy rebuilds its probability matrix from scratch every planning
-/// interval instead of patching the persistent one — same plans bit for
-/// bit, only slower (the A/B lever for the incremental planner). With
-/// `obs_summary`, the flight-recorder layer (DESIGN.md §10) is armed and
-/// the output gains per-run counters and the phase profile; `trace_out`
+/// an error so scripts fail loudly. With `obs_summary`, the
+/// flight-recorder layer (DESIGN.md §10) is armed and the output gains
+/// per-run counters and the phase profile; `trace_out`
 /// additionally captures every timed span and writes a chrome://tracing
 /// JSON file (written even when a checked run fails, so CI can attach
 /// the trace of the failing run as an artifact).
@@ -47,7 +42,7 @@ pub fn run(spec_text: &str, opts: &RunOptions) -> Result<String, String> {
     if opts.trace_out.is_some() {
         dvmp_obs::set_span_capture(true);
     }
-    let policy = spec.policy.build(spec.seed, opts.full_replan)?;
+    let policy = spec.policy.build(spec.seed)?;
     let started = std::time::Instant::now();
     let mut report = scenario.run(policy);
     // Wall clock lives here, not in the library `execute()`: two
@@ -355,7 +350,7 @@ pub fn sweep(spec_text: &str, seeds: usize, json_output: bool) -> Result<String,
         return Err("--seeds must be at least 1".into());
     }
     let base = ScenarioSpec::from_json(spec_text)?;
-    base.policy.build(base.seed, false)?; // validate the policy spec up front
+    base.policy.build(base.seed)?; // validate the policy spec up front
     let mut scenarios = Vec::with_capacity(seeds);
     for i in 0..seeds as u64 {
         let mut spec = base.clone();
@@ -364,11 +359,7 @@ pub fn sweep(spec_text: &str, seeds: usize, json_output: bool) -> Result<String,
     }
     let policy = PolicyFactory::new("spec-policy", {
         let spec = base.clone();
-        move || {
-            spec.policy
-                .build(spec.seed, false)
-                .expect("validated above")
-        }
+        move || spec.policy.build(spec.seed).expect("validated above")
     });
     let swept = sweep_scenarios(&scenarios, &[policy]);
     let reports: Vec<RunReport> = swept.into_iter().flatten().collect();
@@ -505,22 +496,67 @@ pub fn export_swf(profile: &str, seed: u64) -> Result<String, String> {
     ))
 }
 
+/// `--` flags each command takes, and whether the flag takes a value.
+fn command_flags(command: &str) -> &'static [(&'static str, bool)] {
+    match command {
+        "run" => &[
+            ("--json", false),
+            ("--checked", false),
+            ("--obs-summary", false),
+            ("--trace-out", true),
+            ("--metrics-out", true),
+        ],
+        "compare" => &[("--json", false)],
+        "sweep" => &[("--seeds", true), ("--json", false)],
+        _ => &[],
+    }
+}
+
+/// Rejects every `--` argument the command (the first positional
+/// argument) does not take, so a typo or a retired flag fails loudly
+/// instead of silently running without it. Values of value-taking flags
+/// are skipped, wherever the flag stands.
+pub fn check_flags(args: &[String]) -> Result<(), String> {
+    let value_flag = |a: &str| {
+        ["run", "compare", "sweep"]
+            .iter()
+            .any(|c| command_flags(c).contains(&(a, true)))
+    };
+    let mut positional = Vec::new();
+    let mut flags = Vec::new();
+    let mut it = args.iter();
+    while let Some(a) = it.next() {
+        if a.starts_with("--") {
+            flags.push(a.as_str());
+            if value_flag(a) {
+                it.next();
+            }
+        } else {
+            positional.push(a.as_str());
+        }
+    }
+    let command = positional.first().copied().unwrap_or("help");
+    let known = command_flags(command);
+    match flags
+        .into_iter()
+        .find(|f| !known.iter().any(|(k, _)| k == f))
+    {
+        Some(f) => Err(format!("`{command}` does not take {f}\n\n{}", help())),
+        None => Ok(()),
+    }
+}
+
 /// The `help` text.
 pub fn help() -> String {
     "\
 dvmp-cli — dynamic VM placement experiments (ICPP 2014 reproduction)
 
 USAGE:
-  dvmp-cli run <spec.json> [--json] [--checked] [--full-replan]
-                           [--obs-summary] [--trace-out <file>]
-                           [--metrics-out <file>]
+  dvmp-cli run <spec.json> [--json] [--checked] [--obs-summary]
+                           [--trace-out <file>] [--metrics-out <file>]
                                          run the spec's policy, print summary;
                                          --checked audits every event with the
                                          invariant oracle (DESIGN.md §9);
-                                         --full-replan rebuilds the dynamic
-                                         policy's matrix from scratch every
-                                         interval (same plans, bit for bit;
-                                         see DESIGN.md §8);
                                          --obs-summary arms the flight-recorder
                                          layer and appends per-run counters and
                                          the phase profile (DESIGN.md §10);
@@ -550,6 +586,7 @@ USAGE:
 
 PROFILES: paper_calibrated | paper_strict | light | hpc_mixed
 SPEC: see crates/cli/src/spec.rs for the JSON schema
+A flag the command does not take is a usage error (exit status 2).
 "
     .to_owned()
 }
@@ -565,25 +602,24 @@ mod tests {
         "seed": 42
     }"#;
 
-    fn opts(json: bool, checked: bool, full_replan: bool) -> RunOptions {
+    fn opts(json: bool, checked: bool) -> RunOptions {
         RunOptions {
             json,
             checked,
-            full_replan,
             ..RunOptions::default()
         }
     }
 
     #[test]
     fn run_produces_summary() {
-        let out = run(SPEC, &opts(false, false, false)).unwrap();
+        let out = run(SPEC, &opts(false, false)).unwrap();
         assert!(out.contains("first-fit"), "{out}");
         assert!(out.contains("energy"), "{out}");
     }
 
     #[test]
     fn run_json_is_parseable() {
-        let out = run(SPEC, &opts(true, false, false)).unwrap();
+        let out = run(SPEC, &opts(true, false)).unwrap();
         let report: dvmp_metrics::RunReport = serde_json::from_str(&out).unwrap();
         assert_eq!(report.policy, "first-fit");
         assert!(report.total_energy_kwh > 0.0);
@@ -592,31 +628,14 @@ mod tests {
 
     #[test]
     fn checked_run_reports_a_clean_oracle() {
-        let out = run(SPEC, &opts(false, true, false)).unwrap();
+        let out = run(SPEC, &opts(false, true)).unwrap();
         assert!(out.contains("oracle"), "{out}");
 
-        let json = run(SPEC, &opts(true, true, false)).unwrap();
+        let json = run(SPEC, &opts(true, true)).unwrap();
         let report: dvmp_metrics::RunReport = serde_json::from_str(&json).unwrap();
         let oracle = report.oracle.expect("checked run attaches a summary");
         assert!(oracle.is_clean(), "{}", oracle.render());
         assert!(oracle.events_audited > 0);
-    }
-
-    #[test]
-    fn full_replan_run_is_bit_identical() {
-        // The incremental planner must be invisible in the results: a
-        // dynamic-policy run with cross-interval reuse disabled produces
-        // the exact same report — up to the wall clock, the one field that
-        // measures the host rather than the simulation.
-        let dyn_spec = SPEC.replace("first-fit", "dynamic");
-        let fast = run(&dyn_spec, &opts(true, false, false)).unwrap();
-        let fresh = run(&dyn_spec, &opts(true, false, true)).unwrap();
-        let scrub = |text: &str| {
-            let mut v = serde_json::parse_str(text).unwrap();
-            set_field(&mut v, &["meta", "wall_seconds"], serde::Value::F64(0.0));
-            v
-        };
-        assert_eq!(scrub(&fast), scrub(&fresh));
     }
 
     /// Replaces the leaf at a dotted path in a parsed JSON tree.
@@ -740,7 +759,7 @@ mod tests {
 
     #[test]
     fn compare_reports_self_comparison_passes() {
-        let a = run(SPEC, &opts(true, false, false)).unwrap();
+        let a = run(SPEC, &opts(true, false)).unwrap();
         let out = compare_reports(&a, &a, false).expect("identical reports pass");
         assert!(out.contains("total_energy_kwh"), "{out}");
         assert!(!out.contains("FLAGGED"), "{out}");
@@ -748,7 +767,7 @@ mod tests {
 
     #[test]
     fn compare_reports_flags_injected_regression() {
-        let a = run(SPEC, &opts(true, false, false)).unwrap();
+        let a = run(SPEC, &opts(true, false)).unwrap();
         let mut v = serde_json::parse_str(&a).unwrap();
         let kwh = value_as_f64(v.get("total_energy_kwh").unwrap()).unwrap();
         set_field(&mut v, &["total_energy_kwh"], serde::Value::F64(kwh * 1.2));
@@ -828,7 +847,6 @@ mod tests {
             "workload",
             "export-swf",
             "--checked",
-            "--full-replan",
             "--obs-summary",
             "--trace-out",
             "--metrics-out",
@@ -836,5 +854,31 @@ mod tests {
         ] {
             assert!(h.contains(cmd));
         }
+    }
+
+    #[test]
+    fn unknown_flags_are_usage_errors() {
+        let argv = |s: &str| -> Vec<String> { s.split(' ').map(String::from).collect() };
+        // A typo and a retired flag both fail, naming the flag.
+        for bad in ["--chekced", "--full-replan"] {
+            let err = check_flags(&argv(&format!("run spec.json {bad}"))).unwrap_err();
+            assert!(err.contains(bad), "{err}");
+        }
+        // A flag of another command is no flag of this one.
+        assert!(check_flags(&argv("compare spec.json --seeds 3")).is_err());
+        assert!(check_flags(&argv("workload light 42 --json")).is_err());
+        // Known flags pass, and a flag's value is never read as a flag.
+        for ok in [
+            "run spec.json --json --checked --obs-summary",
+            "run spec.json --trace-out t.json --metrics-out m.prom",
+            "--trace-out t.json run spec.json",
+            "compare a.json b.json --json",
+            "sweep spec.json --seeds 3 --json",
+            "workload light 42",
+            "help",
+        ] {
+            assert_eq!(check_flags(&argv(ok)), Ok(()), "{ok}");
+        }
+        assert_eq!(check_flags(&[]), Ok(()));
     }
 }

@@ -6,9 +6,12 @@ use std::process::ExitCode;
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
+    if let Err(e) = commands::check_flags(&args) {
+        eprintln!("error: {e}");
+        return ExitCode::from(2);
+    }
     let json = args.iter().any(|a| a == "--json");
     let checked = args.iter().any(|a| a == "--checked");
-    let full_replan = args.iter().any(|a| a == "--full-replan");
     let obs_summary = args.iter().any(|a| a == "--obs-summary");
     let trace_out_idx = args.iter().position(|a| a == "--trace-out");
     let trace_out = trace_out_idx.and_then(|i| args.get(i + 1)).cloned();
@@ -44,7 +47,6 @@ fn main() -> ExitCode {
                     &commands::RunOptions {
                         json,
                         checked,
-                        full_replan,
                         obs_summary,
                         trace_out: trace_out.map(Into::into),
                         metrics_out: metrics_out.map(Into::into),

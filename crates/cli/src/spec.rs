@@ -152,13 +152,6 @@ pub struct PolicySpec {
     /// `MIG_round` (dynamic only).
     #[serde(default)]
     pub mig_round: Option<u32>,
-    /// Planning kernel (dynamic only): `"auto"` (default) or
-    /// `"compressed"` (the class-compressed sparse planner, at every fleet
-    /// size), or `"dense"` (the M×N probability matrix it falls back to).
-    /// Both produce bit-identical plans; this is an A/B lever, like
-    /// `--full-replan`.
-    #[serde(default)]
-    pub plan_kernel: Option<String>,
     /// Capacity basis for planning feasibility (dynamic only):
     /// `"virtual"` (default — the overbooked admission bound) or
     /// `"physical"` (the overbooking-blind ablation). Identical on
@@ -172,15 +165,6 @@ pub struct PolicySpec {
     /// exact keys.
     #[serde(default)]
     pub class_tolerance: Option<f64>,
-    /// Planning shard-count override (dynamic only): omit or `0` to size
-    /// shards automatically from the fleet.
-    #[serde(default)]
-    pub plan_shards: Option<usize>,
-    /// Dense bulk-sweep implementation (dynamic only): `"auto"`
-    /// (default), `"scalar"`, or `"simd"`. Bit-identical plans either
-    /// way; an A/B lever like `plan_kernel`.
-    #[serde(default)]
-    pub dense_sweep: Option<String>,
 }
 
 impl Default for PolicySpec {
@@ -190,22 +174,15 @@ impl Default for PolicySpec {
             kind: "dynamic".into(),
             mig_threshold: None,
             mig_round: None,
-            plan_kernel: None,
             capacity_basis: None,
             class_tolerance: None,
-            plan_shards: None,
-            dense_sweep: None,
         }
     }
 }
 
 impl PolicySpec {
-    /// Builds the policy. `seed` feeds the random baseline. `full_replan`
-    /// disables cross-interval matrix reuse on the dynamic policy (a
-    /// no-op for the baselines) — the escape hatch for A/B-ing the
-    /// incremental planner against the fresh-rebuild reference, whose
-    /// plans it matches bit for bit.
-    pub fn build(&self, seed: u64, full_replan: bool) -> Result<Box<dyn PlacementPolicy>, String> {
+    /// Builds the policy. `seed` feeds the random baseline.
+    pub fn build(&self, seed: u64) -> Result<Box<dyn PlacementPolicy>, String> {
         match self.kind.as_str() {
             "dynamic" => {
                 let mut cfg = DynamicConfig::default();
@@ -214,14 +191,6 @@ impl PolicySpec {
                 }
                 if let Some(r) = self.mig_round {
                     cfg.mig_round = r;
-                }
-                if let Some(k) = &self.plan_kernel {
-                    cfg.plan_kernel = match k.as_str() {
-                        "auto" => PlanKernel::Auto,
-                        "dense" => PlanKernel::Dense,
-                        "compressed" => PlanKernel::Compressed,
-                        other => return Err(format!("unknown plan kernel {other:?}")),
-                    };
                 }
                 if let Some(b) = &self.capacity_basis {
                     cfg.capacity_basis = match b.as_str() {
@@ -233,18 +202,6 @@ impl PolicySpec {
                 if let Some(t) = self.class_tolerance {
                     cfg.class_tolerance = t;
                 }
-                if let Some(s) = self.plan_shards {
-                    cfg.plan_shards = s;
-                }
-                if let Some(sweep) = &self.dense_sweep {
-                    cfg.dense_sweep = match sweep.as_str() {
-                        "auto" => DenseSweep::Auto,
-                        "scalar" => DenseSweep::Scalar,
-                        "simd" => DenseSweep::Simd,
-                        other => return Err(format!("unknown dense sweep {other:?}")),
-                    };
-                }
-                cfg.incremental = !full_replan;
                 cfg.validate()?;
                 Ok(Box::new(DynamicPlacement::new(cfg)))
             }
@@ -412,7 +369,7 @@ mod tests {
         assert_eq!(scenario.fleet().len(), 100);
         assert_eq!(scenario.days(), 1);
         assert!(!scenario.requests().is_empty());
-        let policy = spec.policy.build(spec.seed, false).unwrap();
+        let policy = spec.policy.build(spec.seed).unwrap();
         assert_eq!(policy.name(), "first-fit");
     }
 
@@ -438,7 +395,7 @@ mod tests {
             scenario.fleet().classes()[0].capacity,
             ResourceVector::cpu_mem(16, 32_768)
         );
-        let policy = spec.policy.build(7, false).unwrap();
+        let policy = spec.policy.build(7).unwrap();
         assert_eq!(policy.name(), "dynamic");
     }
 
@@ -472,7 +429,7 @@ mod tests {
             kind: "oracle".into(),
             ..PolicySpec::default()
         };
-        match bad_policy.build(1, false) {
+        match bad_policy.build(1) {
             Err(e) => assert!(e.contains("oracle")),
             Ok(_) => panic!("unknown policy must error"),
         }
@@ -496,25 +453,29 @@ mod tests {
             mig_threshold: Some(0.2),
             ..PolicySpec::default()
         };
-        assert!(spec.build(1, false).is_err());
+        assert!(spec.build(1).is_err());
     }
 
     #[test]
-    fn plan_kernel_knob_selects_kernels_and_rejects_typos() {
-        for kernel in ["auto", "dense", "compressed"] {
-            let spec = PolicySpec {
-                plan_kernel: Some(kernel.into()),
-                ..PolicySpec::default()
-            };
-            assert!(spec.build(1, false).is_ok(), "kernel {kernel}");
-        }
-        let bad = PolicySpec {
-            plan_kernel: Some("sparse".into()),
-            ..PolicySpec::default()
-        };
-        match bad.build(1, false) {
-            Err(e) => assert!(e.contains("sparse")),
-            Ok(_) => panic!("unknown kernel must error"),
+    fn removed_speed_knobs_are_rejected_by_name() {
+        // The planner's speed-only knobs are gone; a spec that still sets
+        // one fails to load with an error naming the field.
+        for (field, value) in [
+            ("plan_kernel", r#""dense""#),
+            ("plan_shards", "4"),
+            ("dense_sweep", r#""simd""#),
+        ] {
+            let text = format!(
+                r#"{{
+                    "name": "t",
+                    "workload": {{ "profile": "light", "days": 1 }},
+                    "policy": {{ "kind": "dynamic", "{field}": {value} }}
+                }}"#
+            );
+            match ScenarioSpec::from_json(&text) {
+                Err(e) => assert!(e.contains(field), "{field}: {e}"),
+                Ok(_) => panic!("{field} must be rejected"),
+            }
         }
     }
 
@@ -525,13 +486,13 @@ mod tests {
                 capacity_basis: Some(basis.into()),
                 ..PolicySpec::default()
             };
-            assert!(spec.build(1, false).is_ok(), "basis {basis}");
+            assert!(spec.build(1).is_ok(), "basis {basis}");
         }
         let bad = PolicySpec {
             capacity_basis: Some("astral".into()),
             ..PolicySpec::default()
         };
-        match bad.build(1, false) {
+        match bad.build(1) {
             Err(e) => assert!(e.contains("astral")),
             Ok(_) => panic!("unknown basis must error"),
         }
@@ -539,38 +500,20 @@ mod tests {
 
     #[test]
     fn heterogeneity_knobs_build_and_reject_typos() {
-        // The full heterogeneous-planning knob set parses from JSON.
+        // The heterogeneous-planning knob parses from JSON.
         let text = r#"{
             "name": "hetero",
             "workload": { "profile": "light", "days": 1 },
-            "policy": { "kind": "dynamic", "plan_kernel": "compressed",
-                        "class_tolerance": 0.01, "plan_shards": 4,
-                        "dense_sweep": "simd" }
+            "policy": { "kind": "dynamic", "class_tolerance": 0.01 }
         }"#;
         let spec = ScenarioSpec::from_json(text).unwrap();
-        assert!(spec.policy.build(1, false).is_ok());
-
-        for sweep in ["auto", "scalar", "simd"] {
-            let spec = PolicySpec {
-                dense_sweep: Some(sweep.into()),
-                ..PolicySpec::default()
-            };
-            assert!(spec.build(1, false).is_ok(), "sweep {sweep}");
-        }
-        let bad_sweep = PolicySpec {
-            dense_sweep: Some("avx1024".into()),
-            ..PolicySpec::default()
-        };
-        match bad_sweep.build(1, false) {
-            Err(e) => assert!(e.contains("avx1024")),
-            Ok(_) => panic!("unknown sweep must error"),
-        }
+        assert!(spec.policy.build(1).is_ok());
         // An out-of-range tolerance is caught by DynamicConfig::validate.
         let bad_tol = PolicySpec {
             class_tolerance: Some(0.9),
             ..PolicySpec::default()
         };
-        assert!(bad_tol.build(1, false).is_err());
+        assert!(bad_tol.build(1).is_err());
         // Typos inside the policy block are rejected (deny_unknown_fields).
         let typo = r#"{
             "name": "t",
@@ -711,7 +654,7 @@ mod tests {
         }"#;
         let spec = ScenarioSpec::from_json(text).unwrap();
         let core_json = |scenario: Scenario| {
-            let mut report = scenario.run(spec.policy.build(spec.seed, false).unwrap());
+            let mut report = scenario.run(spec.policy.build(spec.seed).unwrap());
             report.meta = None;
             serde_json::to_string(&report).unwrap()
         };

@@ -60,9 +60,8 @@ pub mod prelude {
     pub use dvmp_forecast::spare::SpareConfig;
     pub use dvmp_metrics::recorder::RunReport;
     pub use dvmp_placement::{
-        BestFit, CapacityBasis, DenseSweep, DynamicConfig, DynamicPlacement, FirstFit, Migration,
-        OverheadMode, PlacementPolicy, PlacementView, PlanKernel, RandomFit, ThresholdConfig,
-        ThresholdPolicy, WorstFit,
+        BestFit, CapacityBasis, DynamicConfig, DynamicPlacement, FirstFit, Migration, OverheadMode,
+        PlacementPolicy, PlacementView, RandomFit, ThresholdConfig, ThresholdPolicy, WorstFit,
     };
     pub use dvmp_simcore::{SimDuration, SimTime};
     pub use dvmp_workload::{

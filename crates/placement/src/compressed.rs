@@ -404,12 +404,7 @@ impl CompressedPlanner {
     /// Registers a demand vector, backfilling the level cache and buckets
     /// of every existing row for its slot — a new one, or, once all
     /// `MAX_DEMANDS` exist, a recycled slot no live column uses (none
-    /// free poisons). On large fleets the
-    /// per-row level computation is sharded across the crossbeam pool
-    /// (contiguous row ranges into disjoint scratch slices); the bucket
-    /// inserts then replay serially in ascending row order, so the
-    /// resulting state is bit-identical to the sequential backfill at any
-    /// shard count.
+    /// free poisons).
     fn register_demand(&mut self, res: &ResourceVector, cfg: &DynamicConfig) -> Result<u8, Poison> {
         if let Some(&d) = self.demand_lookup.get(res) {
             return Ok(d);
@@ -437,49 +432,9 @@ impl CompressedPlanner {
             d
         } as u8;
         self.demand_lookup.insert(*res, d);
-        let m = self.rows.len();
-        let shards = cfg.resolve_shards(m);
-        if shards > 1 {
-            let demand = self.demands[d as usize];
-            let rows = &self.rows;
-            let sclasses = &self.sclasses;
-            let mut scratch = vec![INFEASIBLE; m];
-            let chunk = m.div_ceil(shards);
-            crossbeam::scope(|s| {
-                for (i, out) in scratch.chunks_mut(chunk).enumerate() {
-                    let lo = i * chunk;
-                    s.spawn(move |_| {
-                        for (j, w) in out.iter_mut().enumerate() {
-                            let row = &rows[lo + j];
-                            if !row.active {
-                                continue;
-                            }
-                            let sc = &sclasses[row.sclass as usize];
-                            if sc.usable && row.used.fits_with(&demand, &sc.entry.capacity) {
-                                *w = class_table::class_level(&row.used.add(&demand), &sc.entry)
-                                    as u8;
-                            }
-                        }
-                    });
-                }
-            })
-            .expect("backfill worker panicked");
-            for (r, &w) in scratch.iter().enumerate() {
-                if w != INFEASIBLE {
-                    // Fresh or retired slot: the old level is always
-                    // INFEASIBLE, so this is insert-only — exactly what
-                    // `bucket_row_demand` would do.
-                    let b_idx = self.rows[r].sclass as usize * MAX_DEMANDS + d as usize;
-                    self.row_w[r * self.stride + d as usize] = w;
-                    self.buckets[b_idx].insert(w, r as u32);
-                    self.note_insert(b_idx);
-                }
-            }
-        } else {
-            for r in 0..m {
-                if self.rows[r].active {
-                    self.bucket_row_demand(r, d as usize);
-                }
+        for r in 0..self.rows.len() {
+            if self.rows[r].active {
+                self.bucket_row_demand(r, d as usize);
             }
         }
         Ok(d)
@@ -1377,7 +1332,7 @@ impl CompressedPlanner {
 }
 
 /// One-shot compressed planning over an explicit [`PlanState`] — the
-/// `plan_on` entry point under an explicit `PlanKernel::Compressed`.
+/// `plan_on` entry point.
 /// Returns `None` when the plan cannot be compressed (caller runs dense).
 pub(crate) fn one_shot(
     cfg: &DynamicConfig,
@@ -1420,7 +1375,6 @@ pub(crate) fn one_shot(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::PlanKernel;
     use crate::dynamic::DynamicPlacement;
     use crate::plan::PlanState;
     use crate::policy::testutil::*;
@@ -1430,10 +1384,21 @@ mod tests {
     use dvmp_cluster::vm::Vm;
     use std::collections::BTreeMap;
 
-    fn cfg_with(kernel: PlanKernel) -> DynamicConfig {
-        let mut cfg = DynamicConfig::default();
-        cfg.plan_kernel = kernel;
-        cfg
+    /// Which planner a test twin runs: the dense reference or the
+    /// production scheme (compressed, with its dense fallback).
+    #[derive(Debug, Clone, Copy)]
+    enum Kernel {
+        Dense,
+        Compressed,
+    }
+
+    impl Kernel {
+        fn policy(self, cfg: DynamicConfig) -> DynamicPlacement {
+            match self {
+                Kernel::Dense => DynamicPlacement::dense_reference(cfg),
+                Kernel::Compressed => DynamicPlacement::new(cfg),
+            }
+        }
     }
 
     fn xorshift(s: &mut u64) -> u64 {
@@ -1453,11 +1418,11 @@ mod tests {
     }
 
     impl Twin {
-        fn new(kernel: PlanKernel) -> Self {
+        fn new(kernel: Kernel) -> Self {
             Twin::sized(kernel, 6, 6)
         }
 
-        fn sized(kernel: PlanKernel, fast: usize, slow: usize) -> Self {
+        fn sized(kernel: Kernel, fast: usize, slow: usize) -> Self {
             let dc = FleetBuilder::new()
                 .add_class(PmClass::paper_fast(), fast, 0.99)
                 .add_class(PmClass::paper_slow(), slow, 0.95)
@@ -1466,7 +1431,7 @@ mod tests {
             Twin {
                 dc,
                 vms: BTreeMap::new(),
-                policy: DynamicPlacement::new(cfg_with(kernel)),
+                policy: kernel.policy(DynamicConfig::default()),
             }
         }
 
@@ -1505,8 +1470,8 @@ mod tests {
         drive_history(
             seed,
             steps,
-            Twin::new(PlanKernel::Dense),
-            Twin::new(PlanKernel::Compressed),
+            Twin::new(Kernel::Dense),
+            Twin::new(Kernel::Compressed),
         );
     }
 
@@ -1687,7 +1652,7 @@ mod tests {
     /// fragment toward one class per PM. With `class_tolerance` both
     /// kernels quantize through the same grid and the compressed planner
     /// keeps its two hardware superclasses.
-    fn jittered_twin(kernel: PlanKernel, tolerance: f64) -> Twin {
+    fn jittered_twin(kernel: Kernel, tolerance: f64) -> Twin {
         let mut dc = FleetBuilder::new()
             .add_class(PmClass::paper_fast(), 6, 0.99)
             .add_class(PmClass::paper_slow(), 6, 0.95)
@@ -1697,20 +1662,22 @@ mod tests {
             // ±0.004 spread, well inside one 0.01-tolerance bucket.
             dc.pm_mut(PmId(i as u32)).reliability += 0.002 * ((i % 5) as f64 - 2.0);
         }
-        let mut cfg = cfg_with(kernel);
-        cfg.class_tolerance = tolerance;
+        let cfg = DynamicConfig {
+            class_tolerance: tolerance,
+            ..DynamicConfig::default()
+        };
         Twin {
             dc,
             vms: BTreeMap::new(),
-            policy: DynamicPlacement::new(cfg),
+            policy: kernel.policy(cfg),
         }
     }
 
     #[test]
     fn bucketed_compressed_matches_dense_on_jittered_fleets() {
         for seed in [5, 19, 73, 211] {
-            let dense = jittered_twin(PlanKernel::Dense, 0.01);
-            let comp = jittered_twin(PlanKernel::Compressed, 0.01);
+            let dense = jittered_twin(Kernel::Dense, 0.01);
+            let comp = jittered_twin(Kernel::Compressed, 0.01);
             drive_history(seed, 100, dense, comp);
         }
     }
@@ -1718,7 +1685,7 @@ mod tests {
     #[test]
     fn tolerance_collapses_jittered_fleet_to_hardware_superclasses() {
         // Exact keys: every jittered reliability is its own superclass.
-        let mut exact = jittered_twin(PlanKernel::Compressed, 0.0);
+        let mut exact = jittered_twin(Kernel::Compressed, 0.0);
         let _ = exact.plan(SimTime::ZERO);
         assert!(!exact.policy.compressed_poisoned());
         assert_eq!(
@@ -1727,7 +1694,7 @@ mod tests {
             "5 distinct jittered reliabilities per hardware class"
         );
         // Bucketed keys: the jitter collapses back onto the two classes.
-        let mut bucketed = jittered_twin(PlanKernel::Compressed, 0.01);
+        let mut bucketed = jittered_twin(Kernel::Compressed, 0.01);
         let s = spec(1, 512, 50_000);
         if let Some(pm) = bucketed.place(&s, SimTime::ZERO) {
             bucketed.dc.place(s.id, pm, s.resources).unwrap();
@@ -1749,8 +1716,8 @@ mod tests {
     fn compressed_place_matches_dense_on_fresh_fleet() {
         // Ultra-short estimates exercise the without-vir fallback column.
         for est in [50, 500, 5_000, 50_000] {
-            let mut dense = Twin::new(PlanKernel::Dense);
-            let mut comp = Twin::new(PlanKernel::Compressed);
+            let mut dense = Twin::new(Kernel::Dense);
+            let mut comp = Twin::new(Kernel::Compressed);
             let s = spec(1, 512, est);
             let now = SimTime::ZERO;
             assert_eq!(dense.place(&s, now), comp.place(&s, now), "est {est}");
@@ -1786,8 +1753,8 @@ mod tests {
 
         let mut plan_dense = plan.clone();
         let mut plan_comp = plan.clone();
-        let mut dense = DynamicPlacement::new(cfg_with(PlanKernel::Dense));
-        let mut comp = DynamicPlacement::new(cfg_with(PlanKernel::Compressed));
+        let mut dense = DynamicPlacement::dense_reference(DynamicConfig::default());
+        let mut comp = DynamicPlacement::paper_default();
         let moves_dense = dense.plan_on(&mut plan_dense);
         let moves_comp = comp.plan_on(&mut plan_comp);
         assert_eq!(moves_dense, moves_comp);
@@ -1803,8 +1770,8 @@ mod tests {
 
     #[test]
     fn tie_break_is_deterministic_across_build_kernels() {
-        // Sequential dense, parallel dense and compressed builds must all
-        // resolve ties identically (lowest eligible PM id).
+        // Dense and compressed builds must resolve ties identically
+        // (lowest eligible PM id).
         let build = || {
             let mut dc = small_fleet();
             let mut vms = BTreeMap::new();
@@ -1821,28 +1788,21 @@ mod tests {
             }
             (dc, vms)
         };
-        let mut seq_cfg = cfg_with(PlanKernel::Dense);
-        seq_cfg.par_rows_cutoff = usize::MAX;
-        let mut par_cfg = cfg_with(PlanKernel::Dense);
-        par_cfg.par_rows_cutoff = 1;
-        let cfgs = [seq_cfg, par_cfg, cfg_with(PlanKernel::Compressed)];
         let mut all_moves = Vec::new();
         let mut all_places = Vec::new();
-        for cfg in cfgs {
+        for kernel in [Kernel::Dense, Kernel::Compressed] {
             let (dc, vms) = build();
             let view = PlacementView {
                 dc: &dc,
                 vms: &vms,
                 now: SimTime::ZERO,
             };
-            let mut policy = DynamicPlacement::new(cfg);
+            let mut policy = kernel.policy(DynamicConfig::default());
             all_moves.push(policy.plan_migrations(&view));
             all_places.push(policy.place(&view, &spec(99, 256, 120_000)));
         }
-        assert_eq!(all_moves[0], all_moves[1], "sequential vs parallel");
-        assert_eq!(all_moves[0], all_moves[2], "dense vs compressed");
+        assert_eq!(all_moves[0], all_moves[1], "dense vs compressed");
         assert_eq!(all_places[0], all_places[1]);
-        assert_eq!(all_places[0], all_places[2]);
     }
 
     #[test]
@@ -1851,8 +1811,8 @@ mod tests {
         // fleet with room for them all): the compressed planner must
         // poison itself and route everything to the dense kernel, with no
         // observable difference.
-        let mut dense = Twin::sized(PlanKernel::Dense, 18, 6);
-        let mut comp = Twin::sized(PlanKernel::Compressed, 18, 6);
+        let mut dense = Twin::sized(Kernel::Dense, 18, 6);
+        let mut comp = Twin::sized(Kernel::Compressed, 18, 6);
         let mut t = 0u64;
         for i in 0..(MAX_DEMANDS as u32 + 6) {
             let now = SimTime::from_secs(t);
@@ -1876,8 +1836,8 @@ mod tests {
     fn vm_ids_past_the_slot_table_poison_and_still_match() {
         // A VM id the column slot table does not cover poisons the planner
         // instead of sizing the table after it; the plan is unchanged.
-        let mut dense = Twin::new(PlanKernel::Dense);
-        let mut comp = Twin::new(PlanKernel::Compressed);
+        let mut dense = Twin::new(Kernel::Dense);
+        let mut comp = Twin::new(Kernel::Compressed);
         for (i, id) in [1, MAX_VM_ID as u32 + 1].into_iter().enumerate() {
             for twin in [&mut dense, &mut comp] {
                 let s = spec(id, 512, 150_000);
@@ -1938,7 +1898,7 @@ mod tests {
         // growth of the per-row stride must carry every cached level over,
         // and past MAX_DEMANDS each recycled slot must be wiped and
         // refilled — never one a live column still uses.
-        let mut twin = Twin::new(PlanKernel::Compressed);
+        let mut twin = Twin::new(Kernel::Compressed);
         for (i, pm) in [0u32, 0, 1, 2, 6, 6, 7].iter().enumerate() {
             let s = spec(i as u32 + 1, 512 + 256 * i as u64, 150_000);
             install(&mut twin.dc, &mut twin.vms, s, PmId(*pm), SimTime::ZERO);
@@ -1948,7 +1908,7 @@ mod tests {
             vms: &twin.vms,
             now: SimTime::ZERO,
         };
-        let cfg = cfg_with(PlanKernel::Compressed);
+        let cfg = DynamicConfig::default();
         let mut p = CompressedPlanner::new();
         assert!(p.ensure_synced(&view, None, &cfg));
         for i in 0..(MAX_DEMANDS as u64 + 20) {
@@ -1973,8 +1933,8 @@ mod tests {
         // reused (no poisoning), and every decision must stay the dense
         // kernel's. Half the arrivals skip `place` so the patch path
         // registers (and recycles) too.
-        let mut dense = Twin::new(PlanKernel::Dense);
-        let mut comp = Twin::new(PlanKernel::Compressed);
+        let mut dense = Twin::new(Kernel::Dense);
+        let mut comp = Twin::new(Kernel::Compressed);
         let mut live = std::collections::VecDeque::new();
         for i in 0..(3 * MAX_DEMANDS as u32) {
             let now = SimTime::from_secs(100 * u64::from(i));
@@ -2010,8 +1970,9 @@ mod tests {
 
     #[test]
     fn auto_kernel_runs_compressed_at_paper_scale() {
-        // Auto is the compressed planner at every fleet size: even a 4-PM
-        // fleet runs it, and its plan is the dense kernel's.
+        // The default scheme is the compressed planner at every fleet
+        // size: even a 4-PM fleet runs it, and its plan is the dense
+        // kernel's.
         let mut dc = small_fleet();
         let mut vms = BTreeMap::new();
         for (i, pm) in [0u32, 1, 2, 3].iter().enumerate() {
@@ -2033,9 +1994,9 @@ mod tests {
         assert!(!moves.is_empty());
         assert!(
             policy.compressed_passes() > 0,
-            "Auto runs compressed at 4 PMs"
+            "the default scheme runs compressed at 4 PMs"
         );
-        let mut dense = DynamicPlacement::new(cfg_with(PlanKernel::Dense));
+        let mut dense = DynamicPlacement::dense_reference(DynamicConfig::default());
         assert_eq!(moves, dense.plan_migrations(&view));
         assert_eq!(dense.compressed_passes(), 0);
     }
@@ -2058,7 +2019,7 @@ mod tests {
         // touched at different tops and check every column's effective
         // bound lands on the larger `p_cap / h`, and on ∞ over a zero-`h`
         // host — and that the running maximum covers it.
-        let mut twin = Twin::new(PlanKernel::Compressed);
+        let mut twin = Twin::new(Kernel::Compressed);
         let now = SimTime::ZERO;
         for (i, pm) in [0u32, 6].iter().enumerate() {
             install(
@@ -2069,7 +2030,7 @@ mod tests {
                 now,
             );
         }
-        let cfg = cfg_with(PlanKernel::Compressed);
+        let cfg = DynamicConfig::default();
         let mut planner = synced_planner(&twin, now, &cfg);
         let p = &mut planner;
         assert_eq!((p.sclasses.len(), p.demands.len(), p.cols.len()), (2, 1, 2));
@@ -2134,7 +2095,7 @@ mod tests {
         // columns loses one VM, so its `H` drops. The patch re-scores the
         // surviving column, `hmin` must follow `H` down, and the running
         // maximum must still cover every effective bound.
-        let mut twin = Twin::new(PlanKernel::Compressed);
+        let mut twin = Twin::new(Kernel::Compressed);
         let now = SimTime::ZERO;
         for (i, pm) in [0u32, 0, 6].iter().enumerate() {
             install(
@@ -2146,7 +2107,7 @@ mod tests {
             );
         }
         let _ = twin.dc.take_fleet_delta();
-        let cfg = cfg_with(PlanKernel::Compressed);
+        let cfg = DynamicConfig::default();
         let mut p = synced_planner(&twin, now, &cfg);
         p.touched_buckets = vec![0];
         p.fold_touched(&cfg);
@@ -2181,10 +2142,10 @@ mod tests {
         // alike. Removing the first column swaps the last (VM 4) into its
         // slot, ahead of VMs 2 and 3: the winner must still be the dense
         // planner's, the lowest id.
-        let mut dense = Twin::new(PlanKernel::Dense);
-        let mut comp = Twin::new(PlanKernel::Compressed);
+        let mut dense = Twin::new(Kernel::Dense);
+        let mut comp = Twin::new(Kernel::Compressed);
         let now = SimTime::ZERO;
-        let cfg = cfg_with(PlanKernel::Compressed);
+        let cfg = DynamicConfig::default();
         for twin in [&mut dense, &mut comp] {
             for i in 0..4u32 {
                 install(
@@ -2223,8 +2184,8 @@ mod tests {
     fn creation_stash_defers_and_adopts_columns() {
         // A VM mid-creation must not be planned; once its ready time
         // passes (an unjournaled transition), the stash must surface it.
-        let mut dense = Twin::new(PlanKernel::Dense);
-        let mut comp = Twin::new(PlanKernel::Compressed);
+        let mut dense = Twin::new(Kernel::Dense);
+        let mut comp = Twin::new(Kernel::Compressed);
         // Fragment: two runners on separate PMs plus one creating.
         for (twin_no, twin) in [&mut dense, &mut comp].into_iter().enumerate() {
             for (i, pm) in [0u32, 2].iter().enumerate() {

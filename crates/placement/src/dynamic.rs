@@ -16,7 +16,7 @@
 //! the paper calls out at the end of Section III-C.
 
 use crate::compressed::{self, CompressedPlanner};
-use crate::config::{DynamicConfig, PlanKernel};
+use crate::config::DynamicConfig;
 use crate::factors::{self, EvalContext, ExtraFactor};
 use crate::matrix::{MatrixKernel, ProbabilityMatrix};
 use crate::plan::PlanState;
@@ -26,6 +26,11 @@ use dvmp_cluster::vm::{VmId, VmSpec};
 use dvmp_cluster::FleetDelta;
 use std::sync::Arc;
 
+/// Dirty-entry fraction above which an incremental pass falls back to a
+/// full rebuild: touching most of the matrix through the journal maps
+/// costs more than refilling it wholesale.
+const REBUILD_THRESHOLD: f64 = 0.5;
+
 /// What the planner remembers about the matrix it kept alive from the
 /// previous pass: which PM occupied each row, which VM each column, and
 /// which of them the pass itself touched (migration endpoints — dirty next
@@ -34,9 +39,8 @@ use std::sync::Arc;
 /// against the mutated plan).
 #[derive(Debug, Clone, Default)]
 struct PassSnapshot {
-    /// `false` until a pass leaves a matrix the next pass may extend
-    /// (incremental planning enabled, no extra factors, complete eff
-    /// cache).
+    /// `false` until a pass leaves a matrix the next pass may extend (no
+    /// extra factors, complete eff cache).
     valid: bool,
     /// Row → PM id of the kept matrix, ascending (plan row order).
     row_pms: Vec<PmId>,
@@ -89,14 +93,9 @@ impl IncScratch {
     /// pass itself (touched sets) laid hands on it — over-reporting dirt
     /// is always sound, under-reporting never happens because every fleet
     /// mutation funnels through the journal. Returns `false` when the
-    /// dirty fraction exceeds `threshold` (full rebuild is cheaper).
-    fn prepare(
-        &mut self,
-        plan: &PlanState,
-        snap: &PassSnapshot,
-        delta: &FleetDelta,
-        threshold: f64,
-    ) -> bool {
+    /// dirty fraction exceeds [`REBUILD_THRESHOLD`] (full rebuild is
+    /// cheaper).
+    fn prepare(&mut self, plan: &PlanState, snap: &PassSnapshot, delta: &FleetDelta) -> bool {
         let rows = plan.pms.len();
         let cols = plan.vms.len();
         self.dirty_rows.clear();
@@ -130,7 +129,7 @@ impl IncScratch {
             dirty_col_count += dirty as usize;
         }
         let dirty_entries = dirty_row_count * cols + (rows - dirty_row_count) * dirty_col_count;
-        (dirty_entries as f64) <= threshold * (rows as f64) * (cols as f64)
+        (dirty_entries as f64) <= REBUILD_THRESHOLD * (rows as f64) * (cols as f64)
     }
 }
 
@@ -172,6 +171,9 @@ pub struct DynamicPlacement {
     comp: CompressedPlanner,
     /// Planning passes served by the class-compressed kernel.
     compressed_passes: u64,
+    /// Pins every pass to the dense matrix (see
+    /// [`DynamicPlacement::dense_reference`]).
+    dense_only: bool,
 }
 
 impl DynamicPlacement {
@@ -182,15 +184,13 @@ impl DynamicPlacement {
     /// [`DynamicConfig::validate`]).
     pub fn new(cfg: DynamicConfig) -> Self {
         cfg.validate().expect("invalid DynamicConfig");
-        let mut matrix = ProbabilityMatrix::default();
-        matrix.set_sweep(cfg.dense_sweep);
         DynamicPlacement {
             cfg,
             extras: Vec::new(),
             total_migrations: 0,
             round_cap_hits: 0,
             plan_arena: PlanState::default(),
-            matrix,
+            matrix: ProbabilityMatrix::default(),
             best: Vec::new(),
             pending_delta: None,
             snap: PassSnapshot::default(),
@@ -199,6 +199,22 @@ impl DynamicPlacement {
             full_rebuilds: 0,
             comp: CompressedPlanner::new(),
             compressed_passes: 0,
+            dense_only: false,
+        }
+    }
+
+    /// The scheme pinned to the dense M×N matrix on every pass — the
+    /// reference the class-compressed planner is held bit-identical to.
+    /// A test and benchmark seam, not a configuration option: the
+    /// production scheme ([`new`](Self::new)) already falls back to this
+    /// path wherever the compressed form cannot serve a pass.
+    ///
+    /// # Panics
+    /// Panics if the configuration is invalid.
+    pub fn dense_reference(cfg: DynamicConfig) -> Self {
+        DynamicPlacement {
+            dense_only: true,
+            ..Self::new(cfg)
         }
     }
 
@@ -254,7 +270,7 @@ impl DynamicPlacement {
 
     /// Planning passes that (re)built the matrix from scratch — the first
     /// pass, passes without a usable journal, and passes whose dirty
-    /// fraction exceeded [`DynamicConfig::rebuild_threshold`].
+    /// fraction exceeded [`REBUILD_THRESHOLD`].
     pub fn full_rebuilds(&self) -> u64 {
         self.full_rebuilds
     }
@@ -290,11 +306,12 @@ impl DynamicPlacement {
         self.comp.occupied_buckets()
     }
 
-    /// Whether a pass may run the class-compressed kernel: every kernel
-    /// setting but `Dense`, unless extension factors are registered or the
-    /// `p^eff` ablation is on (the compressed levels are keyed on it).
+    /// Whether a pass may run the class-compressed kernel: always, unless
+    /// the scheme is the [`dense_reference`](Self::dense_reference),
+    /// extension factors are registered, or the `p^eff` ablation is on
+    /// (the compressed levels are keyed on it).
     fn compressible(&self) -> bool {
-        self.cfg.plan_kernel != PlanKernel::Dense && self.extras.is_empty() && self.cfg.use_eff
+        !self.dense_only && self.extras.is_empty() && self.cfg.use_eff
     }
 
     /// Whether the next live pass runs the persistent compressed planner.
@@ -351,19 +368,12 @@ impl DynamicPlacement {
         // Incremental path: the previous pass left its matrix (and eff
         // operands) behind, and the journal bounds everything that changed
         // since. Extra factors may vary with time, so their entries cannot
-        // be carried across passes.
-        let eligible = cfg.incremental
-            && extras.is_empty()
-            && snap.valid
-            && delta.as_ref().is_some_and(|d| !d.is_full());
+        // be carried across passes. A pass with no journal rebuilds.
+        let eligible =
+            extras.is_empty() && snap.valid && delta.as_ref().is_some_and(|d| !d.is_full());
         let mut incremental = false;
         if eligible {
-            if inc.prepare(
-                plan,
-                snap,
-                delta.as_ref().expect("checked is_some above"),
-                cfg.rebuild_threshold,
-            ) {
+            if inc.prepare(plan, snap, delta.as_ref().expect("checked is_some above")) {
                 if dvmp_obs::enabled() {
                     dvmp_obs::note_plan_dirty_set(
                         inc.dirty_rows.iter().filter(|&&d| d).count() as u64,
@@ -404,10 +414,9 @@ impl DynamicPlacement {
             dvmp_obs::note_plan_kernel_fresh(plan.pms.len() as u64, plan.vms.len() as u64);
             // Per-column cache of the best non-host candidate, refilled in
             // one row-major sweep (the incremental update folds this into
-            // its own sweep), sharded over row ranges on large fleets. The
-            // cache itself never carries across passes: `p^vir` decays
-            // every pass, which rescales entries unevenly.
-            matrix.refill_best_sharded(plan, best, cfg.resolve_shards(plan.pms.len()));
+            // its own sweep). The cache itself never carries across passes:
+            // `p^vir` decays every pass, which rescales entries unevenly.
+            matrix.refill_best(plan, best);
         }
 
         let mut moves = Vec::new();
@@ -474,7 +483,7 @@ impl DynamicPlacement {
         }
         // Remember what the matrix now describes so the next pass can
         // extend it instead of rebuilding.
-        let resumable = cfg.incremental && extras.is_empty() && matrix.eff_cache_complete();
+        let resumable = extras.is_empty() && matrix.eff_cache_complete();
         snap.capture(resumable, plan, &moves);
         moves
     }
@@ -585,13 +594,10 @@ mod tests {
     use dvmp_simcore::SimTime;
     use std::collections::BTreeMap;
 
-    /// The default configuration pinned to the dense kernel, for tests of
-    /// its own machinery (incremental matrix, arena, matrix kernels).
-    fn dense_cfg() -> DynamicConfig {
-        DynamicConfig {
-            plan_kernel: PlanKernel::Dense,
-            ..DynamicConfig::default()
-        }
+    /// The default scheme pinned to the dense kernel, for tests of its own
+    /// machinery (incremental matrix, arena, matrix kernels).
+    fn dense() -> DynamicPlacement {
+        DynamicPlacement::dense_reference(DynamicConfig::default())
     }
 
     fn view_of<'a>(
@@ -855,14 +861,14 @@ mod tests {
             (dc, vms)
         };
         // The arena is the dense kernel's.
-        let mut reused = DynamicPlacement::new(dense_cfg());
+        let mut reused = dense();
         let (dc_a, vms_a) = build(false);
         let (dc_b, vms_b) = build(true);
         let first = reused.plan_migrations(&view_of(&dc_a, &vms_a, 0));
         let second = reused.plan_migrations(&view_of(&dc_b, &vms_b, 100));
 
-        let mut fresh_a = DynamicPlacement::new(dense_cfg());
-        let mut fresh_b = DynamicPlacement::new(dense_cfg());
+        let mut fresh_a = dense();
+        let mut fresh_b = dense();
         assert_eq!(first, fresh_a.plan_migrations(&view_of(&dc_a, &vms_a, 0)));
         assert_eq!(
             second,
@@ -894,9 +900,8 @@ mod tests {
         let (dc1, vms1) = build();
         let (dc2, vms2) = build();
         // Matrix kernels only matter on the dense planner.
-        let mut fast = DynamicPlacement::new(dense_cfg());
-        let mut reference =
-            DynamicPlacement::new(dense_cfg()).with_kernel(crate::matrix::MatrixKernel::Reference);
+        let mut fast = dense();
+        let mut reference = dense().with_kernel(crate::matrix::MatrixKernel::Reference);
         assert_eq!(
             fast.plan_migrations(&view_of(&dc1, &vms1, 0)),
             reference.plan_migrations(&view_of(&dc2, &vms2, 0))
@@ -965,15 +970,14 @@ mod tests {
             let expected = naive_plan(&cfg, &mut plan);
             // Both kernels' repair loops: the dense one and the compressed
             // mirror of it that the default policy runs.
-            for kernel in [PlanKernel::Dense, PlanKernel::Auto] {
-                let mut policy = DynamicPlacement::new(DynamicConfig {
-                    plan_kernel: kernel,
-                    ..DynamicConfig::default()
-                });
+            for (kernel, mut policy) in [
+                ("dense", dense()),
+                ("default", DynamicPlacement::paper_default()),
+            ] {
                 assert_eq!(
                     policy.plan_migrations(&view),
                     expected,
-                    "shape {shape_no}: {kernel:?} repair loop diverged from full rescan"
+                    "shape {shape_no}: {kernel} repair loop diverged from full rescan"
                 );
             }
         }
@@ -981,8 +985,9 @@ mod tests {
 
     #[test]
     fn incremental_pass_matches_full_rebuild_planner() {
-        // Drive an incremental policy and a forced-rebuild policy through
-        // the same fleet history; every pass must propose identical moves.
+        // Drive an incremental policy and a forced-rebuild policy (one that
+        // is never fed the journal) through the same fleet history; every
+        // pass must propose identical moves.
         let mut dc = small_fleet();
         let mut vms = BTreeMap::new();
         // Consolidated start: four VMs on PM 0, nothing to do in pass 1.
@@ -996,11 +1001,8 @@ mod tests {
             );
         }
         // Dense on both sides: the incremental matrix is the subject.
-        let mut inc = DynamicPlacement::new(dense_cfg());
-        let mut full = DynamicPlacement::new(DynamicConfig {
-            incremental: false,
-            ..dense_cfg()
-        });
+        let mut inc = dense();
+        let mut full = dense();
 
         inc.note_fleet_delta(dc.take_fleet_delta());
         let m1 = inc.plan_migrations(&view_of(&dc, &vms, 0));
@@ -1059,7 +1061,7 @@ mod tests {
                 SimTime::ZERO,
             );
         }
-        let mut policy = DynamicPlacement::new(dense_cfg());
+        let mut policy = dense();
         let first = policy.plan_migrations(&view_of(&dc, &vms, 0));
         assert_eq!(first.len(), 3);
         let again = policy.plan_migrations(&view_of(&dc, &vms, 0));

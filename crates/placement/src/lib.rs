@@ -38,7 +38,7 @@ pub mod threshold;
 pub mod worstfit;
 
 pub use bestfit::BestFit;
-pub use config::{CapacityBasis, DenseSweep, DynamicConfig, OverheadMode, PlanKernel};
+pub use config::{CapacityBasis, DynamicConfig, OverheadMode};
 pub use dynamic::DynamicPlacement;
 pub use firstfit::FirstFit;
 pub use matrix::{MatrixKernel, ProbabilityMatrix};

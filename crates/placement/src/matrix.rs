@@ -11,7 +11,7 @@
 //!
 //! ## The fast path
 //!
-//! Three further optimizations keep planning cheap at paper scale
+//! Two further optimizations keep planning cheap at paper scale
 //! (100 PMs × hundreds of VMs) without changing a single output bit
 //! (DESIGN.md §8):
 //!
@@ -27,17 +27,12 @@
 //!   entry of each column, so [`normalized`] and [`best_move_for`] read
 //!   one cached value instead of re-indexing the host row per candidate.
 //!   The targeted recompute methods maintain it.
-//! - **Parallel build**: at or above `cfg.par_rows_cutoff` rows, a full
-//!   (re)build fans row chunks out across scoped threads. Each entry
-//!   depends only on the immutable plan, so the result is bit-identical
-//!   to the sequential fill.
 //!
 //! [`recompute_row`]: ProbabilityMatrix::recompute_row
 //! [`recompute_col`]: ProbabilityMatrix::recompute_col
 //! [`normalized`]: ProbabilityMatrix::normalized
 //! [`best_move_for`]: ProbabilityMatrix::best_move_for
 
-use crate::config::DenseSweep;
 use crate::factors::class_table::{self, ClassTable};
 use crate::factors::{self, EvalContext};
 use crate::plan::PlanState;
@@ -98,136 +93,12 @@ pub struct ProbabilityMatrix {
     /// [`update_incremental`](ProbabilityMatrix::update_incremental).
     eff_complete: bool,
     kernel: MatrixKernel,
-    /// Dense bulk-sweep implementation (see [`DenseSweep`]); `Auto`
-    /// resolves to the lane-chunked screened sweep.
-    sweep: DenseSweep,
-    /// Per-column running numerator maxima, scratch for the screened
-    /// sweeps (kept in the struct so steady-state passes do not allocate).
-    best_pv: Vec<f64>,
-}
-
-/// Lane width of the chunked screened sweep: eight f64s span a cache line
-/// and give the autovectorizer a fixed-trip inner compare loop.
-const LANES: usize = 8;
-
-/// One row of the screened bulk best sweep ([`DenseSweep::Simd`]).
-///
-/// Columns are screened [`LANES`] at a time against the per-column running
-/// numerator maximum `best_pv`: within a column the denominator `host_p`
-/// is constant, and dividing by a positive constant is (non-strictly)
-/// monotone even under rounding, so `pv <= best_pv[c]` proves the strict
-/// `d > bd` update could never fire — the same argument the fused
-/// incremental sweep already relies on. Only chunks containing a potential
-/// winner fall through to the exact scalar update, which runs the same
-/// comparisons in the same column order as the scalar sweep, so the
-/// resulting `best` is bit-identical to [`DenseSweep::Scalar`] for any
-/// input (a host-row lane can trip the screen spuriously; the scalar
-/// fallthrough re-checks it).
-#[inline]
-fn sweep_row_screened(
-    row: usize,
-    prow: &[f64],
-    host_p: &[f64],
-    hosts: &[u32],
-    best: &mut [Option<(usize, f64)>],
-    best_pv: &mut [f64],
-) {
-    #[inline(always)]
-    fn update(
-        c: usize,
-        row: usize,
-        prow: &[f64],
-        host_p: &[f64],
-        hosts: &[u32],
-        best: &mut [Option<(usize, f64)>],
-        best_pv: &mut [f64],
-    ) {
-        let pv = prow[c];
-        if hosts[c] as usize == row || pv <= best_pv[c] {
-            return;
-        }
-        let pc = host_p[c];
-        let d = if pc > 0.0 { pv / pc } else { f64::INFINITY };
-        if d > 0.0 && best[c].map_or(true, |(_, bd)| d > bd) {
-            best[c] = Some((row, d));
-            best_pv[c] = pv;
-        }
-    }
-    let cols = prow.len();
-    let mut c = 0;
-    while c + LANES <= cols {
-        let pv = &prow[c..c + LANES];
-        let bpv = &best_pv[c..c + LANES];
-        let mut any = false;
-        for l in 0..LANES {
-            any |= pv[l] > bpv[l];
-        }
-        if any {
-            for l in 0..LANES {
-                update(c + l, row, prow, host_p, hosts, best, best_pv);
-            }
-        }
-        c += LANES;
-    }
-    for cc in c..cols {
-        update(cc, row, prow, host_p, hosts, best, best_pv);
-    }
-}
-
-/// The bulk best sweep over a contiguous row range — the scalar reference
-/// loop or the screened lane-chunked variant, selected by `simd`. Both
-/// produce bit-identical `best` contents (see [`sweep_row_screened`]);
-/// the scalar loop never reads or writes `best_pv`.
-#[allow(clippy::too_many_arguments)]
-fn sweep_range(
-    p: &[f64],
-    cols: usize,
-    rows: std::ops::Range<usize>,
-    host_p: &[f64],
-    hosts: &[u32],
-    best: &mut [Option<(usize, f64)>],
-    best_pv: &mut [f64],
-    simd: bool,
-) {
-    for row in rows {
-        let prow = &p[row * cols..][..cols];
-        if simd {
-            sweep_row_screened(row, prow, host_p, hosts, best, best_pv);
-            continue;
-        }
-        for (((&pv, &pc), &host), slot) in prow
-            .iter()
-            .zip(host_p.iter())
-            .zip(hosts.iter())
-            .zip(best.iter_mut())
-        {
-            if host as usize == row || pv <= 0.0 {
-                continue;
-            }
-            let d = if pc > 0.0 { pv / pc } else { f64::INFINITY };
-            if d > 0.0 && slot.map_or(true, |(_, bd)| d > bd) {
-                *slot = Some((row, d));
-            }
-        }
-    }
-}
-
-/// Number of worker threads a chunked (re)build uses for a `rows`-row
-/// matrix on this host: the available parallelism, clamped to at least 2
-/// chunks (so the chunked path and its determinism are always exercised
-/// when enabled) and at most one chunk per row. Public so `perf_report`
-/// can record the worker count the benchmarks actually ran with.
-pub fn parallel_workers(rows: usize) -> usize {
-    std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1)
-        .clamp(2, rows.max(2))
 }
 
 /// Fills one PM row's entries into `out` (`out.len() == plan.vms.len()`),
 /// recording each entry's `p^eff` operand into `eff_out` when non-empty
 /// (`eff_out.len() == out.len()`; pass `&mut []` to skip recording). Free
-/// function so parallel builds can run it on disjoint row chunks.
+/// function so the incremental update can run it on split-borrowed rows.
 /// `vir_cache` is the class-major cache described on [`ProbabilityMatrix`]
 /// (unused — and allowed empty — under the reference kernel).
 #[allow(clippy::too_many_arguments)]
@@ -338,45 +209,7 @@ impl ProbabilityMatrix {
         if self.rows == 0 || self.cols == 0 {
             return;
         }
-        if self.rows >= ctx.cfg.par_rows_cutoff {
-            self.fill_parallel(plan, ctx);
-        } else {
-            let ProbabilityMatrix {
-                cols,
-                p,
-                eff,
-                class_table,
-                vir_cache,
-                kernel,
-                ..
-            } = self;
-            let mut eff_rows = eff.chunks_mut(*cols);
-            for (row, out) in p.chunks_mut(*cols).enumerate() {
-                let eff_out = eff_rows.next().unwrap_or(&mut []);
-                fill_row(
-                    out,
-                    eff_out,
-                    plan,
-                    ctx,
-                    row,
-                    class_table,
-                    vir_cache,
-                    *kernel,
-                );
-            }
-        }
-        for (col, vm) in plan.vms.iter().enumerate() {
-            self.host_p[col] = self.p[vm.host * self.cols + col];
-        }
-    }
-
-    /// Row-chunked parallel fill. Entries depend only on the immutable
-    /// plan and each thread writes a disjoint row range, so the result is
-    /// bit-identical to the sequential loop regardless of thread count or
-    /// interleaving.
-    fn fill_parallel(&mut self, plan: &PlanState, ctx: &EvalContext<'_>) {
         let ProbabilityMatrix {
-            rows,
             cols,
             p,
             eff,
@@ -385,35 +218,23 @@ impl ProbabilityMatrix {
             kernel,
             ..
         } = self;
-        let (rows, cols, kernel) = (*rows, *cols, *kernel);
-        let table = &*class_table;
-        let vir_cache = &*vir_cache;
-        let threads = parallel_workers(rows);
-        let chunk_rows = rows.div_ceil(threads);
-        let mut eff_chunks = eff.chunks_mut(chunk_rows * cols);
-        crossbeam::scope(|s| {
-            for (i, chunk) in p.chunks_mut(chunk_rows * cols).enumerate() {
-                let eff_chunk = eff_chunks.next().unwrap_or(&mut []);
-                let first_row = i * chunk_rows;
-                s.spawn(move |_| {
-                    let mut eff_rows = eff_chunk.chunks_mut(cols);
-                    for (j, out) in chunk.chunks_mut(cols).enumerate() {
-                        let eff_out = eff_rows.next().unwrap_or(&mut []);
-                        fill_row(
-                            out,
-                            eff_out,
-                            plan,
-                            ctx,
-                            first_row + j,
-                            table,
-                            vir_cache,
-                            kernel,
-                        );
-                    }
-                });
-            }
-        })
-        .expect("matrix build worker panicked");
+        let mut eff_rows = eff.chunks_mut(*cols);
+        for (row, out) in p.chunks_mut(*cols).enumerate() {
+            let eff_out = eff_rows.next().unwrap_or(&mut []);
+            fill_row(
+                out,
+                eff_out,
+                plan,
+                ctx,
+                row,
+                class_table,
+                vir_cache,
+                *kernel,
+            );
+        }
+        for (col, vm) in plan.vms.iter().enumerate() {
+            self.host_p[col] = self.p[vm.host * self.cols + col];
+        }
     }
 
     /// The kernel this matrix evaluates entries with.
@@ -427,18 +248,6 @@ impl ProbabilityMatrix {
     /// bit-identical anyway; this keeps the invariant simple).
     pub fn set_kernel(&mut self, kernel: MatrixKernel) {
         self.kernel = kernel;
-    }
-
-    /// The dense bulk-sweep implementation this matrix runs.
-    pub fn sweep(&self) -> DenseSweep {
-        self.sweep
-    }
-
-    /// Selects the dense bulk-sweep implementation. Safe to flip at any
-    /// time: both sweeps produce bit-identical best caches (see
-    /// [`DenseSweep`]), this only changes how the work is executed.
-    pub fn set_sweep(&mut self, sweep: DenseSweep) {
-        self.sweep = sweep;
     }
 
     /// Number of PM rows.
@@ -657,83 +466,27 @@ impl ProbabilityMatrix {
     /// to date. Element-wise identical to the per-column scan: rows are
     /// visited in ascending order, so the strict `>` update keeps the same
     /// lowest-row tie-break, and skipped entries (`p <= 0`) are exactly
-    /// those the per-column scan rejects with `d == 0`. Runs the sweep
-    /// implementation selected by [`set_sweep`](Self::set_sweep) — both
-    /// produce bit-identical caches.
+    /// those the per-column scan rejects with `d == 0`.
     pub fn refill_best(&mut self, plan: &PlanState, best: &mut Vec<Option<(usize, f64)>>) {
-        self.refill_best_sharded(plan, best, 1);
-    }
-
-    /// [`refill_best`](Self::refill_best) over `shards` contiguous row
-    /// ranges swept in parallel. Each shard fills a private best cache
-    /// over its ascending row range; shard caches are then merged in
-    /// shard order with the same strict-`>` rule the sequential sweep
-    /// applies, so the lowest-row tie-break survives sharding and the
-    /// result is bit-identical for every shard count (the global winner
-    /// lives in exactly one shard, where the in-shard ascending sweep
-    /// already picked its lowest row).
-    pub fn refill_best_sharded(
-        &mut self,
-        plan: &PlanState,
-        best: &mut Vec<Option<(usize, f64)>>,
-        shards: usize,
-    ) {
-        let ProbabilityMatrix {
-            rows,
-            cols,
-            p,
-            host_p,
-            hosts,
-            sweep,
-            best_pv,
-            ..
-        } = self;
-        let (rows, cols) = (*rows, *cols);
+        let cols = self.cols;
         best.clear();
         best.resize(cols, None);
-        hosts.clear();
-        hosts.extend(plan.vms.iter().map(|vm| vm.host as u32));
-        let simd = !matches!(*sweep, DenseSweep::Scalar);
-        let shards = shards.clamp(1, rows.max(1));
-        if shards <= 1 {
-            best_pv.clear();
-            best_pv.resize(cols, 0.0);
-            sweep_range(p, cols, 0..rows, host_p, hosts, best, best_pv, simd);
-            return;
-        }
-        let chunk = rows.div_ceil(shards);
-        let mut locals: Vec<Vec<Option<(usize, f64)>>> =
-            (0..shards).map(|_| vec![None; cols]).collect();
-        let (p, host_p, hosts_r) = (&*p, &*host_p, &*hosts);
-        crossbeam::scope(|s| {
-            for (i, local) in locals.iter_mut().enumerate() {
-                let lo = i * chunk;
-                let hi = ((i + 1) * chunk).min(rows);
-                s.spawn(move |_| {
-                    if lo >= hi {
-                        return;
-                    }
-                    let mut pv_scratch = vec![0.0f64; cols];
-                    sweep_range(
-                        p,
-                        cols,
-                        lo..hi,
-                        host_p,
-                        hosts_r,
-                        local,
-                        &mut pv_scratch,
-                        simd,
-                    );
-                });
-            }
-        })
-        .expect("best-sweep shard worker panicked");
-        for local in &locals {
-            for (slot, &cand) in best.iter_mut().zip(local.iter()) {
-                if let Some((row, d)) = cand {
-                    if slot.map_or(true, |(_, bd)| d > bd) {
-                        *slot = Some((row, d));
-                    }
+        self.hosts.clear();
+        self.hosts.extend(plan.vms.iter().map(|vm| vm.host as u32));
+        for row in 0..self.rows {
+            let prow = &self.p[row * cols..][..cols];
+            for (((&pv, &pc), &host), slot) in prow
+                .iter()
+                .zip(self.host_p.iter())
+                .zip(self.hosts.iter())
+                .zip(best.iter_mut())
+            {
+                if host as usize == row || pv <= 0.0 {
+                    continue;
+                }
+                let d = if pc > 0.0 { pv / pc } else { f64::INFINITY };
+                if d > 0.0 && slot.map_or(true, |(_, bd)| d > bd) {
+                    *slot = Some((row, d));
                 }
             }
         }
@@ -852,10 +605,8 @@ impl ProbabilityMatrix {
             vir_cache,
             hosts,
             kernel,
-            sweep,
             ..
         } = self;
-        let screened_sweep = !matches!(*sweep, DenseSweep::Scalar);
         let old_eff = &*eff_scratch;
         let use_vir = ctx.vir_enabled();
         let (use_rel, use_eff) = (ctx.cfg.use_rel, ctx.cfg.use_eff);
@@ -992,12 +743,6 @@ impl ProbabilityMatrix {
         for (row, out) in p.chunks_mut(cols).enumerate() {
             let eff_out = eff_rows.next().expect("eff buffer sized with p");
             if dirty_rows[row] {
-                if screened_sweep {
-                    // Lane-chunked variant of the loop below — identical
-                    // per-entry updates behind a `LANES`-wide screen.
-                    sweep_row_screened(row, out, hp, hosts_s, best, &mut best_pv);
-                    continue;
-                }
                 for ((((&pv, best_slot), &host), &pc), bpv) in out
                     .iter()
                     .zip(best.iter_mut())
@@ -1277,26 +1022,6 @@ mod tests {
     }
 
     #[test]
-    fn parallel_build_is_bit_identical_to_sequential() {
-        let (plan, mut cfg) = build_fixture();
-        // Sequential: cutoff above the fleet size.
-        cfg.par_rows_cutoff = usize::MAX;
-        let seq = ProbabilityMatrix::build(&plan, &EvalContext::new(&cfg));
-        // Parallel: cutoff 1 forces the chunked path even on this 4-row
-        // fixture (at least 2 chunks, since threads are clamped to >= 2).
-        cfg.par_rows_cutoff = 1;
-        let par = ProbabilityMatrix::build(&plan, &EvalContext::new(&cfg));
-        assert_bit_identical(&seq, &par);
-        // Same with the reference kernel.
-        let par_ref = ProbabilityMatrix::build_with_kernel(
-            &plan,
-            &EvalContext::new(&cfg),
-            MatrixKernel::Reference,
-        );
-        assert_bit_identical(&seq, &par_ref);
-    }
-
-    #[test]
     fn rebuild_reuses_buffers_and_matches_fresh_build() {
         let (mut plan, cfg) = build_fixture();
         let ctx = EvalContext::new(&cfg);
@@ -1540,136 +1265,5 @@ mod tests {
         assert_eq!(plan.vms[col].id, dvmp_cluster::vm::VmId(3));
         assert!(d > 1.0);
         let _ = ResourceVector::cpu_mem(1, 1); // keep import used
-    }
-
-    /// 20 PMs with jittered reliabilities and 27 VMs of varied shapes —
-    /// wide enough to exercise full `LANES` chunks plus a scalar tail.
-    fn wide_fixture() -> (PlanState, DynamicConfig) {
-        use dvmp_cluster::datacenter::FleetBuilder;
-        use dvmp_cluster::pm::PmClass;
-        let mut dc = FleetBuilder::new()
-            .add_class(PmClass::paper_fast(), 10, 0.99)
-            .add_class(PmClass::paper_slow(), 10, 0.95)
-            .initially_on(true)
-            .build();
-        for i in 0..dc.len() {
-            dc.pm_mut(PmId(i as u32)).reliability -= 0.0003 * i as f64;
-        }
-        let mut vms = BTreeMap::new();
-        for i in 0..27u32 {
-            install(
-                &mut dc,
-                &mut vms,
-                spec(
-                    i + 1,
-                    256 + 128 * u64::from(i % 5),
-                    10_000 + 7_000 * u64::from(i % 7),
-                ),
-                PmId(i % 20),
-                SimTime::ZERO,
-            );
-        }
-        let view = PlacementView {
-            dc: &dc,
-            vms: &vms,
-            now: SimTime::ZERO,
-        };
-        let cfg = DynamicConfig::default();
-        let plan = PlanState::from_view(&view, &cfg.min_vm);
-        (plan, cfg)
-    }
-
-    fn best_bits(best: &[Option<(usize, f64)>]) -> Vec<Option<(usize, u64)>> {
-        best.iter()
-            .map(|b| b.map(|(r, d)| (r, d.to_bits())))
-            .collect()
-    }
-
-    #[test]
-    fn screened_sweep_is_bit_identical_to_scalar() {
-        let (plan, cfg) = wide_fixture();
-        let ctx = EvalContext::new(&cfg);
-        let mut m = ProbabilityMatrix::build(&plan, &ctx);
-        assert_eq!(m.sweep(), DenseSweep::Auto);
-        let mut scalar = Vec::new();
-        m.set_sweep(DenseSweep::Scalar);
-        m.refill_best(&plan, &mut scalar);
-        let mut simd = Vec::new();
-        m.set_sweep(DenseSweep::Simd);
-        m.refill_best(&plan, &mut simd);
-        assert_eq!(best_bits(&scalar), best_bits(&simd));
-        // Both agree with the per-column scan, the ground truth.
-        for (col, b) in simd.iter().enumerate() {
-            assert_eq!(
-                b.map(|(r, d)| (r, d.to_bits())),
-                m.best_move_for(&plan, col).map(|(r, d)| (r, d.to_bits())),
-                "column {col}"
-            );
-        }
-    }
-
-    #[test]
-    fn sharded_sweep_is_shard_count_invariant() {
-        let (plan, cfg) = wide_fixture();
-        let ctx = EvalContext::new(&cfg);
-        let mut m = ProbabilityMatrix::build(&plan, &ctx);
-        for sweep in [DenseSweep::Scalar, DenseSweep::Simd] {
-            m.set_sweep(sweep);
-            let mut reference = Vec::new();
-            m.refill_best_sharded(&plan, &mut reference, 1);
-            // Shard counts above the row count clamp to one row per shard.
-            for shards in [2, 3, 7, 16, 64] {
-                let mut sharded = Vec::new();
-                m.refill_best_sharded(&plan, &mut sharded, shards);
-                assert_eq!(
-                    best_bits(&reference),
-                    best_bits(&sharded),
-                    "{sweep:?} x {shards} shards"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn incremental_update_screened_sweep_matches_scalar() {
-        let (mut plan, cfg) = wide_fixture();
-        let ctx = EvalContext::new(&cfg);
-        let mut scalar_m = ProbabilityMatrix::build(&plan, &ctx);
-        scalar_m.set_sweep(DenseSweep::Scalar);
-        let mut simd_m = ProbabilityMatrix::build(&plan, &ctx);
-        simd_m.set_sweep(DenseSweep::Simd);
-        // Footprint drift plus one migration: dirty endpoints + column.
-        for vm in &mut plan.vms {
-            vm.remaining_secs -= 1_000;
-        }
-        let to = plan.pms.iter().position(|p| p.id == PmId(5)).unwrap();
-        let (from, to) = plan.apply_migration(0, to);
-        let (rows, cols) = (plan.pms.len(), plan.vms.len());
-        let dirty_rows: Vec<bool> = (0..rows).map(|r| r == from || r == to).collect();
-        let row_src: Vec<u32> = (0..rows as u32).collect();
-        let dirty_cols: Vec<bool> = (0..cols).map(|c| c == 0).collect();
-        let col_src: Vec<u32> = (0..cols as u32).collect();
-        let mut scalar_best = Vec::new();
-        let mut simd_best = Vec::new();
-        assert!(scalar_m.update_incremental(
-            &plan,
-            &ctx,
-            &dirty_rows,
-            &row_src,
-            &dirty_cols,
-            &col_src,
-            &mut scalar_best,
-        ));
-        assert!(simd_m.update_incremental(
-            &plan,
-            &ctx,
-            &dirty_rows,
-            &row_src,
-            &dirty_cols,
-            &col_src,
-            &mut simd_best,
-        ));
-        assert_bit_identical(&scalar_m, &simd_m);
-        assert_eq!(best_bits(&scalar_best), best_bits(&simd_best));
     }
 }

@@ -7,9 +7,9 @@
 //! fleet-delta journal — are driven through two planners in lockstep:
 //!
 //! 1. at the **policy** level, an incremental [`DynamicPlacement`] (fed the
-//!    drained journal each pass, with fallback disabled so every pass after
-//!    the first takes the delta path) against a forced fresh-rebuild twin:
-//!    every pass must propose the identical migration sequence;
+//!    drained journal each pass, so low-dirt passes take the delta path)
+//!    against a fresh-rebuild twin fed no journal: every pass must propose
+//!    the identical migration sequence;
 //! 2. at the **matrix** level, a persistent [`ProbabilityMatrix`] updated
 //!    via [`ProbabilityMatrix::update_incremental`] against a fresh
 //!    [`ProbabilityMatrix::build`]: every entry and every best-candidate
@@ -22,12 +22,12 @@ use dvmp_cluster::vm::{Vm, VmId, VmSpec, VmState};
 use dvmp_placement::factors::EvalContext;
 use dvmp_placement::plan::PlanState;
 use dvmp_placement::{
-    DynamicConfig, DynamicPlacement, Migration, PlacementPolicy, PlacementView, PlanKernel,
-    ProbabilityMatrix,
+    DynamicConfig, DynamicPlacement, Migration, PlacementPolicy, PlacementView, ProbabilityMatrix,
 };
 use dvmp_simcore::{SimDuration, SimTime};
 use proptest::prelude::*;
 use std::collections::BTreeMap;
+use std::sync::atomic::{AtomicU64, Ordering};
 
 /// One randomized fleet mutation. `pick`-style fields are resolved modulo
 /// the candidate set at application time, so every generated op is
@@ -206,8 +206,16 @@ fn best_bits(best: &[Option<(usize, f64)>]) -> Vec<Option<(usize, u64)>> {
         .collect()
 }
 
+/// Generated cases per property test.
+const CASES: u32 = 32;
+
+/// Delta passes and finished cases of `incremental_planner_matches_fresh_rebuild`,
+/// summed over its generated histories.
+static DELTA_PASSES: AtomicU64 = AtomicU64::new(0);
+static HISTORIES_DONE: AtomicU64 = AtomicU64::new(0);
+
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(32))]
+    #![proptest_config(ProptestConfig::with_cases(CASES))]
 
     /// The incremental planner proposes the exact migration sequence of a
     /// fresh-rebuild planner on every pass of every random fleet history.
@@ -215,22 +223,11 @@ proptest! {
     fn incremental_planner_matches_fresh_rebuild(history in history_strategy()) {
         let (mut dc, mut vms) = seeded_fleet();
         let mut next_id = 100u32;
-        // Fallback disabled: every pass after the first must take the
-        // incremental path, maximizing coverage of the delta machinery.
         // Both pinned to the dense kernel: this is the dense incremental
-        // matrix's own contract.
-        let inc_cfg = DynamicConfig {
-            rebuild_threshold: 1.0,
-            plan_kernel: PlanKernel::Dense,
-            ..DynamicConfig::default()
-        };
-        let mut inc = DynamicPlacement::new(inc_cfg);
-        let full_cfg = DynamicConfig {
-            incremental: false,
-            plan_kernel: PlanKernel::Dense,
-            ..DynamicConfig::default()
-        };
-        let mut full = DynamicPlacement::new(full_cfg);
+        // matrix's own contract. Only `inc` is fed the journal; without
+        // one, every pass of `full` rebuilds from scratch.
+        let mut inc = DynamicPlacement::dense_reference(DynamicConfig::default());
+        let mut full = DynamicPlacement::dense_reference(DynamicConfig::default());
 
         let mut now_secs = 0u64;
         // Passes where the planner actually plans (it skips degenerate
@@ -253,12 +250,18 @@ proptest! {
             apply_moves(&mut dc, &mut vms, &a);
             dc.assert_consistent();
         }
+        // Every real pass is either a delta pass or a full rebuild
+        // (degenerate passes plan nothing and carry the accumulated
+        // journal forward), and `full` never had a journal to extend.
+        prop_assert_eq!(inc.incremental_passes() + inc.full_rebuilds(), real_passes);
+        prop_assert_eq!(full.incremental_passes(), 0);
         // The guard above is only meaningful if the delta path actually
-        // ran: the first real pass is the lone full build, every later
-        // real pass is delta (degenerate passes plan nothing and carry the
-        // accumulated journal forward).
-        prop_assert_eq!(inc.incremental_passes(), real_passes.saturating_sub(1));
-        prop_assert_eq!(inc.full_rebuilds(), real_passes.min(1));
+        // ran. Passes dirtier than the rebuild threshold rebuild instead,
+        // so a single history may hold none; the histories together must.
+        DELTA_PASSES.fetch_add(inc.incremental_passes(), Ordering::Relaxed);
+        if HISTORIES_DONE.fetch_add(1, Ordering::Relaxed) + 1 == u64::from(CASES) {
+            prop_assert!(DELTA_PASSES.load(Ordering::Relaxed) > 0, "no history took a delta pass");
+        }
     }
 
     /// The class-compressed kernel proposes the exact migration sequence
@@ -270,17 +273,9 @@ proptest! {
     fn compressed_kernel_matches_dense(history in history_strategy()) {
         let (mut dc, mut vms) = seeded_fleet();
         let mut next_id = 100u32;
-        let comp_cfg = DynamicConfig {
-            plan_kernel: PlanKernel::Compressed,
-            ..DynamicConfig::default()
-        };
-        let mut comp = DynamicPlacement::new(comp_cfg);
-        let dense_cfg = DynamicConfig {
-            incremental: false,
-            plan_kernel: PlanKernel::Dense,
-            ..DynamicConfig::default()
-        };
-        let mut dense = DynamicPlacement::new(dense_cfg);
+        let mut comp = DynamicPlacement::paper_default();
+        // Fed no journal: a fresh dense rebuild every pass.
+        let mut dense = DynamicPlacement::dense_reference(DynamicConfig::default());
 
         let mut now_secs = 0u64;
         for (pass, ops) in history.iter().enumerate() {

@@ -13,7 +13,7 @@
 use dvmp_cluster::pm::PmId;
 use dvmp_cluster::resources::ResourceVector;
 use dvmp_cluster::vm::VmId;
-use dvmp_placement::config::{DynamicConfig, PlanKernel};
+use dvmp_placement::config::DynamicConfig;
 use dvmp_placement::factors::EvalContext;
 use dvmp_placement::matrix::{MatrixKernel, ProbabilityMatrix};
 use dvmp_placement::plan::{PlanPm, PlanState, PlanVm};
@@ -138,12 +138,9 @@ proptest! {
         let plan = build_plan(&hosts, &cores, &mems, &remainings);
         prop_assume!(!plan.vms.is_empty());
         // Pinned to the dense planner, whose matrix the two kernels fill.
-        let dense = DynamicConfig {
-            plan_kernel: PlanKernel::Dense,
-            ..DynamicConfig::default()
-        };
-        let mut fast_policy = DynamicPlacement::new(dense.clone());
-        let mut ref_policy = DynamicPlacement::new(dense).with_kernel(MatrixKernel::Reference);
+        let mut fast_policy = DynamicPlacement::dense_reference(DynamicConfig::default());
+        let mut ref_policy = DynamicPlacement::dense_reference(DynamicConfig::default())
+            .with_kernel(MatrixKernel::Reference);
         let mut plan_fast = plan.clone();
         let mut plan_ref = plan;
         let fast_moves = fast_policy.plan_on(&mut plan_fast);

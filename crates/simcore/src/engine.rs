@@ -6,77 +6,8 @@
 //! monotonically and dispatches.
 
 use crate::calendar::CalendarQueue;
-use crate::event::{EventEntry, EventId};
-use crate::queue::EventQueue;
+use crate::event::EventId;
 use crate::time::SimTime;
-
-/// Which future-event-list implementation backs a [`Scheduler`].
-///
-/// Both implementations dispatch in the identical `(time, id)` total order
-/// (FIFO among ties), so simulation results are bit-identical either way;
-/// the choice only affects wall-clock speed. The calendar queue is the
-/// default: O(1) amortized schedule/pop versus the heap's O(log n).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum QueueKind {
-    /// Bucketed timing wheel ([`CalendarQueue`]); O(1) amortized.
-    #[default]
-    Calendar,
-    /// Binary heap ([`EventQueue`]); O(log n). Kept as the reference
-    /// implementation for differential tests.
-    Heap,
-}
-
-/// Internal dispatch over the two queue implementations. Kept as an enum
-/// (not a trait object) so the hot pop/schedule path stays monomorphic.
-#[derive(Debug)]
-enum QueueImpl<E> {
-    Heap(EventQueue<E>),
-    Calendar(CalendarQueue<E>),
-}
-
-impl<E> QueueImpl<E> {
-    fn new(kind: QueueKind) -> Self {
-        match kind {
-            QueueKind::Heap => QueueImpl::Heap(EventQueue::new()),
-            QueueKind::Calendar => QueueImpl::Calendar(CalendarQueue::new()),
-        }
-    }
-
-    fn schedule(&mut self, time: SimTime, payload: E) -> EventId {
-        match self {
-            QueueImpl::Heap(q) => q.schedule(time, payload),
-            QueueImpl::Calendar(q) => q.schedule(time, payload),
-        }
-    }
-
-    fn cancel(&mut self, id: EventId) -> bool {
-        match self {
-            QueueImpl::Heap(q) => q.cancel(id),
-            QueueImpl::Calendar(q) => q.cancel(id),
-        }
-    }
-
-    fn pop(&mut self) -> Option<EventEntry<E>> {
-        match self {
-            QueueImpl::Heap(q) => q.pop(),
-            QueueImpl::Calendar(q) => q.pop(),
-        }
-    }
-
-    fn peek_time(&mut self) -> Option<SimTime> {
-        match self {
-            QueueImpl::Heap(q) => q.peek_time(),
-            QueueImpl::Calendar(q) => q.peek_time(),
-        }
-    }
-
-    fn len(&self) -> usize {
-        match self {
-            QueueImpl::Heap(q) => q.len(),
-            QueueImpl::Calendar(q) => q.len(),
-        }
-    }
-}
 
 /// State machine driven by the engine.
 pub trait World {
@@ -97,9 +28,10 @@ pub trait World {
 }
 
 /// Handle for scheduling future events from within [`World::handle`] (or
-/// from outside the loop, to seed the simulation).
+/// from outside the loop, to seed the simulation). Backed by the
+/// calendar queue; [`crate::EventQueue`] is its binary-heap reference.
 pub struct Scheduler<E> {
-    queue: QueueImpl<E>,
+    queue: CalendarQueue<E>,
     now: SimTime,
 }
 
@@ -110,17 +42,10 @@ impl<E> Default for Scheduler<E> {
 }
 
 impl<E> Scheduler<E> {
-    /// Creates an empty scheduler at t = 0, backed by the default
-    /// calendar-queue implementation.
+    /// Creates an empty scheduler at t = 0.
     pub fn new() -> Self {
-        Self::with_kind(QueueKind::default())
-    }
-
-    /// Creates an empty scheduler backed by the requested queue
-    /// implementation (used by differential tests and benchmarks).
-    pub fn with_kind(kind: QueueKind) -> Self {
         Scheduler {
-            queue: QueueImpl::new(kind),
+            queue: CalendarQueue::new(),
             now: SimTime::ZERO,
         }
     }
@@ -167,16 +92,11 @@ pub struct Engine<W: World> {
 }
 
 impl<W: World> Engine<W> {
-    /// Wraps `world` with an empty event queue (calendar-backed).
+    /// Wraps `world` with an empty event queue.
     pub fn new(world: W) -> Self {
-        Self::with_queue_kind(world, QueueKind::default())
-    }
-
-    /// Wraps `world` with an empty event queue of the requested kind.
-    pub fn with_queue_kind(world: W, kind: QueueKind) -> Self {
         Engine {
             world,
-            sched: Scheduler::with_kind(kind),
+            sched: Scheduler::new(),
             processed: 0,
         }
     }
@@ -386,14 +306,11 @@ mod tests {
         // resize (initial width covers them); a horizon strictly between
         // two events must stop the run mid-bucket, leave the later event
         // pending, and pin the clock to the horizon.
-        let mut engine = Engine::with_queue_kind(
-            Ticker {
-                fired_at: vec![],
-                remaining: 0,
-                period: SimDuration::SECOND,
-            },
-            QueueKind::Calendar,
-        );
+        let mut engine = Engine::new(Ticker {
+            fired_at: vec![],
+            remaining: 0,
+            period: SimDuration::SECOND,
+        });
         engine
             .scheduler_mut()
             .schedule_at(SimTime::from_secs(10), ());
@@ -410,29 +327,6 @@ mod tests {
         // Resuming past the bucket picks the held-back event up.
         engine.run_until(SimTime::from_secs(25));
         assert_eq!(engine.world().fired_at.len(), 2);
-    }
-
-    #[test]
-    fn heap_and_calendar_engines_agree() {
-        let run = |kind: QueueKind| {
-            let mut engine = Engine::with_queue_kind(
-                Ticker {
-                    fired_at: vec![],
-                    remaining: 40,
-                    period: SimDuration::from_secs(7),
-                },
-                kind,
-            );
-            engine
-                .scheduler_mut()
-                .schedule_at(SimTime::from_secs(3), ());
-            engine
-                .scheduler_mut()
-                .schedule_at(SimTime::from_secs(3), ());
-            engine.run_to_completion();
-            engine.into_world().fired_at
-        };
-        assert_eq!(run(QueueKind::Heap), run(QueueKind::Calendar));
     }
 
     #[test]

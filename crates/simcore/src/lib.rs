@@ -12,8 +12,9 @@
 //!   *stable* total order — ties in time are broken by insertion sequence so
 //!   that simulations are bit-reproducible.
 //! - [`calendar`]: a calendar-queue (bucketed timing-wheel) implementation
-//!   of the same future-event list with O(1) amortized schedule/pop; the
-//!   engine's default. Selected per [`Scheduler`] via [`QueueKind`].
+//!   of the same future-event list with O(1) amortized schedule/pop, and
+//!   the backing store of every [`Scheduler`] (the heap queue is its
+//!   reference).
 //! - [`engine`]: a minimal event loop driving a user-supplied [`World`]
 //!   state machine.
 //! - [`rng`]: seed-derivation utilities so that independent stochastic
@@ -36,7 +37,7 @@ pub mod stats;
 pub mod time;
 
 pub use calendar::CalendarQueue;
-pub use engine::{Engine, QueueKind, Scheduler, World};
+pub use engine::{Engine, Scheduler, World};
 pub use event::{EventEntry, EventId};
 pub use queue::EventQueue;
 pub use time::{SimDuration, SimTime};

@@ -263,19 +263,16 @@ fn acceptance_1k_overbooked_week_is_kernel_invariant() {
     // (asserted inside from_report's caller below), the workload must
     // actually resize, and overbooking past 1.0 must meter nonzero
     // SLA-violation seconds.
-    let mk = |kernel: PlanKernel| {
+    let mk = |policy: DynamicPlacement| {
         let mut s = Scenario::overbooked_elastic(1_000, 42);
         s.sim.checked = true;
-        let report = s.run(Box::new(DynamicPlacement::new(DynamicConfig {
-            plan_kernel: kernel,
-            ..DynamicConfig::default()
-        })));
+        let report = s.run(Box::new(policy));
         let oracle = report.oracle.as_ref().expect("checked run has a summary");
         assert!(oracle.is_clean(), "{}", oracle.render());
         GoldenTrace::from_report("overbook-1k", 42, 7, &report)
     };
-    let dense = mk(PlanKernel::Dense);
-    let compressed = mk(PlanKernel::Compressed);
+    let dense = mk(DynamicPlacement::dense_reference(DynamicConfig::default()));
+    let compressed = mk(DynamicPlacement::paper_default());
     assert_eq!(dense, compressed, "kernels diverged on the elastic week");
     assert!(dense.total_resizes > 0, "no resizes applied");
     assert!(
@@ -324,20 +321,16 @@ fn compressed_kernel_does_not_change_the_trace() {
     // reference end to end: same migrations, same energy series, same
     // digest — on a full simulated day with arrivals, departures,
     // failures and live migrations.
-    let mk = |kernel: PlanKernel| {
+    let mk = |policy: DynamicPlacement| {
         let mut s = Scenario::paper(13).with_days(1);
         s.sim.checked = true;
-        let cfg = DynamicConfig {
-            plan_kernel: kernel,
-            ..DynamicConfig::default()
-        };
-        let report = s.run(Box::new(DynamicPlacement::new(cfg)));
+        let report = s.run(Box::new(policy));
         assert!(report.oracle.as_ref().expect("summary").is_clean());
         GoldenTrace::from_report("kernel-eq", 13, 1, &report)
     };
     assert_eq!(
-        mk(PlanKernel::Dense),
-        mk(PlanKernel::Compressed),
+        mk(DynamicPlacement::dense_reference(DynamicConfig::default())),
+        mk(DynamicPlacement::paper_default()),
         "compressed kernel drifted from the dense reference"
     );
 }

@@ -36,7 +36,6 @@ fn probe(fleet: &Datacenter, tolerance: f64) -> (usize, bool) {
         now: dvmp_simcore::SimTime::from_secs(0),
     };
     let mut policy = DynamicPlacement::new(DynamicConfig {
-        plan_kernel: PlanKernel::Compressed,
         class_tolerance: tolerance,
         ..DynamicConfig::default()
     });

@@ -1,5 +1,5 @@
 //! The default planner against the dense reference kernel, end to end.
-//! `PlanKernel::Auto` runs the class-compressed planner at every fleet
+//! The default scheme runs the class-compressed planner at every fleet
 //! size, so these check that it changes nothing but speed: a run must
 //! produce the same report under both kernels, byte for byte — on the
 //! paper's own 100-PM fleet, and on a 1k-PM scaled fleet whose thousands
@@ -17,23 +17,17 @@ fn core_json(mut report: RunReport) -> String {
     serde_json::to_string(&report).expect("report serializes")
 }
 
-fn run_with(scenario: &Scenario, kernel: PlanKernel) -> RunReport {
-    let policy = DynamicPlacement::new(DynamicConfig {
-        plan_kernel: kernel,
-        ..DynamicConfig::default()
-    });
-    scenario.run(Box::new(policy))
-}
-
 fn assert_kernels_agree(scenario: Scenario) {
-    let auto = run_with(&scenario, PlanKernel::Auto);
+    let auto = scenario.run(Box::new(DynamicPlacement::paper_default()));
     assert!(
         auto.total_migrations > 0,
         "the run must exercise the planner"
     );
     assert_eq!(
         core_json(auto),
-        core_json(run_with(&scenario, PlanKernel::Dense))
+        core_json(scenario.run(Box::new(DynamicPlacement::dense_reference(
+            DynamicConfig::default()
+        ))))
     );
 }
 

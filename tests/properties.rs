@@ -13,6 +13,35 @@ use dvmp_placement::ProbabilityMatrix;
 use proptest::prelude::*;
 use std::collections::BTreeMap;
 
+/// The dense reference planner with its fleet-delta journal dropped: no
+/// pass has a journal to extend the previous matrix from, so every pass
+/// rebuilds it from scratch — the fresh-rebuild reference the incremental
+/// update must match.
+struct FreshRebuild(DynamicPlacement);
+
+impl PlacementPolicy for FreshRebuild {
+    fn name(&self) -> &'static str {
+        self.0.name()
+    }
+
+    fn place(&mut self, view: &PlacementView<'_>, vm: &VmSpec) -> Option<PmId> {
+        self.0.place(view, vm)
+    }
+
+    fn plan_migrations(&mut self, view: &PlacementView<'_>) -> Vec<Migration> {
+        self.0.plan_migrations(view)
+    }
+
+    fn is_dynamic(&self) -> bool {
+        true
+    }
+}
+
+/// The dense reference planner (journal-driven incremental updates).
+fn dense() -> DynamicPlacement {
+    DynamicPlacement::dense_reference(DynamicConfig::default())
+}
+
 /// A hostile dynamic policy: places like first-fit, but answers every
 /// consolidation trigger with one migration proposal per running VM whose
 /// destination — and sometimes claimed source — is chosen from a random
@@ -343,7 +372,7 @@ proptest! {
             })
             .collect();
 
-        let run = |kernel: PlanKernel, full_replan: bool| {
+        let run = |policy: Box<dyn PlacementPolicy>| {
             let fleet = FleetBuilder::new()
                 .add_class(PmClass::paper_fast(), 3, 0.99)
                 .add_class(PmClass::paper_slow(), 3, 0.95)
@@ -356,15 +385,10 @@ proptest! {
             if let Some((cpu, mem)) = overbook {
                 scenario = scenario.with_overbooking(OverbookRatios::cpu_mem(cpu, mem));
             }
-            let cfg = DynamicConfig {
-                plan_kernel: kernel,
-                incremental: !full_replan,
-                ..DynamicConfig::default()
-            };
-            scenario.run(Box::new(DynamicPlacement::new(cfg)))
+            scenario.run(policy)
         };
 
-        let base = run(PlanKernel::Dense, false);
+        let base = run(Box::new(dense()));
         let oracle = base.oracle.as_ref().expect("checked run attaches a summary");
         prop_assert!(oracle.is_clean(), "{}", oracle.render());
         // Every in-horizon resize is accounted for, applied or rejected.
@@ -375,35 +399,34 @@ proptest! {
         prop_assert!(base.total_resizes + base.rejected_resizes <= in_horizon);
 
         let base_json = serde_json::to_string(&base).expect("report serializes");
-        for (kernel, full_replan) in [
-            (PlanKernel::Dense, true),
-            (PlanKernel::Compressed, false),
-            (PlanKernel::Compressed, true),
-        ] {
-            let other = run(kernel, full_replan);
+        let others: [(&str, Box<dyn PlacementPolicy>); 2] = [
+            ("fresh rebuild", Box::new(FreshRebuild(dense()))),
+            ("default", Box::new(DynamicPlacement::paper_default())),
+        ];
+        for (label, policy) in others {
+            let other = run(policy);
             let other_oracle = other.oracle.as_ref().expect("checked");
             prop_assert!(other_oracle.is_clean(), "{}", other_oracle.render());
             let other_json = serde_json::to_string(&other).expect("report serializes");
             prop_assert_eq!(
                 &base_json,
                 &other_json,
-                "report diverged under kernel {:?}, full_replan {}",
-                kernel,
-                full_replan
+                "report diverged under the {} planner",
+                label
             );
         }
     }
 
-    /// Heterogeneous fleets are kernel-, sweep- and shard-invariant: with
-    /// every PM's reliability drawn from a continuum (jittered or
-    /// age-decayed) and a shared `class_tolerance`, a random elastic
-    /// history produces bit-identical reports on the dense scalar sweep,
-    /// the SIMD sweep, the sharded sweep and the class-compressed kernel —
-    /// and the checked-mode oracle stays clean throughout. The quantized
+    /// Heterogeneous fleets are kernel-invariant: with every PM's
+    /// reliability drawn from a continuum (jittered or age-decayed) and a
+    /// shared `class_tolerance`, a random elastic history produces
+    /// bit-identical reports on the dense reference and the default
+    /// (class-compressed) planner — and the checked-mode oracle stays
+    /// clean throughout. The quantized
     /// choke point is the whole contract: every kernel sees the same
     /// bucketed scores, so heterogeneity cannot open a divergence.
     #[test]
-    fn heterogeneous_fleets_are_kernel_sweep_and_shard_invariant(
+    fn heterogeneous_fleets_are_kernel_invariant(
         seeds in prop::collection::vec(any::<u32>(), 4..14),
         resize_dials in prop::collection::vec(
             (any::<u8>(), 1u64..6, 64u64..4_096, 0u32..80_000),
@@ -442,7 +465,11 @@ proptest! {
             })
             .collect();
 
-        let run = |kernel: PlanKernel, sweep: DenseSweep, shards: usize| {
+        let cfg = DynamicConfig {
+            class_tolerance: tolerance,
+            ..DynamicConfig::default()
+        };
+        let run = |policy: DynamicPlacement| {
             let fleet = FleetBuilder::new()
                 .add_class(PmClass::paper_fast(), 3, 0.99)
                 .add_class(PmClass::paper_slow(), 3, 0.95)
@@ -454,38 +481,23 @@ proptest! {
             let scenario = Scenario::new("hetero-prop", fleet, requests.clone(), sim)
                 .with_reliability(model)
                 .with_resize_requests(resizes.clone());
-            let cfg = DynamicConfig {
-                plan_kernel: kernel,
-                class_tolerance: tolerance,
-                dense_sweep: sweep,
-                plan_shards: shards,
-                ..DynamicConfig::default()
-            };
-            scenario.run(Box::new(DynamicPlacement::new(cfg)))
+            scenario.run(Box::new(policy))
         };
 
-        let base = run(PlanKernel::Dense, DenseSweep::Scalar, 0);
+        let base = run(DynamicPlacement::dense_reference(cfg.clone()));
         let oracle = base.oracle.as_ref().expect("checked run attaches a summary");
         prop_assert!(oracle.is_clean(), "{}", oracle.render());
         let base_json = serde_json::to_string(&base).expect("report serializes");
-        for (label, kernel, sweep, shards) in [
-            ("simd", PlanKernel::Dense, DenseSweep::Simd, 0),
-            ("sharded", PlanKernel::Dense, DenseSweep::Simd, 3),
-            ("compressed", PlanKernel::Compressed, DenseSweep::Auto, 0),
-            ("compressed-sharded", PlanKernel::Compressed, DenseSweep::Auto, 5),
-        ] {
-            let other = run(kernel, sweep, shards);
-            let other_oracle = other.oracle.as_ref().expect("checked");
-            prop_assert!(other_oracle.is_clean(), "{}", other_oracle.render());
-            let other_json = serde_json::to_string(&other).expect("report serializes");
-            prop_assert_eq!(
-                &base_json,
-                &other_json,
-                "report diverged under {} (tolerance {}, model {:?})",
-                label,
-                tolerance,
-                model
-            );
-        }
+        let other = run(DynamicPlacement::new(cfg));
+        let other_oracle = other.oracle.as_ref().expect("checked");
+        prop_assert!(other_oracle.is_clean(), "{}", other_oracle.render());
+        let other_json = serde_json::to_string(&other).expect("report serializes");
+        prop_assert_eq!(
+            &base_json,
+            &other_json,
+            "report diverged under the default planner (tolerance {}, model {:?})",
+            tolerance,
+            model
+        );
     }
 }
