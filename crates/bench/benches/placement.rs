@@ -1,7 +1,8 @@
-//! Criterion benches for the placement hot paths: probability-matrix
-//! construction (full M×N build), the incremental row update Algorithm 1
-//! relies on, a complete planning pass, and per-request placement latency
-//! for the dynamic scheme vs the static baselines.
+//! Criterion benches for the placement hot paths: the dense reference's
+//! probability-matrix construction (full M×N build) and the targeted row
+//! update Algorithm 1 relies on, a complete planning pass of the
+//! production planner vs the dense reference, and per-request placement
+//! latency for the dynamic scheme vs the static baselines.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use dvmp_bench::fragmented_fixture as fixture;
@@ -11,7 +12,7 @@ use dvmp_cluster::vm::VmSpec;
 use dvmp_placement::factors::EvalContext;
 use dvmp_placement::plan::PlanState;
 use dvmp_placement::{
-    BestFit, DynamicConfig, DynamicPlacement, FirstFit, MatrixKernel, PlacementPolicy,
+    BestFit, DenseReference, DynamicConfig, DynamicPlacement, FirstFit, PlacementPolicy,
     PlacementView, ProbabilityMatrix,
 };
 use dvmp_simcore::{SimDuration, SimTime};
@@ -27,17 +28,8 @@ fn bench_matrix_build(c: &mut Criterion) {
             now: SimTime::from_secs(1_000),
         };
         let plan = PlanState::from_view(&view, &cfg.min_vm);
-        group.bench_with_input(BenchmarkId::new("fast", n), &n, |b, _| {
+        group.bench_with_input(BenchmarkId::new("build", n), &n, |b, _| {
             b.iter(|| ProbabilityMatrix::build(&plan, &EvalContext::new(&cfg)));
-        });
-        group.bench_with_input(BenchmarkId::new("reference", n), &n, |b, _| {
-            b.iter(|| {
-                ProbabilityMatrix::build_with_kernel(
-                    &plan,
-                    &EvalContext::new(&cfg),
-                    MatrixKernel::Reference,
-                )
-            });
         });
     }
     group.finish();
@@ -73,7 +65,17 @@ fn bench_plan_pass(c: &mut Criterion) {
                 })
             });
         });
-        group.bench_with_input(BenchmarkId::new("reused_arena", n), &n, |b, _| {
+        group.bench_with_input(BenchmarkId::new("dense_reference", n), &n, |b, _| {
+            let mut policy = DenseReference::new(DynamicConfig::default());
+            b.iter(|| {
+                policy.plan_migrations(&PlacementView {
+                    dc: &dc,
+                    vms: &vms,
+                    now: SimTime::from_secs(1_000),
+                })
+            });
+        });
+        group.bench_with_input(BenchmarkId::new("reused_policy", n), &n, |b, _| {
             let mut policy = DynamicPlacement::paper_default();
             b.iter(|| {
                 policy.plan_migrations(&PlacementView {

@@ -727,8 +727,8 @@ mod tests {
             .expect("--obs-summary samples the telemetry store");
         assert!(ts.samples_seen > 0, "{ts:?}");
         assert_eq!(ts.tiers.len(), 3);
-        // The satellite channels ride along: SLA series and poison counter.
-        for needle in ["sla_violation_s", "ctr_compressed_poisons", "util_cpu"] {
+        // The satellite channels ride along: SLA series and utilization.
+        for needle in ["sla_violation_s", "util_cpu"] {
             assert!(
                 ts.channels.iter().any(|c| c == needle),
                 "missing channel {needle}: {:?}",

@@ -706,12 +706,31 @@ impl Simulation {
     /// When spare-server control is enabled (the default) machines start
     /// powered off and are booted on demand; with `cfg.spare = None` every
     /// machine is switched on at t = 0 and stays on.
+    ///
+    /// # Panics
+    /// Panics when the policy rejects the fleet or the requests (see
+    /// [`Simulation::try_new`]).
     pub fn new(
+        fleet: Datacenter,
+        requests: Vec<VmSpec>,
+        policy: Box<dyn PlacementPolicy>,
+        cfg: SimConfig,
+    ) -> Self {
+        Self::try_new(fleet, requests, policy, cfg)
+            .unwrap_or_else(|e| panic!("invalid simulation input: {e}"))
+    }
+
+    /// [`Simulation::new`] that returns an error instead of panicking
+    /// when the policy rejects the fleet or the requests
+    /// ([`PlacementPolicy::check_inputs`]) — e.g. resource vectors whose
+    /// dimensions disagree with the dynamic scheme's `min_vm`.
+    pub fn try_new(
         mut fleet: Datacenter,
         mut requests: Vec<VmSpec>,
         policy: Box<dyn PlacementPolicy>,
         cfg: SimConfig,
-    ) -> Self {
+    ) -> Result<Self, String> {
+        policy.check_inputs(&fleet, &requests)?;
         requests.sort_by_key(|r| (r.submit_time, r.id));
         if cfg.spare.is_none() {
             for id in fleet.pm_ids().collect::<Vec<_>>() {
@@ -775,10 +794,10 @@ impl Simulation {
             }
         }
 
-        Simulation {
+        Ok(Simulation {
             engine,
             horizon: cfg.horizon,
-        }
+        })
     }
 
     /// Schedules a set of vertical-elasticity requests (resize events)
@@ -912,6 +931,55 @@ mod tests {
         assert_eq!(report.total_migrations, 0);
         assert_eq!(report.qos.total_requests, 1);
         assert!(report.total_energy_kwh > 0.0);
+    }
+
+    #[test]
+    fn mismatched_resource_dimensions_are_rejected_at_build() {
+        // A 3-D fleet under the dynamic scheme's 2-D `min_vm`.
+        let cube = PmClass {
+            capacity: ResourceVector::new(&[8, 8_192, 100]),
+            ..PmClass::paper_fast()
+        };
+        let fleet = FleetBuilder::new().add_class(cube, 2, 0.99).build();
+        let dynamic = || Box::new(DynamicPlacement::paper_default());
+        let err = Simulation::try_new(fleet.clone(), vec![], dynamic(), base_cfg())
+            .err()
+            .expect("a 3-D fleet is contradictory input");
+        assert!(err.contains("3 resource dimensions"), "{err}");
+        // A 3-D request on the paper's 2-D fleet.
+        let mut odd = spec(7, 0, 100);
+        odd.resources = ResourceVector::new(&[1, 512, 1]);
+        let err = Simulation::try_new(
+            small_fleet(),
+            vec![spec(1, 0, 100), odd],
+            dynamic(),
+            base_cfg(),
+        )
+        .err()
+        .expect("a 3-D request is contradictory input");
+        assert!(err.contains("VmId(7)"), "{err}");
+        // Policies without a dimension model accept both.
+        assert!(Simulation::try_new(fleet, vec![], Box::new(FirstFit), base_cfg()).is_ok());
+    }
+
+    #[test]
+    fn pms_past_the_level_cache_are_rejected_at_build() {
+        // 70 000 minimum VMs per PM: more Eq. 4 levels than the dynamic
+        // scheme's planner indexes.
+        let huge = PmClass {
+            capacity: ResourceVector::cpu_mem(70_000, 70_000 * 512),
+            ..PmClass::paper_fast()
+        };
+        let fleet = FleetBuilder::new().add_class(huge, 1, 0.99).build();
+        let err = Simulation::try_new(
+            fleet,
+            vec![],
+            Box::new(DynamicPlacement::paper_default()),
+            base_cfg(),
+        )
+        .err()
+        .expect("a PM past the level cache is rejected");
+        assert!(err.contains("minimum VMs"), "{err}");
     }
 
     #[test]

@@ -4,15 +4,15 @@
 //! joint probability `p_ij` exactly like the paper's built-in four — the
 //! mechanism its future-work section sketches ("the dynamic behavior of
 //! electricity price will be formulated as an important factor in the
-//! dynamic VM migration process").
+//! dynamic VM migration process"). Both are [`KeyedFactor`]s keyed on the
+//! PM's region: the price factor is a function of (candidate region,
+//! time), the WAN penalty of (current region, candidate region).
 //!
 //! [`DynamicPlacement::with_factor`]: dvmp_placement::DynamicPlacement::with_factor
 
 use crate::topology::GeoTopology;
 use dvmp_cluster::pm::PmId;
-use dvmp_cluster::resources::ResourceVector;
-use dvmp_placement::factors::ExtraFactor;
-use dvmp_placement::plan::PlanPm;
+use dvmp_placement::factors::KeyedFactor;
 use dvmp_simcore::SimTime;
 use std::sync::Arc;
 
@@ -44,19 +44,31 @@ impl PriceFactor {
     }
 }
 
-impl ExtraFactor for PriceFactor {
+/// The region index of `pm` as a factor key.
+fn region_key(topology: &GeoTopology, pm: PmId) -> u16 {
+    u16::try_from(topology.region_of(pm)).expect("region index fits a factor key")
+}
+
+/// The number of regions as a factor key count.
+fn region_keys(topology: &GeoTopology) -> u16 {
+    u16::try_from(topology.region_count()).expect("region count fits a factor key")
+}
+
+impl KeyedFactor for PriceFactor {
     fn name(&self) -> &str {
         "price"
     }
 
-    fn factor(
-        &self,
-        pm: &PlanPm,
-        _resources: &ResourceVector,
-        _current_host: Option<PmId>,
-        now: SimTime,
-    ) -> f64 {
-        let price = self.topology.price_at(pm.id, now);
+    fn key_count(&self) -> u16 {
+        region_keys(&self.topology)
+    }
+
+    fn key(&self, pm: PmId) -> u16 {
+        region_key(&self.topology, pm)
+    }
+
+    fn factor(&self, _from: Option<u16>, to: u16, now: SimTime) -> f64 {
+        let price = self.topology.regions()[usize::from(to)].price.price_at(now);
         if price <= 0.0 {
             return 1.0; // free electricity: no objection
         }
@@ -85,20 +97,22 @@ impl WanPenaltyFactor {
     }
 }
 
-impl ExtraFactor for WanPenaltyFactor {
+impl KeyedFactor for WanPenaltyFactor {
     fn name(&self) -> &str {
         "wan-penalty"
     }
 
-    fn factor(
-        &self,
-        pm: &PlanPm,
-        _resources: &ResourceVector,
-        current_host: Option<PmId>,
-        _now: SimTime,
-    ) -> f64 {
-        match current_host {
-            Some(host) if self.topology.cross_region(host, pm.id) => self.penalty,
+    fn key_count(&self) -> u16 {
+        region_keys(&self.topology)
+    }
+
+    fn key(&self, pm: PmId) -> u16 {
+        region_key(&self.topology, pm)
+    }
+
+    fn factor(&self, from: Option<u16>, to: u16, _now: SimTime) -> f64 {
+        match from {
+            Some(region) if region != to => self.penalty,
             _ => 1.0,
         }
     }
@@ -109,16 +123,9 @@ mod tests {
     use super::*;
     use crate::topology::two_region_paper_fleet;
 
-    fn plan_pm(id: u32) -> PlanPm {
-        PlanPm {
-            id: PmId(id),
-            class_idx: 0,
-            capacity: ResourceVector::cpu_mem(8, 8_192),
-            used: ResourceVector::zero(2),
-            reliability: 0.99,
-            creation_secs: 30,
-            migration_secs: 40,
-        }
+    /// The factor a PM-level evaluation sees: keys resolved per PM.
+    fn at(f: &dyn KeyedFactor, host: Option<u32>, pm: u32, t: SimTime) -> f64 {
+        f.factor(host.map(|h| f.key(PmId(h))), f.key(PmId(pm)), t)
     }
 
     #[test]
@@ -126,14 +133,18 @@ mod tests {
         let (_, topo) = two_region_paper_fleet(12);
         let topo = Arc::new(topo);
         let f = PriceFactor::new(topo.clone());
-        let t = dvmp_simcore::SimTime::from_hours(18); // east peak
-        let east = f.factor(&plan_pm(0), &ResourceVector::cpu_mem(1, 512), None, t);
-        let west = f.factor(&plan_pm(99), &ResourceVector::cpu_mem(1, 512), None, t);
+        assert_eq!(f.key_count(), 2);
+        let t = SimTime::from_hours(18); // east peak
+        let east = at(&f, None, 0, t);
+        let west = at(&f, None, 99, t);
         assert_eq!(west, 1.0, "west is cheapest at east's peak");
         assert!(east < 1.0, "east pays the peak tariff: {east}");
         // Ratio equals cheapest/price.
         let expect = topo.cheapest_at(t) / topo.price_at(PmId(0), t);
         assert!((east - expect).abs() < 1e-12);
+        // The current host plays no part: price is a function of the
+        // candidate's region and the time only.
+        assert_eq!(at(&f, Some(99), 0, t), east);
     }
 
     #[test]
@@ -142,10 +153,9 @@ mod tests {
         let topo = Arc::new(topo);
         let lin = PriceFactor::new(topo.clone());
         let sharp = PriceFactor::with_exponent(topo, 2.0);
-        let t = dvmp_simcore::SimTime::from_hours(18);
-        let r = ResourceVector::cpu_mem(1, 512);
-        let e1 = lin.factor(&plan_pm(0), &r, None, t);
-        let e2 = sharp.factor(&plan_pm(0), &r, None, t);
+        let t = SimTime::from_hours(18);
+        let e1 = at(&lin, None, 0, t);
+        let e2 = at(&sharp, None, 0, t);
         assert!((e2 - e1 * e1).abs() < 1e-12);
     }
 
@@ -153,16 +163,15 @@ mod tests {
     fn wan_penalty_only_hits_cross_region_moves() {
         let (_, topo) = two_region_paper_fleet(12);
         let f = WanPenaltyFactor::new(Arc::new(topo), 0.5);
-        let r = ResourceVector::cpu_mem(1, 512);
-        let t = dvmp_simcore::SimTime::ZERO;
+        let t = SimTime::ZERO;
         // Same region (0 → 1): no penalty.
-        assert_eq!(f.factor(&plan_pm(1), &r, Some(PmId(0)), t), 1.0);
+        assert_eq!(at(&f, Some(0), 1, t), 1.0);
         // Cross region (0 → 99): penalized.
-        assert_eq!(f.factor(&plan_pm(99), &r, Some(PmId(0)), t), 0.5);
+        assert_eq!(at(&f, Some(0), 99, t), 0.5);
         // The current host row itself: same region by definition.
-        assert_eq!(f.factor(&plan_pm(0), &r, Some(PmId(0)), t), 1.0);
+        assert_eq!(at(&f, Some(0), 0, t), 1.0);
         // New request: free to start anywhere.
-        assert_eq!(f.factor(&plan_pm(99), &r, None, t), 1.0);
+        assert_eq!(at(&f, None, 99, t), 1.0);
     }
 
     #[test]

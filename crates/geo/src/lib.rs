@@ -17,15 +17,16 @@
 //! - [`topology`]: a [`GeoTopology`] mapping every PM of a combined fleet
 //!   to a region, plus the builder that assembles a multi-region fleet
 //!   and the matching `PowerGroups` partition for regional accounting;
-//! - [`factor`]: two [`ExtraFactor`]s plugging into the dynamic scheme's
-//!   joint probability — [`PriceFactor`] (prefer machines in currently
-//!   cheap regions, `p^cost = cheapest current price / this region's
-//!   price`) and [`WanPenaltyFactor`] (discount cross-region moves, which
-//!   cost more than LAN migrations);
+//! - [`factor`]: two region-keyed [`KeyedFactor`]s plugging into the
+//!   dynamic scheme's joint probability — [`PriceFactor`] (prefer machines
+//!   in currently cheap regions, `p^cost = cheapest current price / this
+//!   region's price`) and [`WanPenaltyFactor`] (discount cross-region
+//!   moves, which cost more than LAN migrations). Being keyed, both run on
+//!   the production (class-compressed) planner;
 //! - [`cost`]: electricity-cost evaluation of a finished run from its
 //!   per-region hourly energy.
 //!
-//! [`ExtraFactor`]: dvmp_placement::factors::ExtraFactor
+//! [`KeyedFactor`]: dvmp_placement::factors::KeyedFactor
 //! [`PriceFactor`]: factor::PriceFactor
 //! [`WanPenaltyFactor`]: factor::WanPenaltyFactor
 //! [`PriceSignal`]: price::PriceSignal

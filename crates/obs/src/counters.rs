@@ -88,12 +88,10 @@ counter_bank! {
     journal_dirty_pms,
     /// Sum of dirty-VM set sizes over non-full journal drains.
     journal_dirty_vms,
-    /// Planning passes served by the incremental delta kernel.
+    /// Dense passes that patched a kept matrix (always 0: every dense pass rebuilds).
     plan_passes_delta,
-    /// Planning passes that rebuilt the matrix from scratch.
+    /// Dense passes that built the full matrix (the `DenseReference` test planner).
     plan_passes_fresh,
-    /// Delta-eligible passes that fell back to a fresh rebuild.
-    plan_rebuild_fallbacks,
     /// Planning passes served by the class-compressed kernel.
     plan_passes_compressed,
     /// Sum of rows re-synced by compressed journal patches.
@@ -102,10 +100,6 @@ counter_bank! {
     compressed_patch_cols,
     /// Compressed passes whose bound scan survived to the round loop.
     compressed_round_passes,
-    /// Compressed planner poisonings (fleet fell back to the dense path).
-    compressed_poisons,
-    /// Persistent-matrix reuses (delta pass == one warm-cache hit).
-    matrix_cache_hits,
     /// Spare-server controller decisions taken.
     spare_decisions,
     /// Gauge: most recent spare-server target.
@@ -136,13 +130,10 @@ pub fn counters() -> &'static Counters {
         journal_dirty_vms: AtomicU64::new(0),
         plan_passes_delta: AtomicU64::new(0),
         plan_passes_fresh: AtomicU64::new(0),
-        plan_rebuild_fallbacks: AtomicU64::new(0),
         plan_passes_compressed: AtomicU64::new(0),
         compressed_patch_rows: AtomicU64::new(0),
         compressed_patch_cols: AtomicU64::new(0),
         compressed_round_passes: AtomicU64::new(0),
-        compressed_poisons: AtomicU64::new(0),
-        matrix_cache_hits: AtomicU64::new(0),
         spare_decisions: AtomicU64::new(0),
         spare_servers_gauge: AtomicU64::new(0),
         journal_dirty_pms_gauge: AtomicU64::new(0),

@@ -179,7 +179,7 @@ macro_rules! event {
 /// immediately.
 ///
 /// ```
-/// let _span = dvmp_obs::span!(dvmp_obs::Phase::MatrixBuild);
+/// let _span = dvmp_obs::span!(dvmp_obs::Phase::CompressedPlan);
 /// ```
 #[macro_export]
 macro_rules! span {
@@ -310,32 +310,12 @@ pub fn note_journal_drained(dirty: Option<(u64, u64)>) {
     }
 }
 
-/// Planning pass kernel choice: the incremental delta kernel patched
-/// `dirty_rows`×`dirty_cols` of the persistent matrix (one warm-cache hit).
-#[inline]
-pub fn note_plan_kernel_delta(dirty_rows: u64, dirty_cols: u64) {
-    if enabled() {
-        let c = counters();
-        c.plan_passes_delta.fetch_add(1, Ordering::Relaxed);
-        c.matrix_cache_hits.fetch_add(1, Ordering::Relaxed);
-        emit(RecordKind::PlanKernelDelta, dirty_rows, dirty_cols);
-    }
-}
-
-/// Planning pass kernel choice: fresh full rebuild of a `rows`×`cols` matrix.
+/// A dense reference pass built its full `rows`×`cols` matrix.
 #[inline]
 pub fn note_plan_kernel_fresh(rows: u64, cols: u64) {
     if enabled() {
         counters().plan_passes_fresh.fetch_add(1, Ordering::Relaxed);
         emit(RecordKind::PlanKernelFresh, rows, cols);
-    }
-}
-
-/// Dirty-set size computed at delta-kernel entry.
-#[inline]
-pub fn note_plan_dirty_set(dirty_rows: u64, dirty_cols: u64) {
-    if enabled() {
-        emit(RecordKind::PlanDirtySet, dirty_rows, dirty_cols);
     }
 }
 
@@ -370,34 +350,6 @@ pub fn note_compressed_rounds_entered() {
         counters()
             .compressed_round_passes
             .fetch_add(1, Ordering::Relaxed);
-    }
-}
-
-/// The compressed planner poisoned itself (registry cap or structural
-/// mismatch) and the dense kernel takes over; `sclasses`/`demands` are the
-/// registry sizes at the moment of the trip.
-#[inline]
-pub fn note_compressed_poisoned(sclasses: u64, demands: u64) {
-    if enabled() {
-        counters()
-            .compressed_poisons
-            .fetch_add(1, Ordering::Relaxed);
-        emit(RecordKind::CompressedPoisoned, sclasses, demands);
-    }
-}
-
-/// Reason codes for [`note_plan_rebuild_fallback`].
-pub const FALLBACK_DIRTY_FRACTION: u64 = 0;
-pub const FALLBACK_SWEEP_REFUSED: u64 = 1;
-
-/// A delta-eligible pass fell back to a fresh rebuild.
-#[inline]
-pub fn note_plan_rebuild_fallback(reason: u64) {
-    if enabled() {
-        counters()
-            .plan_rebuild_fallbacks
-            .fetch_add(1, Ordering::Relaxed);
-        emit(RecordKind::PlanRebuildFallback, reason, 0);
     }
 }
 
@@ -640,13 +592,13 @@ mod tests {
         set_span_capture(true);
         assert!(profiling_enabled(), "span capture implies profiling");
         {
-            let _span = span!(Phase::MatrixBuild);
+            let _span = span!(Phase::CompressedPlan);
         }
         set_span_capture(false);
         set_profiling(false);
         let json = chrome_trace_json();
         assert!(json.contains("\"traceEvents\""), "{json}");
-        assert!(json.contains("matrix-build"), "{json}");
+        assert!(json.contains("compressed-plan"), "{json}");
         assert!(json.contains("\"ph\":\"X\""), "{json}");
     }
 }

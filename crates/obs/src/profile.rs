@@ -337,6 +337,6 @@ mod tests {
         // it on serialize through lib.rs's test lock.
         let _lock = crate::test_lock();
         crate::set_profiling(false);
-        assert!(span_guard(Phase::MatrixBuild).is_none());
+        assert!(span_guard(Phase::CompressedPlan).is_none());
     }
 }

@@ -31,32 +31,20 @@ pub enum RecordKind {
     /// Fleet-delta journal drained (`a` = dirty PMs, `b` = dirty VMs;
     /// both `u64::MAX` when the journal had overflowed to "full").
     JournalDrained = 8,
-    /// Planning pass ran the incremental delta kernel (`a` = dirty rows,
-    /// `b` = dirty columns actually patched).
-    PlanKernelDelta = 9,
     /// Planning pass ran a fresh full matrix rebuild (`a` = rows, `b` = cols).
-    PlanKernelFresh = 10,
-    /// Dirty-set size at delta-kernel entry (`a` = dirty rows, `b` = dirty cols).
-    PlanDirtySet = 11,
-    /// Delta kernel was eligible but fell back to a rebuild
-    /// (`a` = reason: 0 = dirty fraction over threshold, 1 = sweep refused).
-    PlanRebuildFallback = 12,
+    PlanKernelFresh = 9,
     /// Spare-server controller decision (`a` = forecast arrivals, `b` = spare target).
-    SpareDecision = 13,
+    SpareDecision = 10,
     /// Checked-mode oracle flagged a violation (`a` = event seq, `b` = count).
-    OracleViolation = 14,
+    OracleViolation = 11,
     /// Planning pass served by the class-compressed kernel
     /// (`a` = rows, `b` = columns in play).
-    PlanKernelCompressed = 15,
+    PlanKernelCompressed = 12,
     /// Free-form marker (tests, ad-hoc probes).
-    Mark = 16,
+    Mark = 13,
     /// Fleet mutation: VM reservation resized in place (`a` = vm id,
     /// `b` = host pm id) — vertical elasticity.
-    VmResized = 17,
-    /// Compressed planner poisoned itself — every later pass runs the
-    /// dense kernel (`a` = superclass count, `b` = demand count at the
-    /// moment the registry cap tripped).
-    CompressedPoisoned = 18,
+    VmResized = 14,
 }
 
 impl RecordKind {
@@ -71,15 +59,11 @@ impl RecordKind {
             6 => RecordKind::MigrationSkipped,
             7 => RecordKind::PmFailed,
             8 => RecordKind::JournalDrained,
-            9 => RecordKind::PlanKernelDelta,
-            10 => RecordKind::PlanKernelFresh,
-            11 => RecordKind::PlanDirtySet,
-            12 => RecordKind::PlanRebuildFallback,
-            13 => RecordKind::SpareDecision,
-            14 => RecordKind::OracleViolation,
-            15 => RecordKind::PlanKernelCompressed,
-            17 => RecordKind::VmResized,
-            18 => RecordKind::CompressedPoisoned,
+            9 => RecordKind::PlanKernelFresh,
+            10 => RecordKind::SpareDecision,
+            11 => RecordKind::OracleViolation,
+            12 => RecordKind::PlanKernelCompressed,
+            14 => RecordKind::VmResized,
             _ => RecordKind::Mark,
         }
     }
@@ -96,16 +80,12 @@ impl RecordKind {
             RecordKind::MigrationSkipped => "migration-skipped",
             RecordKind::PmFailed => "pm-failed",
             RecordKind::JournalDrained => "journal-drained",
-            RecordKind::PlanKernelDelta => "plan-kernel-delta",
             RecordKind::PlanKernelFresh => "plan-kernel-fresh",
-            RecordKind::PlanDirtySet => "plan-dirty-set",
-            RecordKind::PlanRebuildFallback => "plan-rebuild-fallback",
             RecordKind::SpareDecision => "spare-decision",
             RecordKind::OracleViolation => "oracle-violation",
             RecordKind::PlanKernelCompressed => "plan-kernel-compressed",
             RecordKind::Mark => "mark",
             RecordKind::VmResized => "vm-resized",
-            RecordKind::CompressedPoisoned => "compressed-poisoned",
         }
     }
 }
@@ -123,23 +103,19 @@ impl fmt::Display for RecordKind {
 pub enum Phase {
     None = 0,
     EventDispatch = 1,
-    MatrixBuild = 2,
-    DeltaSweep = 3,
-    PlanApply = 4,
-    OracleAudit = 5,
-    SpareControl = 6,
-    CompressedPlan = 7,
+    PlanApply = 2,
+    OracleAudit = 3,
+    SpareControl = 4,
+    CompressedPlan = 5,
 }
 
 /// Number of distinct [`Phase`] discriminants (histogram slot count).
-pub const PHASE_COUNT: usize = 8;
+pub const PHASE_COUNT: usize = 6;
 
 impl Phase {
     /// Every timed phase, in discriminant order (excludes `None`).
-    pub const TIMED: [Phase; 7] = [
+    pub const TIMED: [Phase; 5] = [
         Phase::EventDispatch,
-        Phase::MatrixBuild,
-        Phase::DeltaSweep,
         Phase::PlanApply,
         Phase::OracleAudit,
         Phase::SpareControl,
@@ -149,12 +125,10 @@ impl Phase {
     pub(crate) fn from_u8(v: u8) -> Phase {
         match v {
             1 => Phase::EventDispatch,
-            2 => Phase::MatrixBuild,
-            3 => Phase::DeltaSweep,
-            4 => Phase::PlanApply,
-            5 => Phase::OracleAudit,
-            6 => Phase::SpareControl,
-            7 => Phase::CompressedPlan,
+            2 => Phase::PlanApply,
+            3 => Phase::OracleAudit,
+            4 => Phase::SpareControl,
+            5 => Phase::CompressedPlan,
             _ => Phase::None,
         }
     }
@@ -164,8 +138,6 @@ impl Phase {
         match self {
             Phase::None => "none",
             Phase::EventDispatch => "event-dispatch",
-            Phase::MatrixBuild => "matrix-build",
-            Phase::DeltaSweep => "delta-sweep",
             Phase::PlanApply => "plan-apply",
             Phase::OracleAudit => "oracle-audit",
             Phase::SpareControl => "spare-control",
@@ -206,7 +178,7 @@ mod tests {
 
     #[test]
     fn kind_roundtrips_through_u8() {
-        for v in 0..=18u8 {
+        for v in 0..=14u8 {
             let k = RecordKind::from_u8(v);
             assert_eq!(k as u8, v, "{k}");
         }

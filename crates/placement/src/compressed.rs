@@ -1,18 +1,23 @@
-//! The class-compressed sparse planning kernel.
+//! The class-compressed planning kernel — the planner
+//! [`DynamicPlacement`](crate::dynamic::DynamicPlacement) runs on every
+//! pass.
 //!
-//! The dense planner materializes an M×N probability matrix every pass —
-//! inherently O(M·N) even with the incremental delta sweep, because a
-//! single migration round touches two full rows. This module exploits the
-//! structural redundancy `ClassTable` already proved: for a class-
-//! conforming PM, a matrix entry is a function of
-//! `(class constants, reliability, utilization level, column)` only, so
-//! the M per-PM rows collapse into C per-*superclass* level tables
-//! (C ≪ M). A superclass is the exact equality key under which two rows
-//! are guaranteed bit-identical per column: capacity, creation/migration
-//! overheads, relative power efficiency and reliability score. PMs that
-//! diverge from their hardware class (e.g. a mutated reliability) simply
-//! get their own superclass; nothing falls back as long as the registry
-//! caps hold.
+//! Eq. 1 defines an M×N probability matrix, and the dense form of it
+//! (kept as the test-only [`DenseReference`](crate::reference::DenseReference))
+//! is inherently O(M·N) per pass. This module exploits the structural
+//! redundancy of a fleet instead: a matrix entry is a function of
+//! `(class constants, reliability, extension-factor keys, utilization
+//! level, column)` only, so the M per-PM rows collapse into C
+//! per-*superclass* level tables (C ≪ M). A superclass is the exact
+//! equality key under which two rows are guaranteed bit-identical per
+//! column: capacity, creation/migration overheads, relative power
+//! efficiency, reliability score and the PM's key under every registered
+//! [`KeyedFactor`]. PMs that diverge from their hardware class (e.g. a
+//! mutated reliability) simply get their own superclass. Every registry
+//! grows on demand — superclasses, demand slots, Eq. 4 levels and the
+//! `VmId → column` table — so no fleet, workload or configuration leaves
+//! this planner. (A PM holding more than 65 534 minimum VMs, past the
+//! `u16` level cache, is rejected when the simulation is built.)
 //!
 //! ## Representation
 //!
@@ -23,17 +28,34 @@
 //!   demand `d` is the lowest row in the highest level (Eq. 5 is monotone
 //!   in `w`, and adjacent levels differ by ≥ `1/w_max` relatively — far
 //!   beyond one ulp — so the top level strictly dominates after rounding).
-//! - Per row: the hosted-entry probability `H = p^rel·p^eff(used)` and a
-//!   per-demand level cache, so a candidate probe costs one table load.
+//!   Under the `use_eff = false` ablation `p^eff ≡ 1`: every feasible row
+//!   sits on one constant level and the eff multiply is skipped, exactly
+//!   as [`factors::joint`](crate::factors::joint) skips it.
+//! - Per row: the hosted-entry probability `H = p^rel·p^eff(used)·(factors
+//!   at the host)` and a per-demand level cache, so a candidate probe
+//!   costs one table load.
 //! - Per column (one per migratable VM): its demand, host row,
 //!   authoritative completion deadline, and `dbar` — an **upper bound**
 //!   on the column's best normalized score `max_r d(r,c)` (see below).
 //!   Columns sit in a slab in no particular order: removal is a
 //!   `swap_remove` plus a `VmId → slot` table update, O(1). The round
 //!   loop's winner scan therefore breaks an exact tie in `d` by the
-//!   lowest `VmId` — the column the dense planner, whose columns are
+//!   lowest `VmId` — the column the dense definition, whose columns are
 //!   `VmId`-sorted, meets first. A one-shot plan never removes columns
-//!   and ties by plan index, the dense planner's order for that plan.
+//!   and ties by plan index, the dense order for that plan.
+//!
+//! ## Keyed extension factors
+//!
+//! A [`KeyedFactor`] depends only on (the host's key, the candidate's
+//! key, the instant), so each pass evaluates it once into a `(K+1)×K`
+//! table (row `K` is a new request). A score multiplies the table entries
+//! in one at a time, in registration order, after `p^eff`, each clamped
+//! to `[0, 1]` and stopping at 0 — the float-op order of
+//! [`factors::joint`](crate::factors::joint), so the product is
+//! bit-identical (a pre-multiplied table would not be). A factor that is
+//! `≤ 1` can only lower scores, so every bound below stays valid while the
+//! tables hold still; when any table entry changes between passes (a
+//! tariff step), the planner rebuilds its mirror from the view.
 //!
 //! ## The effective bound and why stale is sound
 //!
@@ -56,8 +78,9 @@
 //!   `p^rel_s·level_eff[top]` folds into `pending[d]`: every demand-`d`
 //!   column's *effective* bound is `max(dbar, pending[d] / H(host))` —
 //!   an upper bound on any score the bucket can now produce, since
-//!   `p^vir·p^rel ≤ p^rel` and every candidate sits at or below the top
-//!   (`H ≤ 0` makes it ∞, as such a host scores every candidate ∞).
+//!   `p^vir·p^rel ≤ p^rel`, every factor is `≤ 1` and every candidate
+//!   sits at or below the top (`H ≤ 0` makes it ∞, as such a host scores
+//!   every candidate ∞).
 //!
 //! Inserts are the only candidate-side events that can raise a column's
 //! exact score: removals shrink the candidate set, and a *membership*
@@ -79,7 +102,7 @@
 //! exceeders and re-deriving `hmin` and the maxima; only if a genuine
 //! exceeder survives does the pass materialize per-column exact bests and
 //! run Algorithm 1's round loop — whose winner scan, tie-breaks and repair
-//! heuristics mirror the dense planner operation-for-operation, so the
+//! heuristics mirror the dense definition operation-for-operation, so the
 //! proposed migration sequence is bit-identical. A looser bound cannot
 //! change the moves: the output depends only on whether some column's
 //! *exact* score exceeds `MIG_threshold`, and both the early exit and the
@@ -93,20 +116,13 @@
 //! tops that rise in that reconciliation raise bounds through the normal
 //! trigger.
 //!
-//! ## Poisoning
-//!
-//! Structures the compressed form cannot represent — more than 64
-//! superclasses, more than 128 demand vectors in use at once, level counts
-//! past 63, capacity dimensions that disagree with `min_vm`, VM ids past
-//! the column slot table's 2²⁴ — permanently poison the planner.
-//! [`DynamicPlacement`](crate::dynamic::DynamicPlacement) then serves
-//! every later pass with a one-shot compressed plan built from scratch,
-//! or with the dense kernel — the reference definition of the output —
-//! when that plan cannot be compressed either, so behavior is unchanged.
+//! Resource vectors must share `min_vm`'s dimension count; a simulation
+//! whose fleet or requests do not is rejected when it is built
+//! ([`DynamicConfig::check_inputs`]).
 
 use crate::config::DynamicConfig;
 use crate::factors::class_table::{self, ClassEntry};
-use crate::factors::vir;
+use crate::factors::{vir, KeyedFactor};
 use crate::plan::{PlanPm, PlanState};
 use crate::policy::{Migration, PlacementView};
 use dvmp_cluster::pm::PmId;
@@ -116,26 +132,28 @@ use dvmp_cluster::vm::{VmId, VmSpec, VmState};
 use dvmp_cluster::FleetDelta;
 use dvmp_simcore::SimTime;
 use std::collections::{BTreeSet, HashMap};
+use std::sync::Arc;
 
-/// Superclass registry cap; more distinct (capacity, overheads, eff, rel)
-/// combinations than this poisons the planner (a fleet that heterogeneous
-/// has little row redundancy to compress anyway).
-pub const MAX_SUPERCLASSES: usize = 64;
-/// Demand registry cap (also the stride of the per-row level cache). A
-/// slot no live column uses is recycled for the next new demand vector,
-/// so only this many *simultaneously used* demands poison the planner —
-/// an elastic week resizes through far more distinct vectors than that,
-/// and the 1k-PM overbooked-elastic week peaks at 75 in use at once.
-pub const MAX_DEMANDS: usize = 128;
-/// Highest representable Eq. 4 level (the non-empty masks are `u64`).
-const MAX_LEVEL: u64 = 63;
+/// Demand slots registered before a new demand vector starts recycling a
+/// slot no live column uses. The registry grows past it only while every
+/// slot is in use — an elastic week resizes through far more distinct
+/// vectors than that, and the 1k-PM overbooked-elastic week peaks at 75 in
+/// use at once.
+pub const DEMAND_RECYCLE_AT: usize = 128;
 /// `row_w` sentinel: infeasible / not bucketed.
-const INFEASIBLE: u8 = u8::MAX;
-/// `col_slot` sentinel: the VM has no column.
+const INFEASIBLE: u16 = u16::MAX;
+/// Highest Eq. 4 level the `u16` level cache holds (a PM holding more
+/// minimum VMs than this is rejected when a simulation is built, see
+/// [`DynamicConfig::check_inputs`]). The cache is the planner's largest
+/// per-PM structure (`rows × demand slots`), so it stays narrow: on the
+/// 10k-PM week a `u32` cache measured ~25 % slower end to end.
+pub(crate) const MAX_LEVEL: u64 = INFEASIBLE as u64 - 1;
+/// VM ids up to this one index the flat `VmId → column` table (a 64 MiB
+/// ceiling); every workload generator numbers VMs densely from 0 or 1, far
+/// below it. Larger ids go to a map.
+const DENSE_VM_IDS: usize = (1 << 24) - 1;
+/// Flat-table sentinel: the VM has no column.
 const NO_COL: u32 = u32::MAX;
-/// Largest VM id the column slot table indexes (a 64 MiB table); every
-/// workload generator numbers VMs densely from 0 or 1, far below it.
-const MAX_VM_ID: usize = (1 << 24) - 1;
 
 /// `cap / h`: the largest score a bucket capped at `cap` can give a
 /// column hosted where `H = h` — ∞ when `h ≤ 0`, `-∞` when no cap is
@@ -159,6 +177,10 @@ struct SuperKey {
     migration_secs: u64,
     eff_bits: u64,
     rel_bits: u64,
+    /// Index of the PM's key tuple (its key under each registered factor,
+    /// in registration order) in the planner's tuple registry; 0 when no
+    /// factor is registered.
+    keys: u32,
 }
 
 /// One superclass: the shared [`ClassEntry`] constants plus the score
@@ -167,45 +189,123 @@ struct SuperKey {
 struct SuperClass {
     entry: ClassEntry,
     rel: f64,
-    /// `false` when every non-host entry of the superclass is 0
-    /// (`w_max == 0` or `eff ≤ 0`) — its rows are never candidates.
+    /// Factor keys of every member row (see [`SuperKey::keys`]).
+    keys: Vec<u16>,
+    /// `false` when every non-host entry of the superclass is 0 (under
+    /// `p^eff`: `w_max == 0` or `eff ≤ 0`) — its rows are never
+    /// candidates.
     usable: bool,
+}
+
+/// One factor's per-pass table: `values[from * keys + to]`, clamped to
+/// `[0, 1]`, with `from == keys` standing for a new request.
+#[derive(Debug, Clone, Default)]
+struct FactorTable {
+    keys: usize,
+    values: Vec<f64>,
+}
+
+impl FactorTable {
+    #[inline]
+    fn get(&self, from: Option<u16>, to: u16) -> f64 {
+        let from = from.map_or(self.keys, usize::from);
+        self.values[from * self.keys + usize::from(to)]
+    }
 }
 
 /// Level buckets for one (superclass, demand) pair.
 #[derive(Debug, Clone, Default)]
 struct Bucket {
     levels: Vec<BTreeSet<u32>>,
+    /// Bit `w` is set iff `levels[w]` is non-empty, for the levels below
+    /// 64 — every level of a fleet whose PMs hold fewer than 64 minimum
+    /// VMs. Higher levels are found by scanning their sets.
     mask: u64,
     /// A row was inserted during the current patch (bound-raise trigger).
     marked: bool,
 }
 
+/// Levels a [`Bucket`] tracks in its bitmask.
+const MASKED_LEVELS: usize = 64;
+
 impl Bucket {
-    fn top(&self) -> Option<u8> {
-        if self.mask == 0 {
-            None
-        } else {
-            Some(63 - self.mask.leading_zeros() as u8)
+    #[inline]
+    fn top(&self) -> Option<usize> {
+        self.find_desc(Some)
+    }
+
+    fn is_empty(&self) -> bool {
+        self.mask == 0 && self.high().iter().all(BTreeSet::is_empty)
+    }
+
+    /// The level sets past the bitmask (empty for most fleets).
+    #[inline]
+    fn high(&self) -> &[BTreeSet<u32>] {
+        self.levels.get(MASKED_LEVELS..).unwrap_or(&[])
+    }
+
+    /// Walks the non-empty levels highest first and returns the first
+    /// `Some` that `f` yields.
+    #[inline]
+    fn find_desc<T>(&self, mut f: impl FnMut(usize) -> Option<T>) -> Option<T> {
+        for (i, set) in self.high().iter().enumerate().rev() {
+            if !set.is_empty() {
+                if let Some(found) = f(MASKED_LEVELS + i) {
+                    return Some(found);
+                }
+            }
+        }
+        let mut left = self.mask;
+        while left != 0 {
+            let w = 63 - left.leading_zeros() as usize;
+            if let Some(found) = f(w) {
+                return Some(found);
+            }
+            left &= !(1u64 << w);
+        }
+        None
+    }
+
+    /// Visits the non-empty levels, lowest first.
+    fn for_each_asc(&self, mut f: impl FnMut(usize)) {
+        let mut left = self.mask;
+        while left != 0 {
+            let w = left.trailing_zeros() as usize;
+            f(w);
+            left &= !(1u64 << w);
+        }
+        for (i, set) in self.high().iter().enumerate() {
+            if !set.is_empty() {
+                f(MASKED_LEVELS + i);
+            }
         }
     }
 
-    fn insert(&mut self, w: u8, row: u32) {
+    #[inline]
+    fn insert(&mut self, w: u32, row: u32) {
         let w = w as usize;
         if self.levels.len() <= w {
             self.levels.resize_with(w + 1, BTreeSet::new);
         }
         self.levels[w].insert(row);
-        self.mask |= 1u64 << w;
+        if w < MASKED_LEVELS {
+            self.mask |= 1u64 << w;
+        }
     }
 
-    fn remove(&mut self, w: u8, row: u32) {
+    #[inline]
+    fn remove(&mut self, w: u32, row: u32) {
         let w = w as usize;
         let set = &mut self.levels[w];
         set.remove(&row);
-        if set.is_empty() {
+        if set.is_empty() && w < MASKED_LEVELS {
             self.mask &= !(1u64 << w);
         }
+    }
+
+    fn clear(&mut self) {
+        self.levels.iter_mut().for_each(BTreeSet::clear);
+        self.mask = 0;
     }
 }
 
@@ -213,7 +313,7 @@ impl Bucket {
 #[derive(Debug, Clone)]
 struct Col {
     id: VmId,
-    demand: u8,
+    demand: u32,
     host: u32,
     /// Authoritative completion deadline (`now + estimated_remaining`),
     /// so remaining time at any later pass is `deadline − now`.
@@ -227,10 +327,10 @@ struct Col {
 #[derive(Debug, Clone)]
 struct Row {
     active: bool,
-    sclass: u16,
+    sclass: u32,
     used: ResourceVector,
-    /// Hosted-entry probability `p^rel·p^eff(used)` (the normalization
-    /// denominator for columns hosted here).
+    /// Hosted-entry probability `p^rel·p^eff(used)` times the factors at
+    /// the host (the normalization denominator for columns hosted here).
     h: f64,
 }
 
@@ -245,44 +345,93 @@ impl Default for Row {
     }
 }
 
-/// Structural condition the compressed form cannot represent.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-struct Poison;
+/// `VmId → index into cols`: a flat table for ids up to
+/// [`DENSE_VM_IDS`], a map above it.
+#[derive(Debug, Clone, Default)]
+struct ColSlots {
+    flat: Vec<u32>,
+    far: HashMap<VmId, u32>,
+}
+
+impl ColSlots {
+    fn get(&self, vm: VmId) -> Option<usize> {
+        let id = vm.0 as usize;
+        let slot = if id <= DENSE_VM_IDS {
+            self.flat.get(id).copied().filter(|&i| i != NO_COL)
+        } else {
+            self.far.get(&vm).copied()
+        };
+        slot.map(|i| i as usize)
+    }
+
+    fn set(&mut self, vm: VmId, i: usize) {
+        let id = vm.0 as usize;
+        if id <= DENSE_VM_IDS {
+            if self.flat.len() <= id {
+                self.flat.resize(id + 1, NO_COL);
+            }
+            self.flat[id] = i as u32;
+        } else {
+            self.far.insert(vm, i as u32);
+        }
+    }
+
+    fn unset(&mut self, vm: VmId) {
+        let id = vm.0 as usize;
+        if id <= DENSE_VM_IDS {
+            self.flat[id] = NO_COL;
+        } else {
+            self.far.remove(&vm);
+        }
+    }
+
+    fn clear(&mut self) {
+        self.flat.clear();
+        self.far.clear();
+    }
+}
 
 /// The persistent class-compressed planner. See the module docs.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct CompressedPlanner {
-    poisoned: bool,
     /// `true` while the state mirrors the live fleet as of the last
-    /// consumed journal drain. Any pass served by the dense kernel in
-    /// between desyncs it (the journal continuity is broken).
+    /// consumed journal drain. An explicit-plan pass or a factor-table
+    /// change desyncs it.
     synced: bool,
+    /// Registered extension factors, applied after the built-in four.
+    factors: Vec<Arc<dyn KeyedFactor>>,
+    /// Each factor's table at the last pass's instant.
+    tables: Vec<FactorTable>,
+    /// Distinct per-PM factor key tuples, and their indices.
+    key_tuples: Vec<Vec<u16>>,
+    key_tuple_lookup: HashMap<Vec<u16>, u32>,
     effs: Vec<f64>,
     sclasses: Vec<SuperClass>,
-    sclass_lookup: HashMap<SuperKey, u16>,
+    sclass_lookup: HashMap<SuperKey, u32>,
     demands: Vec<ResourceVector>,
-    demand_lookup: HashMap<ResourceVector, u8>,
+    demand_lookup: HashMap<ResourceVector, u32>,
     /// Live columns per demand slot; a zero-count slot may be recycled.
     demand_cols: Vec<u32>,
     rows: Vec<Row>,
     row_ids: Vec<PmId>,
     /// Level cache, `rows.len() × stride`: row `r`'s level for demand
     /// slot `d` sits at `r * stride + d`.
-    row_w: Vec<u8>,
-    /// Demand slots per row in `row_w`. Doubles (up to `MAX_DEMANDS`) as
-    /// demands register, so a fleet that sees few demand shapes keeps a
-    /// small level cache.
+    row_w: Vec<u16>,
+    /// Demand slots per row in `row_w` and per superclass in `buckets`.
+    /// Doubles as demands register, so a fleet that sees few demand
+    /// shapes keeps a small level cache.
     stride: usize,
     host_vms: Vec<BTreeSet<VmId>>,
     active_rows: usize,
-    /// `sclasses.len() × MAX_DEMANDS` level buckets.
+    /// `sclasses.len() × stride` level buckets: `(s, d)` at
+    /// `s * stride + d`.
     buckets: Vec<Bucket>,
-    touched_buckets: Vec<u32>,
+    /// `(superclass, demand)` of every bucket marked this patch.
+    touched_buckets: Vec<(u32, u32)>,
     snapshots_armed: bool,
     /// Column storage in no particular order (removal is `swap_remove`).
     cols: Vec<Col>,
-    /// `VmId.0 → index into cols`, `NO_COL` where the VM has no column.
-    col_slot: Vec<u32>,
+    col_slot: ColSlots,
     /// Upper bound on every column's `dbar`: raised with each bound,
     /// recomputed exactly whenever a pass scans all columns, and left
     /// stale-high by drops in between — so the stage-1 scan reads one
@@ -303,9 +452,9 @@ pub(crate) struct CompressedPlanner {
     /// occupancy does not change at that instant).
     stash: BTreeSet<(SimTime, VmId)>,
     /// Rows / VMs this planner's own previous pass touched — re-read from
-    /// the authoritative view at the next patch, exactly like the dense
-    /// planner's snapshot touched-sets. Unsorted, with repeats, until the
-    /// patch sorts and dedups them; cleared (not freed) after use.
+    /// the authoritative view at the next patch. Unsorted, with repeats,
+    /// until the patch sorts and dedups them; cleared (not freed) after
+    /// use.
     self_dirty_pms: Vec<PmId>,
     self_dirty_vms: Vec<VmId>,
     // Patch and round-loop scratch, reused across passes.
@@ -316,16 +465,32 @@ pub(crate) struct CompressedPlanner {
 }
 
 impl CompressedPlanner {
-    pub(crate) fn new() -> Self {
-        CompressedPlanner::default()
+    pub(crate) fn new(factors: Vec<Arc<dyn KeyedFactor>>) -> Self {
+        CompressedPlanner {
+            factors,
+            ..CompressedPlanner::default()
+        }
     }
 
-    pub(crate) fn poisoned(&self) -> bool {
-        self.poisoned
+    /// The registered extension factors.
+    pub(crate) fn factors(&self) -> &[Arc<dyn KeyedFactor>] {
+        &self.factors
+    }
+
+    /// Registers one more extension factor. Superclass keys include every
+    /// factor's key, so the superclass registry starts over.
+    pub(crate) fn push_factor(&mut self, factor: Arc<dyn KeyedFactor>) {
+        self.factors.push(factor);
+        self.key_tuples.clear();
+        self.key_tuple_lookup.clear();
+        self.sclasses.clear();
+        self.sclass_lookup.clear();
+        self.buckets.clear();
+        self.synced = false;
     }
 
     /// Registered superclasses — the compressed kernel's row dimension
-    /// `C` (0 before the first compressed pass).
+    /// `C` (0 before the first pass).
     pub(crate) fn superclass_count(&self) -> usize {
         self.sclasses.len()
     }
@@ -335,123 +500,218 @@ impl CompressedPlanner {
         self.active_rows
     }
 
-    /// Marks the mirrored state stale; the next compressed pass rebuilds
-    /// from the view instead of patching.
+    /// Marks the mirrored state stale; the next pass rebuilds from the
+    /// view instead of patching.
     pub(crate) fn desync(&mut self) {
         self.synced = false;
-    }
-
-    fn poison(&mut self) {
-        // The registries are left intact so the trip report (and the
-        // accessors the bench rows read) can say what fragmented.
-        dvmp_obs::note_compressed_poisoned(self.sclasses.len() as u64, self.demands.len() as u64);
-        self.poisoned = true;
-        self.synced = false;
-        self.rows.clear();
-        self.buckets.clear();
-        self.cols.clear();
-        self.col_slot.clear();
-        self.host_vms.clear();
-        self.stash.clear();
     }
 
     /// Occupied `(superclass, demand)` level buckets — how spread the
     /// compressed representation currently is (bench telemetry).
     pub(crate) fn occupied_buckets(&self) -> usize {
-        self.buckets.iter().filter(|b| b.mask != 0).count()
+        self.buckets.iter().filter(|b| !b.is_empty()).count()
+    }
+
+    // -------------------------------------------------------------------
+    // Extension factors
+    // -------------------------------------------------------------------
+
+    /// Re-evaluates every factor's table at `now`; `true` when any entry
+    /// changed (the mirrored `H`s and bounds no longer hold).
+    fn refresh_tables(&mut self, now: SimTime) -> bool {
+        let mut changed = self.tables.len() != self.factors.len();
+        self.tables
+            .resize_with(self.factors.len(), FactorTable::default);
+        for (table, factor) in self.tables.iter_mut().zip(&self.factors) {
+            let keys = usize::from(factor.key_count());
+            if table.keys != keys || table.values.len() != (keys + 1) * keys {
+                table.keys = keys;
+                table.values.clear();
+                table.values.resize((keys + 1) * keys, f64::NAN);
+                changed = true;
+            }
+            for from in 0..=keys {
+                let from_key = (from < keys).then_some(from as u16);
+                for to in 0..keys {
+                    let v = factor.factor(from_key, to as u16, now).clamp(0.0, 1.0);
+                    let slot = &mut table.values[from * keys + to];
+                    if slot.to_bits() != v.to_bits() {
+                        *slot = v;
+                        changed = true;
+                    }
+                }
+            }
+        }
+        changed
+    }
+
+    /// Multiplies the factor-table entries for a mapping from a host keyed
+    /// `from` (`None`: a new request) onto superclass keys `to` into `p` —
+    /// one at a time, registration order, stopping at 0, like
+    /// [`factors::joint`](crate::factors::joint). The factor loop sits
+    /// out of line so the scoring functions that inline this stay as small
+    /// as they were before factors existed: with none registered (every
+    /// benchmark week) it costs one length test.
+    #[inline(always)]
+    fn apply_tables(&self, p: f64, from: Option<&[u16]>, to: &[u16]) -> f64 {
+        if self.tables.is_empty() {
+            p
+        } else {
+            self.multiply_tables(p, from, to)
+        }
+    }
+
+    #[inline(never)]
+    fn multiply_tables(&self, mut p: f64, from: Option<&[u16]>, to: &[u16]) -> f64 {
+        for (i, table) in self.tables.iter().enumerate() {
+            if p == 0.0 {
+                break;
+            }
+            p *= table.get(from.map(|keys| keys[i]), to[i]);
+        }
+        p
+    }
+
+    /// The entry superclass `sc` scores at level `w` for a move with
+    /// cross-move prefix `va` (see [`mig_va`](Self::mig_va)): the `p^eff`
+    /// multiply (skipped under the ablation), then the factor tables.
+    #[inline(always)]
+    fn level_p(
+        &self,
+        sc: &SuperClass,
+        w: usize,
+        va: f64,
+        from: Option<&[u16]>,
+        cfg: &DynamicConfig,
+    ) -> f64 {
+        let p = if cfg.use_eff {
+            va * sc.entry.level_eff[w]
+        } else {
+            va
+        };
+        self.apply_tables(p, from, &sc.keys)
     }
 
     // -------------------------------------------------------------------
     // Registries
     // -------------------------------------------------------------------
 
-    fn register_sclass(
-        &mut self,
-        pm: &PlanPm,
-        eff_c: f64,
-        min_vm: &ResourceVector,
-    ) -> Result<u16, Poison> {
+    /// The index of PM `pm`'s factor key tuple, registering it on first
+    /// sight (tuple 0 is the empty one when no factor is registered, so a
+    /// plain run builds no tuple at all).
+    fn key_tuple(&mut self, pm: PmId) -> u32 {
+        if self.factors.is_empty() {
+            if self.key_tuples.is_empty() {
+                self.key_tuples.push(Vec::new());
+            }
+            return 0;
+        }
+        let tuple: Vec<u16> = self.factors.iter().map(|f| f.key(pm)).collect();
+        if let Some(&i) = self.key_tuple_lookup.get(&tuple) {
+            return i;
+        }
+        let i = u32::try_from(self.key_tuples.len()).expect("key tuple index fits u32");
+        self.key_tuples.push(tuple.clone());
+        self.key_tuple_lookup.insert(tuple, i);
+        i
+    }
+
+    fn register_sclass(&mut self, pm: &PlanPm, eff_c: f64, cfg: &DynamicConfig) -> u32 {
+        debug_assert_eq!(
+            pm.capacity.k(),
+            cfg.min_vm.k(),
+            "capacity dimensions disagree with min_vm (checked when a simulation is built)"
+        );
         let key = SuperKey {
             capacity: pm.capacity,
             creation_secs: pm.creation_secs,
             migration_secs: pm.migration_secs,
             eff_bits: eff_c.to_bits(),
             rel_bits: pm.reliability.to_bits(),
+            keys: self.key_tuple(pm.id),
         };
         if let Some(&s) = self.sclass_lookup.get(&key) {
-            return Ok(s);
+            return s;
         }
-        if self.sclasses.len() >= MAX_SUPERCLASSES || pm.capacity.k() != min_vm.k() {
-            return Err(Poison);
-        }
-        let entry = ClassEntry::from_pm(pm, eff_c, min_vm);
-        if entry.w_max > MAX_LEVEL {
-            return Err(Poison);
-        }
-        let usable = entry.w_max >= 1 && entry.eff > 0.0;
-        let s = self.sclasses.len() as u16;
+        let entry = ClassEntry::from_pm(pm, eff_c, &cfg.min_vm);
+        let usable = !cfg.use_eff || (entry.w_max >= 1 && entry.eff > 0.0);
+        let s = u32::try_from(self.sclasses.len()).expect("superclass index fits u32");
         self.sclasses.push(SuperClass {
             entry,
             rel: pm.reliability,
+            keys: self.key_tuples[key.keys as usize].clone(),
             usable,
         });
         self.buckets
-            .resize_with(self.sclasses.len() * MAX_DEMANDS, Bucket::default);
+            .resize_with(self.sclasses.len() * self.stride, Bucket::default);
         self.sclass_lookup.insert(key, s);
-        Ok(s)
+        s
     }
 
     /// Registers a demand vector, backfilling the level cache and buckets
-    /// of every existing row for its slot — a new one, or, once all
-    /// `MAX_DEMANDS` exist, a recycled slot no live column uses (none
-    /// free poisons).
-    fn register_demand(&mut self, res: &ResourceVector, cfg: &DynamicConfig) -> Result<u8, Poison> {
+    /// of every existing row for its slot — a new one, or, once
+    /// [`DEMAND_RECYCLE_AT`] exist, a recycled slot no live column uses
+    /// (a new one if none is free).
+    fn register_demand(&mut self, res: &ResourceVector, cfg: &DynamicConfig) -> u32 {
         if let Some(&d) = self.demand_lookup.get(res) {
-            return Ok(d);
+            return d;
         }
-        if res.k() != cfg.min_vm.k() {
-            return Err(Poison);
-        }
-        let d = if self.demands.len() < MAX_DEMANDS {
-            if self.demands.len() == self.stride {
-                self.grow_stride();
-            }
-            self.demands.push(*res);
-            self.demand_cols.push(0);
-            self.pending.push(f64::NEG_INFINITY);
-            self.hmin.push(f64::INFINITY);
-            self.demands.len() - 1
+        debug_assert_eq!(
+            res.k(),
+            cfg.min_vm.k(),
+            "demand dimensions disagree with min_vm (checked when a simulation is built)"
+        );
+        let free = if self.demands.len() >= DEMAND_RECYCLE_AT {
+            self.demand_cols.iter().position(|&n| n == 0)
         } else {
-            let d = self
-                .demand_cols
-                .iter()
-                .position(|&n| n == 0)
-                .ok_or(Poison)?;
-            self.retire_demand(d);
-            self.demands[d] = *res;
-            d
-        } as u8;
+            None
+        };
+        let d = match free {
+            Some(d) => {
+                self.retire_demand(d);
+                self.demands[d] = *res;
+                d
+            }
+            None => {
+                if self.demands.len() == self.stride {
+                    self.grow_stride();
+                }
+                self.demands.push(*res);
+                self.demand_cols.push(0);
+                self.pending.push(f64::NEG_INFINITY);
+                self.hmin.push(f64::INFINITY);
+                self.demands.len() - 1
+            }
+        };
+        let d = u32::try_from(d).expect("demand slot fits u32");
         self.demand_lookup.insert(*res, d);
         for r in 0..self.rows.len() {
             if self.rows[r].active {
-                self.bucket_row_demand(r, d as usize);
+                self.bucket_row_demand(r, d as usize, cfg);
             }
         }
-        Ok(d)
+        d
     }
 
-    /// Doubles the level cache's per-row stride (to at least 8), keeping
-    /// every row's cached levels.
+    /// Doubles the per-row (and per-superclass) demand stride (to at
+    /// least 8), keeping every row's cached levels and every bucket.
     fn grow_stride(&mut self) {
         let old = self.stride;
-        let new = (old * 2).clamp(8, MAX_DEMANDS);
+        let new = (old * 2).max(8);
         let mut row_w = vec![INFEASIBLE; self.rows.len() * new];
         if old > 0 {
             for (dst, src) in row_w.chunks_mut(new).zip(self.row_w.chunks(old)) {
                 dst[..old].copy_from_slice(src);
             }
         }
+        let mut buckets = Vec::with_capacity(self.sclasses.len() * new);
+        let mut old_buckets = std::mem::take(&mut self.buckets).into_iter();
+        for _ in 0..self.sclasses.len() {
+            buckets.extend(old_buckets.by_ref().take(old));
+            buckets.resize_with(buckets.len() + new - old, Bucket::default);
+        }
         self.row_w = row_w;
+        self.buckets = buckets;
         self.stride = new;
     }
 
@@ -464,9 +724,7 @@ impl CompressedPlanner {
         self.pending[d] = f64::NEG_INFINITY;
         self.hmin[d] = f64::INFINITY;
         for s in 0..self.sclasses.len() {
-            let b = &mut self.buckets[s * MAX_DEMANDS + d];
-            b.levels.iter_mut().for_each(BTreeSet::clear);
-            b.mask = 0;
+            self.buckets[s * self.stride + d].clear();
         }
         for r in 0..self.rows.len() {
             self.row_w[r * self.stride + d] = INFEASIBLE;
@@ -477,16 +735,16 @@ impl CompressedPlanner {
     // Row maintenance
     // -------------------------------------------------------------------
 
-    /// Records an insert into bucket `b_idx` while a patch is running —
+    /// Records an insert into bucket `(s, d)` while a patch is running —
     /// the bound-raise trigger (removals never raise a column's score).
-    fn note_insert(&mut self, b_idx: usize) {
+    fn note_insert(&mut self, s: usize, d: usize) {
         if !self.snapshots_armed {
             return;
         }
-        let b = &mut self.buckets[b_idx];
+        let b = &mut self.buckets[s * self.stride + d];
         if !b.marked {
             b.marked = true;
-            self.touched_buckets.push(b_idx as u32);
+            self.touched_buckets.push((s as u32, d as u32));
         }
     }
 
@@ -496,7 +754,7 @@ impl CompressedPlanner {
         for d in 0..self.demands.len() {
             let w = self.row_w[r * self.stride + d];
             if w != INFEASIBLE {
-                self.buckets[s * MAX_DEMANDS + d].remove(w, r as u32);
+                self.buckets[s * self.stride + d].remove(w.into(), r as u32);
                 self.row_w[r * self.stride + d] = INFEASIBLE;
             }
         }
@@ -504,47 +762,53 @@ impl CompressedPlanner {
 
     /// Recomputes the level cache + bucket membership of row `r` for
     /// demand `d` (row must be active; handles its old entry, skipping
-    /// the whole exchange when the level is unchanged).
-    fn bucket_row_demand(&mut self, r: usize, d: usize) {
+    /// the whole exchange when the level is unchanged). Under the
+    /// `use_eff = false` ablation every feasible row sits on level 0.
+    fn bucket_row_demand(&mut self, r: usize, d: usize, cfg: &DynamicConfig) {
         let row = &self.rows[r];
-        let sc = &self.sclasses[row.sclass as usize];
+        let s = row.sclass as usize;
+        let sc = &self.sclasses[s];
         let demand = self.demands[d];
-        let w = if sc.usable && row.used.fits_with(&demand, &sc.entry.capacity) {
-            class_table::class_level(&row.used.add(&demand), &sc.entry) as u8
-        } else {
+        let w = if !sc.usable || !row.used.fits_with(&demand, &sc.entry.capacity) {
             INFEASIBLE
+        } else if cfg.use_eff {
+            let w = class_table::class_level(&row.used.add(&demand), &sc.entry);
+            debug_assert!(w <= MAX_LEVEL, "level {w} past the u16 level cache");
+            w as u16
+        } else {
+            0
         };
         let old = self.row_w[r * self.stride + d];
         if old == w {
             return;
         }
-        let b_idx = row.sclass as usize * MAX_DEMANDS + d;
+        let b_idx = s * self.stride + d;
         if old != INFEASIBLE {
-            self.buckets[b_idx].remove(old, r as u32);
+            self.buckets[b_idx].remove(old.into(), r as u32);
         }
         self.row_w[r * self.stride + d] = w;
         if w != INFEASIBLE {
-            self.buckets[b_idx].insert(w, r as u32);
-            self.note_insert(b_idx);
+            self.buckets[b_idx].insert(w.into(), r as u32);
+            self.note_insert(s, d);
         }
     }
 
-    /// Hosted-entry probability: `1·[p^vir=1]·p^rel·p^eff(used)` — the
-    /// exact dense multiply chain for the current-host cell.
-    fn host_prob(sc: &SuperClass, used: &ResourceVector, cfg: &DynamicConfig) -> f64 {
+    /// Hosted-entry probability: `1·[p^vir=1]·p^rel·p^eff(used)`, then the
+    /// factors at the host — the exact dense multiply chain for the
+    /// current-host cell.
+    fn host_prob(&self, s: usize, used: &ResourceVector, cfg: &DynamicConfig) -> f64 {
+        let sc = &self.sclasses[s];
         let base = if cfg.use_rel { sc.rel } else { 1.0 };
-        base * class_table::class_eff_prospective(used, &sc.entry)
+        let p = if cfg.use_eff {
+            base * class_table::class_eff_prospective(used, &sc.entry)
+        } else {
+            base
+        };
+        self.apply_tables(p, Some(&sc.keys), &sc.keys)
     }
 
     /// Re-derives row `r` entirely from authoritative per-PM fields.
-    #[allow(clippy::too_many_arguments)]
-    fn sync_row(
-        &mut self,
-        r: usize,
-        active: bool,
-        pm: &PlanPm,
-        cfg: &DynamicConfig,
-    ) -> Result<(), Poison> {
+    fn sync_row(&mut self, r: usize, active: bool, pm: &PlanPm, cfg: &DynamicConfig) {
         if !active {
             if self.rows[r].active {
                 self.unbucket_row(r);
@@ -552,10 +816,10 @@ impl CompressedPlanner {
             }
             self.rows[r].active = false;
             self.rows[r].h = 0.0;
-            return Ok(());
+            return;
         }
-        let eff_c = *self.effs.get(pm.class_idx).ok_or(Poison)?;
-        let s = self.register_sclass(pm, eff_c, &cfg.min_vm)?;
+        let eff_c = self.effs[pm.class_idx];
+        let s = self.register_sclass(pm, eff_c, cfg);
         if self.rows[r].active {
             if self.rows[r].sclass != s {
                 // A row's PM identity is fixed, so this cannot happen; be
@@ -565,7 +829,7 @@ impl CompressedPlanner {
         } else {
             self.active_rows += 1;
         }
-        let h = Self::host_prob(&self.sclasses[s as usize], &pm.used, cfg);
+        let h = self.host_prob(s as usize, &pm.used, cfg);
         self.rows[r] = Row {
             active: true,
             sclass: s,
@@ -573,18 +837,17 @@ impl CompressedPlanner {
             h,
         };
         for d in 0..self.demands.len() {
-            self.bucket_row_demand(r, d);
+            self.bucket_row_demand(r, d, cfg);
         }
-        Ok(())
     }
 
     /// Refreshes a row after a hypothetical `used` mutation (active flag
     /// and superclass unchanged).
     fn refresh_row(&mut self, r: usize, cfg: &DynamicConfig) {
-        let sc = &self.sclasses[self.rows[r].sclass as usize];
-        self.rows[r].h = Self::host_prob(sc, &self.rows[r].used, cfg);
+        let s = self.rows[r].sclass as usize;
+        self.rows[r].h = self.host_prob(s, &self.rows[r].used, cfg);
         for d in 0..self.demands.len() {
-            self.bucket_row_demand(r, d);
+            self.bucket_row_demand(r, d, cfg);
         }
     }
 
@@ -606,8 +869,19 @@ impl CompressedPlanner {
         p
     }
 
+    /// The factor keys of column `c`'s host — `None` when no factor is
+    /// registered, which skips the lookup (no table reads a key then).
+    fn host_keys(&self, c: usize) -> Option<&[u16]> {
+        if self.tables.is_empty() {
+            return None;
+        }
+        let host = self.cols[c].host as usize;
+        Some(&self.sclasses[self.rows[host].sclass as usize].keys)
+    }
+
     /// The raw probability of row `row` for column `c` (0.0 when
-    /// infeasible) — element-identical to the dense fast kernel's entry.
+    /// infeasible) — element-identical to the dense entry.
+    #[inline]
     fn probe_p(&self, row: usize, c: usize, rem: u64, cfg: &DynamicConfig) -> f64 {
         let r = &self.rows[row];
         if !r.active {
@@ -619,7 +893,7 @@ impl CompressedPlanner {
         }
         let sc = &self.sclasses[r.sclass as usize];
         let va = Self::mig_va(sc, rem, cfg);
-        va * sc.entry.level_eff[w as usize]
+        self.level_p(sc, w as usize, va, self.host_keys(c), cfg)
     }
 
     /// The exact best move for column `c`: the same `(max d, lowest row)`
@@ -630,6 +904,7 @@ impl CompressedPlanner {
         let d_idx = col.demand as usize;
         let h = self.rows[host].h;
         let host_sclass = self.rows[host].sclass;
+        let from = self.host_keys(c);
         let mut best: Option<(u32, f64)> = None;
         for (s, sc) in self.sclasses.iter().enumerate() {
             if !sc.usable {
@@ -639,49 +914,37 @@ impl CompressedPlanner {
             if va <= 0.0 {
                 continue;
             }
-            let b = &self.buckets[s * MAX_DEMANDS + d_idx];
-            let exclude_host = s as u16 == host_sclass;
+            let b = &self.buckets[s * self.stride + d_idx];
+            let exclude_host = s as u32 == host_sclass;
+            // The lowest member of level `w` that is not the host.
+            let candidate = |w: usize| {
+                let mut it = b.levels[w].iter().copied();
+                match it.next() {
+                    Some(r) if exclude_host && r as usize == host => it.next(),
+                    first => first,
+                }
+            };
             if h > 0.0 {
                 // Highest level with a non-host member strictly dominates
                 // within the superclass (see module docs).
-                let mut mask = b.mask;
-                while mask != 0 {
-                    let w = 63 - mask.leading_zeros() as usize;
-                    let set = &b.levels[w];
-                    let cand = if exclude_host {
-                        let mut it = set.iter().copied();
-                        match it.next() {
-                            Some(r) if r as usize == host => it.next(),
-                            first => first,
-                        }
-                    } else {
-                        set.iter().next().copied()
-                    };
-                    if let Some(r) = cand {
-                        let p = va * sc.entry.level_eff[w];
-                        let d = p / h;
-                        if d > 0.0 && best.map_or(true, |(br, bd)| d > bd || (d == bd && r < br)) {
-                            best = Some((r, d));
-                        }
-                        break;
+                if let Some((r, w)) = b.find_desc(|w| candidate(w).map(|r| (r, w))) {
+                    let d = self.level_p(sc, w, va, from, cfg) / h;
+                    if d > 0.0 && best.map_or(true, |(br, bd)| d > bd || (d == bd && r < br)) {
+                        best = Some((r, d));
                     }
-                    mask &= !(1u64 << w);
                 }
             } else {
                 // Zero current-host probability: every feasible candidate
-                // scores ∞ and the dense scan keeps the lowest row.
-                let mut mask = b.mask;
+                // with a positive entry scores ∞ and the dense scan keeps
+                // the lowest row.
                 let mut min_row: Option<u32> = None;
-                while mask != 0 {
-                    let w = mask.trailing_zeros() as usize;
-                    if let Some(&r) = b.levels[w]
-                        .iter()
-                        .find(|&&r| !(exclude_host && r as usize == host))
-                    {
-                        min_row = Some(min_row.map_or(r, |m: u32| m.min(r)));
+                b.for_each_asc(|w| {
+                    if self.level_p(sc, w, va, from, cfg) > 0.0 {
+                        if let Some(r) = candidate(w) {
+                            min_row = Some(min_row.map_or(r, |m| m.min(r)));
+                        }
                     }
-                    mask &= !(1u64 << w);
-                }
+                });
                 if let Some(r) = min_row {
                     if best.map_or(true, |(br, _)| r < br) {
                         best = Some((r, f64::INFINITY));
@@ -701,31 +964,22 @@ impl CompressedPlanner {
         view: &PlacementView<'_>,
         delta: Option<FleetDelta>,
         cfg: &DynamicConfig,
-    ) -> bool {
-        if self.poisoned {
-            return false;
+    ) {
+        if !self.factors.is_empty() && self.refresh_tables(view.now) {
+            self.synced = false;
         }
         let full = !self.synced
             || view.dc.pms().len() != self.rows.len()
             || delta.as_ref().map_or(true, |d| d.is_full());
-        let outcome = if full {
-            self.rebuild_all(view, cfg)
+        if full {
+            self.rebuild_all(view, cfg);
         } else {
-            self.patch(view, &delta.expect("non-full patch has a delta"), cfg)
-        };
-        match outcome {
-            Ok(()) => {
-                self.synced = true;
-                true
-            }
-            Err(Poison) => {
-                self.poison();
-                false
-            }
+            self.patch(view, &delta.expect("non-full patch has a delta"), cfg);
         }
+        self.synced = true;
     }
 
-    fn rebuild_all(&mut self, view: &PlacementView<'_>, cfg: &DynamicConfig) -> Result<(), Poison> {
+    fn rebuild_all(&mut self, view: &PlacementView<'_>, cfg: &DynamicConfig) {
         self.effs.clear();
         self.effs.extend(
             relative_efficiencies(view.dc.classes(), &cfg.min_vm)
@@ -734,8 +988,7 @@ impl CompressedPlanner {
         );
         let m = view.dc.pms().len();
         for b in &mut self.buckets {
-            b.levels.iter_mut().for_each(BTreeSet::clear);
-            b.mask = 0;
+            b.clear();
             b.marked = false;
         }
         self.touched_buckets.clear();
@@ -758,21 +1011,21 @@ impl CompressedPlanner {
         for pm in view.dc.pms() {
             let r = pm.id.0 as usize;
             let plan_pm = Self::plan_pm_of(pm, cfg);
-            self.sync_row(r, pm.is_available(), &plan_pm, cfg)?;
+            self.sync_row(r, pm.is_available(), &plan_pm, cfg);
         }
         for vm in view.vms.values() {
             match vm.state {
                 VmState::Running { pm } => {
                     let r = pm.0 as usize;
                     if self.rows.get(r).is_some_and(|row| row.active) {
-                        let d = self.register_demand(vm.demand(), cfg)?;
+                        let d = self.register_demand(vm.demand(), cfg);
                         self.insert_col(Col {
                             id: vm.spec.id,
                             demand: d,
                             host: pm.0,
                             deadline: view.now + vm.estimated_remaining(view.now),
                             dbar: f64::INFINITY,
-                        })?;
+                        });
                     }
                 }
                 VmState::Creating { ready_at, .. } => {
@@ -787,7 +1040,6 @@ impl CompressedPlanner {
         for c in 0..self.cols.len() {
             self.refresh_bound(c, view.now, cfg);
         }
-        Ok(())
     }
 
     /// Sets column `c`'s bound to its exact best score at `now` and
@@ -825,7 +1077,7 @@ impl CompressedPlanner {
     /// Mirrors [`PlanState::refill`]'s row construction exactly —
     /// including the `class_tolerance` quantizers, which is what keeps the
     /// persistent planner's superclass keys identical to the inputs the
-    /// dense kernel would see for the same fleet.
+    /// dense definition reads for the same fleet.
     fn plan_pm_of(pm: &dvmp_cluster::pm::Pm, cfg: &DynamicConfig) -> PlanPm {
         use crate::config::{quantize_score, quantize_secs};
         let tol = cfg.class_tolerance;
@@ -844,48 +1096,35 @@ impl CompressedPlanner {
     }
 
     fn col_index(&self, vm: VmId) -> Option<usize> {
-        match self.col_slot.get(vm.0 as usize) {
-            Some(&i) if i != NO_COL => Some(i as usize),
-            _ => None,
-        }
+        self.col_slot.get(vm)
     }
 
-    /// Appends a column for a VM that has none. Ids past `MAX_VM_ID`
-    /// poison rather than size the slot table after them.
-    fn insert_col(&mut self, col: Col) -> Result<(), Poison> {
-        let id = col.id.0 as usize;
-        if id > MAX_VM_ID {
-            return Err(Poison);
-        }
-        if self.col_slot.len() <= id {
-            self.col_slot.resize(id + 1, NO_COL);
-        }
-        debug_assert_eq!(self.col_slot[id], NO_COL, "vm {id} already has a column");
-        self.col_slot[id] = self.cols.len() as u32;
+    /// Appends a column for a VM that has none.
+    fn insert_col(&mut self, col: Col) {
+        debug_assert!(
+            self.col_index(col.id).is_none(),
+            "{:?} already has a column",
+            col.id
+        );
+        self.col_slot.set(col.id, self.cols.len());
         self.demand_cols[col.demand as usize] += 1;
         self.host_vms[col.host as usize].insert(col.id);
         self.cols.push(col);
-        Ok(())
     }
 
     fn remove_col(&mut self, vm: VmId) {
         if let Some(i) = self.col_index(vm) {
             let col = self.cols.swap_remove(i);
-            self.col_slot[vm.0 as usize] = NO_COL;
+            self.col_slot.unset(vm);
             if let Some(moved) = self.cols.get(i) {
-                self.col_slot[moved.id.0 as usize] = i as u32;
+                self.col_slot.set(moved.id, i);
             }
             self.host_vms[col.host as usize].remove(&vm);
             self.demand_cols[col.demand as usize] -= 1;
         }
     }
 
-    fn patch(
-        &mut self,
-        view: &PlacementView<'_>,
-        delta: &FleetDelta,
-        cfg: &DynamicConfig,
-    ) -> Result<(), Poison> {
+    fn patch(&mut self, view: &PlacementView<'_>, delta: &FleetDelta, cfg: &DynamicConfig) {
         self.snapshots_armed = true;
         // `reread`: VMs whose column may have changed, re-read from the
         // VM map. `rescore`: clean columns on a dirty row that stays
@@ -901,13 +1140,10 @@ impl CompressedPlanner {
         let mut dirty_rows = 0u64;
         for &id in delta.dirty_pms().iter().chain(self_pms.iter()) {
             let r = id.0 as usize;
-            if r >= self.rows.len() {
-                return Err(Poison);
-            }
             let was_active = self.rows[r].active;
             let pm = view.dc.pm(id);
             let plan_pm = Self::plan_pm_of(pm, cfg);
-            self.sync_row(r, pm.is_available(), &plan_pm, cfg)?;
+            self.sync_row(r, pm.is_available(), &plan_pm, cfg);
             dirty_rows += 1;
             match (was_active, self.rows[r].active) {
                 (true, true) => rescore.extend(self.host_vms[r].iter().copied()),
@@ -947,7 +1183,7 @@ impl CompressedPlanner {
                         self.remove_col(vm_id);
                         continue;
                     }
-                    let d = self.register_demand(vm.demand(), cfg)?;
+                    let d = self.register_demand(vm.demand(), cfg);
                     let deadline = view.now + vm.estimated_remaining(view.now);
                     let Some(i) = self.col_index(vm_id) else {
                         self.insert_col(Col {
@@ -956,7 +1192,7 @@ impl CompressedPlanner {
                             host: pm.0,
                             deadline,
                             dbar: f64::INFINITY,
-                        })?;
+                        });
                         continue;
                     };
                     let old_host = self.cols[i].host as usize;
@@ -1003,7 +1239,6 @@ impl CompressedPlanner {
         self.reread_cols = reread;
         self.rescore_cols = rescore;
         dvmp_obs::note_compressed_patch(dirty_rows, refreshed);
-        Ok(())
     }
 
     /// Checked mode: column `c` agrees with the authoritative VM map. The
@@ -1040,17 +1275,21 @@ impl CompressedPlanner {
     /// only see the raise through [`effective_bound`](Self::effective_bound)
     /// until a full scan folds it into their `dbar`.
     fn fold_touched(&mut self, cfg: &DynamicConfig) {
-        for &b_idx in &self.touched_buckets {
-            let bucket = &mut self.buckets[b_idx as usize];
+        for &(s, d) in &self.touched_buckets {
+            let (s, d) = (s as usize, d as usize);
+            let bucket = &mut self.buckets[s * self.stride + d];
             bucket.marked = false;
             let Some(top) = bucket.top() else {
                 continue;
             };
-            let s = b_idx as usize / MAX_DEMANDS;
-            let d = b_idx as usize % MAX_DEMANDS;
             let sc = &self.sclasses[s];
             let rel_cap = if cfg.use_rel { sc.rel } else { 1.0 };
-            let cap = self.pending[d].max(rel_cap * sc.entry.level_eff[top as usize]);
+            let level_cap = if cfg.use_eff {
+                rel_cap * sc.entry.level_eff[top]
+            } else {
+                rel_cap
+            };
+            let cap = self.pending[d].max(level_cap);
             self.pending[d] = cap;
             self.pending_max = self.pending_max.max(cap_over(cap, self.hmin[d]));
         }
@@ -1061,19 +1300,17 @@ impl CompressedPlanner {
     // Planning passes
     // -------------------------------------------------------------------
 
-    /// Runs a full planning pass against the live view. `None` = the
-    /// planner (became) poisoned — caller must run the dense kernel.
+    /// Runs a full planning pass against the live view: the move batch
+    /// and whether the round cap stopped it.
     pub(crate) fn plan_migrations(
         &mut self,
         view: &PlacementView<'_>,
         delta: Option<FleetDelta>,
         cfg: &DynamicConfig,
-    ) -> Option<(Vec<Migration>, bool)> {
-        if !self.ensure_synced(view, delta, cfg) {
-            return None;
-        }
+    ) -> (Vec<Migration>, bool) {
+        self.ensure_synced(view, delta, cfg);
         if self.cols.is_empty() || self.active_rows < 2 {
-            return Some((Vec::new(), false));
+            return (Vec::new(), false);
         }
         // Checked mode: in debug builds, prove the effective bounds
         // dominate the exact scores before trusting the early-out on them.
@@ -1118,7 +1355,7 @@ impl CompressedPlanner {
         // never NaN: `f64::max` skips NaN bounds, as `bound > thr` would.)
         let thr = cfg.mig_threshold;
         if self.dbar_max.max(self.pending_max) <= thr {
-            return Some((Vec::new(), false));
+            return (Vec::new(), false);
         }
         // Stage 2: fold the pending caps into every column, exactly
         // refresh the exceeders at the current instant, and re-derive the
@@ -1140,17 +1377,17 @@ impl CompressedPlanner {
         }
         self.reset_pending();
         if !any {
-            return Some((Vec::new(), false));
+            return (Vec::new(), false);
         }
         // Stage 3: a genuine winner exists — run Algorithm 1's rounds.
         dvmp_obs::note_compressed_rounds_entered();
         let now = view.now;
         let rem_of = |cols: &[Col], c: usize| cols[c].deadline.saturating_since(now).as_secs();
-        Some(self.run_rounds(cfg, rem_of, None))
+        self.run_rounds(cfg, rem_of, None)
     }
 
     /// Algorithm 1's migration rounds with the per-column best cache and
-    /// its repair heuristics, mirrored from the dense planner. Returns the
+    /// its repair heuristics, mirrored from the dense definition. Returns the
     /// move batch and whether the round cap stopped it.
     fn run_rounds(
         &mut self,
@@ -1169,7 +1406,7 @@ impl CompressedPlanner {
         for (c, &r) in rem.iter().enumerate() {
             best.push(self.exact_best(c, r, cfg));
         }
-        // Equal scores go to the column the dense planner meets first: the
+        // Equal scores go to the column the dense definition meets first: the
         // lowest `VmId` (persistent columns sit in no particular order), or
         // the lowest plan index for a one-shot plan.
         let one_shot = plan.is_some();
@@ -1271,24 +1508,16 @@ impl CompressedPlanner {
     }
 
     /// New-arrival placement (the Section III-C column), with the dense
-    /// planner's overhead-free fallback. `None` = poisoned.
+    /// definition's overhead-free fallback (DESIGN.md I9).
     pub(crate) fn place(
         &mut self,
         view: &PlacementView<'_>,
         spec: &VmSpec,
         delta: Option<FleetDelta>,
         cfg: &DynamicConfig,
-    ) -> Option<Option<PmId>> {
-        if !self.ensure_synced(view, delta, cfg) {
-            return None;
-        }
-        let d_idx = match self.register_demand(&spec.resources, cfg) {
-            Ok(d) => d as usize,
-            Err(Poison) => {
-                self.poison();
-                return None;
-            }
-        };
+    ) -> Option<PmId> {
+        self.ensure_synced(view, delta, cfg);
+        let d_idx = self.register_demand(&spec.resources, cfg) as usize;
         let est = spec.estimated_runtime.as_secs();
         let pick = |with_vir: bool| -> Option<(u32, f64)> {
             let mut best: Option<(u32, f64)> = None;
@@ -1313,13 +1542,10 @@ impl CompressedPlanner {
                 if va <= 0.0 {
                     continue;
                 }
-                let b = &self.buckets[s * MAX_DEMANDS + d_idx];
+                let b = &self.buckets[s * self.stride + d_idx];
                 let Some(w) = b.top() else { continue };
-                let r = *b.levels[w as usize]
-                    .iter()
-                    .next()
-                    .expect("non-empty top level");
-                let p = va * sc.entry.level_eff[w as usize];
+                let r = *b.levels[w].iter().next().expect("non-empty top level");
+                let p = self.level_p(sc, w, va, None, cfg);
                 if p > 0.0 && best.map_or(true, |(br, bp)| p > bp || (p == bp && r < br)) {
                     best = Some((r, p));
                 }
@@ -1327,36 +1553,31 @@ impl CompressedPlanner {
             best
         };
         let chosen = pick(cfg.use_vir).or_else(|| pick(false));
-        Some(chosen.map(|(r, _)| self.row_ids[r as usize]))
+        chosen.map(|(r, _)| self.row_ids[r as usize])
     }
 }
 
 /// One-shot compressed planning over an explicit [`PlanState`] — the
-/// `plan_on` entry point.
-/// Returns `None` when the plan cannot be compressed (caller runs dense).
+/// `plan_on` entry point. Returns the move batch and whether the round
+/// cap stopped it.
 pub(crate) fn one_shot(
     cfg: &DynamicConfig,
+    factors: &[Arc<dyn KeyedFactor>],
     plan: &mut PlanState,
-) -> Option<(Vec<Migration>, bool)> {
-    let mut p = CompressedPlanner::new();
+) -> (Vec<Migration>, bool) {
+    let mut p = CompressedPlanner::new(factors.to_vec());
+    p.refresh_tables(plan.now);
     p.effs = plan.effs.clone();
     let m = plan.pms.len();
     p.rows.resize_with(m, Row::default);
     p.row_ids.extend(plan.pms.iter().map(|pm| pm.id));
-    p.row_w.resize(m * p.stride, INFEASIBLE);
     p.host_vms.resize_with(m, BTreeSet::new);
     for r in 0..m {
         let pm = plan.pms[r].clone();
-        if p.sync_row(r, true, &pm, cfg).is_err() {
-            p.poison();
-            return None;
-        }
+        p.sync_row(r, true, &pm, cfg);
     }
     for vm in &plan.vms {
-        let Ok(d) = p.register_demand(&vm.resources, cfg) else {
-            p.poison();
-            return None;
-        };
+        let d = p.register_demand(&vm.resources, cfg);
         p.demand_cols[d as usize] += 1;
         p.cols.push(Col {
             id: vm.id,
@@ -1369,7 +1590,7 @@ pub(crate) fn one_shot(
     }
     let rems: Vec<u64> = plan.vms.iter().map(|vm| vm.remaining_secs).collect();
     let rem_of = move |_cols: &[Col], c: usize| rems[c];
-    Some(p.run_rounds(cfg, rem_of, Some(plan)))
+    p.run_rounds(cfg, rem_of, Some(plan))
 }
 
 #[cfg(test)]
@@ -1379,26 +1600,20 @@ mod tests {
     use crate::plan::PlanState;
     use crate::policy::testutil::*;
     use crate::policy::PlacementPolicy;
+    use crate::reference::DenseReference;
     use dvmp_cluster::datacenter::{Datacenter, FleetBuilder};
     use dvmp_cluster::pm::PmClass;
     use dvmp_cluster::vm::Vm;
     use std::collections::BTreeMap;
 
-    /// Which planner a test twin runs: the dense reference or the
-    /// production scheme (compressed, with its dense fallback).
-    #[derive(Debug, Clone, Copy)]
-    enum Kernel {
-        Dense,
-        Compressed,
+    /// The dense reference with the default configuration.
+    fn dense() -> DenseReference {
+        DenseReference::new(DynamicConfig::default())
     }
 
-    impl Kernel {
-        fn policy(self, cfg: DynamicConfig) -> DynamicPlacement {
-            match self {
-                Kernel::Dense => DynamicPlacement::dense_reference(cfg),
-                Kernel::Compressed => DynamicPlacement::new(cfg),
-            }
-        }
+    /// The production scheme with the default configuration.
+    fn comp() -> DynamicPlacement {
+        DynamicPlacement::paper_default()
     }
 
     fn xorshift(s: &mut u64) -> u64 {
@@ -1411,18 +1626,34 @@ mod tests {
     /// One datacenter + VM map + policy, driven through a scripted
     /// history. Two twins fed identical histories must agree on every
     /// policy decision.
-    struct Twin {
+    struct Twin<P> {
         dc: Datacenter,
         vms: BTreeMap<VmId, Vm>,
-        policy: DynamicPlacement,
+        policy: P,
     }
 
-    impl Twin {
-        fn new(kernel: Kernel) -> Self {
-            Twin::sized(kernel, 6, 6)
+    /// The fleet half of a twin, so a history step can mutate both twins'
+    /// fleets in one loop whatever their policies.
+    struct World<'a> {
+        dc: &'a mut Datacenter,
+        vms: &'a mut BTreeMap<VmId, Vm>,
+    }
+
+    impl<P> Twin<P> {
+        fn world(&mut self) -> World<'_> {
+            World {
+                dc: &mut self.dc,
+                vms: &mut self.vms,
+            }
+        }
+    }
+
+    impl<P: PlacementPolicy> Twin<P> {
+        fn new(policy: P) -> Self {
+            Twin::sized(policy, 6, 6)
         }
 
-        fn sized(kernel: Kernel, fast: usize, slow: usize) -> Self {
+        fn sized(policy: P, fast: usize, slow: usize) -> Self {
             let dc = FleetBuilder::new()
                 .add_class(PmClass::paper_fast(), fast, 0.99)
                 .add_class(PmClass::paper_slow(), slow, 0.95)
@@ -1431,7 +1662,7 @@ mod tests {
             Twin {
                 dc,
                 vms: BTreeMap::new(),
-                policy: kernel.policy(DynamicConfig::default()),
+                policy,
             }
         }
 
@@ -1467,18 +1698,18 @@ mod tests {
     /// persistent patch path (journal dirt, Creating stash, planner
     /// self-dirt, skipped moves) rather than single fresh passes.
     fn differential_history(seed: u64, steps: u32) {
-        drive_history(
-            seed,
-            steps,
-            Twin::new(Kernel::Dense),
-            Twin::new(Kernel::Compressed),
-        );
+        drive_history(seed, steps, Twin::new(dense()), Twin::new(comp()));
     }
 
     /// The scripted-history driver behind the differential tests: both
     /// twins see the same arrivals, departures, commits and failures and
     /// must agree on every placement and every migration batch.
-    fn drive_history(seed: u64, steps: u32, mut dense: Twin, mut comp: Twin) {
+    fn drive_history(
+        seed: u64,
+        steps: u32,
+        mut dense: Twin<DenseReference>,
+        mut comp: Twin<DynamicPlacement>,
+    ) {
         let mut rng = seed | 1;
         let mut next_vm = 1u32;
         let mut t = 0u64;
@@ -1500,7 +1731,7 @@ mod tests {
                 if done > now {
                     return true;
                 }
-                for twin in [&mut dense, &mut comp] {
+                for twin in [dense.world(), comp.world()] {
                     twin.dc.finish_migration(vm, from).unwrap();
                     let v = twin.vms.get_mut(&vm).unwrap();
                     v.state = VmState::Running { pm: to };
@@ -1514,7 +1745,7 @@ mod tests {
                 if ready > now {
                     return true;
                 }
-                for twin in [&mut dense, &mut comp] {
+                for twin in [dense.world(), comp.world()] {
                     let v = twin.vms.get_mut(&vm).unwrap();
                     v.state = VmState::Running { pm };
                     v.started_at = Some(ready);
@@ -1535,7 +1766,7 @@ mod tests {
                     if let Some(pm) = pa {
                         let as_creating = xorshift(&mut rng) % 2 == 0;
                         let cre = dense.dc.pm(pm).class.creation_time;
-                        for twin in [&mut dense, &mut comp] {
+                        for twin in [dense.world(), comp.world()] {
                             twin.dc.place(spec.id, pm, spec.resources).unwrap();
                             let mut vm = Vm::new(spec.clone());
                             if as_creating {
@@ -1559,7 +1790,7 @@ mod tests {
                     let ids: Vec<VmId> = dense.vms.keys().copied().collect();
                     if !ids.is_empty() {
                         let vm = ids[(xorshift(&mut rng) % ids.len() as u64) as usize];
-                        for twin in [&mut dense, &mut comp] {
+                        for twin in [dense.world(), comp.world()] {
                             twin.dc.remove_vm(vm);
                             twin.vms.remove(&vm);
                         }
@@ -1587,7 +1818,7 @@ mod tests {
                             continue;
                         }
                         let mig = dense.dc.pm(m.to).class.migration_time;
-                        for twin in [&mut dense, &mut comp] {
+                        for twin in [dense.world(), comp.world()] {
                             twin.dc.begin_migration(m.vm, m.to, res).unwrap();
                             let v = twin.vms.get_mut(&m.vm).unwrap();
                             v.state = VmState::Migrating {
@@ -1631,10 +1862,6 @@ mod tests {
         let now = SimTime::from_secs(t);
         assert_eq!(dense.plan(now), comp.plan(now), "seed {seed}: final plan");
         assert!(
-            !comp.policy.compressed_poisoned(),
-            "seed {seed}: this history must stay compressible"
-        );
-        assert!(
             comp.policy.compressed_passes() > 0,
             "seed {seed}: the compressed kernel must actually run"
         );
@@ -1647,12 +1874,147 @@ mod tests {
         }
     }
 
+    /// A twin over an explicit fleet.
+    fn fleet_twin<P>(dc: Datacenter, policy: P) -> Twin<P> {
+        Twin {
+            dc,
+            vms: BTreeMap::new(),
+            policy,
+        }
+    }
+
+    /// A time-varying keyed factor: three zones (`PmId % 3`), moves out of
+    /// a zone discounted by an amount that changes every simulated hour,
+    /// new requests steered away from zone 2.
+    #[derive(Debug)]
+    struct ZoneFactor;
+
+    impl KeyedFactor for ZoneFactor {
+        fn name(&self) -> &str {
+            "zone"
+        }
+        fn key_count(&self) -> u16 {
+            3
+        }
+        fn key(&self, pm: PmId) -> u16 {
+            (pm.0 % 3) as u16
+        }
+        fn factor(&self, from: Option<u16>, to: u16, now: SimTime) -> f64 {
+            match from {
+                Some(from) if from == to => 1.0,
+                Some(_) => 0.55 + 0.15 * ((u64::from(to) + now.hour_index()) % 4) as f64,
+                None if to == 2 => 0.7,
+                None => 1.0,
+            }
+        }
+    }
+
+    #[test]
+    fn keyed_factors_match_dense_over_random_histories() {
+        // Two registered factors (one of them twice over: the product is
+        // taken factor by factor, never pre-multiplied), time-varying
+        // tables that change hourly mid-history: every placement and plan
+        // must stay the dense reference's.
+        for seed in [3, 29, 131] {
+            let dense = DenseReference::new(DynamicConfig::default())
+                .with_factor(Arc::new(ZoneFactor))
+                .with_factor(Arc::new(ZoneFactor));
+            let comp = DynamicPlacement::paper_default()
+                .with_factor(Arc::new(ZoneFactor))
+                .with_factor(Arc::new(ZoneFactor));
+            assert_eq!(comp.extra_factors().len(), 2);
+            drive_history(seed, 150, Twin::new(dense), Twin::new(comp));
+        }
+    }
+
+    #[test]
+    fn eff_ablation_matches_dense_over_random_histories() {
+        // `use_eff = false`: every feasible row on one constant level.
+        for (seed, use_vir, use_rel) in [(5, true, true), (17, false, true), (43, false, false)] {
+            let cfg = DynamicConfig {
+                use_eff: false,
+                use_vir,
+                use_rel,
+                ..DynamicConfig::default()
+            };
+            let dense = Twin::new(DenseReference::new(cfg.clone()));
+            let comp = Twin::new(DynamicPlacement::new(cfg));
+            drive_history(seed, 120, dense, comp);
+        }
+    }
+
+    #[test]
+    fn superclass_registry_grows_past_64_and_still_matches() {
+        // Exact keys over 70 distinct reliabilities: 70 superclasses, every
+        // decision the dense reference's.
+        let fleet = || {
+            let mut dc = FleetBuilder::new()
+                .add_class(PmClass::paper_fast(), 35, 0.99)
+                .add_class(PmClass::paper_slow(), 35, 0.95)
+                .initially_on(true)
+                .build();
+            for i in 0..dc.len() {
+                dc.pm_mut(PmId(i as u32)).reliability = 0.9 + 0.001 * i as f64;
+            }
+            dc
+        };
+        for seed in [7, 61] {
+            let dense = fleet_twin(fleet(), dense());
+            let mut comp = fleet_twin(fleet(), comp());
+            let _ = comp.plan(SimTime::ZERO);
+            assert_eq!(comp.policy.compressed_superclasses(), 70);
+            drive_history(seed, 120, dense, comp);
+        }
+    }
+
+    #[test]
+    fn levels_past_63_stay_compressed_and_match() {
+        // A 128-core class with the paper's (1, 512) minimum VM has
+        // W_j = 128 Eq. 4 levels; packing one PM past level 63 must keep
+        // every decision the dense reference's.
+        let big = PmClass {
+            capacity: ResourceVector::cpu_mem(128, 65_536),
+            ..PmClass::paper_fast()
+        };
+        let fleet = || {
+            FleetBuilder::new()
+                .add_class(big.clone(), 3, 0.99)
+                .add_class(PmClass::paper_slow(), 2, 0.95)
+                .initially_on(true)
+                .build()
+        };
+        let mut dense = fleet_twin(fleet(), dense());
+        let mut comp = fleet_twin(fleet(), comp());
+        for i in 0..150u32 {
+            let now = SimTime::from_secs(u64::from(i) * 60);
+            let s = spec(i + 1, 512, 100_000 + u64::from(i) * 500);
+            let pm = dense.place(&s, now);
+            assert_eq!(pm, comp.place(&s, now), "vm {i}");
+            let pm = pm.expect("the fleet has room");
+            for twin in [dense.world(), comp.world()] {
+                install(twin.dc, twin.vms, s.clone(), pm, now);
+            }
+            if i % 3 == 2 {
+                // Free a VM on the busiest PM so consolidation has work.
+                let gone = VmId(i);
+                for twin in [dense.world(), comp.world()] {
+                    twin.dc.remove_vm(gone);
+                    twin.vms.remove(&gone);
+                }
+            }
+            assert_eq!(dense.plan(now), comp.plan(now), "vm {i}");
+        }
+        let p = comp.policy.planner();
+        let top = p.buckets.iter().filter_map(Bucket::top).max();
+        assert!(top.is_some_and(|w| w > 63), "top level {top:?}");
+    }
+
     /// A twin over a per-PM-jittered fleet: every reliability is nudged
     /// off its class value, so exact-equality superclassing would
     /// fragment toward one class per PM. With `class_tolerance` both
     /// kernels quantize through the same grid and the compressed planner
     /// keeps its two hardware superclasses.
-    fn jittered_twin(kernel: Kernel, tolerance: f64) -> Twin {
+    fn jittered_twin<P>(policy: impl FnOnce(DynamicConfig) -> P, tolerance: f64) -> Twin<P> {
         let mut dc = FleetBuilder::new()
             .add_class(PmClass::paper_fast(), 6, 0.99)
             .add_class(PmClass::paper_slow(), 6, 0.95)
@@ -1669,15 +2031,15 @@ mod tests {
         Twin {
             dc,
             vms: BTreeMap::new(),
-            policy: kernel.policy(cfg),
+            policy: policy(cfg),
         }
     }
 
     #[test]
     fn bucketed_compressed_matches_dense_on_jittered_fleets() {
         for seed in [5, 19, 73, 211] {
-            let dense = jittered_twin(Kernel::Dense, 0.01);
-            let comp = jittered_twin(Kernel::Compressed, 0.01);
+            let dense = jittered_twin(DenseReference::new, 0.01);
+            let comp = jittered_twin(DynamicPlacement::new, 0.01);
             drive_history(seed, 100, dense, comp);
         }
     }
@@ -1685,16 +2047,15 @@ mod tests {
     #[test]
     fn tolerance_collapses_jittered_fleet_to_hardware_superclasses() {
         // Exact keys: every jittered reliability is its own superclass.
-        let mut exact = jittered_twin(Kernel::Compressed, 0.0);
+        let mut exact = jittered_twin(DynamicPlacement::new, 0.0);
         let _ = exact.plan(SimTime::ZERO);
-        assert!(!exact.policy.compressed_poisoned());
         assert_eq!(
             exact.policy.compressed_superclasses(),
             10,
             "5 distinct jittered reliabilities per hardware class"
         );
         // Bucketed keys: the jitter collapses back onto the two classes.
-        let mut bucketed = jittered_twin(Kernel::Compressed, 0.01);
+        let mut bucketed = jittered_twin(DynamicPlacement::new, 0.01);
         let s = spec(1, 512, 50_000);
         if let Some(pm) = bucketed.place(&s, SimTime::ZERO) {
             bucketed.dc.place(s.id, pm, s.resources).unwrap();
@@ -1704,7 +2065,6 @@ mod tests {
             bucketed.vms.insert(vm.spec.id, vm);
         }
         let _ = bucketed.plan(SimTime::ZERO);
-        assert!(!bucketed.policy.compressed_poisoned());
         assert_eq!(bucketed.policy.compressed_superclasses(), 2);
         assert!(
             bucketed.policy.compressed_occupied_buckets() >= 1,
@@ -1716,8 +2076,8 @@ mod tests {
     fn compressed_place_matches_dense_on_fresh_fleet() {
         // Ultra-short estimates exercise the without-vir fallback column.
         for est in [50, 500, 5_000, 50_000] {
-            let mut dense = Twin::new(Kernel::Dense);
-            let mut comp = Twin::new(Kernel::Compressed);
+            let mut dense = Twin::new(dense());
+            let mut comp = Twin::new(comp());
             let s = spec(1, 512, est);
             let now = SimTime::ZERO;
             assert_eq!(dense.place(&s, now), comp.place(&s, now), "est {est}");
@@ -1753,8 +2113,8 @@ mod tests {
 
         let mut plan_dense = plan.clone();
         let mut plan_comp = plan.clone();
-        let mut dense = DynamicPlacement::dense_reference(DynamicConfig::default());
-        let mut comp = DynamicPlacement::paper_default();
+        let mut dense = dense();
+        let mut comp = comp();
         let moves_dense = dense.plan_on(&mut plan_dense);
         let moves_comp = comp.plan_on(&mut plan_comp);
         assert_eq!(moves_dense, moves_comp);
@@ -1790,14 +2150,14 @@ mod tests {
         };
         let mut all_moves = Vec::new();
         let mut all_places = Vec::new();
-        for kernel in [Kernel::Dense, Kernel::Compressed] {
+        let policies: [Box<dyn PlacementPolicy>; 2] = [Box::new(dense()), Box::new(comp())];
+        for mut policy in policies {
             let (dc, vms) = build();
             let view = PlacementView {
                 dc: &dc,
                 vms: &vms,
                 now: SimTime::ZERO,
             };
-            let mut policy = kernel.policy(DynamicConfig::default());
             all_moves.push(policy.plan_migrations(&view));
             all_places.push(policy.place(&view, &spec(99, 256, 120_000)));
         }
@@ -1806,55 +2166,61 @@ mod tests {
     }
 
     #[test]
-    fn poisoned_planner_falls_back_to_dense_and_still_matches() {
-        // More distinct demand vectors live at once than MAX_DEMANDS (on a
-        // fleet with room for them all): the compressed planner must
-        // poison itself and route everything to the dense kernel, with no
-        // observable difference.
-        let mut dense = Twin::sized(Kernel::Dense, 18, 6);
-        let mut comp = Twin::sized(Kernel::Compressed, 18, 6);
+    fn demand_registry_grows_past_the_recycle_mark_and_still_matches() {
+        // More distinct demand vectors live at once than DEMAND_RECYCLE_AT
+        // (on a fleet with room for them all): no slot is free to recycle,
+        // so the registry grows, and every decision stays the dense
+        // reference's.
+        let mut dense = Twin::sized(dense(), 18, 6);
+        let mut comp = Twin::sized(comp(), 18, 6);
         let mut t = 0u64;
-        for i in 0..(MAX_DEMANDS as u32 + 6) {
+        for i in 0..(DEMAND_RECYCLE_AT as u32 + 6) {
             let now = SimTime::from_secs(t);
             let s = spec(i + 1, 256 + i as u64, 100_000);
             let pa = dense.place(&s, now);
             let pb = comp.place(&s, now);
             assert_eq!(pa, pb, "vm {i}");
             if let Some(pm) = pa {
-                for twin in [&mut dense, &mut comp] {
-                    install(&mut twin.dc, &mut twin.vms, s.clone(), pm, now);
+                for twin in [&mut dense.dc, &mut comp.dc] {
+                    twin.place(s.id, pm, s.resources).unwrap();
+                }
+                for vms in [&mut dense.vms, &mut comp.vms] {
+                    let mut vm = Vm::new(s.clone());
+                    vm.state = VmState::Running { pm };
+                    vm.started_at = Some(now);
+                    vms.insert(s.id, vm);
                 }
             }
             t += 100;
         }
-        assert!(comp.policy.compressed_poisoned());
         let now = SimTime::from_secs(t);
-        assert_eq!(dense.plan(now), comp.plan(now), "post-poison plans match");
+        assert_eq!(dense.plan(now), comp.plan(now), "plans past the mark match");
+        let demands = comp.policy.planner().demands.len();
+        assert!(demands > DEMAND_RECYCLE_AT, "{demands} demand slots");
+        assert_eq!(comp.policy.compressed_passes(), 1);
     }
 
     #[test]
-    fn vm_ids_past_the_slot_table_poison_and_still_match() {
-        // A VM id the column slot table does not cover poisons the planner
-        // instead of sizing the table after it; the plan is unchanged.
-        let mut dense = Twin::new(Kernel::Dense);
-        let mut comp = Twin::new(Kernel::Compressed);
-        for (i, id) in [1, MAX_VM_ID as u32 + 1].into_iter().enumerate() {
-            for twin in [&mut dense, &mut comp] {
-                let s = spec(id, 512, 150_000);
-                install(
-                    &mut twin.dc,
-                    &mut twin.vms,
-                    s,
-                    PmId(6 + i as u32),
-                    SimTime::ZERO,
-                );
-            }
+    fn vm_ids_past_the_flat_slot_table_stay_compressed_and_match() {
+        // A VM id the flat column slot table does not cover goes to the
+        // slot map instead of sizing the table after it; the plan is the
+        // dense reference's.
+        let mut dense = Twin::new(dense());
+        let mut comp = Twin::new(comp());
+        for (i, id) in [1, DENSE_VM_IDS as u32 + 1].into_iter().enumerate() {
+            let s = spec(id, 512, 150_000);
+            let pm = PmId(6 + i as u32);
+            install(&mut dense.dc, &mut dense.vms, s.clone(), pm, SimTime::ZERO);
+            install(&mut comp.dc, &mut comp.vms, s, pm, SimTime::ZERO);
         }
         let now = SimTime::from_secs(60);
         let moves = dense.plan(now);
         assert!(!moves.is_empty());
         assert_eq!(moves, comp.plan(now));
-        assert!(comp.policy.compressed_poisoned());
+        assert_eq!(comp.policy.compressed_passes(), 1);
+        let slots = &comp.policy.planner().col_slot;
+        assert_eq!(slots.far.len(), 1, "the large id sits in the slot map");
+        assert!(slots.flat.len() <= 2, "the flat table stays small");
     }
 
     /// Recomputes every active row's level for every registered demand
@@ -1871,14 +2237,14 @@ mod tests {
                 }
                 let sc = &p.sclasses[row.sclass as usize];
                 let w = if sc.usable && row.used.fits_with(demand, &sc.entry.capacity) {
-                    class_table::class_level(&row.used.add(demand), &sc.entry) as u8
+                    class_table::class_level(&row.used.add(demand), &sc.entry) as u16
                 } else {
                     INFEASIBLE
                 };
                 assert_eq!(cached, w, "row {r}, demand {d}");
                 if w != INFEASIBLE {
                     expected_entries += 1;
-                    let b = &p.buckets[row.sclass as usize * MAX_DEMANDS + d];
+                    let b = &p.buckets[row.sclass as usize * p.stride + d];
                     assert!(b.levels[w as usize].contains(&(r as u32)));
                 }
             }
@@ -1896,9 +2262,9 @@ mod tests {
     fn level_cache_survives_stride_growth_and_slot_recycling() {
         // A loaded fleet, then new demand shapes one at a time: each
         // growth of the per-row stride must carry every cached level over,
-        // and past MAX_DEMANDS each recycled slot must be wiped and
+        // and past DEMAND_RECYCLE_AT each recycled slot must be wiped and
         // refilled — never one a live column still uses.
-        let mut twin = Twin::new(Kernel::Compressed);
+        let mut twin = Twin::new(comp());
         for (i, pm) in [0u32, 0, 1, 2, 6, 6, 7].iter().enumerate() {
             let s = spec(i as u32 + 1, 512 + 256 * i as u64, 150_000);
             install(&mut twin.dc, &mut twin.vms, s, PmId(*pm), SimTime::ZERO);
@@ -1909,14 +2275,16 @@ mod tests {
             now: SimTime::ZERO,
         };
         let cfg = DynamicConfig::default();
-        let mut p = CompressedPlanner::new();
-        assert!(p.ensure_synced(&view, None, &cfg));
-        for i in 0..(MAX_DEMANDS as u64 + 20) {
-            p.register_demand(&ResourceVector::cpu_mem(1 + i % 3, 100 + 37 * i), &cfg)
-                .expect("a slot is free");
+        let mut p = CompressedPlanner::new(Vec::new());
+        p.ensure_synced(&view, None, &cfg);
+        for i in 0..(DEMAND_RECYCLE_AT as u64 + 20) {
+            p.register_demand(&ResourceVector::cpu_mem(1 + i % 3, 100 + 37 * i), &cfg);
             assert_level_cache_exact(&p);
         }
-        assert_eq!((p.stride, p.demands.len()), (MAX_DEMANDS, MAX_DEMANDS));
+        assert_eq!(
+            (p.stride, p.demands.len()),
+            (DEMAND_RECYCLE_AT, DEMAND_RECYCLE_AT)
+        );
         for col in &p.cols {
             assert_eq!(
                 &p.demands[col.demand as usize],
@@ -1928,15 +2296,15 @@ mod tests {
 
     #[test]
     fn demand_slots_recycle_through_elastic_churn() {
-        // Three times MAX_DEMANDS distinct demand vectors over the run, but
-        // never more than a handful live at once: freed slots must be
-        // reused (no poisoning), and every decision must stay the dense
-        // kernel's. Half the arrivals skip `place` so the patch path
+        // Three times DEMAND_RECYCLE_AT distinct demand vectors over the
+        // run, but never more than a handful live at once: freed slots
+        // must be reused (the registry stops growing), and every decision
+        // must stay the dense reference's. Half the arrivals skip `place` so the patch path
         // registers (and recycles) too.
-        let mut dense = Twin::new(Kernel::Dense);
-        let mut comp = Twin::new(Kernel::Compressed);
+        let mut dense = Twin::new(dense());
+        let mut comp = Twin::new(comp());
         let mut live = std::collections::VecDeque::new();
-        for i in 0..(3 * MAX_DEMANDS as u32) {
+        for i in 0..(3 * DEMAND_RECYCLE_AT as u32) {
             let now = SimTime::from_secs(100 * u64::from(i));
             let s = spec(i + 1, 128 + u64::from(i), 150_000);
             // A fast PM (ids 0–5) holds all six live VMs if it must.
@@ -1947,23 +2315,23 @@ mod tests {
             } else {
                 PmId(i % 6)
             };
-            for twin in [&mut dense, &mut comp] {
-                install(&mut twin.dc, &mut twin.vms, s.clone(), pm, now);
+            for twin in [dense.world(), comp.world()] {
+                install(twin.dc, twin.vms, s.clone(), pm, now);
             }
             live.push_back(s.id);
             if live.len() > 6 {
                 let gone = live.pop_front().expect("non-empty");
-                for twin in [&mut dense, &mut comp] {
+                for twin in [dense.world(), comp.world()] {
                     twin.dc.remove_vm(gone);
                     twin.vms.remove(&gone);
                 }
             }
             assert_eq!(dense.plan(now), comp.plan(now), "vm {i}");
         }
-        assert!(!comp.policy.compressed_poisoned());
+        assert_eq!(comp.policy.planner().demands.len(), DEMAND_RECYCLE_AT);
         assert_eq!(
             comp.policy.compressed_passes(),
-            3 * MAX_DEMANDS as u64,
+            3 * DEMAND_RECYCLE_AT as u64,
             "every pass ran on the persistent compressed planner"
         );
     }
@@ -1996,20 +2364,18 @@ mod tests {
             policy.compressed_passes() > 0,
             "the default scheme runs compressed at 4 PMs"
         );
-        let mut dense = DynamicPlacement::dense_reference(DynamicConfig::default());
-        assert_eq!(moves, dense.plan_migrations(&view));
-        assert_eq!(dense.compressed_passes(), 0);
+        assert_eq!(moves, dense().plan_migrations(&view));
     }
 
     /// A compressed planner synced to `twin`'s fleet at `now`.
-    fn synced_planner(twin: &Twin, now: SimTime, cfg: &DynamicConfig) -> CompressedPlanner {
+    fn synced_planner<P>(twin: &Twin<P>, now: SimTime, cfg: &DynamicConfig) -> CompressedPlanner {
         let view = PlacementView {
             dc: &twin.dc,
             vms: &twin.vms,
             now,
         };
-        let mut p = CompressedPlanner::new();
-        assert!(p.ensure_synced(&view, None, cfg));
+        let mut p = CompressedPlanner::new(Vec::new());
+        p.ensure_synced(&view, None, cfg);
         p
     }
 
@@ -2019,7 +2385,7 @@ mod tests {
         // touched at different tops and check every column's effective
         // bound lands on the larger `p_cap / h`, and on ∞ over a zero-`h`
         // host — and that the running maximum covers it.
-        let mut twin = Twin::new(Kernel::Compressed);
+        let mut twin = Twin::new(comp());
         let now = SimTime::ZERO;
         for (i, pm) in [0u32, 6].iter().enumerate() {
             install(
@@ -2036,8 +2402,8 @@ mod tests {
         assert_eq!((p.sclasses.len(), p.demands.len(), p.cols.len()), (2, 1, 2));
         let caps: Vec<f64> = (0..2)
             .map(|s| {
-                let top = p.buckets[s * MAX_DEMANDS].top().expect("occupied bucket");
-                p.sclasses[s].rel * p.sclasses[s].entry.level_eff[top as usize]
+                let top = p.buckets[s * p.stride].top().expect("occupied bucket");
+                p.sclasses[s].rel * p.sclasses[s].entry.level_eff[top]
             })
             .collect();
         assert_ne!(caps[0], caps[1], "the two tops must differ");
@@ -2053,7 +2419,7 @@ mod tests {
             p.dbar_max = 0.0;
         };
         // Either touch order must land on the larger cap.
-        for order in [[0, MAX_DEMANDS as u32], [MAX_DEMANDS as u32, 0]] {
+        for order in [[(0, 0), (1, 0)], [(1, 0), (0, 0)]] {
             clear(p);
             p.touched_buckets = order.to_vec();
             p.fold_touched(&cfg);
@@ -2079,7 +2445,7 @@ mod tests {
         let host = p.cols[0].host as usize;
         p.rows[host].h = 0.0;
         p.hmin[0] = 0.0;
-        p.touched_buckets = vec![MAX_DEMANDS as u32];
+        p.touched_buckets = vec![(1, 0)];
         p.fold_touched(&cfg);
         assert_eq!(p.effective_bound(0), f64::INFINITY);
         assert_eq!(p.pending_max, f64::INFINITY);
@@ -2095,7 +2461,7 @@ mod tests {
         // columns loses one VM, so its `H` drops. The patch re-scores the
         // surviving column, `hmin` must follow `H` down, and the running
         // maximum must still cover every effective bound.
-        let mut twin = Twin::new(Kernel::Compressed);
+        let mut twin = Twin::new(comp());
         let now = SimTime::ZERO;
         for (i, pm) in [0u32, 0, 6].iter().enumerate() {
             install(
@@ -2109,7 +2475,7 @@ mod tests {
         let _ = twin.dc.take_fleet_delta();
         let cfg = DynamicConfig::default();
         let mut p = synced_planner(&twin, now, &cfg);
-        p.touched_buckets = vec![0];
+        p.touched_buckets = vec![(0, 0)];
         p.fold_touched(&cfg);
         assert!(p.pending[0] > 0.0);
         let h_before = p.rows[0].h;
@@ -2123,7 +2489,7 @@ mod tests {
             vms: &twin.vms,
             now,
         };
-        assert!(p.ensure_synced(&view, Some(delta), &cfg));
+        p.ensure_synced(&view, Some(delta), &cfg);
         let h_after = p.rows[0].h;
         assert!(h_after < h_before, "H fell with the host's load");
         assert!(p.hmin[0] <= h_after, "hmin {} above H {h_after}", p.hmin[0]);
@@ -2142,15 +2508,15 @@ mod tests {
         // alike. Removing the first column swaps the last (VM 4) into its
         // slot, ahead of VMs 2 and 3: the winner must still be the dense
         // planner's, the lowest id.
-        let mut dense = Twin::new(Kernel::Dense);
-        let mut comp = Twin::new(Kernel::Compressed);
+        let mut dense = Twin::new(dense());
+        let mut comp = Twin::new(comp());
         let now = SimTime::ZERO;
         let cfg = DynamicConfig::default();
-        for twin in [&mut dense, &mut comp] {
+        for twin in [dense.world(), comp.world()] {
             for i in 0..4u32 {
                 install(
-                    &mut twin.dc,
-                    &mut twin.vms,
+                    twin.dc,
+                    twin.vms,
                     spec(i + 1, 512, 200_000),
                     PmId(6 + i),
                     now,
@@ -2159,7 +2525,7 @@ mod tests {
             let _ = twin.dc.take_fleet_delta();
         }
         let mut p = synced_planner(&comp, now, &cfg);
-        for twin in [&mut dense, &mut comp] {
+        for twin in [dense.world(), comp.world()] {
             twin.dc.remove_vm(VmId(1));
             twin.vms.remove(&VmId(1));
         }
@@ -2170,9 +2536,7 @@ mod tests {
             vms: &comp.vms,
             now: later,
         };
-        let (moves, _) = p
-            .plan_migrations(&view, Some(delta), &cfg)
-            .expect("stays compressible");
+        let (moves, _) = p.plan_migrations(&view, Some(delta), &cfg);
         let ids: Vec<u32> = p.cols.iter().map(|c| c.id.0).collect();
         assert_eq!(ids, [4, 2, 3], "swap_remove reordered the columns");
         assert!(!moves.is_empty(), "the tied VMs consolidate");
@@ -2184,14 +2548,14 @@ mod tests {
     fn creation_stash_defers_and_adopts_columns() {
         // A VM mid-creation must not be planned; once its ready time
         // passes (an unjournaled transition), the stash must surface it.
-        let mut dense = Twin::new(Kernel::Dense);
-        let mut comp = Twin::new(Kernel::Compressed);
+        let mut dense = Twin::new(dense());
+        let mut comp = Twin::new(comp());
         // Fragment: two runners on separate PMs plus one creating.
-        for (twin_no, twin) in [&mut dense, &mut comp].into_iter().enumerate() {
+        for (twin_no, twin) in [dense.world(), comp.world()].into_iter().enumerate() {
             for (i, pm) in [0u32, 2].iter().enumerate() {
                 install(
-                    &mut twin.dc,
-                    &mut twin.vms,
+                    twin.dc,
+                    twin.vms,
                     spec(i as u32 + 1, 512, 200_000),
                     PmId(*pm),
                     SimTime::ZERO,
@@ -2212,7 +2576,7 @@ mod tests {
         let m0_comp = comp.plan(SimTime::from_secs(0));
         assert_eq!(m0_dense, m0_comp, "creating VM excluded identically");
         // Promote (no journal traffic at all) and replan.
-        for twin in [&mut dense, &mut comp] {
+        for twin in [dense.world(), comp.world()] {
             let v = twin.vms.get_mut(&VmId(3)).unwrap();
             v.state = VmState::Running { pm: PmId(3) };
             v.started_at = Some(SimTime::from_secs(40));

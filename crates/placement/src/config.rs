@@ -142,6 +142,44 @@ impl DynamicConfig {
         }
         Ok(())
     }
+
+    /// Rejects a fleet or request stream the planner cannot plan over:
+    /// resource vectors whose dimension count differs from `min_vm`'s —
+    /// contradictory input for Eq. 2–5, which compare them component by
+    /// component — or a PM that holds more minimum VMs (Eq. 4 levels)
+    /// than the planner's level cache indexes.
+    pub fn check_inputs(
+        &self,
+        fleet: &dvmp_cluster::datacenter::Datacenter,
+        requests: &[dvmp_cluster::vm::VmSpec],
+    ) -> Result<(), String> {
+        let k = self.min_vm.k();
+        if let Some(class) = fleet.classes().iter().find(|c| c.capacity.k() != k) {
+            return Err(format!(
+                "PM class {:?} has {} resource dimensions, min_vm has {k}",
+                class.name,
+                class.capacity.k()
+            ));
+        }
+        if let Some(vm) = requests.iter().find(|vm| vm.resources.k() != k) {
+            return Err(format!(
+                "request {:?} has {} resource dimensions, min_vm has {k}",
+                vm.id,
+                vm.resources.k()
+            ));
+        }
+        let max_level = crate::compressed::MAX_LEVEL;
+        if let Some(pm) = fleet.pms().iter().find(|pm| {
+            let slots = |cap: &ResourceVector| cap.contains_times(&self.min_vm);
+            slots(pm.capacity()).max(slots(&pm.virtual_capacity())) > max_level
+        }) {
+            return Err(format!(
+                "{:?} holds more than {max_level} minimum VMs (Eq. 4 levels)",
+                pm.id
+            ));
+        }
+        Ok(())
+    }
 }
 
 #[cfg(test)]
@@ -164,7 +202,10 @@ mod tests {
     fn assert_removed_knobs_load_to_default(knobs: &[&str], legacy_fields: &str) {
         let full = serde_json::to_string(&DynamicConfig::default()).unwrap();
         for knob in knobs {
-            assert!(!full.contains(&format!("\"{knob}\"")), "{knob} still serializes");
+            assert!(
+                !full.contains(&format!("\"{knob}\"")),
+                "{knob} still serializes"
+            );
         }
         let c: DynamicConfig = serde_json::from_str(&full).expect("config parses");
         assert_eq!(c, DynamicConfig::default());

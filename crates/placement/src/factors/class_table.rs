@@ -1,38 +1,25 @@
-//! Per-pass cache of class-level constants for the matrix inner loop.
+//! Per-class constants of the factors, the unit the compressed planner's
+//! superclasses are built on.
 //!
 //! Every factor input that is constant across a PM *class* is hoisted out
 //! of the per-entry evaluation: `p^vir`'s overhead charge depends only on
 //! (VM remaining time, destination class), and `p^eff`'s slot count `W_j`,
 //! minimum utilization `U_j^MIN` and Eq. 4 level boundaries depend only on
-//! (class capacity, `R^MIN`). With the paper's Table II fleet (2 classes,
-//! 100 PMs) this collapses a 100-row column from 100 independent factor
-//! evaluations to 2 class-level evaluations plus per-PM residuals (the
-//! feasibility test, the prospective utilization product and the
-//! reliability multiply) — and it removes every `powf` from the hot loop.
+//! (class capacity, `R^MIN`). A [`ClassEntry`] holds them, plus the Eq. 5
+//! value of every level, so a score is a level lookup and the per-PM
+//! residual work (the feasibility test, the prospective utilization
+//! product) — with no `powf` anywhere.
 //!
-//! ## Invariants
-//!
-//! A [`ClassTable`] is valid for one planning pass: per-PM *state*
-//! (`used`, `reliability`) and per-VM state (`remaining_secs`, `host`) may
-//! change between targeted recomputations, but class *constants*
-//! (`capacity`, `creation_secs`, `migration_secs`, the efficiency table)
-//! must not — rebuild the table (or the whole matrix) if they do. Rows
-//! whose PM does not match its class representative (possible only with
-//! hand-built [`PlanState`]s) are marked ineligible and evaluated through
-//! the reference path [`super::joint`], so the cache is an optimization,
-//! never a semantic change.
-//!
-//! Bit-identity with the reference path is a hard requirement (DESIGN.md
-//! §7 extends to the planning fast path): [`joint_with_class`] performs
-//! the exact multiplication sequence of [`super::joint`] on factor values
-//! computed from the same inputs, and the level boundaries reuse
-//! [`eff::level_boundary`]. `ProbabilityMatrix` tests assert `to_bits`
-//! equality between the two kernels.
+//! Bit-identity with the per-entry definition is a hard requirement
+//! (DESIGN.md §7): [`class_vir`] delegates to [`vir::p_vir`], the level
+//! boundaries reuse [`eff::level_boundary`], and [`class_eff`] computes
+//! the same utilization product in the same order as [`eff::p_eff`]; the
+//! tests below assert `to_bits` equality.
 
 use super::eff;
-use super::{rel, vir, EvalContext};
+use super::vir;
 use crate::config::OverheadMode;
-use crate::plan::{PlanPm, PlanState, PlanVm};
+use crate::plan::PlanPm;
 use dvmp_cluster::resources::ResourceVector;
 
 /// Constants shared by every PM of one class.
@@ -44,7 +31,7 @@ pub struct ClassEntry {
     pub creation_secs: u64,
     /// `T^mig` of the class, seconds.
     pub migration_secs: u64,
-    /// The class capacity vector (eligibility reference).
+    /// The class capacity vector.
     pub capacity: ResourceVector,
     /// `W_j` — capacity in minimum VMs.
     pub w_max: u64,
@@ -89,89 +76,6 @@ impl ClassEntry {
             level_eff,
             cap_dims,
         }
-    }
-
-    pub(crate) fn matches(&self, pm: &PlanPm) -> bool {
-        pm.capacity == self.capacity
-            && pm.creation_secs == self.creation_secs
-            && pm.migration_secs == self.migration_secs
-    }
-}
-
-/// The per-pass table: one entry per class plus per-row eligibility.
-#[derive(Debug, Clone, Default)]
-pub struct ClassTable {
-    /// Indexed by `class_idx`; `None` when no PM of the class is in the
-    /// plan (its constants are unobservable and unneeded).
-    classes: Vec<Option<ClassEntry>>,
-    /// For each PM row, the class entry it may use (`None` → reference
-    /// path). `row_entry[row] == Some(c)` implies `classes[c]` is `Some`.
-    row_entry: Vec<Option<usize>>,
-}
-
-impl ClassTable {
-    /// Builds the table for a plan.
-    pub fn build(plan: &PlanState, min_vm: &ResourceVector) -> Self {
-        let mut t = ClassTable::default();
-        t.rebuild(plan, min_vm);
-        t
-    }
-
-    /// Rebuilds in place, reusing the outer allocations.
-    pub fn rebuild(&mut self, plan: &PlanState, min_vm: &ResourceVector) {
-        self.classes.clear();
-        self.classes.resize(plan.effs.len(), None);
-        self.row_entry.clear();
-        for pm in &plan.pms {
-            let eligible = self.classes.get_mut(pm.class_idx).map(|slot| {
-                let entry = slot.get_or_insert_with(|| {
-                    ClassEntry::from_pm(pm, plan.effs[pm.class_idx], min_vm)
-                });
-                // Same-dimension capacity is required for the cached
-                // `u_min` to mean anything for this PM's demand space.
-                entry.matches(pm) && pm.capacity.k() == min_vm.k()
-            });
-            self.row_entry.push(match eligible {
-                Some(true) => Some(pm.class_idx),
-                _ => None,
-            });
-        }
-    }
-
-    /// The cached entry for PM row `row`, if the row is eligible.
-    #[inline]
-    pub fn entry_for_row(&self, row: usize) -> Option<&ClassEntry> {
-        match self.row_entry.get(row) {
-            Some(&Some(c)) => self.classes[c].as_ref(),
-            _ => None,
-        }
-    }
-
-    /// The cached entry for a class index (if any PM of the class is in
-    /// the plan and eligible).
-    #[inline]
-    pub fn entry(&self, class: usize) -> Option<&ClassEntry> {
-        self.classes.get(class).and_then(|c| c.as_ref())
-    }
-
-    /// Number of class slots (for per-class scratch sizing).
-    #[inline]
-    pub fn class_count(&self) -> usize {
-        self.classes.len()
-    }
-
-    /// The class index row `row` resolved to, if eligible.
-    #[inline]
-    pub fn class_of_row(&self, row: usize) -> Option<usize> {
-        self.row_entry.get(row).copied().flatten()
-    }
-
-    /// `true` when every row resolved to a class entry — the precondition
-    /// for the incremental matrix update, whose clean-entry refresh can
-    /// only reconstruct fast-kernel entries.
-    #[inline]
-    pub fn all_rows_eligible(&self) -> bool {
-        self.row_entry.iter().all(Option::is_some)
     }
 }
 
@@ -229,102 +133,16 @@ pub(crate) fn class_level(prospective: &ResourceVector, entry: &ClassEntry) -> u
     }
 }
 
-/// Sentinel recorded by [`joint_with_class_recording`] for entries that
-/// failed the feasibility test. `p^eff` itself can never be `NaN` (it is a
-/// `level_eff` table value or `0.0`), so the sentinel is unambiguous.
-pub const INFEASIBLE_EFF: f64 = f64::NAN;
-
-/// The joint probability through the class cache: the exact multiplication
-/// sequence of [`super::joint`] with the class-constant factor inputs read
-/// from `entry`. `vir` must be the value [`class_vir`] yields for this
-/// VM/class pair (callers hoist it per class when walking a column).
-#[inline]
-pub fn joint_with_class(
-    pm: &PlanPm,
-    vm: &PlanVm,
-    hosted: bool,
-    entry: &ClassEntry,
-    vir: f64,
-    ctx: &EvalContext<'_>,
-    now: dvmp_simcore::SimTime,
-) -> f64 {
-    let mut eff = 0.0;
-    joint_with_class_recording(pm, vm, hosted, entry, vir, ctx, now, &mut eff)
-}
-
-/// [`joint_with_class`] that additionally records the entry's `p^eff`
-/// operand (or [`INFEASIBLE_EFF`]) into `eff_out` — the one factor the
-/// incremental matrix update cannot recompute cheaply, because it depends
-/// on the prospective occupancy product. A later pass can then rebuild a
-/// *clean* entry bit-identically as `vir · rel · eff` from the recorded
-/// operand (see `ProbabilityMatrix::update_incremental`): the eff operand
-/// is hoisted out of the multiply chain here, but the chain itself —
-/// `1.0`, then `vir`, then `rel`, then `eff` — is byte-for-byte the
-/// reference sequence, so hoisting changes no result bit.
-#[inline]
-#[allow(clippy::too_many_arguments)]
-pub fn joint_with_class_recording(
-    pm: &PlanPm,
-    vm: &PlanVm,
-    hosted: bool,
-    entry: &ClassEntry,
-    vir: f64,
-    ctx: &EvalContext<'_>,
-    now: dvmp_simcore::SimTime,
-    eff_out: &mut f64,
-) -> f64 {
-    let cfg = ctx.cfg;
-    // Eq. 2 and the prospective occupancy of Eq. 4 share one vector add:
-    // `used + demand ≤ capacity` is exactly `fits_with` (both saturate),
-    // so `p_res == 1` iff the prospective vector is within capacity.
-    let prospective = if hosted {
-        pm.used
-    } else {
-        pm.used.add(&vm.resources)
-    };
-    if !hosted && !prospective.le(&pm.capacity) {
-        *eff_out = INFEASIBLE_EFF;
-        return 0.0;
-    }
-    let eff = if cfg.use_eff {
-        class_eff_prospective(&prospective, entry)
-    } else {
-        0.0
-    };
-    *eff_out = eff;
-    let mut p = 1.0;
-    if ctx.vir_enabled() {
-        p *= if hosted { 1.0 } else { vir };
-    }
-    if cfg.use_rel {
-        p *= rel::p_rel(pm);
-    }
-    if cfg.use_eff {
-        p *= eff;
-    }
-    for extra in ctx.extras {
-        if p == 0.0 {
-            break;
-        }
-        p *= extra
-            .factor(pm, &vm.resources, Some(vm.host_pm), now)
-            .clamp(0.0, 1.0);
-    }
-    p
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::config::DynamicConfig;
     use dvmp_cluster::pm::PmId;
-    use dvmp_cluster::vm::VmId;
-    use dvmp_simcore::SimTime;
 
-    fn pm(id: u32, class_idx: usize, cores: u64, mem: u64, cre: u64, mig: u64) -> PlanPm {
+    fn pm(cores: u64, mem: u64, cre: u64, mig: u64) -> PlanPm {
         PlanPm {
-            id: PmId(id),
-            class_idx,
+            id: PmId(0),
+            class_idx: 0,
             capacity: ResourceVector::cpu_mem(cores, mem),
             used: ResourceVector::zero(2),
             reliability: 0.99,
@@ -333,75 +151,43 @@ mod tests {
         }
     }
 
-    fn two_class_plan() -> PlanState {
-        let mut plan = PlanState::default();
-        plan.pms = vec![
-            pm(0, 0, 8, 8_192, 30, 40),
-            pm(1, 0, 8, 8_192, 30, 40),
-            pm(2, 1, 4, 4_096, 40, 45),
-        ];
-        plan.vms = vec![PlanVm {
-            id: VmId(1),
-            resources: ResourceVector::cpu_mem(1, 512),
-            remaining_secs: 10_000,
-            host: 0,
-            host_pm: PmId(0),
-        }];
-        plan.pms[0].used = plan.vms[0].resources;
-        plan.effs = vec![1.0, 0.75];
-        plan
-    }
-
     #[test]
     fn table_caches_per_class_constants() {
-        let plan = two_class_plan();
         let min_vm = ResourceVector::cpu_mem(1, 512);
-        let table = ClassTable::build(&plan, &min_vm);
-        assert_eq!(table.class_count(), 2);
-        let fast = table.entry_for_row(0).expect("fast class cached");
+        let fast = ClassEntry::from_pm(&pm(8, 8_192, 30, 40), 1.0, &min_vm);
         assert_eq!(fast.w_max, 8);
         assert_eq!((fast.creation_secs, fast.migration_secs), (30, 40));
         assert_eq!(fast.boundaries.len(), 7);
-        let slow = table.entry_for_row(2).expect("slow class cached");
+        assert_eq!(fast.level_eff.len(), 9);
+        assert_eq!(fast.level_eff[8], 1.0);
+        let slow = ClassEntry::from_pm(&pm(4, 4_096, 40, 45), 0.75, &min_vm);
         assert_eq!(slow.w_max, 4);
         assert_eq!(slow.eff, 0.75);
-        // Rows of the same class share the entry.
-        assert_eq!(table.class_of_row(0), Some(0));
-        assert_eq!(table.class_of_row(1), Some(0));
-        assert_eq!(table.class_of_row(2), Some(1));
-    }
-
-    #[test]
-    fn mismatched_pm_is_ineligible() {
-        let mut plan = two_class_plan();
-        // pm1 claims class 0 but has a different capacity: it must fall
-        // back to the reference path rather than use class-0 constants.
-        plan.pms[1].capacity = ResourceVector::cpu_mem(16, 8_192);
-        let table = ClassTable::build(&plan, &ResourceVector::cpu_mem(1, 512));
-        assert!(table.entry_for_row(0).is_some());
-        assert!(table.entry_for_row(1).is_none());
-        assert!(table.entry_for_row(2).is_some());
+        assert_eq!(slow.level_eff[2], 0.5 * 0.75);
     }
 
     #[test]
     fn cached_factors_are_bit_identical_to_reference() {
-        let plan = two_class_plan();
         let cfg = DynamicConfig::default();
-        let table = ClassTable::build(&plan, &cfg.min_vm);
-        let ctx = EvalContext::new(&cfg);
-        for (row, p) in plan.pms.iter().enumerate() {
-            let entry = table.entry_for_row(row).unwrap();
-            for vm in &plan.vms {
-                let hosted = vm.host == row;
-                let vir = class_vir(entry, vm.remaining_secs, cfg.overhead_mode);
-                let fast = joint_with_class(p, vm, hosted, entry, vir, &ctx, SimTime::ZERO);
-                let reference =
-                    super::super::joint(p, vm, hosted, plan.eff_of(row), &ctx, SimTime::ZERO);
-                assert_eq!(fast.to_bits(), reference.to_bits(), "row {row}");
-                // And the constituent eff factor matches exactly too.
-                let eff_fast = class_eff(p, &vm.resources, hosted, entry);
-                let eff_ref = eff::p_eff(p, &vm.resources, hosted, plan.eff_of(row), &cfg.min_vm);
-                assert_eq!(eff_fast.to_bits(), eff_ref.to_bits());
+        let demand = ResourceVector::cpu_mem(1, 512);
+        for (cores, mem, eff_c) in [(8, 8_192, 1.0), (4, 4_096, 0.75)] {
+            let mut p = pm(cores, mem, 30, 40);
+            let entry = ClassEntry::from_pm(&p, eff_c, &cfg.min_vm);
+            for used in 0..cores {
+                p.used = ResourceVector::cpu_mem(used, used * 512);
+                for hosted in [false, true] {
+                    if hosted && used == 0 {
+                        continue;
+                    }
+                    let fast = class_eff(&p, &demand, hosted, &entry);
+                    let reference = eff::p_eff(&p, &demand, hosted, eff_c, &cfg.min_vm);
+                    assert_eq!(fast.to_bits(), reference.to_bits(), "used {used}");
+                }
+            }
+            for rem in [0, 69, 70, 71, 700, 86_400] {
+                let fast = class_vir(&entry, rem, cfg.overhead_mode);
+                let reference = vir::p_vir(rem, 30, 40, false, true, cfg.overhead_mode);
+                assert_eq!(fast.to_bits(), reference.to_bits(), "remaining {rem}");
             }
         }
     }

@@ -7,7 +7,7 @@
 //! Each built-in factor is a pure function of the planning state so it can
 //! be unit-tested against the paper's equations in isolation; [`joint`]
 //! composes them (under the ablation switches in [`DynamicConfig`]) with
-//! any number of user-supplied [`ExtraFactor`]s — e.g. the electricity-
+//! any number of user-supplied [`KeyedFactor`]s — e.g. the electricity-
 //! price factor in the `dvmp-geo` crate.
 
 pub mod class_table;
@@ -18,31 +18,36 @@ pub mod vir;
 
 use crate::config::DynamicConfig;
 use crate::plan::{PlanPm, PlanVm};
+use dvmp_cluster::pm::PmId;
 use dvmp_cluster::resources::ResourceVector;
 use dvmp_simcore::SimTime;
 use std::sync::Arc;
 
-/// A user-supplied multiplicative factor extending the joint probability.
+/// A user-supplied multiplicative factor extending the joint probability,
+/// keyed on one per-PM value (a region, a rack, a tariff zone).
 ///
-/// Implementations must return a value in `[0, 1]` (1 = no objection to
-/// this mapping, 0 = veto) and be pure given their inputs — the matrix
-/// caches entries and only refreshes rows/columns Algorithm 1 touched.
-pub trait ExtraFactor: Send + Sync + std::fmt::Debug {
+/// The factor of a mapping depends only on the key of the VM's current
+/// host (`from`; `None` for a new request), the key of the candidate PM
+/// (`to`) and the planning instant — so a planning pass evaluates it once
+/// per key pair into a `(K+1)×K` table, and PMs that share a key stay
+/// interchangeable for the compressed planner.
+///
+/// Values are clamped to `[0, 1]` (1 = no objection to this mapping,
+/// 0 = veto). The current-host entry of a column is evaluated too, as
+/// `factor(Some(k), k, now)`.
+pub trait KeyedFactor: Send + Sync + std::fmt::Debug {
     /// Short name for reports and debugging.
     fn name(&self) -> &str;
 
-    /// The factor for hosting a VM with `resources` on `pm` at `now`.
-    /// `current_host` is the PM the VM runs on right now (`None` for new
-    /// requests); comparing it to `pm.id` tells a factor whether this row
-    /// is the current host or a cross-machine (possibly cross-region)
-    /// move.
-    fn factor(
-        &self,
-        pm: &PlanPm,
-        resources: &ResourceVector,
-        current_host: Option<dvmp_cluster::pm::PmId>,
-        now: SimTime,
-    ) -> f64;
+    /// Number of distinct keys; [`key`](Self::key) returns values below it.
+    fn key_count(&self) -> u16;
+
+    /// The key of PM `pm`.
+    fn key(&self, pm: PmId) -> u16;
+
+    /// The factor for hosting a VM on a PM keyed `to` at `now`, when the
+    /// VM currently runs on a PM keyed `from` (`None` for a new request).
+    fn factor(&self, from: Option<u16>, to: u16, now: SimTime) -> f64;
 }
 
 /// Everything needed to evaluate one matrix entry: the configuration plus
@@ -52,7 +57,7 @@ pub struct EvalContext<'a> {
     /// The scheme's tunables and ablation switches.
     pub cfg: &'a DynamicConfig,
     /// Extension factors, applied after the built-in four.
-    pub extras: &'a [Arc<dyn ExtraFactor>],
+    pub extras: &'a [Arc<dyn KeyedFactor>],
     /// Per-evaluation override forcing `p^vir` off regardless of
     /// `cfg.use_vir`. New-request placement sets this (DESIGN.md I9's
     /// feasibility fallback) instead of cloning the whole config just to
@@ -71,7 +76,7 @@ impl<'a> EvalContext<'a> {
     }
 
     /// A context with extension factors.
-    pub fn with_extras(cfg: &'a DynamicConfig, extras: &'a [Arc<dyn ExtraFactor>]) -> Self {
+    pub fn with_extras(cfg: &'a DynamicConfig, extras: &'a [Arc<dyn KeyedFactor>]) -> Self {
         EvalContext {
             cfg,
             extras,
@@ -92,6 +97,26 @@ impl<'a> EvalContext<'a> {
     pub fn vir_enabled(&self) -> bool {
         self.cfg.use_vir && !self.vir_disabled
     }
+}
+
+/// Multiplies the extension factors into `p`, one at a time in
+/// registration order, each clamped to `[0, 1]`, stopping once `p` is 0.
+/// `from` is the VM's current host (`None` for a new request).
+fn apply_extras(
+    mut p: f64,
+    extras: &[Arc<dyn KeyedFactor>],
+    from: Option<PmId>,
+    to: PmId,
+    now: SimTime,
+) -> f64 {
+    for extra in extras {
+        if p == 0.0 {
+            break;
+        }
+        let from = from.map(|pm| extra.key(pm));
+        p *= extra.factor(from, extra.key(to), now).clamp(0.0, 1.0);
+    }
+    p
 }
 
 /// The joint probability of hosting `vm` on `pm` (`hosted` = the VM's
@@ -126,15 +151,7 @@ pub fn joint(
     if cfg.use_eff {
         p *= eff::p_eff(pm, &vm.resources, hosted, eff_j, &cfg.min_vm);
     }
-    for extra in ctx.extras {
-        if p == 0.0 {
-            break;
-        }
-        p *= extra
-            .factor(pm, &vm.resources, Some(vm.host_pm), now)
-            .clamp(0.0, 1.0);
-    }
-    p
+    apply_extras(p, ctx.extras, Some(vm.host_pm), pm.id, now)
 }
 
 /// The joint probability of placing a *new* request (no current host
@@ -168,20 +185,13 @@ pub fn joint_new(
     if cfg.use_eff {
         p *= eff::p_eff(pm, resources, false, eff_j, &cfg.min_vm);
     }
-    for extra in ctx.extras {
-        if p == 0.0 {
-            break;
-        }
-        p *= extra.factor(pm, resources, None, now).clamp(0.0, 1.0);
-    }
-    p
+    apply_extras(p, ctx.extras, None, pm.id, now)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::config::OverheadMode;
-    use dvmp_cluster::pm::PmId;
     use dvmp_cluster::vm::VmId;
 
     pub(crate) fn fast_plan_pm(used_cores: u64, used_mem: u64) -> PlanPm {
@@ -278,22 +288,22 @@ mod tests {
         );
     }
 
-    /// A toy time-varying extra factor: halves the probability on odd
-    /// simulated hours.
+    /// A toy time-varying keyed factor: halves the probability on odd
+    /// simulated hours, whatever the keys.
     #[derive(Debug)]
     struct OddHourTax;
 
-    impl ExtraFactor for OddHourTax {
+    impl KeyedFactor for OddHourTax {
         fn name(&self) -> &str {
             "odd-hour-tax"
         }
-        fn factor(
-            &self,
-            _: &PlanPm,
-            _: &ResourceVector,
-            _: Option<dvmp_cluster::pm::PmId>,
-            now: SimTime,
-        ) -> f64 {
+        fn key_count(&self) -> u16 {
+            1
+        }
+        fn key(&self, _: PmId) -> u16 {
+            0
+        }
+        fn factor(&self, _: Option<u16>, _: u16, now: SimTime) -> f64 {
             if now.hour_index() % 2 == 1 {
                 0.5
             } else {
@@ -307,7 +317,7 @@ mod tests {
         let pm = fast_plan_pm(2, 1_024);
         let v = vm(10_000);
         let cfg = DynamicConfig::default();
-        let extras: Vec<Arc<dyn ExtraFactor>> = vec![Arc::new(OddHourTax)];
+        let extras: Vec<Arc<dyn KeyedFactor>> = vec![Arc::new(OddHourTax)];
         let ctx = EvalContext::with_extras(&cfg, &extras);
         let even = joint(&pm, &v, false, 1.0, &ctx, SimTime::from_hours(2));
         let odd = joint(&pm, &v, false, 1.0, &ctx, SimTime::from_hours(3));
@@ -324,23 +334,23 @@ mod tests {
         assert!((base - even).abs() < 1e-15);
     }
 
-    /// An extra returning out-of-range values is clamped, and a 0 veto
-    /// zeroes the entry.
+    /// Keyed on the PM id itself: vetoes every mapping onto PM 0 and
+    /// returns an out-of-range value elsewhere, which is clamped.
     #[derive(Debug)]
     struct Veto;
 
-    impl ExtraFactor for Veto {
+    impl KeyedFactor for Veto {
         fn name(&self) -> &str {
             "veto"
         }
-        fn factor(
-            &self,
-            pm: &PlanPm,
-            _: &ResourceVector,
-            _: Option<dvmp_cluster::pm::PmId>,
-            _: SimTime,
-        ) -> f64 {
-            if pm.id == PmId(0) {
+        fn key_count(&self) -> u16 {
+            2
+        }
+        fn key(&self, pm: PmId) -> u16 {
+            u16::from(pm != PmId(0))
+        }
+        fn factor(&self, _: Option<u16>, to: u16, _: SimTime) -> f64 {
+            if to == 0 {
                 0.0
             } else {
                 7.5 // clamped to 1
@@ -351,7 +361,7 @@ mod tests {
     #[test]
     fn extras_can_veto_and_are_clamped() {
         let cfg = DynamicConfig::default();
-        let extras: Vec<Arc<dyn ExtraFactor>> = vec![Arc::new(Veto)];
+        let extras: Vec<Arc<dyn KeyedFactor>> = vec![Arc::new(Veto)];
         let ctx = EvalContext::with_extras(&cfg, &extras);
         let pm0 = fast_plan_pm(2, 1_024);
         let mut pm1 = fast_plan_pm(2, 1_024);
@@ -361,5 +371,9 @@ mod tests {
         let with = joint(&pm1, &v, false, 1.0, &ctx, SimTime::ZERO);
         let without = joint(&pm1, &v, false, 1.0, &EvalContext::new(&cfg), SimTime::ZERO);
         assert!((with - without).abs() < 1e-15, "7.5 clamps to 1.0");
+        // A new request sees the same keyed veto.
+        let r = ResourceVector::cpu_mem(1, 512);
+        assert_eq!(joint_new(&pm0, &r, 10_000, 1.0, &ctx, SimTime::ZERO), 0.0);
+        assert!(joint_new(&pm1, &r, 10_000, 1.0, &ctx, SimTime::ZERO) > 0.0);
     }
 }

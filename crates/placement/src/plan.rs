@@ -9,7 +9,6 @@
 
 use crate::config::CapacityBasis;
 use crate::policy::PlacementView;
-use dvmp_cluster::index::CapacityIndex;
 use dvmp_cluster::pm::PmId;
 use dvmp_cluster::power::relative_efficiencies;
 use dvmp_cluster::resources::ResourceVector;
@@ -68,15 +67,6 @@ pub struct PlanState {
     /// replaces the hash map a fresh build would need; kept in the struct
     /// so [`PlanState::refill`] reuses the allocation across passes.
     row_lookup: Vec<u32>,
-    /// Segment tree over the plan rows' *plan-state* headroom
-    /// (`capacity − used`, tracking hypothetical moves), so column and
-    /// best-move (re)computation can enumerate only the rows that can
-    /// actually fit a VM instead of scanning all M. Maintained by
-    /// [`PlanState::refill`] and [`PlanState::apply_migration`]; empty on
-    /// hand-built plans, which [`PlanState::for_each_feasible`] reports via
-    /// [`PlanState::has_capacity_index`] so callers fall back to dense
-    /// scans.
-    cap_index: CapacityIndex,
 }
 
 /// Sentinel in [`PlanState::row_lookup`] for PMs that are not plan rows.
@@ -90,7 +80,6 @@ impl Default for PlanState {
             effs: Vec::new(),
             now: dvmp_simcore::SimTime::ZERO,
             row_lookup: Vec::new(),
-            cap_index: CapacityIndex::default(),
         }
     }
 }
@@ -184,39 +173,6 @@ impl PlanState {
             }
         }
         self.now = view.now;
-        self.rebuild_capacity_index();
-    }
-
-    /// (Re)builds the feasibility index from the current `pms` headroom.
-    /// `refill` calls this; hand-built plans may call it to opt into
-    /// sparse feasible-row enumeration.
-    pub fn rebuild_capacity_index(&mut self) {
-        self.cap_index.refill(
-            self.pms
-                .iter()
-                .map(|pm| (true, pm.capacity.saturating_sub(&pm.used))),
-        );
-    }
-
-    /// `true` when the feasibility index covers the current rows (always
-    /// after [`refill`](Self::refill); `false` on hand-built plans that
-    /// push rows directly).
-    pub fn has_capacity_index(&self) -> bool {
-        self.cap_index.len() == self.pms.len()
-    }
-
-    /// Visits every row whose plan-state headroom fits `req`, in ascending
-    /// row order — exactly the rows a dense scan would find passing the
-    /// `used + req ≤ capacity` feasibility test, because plan invariants
-    /// keep `used ≤ capacity` (so headroom subtraction never saturates).
-    ///
-    /// # Panics
-    /// Debug-asserts that the index covers the rows; check
-    /// [`has_capacity_index`](Self::has_capacity_index) first.
-    #[inline]
-    pub fn for_each_feasible(&self, req: &ResourceVector, f: impl FnMut(usize)) {
-        debug_assert!(self.has_capacity_index());
-        self.cap_index.for_each_fit(req, f);
     }
 
     /// Applies a planned migration of VM (column) `vm_idx` to PM (row)
@@ -237,13 +193,6 @@ impl PlanState {
         );
         self.pms[from].used = self.pms[from].used.saturating_sub(&res);
         self.pms[to].used = self.pms[to].used.add(&res);
-        if self.has_capacity_index() {
-            for row in [from, to] {
-                let pm = &self.pms[row];
-                self.cap_index
-                    .set(row, true, &pm.capacity.saturating_sub(&pm.used));
-            }
-        }
         let overhead = self.pms[to].migration_secs;
         let host_pm = self.pms[to].id;
         let vm = &mut self.vms[vm_idx];

@@ -78,6 +78,13 @@ pub trait PlacementPolicy {
     /// planners fold it into persistent planning state; the default
     /// (stateless schemes) discards it.
     fn note_fleet_delta(&mut self, _delta: FleetDelta) {}
+
+    /// Checks, before a simulation starts, that the fleet and the request
+    /// stream are input this scheme can plan over; the default accepts
+    /// everything.
+    fn check_inputs(&self, _fleet: &Datacenter, _requests: &[VmSpec]) -> Result<(), String> {
+        Ok(())
+    }
 }
 
 #[cfg(test)]

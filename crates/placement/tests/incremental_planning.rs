@@ -4,30 +4,22 @@
 //! Random fleet histories — arrivals, departures, live migrations, PM
 //! failures, power transitions and reliability drift, all applied through
 //! the real [`Datacenter`] mutation API so every change flows through the
-//! fleet-delta journal — are driven through two planners in lockstep:
-//!
-//! 1. at the **policy** level, an incremental [`DynamicPlacement`] (fed the
-//!    drained journal each pass, so low-dirt passes take the delta path)
-//!    against a fresh-rebuild twin fed no journal: every pass must propose
-//!    the identical migration sequence;
-//! 2. at the **matrix** level, a persistent [`ProbabilityMatrix`] updated
-//!    via [`ProbabilityMatrix::update_incremental`] against a fresh
-//!    [`ProbabilityMatrix::build`]: every entry and every best-candidate
-//!    slot must agree bit for bit.
+//! fleet-delta journal — are driven through planners in lockstep: the
+//! production [`DynamicPlacement`] fed the drained journal each pass (so
+//! it patches its persistent compressed mirror), a twin fed no journal
+//! (so it rebuilds every pass), and the [`DenseReference`]. Every pass
+//! must propose the identical migration sequence.
 
 use dvmp_cluster::datacenter::{Datacenter, FleetBuilder};
 use dvmp_cluster::pm::{PmClass, PmId, PmState};
 use dvmp_cluster::resources::ResourceVector;
 use dvmp_cluster::vm::{Vm, VmId, VmSpec, VmState};
-use dvmp_placement::factors::EvalContext;
-use dvmp_placement::plan::PlanState;
 use dvmp_placement::{
-    DynamicConfig, DynamicPlacement, Migration, PlacementPolicy, PlacementView, ProbabilityMatrix,
+    DenseReference, DynamicConfig, DynamicPlacement, Migration, PlacementPolicy, PlacementView,
 };
 use dvmp_simcore::{SimDuration, SimTime};
 use proptest::prelude::*;
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicU64, Ordering};
 
 /// One randomized fleet mutation. `pick`-style fields are resolved modulo
 /// the candidate set at application time, so every generated op is
@@ -199,40 +191,26 @@ fn apply_moves(dc: &mut Datacenter, vms: &mut BTreeMap<VmId, Vm>, moves: &[Migra
     }
 }
 
-/// Best-candidate slots with the ratio in bit-exact form.
-fn best_bits(best: &[Option<(usize, f64)>]) -> Vec<Option<(usize, u64)>> {
-    best.iter()
-        .map(|slot| slot.map(|(row, d)| (row, d.to_bits())))
-        .collect()
-}
-
 /// Generated cases per property test.
 const CASES: u32 = 32;
-
-/// Delta passes and finished cases of `incremental_planner_matches_fresh_rebuild`,
-/// summed over its generated histories.
-static DELTA_PASSES: AtomicU64 = AtomicU64::new(0);
-static HISTORIES_DONE: AtomicU64 = AtomicU64::new(0);
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(CASES))]
 
-    /// The incremental planner proposes the exact migration sequence of a
-    /// fresh-rebuild planner on every pass of every random fleet history.
+    /// The journal-driven planner proposes the exact migration sequence of
+    /// a fresh-rebuild twin and of the dense reference on every pass of
+    /// every random fleet history.
     #[test]
     fn incremental_planner_matches_fresh_rebuild(history in history_strategy()) {
         let (mut dc, mut vms) = seeded_fleet();
         let mut next_id = 100u32;
-        // Both pinned to the dense kernel: this is the dense incremental
-        // matrix's own contract. Only `inc` is fed the journal; without
-        // one, every pass of `full` rebuilds from scratch.
-        let mut inc = DynamicPlacement::dense_reference(DynamicConfig::default());
-        let mut full = DynamicPlacement::dense_reference(DynamicConfig::default());
+        // Only `inc` is fed the journal; without one, every pass of
+        // `full` rebuilds its mirror from the view.
+        let mut inc = DynamicPlacement::paper_default();
+        let mut full = DynamicPlacement::paper_default();
+        let mut dense = DenseReference::new(DynamicConfig::default());
 
         let mut now_secs = 0u64;
-        // Passes where the planner actually plans (it skips degenerate
-        // views: nothing migratable, or fewer than two available PMs).
-        let mut real_passes = 0u64;
         for (pass, ops) in history.iter().enumerate() {
             for op in ops {
                 apply_op(&mut dc, &mut vms, &mut next_id, SimTime::from_secs(now_secs), op);
@@ -241,27 +219,13 @@ proptest! {
             inc.note_fleet_delta(dc.take_fleet_delta());
             let now = SimTime::from_secs(now_secs);
             let view = PlacementView { dc: &dc, vms: &vms, now };
-            if view.migratable_vms().next().is_some() && dc.available_pms().count() >= 2 {
-                real_passes += 1;
-            }
             let a = inc.plan_migrations(&view);
-            let b = full.plan_migrations(&view);
-            prop_assert_eq!(&a, &b, "pass {} diverged", pass);
+            prop_assert_eq!(&a, &full.plan_migrations(&view), "pass {} diverged", pass);
+            prop_assert_eq!(&a, &dense.plan_migrations(&view), "pass {} (dense)", pass);
             apply_moves(&mut dc, &mut vms, &a);
             dc.assert_consistent();
         }
-        // Every real pass is either a delta pass or a full rebuild
-        // (degenerate passes plan nothing and carry the accumulated
-        // journal forward), and `full` never had a journal to extend.
-        prop_assert_eq!(inc.incremental_passes() + inc.full_rebuilds(), real_passes);
-        prop_assert_eq!(full.incremental_passes(), 0);
-        // The guard above is only meaningful if the delta path actually
-        // ran. Passes dirtier than the rebuild threshold rebuild instead,
-        // so a single history may hold none; the histories together must.
-        DELTA_PASSES.fetch_add(inc.incremental_passes(), Ordering::Relaxed);
-        if HISTORIES_DONE.fetch_add(1, Ordering::Relaxed) + 1 == u64::from(CASES) {
-            prop_assert!(DELTA_PASSES.load(Ordering::Relaxed) > 0, "no history took a delta pass");
-        }
+        prop_assert_eq!(inc.compressed_passes(), history.len() as u64);
     }
 
     /// The class-compressed kernel proposes the exact migration sequence
@@ -274,8 +238,8 @@ proptest! {
         let (mut dc, mut vms) = seeded_fleet();
         let mut next_id = 100u32;
         let mut comp = DynamicPlacement::paper_default();
-        // Fed no journal: a fresh dense rebuild every pass.
-        let mut dense = DynamicPlacement::dense_reference(DynamicConfig::default());
+        // The dense reference reads no journal: a fresh rebuild every pass.
+        let mut dense = DenseReference::new(DynamicConfig::default());
 
         let mut now_secs = 0u64;
         for (pass, ops) in history.iter().enumerate() {
@@ -292,111 +256,6 @@ proptest! {
             apply_moves(&mut dc, &mut vms, &a);
             dc.assert_consistent();
         }
-        // Seven PMs and a handful of drift values never exhaust the
-        // registries: every pass above really exercised the kernel.
-        prop_assert!(!comp.compressed_poisoned());
         prop_assert!(comp.compressed_passes() > 0);
-    }
-
-    /// A journal-driven `update_incremental` leaves the probability matrix
-    /// and best-candidate cache bit-identical to a fresh build on every
-    /// pass of every random fleet history.
-    #[test]
-    fn incremental_matrix_is_bit_identical_to_fresh_build(history in history_strategy()) {
-        let (mut dc, mut vms) = seeded_fleet();
-        let mut next_id = 100u32;
-        let cfg = DynamicConfig::default();
-        let ctx = EvalContext::new(&cfg);
-
-        let mut now_secs = 0u64;
-        let mut kept: Option<ProbabilityMatrix> = None;
-        let mut prev_rows: Vec<PmId> = Vec::new();
-        let mut prev_cols: Vec<VmId> = Vec::new();
-        let (mut dirty_rows, mut row_src) = (Vec::new(), Vec::new());
-        let (mut dirty_cols, mut col_src) = (Vec::new(), Vec::new());
-
-        for (pass, ops) in history.iter().enumerate() {
-            for op in ops {
-                apply_op(&mut dc, &mut vms, &mut next_id, SimTime::from_secs(now_secs), op);
-            }
-            now_secs += 500;
-            let delta = dc.take_fleet_delta();
-            let now = SimTime::from_secs(now_secs);
-            let view = PlacementView { dc: &dc, vms: &vms, now };
-            let plan = PlanState::from_view(&view, &cfg.min_vm);
-            let mut fresh = ProbabilityMatrix::build(&plan, &ctx);
-
-            let mut fused_best: Option<Vec<Option<(usize, f64)>>> = None;
-            match kept.as_mut() {
-                None => kept = Some(ProbabilityMatrix::build(&plan, &ctx)),
-                Some(m) => {
-                    // The planner's dirty-set derivation: journal-dirtied
-                    // ids map onto surviving rows/columns, new ids are
-                    // unconditionally dirty.
-                    dirty_rows.clear();
-                    row_src.clear();
-                    for pm in &plan.pms {
-                        match prev_rows.binary_search(&pm.id) {
-                            Ok(i) => {
-                                row_src.push(i as u32);
-                                dirty_rows.push(delta.is_full() || delta.dirty_pms().contains(&pm.id));
-                            }
-                            Err(_) => {
-                                row_src.push(0);
-                                dirty_rows.push(true);
-                            }
-                        }
-                    }
-                    dirty_cols.clear();
-                    col_src.clear();
-                    for vm in &plan.vms {
-                        match prev_cols.binary_search(&vm.id) {
-                            Ok(i) => {
-                                col_src.push(i as u32);
-                                dirty_cols.push(delta.is_full() || delta.dirty_vms().contains(&vm.id));
-                            }
-                            Err(_) => {
-                                col_src.push(0);
-                                dirty_cols.push(true);
-                            }
-                        }
-                    }
-                    let mut best = Vec::new();
-                    let engaged = m.update_incremental(
-                        &plan, &ctx, &dirty_rows, &row_src, &dirty_cols, &col_src, &mut best,
-                    );
-                    prop_assert!(engaged, "pass {}: delta update must engage", pass);
-                    fused_best = Some(best);
-                }
-            }
-
-            let m = kept.as_mut().unwrap();
-            prop_assert_eq!(m.rows(), fresh.rows());
-            prop_assert_eq!(m.cols(), fresh.cols());
-            for r in 0..fresh.rows() {
-                for c in 0..fresh.cols() {
-                    prop_assert_eq!(
-                        m.get(r, c).to_bits(),
-                        fresh.get(r, c).to_bits(),
-                        "pass {}: entry ({}, {}) diverged",
-                        pass, r, c
-                    );
-                }
-            }
-            let (mut kept_best, mut fresh_best) = (Vec::new(), Vec::new());
-            m.refill_best(&plan, &mut kept_best);
-            fresh.refill_best(&plan, &mut fresh_best);
-            prop_assert_eq!(best_bits(&kept_best), best_bits(&fresh_best), "pass {}", pass);
-            // The best cache the update fused into its sweep agrees with a
-            // standalone refill over the same matrix.
-            if let Some(fused) = &fused_best {
-                prop_assert_eq!(best_bits(fused), best_bits(&fresh_best), "pass {} (fused)", pass);
-            }
-
-            prev_rows.clear();
-            prev_rows.extend(plan.pms.iter().map(|p| p.id));
-            prev_cols.clear();
-            prev_cols.extend(plan.vms.iter().map(|v| v.id));
-        }
     }
 }

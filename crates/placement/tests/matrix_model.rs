@@ -1,23 +1,23 @@
 //! Model-based property tests for the planning fast path.
 //!
 //! Random plans and migration sequences pin the three invariants the
-//! optimizations must preserve (DESIGN.md §8):
+//! planners must preserve (DESIGN.md §8):
 //!
 //! 1. targeted recomputation (the rows/column Algorithm 1 touches) leaves
 //!    the matrix entry-for-entry bit-identical to a from-scratch build;
-//! 2. the class-cached fast kernel is bit-identical to the reference
-//!    kernel, including through the per-column `best_move_for` view;
-//! 3. a full `plan_on` pass — incremental matrix plus best-candidate
-//!    cache repair — emits exactly the moves a reference-kernel pass does.
+//! 2. the matrix and its per-column `best_move_for` view agree with
+//!    `factors::joint` evaluated entry by entry;
+//! 3. a full `plan_on` pass of the production (class-compressed) planner
+//!    emits exactly the moves the dense reference's pass does.
 
 use dvmp_cluster::pm::PmId;
 use dvmp_cluster::resources::ResourceVector;
 use dvmp_cluster::vm::VmId;
 use dvmp_placement::config::DynamicConfig;
-use dvmp_placement::factors::EvalContext;
-use dvmp_placement::matrix::{MatrixKernel, ProbabilityMatrix};
+use dvmp_placement::factors::{self, EvalContext};
+use dvmp_placement::matrix::ProbabilityMatrix;
 use dvmp_placement::plan::{PlanPm, PlanState, PlanVm};
-use dvmp_placement::DynamicPlacement;
+use dvmp_placement::{DenseReference, DynamicPlacement};
 use proptest::prelude::*;
 
 const MAX_VMS: usize = 10;
@@ -77,6 +77,47 @@ fn assert_same_entries(a: &ProbabilityMatrix, b: &ProbabilityMatrix, what: &str)
     }
 }
 
+/// Every entry evaluated straight through `factors::joint`, row-major.
+fn joint_grid(plan: &PlanState, ctx: &EvalContext<'_>) -> Vec<f64> {
+    let mut grid = Vec::new();
+    for (row, pm) in plan.pms.iter().enumerate() {
+        for vm in &plan.vms {
+            grid.push(factors::joint(
+                pm,
+                vm,
+                vm.host == row,
+                plan.eff_of(row),
+                ctx,
+                plan.now,
+            ));
+        }
+    }
+    grid
+}
+
+/// The per-column best move over a `joint_grid`: the largest normalized
+/// entry on a non-host row, lowest row on ties.
+fn grid_best(plan: &PlanState, grid: &[f64], col: usize) -> Option<(usize, u64)> {
+    let cols = plan.vms.len();
+    let host = plan.vms[col].host;
+    let pc = grid[host * cols + col];
+    let mut best: Option<(usize, f64)> = None;
+    for row in (0..plan.pms.len()).filter(|&r| r != host) {
+        let p = grid[row * cols + col];
+        let d = if pc > 0.0 {
+            p / pc
+        } else if p > 0.0 {
+            f64::INFINITY
+        } else {
+            0.0
+        };
+        if d > 0.0 && best.map_or(true, |(_, bd)| d > bd) {
+            best = Some((row, d));
+        }
+    }
+    best.map(|(r, d)| (r, d.to_bits()))
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
@@ -93,8 +134,6 @@ proptest! {
         let cfg = DynamicConfig::default();
         let ctx = EvalContext::new(&cfg);
         let mut fast = ProbabilityMatrix::build(&plan, &ctx);
-        let mut reference =
-            ProbabilityMatrix::build_with_kernel(&plan, &ctx, MatrixKernel::Reference);
 
         for &(rc, rr) in &moves {
             let col = rc as usize % plan.vms.len();
@@ -105,23 +144,28 @@ proptest! {
                 continue;
             }
             let (from, to) = plan.apply_migration(col, to);
-            for m in [&mut fast, &mut reference] {
-                m.recompute_row(&plan, &ctx, from);
-                m.recompute_row(&plan, &ctx, to);
-                m.recompute_col(&plan, &ctx, col);
+            fast.recompute_row(&plan, &ctx, from);
+            fast.recompute_row(&plan, &ctx, to);
+            fast.recompute_col(&plan, &ctx, col);
+            // Invariant 1: incremental == fresh.
+            let fresh = ProbabilityMatrix::build(&plan, &ctx);
+            assert_same_entries(&fast, &fresh, "incremental vs fresh");
+            // Invariant 2: the matrix == per-entry `joint`, entries and
+            // best-move view.
+            let grid = joint_grid(&plan, &ctx);
+            for row in 0..fast.rows() {
+                for c in 0..fast.cols() {
+                    prop_assert_eq!(
+                        fast.get(row, c).to_bits(),
+                        grid[row * fast.cols() + c].to_bits(),
+                        "entry ({}, {})", row, c
+                    );
+                }
             }
-            // Invariant 1: incremental == fresh, per kernel.
-            let fresh_fast = ProbabilityMatrix::build(&plan, &ctx);
-            let fresh_ref =
-                ProbabilityMatrix::build_with_kernel(&plan, &ctx, MatrixKernel::Reference);
-            assert_same_entries(&fast, &fresh_fast, "incremental fast vs fresh fast");
-            assert_same_entries(&reference, &fresh_ref, "incremental ref vs fresh ref");
-            // Invariant 2: fast == reference, entries and best-move view.
-            assert_same_entries(&fast, &reference, "fast vs reference");
             for c in 0..fast.cols() {
                 prop_assert_eq!(
                     fast.best_move_for(&plan, c).map(|(r, d)| (r, d.to_bits())),
-                    fresh_ref.best_move_for(&plan, c).map(|(r, d)| (r, d.to_bits())),
+                    grid_best(&plan, &grid, c),
                     "best move for column {}", c
                 );
             }
@@ -137,10 +181,10 @@ proptest! {
     ) {
         let plan = build_plan(&hosts, &cores, &mems, &remainings);
         prop_assume!(!plan.vms.is_empty());
-        // Pinned to the dense planner, whose matrix the two kernels fill.
-        let mut fast_policy = DynamicPlacement::dense_reference(DynamicConfig::default());
-        let mut ref_policy = DynamicPlacement::dense_reference(DynamicConfig::default())
-            .with_kernel(MatrixKernel::Reference);
+        // The production planner (one-shot compressed) vs the dense
+        // reference over the same explicit plan.
+        let mut fast_policy = DynamicPlacement::paper_default();
+        let mut ref_policy = DenseReference::new(DynamicConfig::default());
         let mut plan_fast = plan.clone();
         let mut plan_ref = plan;
         let fast_moves = fast_policy.plan_on(&mut plan_fast);

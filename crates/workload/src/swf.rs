@@ -45,6 +45,9 @@ impl std::fmt::Display for SwfError {
 
 impl std::error::Error for SwfError {}
 
+/// `2^64` as an `f64`: the first value a `u64` field cannot hold.
+const U64_LIMIT: f64 = 18_446_744_073_709_551_616.0;
+
 fn parse_line(line: &str, lineno: usize) -> Result<Option<Job>, SwfError> {
     let line = line.trim();
     if line.is_empty() || line.starts_with(';') {
@@ -57,52 +60,66 @@ fn parse_line(line: &str, lineno: usize) -> Result<Option<Job>, SwfError> {
             message: format!("expected at least 11 fields, found {}", fields.len()),
         });
     }
-    let num = |i: usize| -> Result<i64, SwfError> {
-        fields[i]
+    let err = |i: usize, what: &str| SwfError {
+        line: lineno,
+        message: format!("field {} ({:?}): {what}", i + 1, fields[i]),
+    };
+    // Every field is read as a finite number; fractions truncate.
+    let num = |i: usize| -> Result<f64, SwfError> {
+        let v = fields[i]
             .parse::<f64>()
-            .map(|v| v as i64)
-            .map_err(|e| SwfError {
-                line: lineno,
-                message: format!("field {} ({:?}): {e}", i + 1, fields[i]),
-            })
+            .map_err(|e| err(i, &e.to_string()))?;
+        if v.is_finite() {
+            Ok(v.trunc())
+        } else {
+            Err(err(i, "not a finite number"))
+        }
+    };
+    // A non-negative count or duration: negatives (the archive's −1 for
+    // "unknown") read as 0, values past `u64` are errors.
+    let count = |i: usize| -> Result<u64, SwfError> {
+        let v = num(i)?;
+        if v >= U64_LIMIT {
+            return Err(err(i, "out of range for u64"));
+        }
+        Ok(v.max(0.0) as u64)
     };
 
-    let id = num(0)?;
-    let submit = num(1)?.max(0) as u64;
-    let runtime = num(3)?.max(0) as u64;
-    let alloc_procs = num(4)?;
-    let used_mem_kb_per_proc = num(6)?;
-    let req_procs = num(7)?;
-    let req_time = num(8)?.max(0) as u64;
-    let req_mem = num(9)?;
+    let id = count(0)?;
+    let submit = count(1)?;
+    let runtime = count(3)?;
+    let req_time = count(8)?;
     let status = num(10)?;
+    if status.abs() >= U64_LIMIT / 2.0 {
+        return Err(err(10, "out of range for i64"));
+    }
 
-    let cores = if alloc_procs > 0 {
-        alloc_procs as u32
-    } else if req_procs > 0 {
-        req_procs as u32
-    } else {
-        0
+    // Processors: allocated, else requested, else unknown (0).
+    let procs = if num(4)? > 0.0 { 4 } else { 7 };
+    let cores = match u32::try_from(count(procs)?) {
+        Ok(cores) => cores,
+        Err(_) => return Err(err(procs, "out of range for u32")),
     };
     // Memory fields are KB per processor; −1 means unknown. Fall back from
     // used to requested.
-    let mem_kb_per_proc = if used_mem_kb_per_proc > 0 {
-        used_mem_kb_per_proc
-    } else if req_mem > 0 {
-        req_mem
-    } else {
-        0
-    };
-    let memory_mib = (mem_kb_per_proc as u64 / 1_024) * cores.max(1) as u64;
+    let mem_field = if num(6)? > 0.0 { 6 } else { 9 };
+    let memory_mib = (count(mem_field)? / 1_024)
+        .checked_mul(u64::from(cores.max(1)))
+        .ok_or_else(|| {
+            err(
+                mem_field,
+                "total memory (per processor × processors) overflows u64",
+            )
+        })?;
 
     Ok(Some(Job {
-        id: id.max(0) as u64,
+        id,
         submit: SimTime::from_secs(submit),
         runtime: SimDuration::from_secs(runtime),
         cores,
         memory_mib,
         requested_runtime: SimDuration::from_secs(req_time),
-        status: JobStatus::from_swf(status),
+        status: JobStatus::from_swf(status as i64),
     }))
 }
 
@@ -250,6 +267,116 @@ mod tests {
             assert_eq!(a.requested_runtime, b.requested_runtime);
             // Memory round-trips up to the KiB→MiB truncation.
             assert_eq!(a.memory_mib, b.memory_mib);
+        }
+    }
+
+    /// An 11-field data line with `value` in 1-based field `field`.
+    fn line_with(field: usize, value: &str) -> String {
+        let mut fields = ["1", "0", "0", "10", "4", "-1", "1024", "4", "10", "-1", "1"];
+        fields[field - 1] = value;
+        fields.join(" ") + "\n"
+    }
+
+    fn error_for(field: usize, value: &str) -> SwfError {
+        let err = parse_swf(&format!("; header\n{}", line_with(field, value)))
+            .expect_err("out-of-range field must be rejected");
+        assert_eq!(err.line, 2, "{err}");
+        assert!(err.message.contains(&format!("field {field}")), "{err}");
+        err
+    }
+
+    #[test]
+    fn rejects_non_finite_fields() {
+        for value in ["NaN", "inf", "-inf"] {
+            let err = error_for(2, value);
+            assert!(err.message.contains("finite"), "{err}");
+        }
+        error_for(5, "NaN");
+        error_for(7, "inf");
+    }
+
+    #[test]
+    fn rejects_fields_past_their_type() {
+        // Submit, run and requested time and the job number are u64.
+        for field in [1, 2, 4, 9] {
+            let err = error_for(field, "1e300");
+            assert!(err.message.contains("u64"), "{err}");
+        }
+        // Processors are u32: 2^32 + 1 must not truncate to 1.
+        let err = error_for(5, "4294967297");
+        assert!(err.message.contains("u32"), "{err}");
+        let err = parse_swf("1 0 0 10 -1 -1 1024 4294967297 10 -1 1\n").unwrap_err();
+        assert!(err.message.contains("field 8"), "{err}");
+        error_for(11, "1e30");
+    }
+
+    #[test]
+    fn rejects_an_overflowing_memory_product() {
+        // ~8.8e15 MiB per processor × 2^32 − 1 processors overflows u64.
+        let err = parse_swf("1 0 0 10 4294967295 -1 9000000000000000000 1 10 -1 1\n").unwrap_err();
+        assert!(err.message.contains("field 7"), "{err}");
+        assert!(err.message.contains("overflows"), "{err}");
+        // The largest representable values still parse.
+        let jobs = parse_swf("1 0 0 10 4294967295 -1 1024 1 10 -1 1\n").unwrap();
+        assert_eq!(
+            (jobs[0].cores, jobs[0].memory_mib),
+            (u32::MAX, u64::from(u32::MAX))
+        );
+    }
+
+    /// Field values the arbitrary-line property mixes in: the archive's
+    /// "unknown", boundaries of every target type, non-finite values and
+    /// garbage.
+    const SPECIAL_FIELDS: [&str; 11] = [
+        "-1",
+        "0",
+        "NaN",
+        "inf",
+        "-inf",
+        "1e300",
+        "-1e300",
+        "4294967297",
+        "18446744073709551616",
+        "x",
+        "1.5e3",
+    ];
+
+    mod props {
+        use super::*;
+        use proptest::prelude::*;
+
+        proptest! {
+            /// Arbitrary data lines never panic the reader, and every line
+            /// it accepts yields exactly the fields it reads: truncated,
+            /// non-negative, in range.
+            #[test]
+            fn arbitrary_lines_never_panic(
+                fields in prop::collection::vec(
+                    prop_oneof![
+                        (-1e6f64..1e6).prop_map(|v| v.to_string()),
+                        any::<u64>().prop_map(|v| v.to_string()),
+                        (0usize..SPECIAL_FIELDS.len()).prop_map(|i| SPECIAL_FIELDS[i].to_string()),
+                    ],
+                    11..19,
+                )
+            ) {
+                let line = fields.join(" ");
+                if let Ok(jobs) = parse_swf(&line) {
+                    prop_assert_eq!(jobs.len(), 1);
+                    let job = &jobs[0];
+                    let read = |i: usize| fields[i].parse::<f64>().expect("accepted field").trunc();
+                    let as_count = |v: f64| v.max(0.0) as u64;
+                    prop_assert_eq!(job.id, as_count(read(0)));
+                    prop_assert_eq!(job.submit.as_secs(), as_count(read(1)));
+                    prop_assert_eq!(job.runtime.as_secs(), as_count(read(3)));
+                    prop_assert_eq!(job.requested_runtime.as_secs(), as_count(read(8)));
+                    let procs = if read(4) > 0.0 { read(4) } else { read(7) };
+                    prop_assert_eq!(f64::from(job.cores), procs.max(0.0));
+                    let kb = if read(6) > 0.0 { read(6) } else { read(9) };
+                    let expected = u128::from(as_count(kb) / 1_024) * u128::from(job.cores.max(1));
+                    prop_assert_eq!(u128::from(job.memory_mib), expected);
+                }
+            }
         }
     }
 

@@ -107,3 +107,41 @@ fn regional_cost_breakdown_matches_total() {
     assert!((sum - total_cost(&report, &topology)).abs() < 1e-9);
     assert!(regional.iter().all(|&c| c >= 0.0));
 }
+
+/// The report as JSON without its attachment sections (`meta` carries
+/// host details; `obs` and `timeseries` are opt-in telemetry).
+fn core_json(mut report: RunReport) -> String {
+    report.meta = None;
+    report.obs = None;
+    report.timeseries = None;
+    serde_json::to_string(&report).expect("report serializes")
+}
+
+#[test]
+fn keyed_factors_run_identically_on_the_dense_reference() {
+    // The two-region week under spare control with both region-keyed
+    // factors: the production planner (tables evaluated per pass, rebuilt
+    // when a tariff steps) and the dense reference (factors evaluated per
+    // entry) must produce the same report.
+    let (fleet, topology) = dvmp_geo::topology::two_region_paper_fleet(8);
+    let topology = Arc::new(topology);
+    let trace = SyntheticGenerator::new(LpcProfile::light(), 42).generate();
+    let mut sim = SimConfig::default();
+    sim.seed = 42;
+    sim.power_groups = Some(topology.power_groups());
+    let scenario = Scenario::from_trace("geo-week", fleet, &trace, sim);
+    let price = Arc::new(PriceFactor::new(topology.clone()));
+    let wan = Arc::new(WanPenaltyFactor::new(topology.clone(), 0.6));
+    let production = scenario.run(Box::new(
+        DynamicPlacement::paper_default()
+            .with_factor(price.clone())
+            .with_factor(wan.clone()),
+    ));
+    assert!(production.total_migrations > 0, "the week must migrate");
+    let reference = scenario.run(Box::new(
+        DenseReference::new(DynamicConfig::default())
+            .with_factor(price)
+            .with_factor(wan),
+    ));
+    assert_eq!(core_json(production), core_json(reference));
+}

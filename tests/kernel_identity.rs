@@ -25,9 +25,7 @@ fn assert_kernels_agree(scenario: Scenario) {
     );
     assert_eq!(
         core_json(auto),
-        core_json(scenario.run(Box::new(DynamicPlacement::dense_reference(
-            DynamicConfig::default()
-        ))))
+        core_json(scenario.run(Box::new(DenseReference::new(DynamicConfig::default()))))
     );
 }
 

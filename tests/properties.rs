@@ -13,10 +13,10 @@ use dvmp_placement::ProbabilityMatrix;
 use proptest::prelude::*;
 use std::collections::BTreeMap;
 
-/// The dense reference planner with its fleet-delta journal dropped: no
-/// pass has a journal to extend the previous matrix from, so every pass
-/// rebuilds it from scratch — the fresh-rebuild reference the incremental
-/// update must match.
+/// The production planner with its fleet-delta journal dropped: no pass
+/// has a journal to patch its compressed mirror from, so every pass
+/// rebuilds it from the view — the fresh-rebuild twin the journal-driven
+/// patch must match.
 struct FreshRebuild(DynamicPlacement);
 
 impl PlacementPolicy for FreshRebuild {
@@ -37,9 +37,9 @@ impl PlacementPolicy for FreshRebuild {
     }
 }
 
-/// The dense reference planner (journal-driven incremental updates).
-fn dense() -> DynamicPlacement {
-    DynamicPlacement::dense_reference(DynamicConfig::default())
+/// The dense reference planner (full matrix rebuilt every pass).
+fn dense() -> DenseReference {
+    DenseReference::new(DynamicConfig::default())
 }
 
 /// A hostile dynamic policy: places like first-fit, but answers every
@@ -192,6 +192,86 @@ proptest! {
         dc.assert_consistent();
     }
 
+    /// The `p^eff` ablation plans on one constant level: with `use_eff`
+    /// off (and `use_vir` / `use_rel` randomly off too) the production
+    /// planner proposes exactly the dense reference's moves and
+    /// placements on random small fleets.
+    #[test]
+    fn eff_ablation_planner_matches_the_dense_reference(
+        fleet in arb_fleet(),
+        loads in arb_loads(24),
+        switches in 0u8..4,
+        threshold in 1.0f64..1.06,
+        now_s in 0u64..5_000,
+        new_mem in 128u64..2_048,
+        new_est in 60u64..200_000,
+    ) {
+        let mut dc = fleet;
+        let vms = populate(&mut dc, &loads);
+        let cfg = DynamicConfig {
+            use_eff: false,
+            use_vir: switches & 1 == 1,
+            use_rel: switches & 2 == 2,
+            mig_threshold: threshold,
+            ..DynamicConfig::default()
+        };
+        let view = PlacementView { dc: &dc, vms: &vms, now: SimTime::from_secs(now_s) };
+        let mut production = DynamicPlacement::new(cfg.clone());
+        let mut reference = DenseReference::new(cfg);
+        prop_assert_eq!(
+            production.plan_migrations(&view),
+            reference.plan_migrations(&view)
+        );
+        let spec = VmSpec::exact(
+            VmId(10_000),
+            view.now,
+            ResourceVector::cpu_mem(1, new_mem),
+            SimDuration::from_secs(new_est),
+        );
+        prop_assert_eq!(production.place(&view, &spec), reference.place(&view, &spec));
+    }
+
+    /// Eq. 3 never migrates a doomed VM: one whose remaining time cannot
+    /// cover the overheads a move to its destination charges (`T_cre +
+    /// T_mig` as printed, `T_mig` alone under `OverheadMode::Split`) has
+    /// `p^vir = 0` on every other row, so the production planner never
+    /// proposes it.
+    #[test]
+    fn doomed_vms_are_never_migrated(
+        fleet in arb_fleet(),
+        loads in arb_loads(24),
+        split in any::<bool>(),
+        threshold in 1.0f64..1.2,
+        now_s in 0u64..3_000,
+    ) {
+        let mut dc = fleet;
+        let vms = populate(&mut dc, &loads);
+        let mode = if split { OverheadMode::Split } else { OverheadMode::PaperJoint };
+        let cfg = DynamicConfig {
+            overhead_mode: mode,
+            mig_threshold: threshold,
+            ..DynamicConfig::default()
+        };
+        let now = SimTime::from_secs(now_s);
+        let view = PlacementView { dc: &dc, vms: &vms, now };
+        let moves = DynamicPlacement::new(cfg).plan_migrations(&view);
+        for m in &moves {
+            let remaining = vms[&m.vm].estimated_remaining(now).as_secs();
+            let class = &dc.pm(m.to).class;
+            let charged = match mode {
+                OverheadMode::PaperJoint => {
+                    class.creation_time.as_secs() + class.migration_time.as_secs()
+                }
+                OverheadMode::Split => class.migration_time.as_secs(),
+            };
+            prop_assert!(
+                remaining > charged,
+                "{} with {} s left moved to {} charging {} s",
+                m.vm, remaining, m.to, charged
+            );
+        }
+    }
+
     /// The probability matrix is always within [0, 1], exactly 1-normalized
     /// on host rows, and targeted row/column refreshes agree with a full
     /// rebuild after any single migration.
@@ -331,9 +411,9 @@ proptest! {
     /// request stream plus a random resize history (grows, shrinks,
     /// no-ops, resizes aimed at queued or departed VMs), optionally under
     /// random overbooking ratios, produces bit-identical reports whether
-    /// the dynamic scheme plans on the dense or the class-compressed
-    /// kernel, incrementally or with per-interval fresh rebuilds — and
-    /// the checked-mode oracle stays clean in all four runs.
+    /// the dynamic scheme plans on the dense reference or the
+    /// class-compressed planner, journal-driven or with per-pass fresh
+    /// rebuilds — and the checked-mode oracle stays clean in every run.
     #[test]
     fn elastic_histories_are_kernel_and_planner_invariant(
         seeds in prop::collection::vec(any::<u32>(), 4..16),
@@ -400,7 +480,7 @@ proptest! {
 
         let base_json = serde_json::to_string(&base).expect("report serializes");
         let others: [(&str, Box<dyn PlacementPolicy>); 2] = [
-            ("fresh rebuild", Box::new(FreshRebuild(dense()))),
+            ("fresh rebuild", Box::new(FreshRebuild(DynamicPlacement::paper_default()))),
             ("default", Box::new(DynamicPlacement::paper_default())),
         ];
         for (label, policy) in others {
@@ -469,7 +549,7 @@ proptest! {
             class_tolerance: tolerance,
             ..DynamicConfig::default()
         };
-        let run = |policy: DynamicPlacement| {
+        let run = |policy: Box<dyn PlacementPolicy>| {
             let fleet = FleetBuilder::new()
                 .add_class(PmClass::paper_fast(), 3, 0.99)
                 .add_class(PmClass::paper_slow(), 3, 0.95)
@@ -481,14 +561,14 @@ proptest! {
             let scenario = Scenario::new("hetero-prop", fleet, requests.clone(), sim)
                 .with_reliability(model)
                 .with_resize_requests(resizes.clone());
-            scenario.run(Box::new(policy))
+            scenario.run(policy)
         };
 
-        let base = run(DynamicPlacement::dense_reference(cfg.clone()));
+        let base = run(Box::new(DenseReference::new(cfg.clone())));
         let oracle = base.oracle.as_ref().expect("checked run attaches a summary");
         prop_assert!(oracle.is_clean(), "{}", oracle.render());
         let base_json = serde_json::to_string(&base).expect("report serializes");
-        let other = run(DynamicPlacement::new(cfg));
+        let other = run(Box::new(DynamicPlacement::new(cfg)));
         let other_oracle = other.oracle.as_ref().expect("checked");
         prop_assert!(other_oracle.is_clean(), "{}", other_oracle.render());
         let other_json = serde_json::to_string(&other).expect("report serializes");
