@@ -699,4 +699,108 @@ mod tests {
         assert_eq!(back.name, spec.name);
         assert_eq!(back.seed, spec.seed);
     }
+
+    mod props {
+        use super::*;
+        use proptest::prelude::*;
+
+        /// Valid specs covering every top-level block, the seeds of the
+        /// byte mutations below.
+        const VALID: [&str; 4] = [
+            MINIMAL,
+            r#"{
+                "name": "custom",
+                "fleet": [
+                    { "preset": "custom", "count": 3, "name": "big",
+                      "cores": 16, "memory_mib": 32768,
+                      "active_w": 700.0, "idle_w": 350.0 },
+                    { "preset": "paper_slow", "count": 2, "reliability": 0.9 }
+                ],
+                "workload": { "profile": "light", "days": 1 },
+                "policy": { "kind": "dynamic", "mig_threshold": 1.2, "mig_round": 5,
+                            "class_tolerance": 0.01, "capacity_basis": "virtual" },
+                "seed": 7
+            }"#,
+            r#"{
+                "name": "elastic",
+                "workload": { "profile": "light", "days": 1 },
+                "policy": { "kind": "dynamic" },
+                "overbook": { "cpu_pct": 150, "mem_pct": 120 },
+                "elasticity": "moderate",
+                "all_machines_on": true
+            }"#,
+            r#"{
+                "name": "w",
+                "workload": { "profile": "scaled", "pms": 10000 },
+                "policy": { "kind": "dynamic" },
+                "seed": 42
+            }"#,
+        ];
+
+        /// Characters JSON is made of, so random text often gets past the
+        /// first token.
+        const JSONISH: &[u8] = b"{}[]\":,.-+eE0123456789 \n\tabcdefnlrstuwyz\\";
+
+        /// One byte edit: `(op, position, byte)` — overwrite, delete,
+        /// insert, or duplicate the tail from `position`.
+        fn mutate(text: &mut Vec<u8>, (op, pos, byte): (u8, u32, u8)) {
+            if text.is_empty() {
+                text.push(byte);
+                return;
+            }
+            let at = pos as usize % text.len();
+            match op % 4 {
+                0 => text[at] = byte,
+                1 => {
+                    text.remove(at);
+                }
+                2 => text.insert(at, byte),
+                _ => {
+                    let tail = text[at..].to_vec();
+                    text.extend_from_slice(&tail);
+                }
+            }
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(512))]
+
+            /// The spec loader answers any text with `Ok` or `Err` and
+            /// never panics: arbitrary bytes, JSON-alphabet noise and valid
+            /// specs with a few bytes overwritten, dropped, inserted or
+            /// duplicated. An accepted spec has passed validation.
+            #[test]
+            fn from_json_never_panics(
+                seed in 0usize..VALID.len(),
+                edits in prop::collection::vec((any::<u8>(), any::<u32>(), any::<u8>()), 1..6),
+                noise in prop::collection::vec(any::<u8>(), 0..160),
+                jsonish in any::<bool>(),
+            ) {
+                let mut mutated = VALID[seed].as_bytes().to_vec();
+                for &(op, pos, byte) in &edits {
+                    let byte = if jsonish { JSONISH[usize::from(byte) % JSONISH.len()] } else { byte };
+                    mutate(&mut mutated, (op, pos, byte));
+                }
+                let garbage: Vec<u8> = if jsonish {
+                    noise.iter().map(|&b| JSONISH[usize::from(b) % JSONISH.len()]).collect()
+                } else {
+                    noise
+                };
+                for bytes in [mutated, garbage] {
+                    let text = String::from_utf8_lossy(&bytes);
+                    if let Ok(spec) = ScenarioSpec::from_json(&text) {
+                        prop_assert!(spec.workload.days >= 1);
+                        prop_assert!(spec.validate().is_ok());
+                    }
+                }
+            }
+        }
+
+        #[test]
+        fn mutation_seeds_are_valid() {
+            for text in VALID {
+                assert!(ScenarioSpec::from_json(text).is_ok(), "{text}");
+            }
+        }
+    }
 }

@@ -100,14 +100,38 @@
 //! `max(dbar_max, pending_max) ≤ MIG_threshold` (O(1)); else scan every
 //! column once, folding `pending` into its `dbar`, exactly refreshing the
 //! exceeders and re-deriving `hmin` and the maxima; only if a genuine
-//! exceeder survives does the pass materialize per-column exact bests and
-//! run Algorithm 1's round loop — whose winner scan, tie-breaks and repair
-//! heuristics mirror the dense definition operation-for-operation, so the
-//! proposed migration sequence is bit-identical. A looser bound cannot
-//! change the moves: the output depends only on whether some column's
-//! *exact* score exceeds `MIG_threshold`, and both the early exit and the
-//! exceeder refresh are decided against valid upper bounds, so any valid
-//! bound yields the same plan — a loose one costs only an extra scan.
+//! exceeder survives does the pass run Algorithm 1's round loop. A looser
+//! bound cannot change the moves: the output depends only on whether some
+//! column's *exact* score exceeds `MIG_threshold`, and both the early exit
+//! and the exceeder refresh are decided against valid upper bounds, so any
+//! valid bound yields the same plan — a loose one costs only an extra scan.
+//!
+//! ## The lazy round loop
+//!
+//! Each round moves the argmax of [`CompressedPlanner::exact_best`] over
+//! every column (ties to the lowest rank: `VmId`, or plan index in a
+//! one-shot plan) — history-free, the definition the dense reference
+//! runs — but computes it only where the bounds leave a doubt. A column
+//! is *exact* (best row and score known) or *inexact* (`dbar` bounds its
+//! score), always with `dbar ≥ exact`. The loop enters with the stage-2
+//! bounds as they are: the exceeders exact, every other column inexact at
+//! a bound `≤ MIG_threshold` (a one-shot plan enters every column at
+//! `∞`). A round is one flat pass that skips a column whose bound is
+//! `≤ max(MIG_threshold, leader)` (an equal bound loses on rank) and
+//! computes `exact_best` only for an inexact survivor. After a move
+//! `from → to`:
+//!
+//! - the moved column and every column hosted on `from`/`to` (whose `H`
+//!   changed) become inexact at `∞`;
+//! - any other column's score changed only at `from`/`to`, where it is at
+//!   most `move_cap[d] / H(host)` — the largest `p^rel·level_eff` the two
+//!   rows now offer demand `d`, over the host's `H`. Its bound is raised
+//!   to that, and it becomes inexact if its exact best pointed at
+//!   `from`/`to` or if the cap reaches its bound (`>=`: a vacated row
+//!   that ties the cached best at a lower row must win the tie).
+//!
+//! The next round's pass folds the move into each column as it reaches
+//! it. When the loop ends its bounds leave as `dbar`.
 //!
 //! The planner's own hypothetical row mutations (and any divergence from
 //! the simulator skipping a proposed move, or the double-reservation
@@ -154,6 +178,8 @@ pub(crate) const MAX_LEVEL: u64 = INFEASIBLE as u64 - 1;
 const DENSE_VM_IDS: usize = (1 << 24) - 1;
 /// Flat-table sentinel: the VM has no column.
 const NO_COL: u32 = u32::MAX;
+/// Round-loop sentinel: the column's `dbar` is a bound, not its exact best.
+const INEXACT: u32 = u32::MAX;
 
 /// `cap / h`: the largest score a bucket capped at `cap` can give a
 /// column hosted where `H = h` — ∞ when `h ≤ 0`, `-∞` when no cap is
@@ -460,8 +486,19 @@ pub(crate) struct CompressedPlanner {
     // Patch and round-loop scratch, reused across passes.
     reread_cols: Vec<VmId>,
     rescore_cols: Vec<VmId>,
+    /// Stage-2 columns whose exact score exceeds `MIG_threshold`, with
+    /// their exact best row: the round loop starts them exact.
+    exceeders: Vec<(u32, u32)>,
     rem: Vec<u64>,
-    best: Vec<Option<(u32, f64)>>,
+    /// Round loop: each column's exact best row, or [`INEXACT`] while its
+    /// `dbar` is only a bound.
+    best_row: Vec<u32>,
+    /// Round loop: per demand slot, the largest `p^rel·level_eff` the last
+    /// move's two rows offer (`-∞`: neither fits it).
+    move_cap: Vec<f64>,
+    /// `exact_best` calls per round of the last round loop.
+    #[cfg(test)]
+    round_evals: Vec<u32>,
 }
 
 impl CompressedPlanner {
@@ -879,23 +916,6 @@ impl CompressedPlanner {
         Some(&self.sclasses[self.rows[host].sclass as usize].keys)
     }
 
-    /// The raw probability of row `row` for column `c` (0.0 when
-    /// infeasible) — element-identical to the dense entry.
-    #[inline]
-    fn probe_p(&self, row: usize, c: usize, rem: u64, cfg: &DynamicConfig) -> f64 {
-        let r = &self.rows[row];
-        if !r.active {
-            return 0.0;
-        }
-        let w = self.row_w[row * self.stride + self.cols[c].demand as usize];
-        if w == INFEASIBLE {
-            return 0.0;
-        }
-        let sc = &self.sclasses[r.sclass as usize];
-        let va = Self::mig_va(sc, rem, cfg);
-        self.level_p(sc, w as usize, va, self.host_keys(c), cfg)
-    }
-
     /// The exact best move for column `c`: the same `(max d, lowest row)`
     /// the dense `best_move_for` scan finds, via the level buckets.
     fn exact_best(&self, c: usize, rem: u64, cfg: &DynamicConfig) -> Option<(u32, f64)> {
@@ -1043,11 +1063,12 @@ impl CompressedPlanner {
     }
 
     /// Sets column `c`'s bound to its exact best score at `now` and
-    /// returns it. Every column whose host's `H` changed passes through
-    /// here, which is what keeps `hmin` a lower bound.
-    fn refresh_bound(&mut self, c: usize, now: SimTime, cfg: &DynamicConfig) -> f64 {
+    /// returns its exact best move. Every column whose host's `H` changed
+    /// passes through here, which is what keeps `hmin` a lower bound.
+    fn refresh_bound(&mut self, c: usize, now: SimTime, cfg: &DynamicConfig) -> Option<(u32, f64)> {
         let rem = self.cols[c].deadline.saturating_since(now).as_secs();
-        let d = self.exact_best(c, rem, cfg).map_or(0.0, |(_, d)| d);
+        let best = self.exact_best(c, rem, cfg);
+        let d = best.map_or(0.0, |(_, d)| d);
         let col = &mut self.cols[c];
         col.dbar = d;
         self.dbar_max = self.dbar_max.max(d);
@@ -1056,7 +1077,7 @@ impl CompressedPlanner {
             self.hmin[dm] = h;
             self.pending_max = self.pending_max.max(cap_over(self.pending[dm], h));
         }
-        d
+        best
     }
 
     /// Clears every pending cap, once the caller has folded them into the
@@ -1270,6 +1291,19 @@ impl CompressedPlanner {
         );
     }
 
+    /// The largest entry a row of superclass `sc` at level `w` can give any
+    /// column, before the divide by the column's host `H`:
+    /// `p^rel·level_eff[w]` (`p^vir ≤ 1`, every factor is `≤ 1`, and float
+    /// rounding is monotone, so no computed score exceeds it).
+    fn level_cap(sc: &SuperClass, w: usize, cfg: &DynamicConfig) -> f64 {
+        let rel_cap = if cfg.use_rel { sc.rel } else { 1.0 };
+        if cfg.use_eff {
+            rel_cap * sc.entry.level_eff[w]
+        } else {
+            rel_cap
+        }
+    }
+
     /// Folds the buckets touched since the last patch into `pending`, then
     /// clears the touched list. O(touched buckets): the columns themselves
     /// only see the raise through [`effective_bound`](Self::effective_bound)
@@ -1282,14 +1316,7 @@ impl CompressedPlanner {
             let Some(top) = bucket.top() else {
                 continue;
             };
-            let sc = &self.sclasses[s];
-            let rel_cap = if cfg.use_rel { sc.rel } else { 1.0 };
-            let level_cap = if cfg.use_eff {
-                rel_cap * sc.entry.level_eff[top]
-            } else {
-                rel_cap
-            };
-            let cap = self.pending[d].max(level_cap);
+            let cap = self.pending[d].max(Self::level_cap(&self.sclasses[s], top, cfg));
             self.pending[d] = cap;
             self.pending_max = self.pending_max.max(cap_over(cap, self.hmin[d]));
         }
@@ -1360,13 +1387,17 @@ impl CompressedPlanner {
         // Stage 2: fold the pending caps into every column, exactly
         // refresh the exceeders at the current instant, and re-derive the
         // running maximum and `hmin` from scratch on the way.
-        let mut any = false;
+        self.exceeders.clear();
         self.dbar_max = f64::NEG_INFINITY;
         self.hmin.fill(f64::INFINITY);
         for c in 0..self.cols.len() {
             let bound = self.effective_bound(c);
             if bound > thr {
-                any |= self.refresh_bound(c, view.now, cfg) > thr;
+                if let Some((row, d)) = self.refresh_bound(c, view.now, cfg) {
+                    if d > thr {
+                        self.exceeders.push((c as u32, row));
+                    }
+                }
             } else {
                 let col = &mut self.cols[c];
                 col.dbar = bound;
@@ -1376,7 +1407,7 @@ impl CompressedPlanner {
             }
         }
         self.reset_pending();
-        if !any {
+        if self.exceeders.is_empty() {
             return (Vec::new(), false);
         }
         // Stage 3: a genuine winner exists — run Algorithm 1's rounds.
@@ -1386,9 +1417,16 @@ impl CompressedPlanner {
         self.run_rounds(cfg, rem_of, None)
     }
 
-    /// Algorithm 1's migration rounds with the per-column best cache and
-    /// its repair heuristics, mirrored from the dense definition. Returns the
-    /// move batch and whether the round cap stopped it.
+    /// Algorithm 1's migration rounds as a lazy exact search: each round
+    /// moves the argmax of [`exact_best`](Self::exact_best) over every
+    /// column (ties to the lowest rank), but computes it only for a column
+    /// whose bound `dbar` could still beat the leader. Returns the move
+    /// batch and whether the round cap stopped it.
+    ///
+    /// A column is *exact* (`best_row` holds its best row, `dbar` its
+    /// score) or *inexact* (`dbar` only bounds its score). The stage-2
+    /// exceeders enter exact, every other column enters inexact with its
+    /// stage-2 bound; a one-shot plan's columns enter at `∞`.
     fn run_rounds(
         &mut self,
         cfg: &DynamicConfig,
@@ -1397,35 +1435,71 @@ impl CompressedPlanner {
     ) -> (Vec<Migration>, bool) {
         let n = self.cols.len();
         let mut rem = std::mem::take(&mut self.rem);
-        let mut best = std::mem::take(&mut self.best);
+        let mut best_row = std::mem::take(&mut self.best_row);
+        let mut move_cap = std::mem::take(&mut self.move_cap);
         rem.clear();
-        best.clear();
-        for c in 0..n {
-            rem.push(rem_of(&self.cols, c));
+        rem.extend((0..n).map(|c| rem_of(&self.cols, c)));
+        best_row.clear();
+        best_row.resize(n, INEXACT);
+        for &(c, row) in &self.exceeders {
+            best_row[c as usize] = row;
         }
-        for (c, &r) in rem.iter().enumerate() {
-            best.push(self.exact_best(c, r, cfg));
-        }
+        self.exceeders.clear();
+        #[cfg(test)]
+        self.round_evals.clear();
         // Equal scores go to the column the dense definition meets first: the
         // lowest `VmId` (persistent columns sit in no particular order), or
         // the lowest plan index for a one-shot plan.
         let one_shot = plan.is_some();
         let rank = |cols: &[Col], c: usize| if one_shot { c as u32 } else { cols[c].id.0 };
+        let thr = cfg.mig_threshold;
         let mut moves = Vec::new();
         let mut capped = true;
+        // The previous round's move `(column, from, to)`, which the next
+        // pass over the columns folds into their bounds.
+        let mut last: Option<(usize, u32, u32)> = None;
         for _round in 0..cfg.mig_round {
+            #[cfg(test)]
+            let mut evals = 0u32;
             let mut winner: Option<(usize, u32, f64)> = None;
-            for (c, entry) in best.iter().enumerate() {
-                if let Some((row, d)) = *entry {
-                    if d > cfg.mig_threshold
-                        && winner.map_or(true, |(wc, _, wd)| {
-                            d > wd || (d == wd && rank(&self.cols, c) < rank(&self.cols, wc))
-                        })
+            for c in 0..n {
+                if let Some(mv) = last {
+                    self.settle(c, mv, &move_cap, &mut best_row);
+                }
+                // Skip a column whose bound cannot beat the leader (an
+                // equal bound loses on rank) or the threshold.
+                let bound = self.cols[c].dbar;
+                if bound <= thr
+                    || winner.is_some_and(|(wc, _, wd)| {
+                        bound < wd || (bound == wd && rank(&self.cols, c) > rank(&self.cols, wc))
+                    })
+                {
+                    continue;
+                }
+                if best_row[c] == INEXACT {
+                    #[cfg(test)]
                     {
-                        winner = Some((c, row, d));
+                        evals += 1;
                     }
+                    let best = self.exact_best(c, rem[c], cfg);
+                    self.cols[c].dbar = best.map_or(0.0, |(_, d)| d);
+                    let Some((row, _)) = best else { continue };
+                    best_row[c] = row;
+                }
+                let d = self.cols[c].dbar;
+                if d > thr
+                    && winner.map_or(true, |(wc, _, wd)| {
+                        d > wd || (d == wd && rank(&self.cols, c) < rank(&self.cols, wc))
+                    })
+                {
+                    winner = Some((c, best_row[c], d));
                 }
             }
+            last = None;
+            #[cfg(test)]
+            self.round_evals.push(evals);
+            #[cfg(debug_assertions)]
+            self.assert_round_winner(winner, &rem, &best_row, cfg, rank);
             let Some((col, to, _d)) = winner else {
                 capped = false;
                 break;
@@ -1457,43 +1531,31 @@ impl CompressedPlanner {
                 from: self.row_ids[from],
                 to: self.row_ids[to],
             });
-
-            // Repair the per-column cache (mirrors the dense repair loop,
-            // including its zero-entry skip).
-            for c in 0..n {
-                let host = self.cols[c].host as usize;
-                let needs_rescan = c == col
-                    || host == from
-                    || host == to
-                    || best[c].is_some_and(|(r, _)| r as usize == from || r as usize == to);
-                if needs_rescan {
-                    best[c] = self.exact_best(c, rem[c], cfg);
-                } else {
-                    for row in [from, to] {
-                        if row == host {
-                            continue;
-                        }
-                        let p = self.probe_p(row, c, rem[c], cfg);
-                        if p <= 0.0 {
-                            continue;
-                        }
-                        let h = self.rows[host].h;
-                        let d = if h > 0.0 { p / h } else { f64::INFINITY };
-                        if d > 0.0 && best[c].map_or(true, |(_, bd)| d > bd) {
-                            best[c] = Some((row as u32, d));
-                        }
+            // What the two changed rows can now offer each demand.
+            move_cap.clear();
+            move_cap.resize(self.demands.len(), f64::NEG_INFINITY);
+            for row in [from, to] {
+                let sc = &self.sclasses[self.rows[row].sclass as usize];
+                let levels = &self.row_w[row * self.stride..][..move_cap.len()];
+                for (cap, &w) in move_cap.iter_mut().zip(levels) {
+                    if w != INFEASIBLE {
+                        *cap = cap.max(Self::level_cap(sc, w.into(), cfg));
                     }
                 }
             }
+            last = Some((col, from as u32, to as u32));
         }
-        // The exact bests become the carried bounds (nothing is pending
-        // past them), and the pass's own touches are re-read
-        // authoritatively next patch.
+        // Carry the bounds out as `dbar` (nothing is pending past them),
+        // folding in a last move the round cap left unsettled; the pass's
+        // own touches are re-read authoritatively next patch.
         self.dbar_max = f64::NEG_INFINITY;
         self.reset_pending();
         self.hmin.fill(f64::INFINITY);
-        for (col, b) in self.cols.iter_mut().zip(best.iter()) {
-            col.dbar = b.map_or(0.0, |(_, d)| d);
+        for c in 0..n {
+            if let Some(mv) = last {
+                self.settle(c, mv, &move_cap, &mut best_row);
+            }
+            let col = &self.cols[c];
             self.dbar_max = self.dbar_max.max(col.dbar);
             let hmin = &mut self.hmin[col.demand as usize];
             *hmin = hmin.min(self.rows[col.host as usize].h);
@@ -1503,8 +1565,89 @@ impl CompressedPlanner {
             self.self_dirty_vms.push(m.vm);
         }
         self.rem = rem;
-        self.best = best;
+        self.best_row = best_row;
+        self.move_cap = move_cap;
         (moves, capped)
+    }
+
+    /// Folds move `(moved, from, to)` into column `c`'s bound. The moved
+    /// column and every column hosted on `from`/`to` (their `H` changed)
+    /// start over at `∞`. Any other column's score changed only at
+    /// `from`/`to`, where it is at most `move_cap[d] / H(host)`: a column
+    /// whose best pointed there, or whose best that cap reaches, becomes
+    /// inexact (`>=`, so a tie at a lower row is re-evaluated too) with
+    /// its bound raised to the cap.
+    #[inline]
+    fn settle(
+        &mut self,
+        c: usize,
+        (moved, from, to): (usize, u32, u32),
+        move_cap: &[f64],
+        best_row: &mut [u32],
+    ) {
+        let col = &mut self.cols[c];
+        if c == moved || col.host == from || col.host == to {
+            col.dbar = f64::INFINITY;
+            best_row[c] = INEXACT;
+            return;
+        }
+        let raise = cap_over(
+            move_cap[col.demand as usize],
+            self.rows[col.host as usize].h,
+        );
+        if raise >= col.dbar {
+            col.dbar = raise;
+            best_row[c] = INEXACT;
+        } else if best_row[c] == from || best_row[c] == to {
+            best_row[c] = INEXACT;
+        }
+    }
+
+    /// Checked mode: a round's winner is the argmax of `exact_best` over
+    /// every column (ties to the lowest rank), every bound dominates its
+    /// exact score and every exact column holds its exact best.
+    #[cfg(debug_assertions)]
+    fn assert_round_winner(
+        &self,
+        winner: Option<(usize, u32, f64)>,
+        rem: &[u64],
+        best_row: &[u32],
+        cfg: &DynamicConfig,
+        rank: impl Fn(&[Col], usize) -> u32,
+    ) {
+        let mut expected: Option<(usize, u32, f64)> = None;
+        for c in 0..self.cols.len() {
+            let exact = self.exact_best(c, rem[c], cfg);
+            let d = exact.map_or(0.0, |(_, d)| d);
+            assert!(
+                self.cols[c].dbar >= d,
+                "round loop: vm {:?} bound {} below its exact score {d}",
+                self.cols[c].id,
+                self.cols[c].dbar
+            );
+            if best_row[c] != INEXACT {
+                assert_eq!(
+                    exact.map(|(r, d)| (r, d.to_bits())),
+                    Some((best_row[c], self.cols[c].dbar.to_bits())),
+                    "round loop: vm {:?} holds a stale exact best",
+                    self.cols[c].id
+                );
+            }
+            if let Some((row, d)) = exact {
+                if d > cfg.mig_threshold
+                    && expected.map_or(true, |(ec, _, ed)| {
+                        d > ed || (d == ed && rank(&self.cols, c) < rank(&self.cols, ec))
+                    })
+                {
+                    expected = Some((c, row, d));
+                }
+            }
+        }
+        assert_eq!(
+            winner.map(|(c, r, d)| (c, r, d.to_bits())),
+            expected.map(|(c, r, d)| (c, r, d.to_bits())),
+            "round loop: winner is not the argmax of exact_best"
+        );
     }
 
     /// New-arrival placement (the Section III-C column), with the dense
@@ -2542,6 +2685,87 @@ mod tests {
         assert!(!moves.is_empty(), "the tied VMs consolidate");
         assert_eq!(moves[0].vm, VmId(2), "lowest id wins the tie");
         assert_eq!(dense.plan(later), moves);
+    }
+
+    #[test]
+    fn round_loop_evaluates_only_columns_that_can_win() {
+        // 64 full fast PMs, one with 7 of 8 slots taken and one hosting a
+        // lone VM: 520 columns, one of which (the lone VM) exceeds the
+        // threshold. A round may compute `exact_best` only for the
+        // exceeders, the columns the previous move re-hosted or moved
+        // (those on its `from`/`to`), and one more — never for every
+        // column, as an eager best cache does on entry.
+        let full = 64u32;
+        let mut dc = FleetBuilder::new()
+            .add_class(PmClass::paper_fast(), full as usize + 2, 0.99)
+            .initially_on(true)
+            .build();
+        let mut vms = BTreeMap::new();
+        let mut id = 1;
+        for (pm, count) in (0..full)
+            .map(|pm| (pm, 8))
+            .chain([(full, 7), (full + 1, 1)])
+        {
+            for _ in 0..count {
+                install(
+                    &mut dc,
+                    &mut vms,
+                    spec(id, 512, 100_000 + u64::from(id)),
+                    PmId(pm),
+                    SimTime::ZERO,
+                );
+                id += 1;
+            }
+        }
+        let view = PlacementView {
+            dc: &dc,
+            vms: &vms,
+            now: SimTime::ZERO,
+        };
+        let cfg = DynamicConfig::default();
+        let plan = PlanState::from_view(&view, &cfg.min_vm);
+        let matrix =
+            crate::matrix::ProbabilityMatrix::build(&plan, &crate::factors::EvalContext::new(&cfg));
+        let exceeders = (0..plan.vms.len())
+            .filter(|&c| {
+                matrix
+                    .best_move_for(&plan, c)
+                    .is_some_and(|(_, d)| d > cfg.mig_threshold)
+            })
+            .count();
+        assert_eq!(exceeders, 1);
+
+        let mut policy = comp();
+        let moves = policy.plan_migrations(&view);
+        assert_eq!(moves, dense().plan_migrations(&view));
+        assert_eq!(
+            moves,
+            vec![Migration {
+                vm: VmId(id - 1),
+                from: PmId(full + 1),
+                to: PmId(full),
+            }]
+        );
+        let evals = &policy.planner().round_evals;
+        assert_eq!(
+            evals.len(),
+            moves.len() + 1,
+            "one scan per move plus the last"
+        );
+        let mut host: BTreeMap<VmId, PmId> =
+            vms.keys().map(|&v| (v, dc.host_of(v).unwrap())).collect();
+        let mut budget = exceeders + 1;
+        for (round, &n) in evals.iter().enumerate() {
+            assert!(
+                n as usize <= budget,
+                "round {round}: {n} exact evaluations over a budget of {budget}"
+            );
+            if let Some(m) = moves.get(round) {
+                host.insert(m.vm, m.to);
+                let on_ends = host.values().filter(|&&h| h == m.from || h == m.to).count();
+                budget = exceeders + on_ends + 1;
+            }
+        }
     }
 
     #[test]

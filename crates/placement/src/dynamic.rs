@@ -206,8 +206,6 @@ impl PlacementPolicy for DynamicPlacement {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::factors::EvalContext;
-    use crate::matrix::ProbabilityMatrix;
     use crate::policy::testutil::*;
     use crate::reference::DenseReference;
     use dvmp_cluster::vm::VmId;
@@ -533,67 +531,46 @@ mod tests {
         assert!(production.total_migrations() > 0);
     }
 
-    /// Algorithm 1 with no repair heuristics at all: every round rebuilds
-    /// the per-column candidate list with a full `best_move_for` scan. The
-    /// production repair loop must reproduce this move-for-move.
-    fn naive_plan(cfg: &DynamicConfig, plan: &mut PlanState) -> Vec<Migration> {
-        let ctx = EvalContext::new(cfg);
-        let mut matrix = ProbabilityMatrix::build(plan, &ctx);
-        let mut moves = Vec::new();
-        for _ in 0..cfg.mig_round {
-            let mut winner: Option<(usize, usize, f64)> = None;
-            for col in 0..plan.vms.len() {
-                if let Some((row, d)) = matrix.best_move_for(plan, col) {
-                    if d > cfg.mig_threshold && winner.map_or(true, |(_, _, wd)| d > wd) {
-                        winner = Some((col, row, d));
-                    }
-                }
-            }
-            let Some((col, to_row, _)) = winner else {
-                break;
-            };
-            let vm = plan.vms[col].id;
-            let (from_row, to_row) = plan.apply_migration(col, to_row);
-            moves.push(Migration {
-                vm,
-                from: plan.pms[from_row].id,
-                to: plan.pms[to_row].id,
-            });
-            matrix.recompute_row(plan, &ctx, from_row);
-            matrix.recompute_row(plan, &ctx, to_row);
-            matrix.recompute_col(plan, &ctx, col);
-        }
-        moves
-    }
-
     #[test]
     fn repair_heuristics_match_naive_full_rescan() {
-        // Fragmented, stressed and mixed fleets: the cached-best repair
-        // (including its zero-entry skip) must yield exactly the naive
-        // planner's migration sequence on each.
-        let shapes: [&[u32]; 3] = [
-            &[0, 1, 2, 3],
-            &[0, 1, 2, 3, 0, 1, 2, 3, 0, 1],
-            &[2, 3, 2, 3, 1],
+        // Fragmented, stressed and mixed fleets, plus a tie: the production
+        // round loop must yield exactly the definition's migration sequence
+        // on each — the dense reference's `plan_on`, which rescans every
+        // column's `best_move_for` each round.
+        let uniform = |hosts: &[u32]| -> Vec<(u32, u64, u64)> {
+            let spaced = |(i, &pm): (usize, &u32)| (pm, 512, 150_000 + i as u64 * 3_000);
+            hosts.iter().enumerate().map(spaced).collect()
+        };
+        // `(fast PMs, slow PMs, VMs as (host, MiB, estimated secs))`.
+        let shapes = [
+            (2, 2, uniform(&[0, 1, 2, 3])),
+            (2, 2, uniform(&[0, 1, 2, 3, 0, 1, 2, 3, 0, 1])),
+            (2, 2, uniform(&[2, 3, 2, 3, 1])),
+            // Rounds 2–3 move two VMs off full slow PM 4, which rises to
+            // tie slow PM 5 for VM 4 (same superclass, same level); the
+            // lower row must win the tie, as in a full rescan.
+            (3, 3, TIE_SHAPE.to_vec()),
         ];
-        for (shape_no, shape) in shapes.iter().enumerate() {
-            let mut dc = small_fleet();
+        for (shape_no, (fast, slow, shape)) in shapes.iter().enumerate() {
+            let mut dc = dvmp_cluster::datacenter::FleetBuilder::new()
+                .add_class(dvmp_cluster::pm::PmClass::paper_fast(), *fast, 0.99)
+                .add_class(dvmp_cluster::pm::PmClass::paper_slow(), *slow, 0.95)
+                .initially_on(true)
+                .build();
             let mut vms = BTreeMap::new();
-            for (i, pm) in shape.iter().enumerate() {
+            for (i, &(pm, mem, est)) in shape.iter().enumerate() {
                 install(
                     &mut dc,
                     &mut vms,
-                    spec(i as u32 + 1, 512, 150_000 + i as u64 * 3_000),
-                    PmId(*pm),
+                    spec(i as u32 + 1, mem, est),
+                    PmId(pm),
                     SimTime::ZERO,
                 );
             }
-            let cfg = DynamicConfig::default();
             let view = view_of(&dc, &vms, 0);
-            let mut plan = PlanState::from_view(&view, &cfg.min_vm);
-            let expected = naive_plan(&cfg, &mut plan);
-            // Both repair loops: the dense reference's and the compressed
-            // mirror of it that the default policy runs.
+            let mut plan = PlanState::from_view(&view, &DynamicConfig::default().min_vm);
+            let expected = dense().plan_on(&mut plan);
+            assert!(!expected.is_empty(), "shape {shape_no} plans nothing");
             let policies: [(&str, Box<dyn PlacementPolicy>); 2] = [
                 ("dense", Box::new(dense())),
                 ("default", Box::new(DynamicPlacement::paper_default())),
@@ -602,11 +579,31 @@ mod tests {
                 assert_eq!(
                     policy.plan_migrations(&view),
                     expected,
-                    "shape {shape_no}: {kernel} repair loop diverged from full rescan"
+                    "shape {shape_no}: {kernel} round loop diverged from full rescan"
                 );
             }
         }
     }
+
+    /// A 3 fast + 3 slow fleet on which the round loop meets a tie at a
+    /// row a move vacated: see `repair_heuristics_match_naive_full_rescan`.
+    const TIE_SHAPE: [(u32, u64, u64); 15] = [
+        (4, 256, 197_324),
+        (2, 1024, 8_909),
+        (1, 256, 193_111),
+        (1, 1024, 99_604),
+        (4, 1024, 123_529),
+        (3, 2048, 125_867),
+        (3, 2048, 87_194),
+        (2, 2048, 31_577),
+        (4, 512, 175_543),
+        (5, 1024, 190_410),
+        (4, 1024, 54_229),
+        (1, 1024, 32_396),
+        (2, 2048, 53_242),
+        (2, 2048, 28_464),
+        (5, 1024, 91_348),
+    ];
 
     #[test]
     fn incremental_pass_matches_full_rebuild_planner() {

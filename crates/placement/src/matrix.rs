@@ -112,33 +112,6 @@ impl ProbabilityMatrix {
         }
         best
     }
-
-    /// Refills the per-column best-move cache (`best[col]` =
-    /// [`best_move_for`](Self::best_move_for)`(col)`) in one row-major
-    /// sweep over the matrix instead of N column-strided scans.
-    /// Element-wise identical to the per-column scan: rows are visited in
-    /// ascending order, so the strict `>` update keeps the same lowest-row
-    /// tie-break, and skipped entries (`p <= 0`) are exactly those the
-    /// per-column scan rejects with `d == 0`.
-    pub fn refill_best(&self, plan: &PlanState, best: &mut Vec<Option<(usize, f64)>>) {
-        let cols = self.cols;
-        best.clear();
-        best.resize(cols, None);
-        for row in 0..self.rows {
-            let prow = &self.p[row * cols..][..cols];
-            for (col, (&pv, slot)) in prow.iter().zip(best.iter_mut()).enumerate() {
-                let host = plan.vms[col].host;
-                if host == row || pv <= 0.0 {
-                    continue;
-                }
-                let pc = self.get(host, col);
-                let d = if pc > 0.0 { pv / pc } else { f64::INFINITY };
-                if d > 0.0 && slot.map_or(true, |(_, bd)| d > bd) {
-                    *slot = Some((row, d));
-                }
-            }
-        }
-    }
 }
 
 #[cfg(test)]
@@ -378,23 +351,6 @@ mod tests {
         let plan = PlanState::from_view(&view, &cfg.min_vm);
         let m = ProbabilityMatrix::build(&plan, &EvalContext::new(&cfg));
         assert!(m.best_move_for(&plan, 0).is_none());
-    }
-
-    #[test]
-    fn refill_best_matches_per_column_scan() {
-        let (plan, cfg) = build_fixture();
-        let ctx = EvalContext::new(&cfg);
-        let m = ProbabilityMatrix::build(&plan, &ctx);
-        let mut bulk = Vec::new();
-        m.refill_best(&plan, &mut bulk);
-        assert_eq!(bulk.len(), m.cols());
-        for (col, b) in bulk.iter().enumerate() {
-            assert_eq!(
-                b.map(|(r, d)| (r, d.to_bits())),
-                m.best_move_for(&plan, col).map(|(r, d)| (r, d.to_bits())),
-                "column {col}"
-            );
-        }
     }
 
     #[test]

@@ -70,10 +70,13 @@ impl DenseReference {
         plan
     }
 
-    /// Algorithm 1 against an explicit plan state: build the matrix, cache
-    /// each column's best candidate, then take the largest normalized
-    /// entry above `MIG_threshold` round by round, refreshing the two
-    /// touched rows and the moved column and repairing the cache.
+    /// Algorithm 1 against an explicit plan state, straight from its
+    /// definition: build the matrix, then each round move the largest
+    /// normalized entry above `MIG_threshold` — the argmax of
+    /// [`best_move_for`](ProbabilityMatrix::best_move_for) over every
+    /// column, ties to the lowest column — and refresh the two touched
+    /// rows and the moved column. No per-column cache carries a best from
+    /// one round to the next.
     pub fn plan_on(&mut self, plan: &mut PlanState) -> Vec<Migration> {
         if plan.vms.is_empty() || plan.pms.len() < 2 {
             return Vec::new();
@@ -82,15 +85,12 @@ impl DenseReference {
         let ctx = EvalContext::with_extras(cfg, &self.extras);
         let mut matrix = ProbabilityMatrix::build(plan, &ctx);
         dvmp_obs::note_plan_kernel_fresh(plan.pms.len() as u64, plan.vms.len() as u64);
-        let mut best = Vec::new();
-        matrix.refill_best(plan, &mut best);
 
         let mut moves = Vec::new();
         for _round in 0..cfg.mig_round {
-            // Global argmax over the cached per-column bests.
             let mut winner: Option<(usize, usize, f64)> = None;
-            for (col, entry) in best.iter().enumerate() {
-                if let Some((row, d)) = *entry {
+            for col in 0..plan.vms.len() {
+                if let Some((row, d)) = matrix.best_move_for(plan, col) {
                     if d > cfg.mig_threshold && winner.map_or(true, |(_, _, wd)| d > wd) {
                         winner = Some((col, row, d));
                     }
@@ -107,36 +107,9 @@ impl DenseReference {
                 from: plan.pms[from_row].id,
                 to: plan.pms[to_row].id,
             });
-
-            // Targeted refresh: the two touched PM rows and the moved column.
             matrix.recompute_row(plan, &ctx, from_row);
             matrix.recompute_row(plan, &ctx, to_row);
             matrix.recompute_col(plan, &ctx, col);
-
-            // Repair the per-column cache.
-            for (c, entry) in best.iter_mut().enumerate() {
-                let host = plan.vms[c].host;
-                let needs_rescan = c == col
-                    || host == from_row
-                    || host == to_row
-                    || entry.is_some_and(|(r, _)| r == from_row || r == to_row);
-                if needs_rescan {
-                    *entry = matrix.best_move_for(plan, c);
-                } else {
-                    // Only rows from/to changed; see if either now beats the
-                    // cached best. An infeasible (or otherwise zero) entry
-                    // can never win, so it skips the normalization divide.
-                    for row in [from_row, to_row] {
-                        if row == host || matrix.get(row, c) <= 0.0 {
-                            continue;
-                        }
-                        let d = matrix.normalized(plan, row, c);
-                        if d > 0.0 && entry.map_or(true, |(_, bd)| d > bd) {
-                            *entry = Some((row, d));
-                        }
-                    }
-                }
-            }
         }
         self.total_migrations += moves.len() as u64;
         moves

@@ -6,12 +6,13 @@ use dvmp::prelude::*;
 use dvmp_cluster::datacenter::Datacenter;
 use dvmp_cluster::reliability::ReliabilityModel;
 use dvmp_cluster::vm::{Vm, VmState};
-use dvmp_placement::factors::EvalContext;
+use dvmp_placement::factors::{EvalContext, KeyedFactor};
 use dvmp_placement::plan::PlanState;
 use dvmp_placement::policy::PlacementView;
 use dvmp_placement::ProbabilityMatrix;
 use proptest::prelude::*;
 use std::collections::BTreeMap;
+use std::sync::Arc;
 
 /// The production planner with its fleet-delta journal dropped: no pass
 /// has a journal to patch its compressed mirror from, so every pass
@@ -144,6 +145,74 @@ fn populate(dc: &mut Datacenter, loads: &[(u8, u16, u32)]) -> BTreeMap<VmId, Vm>
         }
     }
     vms
+}
+
+/// A keyed extension factor for the differential tests: three zones
+/// (`PmId % 3`), moves across zones discounted by an amount that changes
+/// every simulated hour, new requests steered away from zone 2.
+#[derive(Debug)]
+struct ZoneFactor;
+
+impl KeyedFactor for ZoneFactor {
+    fn name(&self) -> &str {
+        "zone"
+    }
+    fn key_count(&self) -> u16 {
+        3
+    }
+    fn key(&self, pm: PmId) -> u16 {
+        (pm.0 % 3) as u16
+    }
+    fn factor(&self, from: Option<u16>, to: u16, now: SimTime) -> f64 {
+        match from {
+            Some(from) if from == to => 1.0,
+            Some(_) => 0.55 + 0.15 * ((u64::from(to) + now.hour_index()) % 4) as f64,
+            None if to == 2 => 0.7,
+            None => 1.0,
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// Every round moves the argmax of the definition over the current
+    /// state, ties included: on random small fleets whose VMs share a
+    /// few memory sizes (so equal scores at different rows are common),
+    /// with and without a keyed factor and `p^vir` (without it a score
+    /// can reach its bound exactly), the production planner's live
+    /// pass and its one-shot `plan_on` both propose exactly the dense
+    /// reference's moves.
+    #[test]
+    fn round_loop_matches_the_dense_reference_on_ties(
+        fleet in arb_fleet(),
+        loads in prop::collection::vec(
+            (any::<u8>(), (0u16..4).prop_map(|k| 256 << k), 120u32..200_000),
+            1..=28,
+        ),
+        keyed in any::<bool>(),
+        use_vir in any::<bool>(),
+        threshold in 1.0f64..1.3,
+        now_s in 0u64..20_000,
+    ) {
+        let mut dc = fleet;
+        let vms = populate(&mut dc, &loads);
+        let cfg = DynamicConfig { mig_threshold: threshold, use_vir, ..DynamicConfig::default() };
+        let mut production = DynamicPlacement::new(cfg.clone());
+        let mut reference = DenseReference::new(cfg.clone());
+        if keyed {
+            production = production.with_factor(Arc::new(ZoneFactor));
+            reference = reference.with_factor(Arc::new(ZoneFactor));
+        }
+        let view = PlacementView { dc: &dc, vms: &vms, now: SimTime::from_secs(now_s) };
+        prop_assert_eq!(
+            production.plan_migrations(&view),
+            reference.plan_migrations(&view)
+        );
+        let mut plan = PlanState::from_view(&view, &cfg.min_vm);
+        let mut dense_plan = plan.clone();
+        prop_assert_eq!(production.plan_on(&mut plan), reference.plan_on(&mut dense_plan));
+    }
 }
 
 proptest! {
