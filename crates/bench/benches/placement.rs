@@ -27,7 +27,7 @@ fn bench_matrix_build(c: &mut Criterion) {
             vms: &vms,
             now: SimTime::from_secs(1_000),
         };
-        let plan = PlanState::from_view(&view, &cfg.min_vm);
+        let plan = PlanState::from_view(&view, &cfg);
         group.bench_with_input(BenchmarkId::new("build", n), &n, |b, _| {
             b.iter(|| ProbabilityMatrix::build(&plan, &EvalContext::new(&cfg)));
         });
@@ -43,7 +43,7 @@ fn bench_incremental_row(c: &mut Criterion) {
         vms: &vms,
         now: SimTime::from_secs(1_000),
     };
-    let plan = PlanState::from_view(&view, &cfg.min_vm);
+    let plan = PlanState::from_view(&view, &cfg);
     let mut matrix = ProbabilityMatrix::build(&plan, &EvalContext::new(&cfg));
     c.bench_function("matrix_recompute_row_300vms", |b| {
         b.iter(|| matrix.recompute_row(&plan, &EvalContext::new(&cfg), 17));

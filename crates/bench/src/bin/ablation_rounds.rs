@@ -18,8 +18,8 @@ fn main() {
         args.seed
     );
     println!(
-        "{:>8} {:>12} {:>12} {:>12} {:>12} {:>10}",
-        "rounds", "energy kWh", "mean active", "migrations", "cap hits", "waited %"
+        "{:>8} {:>12} {:>12} {:>12} {:>10}",
+        "rounds", "energy kWh", "mean active", "migrations", "waited %"
     );
     for rounds in [1u32, 2, 5, 10, 20, 50] {
         let mut cfg = DynamicConfig::default();
@@ -27,12 +27,11 @@ fn main() {
         let policy = DynamicPlacement::new(cfg);
         let report = scenario.run(Box::new(policy));
         println!(
-            "{:>8} {:>12.1} {:>12.1} {:>12} {:>12} {:>10.2}",
+            "{:>8} {:>12.1} {:>12.1} {:>12} {:>10.2}",
             rounds,
             report.total_energy_kwh,
             report.mean_active_servers(),
             report.total_migrations,
-            "-", // cap-hit counter lives inside the consumed policy
             report.qos.waited_fraction * 100.0
         );
     }

@@ -11,10 +11,10 @@
 //! instantaneous power, powered-core utilization) and the simulator's hot
 //! scans (first off PM that fits, first available PM that fits, idle PMs in
 //! id order) used to be O(M) sweeps over `pms`. They are now answered from
-//! [`FleetStats`], an aggregate maintained *incrementally*: every mutation
+//! `FleetStats`, an aggregate maintained *incrementally*: every mutation
 //! path — the reservation methods here and arbitrary state edits through
 //! [`Datacenter::pm_mut`]'s drop guard — diffs the touched PM's
-//! [`PmFootprint`] before/after and applies the delta. `assert_consistent`
+//! `PmFootprint` before/after and applies the delta. `assert_consistent`
 //! (and therefore the checked-mode oracle's audits) recomputes the
 //! aggregate from scratch and compares, so drift is a caught invariant
 //! violation, not silent corruption.
@@ -304,7 +304,7 @@ impl Datacenter {
 
     /// Mutable access to a PM (state changes only; use the reservation
     /// methods below for occupancy so the VM index stays consistent). The
-    /// returned guard diffs the PM's [`PmFootprint`] on drop so the fleet
+    /// returned guard diffs the PM's `PmFootprint` on drop so the fleet
     /// aggregates stay exact under arbitrary edits.
     pub fn pm_mut(&mut self, id: PmId) -> PmMut<'_> {
         let idx = id.0 as usize;
@@ -516,9 +516,6 @@ impl Datacenter {
     /// restarts empty.
     pub fn take_fleet_delta(&mut self) -> FleetDelta {
         let delta = std::mem::take(&mut self.journal);
-        // The fresh journal continues the drained one's epoch so the
-        // mutation counter is monotonic across the fleet's whole life.
-        self.journal.inherit_epoch(&delta);
         if dvmp_obs::enabled() {
             dvmp_obs::note_journal_drained(if delta.is_full() {
                 None
@@ -578,8 +575,7 @@ impl Datacenter {
     /// VM has no reservation, has a migration in flight (two hosts), or
     /// the grow does not fit the host's virtual capacity; the fleet is
     /// unchanged on failure. A same-size resize is a true no-op: it
-    /// journals nothing and leaves the epoch untouched, so incremental
-    /// planners never recompute for it.
+    /// journals nothing, so incremental planners never recompute for it.
     pub fn resize_vm(&mut self, vm: VmId, new: ResourceVector) -> Result<ResourceVector, PmError> {
         let host = {
             let hosts = self.vm_index.get(&vm).ok_or(PmError::NotHosted(vm))?;
@@ -1152,7 +1148,6 @@ mod tests {
         let mut dc = on_fleet();
         dc.place(VmId(1), PmId(0), vm_demand()).unwrap();
         dc.take_fleet_delta();
-        let epoch_before = dc.fleet_delta().epoch();
 
         let old = dc
             .resize_vm(VmId(1), ResourceVector::cpu_mem(3, 2_048))
@@ -1163,7 +1158,6 @@ mod tests {
             Some(&ResourceVector::cpu_mem(3, 2_048))
         );
         let d = dc.take_fleet_delta();
-        assert!(d.epoch() > epoch_before, "a real resize bumps the epoch");
         assert_eq!(
             d.dirty_pms().iter().copied().collect::<Vec<_>>(),
             vec![PmId(0)],
@@ -1181,15 +1175,12 @@ mod tests {
         let mut dc = on_fleet();
         dc.place(VmId(1), PmId(0), vm_demand()).unwrap();
         dc.take_fleet_delta();
-        let epoch_before = dc.fleet_delta().epoch();
 
         let old = dc.resize_vm(VmId(1), vm_demand()).unwrap();
         assert_eq!(old, vm_demand());
-        assert!(dc.fleet_delta().is_empty(), "no-op resize dirties nothing");
-        assert_eq!(
-            dc.fleet_delta().epoch(),
-            epoch_before,
-            "no-op resize leaves the epoch untouched"
+        assert!(
+            dc.take_fleet_delta().is_empty(),
+            "no-op resize dirties nothing"
         );
         dc.assert_consistent();
     }

@@ -62,37 +62,20 @@ impl CapacityIndex {
         I: IntoIterator<Item = (bool, ResourceVector)>,
         I::IntoIter: ExactSizeIterator,
     {
-        let mut idx = CapacityIndex::default();
-        idx.refill(items);
-        idx
-    }
-
-    /// [`CapacityIndex::build`] into this index, reusing its node buffer.
-    /// Callers that rebuild every planning pass (the plan arena) allocate
-    /// nothing here once the buffer has reached the fleet's size.
-    pub fn refill<I>(&mut self, items: I)
-    where
-        I: IntoIterator<Item = (bool, ResourceVector)>,
-        I::IntoIter: ExactSizeIterator,
-    {
         let items = items.into_iter();
         let n = items.len();
-        self.n = n;
         if n == 0 {
-            self.size = 0;
-            self.nodes.clear();
-            return;
+            return CapacityIndex::default();
         }
         let size = n.next_power_of_two();
-        self.size = size;
-        self.nodes.clear();
-        self.nodes.resize(2 * size, Node::default());
+        let mut nodes = vec![Node::default(); 2 * size];
         for (i, (avail, headroom)) in items.enumerate() {
-            self.nodes[size + i] = Self::leaf(avail, &headroom);
+            nodes[size + i] = Self::leaf(avail, &headroom);
         }
         for i in (1..size).rev() {
-            self.nodes[i] = Node::join(self.nodes[2 * i], self.nodes[2 * i + 1]);
+            nodes[i] = Node::join(nodes[2 * i], nodes[2 * i + 1]);
         }
+        CapacityIndex { n, size, nodes }
     }
 
     fn leaf(avail: bool, headroom: &ResourceVector) -> Node {
@@ -123,33 +106,6 @@ impl CapacityIndex {
             i /= 2;
             self.nodes[i] = Node::join(self.nodes[2 * i], self.nodes[2 * i + 1]);
         }
-    }
-
-    /// Visits **every** available PM whose headroom covers `req`, in
-    /// ascending index order — the same indices, in the same order, that a
-    /// linear `filter(can_host)` scan would yield. Non-admitting subtrees
-    /// are pruned wholesale, so the cost is O(hits · log M) rather than
-    /// O(M); this is what lets a placement scheme enumerate only *feasible*
-    /// hosts per VM when the fleet is mostly full.
-    pub fn for_each_fit(&self, req: &ResourceVector, mut f: impl FnMut(usize)) {
-        if self.n == 0 {
-            return;
-        }
-        self.visit_fits(1, req, &mut f);
-    }
-
-    fn visit_fits(&self, i: usize, req: &ResourceVector, f: &mut impl FnMut(usize)) {
-        // Padding leaves (index >= n) are unavailable, so they can never
-        // admit and need no special casing.
-        if !self.nodes[i].admits(req) {
-            return;
-        }
-        if i >= self.size {
-            f(i - self.size);
-            return;
-        }
-        self.visit_fits(2 * i, req, f);
-        self.visit_fits(2 * i + 1, req, f);
     }
 
     /// Lowest index of an available PM whose headroom covers `req` in every
@@ -247,52 +203,6 @@ mod tests {
         assert_eq!(idx.first_fit(&rv(4, 1)), Some(2));
         idx.set(0, true, &rv(4, 4_096));
         assert_eq!(idx.first_fit(&rv(4, 1)), Some(0));
-    }
-
-    #[test]
-    fn for_each_fit_matches_linear_filter() {
-        let mut state = 0x9E37_79B9_7F4A_7C15u64;
-        let mut next = move || {
-            state ^= state << 13;
-            state ^= state >> 7;
-            state ^= state << 17;
-            state
-        };
-        let pms: Vec<(bool, ResourceVector)> = (0..53)
-            .map(|_| {
-                let avail = next() % 5 != 0;
-                (avail, rv(next() % 7, next() % 3_000))
-            })
-            .collect();
-        let idx = CapacityIndex::build(pms.clone());
-        for probe in 0..100u64 {
-            let req = rv(probe % 8, (probe * 53) % 3_500);
-            let brute: Vec<usize> = pms
-                .iter()
-                .enumerate()
-                .filter(|(_, (a, h))| *a && req.get(0) <= h.get(0) && req.get(1) <= h.get(1))
-                .map(|(i, _)| i)
-                .collect();
-            let mut visited = Vec::new();
-            idx.for_each_fit(&req, |i| visited.push(i));
-            assert_eq!(visited, brute, "probe {probe}");
-        }
-        // Empty index visits nothing.
-        CapacityIndex::default().for_each_fit(&rv(0, 0), |_| panic!("no leaves"));
-    }
-
-    #[test]
-    fn refill_reuses_buffer_and_matches_fresh_build() {
-        let mut idx = CapacityIndex::build(vec![(true, rv(4, 4_096)); 64]);
-        // Shrink, grow, and shrink-to-empty through the same index; each
-        // refill must be indistinguishable from a fresh build.
-        for n in [5usize, 64, 3, 100, 0, 7] {
-            let pms: Vec<(bool, ResourceVector)> = (0..n)
-                .map(|i| (i % 4 != 0, rv(i as u64 % 9, (i as u64 * 37) % 4_096)))
-                .collect();
-            idx.refill(pms.clone());
-            assert_eq!(idx, CapacityIndex::build(pms), "n = {n}");
-        }
     }
 
     #[test]

@@ -7,8 +7,8 @@
 //! `FleetStats`, so *every* mutation path — the reservation methods and
 //! arbitrary edits through `pm_mut`'s drop guard — is journaled or the
 //! journal is marked [`full`](FleetDelta::is_full). That conservation
-//! property is what lets `DynamicPlacement` keep its probability matrix
-//! alive across planning passes and recompute only the journaled rows and
+//! property is what lets `DynamicPlacement` keep its compressed planner
+//! alive across planning passes and re-read only the journaled rows and
 //! columns (DESIGN.md §8).
 //!
 //! The journal records *dirt*, not operations: a PM that changed five times
@@ -39,12 +39,6 @@ pub struct FleetDelta {
     /// deserialization (the wire carries no journal, so the consumer's
     /// snapshot provenance is unknown).
     full: bool,
-    /// Monotonic mutation counter: bumped on every recorded note (PM, VM
-    /// or full-degradation) and carried across drains by the owner, so two
-    /// journal observations can be ordered and a mutation that *should*
-    /// have journaled (e.g. a real resize) is detectable by an unchanged
-    /// epoch. A same-size no-op resize must leave it untouched.
-    epoch: u64,
 }
 
 impl FleetDelta {
@@ -57,14 +51,12 @@ impl FleetDelta {
     pub fn new_full() -> Self {
         FleetDelta {
             full: true,
-            epoch: 1,
             ..FleetDelta::default()
         }
     }
 
     /// Records a PM footprint change.
     pub fn note_pm(&mut self, id: PmId) {
-        self.epoch += 1;
         if self.full {
             return;
         }
@@ -77,7 +69,6 @@ impl FleetDelta {
 
     /// Records a VM placement / migration / resize / eviction / removal.
     pub fn note_vm(&mut self, id: VmId) {
-        self.epoch += 1;
         if self.full {
             return;
         }
@@ -90,7 +81,6 @@ impl FleetDelta {
 
     /// Degrades the journal to "everything is dirty", releasing the sets.
     pub fn mark_full(&mut self) {
-        self.epoch += 1;
         self.degrade();
     }
 
@@ -98,19 +88,6 @@ impl FleetDelta {
         self.full = true;
         self.dirty_pms.clear();
         self.dirty_vms.clear();
-    }
-
-    /// The mutation epoch: strictly increases with every recorded note.
-    pub fn epoch(&self) -> u64 {
-        self.epoch
-    }
-
-    /// Carries `predecessor`'s epoch into this (fresh) journal so the
-    /// counter stays monotonic across [`take_fleet_delta`] drains.
-    ///
-    /// [`take_fleet_delta`]: crate::datacenter::Datacenter::take_fleet_delta
-    pub fn inherit_epoch(&mut self, predecessor: &FleetDelta) {
-        self.epoch = self.epoch.max(predecessor.epoch);
     }
 
     /// `true` when consumers must treat every PM and VM as dirty.
@@ -141,11 +118,9 @@ impl FleetDelta {
     }
 
     /// Folds `other` into `self` (the union of the two dirt sets; full
-    /// absorbs everything; the epoch takes the maximum so it stays
-    /// monotonic). Used when two drains happen between planning passes —
-    /// dirt must accumulate, never be dropped.
+    /// absorbs everything). Used when two drains happen between planning
+    /// passes — dirt must accumulate, never be dropped.
     pub fn merge(&mut self, other: FleetDelta) {
-        self.epoch = self.epoch.max(other.epoch);
         if self.full {
             return;
         }
@@ -196,44 +171,6 @@ mod tests {
         j.note_vm(VmId(1));
         assert!(j.dirty_pms().is_empty(), "full journal tracks no ids");
         assert!(j.dirty_vms().is_empty());
-    }
-
-    #[test]
-    fn epoch_counts_every_note_and_survives_merge_and_inherit() {
-        let mut j = FleetDelta::new();
-        assert_eq!(j.epoch(), 0);
-        j.note_pm(PmId(1));
-        j.note_pm(PmId(1)); // same id: still a recorded mutation
-        j.note_vm(VmId(2));
-        assert_eq!(j.epoch(), 3);
-        j.mark_full();
-        assert_eq!(j.epoch(), 4);
-
-        let mut a = FleetDelta::new();
-        a.note_pm(PmId(0));
-        let mut b = FleetDelta::new();
-        b.note_vm(VmId(0));
-        b.note_vm(VmId(1));
-        a.merge(b);
-        assert!(a.epoch() >= 2, "merge keeps the maximum epoch");
-
-        // Drain-style inheritance: a fresh journal continues the count.
-        let drained = a.clone();
-        let mut fresh = FleetDelta::new();
-        fresh.inherit_epoch(&drained);
-        assert_eq!(fresh.epoch(), drained.epoch());
-        assert!(fresh.is_empty(), "inheriting the epoch carries no dirt");
-        fresh.note_pm(PmId(5));
-        assert!(fresh.epoch() > drained.epoch());
-    }
-
-    #[test]
-    fn full_journal_still_advances_epoch() {
-        let mut j = FleetDelta::new_full();
-        let e0 = j.epoch();
-        j.note_pm(PmId(1));
-        j.note_vm(VmId(1));
-        assert_eq!(j.epoch(), e0 + 2, "dirt is absorbed but mutations count");
     }
 
     #[test]

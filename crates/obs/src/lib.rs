@@ -342,8 +342,8 @@ pub fn note_compressed_patch(rows: u64, cols: u64) {
     }
 }
 
-/// A compressed pass's bound scan found a genuine threshold exceeder and
-/// entered Algorithm 1's round loop.
+/// A compressed pass found a genuine threshold exceeder: Algorithm 1's
+/// round loop moved at least one VM.
 #[inline]
 pub fn note_compressed_rounds_entered() {
     if enabled() {

@@ -13,7 +13,9 @@
 //! column: capacity, creation/migration overheads, relative power
 //! efficiency, reliability score and the PM's key under every registered
 //! [`KeyedFactor`]. PMs that diverge from their hardware class (e.g. a
-//! mutated reliability) simply get their own superclass. Every registry
+//! mutated reliability) simply get their own superclass. A row reads its
+//! PM through [`PlanPm::from_pm`] and [`eff_table`], the same definition
+//! the dense reference's rows are built from. Every registry
 //! grows on demand — superclasses, demand slots, Eq. 4 levels and the
 //! `VmId → column` table — so no fleet, workload or configuration leaves
 //! this planner. (A PM holding more than 65 534 minimum VMs, past the
@@ -41,8 +43,7 @@
 //!   `swap_remove` plus a `VmId → slot` table update, O(1). The round
 //!   loop's winner scan therefore breaks an exact tie in `d` by the
 //!   lowest `VmId` — the column the dense definition, whose columns are
-//!   `VmId`-sorted, meets first. A one-shot plan never removes columns
-//!   and ties by plan index, the dense order for that plan.
+//!   `VmId`-sorted, meets first.
 //!
 //! ## Keyed extension factors
 //!
@@ -97,29 +98,27 @@
 //! whose host's `H` changed passes through), and
 //! `pending_max ≥ max_d pending[d] / hmin[d]`; `dbar_max` covers the
 //! `dbar`s. A planning pass then reduces to: patch; exit if
-//! `max(dbar_max, pending_max) ≤ MIG_threshold` (O(1)); else scan every
-//! column once, folding `pending` into its `dbar`, exactly refreshing the
-//! exceeders and re-deriving `hmin` and the maxima; only if a genuine
-//! exceeder survives does the pass run Algorithm 1's round loop. A looser
-//! bound cannot change the moves: the output depends only on whether some
-//! column's *exact* score exceeds `MIG_threshold`, and both the early exit
-//! and the exceeder refresh are decided against valid upper bounds, so any
-//! valid bound yields the same plan — a loose one costs only an extra scan.
+//! `max(dbar_max, pending_max) ≤ MIG_threshold` (O(1)); else run
+//! Algorithm 1's round loop, whose first round folds `pending` into each
+//! column's `dbar` as it reaches the column. A looser bound cannot change
+//! the moves: every round's winner is decided on *exact* scores, and a
+//! bound only decides whether a column's exact score gets computed, so any
+//! valid bound yields the same plan — a loose one costs only an extra scan
+//! or an extra [`CompressedPlanner::exact_best`] call.
 //!
 //! ## The lazy round loop
 //!
 //! Each round moves the argmax of [`CompressedPlanner::exact_best`] over
-//! every column (ties to the lowest rank: `VmId`, or plan index in a
-//! one-shot plan) — history-free, the definition the dense reference
-//! runs — but computes it only where the bounds leave a doubt. A column
-//! is *exact* (best row and score known) or *inexact* (`dbar` bounds its
-//! score), always with `dbar ≥ exact`. The loop enters with the stage-2
-//! bounds as they are: the exceeders exact, every other column inexact at
-//! a bound `≤ MIG_threshold` (a one-shot plan enters every column at
-//! `∞`). A round is one flat pass that skips a column whose bound is
-//! `≤ max(MIG_threshold, leader)` (an equal bound loses on rank) and
-//! computes `exact_best` only for an inexact survivor. After a move
-//! `from → to`:
+//! every column (ties to the lowest `VmId`) — history-free, the definition
+//! the dense reference runs — but computes it only where the bounds leave
+//! a doubt. A column is *exact* (best row and score known) or *inexact*
+//! (`dbar` bounds its score), always with `dbar ≥ exact`. Every column
+//! enters inexact, and round 1's pass folds the pending caps into each
+//! `dbar` as it reaches the column. A round is one flat pass that skips a
+//! column whose bound is `≤ max(MIG_threshold, leader)` (an equal bound
+//! loses on `VmId`) and computes `exact_best` only for an inexact
+//! survivor. A move charges the destination's `T^mig` by pulling the
+//! moved column's deadline in. After a move `from → to`:
 //!
 //! - the moved column and every column hosted on `from`/`to` (whose `H`
 //!   changed) become inexact at `∞`;
@@ -131,14 +130,19 @@
 //!   that ties the cached best at a lower row must win the tie).
 //!
 //! The next round's pass folds the move into each column as it reaches
-//! it. When the loop ends its bounds leave as `dbar`.
+//! it. Every pass also re-derives `dbar_max` and `hmin` on the way. The
+//! round that ends the loop has no winner, so it computed every column
+//! whose bound exceeds `MIG_threshold` exactly and leaves
+//! `dbar_max ≤ MIG_threshold`: the next pass over an unchanged fleet stops
+//! at the O(1) check. Only a loop the round cap stopped makes one more
+//! pass, to fold its last move. The bounds leave as `dbar`.
 //!
-//! The planner's own hypothetical row mutations (and any divergence from
-//! the simulator skipping a proposed move, or the double-reservation
-//! window of an in-flight migration) are reconciled by re-reading the
-//! touched rows/VMs from the authoritative view at the next patch; bucket
-//! tops that rise in that reconciliation raise bounds through the normal
-//! trigger.
+//! The planner's own hypothetical row and deadline mutations (and any
+//! divergence from the simulator skipping a proposed move, or the
+//! double-reservation window of an in-flight migration) are reconciled by
+//! re-reading the touched rows/VMs from the authoritative view at the next
+//! patch; bucket tops that rise in that reconciliation raise bounds
+//! through the normal trigger.
 //!
 //! Resource vectors must share `min_vm`'s dimension count; a simulation
 //! whose fleet or requests do not is rejected when it is built
@@ -147,14 +151,13 @@
 use crate::config::DynamicConfig;
 use crate::factors::class_table::{self, ClassEntry};
 use crate::factors::{vir, KeyedFactor};
-use crate::plan::{PlanPm, PlanState};
+use crate::plan::{eff_table, PlanPm};
 use crate::policy::{Migration, PlacementView};
 use dvmp_cluster::pm::PmId;
-use dvmp_cluster::power::relative_efficiencies;
 use dvmp_cluster::resources::ResourceVector;
 use dvmp_cluster::vm::{VmId, VmSpec, VmState};
 use dvmp_cluster::FleetDelta;
-use dvmp_simcore::SimTime;
+use dvmp_simcore::{SimDuration, SimTime};
 use std::collections::{BTreeSet, HashMap};
 use std::sync::Arc;
 
@@ -180,6 +183,13 @@ const DENSE_VM_IDS: usize = (1 << 24) - 1;
 const NO_COL: u32 = u32::MAX;
 /// Round-loop sentinel: the column's `dbar` is a bound, not its exact best.
 const INEXACT: u32 = u32::MAX;
+
+/// `true` when a column `id` scoring `d` outranks the round's `leader`
+/// (its score and `VmId`): a higher score, or an equal one at a lower
+/// `VmId`.
+fn outranks(d: f64, id: VmId, leader: Option<(f64, VmId)>) -> bool {
+    leader.map_or(true, |(ld, lid)| d > ld || (d == ld && id < lid))
+}
 
 /// `cap / h`: the largest score a bucket capped at `cap` can give a
 /// column hosted where `H = h` — ∞ when `h ≤ 0`, `-∞` when no cap is
@@ -346,10 +356,13 @@ struct Col {
     deadline: SimTime,
     /// Upper bound on `max_r d(r, c)`; see the module docs.
     dbar: f64,
+    /// Round loop only: the exact best row, or [`INEXACT`] while `dbar`
+    /// only bounds the score.
+    best: u32,
 }
 
-/// Per-row state (indexed by `PmId.0` in persistent mode, by plan row in
-/// one-shot mode — both are ascending-id orders, preserving tie-breaks).
+/// Per-row state, indexed by `PmId.0` (ascending ids, the dense
+/// definition's row order, so tie-breaks on the lowest row agree).
 #[derive(Debug, Clone)]
 struct Row {
     active: bool,
@@ -421,8 +434,7 @@ impl ColSlots {
 #[derive(Debug, Clone, Default)]
 pub(crate) struct CompressedPlanner {
     /// `true` while the state mirrors the live fleet as of the last
-    /// consumed journal drain. An explicit-plan pass or a factor-table
-    /// change desyncs it.
+    /// consumed journal drain. A factor-table change desyncs it.
     synced: bool,
     /// Registered extension factors, applied after the built-in four.
     factors: Vec<Arc<dyn KeyedFactor>>,
@@ -459,8 +471,8 @@ pub(crate) struct CompressedPlanner {
     cols: Vec<Col>,
     col_slot: ColSlots,
     /// Upper bound on every column's `dbar`: raised with each bound,
-    /// recomputed exactly whenever a pass scans all columns, and left
-    /// stale-high by drops in between — so the stage-1 scan reads one
+    /// re-derived whenever a pass scans all columns, and left
+    /// stale-high by drops in between — so the bound check reads one
     /// value instead of every column.
     dbar_max: f64,
     /// Per demand slot: the largest `p^rel·level_eff[top]` of a bucket
@@ -486,17 +498,10 @@ pub(crate) struct CompressedPlanner {
     // Patch and round-loop scratch, reused across passes.
     reread_cols: Vec<VmId>,
     rescore_cols: Vec<VmId>,
-    /// Stage-2 columns whose exact score exceeds `MIG_threshold`, with
-    /// their exact best row: the round loop starts them exact.
-    exceeders: Vec<(u32, u32)>,
-    rem: Vec<u64>,
-    /// Round loop: each column's exact best row, or [`INEXACT`] while its
-    /// `dbar` is only a bound.
-    best_row: Vec<u32>,
     /// Round loop: per demand slot, the largest `p^rel·level_eff` the last
     /// move's two rows offer (`-∞`: neither fits it).
     move_cap: Vec<f64>,
-    /// `exact_best` calls per round of the last round loop.
+    /// `exact_best` calls per round of the last planning pass.
     #[cfg(test)]
     round_evals: Vec<u32>,
 }
@@ -535,12 +540,6 @@ impl CompressedPlanner {
     /// Per-PM rows currently active (powered, mirrored fleet members).
     pub(crate) fn active_row_count(&self) -> usize {
         self.active_rows
-    }
-
-    /// Marks the mirrored state stale; the next pass rebuilds from the
-    /// view instead of patching.
-    pub(crate) fn desync(&mut self) {
-        self.synced = false;
     }
 
     /// Occupied `(superclass, demand)` level buckets — how spread the
@@ -916,10 +915,12 @@ impl CompressedPlanner {
         Some(&self.sclasses[self.rows[host].sclass as usize].keys)
     }
 
-    /// The exact best move for column `c`: the same `(max d, lowest row)`
-    /// the dense `best_move_for` scan finds, via the level buckets.
-    fn exact_best(&self, c: usize, rem: u64, cfg: &DynamicConfig) -> Option<(u32, f64)> {
+    /// The exact best move for column `c` at `now`: the same
+    /// `(max d, lowest row)` the dense `best_move_for` scan finds, via the
+    /// level buckets.
+    fn exact_best(&self, c: usize, now: SimTime, cfg: &DynamicConfig) -> Option<(u32, f64)> {
         let col = &self.cols[c];
+        let rem = col.deadline.saturating_since(now).as_secs();
         let host = col.host as usize;
         let d_idx = col.demand as usize;
         let h = self.rows[host].h;
@@ -1000,12 +1001,7 @@ impl CompressedPlanner {
     }
 
     fn rebuild_all(&mut self, view: &PlacementView<'_>, cfg: &DynamicConfig) {
-        self.effs.clear();
-        self.effs.extend(
-            relative_efficiencies(view.dc.classes(), &cfg.min_vm)
-                .into_iter()
-                .map(|e| crate::config::quantize_score(e, cfg.class_tolerance)),
-        );
+        self.effs = eff_table(view.dc.classes(), cfg);
         let m = view.dc.pms().len();
         for b in &mut self.buckets {
             b.clear();
@@ -1030,8 +1026,7 @@ impl CompressedPlanner {
         self.snapshots_armed = false;
         for pm in view.dc.pms() {
             let r = pm.id.0 as usize;
-            let plan_pm = Self::plan_pm_of(pm, cfg);
-            self.sync_row(r, pm.is_available(), &plan_pm, cfg);
+            self.sync_row(r, pm.is_available(), &PlanPm::from_pm(pm, cfg), cfg);
         }
         for vm in view.vms.values() {
             match vm.state {
@@ -1045,6 +1040,7 @@ impl CompressedPlanner {
                             host: pm.0,
                             deadline: view.now + vm.estimated_remaining(view.now),
                             dbar: f64::INFINITY,
+                            best: INEXACT,
                         });
                     }
                 }
@@ -1062,13 +1058,11 @@ impl CompressedPlanner {
         }
     }
 
-    /// Sets column `c`'s bound to its exact best score at `now` and
-    /// returns its exact best move. Every column whose host's `H` changed
-    /// passes through here, which is what keeps `hmin` a lower bound.
-    fn refresh_bound(&mut self, c: usize, now: SimTime, cfg: &DynamicConfig) -> Option<(u32, f64)> {
-        let rem = self.cols[c].deadline.saturating_since(now).as_secs();
-        let best = self.exact_best(c, rem, cfg);
-        let d = best.map_or(0.0, |(_, d)| d);
+    /// Sets column `c`'s bound to its exact best score at `now`. Every
+    /// column whose host's `H` changed passes through here, which is what
+    /// keeps `hmin` a lower bound.
+    fn refresh_bound(&mut self, c: usize, now: SimTime, cfg: &DynamicConfig) {
+        let d = self.exact_best(c, now, cfg).map_or(0.0, |(_, d)| d);
         let col = &mut self.cols[c];
         col.dbar = d;
         self.dbar_max = self.dbar_max.max(d);
@@ -1077,7 +1071,6 @@ impl CompressedPlanner {
             self.hmin[dm] = h;
             self.pending_max = self.pending_max.max(cap_over(self.pending[dm], h));
         }
-        best
     }
 
     /// Clears every pending cap, once the caller has folded them into the
@@ -1088,32 +1081,14 @@ impl CompressedPlanner {
     }
 
     /// Column `c`'s effective bound: its `dbar`, raised by the pending cap
-    /// of its demand over its host's current `H`.
+    /// of its demand over its host's current `H` — what round 1 folds into
+    /// `dbar` ([`catch_up`](Self::catch_up)). Checked mode and the tests
+    /// read it.
+    #[cfg(any(test, debug_assertions))]
     fn effective_bound(&self, c: usize) -> f64 {
         let col = &self.cols[c];
         let h = self.rows[col.host as usize].h;
         col.dbar.max(cap_over(self.pending[col.demand as usize], h))
-    }
-
-    /// Mirrors [`PlanState::refill`]'s row construction exactly —
-    /// including the `class_tolerance` quantizers, which is what keeps the
-    /// persistent planner's superclass keys identical to the inputs the
-    /// dense definition reads for the same fleet.
-    fn plan_pm_of(pm: &dvmp_cluster::pm::Pm, cfg: &DynamicConfig) -> PlanPm {
-        use crate::config::{quantize_score, quantize_secs};
-        let tol = cfg.class_tolerance;
-        PlanPm {
-            id: pm.id,
-            class_idx: pm.class_idx,
-            capacity: match cfg.capacity_basis {
-                crate::config::CapacityBasis::Virtual => pm.virtual_capacity(),
-                crate::config::CapacityBasis::Physical => *pm.capacity(),
-            },
-            used: *pm.used(),
-            reliability: quantize_score(pm.reliability, tol),
-            creation_secs: quantize_secs(pm.class.creation_time.as_secs(), tol),
-            migration_secs: quantize_secs(pm.class.migration_time.as_secs(), tol),
-        }
     }
 
     fn col_index(&self, vm: VmId) -> Option<usize> {
@@ -1163,8 +1138,7 @@ impl CompressedPlanner {
             let r = id.0 as usize;
             let was_active = self.rows[r].active;
             let pm = view.dc.pm(id);
-            let plan_pm = Self::plan_pm_of(pm, cfg);
-            self.sync_row(r, pm.is_available(), &plan_pm, cfg);
+            self.sync_row(r, pm.is_available(), &PlanPm::from_pm(pm, cfg), cfg);
             dirty_rows += 1;
             match (was_active, self.rows[r].active) {
                 (true, true) => rescore.extend(self.host_vms[r].iter().copied()),
@@ -1213,6 +1187,7 @@ impl CompressedPlanner {
                             host: pm.0,
                             deadline,
                             dbar: f64::INFINITY,
+                            best: INEXACT,
                         });
                         continue;
                     };
@@ -1335,6 +1310,8 @@ impl CompressedPlanner {
         delta: Option<FleetDelta>,
         cfg: &DynamicConfig,
     ) -> (Vec<Migration>, bool) {
+        #[cfg(test)]
+        self.round_evals.clear();
         self.ensure_synced(view, delta, cfg);
         if self.cols.is_empty() || self.active_rows < 2 {
             return (Vec::new(), false);
@@ -1344,8 +1321,7 @@ impl CompressedPlanner {
         #[cfg(debug_assertions)]
         for c in 0..self.cols.len() {
             let col = &self.cols[c];
-            let rem = col.deadline.saturating_since(view.now).as_secs();
-            let exact = self.exact_best(c, rem, cfg).map_or(0.0, |(_, d)| d);
+            let exact = self.exact_best(c, view.now, cfg).map_or(0.0, |(_, d)| d);
             let bound = self.effective_bound(c);
             let h = self.rows[col.host as usize].h;
             debug_assert!(
@@ -1378,128 +1354,74 @@ impl CompressedPlanner {
             }
             debug_assert_eq!(live, self.demand_cols, "per-demand column counts");
         }
-        // Stage 1: the bound check. Most passes end here. (The maxima are
-        // never NaN: `f64::max` skips NaN bounds, as `bound > thr` would.)
-        let thr = cfg.mig_threshold;
-        if self.dbar_max.max(self.pending_max) <= thr {
+        // The bound check: most passes end here. (The maxima are never
+        // NaN: `f64::max` skips NaN bounds, as `bound > thr` would.)
+        if self.dbar_max.max(self.pending_max) <= cfg.mig_threshold {
             return (Vec::new(), false);
         }
-        // Stage 2: fold the pending caps into every column, exactly
-        // refresh the exceeders at the current instant, and re-derive the
-        // running maximum and `hmin` from scratch on the way.
-        self.exceeders.clear();
-        self.dbar_max = f64::NEG_INFINITY;
-        self.hmin.fill(f64::INFINITY);
-        for c in 0..self.cols.len() {
-            let bound = self.effective_bound(c);
-            if bound > thr {
-                if let Some((row, d)) = self.refresh_bound(c, view.now, cfg) {
-                    if d > thr {
-                        self.exceeders.push((c as u32, row));
-                    }
-                }
-            } else {
-                let col = &mut self.cols[c];
-                col.dbar = bound;
-                self.dbar_max = self.dbar_max.max(bound);
-                let hmin = &mut self.hmin[col.demand as usize];
-                *hmin = hmin.min(self.rows[col.host as usize].h);
-            }
-        }
-        self.reset_pending();
-        if self.exceeders.is_empty() {
-            return (Vec::new(), false);
-        }
-        // Stage 3: a genuine winner exists — run Algorithm 1's rounds.
-        dvmp_obs::note_compressed_rounds_entered();
-        let now = view.now;
-        let rem_of = |cols: &[Col], c: usize| cols[c].deadline.saturating_since(now).as_secs();
-        self.run_rounds(cfg, rem_of, None)
+        self.run_rounds(view.now, cfg)
     }
 
     /// Algorithm 1's migration rounds as a lazy exact search: each round
     /// moves the argmax of [`exact_best`](Self::exact_best) over every
-    /// column (ties to the lowest rank), but computes it only for a column
-    /// whose bound `dbar` could still beat the leader. Returns the move
-    /// batch and whether the round cap stopped it.
+    /// column (ties to the lowest `VmId`), but computes it only for a
+    /// column whose bound `dbar` could still beat the leader. Returns the
+    /// move batch and whether the round cap stopped it.
     ///
-    /// A column is *exact* (`best_row` holds its best row, `dbar` its
-    /// score) or *inexact* (`dbar` only bounds its score). The stage-2
-    /// exceeders enter exact, every other column enters inexact with its
-    /// stage-2 bound; a one-shot plan's columns enter at `∞`.
-    fn run_rounds(
-        &mut self,
-        cfg: &DynamicConfig,
-        rem_of: impl Fn(&[Col], usize) -> u64,
-        mut plan: Option<&mut PlanState>,
-    ) -> (Vec<Migration>, bool) {
+    /// A column is *exact* (`best` holds its best row, `dbar` its score)
+    /// or *inexact* (`dbar` only bounds its score). Every column enters
+    /// inexact; each pass brings a column's bound up to date as it reaches
+    /// it ([`catch_up`](Self::catch_up)) and re-derives `dbar_max` and
+    /// `hmin` on the way.
+    fn run_rounds(&mut self, now: SimTime, cfg: &DynamicConfig) -> (Vec<Migration>, bool) {
         let n = self.cols.len();
-        let mut rem = std::mem::take(&mut self.rem);
-        let mut best_row = std::mem::take(&mut self.best_row);
         let mut move_cap = std::mem::take(&mut self.move_cap);
-        rem.clear();
-        rem.extend((0..n).map(|c| rem_of(&self.cols, c)));
-        best_row.clear();
-        best_row.resize(n, INEXACT);
-        for &(c, row) in &self.exceeders {
-            best_row[c as usize] = row;
-        }
-        self.exceeders.clear();
-        #[cfg(test)]
-        self.round_evals.clear();
-        // Equal scores go to the column the dense definition meets first: the
-        // lowest `VmId` (persistent columns sit in no particular order), or
-        // the lowest plan index for a one-shot plan.
-        let one_shot = plan.is_some();
-        let rank = |cols: &[Col], c: usize| if one_shot { c as u32 } else { cols[c].id.0 };
         let thr = cfg.mig_threshold;
         let mut moves = Vec::new();
         let mut capped = true;
         // The previous round's move `(column, from, to)`, which the next
-        // pass over the columns folds into their bounds.
+        // pass folds into the bounds; `None` before round 1, whose pass
+        // folds the pending caps instead.
         let mut last: Option<(usize, u32, u32)> = None;
+        let mut hmin = std::mem::take(&mut self.hmin);
         for _round in 0..cfg.mig_round {
             #[cfg(test)]
             let mut evals = 0u32;
             let mut winner: Option<(usize, u32, f64)> = None;
+            // The winner's score and `VmId`, which a column must outrank.
+            let mut leader: Option<(f64, VmId)> = None;
+            let mut dbar_max = f64::NEG_INFINITY;
+            hmin.fill(f64::INFINITY);
             for c in 0..n {
-                if let Some(mv) = last {
-                    self.settle(c, mv, &move_cap, &mut best_row);
-                }
+                self.catch_up(c, last, &move_cap, &mut hmin);
                 // Skip a column whose bound cannot beat the leader (an
-                // equal bound loses on rank) or the threshold.
-                let bound = self.cols[c].dbar;
-                if bound <= thr
-                    || winner.is_some_and(|(wc, _, wd)| {
-                        bound < wd || (bound == wd && rank(&self.cols, c) > rank(&self.cols, wc))
-                    })
-                {
-                    continue;
-                }
-                if best_row[c] == INEXACT {
-                    #[cfg(test)]
-                    {
-                        evals += 1;
+                // equal bound loses on `VmId`) or the threshold.
+                let (id, bound) = (self.cols[c].id, self.cols[c].dbar);
+                if bound > thr && outranks(bound, id, leader) {
+                    if self.cols[c].best == INEXACT {
+                        #[cfg(test)]
+                        {
+                            evals += 1;
+                        }
+                        let best = self.exact_best(c, now, cfg);
+                        let col = &mut self.cols[c];
+                        col.dbar = best.map_or(0.0, |(_, d)| d);
+                        col.best = best.map_or(INEXACT, |(row, _)| row);
                     }
-                    let best = self.exact_best(c, rem[c], cfg);
-                    self.cols[c].dbar = best.map_or(0.0, |(_, d)| d);
-                    let Some((row, _)) = best else { continue };
-                    best_row[c] = row;
+                    let col = &self.cols[c];
+                    if col.dbar > thr && outranks(col.dbar, id, leader) {
+                        winner = Some((c, col.best, col.dbar));
+                        leader = Some((col.dbar, id));
+                    }
                 }
-                let d = self.cols[c].dbar;
-                if d > thr
-                    && winner.map_or(true, |(wc, _, wd)| {
-                        d > wd || (d == wd && rank(&self.cols, c) < rank(&self.cols, wc))
-                    })
-                {
-                    winner = Some((c, best_row[c], d));
-                }
+                dbar_max = dbar_max.max(self.cols[c].dbar);
             }
-            last = None;
+            self.dbar_max = dbar_max;
+            self.reset_pending();
             #[cfg(test)]
             self.round_evals.push(evals);
             #[cfg(debug_assertions)]
-            self.assert_round_winner(winner, &rem, &best_row, cfg, rank);
+            self.assert_round_winner(winner, now, cfg);
             let Some((col, to, _d)) = winner else {
                 capped = false;
                 break;
@@ -1507,23 +1429,17 @@ impl CompressedPlanner {
             let to = to as usize;
             let from = self.cols[col].host as usize;
             let res = self.demands[self.cols[col].demand as usize];
-            if let Some(p) = plan.as_deref_mut() {
-                let applied = p.apply_migration(col, to);
-                debug_assert_eq!(applied, (from, to));
-                self.rows[from].used = p.pms[from].used;
-                self.rows[to].used = p.pms[to].used;
-            } else {
-                self.rows[from].used = self.rows[from].used.saturating_sub(&res);
-                self.rows[to].used = self.rows[to].used.add(&res);
-            }
+            self.rows[from].used = self.rows[from].used.saturating_sub(&res);
+            self.rows[to].used = self.rows[to].used.add(&res);
             self.refresh_row(from, cfg);
             self.refresh_row(to, cfg);
             let mig_secs = self.sclasses[self.rows[to].sclass as usize]
                 .entry
                 .migration_secs;
-            rem[col] = rem[col].saturating_sub(mig_secs);
-            let vm_id = self.cols[col].id;
-            self.cols[col].host = to as u32;
+            let moved = &mut self.cols[col];
+            moved.deadline = moved.deadline - SimDuration::from_secs(mig_secs);
+            moved.host = to as u32;
+            let vm_id = moved.id;
             self.host_vms[from].remove(&vm_id);
             self.host_vms[to].insert(vm_id);
             moves.push(Migration {
@@ -1545,100 +1461,103 @@ impl CompressedPlanner {
             }
             last = Some((col, from as u32, to as u32));
         }
-        // Carry the bounds out as `dbar` (nothing is pending past them),
-        // folding in a last move the round cap left unsettled; the pass's
-        // own touches are re-read authoritatively next patch.
-        self.dbar_max = f64::NEG_INFINITY;
-        self.reset_pending();
-        self.hmin.fill(f64::INFINITY);
-        for c in 0..n {
-            if let Some(mv) = last {
-                self.settle(c, mv, &move_cap, &mut best_row);
+        // A loop without a winnerless round has not folded its last move
+        // (or, at `MIG_round` = 0, the pending caps): one more pass does.
+        if capped {
+            let mut dbar_max = f64::NEG_INFINITY;
+            hmin.fill(f64::INFINITY);
+            for c in 0..n {
+                self.catch_up(c, last, &move_cap, &mut hmin);
+                dbar_max = dbar_max.max(self.cols[c].dbar);
             }
-            let col = &self.cols[c];
-            self.dbar_max = self.dbar_max.max(col.dbar);
-            let hmin = &mut self.hmin[col.demand as usize];
-            *hmin = hmin.min(self.rows[col.host as usize].h);
+            self.dbar_max = dbar_max;
+            self.reset_pending();
         }
+        self.hmin = hmin;
+        if !moves.is_empty() {
+            dvmp_obs::note_compressed_rounds_entered();
+        }
+        // The pass's own touches are re-read authoritatively next patch.
         for m in &moves {
             self.self_dirty_pms.extend([m.from, m.to]);
             self.self_dirty_vms.push(m.vm);
         }
-        self.rem = rem;
-        self.best_row = best_row;
         self.move_cap = move_cap;
         (moves, capped)
     }
 
-    /// Folds move `(moved, from, to)` into column `c`'s bound. The moved
-    /// column and every column hosted on `from`/`to` (their `H` changed)
-    /// start over at `∞`. Any other column's score changed only at
-    /// `from`/`to`, where it is at most `move_cap[d] / H(host)`: a column
-    /// whose best pointed there, or whose best that cap reaches, becomes
-    /// inexact (`>=`, so a tie at a lower row is re-evaluated too) with
-    /// its bound raised to the cap.
+    /// Brings column `c`'s bound up to date at the start of a pass, and
+    /// folds its host's `H` into the `hmin` the pass re-derives.
+    ///
+    /// Before round 1 (`last` is `None`) the column turns inexact at its
+    /// effective bound: the pending cap of its demand is folded in. After
+    /// a move `(moved, from, to)`, the moved column and every column
+    /// hosted on `from`/`to` (their `H` changed) start over at `∞`. Any
+    /// other column's score changed only at `from`/`to`, where it is at
+    /// most `move_cap[d] / H(host)`: a column whose best pointed there, or
+    /// whose best that cap reaches, becomes inexact (`>=`, so a tie at a
+    /// lower row is re-evaluated too) with its bound raised to the cap.
     #[inline]
-    fn settle(
+    fn catch_up(
         &mut self,
         c: usize,
-        (moved, from, to): (usize, u32, u32),
+        last: Option<(usize, u32, u32)>,
         move_cap: &[f64],
-        best_row: &mut [u32],
+        hmin: &mut [f64],
     ) {
         let col = &mut self.cols[c];
+        let (d, h) = (col.demand as usize, self.rows[col.host as usize].h);
+        hmin[d] = hmin[d].min(h);
+        let Some((moved, from, to)) = last else {
+            col.dbar = col.dbar.max(cap_over(self.pending[d], h));
+            col.best = INEXACT;
+            return;
+        };
         if c == moved || col.host == from || col.host == to {
             col.dbar = f64::INFINITY;
-            best_row[c] = INEXACT;
-            return;
-        }
-        let raise = cap_over(
-            move_cap[col.demand as usize],
-            self.rows[col.host as usize].h,
-        );
-        if raise >= col.dbar {
-            col.dbar = raise;
-            best_row[c] = INEXACT;
-        } else if best_row[c] == from || best_row[c] == to {
-            best_row[c] = INEXACT;
+            col.best = INEXACT;
+        } else {
+            let raise = cap_over(move_cap[d], h);
+            if raise >= col.dbar {
+                col.dbar = raise;
+                col.best = INEXACT;
+            } else if col.best == from || col.best == to {
+                col.best = INEXACT;
+            }
         }
     }
 
     /// Checked mode: a round's winner is the argmax of `exact_best` over
-    /// every column (ties to the lowest rank), every bound dominates its
+    /// every column (ties to the lowest `VmId`), every bound dominates its
     /// exact score and every exact column holds its exact best.
     #[cfg(debug_assertions)]
     fn assert_round_winner(
         &self,
         winner: Option<(usize, u32, f64)>,
-        rem: &[u64],
-        best_row: &[u32],
+        now: SimTime,
         cfg: &DynamicConfig,
-        rank: impl Fn(&[Col], usize) -> u32,
     ) {
         let mut expected: Option<(usize, u32, f64)> = None;
-        for c in 0..self.cols.len() {
-            let exact = self.exact_best(c, rem[c], cfg);
+        for (c, col) in self.cols.iter().enumerate() {
+            let exact = self.exact_best(c, now, cfg);
             let d = exact.map_or(0.0, |(_, d)| d);
             assert!(
-                self.cols[c].dbar >= d,
+                col.dbar >= d,
                 "round loop: vm {:?} bound {} below its exact score {d}",
-                self.cols[c].id,
-                self.cols[c].dbar
+                col.id,
+                col.dbar
             );
-            if best_row[c] != INEXACT {
+            if col.best != INEXACT {
                 assert_eq!(
                     exact.map(|(r, d)| (r, d.to_bits())),
-                    Some((best_row[c], self.cols[c].dbar.to_bits())),
+                    Some((col.best, col.dbar.to_bits())),
                     "round loop: vm {:?} holds a stale exact best",
-                    self.cols[c].id
+                    col.id
                 );
             }
             if let Some((row, d)) = exact {
-                if d > cfg.mig_threshold
-                    && expected.map_or(true, |(ec, _, ed)| {
-                        d > ed || (d == ed && rank(&self.cols, c) < rank(&self.cols, ec))
-                    })
-                {
+                let leader = expected.map(|(ec, _, ed)| (ed, self.cols[ec].id));
+                if d > cfg.mig_threshold && outranks(d, col.id, leader) {
                     expected = Some((c, row, d));
                 }
             }
@@ -1698,42 +1617,6 @@ impl CompressedPlanner {
         let chosen = pick(cfg.use_vir).or_else(|| pick(false));
         chosen.map(|(r, _)| self.row_ids[r as usize])
     }
-}
-
-/// One-shot compressed planning over an explicit [`PlanState`] — the
-/// `plan_on` entry point. Returns the move batch and whether the round
-/// cap stopped it.
-pub(crate) fn one_shot(
-    cfg: &DynamicConfig,
-    factors: &[Arc<dyn KeyedFactor>],
-    plan: &mut PlanState,
-) -> (Vec<Migration>, bool) {
-    let mut p = CompressedPlanner::new(factors.to_vec());
-    p.refresh_tables(plan.now);
-    p.effs = plan.effs.clone();
-    let m = plan.pms.len();
-    p.rows.resize_with(m, Row::default);
-    p.row_ids.extend(plan.pms.iter().map(|pm| pm.id));
-    p.host_vms.resize_with(m, BTreeSet::new);
-    for r in 0..m {
-        let pm = plan.pms[r].clone();
-        p.sync_row(r, true, &pm, cfg);
-    }
-    for vm in &plan.vms {
-        let d = p.register_demand(&vm.resources, cfg);
-        p.demand_cols[d as usize] += 1;
-        p.cols.push(Col {
-            id: vm.id,
-            demand: d,
-            host: vm.host as u32,
-            deadline: SimTime::ZERO,
-            dbar: f64::INFINITY,
-        });
-        p.host_vms[vm.host].insert(vm.id);
-    }
-    let rems: Vec<u64> = plan.vms.iter().map(|vm| vm.remaining_secs).collect();
-    let rem_of = move |_cols: &[Col], c: usize| rems[c];
-    p.run_rounds(cfg, rem_of, Some(plan))
 }
 
 #[cfg(test)]
@@ -2228,10 +2111,10 @@ mod tests {
     }
 
     #[test]
-    fn one_shot_matches_dense_on_class_divergent_plans() {
-        // Hand-built plans whose PMs diverge from their hardware class
-        // (mutated reliability): every divergent PM must land in its own
-        // superclass and the move sequence must match the dense planner.
+    fn live_view_matches_dense_on_class_divergent_fleets() {
+        // PMs whose reliability diverges from their hardware class (set
+        // through `pm_mut`): every divergent PM must land in its own
+        // superclass and the move sequence must match the dense reference.
         let mut dc = small_fleet();
         let mut vms = BTreeMap::new();
         for (i, pm) in [0u32, 1, 2, 3, 2, 3].iter().enumerate() {
@@ -2243,32 +2126,22 @@ mod tests {
                 SimTime::ZERO,
             );
         }
+        dc.pm_mut(PmId(1)).reliability = 0.42;
+        dc.pm_mut(PmId(3)).reliability = 0.77;
         let view = PlacementView {
             dc: &dc,
             vms: &vms,
             now: SimTime::ZERO,
         };
-        let cfg = DynamicConfig::default();
-        let mut plan = PlanState::from_view(&view, &cfg.min_vm);
-        // Diverge two PMs from their class rows.
-        plan.pms[1].reliability = 0.42;
-        plan.pms[3].reliability = 0.77;
-
-        let mut plan_dense = plan.clone();
-        let mut plan_comp = plan.clone();
-        let mut dense = dense();
         let mut comp = comp();
-        let moves_dense = dense.plan_on(&mut plan_dense);
-        let moves_comp = comp.plan_on(&mut plan_comp);
-        assert_eq!(moves_dense, moves_comp);
-        assert!(
-            !moves_dense.is_empty(),
-            "divergent fleet still consolidates"
+        let moves = comp.plan_migrations(&view);
+        assert_eq!(moves, dense().plan_migrations(&view));
+        assert!(!moves.is_empty(), "divergent fleet still consolidates");
+        assert_eq!(
+            comp.compressed_superclasses(),
+            4,
+            "one superclass per hardware class plus one per divergent PM"
         );
-        assert_eq!(comp.compressed_passes(), 1, "one-shot kernel served it");
-        for (a, b) in plan_dense.pms.iter().zip(plan_comp.pms.iter()) {
-            assert_eq!(a.used, b.used, "identical end occupancy");
-        }
     }
 
     #[test]
@@ -2638,8 +2511,7 @@ mod tests {
         assert!(p.hmin[0] <= h_after, "hmin {} above H {h_after}", p.hmin[0]);
         let ceiling = p.dbar_max.max(p.pending_max);
         for c in 0..p.cols.len() {
-            let rem = p.cols[c].deadline.saturating_since(now).as_secs();
-            let exact = p.exact_best(c, rem, &cfg).map_or(0.0, |(_, d)| d);
+            let exact = p.exact_best(c, now, &cfg).map_or(0.0, |(_, d)| d);
             let bound = p.effective_bound(c);
             assert!(exact <= bound && bound <= ceiling, "vm {:?}", p.cols[c].id);
         }
@@ -2723,7 +2595,7 @@ mod tests {
             now: SimTime::ZERO,
         };
         let cfg = DynamicConfig::default();
-        let plan = PlanState::from_view(&view, &cfg.min_vm);
+        let plan = PlanState::from_view(&view, &cfg);
         let matrix =
             crate::matrix::ProbabilityMatrix::build(&plan, &crate::factors::EvalContext::new(&cfg));
         let exceeders = (0..plan.vms.len())
@@ -2766,6 +2638,75 @@ mod tests {
                 budget = exceeders + on_ends + 1;
             }
         }
+    }
+
+    #[test]
+    fn a_pass_short_of_the_round_cap_leaves_the_next_one_at_the_bound_check() {
+        // A pass that returns fewer than `MIG_round` moves ended on a round
+        // without a winner, which computed every column that could beat
+        // the threshold exactly: `dbar_max ≤ MIG_threshold` after it. So a
+        // pass that moved nothing leaves the next pass over the unchanged
+        // fleet (empty journal) at the O(1) bound check — no `exact_best`
+        // call. Checked after every such pass of a random history whose
+        // moves are applied at once.
+        let mut twin = Twin::new(comp());
+        let thr = DynamicConfig::default().mig_threshold;
+        let mut rng = 0x5eed_u64;
+        let mut next_vm = 1u32;
+        let mut idle_round_passes = 0;
+        for step in 0..240u64 {
+            let now = SimTime::from_secs(step * 97);
+            if xorshift(&mut rng) % 3 == 0 {
+                let ids: Vec<VmId> = twin.vms.keys().copied().collect();
+                if let Some(&vm) = ids.get((xorshift(&mut rng) % 8) as usize) {
+                    twin.dc.remove_vm(vm);
+                    twin.vms.remove(&vm);
+                }
+            } else {
+                let s = spec(
+                    next_vm,
+                    256 << (xorshift(&mut rng) % 3),
+                    20_000 + step * 900,
+                );
+                next_vm += 1;
+                if let Some(pm) = twin.place(&s, now) {
+                    install(&mut twin.dc, &mut twin.vms, s, pm, now);
+                }
+            }
+            let moves = twin.plan(now);
+            let evals = twin.policy.planner().round_evals.len();
+            assert!(moves.len() < DynamicConfig::default().mig_round as usize);
+            assert!(
+                twin.policy.planner().dbar_max <= thr,
+                "step {step}: dbar_max {} above the threshold after {} moves",
+                twin.policy.planner().dbar_max,
+                moves.len()
+            );
+            if moves.is_empty() {
+                if evals > 0 {
+                    idle_round_passes += 1;
+                }
+                assert!(twin.plan(now).is_empty(), "step {step}");
+                assert_eq!(
+                    twin.policy.planner().round_evals,
+                    Vec::<u32>::new(),
+                    "step {step}: an unchanged fleet re-entered the round loop"
+                );
+            }
+            for m in moves {
+                let res = *twin.vms[&m.vm].demand();
+                if !twin.dc.pm(m.to).can_host(&res) {
+                    continue;
+                }
+                twin.dc.begin_migration(m.vm, m.to, res).unwrap();
+                twin.dc.finish_migration(m.vm, m.from).unwrap();
+                twin.vms.get_mut(&m.vm).unwrap().state = VmState::Running { pm: m.to };
+            }
+        }
+        assert!(
+            idle_round_passes > 0,
+            "no pass entered the round loop and moved nothing"
+        );
     }
 
     #[test]

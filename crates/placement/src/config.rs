@@ -60,24 +60,28 @@ pub struct DynamicConfig {
     /// `0.0` (the default) plans on exact per-PM inputs. A positive
     /// tolerance `t` snaps every score-side planning input — reliability,
     /// relative efficiency, and the creation/migration overhead
-    /// durations — onto a `t`-spaced grid at the single choke point where
-    /// planning state is built from the fleet ([`crate::PlanState::refill`]
-    /// and the compressed planner's mirror of it), so a fleet whose per-PM
+    /// durations — onto a `t`-spaced grid where planning reads them from
+    /// the fleet ([`PlanPm::from_pm`](crate::plan::PlanPm::from_pm) and
+    /// [`eff_table`](crate::plan::eff_table)), so a fleet whose per-PM
     /// jitter would fragment the compressed planner's exact-equality class
     /// key toward C = M instead collapses into O(spread / t) superclasses.
-    /// Both kernels read the same quantized inputs, so they remain
-    /// bit-identical to *each other* at any tolerance; the quantized plan
-    /// diverges from the exact (t = 0) plan by a bounded score
-    /// perturbation (DESIGN.md §12), which `perf_report` measures.
+    /// The production planner and the dense reference read the same
+    /// quantized inputs, so they remain bit-identical to *each other* at
+    /// any tolerance; the quantized plan diverges from the exact (t = 0)
+    /// plan by a bounded score perturbation (DESIGN.md §12), which
+    /// `perf_report` measures.
     #[serde(default = "default_class_tolerance")]
     pub class_tolerance: f64,
 }
 
 /// Snaps a score-side planning input (reliability or relative efficiency)
 /// onto the linear grid with spacing `tol`. Identity when `tol <= 0.0` or
-/// the value is not finite. Both planning kernels build their state
-/// through this function, which is what keeps them bit-identical to each
-/// other at any tolerance.
+/// the value is not finite. Planning reads every reliability and
+/// relative efficiency through this function (in
+/// [`PlanPm::from_pm`](crate::plan::PlanPm::from_pm) and
+/// [`eff_table`](crate::plan::eff_table)), which is what keeps the
+/// production planner and the dense reference bit-identical at any
+/// tolerance.
 #[inline]
 pub fn quantize_score(v: f64, tol: f64) -> f64 {
     if tol <= 0.0 || !v.is_finite() {

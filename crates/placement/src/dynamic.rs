@@ -19,10 +19,9 @@
 //! lives on as the test reference
 //! [`DenseReference`](crate::reference::DenseReference).
 
-use crate::compressed::{self, CompressedPlanner};
+use crate::compressed::CompressedPlanner;
 use crate::config::DynamicConfig;
 use crate::factors::KeyedFactor;
-use crate::plan::PlanState;
 use crate::policy::{Migration, PlacementPolicy, PlacementView};
 use dvmp_cluster::datacenter::Datacenter;
 use dvmp_cluster::pm::PmId;
@@ -44,7 +43,7 @@ pub struct DynamicPlacement {
     /// The class-compressed planner (kept across passes; see
     /// `compressed.rs`). It also holds the registered extension factors.
     comp: CompressedPlanner,
-    /// Planning passes run (live and explicit-plan).
+    /// Planning passes run.
     compressed_passes: u64,
 }
 
@@ -138,24 +137,6 @@ impl DynamicPlacement {
         if capped {
             self.round_cap_hits += 1;
         }
-    }
-
-    /// Algorithm 1 against an explicit plan state (exposed for tests and
-    /// benchmarks; [`PlacementPolicy::plan_migrations`] builds the state
-    /// from the live view).
-    pub fn plan_on(&mut self, plan: &mut PlanState) -> Vec<Migration> {
-        // An explicit plan bypasses the journal continuity the persistent
-        // planner relies on: the next live pass rebuilds from its view.
-        self.comp.desync();
-        self.pending_delta = None;
-        if plan.vms.is_empty() || plan.pms.len() < 2 {
-            return Vec::new();
-        }
-        let _span = dvmp_obs::span!(dvmp_obs::Phase::CompressedPlan);
-        let (moves, capped) = compressed::one_shot(&self.cfg, self.comp.factors(), plan);
-        self.count_pass(&moves, capped);
-        dvmp_obs::note_plan_kernel_compressed(plan.pms.len() as u64, plan.vms.len() as u64);
-        moves
     }
 }
 
@@ -422,8 +403,8 @@ mod tests {
 
     #[test]
     fn migrations_never_violate_capacity_in_plan() {
-        // Stress: 30 VMs over the fleet, then plan; PlanState panics if a
-        // move overfills a PM, so a clean return proves feasibility.
+        // Stress: 30 VMs over the fleet, then plan: the batch stays
+        // within the round budget and, applied in order, within capacity.
         let mut dc = small_fleet();
         let mut vms = BTreeMap::new();
         let mut id = 1u32;
@@ -447,6 +428,13 @@ mod tests {
         let mut policy = DynamicPlacement::paper_default();
         let moves = policy.plan_migrations(&view_of(&dc, &vms, 0));
         assert!(moves.len() <= policy.config().mig_round as usize);
+        // Applied in order, every move fits its destination.
+        for m in &moves {
+            let res = *vms[&m.vm].demand();
+            assert!(dc.pm(m.to).can_host(&res), "{m:?} overfills its target");
+            dc.begin_migration(m.vm, m.to, res).unwrap();
+            dc.finish_migration(m.vm, m.from).unwrap();
+        }
     }
 
     #[test]
@@ -535,8 +523,8 @@ mod tests {
     fn repair_heuristics_match_naive_full_rescan() {
         // Fragmented, stressed and mixed fleets, plus a tie: the production
         // round loop must yield exactly the definition's migration sequence
-        // on each — the dense reference's `plan_on`, which rescans every
-        // column's `best_move_for` each round.
+        // on each — the dense reference's, which rescans every column's
+        // `best_move_for` each round.
         let uniform = |hosts: &[u32]| -> Vec<(u32, u64, u64)> {
             let spaced = |(i, &pm): (usize, &u32)| (pm, 512, 150_000 + i as u64 * 3_000);
             hosts.iter().enumerate().map(spaced).collect()
@@ -568,20 +556,13 @@ mod tests {
                 );
             }
             let view = view_of(&dc, &vms, 0);
-            let mut plan = PlanState::from_view(&view, &DynamicConfig::default().min_vm);
-            let expected = dense().plan_on(&mut plan);
+            let expected = dense().plan_migrations(&view);
             assert!(!expected.is_empty(), "shape {shape_no} plans nothing");
-            let policies: [(&str, Box<dyn PlacementPolicy>); 2] = [
-                ("dense", Box::new(dense())),
-                ("default", Box::new(DynamicPlacement::paper_default())),
-            ];
-            for (kernel, mut policy) in policies {
-                assert_eq!(
-                    policy.plan_migrations(&view),
-                    expected,
-                    "shape {shape_no}: {kernel} round loop diverged from full rescan"
-                );
-            }
+            assert_eq!(
+                DynamicPlacement::paper_default().plan_migrations(&view),
+                expected,
+                "shape {shape_no}: round loop diverged from full rescan"
+            );
         }
     }
 

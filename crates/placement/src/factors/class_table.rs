@@ -25,7 +25,7 @@ use dvmp_cluster::resources::ResourceVector;
 /// Constants shared by every PM of one class.
 #[derive(Debug, Clone)]
 pub struct ClassEntry {
-    /// Relative power efficiency `eff_c` (from `PlanState::effs`).
+    /// Relative power efficiency `eff_c` (from [`eff_table`](crate::plan::eff_table)).
     pub eff: f64,
     /// `T^cre` of the class, seconds.
     pub creation_secs: u64,

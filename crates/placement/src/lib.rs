@@ -10,17 +10,18 @@
 //! - [`factors`]: the four constituent probabilities of Eq. 2–5 —
 //!   resource feasibility, virtualization overhead, server reliability and
 //!   energy efficiency — each individually testable.
-//! - [`matrix`]: the M×N joint [`ProbabilityMatrix`] (Eq. 1) with the
-//!   targeted row/column updates Algorithm 1 relies on, and its
-//!   column-normalized companion.
-//! - [`plan`]: the lightweight what-if state the dynamic scheme plans
-//!   against without mutating the real datacenter.
+//! - [`matrix`]: the M×N joint [`ProbabilityMatrix`] (Eq. 1) the dense
+//!   reference builds, with the two-row/one-column refresh it applies
+//!   after each move, and its column-normalized view.
+//! - [`plan`]: a PM's planning inputs (one definition, read by both
+//!   planners) and the what-if state the dense reference plans against
+//!   without mutating the real datacenter.
 //! - [`dynamic`]: Algorithm 1 — the migration-round loop bounded by
 //!   `MIG_round` and `MIG_threshold` — on the class-compressed planner,
 //!   the one planner the scheme runs.
-//! - [`reference`]: [`DenseReference`], the same scheme over the dense
-//!   matrix rebuilt every pass — the definition the production planner is
-//!   tested bit-identical against.
+//! - [`reference`](mod@reference): [`DenseReference`], the same scheme
+//!   over the dense matrix rebuilt every pass — the definition the
+//!   production planner is tested bit-identical against.
 //! - [`firstfit`] / [`bestfit`] / [`worstfit`] / [`random`]: static
 //!   baselines;
 //! - [`threshold`]: the watermark-based *dynamic* baseline from the

@@ -156,7 +156,7 @@ mod tests {
             now: SimTime::ZERO,
         };
         let cfg = DynamicConfig::default();
-        let plan = PlanState::from_view(&view, &cfg.min_vm);
+        let plan = PlanState::from_view(&view, &cfg);
         (plan, cfg)
     }
 
@@ -298,7 +298,7 @@ mod tests {
             now: SimTime::ZERO,
         };
         let cfg = DynamicConfig::default();
-        let plan = PlanState::from_view(&view, &cfg.min_vm);
+        let plan = PlanState::from_view(&view, &cfg);
         let m = ProbabilityMatrix::build(&plan, &EvalContext::new(&cfg));
         let row1 = plan.pms.iter().position(|p| p.id == PmId(1)).unwrap();
         let col = plan
@@ -348,7 +348,7 @@ mod tests {
             now: SimTime::ZERO,
         };
         let cfg = DynamicConfig::default();
-        let plan = PlanState::from_view(&view, &cfg.min_vm);
+        let plan = PlanState::from_view(&view, &cfg);
         let m = ProbabilityMatrix::build(&plan, &EvalContext::new(&cfg));
         assert!(m.best_move_for(&plan, 0).is_none());
     }

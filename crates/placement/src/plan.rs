@@ -1,18 +1,27 @@
-//! The what-if state the dynamic scheme plans against.
+//! A PM's planning inputs, and the what-if state the dense reference
+//! plans against.
+//!
+//! [`PlanPm::from_pm`] and [`eff_table`] are the one definition of what
+//! planning reads from a PM: the production planner builds its superclass
+//! rows from them, and [`PlanState::from_view`] builds the dense
+//! reference's rows from them.
 //!
 //! Algorithm 1 applies migrations *hypothetically* while it searches — each
 //! accepted move releases the source and reserves the destination before
 //! the next round is evaluated. Mutating the real datacenter would conflate
 //! planning with execution (real migrations take `T_mig` of wall-clock),
-//! so planning runs on this lightweight copy. The simulator then executes
-//! the returned batch, re-validating each move against live state.
+//! so the dense reference plans on a [`PlanState`] copy (the production
+//! planner mutates its own mirror the same way). The simulator then
+//! executes the returned batch, re-validating each move against live
+//! state.
 
-use crate::config::CapacityBasis;
+use crate::config::{quantize_score, quantize_secs, CapacityBasis, DynamicConfig};
 use crate::policy::PlacementView;
-use dvmp_cluster::pm::PmId;
+use dvmp_cluster::pm::{Pm, PmClass, PmId};
 use dvmp_cluster::power::relative_efficiencies;
 use dvmp_cluster::resources::ResourceVector;
 use dvmp_cluster::vm::VmId;
+use dvmp_simcore::SimDuration;
 
 /// Planning copy of one available PM.
 #[derive(Debug, Clone)]
@@ -31,6 +40,46 @@ pub struct PlanPm {
     pub creation_secs: u64,
     /// `T^mig` in seconds (as destination).
     pub migration_secs: u64,
+}
+
+impl PlanPm {
+    /// PM `pm`'s planning inputs under `cfg`: its capacity on
+    /// `cfg.capacity_basis` ([`CapacityBasis::Virtual`], the admission
+    /// bound, is identical to physical on non-overbooked fleets), its
+    /// current occupancy, and its score-side inputs — reliability and
+    /// overhead durations — snapped onto the `cfg.class_tolerance` grid
+    /// (`0.0` keeps exact values). Capacity and occupancy are never
+    /// quantized, so feasibility stays exact.
+    ///
+    /// This and [`eff_table`] are where planning reads a PM: the
+    /// production planner and the dense reference both build their rows
+    /// here, which is what keeps them bit-identical at any tolerance.
+    pub fn from_pm(pm: &Pm, cfg: &DynamicConfig) -> Self {
+        let tol = cfg.class_tolerance;
+        let secs = |d: SimDuration| quantize_secs(d.as_secs(), tol);
+        PlanPm {
+            id: pm.id,
+            class_idx: pm.class_idx,
+            capacity: match cfg.capacity_basis {
+                CapacityBasis::Virtual => pm.virtual_capacity(),
+                CapacityBasis::Physical => *pm.capacity(),
+            },
+            used: *pm.used(),
+            reliability: quantize_score(pm.reliability, tol),
+            creation_secs: secs(pm.class.creation_time),
+            migration_secs: secs(pm.class.migration_time),
+        }
+    }
+}
+
+/// Relative power efficiency `eff_c` per class index, snapped onto the
+/// `cfg.class_tolerance` grid like every score-side input of
+/// [`PlanPm::from_pm`].
+pub fn eff_table(classes: &[PmClass], cfg: &DynamicConfig) -> Vec<f64> {
+    relative_efficiencies(classes, &cfg.min_vm)
+        .into_iter()
+        .map(|e| quantize_score(e, cfg.class_tolerance))
+        .collect()
 }
 
 /// Planning copy of one migratable VM.
@@ -53,7 +102,7 @@ pub struct PlanVm {
 /// The complete planning state.
 #[derive(Debug, Clone)]
 pub struct PlanState {
-    /// Available PMs (matrix rows).
+    /// Available PMs (matrix rows), in ascending id order.
     pub pms: Vec<PlanPm>,
     /// Migratable VMs (matrix columns).
     pub vms: Vec<PlanVm>,
@@ -62,117 +111,47 @@ pub struct PlanState {
     /// The instant the plan was taken (extension factors may be
     /// time-varying, e.g. electricity prices).
     pub now: dvmp_simcore::SimTime,
-    /// Scratch mapping `PmId.0 → row` ([`NO_ROW`] = not a row). PM ids are
-    /// dense (assigned sequentially by the fleet builder), so a flat vector
-    /// replaces the hash map a fresh build would need; kept in the struct
-    /// so [`PlanState::refill`] reuses the allocation across passes.
-    row_lookup: Vec<u32>,
-}
-
-/// Sentinel in [`PlanState::row_lookup`] for PMs that are not plan rows.
-const NO_ROW: u32 = u32::MAX;
-
-impl Default for PlanState {
-    fn default() -> Self {
-        PlanState {
-            pms: Vec::new(),
-            vms: Vec::new(),
-            effs: Vec::new(),
-            now: dvmp_simcore::SimTime::ZERO,
-            row_lookup: Vec::new(),
-        }
-    }
 }
 
 impl PlanState {
-    /// Builds the planning state from a live view.
+    /// Builds the planning state of a live view under `cfg`.
     ///
     /// Rows are every *available* PM (on or booting — they can accept
-    /// reservations). Columns are every VM in the `Running` state; VMs
-    /// being created or already migrating are excluded from moves but
-    /// their reservations are still counted in `used`, because the view's
-    /// occupancy already includes them. Row capacities are the admission
-    /// bound ([`CapacityBasis::Virtual`]; identical to physical on
-    /// non-overbooked fleets) and column demands are each VM's *current*
-    /// demand, which resize events move away from its spec.
-    pub fn from_view(view: &PlacementView<'_>, min_vm: &ResourceVector) -> Self {
-        let mut plan = PlanState::default();
-        plan.refill(view, min_vm, CapacityBasis::Virtual, 0.0);
-        plan
-    }
-
-    /// [`PlanState::from_view`] into an existing plan, reusing its
-    /// allocations, with an explicit capacity basis. The planner calls
-    /// this once per pass on a plan arena it owns, so steady-state
-    /// planning allocates nothing here.
-    ///
-    /// `tolerance` is the superclass-bucketing resolution
-    /// ([`crate::DynamicConfig::class_tolerance`]): every score-side input
-    /// captured here — reliability, relative efficiency, overhead
-    /// durations — is snapped onto the tolerance grid, and `0.0` captures
-    /// exact values. This is the *single* choke point where the dense
-    /// kernel reads those inputs (everything downstream goes through
-    /// [`PlanPm`] and [`PlanState::effs`]); the compressed planner builds
-    /// its rows through the same quantizers, which is what keeps the two
-    /// kernels bit-identical at any tolerance. Capacity and demand are
-    /// never quantized — feasibility stays exact.
-    pub fn refill(
-        &mut self,
-        view: &PlacementView<'_>,
-        min_vm: &ResourceVector,
-        basis: CapacityBasis,
-        tolerance: f64,
-    ) {
-        use crate::config::{quantize_score, quantize_secs};
-        self.effs.clear();
-        self.effs.extend(
-            relative_efficiencies(view.dc.classes(), min_vm)
-                .into_iter()
-                .map(|e| quantize_score(e, tolerance)),
-        );
-        self.pms.clear();
-        self.vms.clear();
-        self.row_lookup.clear();
-        for pm in view.dc.pms() {
-            if pm.is_available() {
-                let idx = pm.id.0 as usize;
-                if self.row_lookup.len() <= idx {
-                    self.row_lookup.resize(idx + 1, NO_ROW);
-                }
-                self.row_lookup[idx] = self.pms.len() as u32;
-                self.pms.push(PlanPm {
-                    id: pm.id,
-                    class_idx: pm.class_idx,
-                    capacity: match basis {
-                        CapacityBasis::Virtual => pm.virtual_capacity(),
-                        CapacityBasis::Physical => *pm.capacity(),
-                    },
-                    used: *pm.used(),
-                    reliability: quantize_score(pm.reliability, tolerance),
-                    creation_secs: quantize_secs(pm.class.creation_time.as_secs(), tolerance),
-                    migration_secs: quantize_secs(pm.class.migration_time.as_secs(), tolerance),
-                });
-            }
-        }
-        for (vm, host) in view.migratable_vms() {
+    /// reservations), built by [`PlanPm::from_pm`]. Columns are every VM
+    /// in the `Running` state; VMs being created or already migrating are
+    /// excluded from moves but their reservations are still counted in
+    /// `used`, because the view's occupancy already includes them. Column
+    /// demands are each VM's *current* demand, which resize events move
+    /// away from its spec.
+    pub fn from_view(view: &PlacementView<'_>, cfg: &DynamicConfig) -> Self {
+        let pms: Vec<PlanPm> = view
+            .dc
+            .pms()
+            .iter()
+            .filter(|pm| pm.is_available())
+            .map(|pm| PlanPm::from_pm(pm, cfg))
+            .collect();
+        let vms = view
+            .migratable_vms()
             // A running VM's host is always available; skip defensively if
             // the fleet is in a weird transitional state.
-            let row = self
-                .row_lookup
-                .get(host.0 as usize)
-                .copied()
-                .unwrap_or(NO_ROW);
-            if row != NO_ROW {
-                self.vms.push(PlanVm {
+            .filter_map(|(vm, host)| {
+                let row = pms.binary_search_by_key(&host, |pm| pm.id).ok()?;
+                Some(PlanVm {
                     id: vm.spec.id,
                     resources: *vm.demand(),
                     remaining_secs: vm.estimated_remaining(view.now).as_secs(),
-                    host: row as usize,
+                    host: row,
                     host_pm: host,
-                });
-            }
+                })
+            })
+            .collect();
+        PlanState {
+            pms,
+            vms,
+            effs: eff_table(view.dc.classes(), cfg),
+            now: view.now,
         }
-        self.now = view.now;
     }
 
     /// Applies a planned migration of VM (column) `vm_idx` to PM (row)
@@ -243,10 +222,7 @@ mod tests {
             vms: &vms,
             now: SimTime::from_secs(1_000),
         };
-        let plan = PlanState::from_view(
-            &view,
-            &dvmp_cluster::resources::ResourceVector::cpu_mem(1, 256),
-        );
+        let plan = PlanState::from_view(&view, &DynamicConfig::default());
 
         assert_eq!(plan.pms.len(), 3, "pm3 is off");
         assert_eq!(plan.vms.len(), 2);
@@ -281,10 +257,7 @@ mod tests {
             vms: &vms,
             now: SimTime::ZERO,
         };
-        let plan = PlanState::from_view(
-            &view,
-            &dvmp_cluster::resources::ResourceVector::cpu_mem(1, 256),
-        );
+        let plan = PlanState::from_view(&view, &DynamicConfig::default());
         assert!(plan.vms.is_empty(), "creating VM is not migratable");
         // But its reservation still shows in the plan's used vector.
         let row0 = plan
@@ -311,10 +284,7 @@ mod tests {
             vms: &vms,
             now: SimTime::ZERO,
         };
-        let mut plan = PlanState::from_view(
-            &view,
-            &dvmp_cluster::resources::ResourceVector::cpu_mem(1, 256),
-        );
+        let mut plan = PlanState::from_view(&view, &DynamicConfig::default());
 
         let from_row = plan.vms[0].host;
         let to_row = (from_row + 1) % plan.pms.len();
@@ -325,69 +295,6 @@ mod tests {
         assert_eq!(plan.pms[to_row].used.get(0), 1);
         assert_eq!(plan.vms[0].host, to_row);
         assert_eq!(plan.vms[0].remaining_secs, 10_000 - mig_secs);
-    }
-
-    #[test]
-    fn refill_reuses_arena_and_matches_fresh_build() {
-        // First pass: a busy view.
-        let mut dc = small_fleet();
-        let mut vms = BTreeMap::new();
-        install(
-            &mut dc,
-            &mut vms,
-            spec(1, 512, 10_000),
-            dvmp_cluster::pm::PmId(0),
-            SimTime::ZERO,
-        );
-        install(
-            &mut dc,
-            &mut vms,
-            spec(2, 512, 20_000),
-            dvmp_cluster::pm::PmId(2),
-            SimTime::ZERO,
-        );
-        let min_vm = dvmp_cluster::resources::ResourceVector::cpu_mem(1, 256);
-        let view = PlacementView {
-            dc: &dc,
-            vms: &vms,
-            now: SimTime::ZERO,
-        };
-        let mut arena = PlanState::from_view(&view, &min_vm);
-
-        // Second pass: a different view (one PM off, one VM gone) must
-        // fully replace the first — no stale rows, columns or lookups.
-        let mut dc2 = small_fleet();
-        let mut vms2 = BTreeMap::new();
-        install(
-            &mut dc2,
-            &mut vms2,
-            spec(1, 512, 10_000),
-            dvmp_cluster::pm::PmId(2),
-            SimTime::ZERO,
-        );
-        dc2.pm_mut(dvmp_cluster::pm::PmId(0)).state = PmState::Off;
-        let view2 = PlacementView {
-            dc: &dc2,
-            vms: &vms2,
-            now: SimTime::from_secs(500),
-        };
-        arena.refill(&view2, &min_vm, CapacityBasis::Virtual, 0.0);
-        let fresh = PlanState::from_view(&view2, &min_vm);
-
-        assert_eq!(arena.pms.len(), fresh.pms.len());
-        assert_eq!(arena.vms.len(), fresh.vms.len());
-        assert_eq!(arena.now, fresh.now);
-        assert_eq!(arena.effs, fresh.effs);
-        for (a, f) in arena.pms.iter().zip(&fresh.pms) {
-            assert_eq!(a.id, f.id);
-            assert_eq!(a.used, f.used);
-            assert_eq!(a.capacity, f.capacity);
-        }
-        for (a, f) in arena.vms.iter().zip(&fresh.vms) {
-            assert_eq!(a.id, f.id);
-            assert_eq!(a.host, f.host);
-            assert_eq!(a.remaining_secs, f.remaining_secs);
-        }
     }
 
     #[test]
@@ -416,8 +323,7 @@ mod tests {
             vms: &vms,
             now: SimTime::ZERO,
         };
-        let min_vm = ResourceVector::cpu_mem(1, 256);
-        let plan = PlanState::from_view(&view, &min_vm);
+        let plan = PlanState::from_view(&view, &DynamicConfig::default());
         let row0 = plan.pms.iter().position(|p| p.id == PmId(0)).unwrap();
         // paper_fast is 8 cores; 200% CPU overbooking doubles the row bound.
         assert_eq!(plan.pms[row0].capacity.get(0), 16);
@@ -426,14 +332,16 @@ mod tests {
         assert_eq!(plan.pms[row0].used.get(0), 3);
 
         // The Physical ablation ignores the ratios.
-        let mut phys = PlanState::default();
-        phys.refill(&view, &min_vm, CapacityBasis::Physical, 0.0);
+        let cfg = DynamicConfig {
+            capacity_basis: CapacityBasis::Physical,
+            ..DynamicConfig::default()
+        };
+        let phys = PlanState::from_view(&view, &cfg);
         assert_eq!(phys.pms[row0].capacity.get(0), 8);
     }
 
     #[test]
-    fn refill_quantizes_score_inputs_but_not_capacity() {
-        use crate::config::{quantize_score, quantize_secs};
+    fn from_view_quantizes_score_inputs_but_not_capacity() {
         use dvmp_cluster::pm::PmId;
 
         let mut dc = small_fleet();
@@ -448,10 +356,12 @@ mod tests {
             vms: &vms,
             now: SimTime::ZERO,
         };
-        let min_vm = dvmp_cluster::resources::ResourceVector::cpu_mem(1, 256);
-        let exact = PlanState::from_view(&view, &min_vm);
-        let mut quant = PlanState::default();
-        quant.refill(&view, &min_vm, CapacityBasis::Virtual, 0.01);
+        let exact = PlanState::from_view(&view, &DynamicConfig::default());
+        let cfg = DynamicConfig {
+            class_tolerance: 0.01,
+            ..DynamicConfig::default()
+        };
+        let quant = PlanState::from_view(&view, &cfg);
 
         for (e, q) in exact.pms.iter().zip(&quant.pms) {
             // Score-side inputs are snapped through the shared quantizers…
@@ -507,10 +417,7 @@ mod tests {
             vms: &vms,
             now: SimTime::ZERO,
         };
-        let mut plan = PlanState::from_view(
-            &view,
-            &dvmp_cluster::resources::ResourceVector::cpu_mem(1, 256),
-        );
+        let mut plan = PlanState::from_view(&view, &DynamicConfig::default());
         let vm_idx = plan
             .vms
             .iter()

@@ -58,18 +58,6 @@ impl DenseReference {
         self.total_migrations
     }
 
-    /// The planning state of a live view, as every pass reads it.
-    fn plan_of(&self, view: &PlacementView<'_>) -> PlanState {
-        let mut plan = PlanState::default();
-        plan.refill(
-            view,
-            &self.cfg.min_vm,
-            self.cfg.capacity_basis,
-            self.cfg.class_tolerance,
-        );
-        plan
-    }
-
     /// Algorithm 1 against an explicit plan state, straight from its
     /// definition: build the matrix, then each round move the largest
     /// normalized entry above `MIG_threshold` — the argmax of
@@ -127,7 +115,7 @@ impl PlacementPolicy for DenseReference {
     /// argmax, with the overhead-free fallback column when virtualization
     /// overheads zero it while capacity exists (DESIGN.md I9).
     fn place(&mut self, view: &PlacementView<'_>, vm: &VmSpec) -> Option<PmId> {
-        let plan = self.plan_of(view);
+        let plan = PlanState::from_view(view, &self.cfg);
         let est = vm.estimated_runtime.as_secs();
         let ctx = EvalContext::with_extras(&self.cfg, &self.extras);
         let column = |ctx: &EvalContext<'_>| -> Option<(usize, f64)> {
@@ -145,7 +133,7 @@ impl PlacementPolicy for DenseReference {
     }
 
     fn plan_migrations(&mut self, view: &PlacementView<'_>) -> Vec<Migration> {
-        let mut plan = self.plan_of(view);
+        let mut plan = PlanState::from_view(view, &self.cfg);
         self.plan_on(&mut plan)
     }
 

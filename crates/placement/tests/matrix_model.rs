@@ -7,18 +7,22 @@
 //!    the matrix entry-for-entry bit-identical to a from-scratch build;
 //! 2. the matrix and its per-column `best_move_for` view agree with
 //!    `factors::joint` evaluated entry by entry;
-//! 3. a full `plan_on` pass of the production (class-compressed) planner
-//!    emits exactly the moves the dense reference's pass does.
+//! 3. a live planning pass of the production (class-compressed) planner
+//!    emits exactly the moves the dense reference's pass does, on
+//!    multi-core demands.
 
-use dvmp_cluster::pm::PmId;
+use dvmp_cluster::datacenter::{Datacenter, FleetBuilder};
+use dvmp_cluster::pm::{PmClass, PmId};
 use dvmp_cluster::resources::ResourceVector;
-use dvmp_cluster::vm::VmId;
+use dvmp_cluster::vm::{Vm, VmId, VmSpec, VmState};
 use dvmp_placement::config::DynamicConfig;
 use dvmp_placement::factors::{self, EvalContext};
 use dvmp_placement::matrix::ProbabilityMatrix;
 use dvmp_placement::plan::{PlanPm, PlanState, PlanVm};
-use dvmp_placement::{DenseReference, DynamicPlacement};
+use dvmp_placement::{DenseReference, DynamicPlacement, PlacementPolicy, PlacementView};
+use dvmp_simcore::{SimDuration, SimTime};
 use proptest::prelude::*;
+use std::collections::BTreeMap;
 
 const MAX_VMS: usize = 10;
 
@@ -27,8 +31,12 @@ const MAX_VMS: usize = 10;
 /// chosen host are dropped, so `used` always stays consistent with the
 /// hosted set.
 fn build_plan(hosts: &[u8], cores: &[u64], mems: &[u64], remainings: &[u64]) -> PlanState {
-    let mut plan = PlanState::default();
-    plan.effs = vec![1.0, 0.75];
+    let mut plan = PlanState {
+        pms: Vec::new(),
+        vms: Vec::new(),
+        effs: vec![1.0, 0.75],
+        now: SimTime::ZERO,
+    };
     for i in 0..5u32 {
         let fast = i < 3;
         plan.pms.push(PlanPm {
@@ -60,6 +68,40 @@ fn build_plan(hosts: &[u8], cores: &[u64], mems: &[u64], remainings: &[u64]) -> 
         }
     }
     plan
+}
+
+/// The live counterpart of [`build_plan`]: the same two classes (3 fast +
+/// 2 slow PMs, all on) and the same drop-what-does-not-fit placement, as
+/// a datacenter and a VM map whose VMs start at t = 0.
+fn build_fleet(
+    hosts: &[u8],
+    cores: &[u64],
+    mems: &[u64],
+    remainings: &[u64],
+) -> (Datacenter, BTreeMap<VmId, Vm>) {
+    let mut dc = FleetBuilder::new()
+        .add_class(PmClass::paper_fast(), 3, 0.99)
+        .add_class(PmClass::paper_slow(), 2, 0.95)
+        .initially_on(true)
+        .build();
+    let mut vms = BTreeMap::new();
+    for (i, &h) in hosts.iter().enumerate() {
+        let pm = PmId(u32::from(h) % dc.len() as u32);
+        let spec = VmSpec::exact(
+            VmId(i as u32 + 1),
+            SimTime::ZERO,
+            ResourceVector::cpu_mem(cores[i], mems[i] * 256),
+            SimDuration::from_secs(remainings[i]),
+        );
+        if dc.pm(pm).can_host(&spec.resources) {
+            dc.place(spec.id, pm, spec.resources).unwrap();
+            let mut vm = Vm::new(spec);
+            vm.state = VmState::Running { pm };
+            vm.started_at = Some(SimTime::ZERO);
+            vms.insert(vm.spec.id, vm);
+        }
+    }
+    (dc, vms)
 }
 
 fn assert_same_entries(a: &ProbabilityMatrix, b: &ProbabilityMatrix, what: &str) {
@@ -173,26 +215,21 @@ proptest! {
     }
 
     #[test]
-    fn plan_on_emits_identical_moves_under_both_kernels(
+    fn live_pass_matches_the_dense_reference_on_multi_core_demands(
         hosts in prop::collection::vec(any::<u8>(), 1..MAX_VMS),
         cores in prop::collection::vec(1u64..=3, MAX_VMS),
         mems in prop::collection::vec(1u64..=4, MAX_VMS),
         remainings in prop::collection::vec(200u64..200_000, MAX_VMS),
+        now_s in 0u64..2_000,
     ) {
-        let plan = build_plan(&hosts, &cores, &mems, &remainings);
-        prop_assume!(!plan.vms.is_empty());
-        // The production planner (one-shot compressed) vs the dense
-        // reference over the same explicit plan.
-        let mut fast_policy = DynamicPlacement::paper_default();
-        let mut ref_policy = DenseReference::new(DynamicConfig::default());
-        let mut plan_fast = plan.clone();
-        let mut plan_ref = plan;
-        let fast_moves = fast_policy.plan_on(&mut plan_fast);
-        let ref_moves = ref_policy.plan_on(&mut plan_ref);
-        prop_assert_eq!(fast_moves, ref_moves);
-        // Both end in the same planned occupancy.
-        for (a, b) in plan_fast.pms.iter().zip(&plan_ref.pms) {
-            prop_assert_eq!(a.used, b.used);
-        }
+        let (dc, vms) = build_fleet(&hosts, &cores, &mems, &remainings);
+        prop_assume!(!vms.is_empty());
+        let view = PlacementView { dc: &dc, vms: &vms, now: SimTime::from_secs(now_s) };
+        let mut production = DynamicPlacement::paper_default();
+        let mut reference = DenseReference::new(DynamicConfig::default());
+        prop_assert_eq!(
+            production.plan_migrations(&view),
+            reference.plan_migrations(&view)
+        );
     }
 }

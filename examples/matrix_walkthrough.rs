@@ -51,7 +51,7 @@ fn main() {
         vms: &vms,
         now: SimTime::ZERO,
     };
-    let plan = PlanState::from_view(&view, &cfg.min_vm);
+    let plan = PlanState::from_view(&view, &cfg);
     let matrix = ProbabilityMatrix::build(&plan, &EvalContext::new(&cfg));
 
     let header = || {
