@@ -26,7 +26,10 @@
 //!    wall time and engine events/sec, plus dynamic-scheme rows at
 //!    1k–10k PMs and jittered-reliability rows planned with tolerance
 //!    bucketing (`class_tolerance`); every scaling row records the
-//!    superclass count its fleet registers at its tolerance.
+//!    superclass count its fleet registers at its tolerance;
+//! 7. SWF I/O — rendering the paper week's trace as SWF text and parsing
+//!    it back (the reader behind the CLI's `"swf"` workload), asserting
+//!    the round trip returns the same jobs.
 //!
 //! Results go to stdout and to `BENCH_placement.json` in the working
 //! directory (schema documented in DESIGN.md §8). `--smoke` shrinks the
@@ -41,7 +44,7 @@
 //! gate over `BENCH_history.jsonl`.
 
 use dvmp::prelude::*;
-use dvmp_bench::fragmented_fixture_scaled;
+use dvmp_bench::fragmented_fixture;
 use dvmp_cluster::pm::PmId;
 use dvmp_cluster::vm::VmState;
 use dvmp_cluster::FleetDelta;
@@ -178,6 +181,18 @@ struct ScalingBench {
 }
 
 #[derive(Serialize)]
+struct SwfBench {
+    jobs: usize,
+    bytes: usize,
+    /// Median `swf::to_swf_string` of the paper week's trace.
+    render_ns: f64,
+    /// Median `swf::parse_swf` of that text.
+    parse_ns: f64,
+    /// Parsing the rendered text returned the generated jobs.
+    round_trip_identical: bool,
+}
+
+#[derive(Serialize)]
 struct PerfReport {
     schema: &'static str,
     smoke: bool,
@@ -192,6 +207,7 @@ struct PerfReport {
     elasticity: ElasticityBench,
     quantization: QuantizationBench,
     scaling: Vec<ScalingBench>,
+    swf: SwfBench,
     profile: ProfiledRunBench,
 }
 
@@ -277,7 +293,7 @@ fn converged_fixture(
     dvmp_cluster::datacenter::Datacenter,
     std::collections::BTreeMap<dvmp_cluster::vm::VmId, dvmp_cluster::vm::Vm>,
 ) {
-    let (mut dc, mut vms) = fragmented_fixture_scaled(pm_count, n_vms);
+    let (mut dc, mut vms) = fragmented_fixture(pm_count, n_vms);
     let now = dvmp_simcore::SimTime::from_secs(1_000);
     let mut conv = DynamicPlacement::paper_default();
     for _ in 0..200 {
@@ -567,6 +583,25 @@ fn bench_elasticity(pm_count: usize, days: u64, seed: u64) -> ElasticityBench {
     }
 }
 
+fn bench_swf(seed: u64, iters: usize) -> SwfBench {
+    use dvmp_workload::swf;
+    let trace = SyntheticGenerator::new(LpcProfile::paper_calibrated(), seed).generate();
+    let text = swf::to_swf_string(trace.jobs(), "perf_report");
+    let render_ns = median_ns(iters, || {
+        std::hint::black_box(swf::to_swf_string(trace.jobs(), "perf_report"));
+    });
+    let parse_ns = median_ns(iters, || {
+        std::hint::black_box(swf::parse_swf(&text).expect("rendered SWF parses"));
+    });
+    SwfBench {
+        jobs: trace.jobs().len(),
+        bytes: text.len(),
+        render_ns,
+        parse_ns,
+        round_trip_identical: swf::parse_swf(&text).is_ok_and(|back| back == trace.jobs()),
+    }
+}
+
 fn bench_profiled_run(seed: u64, days: u64) -> ProfiledRunBench {
     // Fresh timers, then all three obs switches on (the checked bench may
     // have armed recording already — checked mode does so automatically).
@@ -801,6 +836,16 @@ fn main() {
         }
     }
 
+    let swf = bench_swf(seed, iters);
+    eprintln!(
+        "swf {} jobs / {} bytes: render {:.2} ms, parse {:.2} ms, round trip identical: {}",
+        swf.jobs,
+        swf.bytes,
+        swf.render_ns / 1e6,
+        swf.parse_ns / 1e6,
+        swf.round_trip_identical
+    );
+
     // Profiled pass last: every earlier bench ran with the span timers
     // off, so instrumentation cannot distort their numbers.
     let profile = bench_profiled_run(seed, days);
@@ -812,7 +857,7 @@ fn main() {
     );
 
     let report = PerfReport {
-        schema: "dvmp/perf-report/v10",
+        schema: "dvmp/perf-report/v11",
         smoke,
         seed,
         git_sha: dvmp_obs::git_sha().to_string(),
@@ -823,6 +868,7 @@ fn main() {
         elasticity,
         quantization,
         scaling,
+        swf,
         profile,
     };
     let json = serde_json::to_string_pretty(&report).expect("report serializes");
@@ -880,6 +926,10 @@ fn main() {
             );
             healthy = false;
         }
+    }
+    if !report.swf.round_trip_identical {
+        eprintln!("FAIL: parsing the rendered SWF trace did not return the generated jobs");
+        healthy = false;
     }
     if report.profile.profile.phases.is_empty() {
         eprintln!("FAIL: profiled run recorded no phase timings");

@@ -1,5 +1,5 @@
-//! Shared plumbing for the figure-regeneration binaries and Criterion
-//! benches.
+//! Shared plumbing for the figure-regeneration binaries and
+//! `perf_report`.
 //!
 //! Every binary accepts the same optional positional arguments:
 //! `[seed] [days]` (defaults: 42, 7). Output is an aligned text table —
@@ -36,27 +36,14 @@ impl FigureArgs {
     }
 }
 
-/// A paper-scale fixture shared by the Criterion benches and
-/// `perf_report`: the Table II fleet at vCPU granularity (two hardware
-/// threads per core, so the 100 machines expose 1 000 vCPUs), all on,
-/// hosting `n` single-vCPU VMs spread round-robin — a fragmented state in
-/// which 500+ VMs still leave consolidation headroom on every machine, so
-/// matrix builds and planning passes exercise the live-entry path rather
-/// than degenerating into all-full feasibility rejections.
+/// A planning fixture for `perf_report`: `pm_count` machines in the
+/// Table II 1:3 fast/slow mix at vCPU granularity (two hardware threads
+/// per core, so 100 machines expose 1 000 vCPUs), all on, hosting `n`
+/// single-vCPU VMs spread round-robin — a fragmented state in which 500+
+/// VMs on 100 machines still leave consolidation headroom everywhere, so
+/// planning passes exercise the live-entry path rather than degenerating
+/// into all-full feasibility rejections.
 pub fn fragmented_fixture(
-    n: u32,
-) -> (
-    dvmp_cluster::datacenter::Datacenter,
-    std::collections::BTreeMap<dvmp_cluster::vm::VmId, dvmp_cluster::vm::Vm>,
-) {
-    fragmented_fixture_scaled(100, n)
-}
-
-/// [`fragmented_fixture`] at an arbitrary fleet size: `pm_count` machines
-/// with the same 1:3 fast/slow mix, hosting `n` single-vCPU VMs spread
-/// round-robin. Used by the incremental-planning rows of `perf_report`,
-/// which need a 1k-PM / 5k-VM planning problem.
-pub fn fragmented_fixture_scaled(
     pm_count: usize,
     n: u32,
 ) -> (

@@ -339,10 +339,9 @@ fn collect_gate_regressions(
 
 /// `sweep <spec.json> [--seeds N]` — regenerate the spec's scenario under
 /// `N` seeds (master seed, then +1000 per step, matching the bench
-/// sweep's convention) and run its policy on each. All runs execute in
-/// parallel on shared-nothing simulations and come back in input order,
-/// bit-identical to a sequential loop, so the merged mean ± std summary
-/// is reproducible. `--json` emits the per-seed reports plus the merged
+/// sweep's convention) and run its policy on each, one seed at a time, so
+/// the merged mean ± std summary is reproducible. A seed past `u64::MAX`
+/// is an error. `--json` emits the per-seed reports plus the merged
 /// summary as one document.
 pub fn sweep(spec_text: &str, seeds: usize, json_output: bool) -> Result<String, String> {
     use dvmp_simcore::stats::OnlineStats;
@@ -351,18 +350,23 @@ pub fn sweep(spec_text: &str, seeds: usize, json_output: bool) -> Result<String,
     }
     let base = ScenarioSpec::from_json(spec_text)?;
     base.policy.build(base.seed)?; // validate the policy spec up front
-    let mut scenarios = Vec::with_capacity(seeds);
+    let mut run_seeds = Vec::with_capacity(seeds);
+    let mut reports: Vec<RunReport> = Vec::with_capacity(seeds);
     for i in 0..seeds as u64 {
         let mut spec = base.clone();
-        spec.seed = base.seed + i * 1_000;
-        scenarios.push(spec.build()?);
+        spec.seed = i
+            .checked_mul(1_000)
+            .and_then(|step| base.seed.checked_add(step))
+            .ok_or_else(|| {
+                format!(
+                    "seed {} + {i} × 1000 overflows u64; lower the seed or --seeds",
+                    base.seed
+                )
+            })?;
+        let scenario = spec.build()?;
+        run_seeds.push(scenario.sim.seed);
+        reports.push(scenario.run(base.policy.build(base.seed)?));
     }
-    let policy = PolicyFactory::new("spec-policy", {
-        let spec = base.clone();
-        move || spec.policy.build(spec.seed).expect("validated above")
-    });
-    let swept = sweep_scenarios(&scenarios, &[policy]);
-    let reports: Vec<RunReport> = swept.into_iter().flatten().collect();
 
     let mut energy = OnlineStats::new();
     let mut waited = OnlineStats::new();
@@ -419,11 +423,11 @@ pub fn sweep(spec_text: &str, seeds: usize, json_output: bool) -> Result<String,
         "{:>10} {:>14} {:>12} {:>12}",
         "seed", "energy kWh", "waited %", "mean kW"
     );
-    for (scenario, r) in scenarios.iter().zip(&reports) {
+    for (seed, r) in run_seeds.iter().zip(&reports) {
         let _ = writeln!(
             out,
             "{:>10} {:>14.1} {:>11.2}% {:>12.1}",
-            scenario.sim.seed,
+            seed,
             r.total_energy_kwh,
             r.qos.waited_fraction * 100.0,
             r.mean_power_kw
@@ -578,7 +582,7 @@ USAGE:
                                          over shared numeric leaves
   dvmp-cli sweep <spec.json> [--seeds N] [--json]
                                          re-run the spec's policy under N
-                                         seeds in parallel (default 5) and
+                                         seeds, one at a time (default 5), and
                                          merge the reports (mean ± std)
   dvmp-cli workload <profile> [seed]     characterise a synthetic profile
   dvmp-cli export-swf <profile> [seed]   print a synthetic trace as SWF
@@ -805,6 +809,15 @@ mod tests {
         // Both per-seed rows appear, under the +1000 convention.
         assert!(out.contains("42") && out.contains("1042"), "{out}");
         assert!(sweep(SPEC, 0, false).is_err());
+    }
+
+    #[test]
+    fn sweep_rejects_seeds_past_u64_max() {
+        let spec = SPEC.replace("\"seed\": 42", "\"seed\": 18446744073709551615");
+        // One seed is the master seed itself and still runs.
+        assert!(sweep(&spec, 1, false).is_ok());
+        let err = sweep(&spec, 2, false).expect_err("second seed overflows");
+        assert!(err.contains("18446744073709551615"), "{err}");
     }
 
     #[test]

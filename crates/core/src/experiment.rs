@@ -1,30 +1,25 @@
 //! Multi-policy experiment driver.
 //!
 //! The paper's figures compare three schemes on identical inputs. This
-//! module runs one [`Scenario`] under several policies — in parallel, one
-//! OS thread per policy via `crossbeam::scope` — and collects the
-//! per-policy [`RunReport`]s in input order.
+//! module runs one [`Scenario`] under several policies, one after
+//! another, and returns the per-policy [`RunReport`]s in input order.
 
 use crate::scenario::Scenario;
 use dvmp_metrics::recorder::RunReport;
 use dvmp_placement::PlacementPolicy;
-use parking_lot::Mutex;
 
 /// A named constructor for a policy instance. Policies are stateful (the
 /// dynamic scheme keeps counters, the random baseline an RNG), so each run
-/// needs a fresh instance; the factory carries the recipe across threads.
+/// needs a fresh instance.
 pub struct PolicyFactory {
     /// Label used in reports when the policy itself is not yet built.
     pub name: &'static str,
-    make: Box<dyn Fn() -> Box<dyn PlacementPolicy> + Send + Sync>,
+    make: Box<dyn Fn() -> Box<dyn PlacementPolicy>>,
 }
 
 impl PolicyFactory {
     /// Wraps a constructor closure.
-    pub fn new(
-        name: &'static str,
-        make: impl Fn() -> Box<dyn PlacementPolicy> + Send + Sync + 'static,
-    ) -> Self {
+    pub fn new(name: &'static str, make: impl Fn() -> Box<dyn PlacementPolicy> + 'static) -> Self {
         PolicyFactory {
             name,
             make: Box::new(make),
@@ -49,57 +44,18 @@ impl PolicyFactory {
     }
 }
 
-/// Runs `scenario` under every policy, in parallel, returning reports in
-/// the factories' order.
+/// Runs `scenario` under every policy, each on a fresh instance, returning
+/// reports in the factories' order.
 pub fn compare_policies(scenario: &Scenario, policies: &[PolicyFactory]) -> Vec<RunReport> {
-    let slots: Vec<Mutex<Option<RunReport>>> = policies.iter().map(|_| Mutex::new(None)).collect();
-    crossbeam::scope(|s| {
-        for (i, factory) in policies.iter().enumerate() {
-            let slot = &slots[i];
-            let scenario = &*scenario;
-            s.spawn(move |_| {
-                let report = scenario.run(factory.build());
-                *slot.lock() = Some(report);
-            });
-        }
-    })
-    .expect("policy comparison threads must not panic");
-    slots
-        .into_iter()
-        .map(|m| m.into_inner().expect("every thread stored its report"))
-        .collect()
+    policies.iter().map(|f| scenario.run(f.build())).collect()
 }
 
-/// Runs every (scenario × policy) pair in parallel — one thread per pair —
-/// returning, for each scenario in input order, the policy reports in
-/// factory order. This parallelizes multi-seed sweeps the same way
-/// [`compare_policies`] parallelizes a single comparison; each pair gets a
-/// fresh policy instance and its own scenario reference, so results are
-/// identical to running the pairs sequentially.
+/// Runs [`compare_policies`] on each scenario in turn, returning, for each
+/// scenario in input order, the policy reports in factory order.
 pub fn sweep_scenarios(scenarios: &[Scenario], policies: &[PolicyFactory]) -> Vec<Vec<RunReport>> {
-    let slots: Vec<Vec<Mutex<Option<RunReport>>>> = scenarios
+    scenarios
         .iter()
-        .map(|_| policies.iter().map(|_| Mutex::new(None)).collect())
-        .collect();
-    crossbeam::scope(|s| {
-        for (si, scenario) in scenarios.iter().enumerate() {
-            for (pi, factory) in policies.iter().enumerate() {
-                let slot = &slots[si][pi];
-                s.spawn(move |_| {
-                    let report = scenario.run(factory.build());
-                    *slot.lock() = Some(report);
-                });
-            }
-        }
-    })
-    .expect("sweep threads must not panic");
-    slots
-        .into_iter()
-        .map(|row| {
-            row.into_iter()
-                .map(|m| m.into_inner().expect("every thread stored its report"))
-                .collect()
-        })
+        .map(|s| compare_policies(s, policies))
         .collect()
 }
 
@@ -122,19 +78,6 @@ mod tests {
         assert_eq!(reports[0].total_arrivals, reports[1].total_arrivals);
         // Spreading burns at least as much energy as packing by id.
         assert!(reports[1].total_energy_kwh >= reports[0].total_energy_kwh * 0.95);
-    }
-
-    #[test]
-    fn parallel_equals_sequential() {
-        let scenario = Scenario::paper(7).with_days(1);
-        let factories = vec![PolicyFactory::new("first-fit", || Box::new(FirstFit))];
-        let parallel = compare_policies(&scenario, &factories);
-        let sequential = scenario.run(Box::new(FirstFit));
-        assert_eq!(parallel[0].total_energy_kwh, sequential.total_energy_kwh);
-        assert_eq!(
-            parallel[0].hourly_active_servers,
-            sequential.hourly_active_servers
-        );
     }
 
     #[test]

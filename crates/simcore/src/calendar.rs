@@ -1,20 +1,19 @@
 //! Calendar-queue future-event list: a bucketed timing wheel.
 //!
-//! The classic [`BinaryHeap`](std::collections::BinaryHeap)-backed
-//! [`EventQueue`](crate::queue::EventQueue) costs O(log n) per operation; at
-//! fleet scale (tens of thousands of in-flight events) the heap's pointer
-//! churn dominates the event loop. A calendar queue (R. Brown, CACM 1988)
-//! hashes each event by time into one of `nb` buckets of `width` seconds and
-//! drains buckets in clock order, giving O(1) amortized schedule/pop as long
-//! as the bucket count tracks the live population — which [`CalendarQueue`]
-//! maintains by doubling/halving and re-estimating `width` from the live
-//! event span on resize.
+//! A [`BinaryHeap`](std::collections::BinaryHeap) future-event list costs
+//! O(log n) per operation; at fleet scale (tens of thousands of in-flight
+//! events) the heap's pointer churn dominates the event loop. A calendar
+//! queue (R. Brown, CACM 1988) hashes each event by time into one of `nb`
+//! buckets of `width` seconds and drains buckets in clock order, giving
+//! O(1) amortized schedule/pop as long as the bucket count tracks the live
+//! population — which [`CalendarQueue`] maintains by doubling/halving and
+//! re-estimating `width` from the live event span on resize.
 //!
-//! The queue reproduces the heap's semantics *exactly*:
+//! The queue's semantics are those of a sorted list:
 //!
 //! - the dispatch order is the total order on `(time, id)` — FIFO among
-//!   simultaneous events — so simulations are bit-identical under either
-//!   implementation (property-tested in `tests/model.rs`);
+//!   simultaneous events — so simulations are bit-reproducible
+//!   (property-tested against a sorted-`Vec` model in `tests/model.rs`);
 //! - cancellation is lazy and id-based: stale entries are purged when their
 //!   bucket is drained or on resize, and cancelling an id that already fired
 //!   is a no-op returning `false`;
@@ -33,8 +32,8 @@ use std::collections::{HashSet, VecDeque};
 /// Minimum (and initial) bucket count; always a power of two.
 const MIN_BUCKETS: usize = 16;
 
-/// A calendar-queue future-event list, drop-in equivalent to
-/// [`EventQueue`](crate::queue::EventQueue).
+/// A cancellable calendar-queue future-event list: the classic
+/// discrete-event simulation core.
 ///
 /// ```
 /// use dvmp_simcore::{CalendarQueue, SimTime};
@@ -87,9 +86,8 @@ impl<E> CalendarQueue<E> {
     }
 
     /// Schedules `payload` to fire at `time`; returns a cancellation token.
-    /// Ids are unique and monotonically increasing, exactly as in the heap
-    /// queue, so `(time, id)` dispatch order is preserved across
-    /// implementations.
+    /// Ids are unique and monotonically increasing, so ties in `time` fire
+    /// in scheduling order.
     pub fn schedule(&mut self, time: SimTime, payload: E) -> EventId {
         let id = EventId(self.next_id);
         self.next_id += 1;
@@ -323,6 +321,12 @@ mod tests {
         let only = q.pop().unwrap();
         assert_eq!(only.id, keep);
         assert!(q.pop().is_none());
+    }
+
+    #[test]
+    fn cancel_unknown_id_is_rejected() {
+        let mut q: CalendarQueue<()> = CalendarQueue::new();
+        assert!(!q.cancel(EventId(42)));
     }
 
     #[test]

@@ -29,7 +29,7 @@ pub trait World {
 
 /// Handle for scheduling future events from within [`World::handle`] (or
 /// from outside the loop, to seed the simulation). Backed by the
-/// calendar queue; [`crate::EventQueue`] is its binary-heap reference.
+/// [`CalendarQueue`].
 pub struct Scheduler<E> {
     queue: CalendarQueue<E>,
     now: SimTime,

@@ -8,13 +8,11 @@
 //! - [`time`]: second-resolution simulation time ([`SimTime`]) and duration
 //!   ([`SimDuration`]) types with saturating arithmetic and calendar-bucket
 //!   helpers (hour / day / week).
-//! - [`event`] and [`queue`]: a cancellable priority event queue with a
-//!   *stable* total order — ties in time are broken by insertion sequence so
-//!   that simulations are bit-reproducible.
-//! - [`calendar`]: a calendar-queue (bucketed timing-wheel) implementation
-//!   of the same future-event list with O(1) amortized schedule/pop, and
-//!   the backing store of every [`Scheduler`] (the heap queue is its
-//!   reference).
+//! - [`event`] and [`calendar`]: a cancellable calendar-queue (bucketed
+//!   timing-wheel) future-event list with O(1) amortized schedule/pop and
+//!   a *stable* total order — ties in time are broken by insertion
+//!   sequence so that simulations are bit-reproducible. It is the backing
+//!   store of every [`Scheduler`].
 //! - [`engine`]: a minimal event loop driving a user-supplied [`World`]
 //!   state machine.
 //! - [`rng`]: seed-derivation utilities so that independent stochastic
@@ -30,7 +28,6 @@ pub mod calendar;
 pub mod dist;
 pub mod engine;
 pub mod event;
-pub mod queue;
 pub mod rng;
 pub mod series;
 pub mod stats;
@@ -39,5 +36,4 @@ pub mod time;
 pub use calendar::CalendarQueue;
 pub use engine::{Engine, Scheduler, World};
 pub use event::{EventEntry, EventId};
-pub use queue::EventQueue;
 pub use time::{SimDuration, SimTime};

@@ -1,9 +1,9 @@
-//! Model-based property tests: the event queue and the step series are
-//! checked against trivially correct reference implementations under
-//! random operation sequences.
+//! Model-based property tests: the calendar event queue and the step
+//! series are checked against trivially correct reference implementations
+//! under random operation sequences.
 
 use dvmp_simcore::series::StepSeries;
-use dvmp_simcore::{CalendarQueue, EventQueue, SimDuration, SimTime};
+use dvmp_simcore::{CalendarQueue, SimDuration, SimTime};
 use proptest::prelude::*;
 
 /// Operations on the event queue.
@@ -31,12 +31,14 @@ fn arb_ops() -> impl Strategy<Value = Vec<QueueOp>> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
-    /// The queue behaves exactly like a sorted reference list under any
-    /// interleaving of schedule / cancel / pop.
+    /// The calendar queue behaves exactly like a sorted reference list
+    /// under any interleaving of schedule / cancel / peek / pop: same pop
+    /// order, same ids, same live counts, same cancel return values, and
+    /// the same full dispatch order when drained at the end.
     #[test]
-    fn event_queue_matches_reference_model(ops in arb_ops()) {
-        let mut q = EventQueue::new();
-        // Reference: Vec of (time, seq, id) kept sorted by (time, seq).
+    fn event_queue_matches_reference_model(ops in arb_ops(), peek in any::<bool>()) {
+        let mut q = CalendarQueue::new();
+        // Reference: Vec of (time, seq, id), sorted by (time, seq) on use.
         let mut model: Vec<(u64, u64, dvmp_simcore::EventId)> = Vec::new();
         let mut retired: Vec<dvmp_simcore::EventId> = Vec::new();
         let mut seq = 0u64;
@@ -62,6 +64,10 @@ proptest! {
                 }
                 QueueOp::Pop => {
                     model.sort_by_key(|&(t, s, _)| (t, s));
+                    if peek {
+                        let expect = model.first().map(|&(t, _, _)| SimTime::from_secs(t));
+                        prop_assert_eq!(q.peek_time(), expect);
+                    }
                     let expect = if model.is_empty() {
                         None
                     } else {
@@ -84,72 +90,12 @@ proptest! {
             }
             prop_assert_eq!(q.len(), model.len(), "live count tracks the model");
         }
-    }
-
-    /// The calendar queue behaves exactly like the heap queue under any
-    /// interleaving of schedule / cancel / pop / peek: same pop order,
-    /// same ids, same live counts, same cancel return values. This is the
-    /// differential oracle that lets the engine default to the calendar
-    /// implementation without re-validating every world.
-    #[test]
-    fn calendar_queue_matches_heap_queue(ops in arb_ops(), peek in any::<bool>()) {
-        let mut heap = EventQueue::new();
-        let mut cal = CalendarQueue::new();
-        let mut live: Vec<(dvmp_simcore::EventId, dvmp_simcore::EventId)> = Vec::new();
-        let mut retired: Vec<(dvmp_simcore::EventId, dvmp_simcore::EventId)> = Vec::new();
-        let mut seq = 0u64;
-
-        for op in ops {
-            match op {
-                QueueOp::Schedule(t) => {
-                    let t = SimTime::from_secs(t as u64);
-                    let h = heap.schedule(t, seq);
-                    let c = cal.schedule(t, seq);
-                    prop_assert_eq!(h, c, "ids must be assigned identically");
-                    live.push((h, c));
-                    seq += 1;
-                }
-                QueueOp::Cancel(n) => {
-                    if !live.is_empty() {
-                        let idx = n as usize % live.len();
-                        let (h, c) = live.remove(idx);
-                        prop_assert_eq!(heap.cancel(h), cal.cancel(c));
-                        retired.push((h, c));
-                    } else if let Some(&(h, c)) = retired.last() {
-                        prop_assert_eq!(heap.cancel(h), cal.cancel(c));
-                    }
-                }
-                QueueOp::Pop => {
-                    if peek {
-                        prop_assert_eq!(heap.peek_time(), cal.peek_time());
-                    }
-                    match (heap.pop(), cal.pop()) {
-                        (None, None) => {}
-                        (Some(h), Some(c)) => {
-                            prop_assert_eq!(h.time, c.time);
-                            prop_assert_eq!(h.id, c.id);
-                            prop_assert_eq!(h.payload, c.payload);
-                            live.retain(|&(id, _)| id != h.id);
-                            retired.push((h.id, c.id));
-                        }
-                        (h, c) => {
-                            prop_assert!(false, "pop diverged: heap {h:?}, calendar {c:?}");
-                        }
-                    }
-                }
-            }
-            prop_assert_eq!(heap.len(), cal.len(), "live counts diverged");
-        }
-        // Drain both to the end: full dispatch orders must coincide.
-        loop {
-            match (heap.pop(), cal.pop()) {
-                (None, None) => break,
-                (Some(h), Some(c)) => {
-                    prop_assert_eq!((h.time, h.id, h.payload), (c.time, c.id, c.payload));
-                }
-                (h, c) => prop_assert!(false, "drain diverged: heap {h:?}, calendar {c:?}"),
-            }
-        }
+        // Drain to the end: the full dispatch order must be the model's.
+        model.sort_by_key(|&(t, s, _)| (t, s));
+        let drained: Vec<_> = std::iter::from_fn(|| q.pop())
+            .map(|e| (e.time.as_secs(), e.payload, e.id))
+            .collect();
+        prop_assert_eq!(drained, model);
     }
 
     /// StepSeries integration equals a brute-force per-second sum.

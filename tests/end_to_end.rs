@@ -81,19 +81,6 @@ fn qos_bound_holds_at_calibrated_load() {
 }
 
 #[test]
-fn parallel_comparison_matches_sequential_runs() {
-    let scenario = day_scenario(7);
-    let factories = dvmp::experiment::PolicyFactory::paper_trio();
-    let parallel = compare_policies(&scenario, &factories);
-    for (factory, par) in factories.iter().zip(&parallel) {
-        let seq = scenario.run(factory.build());
-        assert_eq!(par.total_energy_kwh, seq.total_energy_kwh, "{}", par.policy);
-        assert_eq!(par.total_migrations, seq.total_migrations);
-        assert_eq!(par.hourly_active_servers, seq.hourly_active_servers);
-    }
-}
-
-#[test]
 fn energy_never_below_work_floor() {
     // Sanity: measured energy must be at least the energy of the work
     // itself (every VM·second costs at least 1/W_fast of a fast PM's
