@@ -1474,6 +1474,8 @@ impl CompressedPlanner {
             self.reset_pending();
         }
         self.hmin = hmin;
+        #[cfg(any(test, debug_assertions))]
+        self.assert_hmin_tight();
         if !moves.is_empty() {
             dvmp_obs::note_compressed_rounds_entered();
         }
@@ -1525,6 +1527,19 @@ impl CompressedPlanner {
                 col.best = INEXACT;
             }
         }
+    }
+
+    /// Checked mode: after a pass re-derives `hmin`, each `hmin[d]` is
+    /// exactly the minimum `H(host)` over demand `d`'s columns (`∞` for
+    /// none) — tight, not merely the lower bound the early-out needs.
+    #[cfg(any(test, debug_assertions))]
+    fn assert_hmin_tight(&self) {
+        let mut exact = vec![f64::INFINITY; self.hmin.len()];
+        for col in &self.cols {
+            let d = col.demand as usize;
+            exact[d] = exact[d].min(self.rows[col.host as usize].h);
+        }
+        assert_eq!(self.hmin, exact, "hmin is not the minimum H per demand");
     }
 
     /// Checked mode: a round's winner is the argmax of `exact_best` over
