@@ -350,22 +350,23 @@ pub fn sweep(spec_text: &str, seeds: usize, json_output: bool) -> Result<String,
     }
     let base = ScenarioSpec::from_json(spec_text)?;
     base.policy.build(base.seed)?; // validate the policy spec up front
-    let mut run_seeds = Vec::with_capacity(seeds);
+    let run_seeds = (0..seeds as u64)
+        .map(|i| {
+            i.checked_mul(1_000)
+                .and_then(|step| base.seed.checked_add(step))
+                .ok_or_else(|| {
+                    format!(
+                        "seed {} + {i} × 1000 overflows u64; lower the seed or --seeds",
+                        base.seed
+                    )
+                })
+        })
+        .collect::<Result<Vec<u64>, String>>()?;
     let mut reports: Vec<RunReport> = Vec::with_capacity(seeds);
-    for i in 0..seeds as u64 {
+    for &seed in &run_seeds {
         let mut spec = base.clone();
-        spec.seed = i
-            .checked_mul(1_000)
-            .and_then(|step| base.seed.checked_add(step))
-            .ok_or_else(|| {
-                format!(
-                    "seed {} + {i} × 1000 overflows u64; lower the seed or --seeds",
-                    base.seed
-                )
-            })?;
-        let scenario = spec.build()?;
-        run_seeds.push(scenario.sim.seed);
-        reports.push(scenario.run(base.policy.build(base.seed)?));
+        spec.seed = seed;
+        reports.push(spec.build()?.run(base.policy.build(base.seed)?));
     }
 
     let mut energy = OnlineStats::new();
