@@ -28,6 +28,7 @@ pub mod calendar;
 pub mod dist;
 pub mod engine;
 pub mod event;
+mod queue;
 pub mod rng;
 pub mod series;
 pub mod stats;
