@@ -289,10 +289,7 @@ fn median_ns(iters: usize, mut f: impl FnMut()) -> f64 {
 fn converged_fixture(
     pm_count: usize,
     n_vms: u32,
-) -> (
-    dvmp_cluster::datacenter::Datacenter,
-    std::collections::BTreeMap<dvmp_cluster::vm::VmId, dvmp_cluster::vm::Vm>,
-) {
+) -> (dvmp_cluster::datacenter::Datacenter, dvmp_cluster::VmTable) {
     let (mut dc, mut vms) = fragmented_fixture(pm_count, n_vms);
     let now = dvmp_simcore::SimTime::from_secs(1_000);
     let mut conv = DynamicPlacement::paper_default();
@@ -309,11 +306,11 @@ fn converged_fixture(
             break;
         }
         for m in &moves {
-            let res = vms[&m.vm].spec.resources;
+            let res = vms[m.vm].spec.resources;
             if dc.host_of(m.vm) == Some(m.from) && dc.pm(m.to).can_host(&res) {
                 dc.begin_migration(m.vm, m.to, res).unwrap();
                 dc.finish_migration(m.vm, m.from).unwrap();
-                vms.get_mut(&m.vm).unwrap().state = VmState::Running { pm: m.to };
+                vms.get_mut(m.vm).unwrap().state = VmState::Running { pm: m.to };
             }
         }
     }
@@ -323,14 +320,11 @@ fn converged_fixture(
 
 /// The steady-state delta a control period typically drains: a couple of
 /// PM footprint changes and one churned VM.
-fn steady_state_delta(
-    pm_count: usize,
-    vms: &std::collections::BTreeMap<dvmp_cluster::vm::VmId, dvmp_cluster::vm::Vm>,
-) -> FleetDelta {
+fn steady_state_delta(pm_count: usize, vms: &dvmp_cluster::VmTable) -> FleetDelta {
     let mut delta = FleetDelta::new();
     delta.note_pm(PmId(0));
     delta.note_pm(PmId((pm_count / 2) as u32));
-    if let Some(&vm0) = vms.keys().next() {
+    if let Some(vm0) = vms.ids().next() {
         delta.note_vm(vm0);
     }
     delta
@@ -393,7 +387,7 @@ fn probe_superclasses(fleet: &Datacenter, tolerance: f64) -> usize {
     for id in ids {
         dc.pm_mut(id).state = dvmp_cluster::pm::PmState::On;
     }
-    let vms = std::collections::BTreeMap::new();
+    let vms = dvmp_cluster::VmTable::new();
     let view = PlacementView {
         dc: &dc,
         vms: &vms,

@@ -2,7 +2,8 @@
 //! `perf_report`.
 //!
 //! Every binary accepts the same optional positional arguments:
-//! `[seed] [days]` (defaults: 42, 7). Output is an aligned text table —
+//! `[seed] [days]` (defaults: 42, 7); anything else exits with status 2
+//! and a usage line. Output is an aligned text table —
 //! the same series the paper's figure plots — followed by a CSV block for
 //! re-plotting, and a summary digest for EXPERIMENTS.md.
 
@@ -19,15 +20,41 @@ pub struct FigureArgs {
 
 impl FigureArgs {
     /// Parses `[seed] [days]` from `std::env::args`, with defaults 42 / 7.
+    /// Bad arguments print the usage line to stderr and exit with status 2.
     pub fn parse() -> Self {
-        let mut args = std::env::args().skip(1);
-        let seed = args.next().and_then(|a| a.parse().ok()).unwrap_or(42);
-        let days = args
-            .next()
-            .and_then(|a| a.parse().ok())
-            .unwrap_or(7)
-            .clamp(1, 7);
-        FigureArgs { seed, days }
+        let mut argv = std::env::args();
+        let program = argv.next().unwrap_or_default();
+        Self::from_args(argv).unwrap_or_else(|e| {
+            let name = std::path::Path::new(&program)
+                .file_name()
+                .map_or("figure".into(), |n| n.to_string_lossy());
+            eprintln!("error: {e}");
+            eprintln!("usage: {name} [seed] [days]  (seed: u64, default 42; days: 1-7, default 7)");
+            std::process::exit(2);
+        })
+    }
+
+    /// Parses `[seed] [days]` (the arguments after the program name). A
+    /// seed that is not a `u64`, days outside 1..=7 and extra arguments
+    /// are errors.
+    pub fn from_args(mut args: impl Iterator<Item = String>) -> Result<Self, String> {
+        let seed = match args.next() {
+            None => 42,
+            Some(a) => a
+                .parse()
+                .map_err(|_| format!("seed `{a}` is not an unsigned integer"))?,
+        };
+        let days = match args.next() {
+            None => 7,
+            Some(a) => match a.parse() {
+                Ok(d @ 1..=7) => d,
+                _ => return Err(format!("days `{a}` is not a whole number from 1 to 7")),
+            },
+        };
+        if let Some(extra) = args.next() {
+            return Err(format!("unexpected argument `{extra}`"));
+        }
+        Ok(FigureArgs { seed, days })
     }
 
     /// The paper scenario at this seed/length.
@@ -46,10 +73,7 @@ impl FigureArgs {
 pub fn fragmented_fixture(
     pm_count: usize,
     n: u32,
-) -> (
-    dvmp_cluster::datacenter::Datacenter,
-    std::collections::BTreeMap<dvmp_cluster::vm::VmId, dvmp_cluster::vm::Vm>,
-) {
+) -> (dvmp_cluster::datacenter::Datacenter, dvmp_cluster::VmTable) {
     use dvmp_cluster::pm::{PmClass, PmId};
     use dvmp_cluster::resources::ResourceVector;
     use dvmp_cluster::vm::{Vm, VmId, VmSpec, VmState};
@@ -65,7 +89,7 @@ pub fn fragmented_fixture(
         .add_class(slow, pm_count - fast_count, 0.99)
         .initially_on(true)
         .build();
-    let mut vms = std::collections::BTreeMap::new();
+    let mut vms = dvmp_cluster::VmTable::new();
     let m = dc.len() as u32;
     let mut placed = 0u32;
     let mut i = 0u32;
@@ -83,7 +107,7 @@ pub fn fragmented_fixture(
             let mut vm = Vm::new(spec);
             vm.state = VmState::Running { pm };
             vm.started_at = Some(SimTime::ZERO);
-            vms.insert(vm.spec.id, vm);
+            vms.insert(vm);
             placed += 1;
         }
     }
@@ -131,6 +155,37 @@ mod tests {
         let s = args.scenario();
         assert_eq!(s.days(), 1);
         assert!(!s.requests().is_empty());
+    }
+
+    fn figure_args(args: &[&str]) -> Result<(u64, u64), String> {
+        FigureArgs::from_args(args.iter().map(|a| a.to_string())).map(|a| (a.seed, a.days))
+    }
+
+    #[test]
+    fn figure_args_default_to_the_paper_week() {
+        assert_eq!(figure_args(&[]), Ok((42, 7)));
+        assert_eq!(figure_args(&["7"]), Ok((7, 7)));
+        assert_eq!(figure_args(&["7", "1"]), Ok((7, 1)));
+        assert_eq!(
+            figure_args(&["18446744073709551615", "7"]),
+            Ok((u64::MAX, 7))
+        );
+    }
+
+    #[test]
+    fn figure_args_reject_bad_input() {
+        for bad in [
+            &["abc"][..],
+            &["-1"],
+            &["42", "0"],
+            &["42", "8"],
+            &["42", "99"],
+            &["42", "x"],
+            &["42", "7", "extra"],
+        ] {
+            let err = figure_args(bad).expect_err(&format!("{bad:?} is rejected"));
+            assert!(!err.is_empty());
+        }
     }
 
     #[test]

@@ -30,19 +30,71 @@ use crate::journal::FleetDelta;
 use crate::pm::{Pm, PmClass, PmError, PmId, PmState};
 use crate::resources::{OverbookRatios, ResourceVector};
 use crate::vm::VmId;
+use crate::vm_table::VmSlots;
 use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, BTreeSet};
 use std::ops::{Deref, DerefMut};
+
+/// The PMs holding one VM's reservations, current host first: one PM, or
+/// two while a live migration is in flight (the destination, then the
+/// source — DESIGN.md I3).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct VmHosts {
+    len: u8,
+    pms: [PmId; 2],
+}
+
+impl VmHosts {
+    const EMPTY: VmHosts = VmHosts {
+        len: 0,
+        pms: [PmId(0); 2],
+    };
+
+    fn one(pm: PmId) -> Self {
+        VmHosts {
+            len: 1,
+            pms: [pm, PmId(0)],
+        }
+    }
+
+    /// Makes `pm` the current host, keeping the previous one second.
+    fn push_front(&mut self, pm: PmId) {
+        debug_assert!(self.len < 2);
+        self.pms = [pm, self.pms[0]];
+        self.len += 1;
+    }
+
+    /// Drops `pm` from the hosts, if present.
+    fn remove(&mut self, pm: PmId) {
+        if let Some(i) = self.iter().position(|&p| p == pm) {
+            if i == 0 {
+                self.pms[0] = self.pms[1];
+            }
+            self.len -= 1;
+        }
+    }
+}
+
+impl Deref for VmHosts {
+    type Target = [PmId];
+
+    fn deref(&self) -> &[PmId] {
+        &self.pms[..usize::from(self.len)]
+    }
+}
 
 /// The fleet of physical machines.
 #[derive(Debug, Clone)]
 pub struct Datacenter {
     classes: Vec<PmClass>,
     pms: Vec<Pm>,
-    /// Where each VM's reservations currently live. A migrating VM appears
-    /// on both source and destination (DESIGN.md I3); the first entry is
-    /// the *current host* in the placement sense.
-    vm_index: BTreeMap<VmId, Vec<PmId>>,
+    /// Where each VM's reservations currently live, one entry per hosted
+    /// VM in no particular order (removal is a `swap_remove`), found
+    /// through `vm_slots`. A migrating VM appears on both source and
+    /// destination (DESIGN.md I3); the first host is the *current host*
+    /// in the placement sense.
+    vm_hosts: Vec<(VmId, VmHosts)>,
+    vm_slots: VmSlots,
     /// Incrementally maintained aggregates (see the module docs). Derived
     /// state: never serialized, rebuilt on deserialize.
     stats: FleetStats,
@@ -56,14 +108,20 @@ pub struct Datacenter {
 
 // Hand-written serde impls (the derive cannot express a skipped +
 // recomputed field): the wire format carries only the persistent fields,
-// exactly as the pre-`FleetStats` derive emitted them, and
-// deserialization rebuilds the aggregates rather than trusting the wire.
+// exactly as the pre-`FleetStats` derive emitted them — the VM index as a
+// map from VM id to its hosts — and deserialization rebuilds the
+// aggregates and the slot index rather than trusting the wire.
 impl Serialize for Datacenter {
     fn to_value(&self) -> serde::Value {
+        let vm_index: BTreeMap<VmId, Vec<PmId>> = self
+            .vm_hosts
+            .iter()
+            .map(|(vm, hosts)| (*vm, hosts.to_vec()))
+            .collect();
         serde::Value::Map(vec![
             ("classes".to_owned(), self.classes.to_value()),
             ("pms".to_owned(), self.pms.to_value()),
-            ("vm_index".to_owned(), self.vm_index.to_value()),
+            ("vm_index".to_owned(), vm_index.to_value()),
         ])
     }
 }
@@ -73,14 +131,24 @@ impl Deserialize for Datacenter {
         let classes: Vec<PmClass> = serde::field(v, "classes")?;
         let pms: Vec<Pm> = serde::field(v, "pms")?;
         let vm_index: BTreeMap<VmId, Vec<PmId>> = serde::field(v, "vm_index")?;
-        let stats = FleetStats::rebuild(&classes, &pms);
-        Ok(Datacenter {
-            classes,
-            pms,
-            vm_index,
-            stats,
-            journal: FleetDelta::new_full(),
-        })
+        let mut dc = Datacenter::new(classes, pms);
+        for (vm, pms) in vm_index {
+            let hosts = match *pms.as_slice() {
+                [pm] => VmHosts::one(pm),
+                [to, from] if to != from => {
+                    let mut hosts = VmHosts::one(from);
+                    hosts.push_front(to);
+                    hosts
+                }
+                _ => {
+                    let msg = format!("{vm} has hosts {pms:?}: one, or two during a migration");
+                    return Err(serde::Error::custom(msg));
+                }
+            };
+            dc.insert_hosts(vm, hosts);
+        }
+        dc.journal = FleetDelta::new_full();
+        Ok(dc)
     }
 }
 
@@ -276,7 +344,8 @@ impl Datacenter {
         Datacenter {
             classes,
             pms,
-            vm_index: BTreeMap::new(),
+            vm_hosts: Vec::new(),
+            vm_slots: VmSlots::new(),
             stats,
             journal: FleetDelta::new(),
         }
@@ -359,7 +428,7 @@ impl Datacenter {
 
     /// Total VMs with at least one reservation.
     pub fn active_vm_count(&self) -> usize {
-        self.vm_index.len()
+        self.vm_hosts.len()
     }
 
     /// Instantaneous fleet power draw in watts (two-level model).
@@ -480,12 +549,36 @@ impl Datacenter {
 
     /// The PMs a VM is currently reserved on (current host first).
     pub fn hosts_of(&self, vm: VmId) -> &[PmId] {
-        self.vm_index.get(&vm).map_or(&[], |v| v.as_slice())
+        self.vm_slots.get(vm).map_or(&[], |i| &self.vm_hosts[i].1)
     }
 
     /// The current host of a VM in the placement sense.
     pub fn host_of(&self, vm: VmId) -> Option<PmId> {
-        self.vm_index.get(&vm).and_then(|v| v.first().copied())
+        self.hosts_of(vm).first().copied()
+    }
+
+    /// `vm`'s hosts, mutably, if it has any.
+    fn hosts_mut(&mut self, vm: VmId) -> Option<&mut VmHosts> {
+        let i = self.vm_slots.get(vm)?;
+        Some(&mut self.vm_hosts[i].1)
+    }
+
+    /// Adds a hosts entry for `vm`, which has none.
+    fn insert_hosts(&mut self, vm: VmId, hosts: VmHosts) {
+        self.vm_slots.set(vm, self.vm_hosts.len());
+        self.vm_hosts.push((vm, hosts));
+    }
+
+    /// Drops `vm`'s (empty or released) hosts entry, returning it.
+    fn remove_hosts(&mut self, vm: VmId) -> VmHosts {
+        let Some(i) = self.vm_slots.unset(vm) else {
+            return VmHosts::EMPTY;
+        };
+        let (_, hosts) = self.vm_hosts.swap_remove(i);
+        if let Some(&(moved, _)) = self.vm_hosts.get(i) {
+            self.vm_slots.set(moved, i);
+        }
+        hosts
     }
 
     /// Applies `f` to one PM and folds the footprint delta into `stats`
@@ -535,9 +628,13 @@ impl Datacenter {
     }
 
     /// Reserves `demand` for `vm` on `pm` as its (sole) current host.
+    /// Fails for a VM that already holds a reservation.
     pub fn place(&mut self, vm: VmId, pm: PmId, demand: ResourceVector) -> Result<(), PmError> {
+        if self.vm_slots.get(vm).is_some() {
+            return Err(PmError::AlreadyHosted(vm));
+        }
         self.update_pm(pm, |p| p.reserve(vm, demand))?;
-        self.vm_index.entry(vm).or_default().push(pm);
+        self.insert_hosts(vm, VmHosts::one(pm));
         self.journal.note_vm(vm);
         dvmp_obs::note_vm_placed(vm.0 as u64, pm.0 as u64);
         Ok(())
@@ -545,15 +642,21 @@ impl Datacenter {
 
     /// Begins a live migration: reserves `demand` on `to` (keeping the
     /// reservation on the current host) and makes `to` the current host.
+    /// Fails for a VM that already has a migration in flight.
     pub fn begin_migration(
         &mut self,
         vm: VmId,
         to: PmId,
         demand: ResourceVector,
     ) -> Result<(), PmError> {
+        if self.hosts_of(vm).len() >= 2 {
+            return Err(PmError::MigrationInFlight(vm));
+        }
         self.update_pm(to, |p| p.reserve(vm, demand))?;
-        let hosts = self.vm_index.entry(vm).or_default();
-        hosts.insert(0, to);
+        match self.hosts_mut(vm) {
+            Some(hosts) => hosts.push_front(to),
+            None => self.insert_hosts(vm, VmHosts::one(to)),
+        }
         self.journal.note_vm(vm);
         dvmp_obs::note_migration_started(vm.0 as u64, to.0 as u64);
         Ok(())
@@ -562,8 +665,11 @@ impl Datacenter {
     /// Completes a live migration: releases the reservation on `from`.
     pub fn finish_migration(&mut self, vm: VmId, from: PmId) -> Result<(), PmError> {
         self.update_pm(from, |p| p.release(vm))?;
-        if let Some(hosts) = self.vm_index.get_mut(&vm) {
-            hosts.retain(|&p| p != from);
+        if let Some(hosts) = self.hosts_mut(vm) {
+            hosts.remove(from);
+            if hosts.is_empty() {
+                self.remove_hosts(vm);
+            }
         }
         self.journal.note_vm(vm);
         dvmp_obs::note_migration_finished(vm.0 as u64, from.0 as u64);
@@ -578,7 +684,10 @@ impl Datacenter {
     /// journals nothing, so incremental planners never recompute for it.
     pub fn resize_vm(&mut self, vm: VmId, new: ResourceVector) -> Result<ResourceVector, PmError> {
         let host = {
-            let hosts = self.vm_index.get(&vm).ok_or(PmError::NotHosted(vm))?;
+            let hosts = self.hosts_of(vm);
+            if hosts.is_empty() {
+                return Err(PmError::NotHosted(vm));
+            }
             if hosts.len() != 1 {
                 return Err(PmError::MigrationInFlight(vm));
             }
@@ -595,9 +704,9 @@ impl Datacenter {
 
     /// Releases every reservation of `vm` (departure), returning the PMs it
     /// was released from.
-    pub fn remove_vm(&mut self, vm: VmId) -> Vec<PmId> {
-        let hosts = self.vm_index.remove(&vm).unwrap_or_default();
-        for &pm in &hosts {
+    pub fn remove_vm(&mut self, vm: VmId) -> VmHosts {
+        let hosts = self.remove_hosts(vm);
+        for &pm in hosts.iter() {
             self.update_pm(pm, |p| p.release(vm))
                 .expect("index and reservations agree");
         }
@@ -618,10 +727,10 @@ impl Datacenter {
             evicted
         });
         for &vm in &evicted {
-            if let Some(hosts) = self.vm_index.get_mut(&vm) {
-                hosts.retain(|&p| p != pm);
+            if let Some(hosts) = self.hosts_mut(vm) {
+                hosts.remove(pm);
                 if hosts.is_empty() {
-                    self.vm_index.remove(&vm);
+                    self.remove_hosts(vm);
                 }
             }
             self.journal.note_vm(vm);
@@ -643,9 +752,7 @@ impl Datacenter {
                 let r = pm.reservation_of(vm).expect("hosted VM has reservation");
                 sum = sum.add(r);
                 assert!(
-                    self.vm_index
-                        .get(&vm)
-                        .is_some_and(|hosts| hosts.contains(&pm.id)),
+                    self.hosts_of(vm).contains(&pm.id),
                     "{vm} reserved on {} but missing from index",
                     pm.id
                 );
@@ -657,9 +764,16 @@ impl Datacenter {
                 pm.id
             );
         }
-        for (&vm, hosts) in &self.vm_index {
+        for (i, (vm, hosts)) in self.vm_hosts.iter().enumerate() {
+            let vm = *vm;
+            assert_eq!(self.vm_slots.get(vm), Some(i), "{vm} slot disagrees");
             assert!(!hosts.is_empty(), "{vm} indexed with no hosts");
-            for &pm in hosts {
+            assert!(
+                hosts.len() == 1 || hosts[0] != hosts[1],
+                "{vm} indexed twice on {}",
+                hosts[0]
+            );
+            for &pm in hosts.iter() {
                 assert!(
                     self.pms[pm.0 as usize].reservation_of(vm).is_some(),
                     "{vm} indexed on {pm} without a reservation"
@@ -854,7 +968,7 @@ mod tests {
         dc.assert_consistent();
 
         let released = dc.remove_vm(VmId(1));
-        assert_eq!(released, vec![PmId(0)]);
+        assert_eq!(&*released, &[PmId(0)]);
         assert_eq!(dc.host_of(VmId(1)), None);
         assert_eq!(dc.non_idle_count(), 0);
         dc.assert_consistent();
@@ -980,7 +1094,7 @@ mod tests {
         }
         // Keep the VM index in sync with the raw reservation so the full
         // consistency check (index ⇄ reservations) also passes.
-        dc.vm_index.entry(VmId(7)).or_default().push(PmId(0));
+        dc.insert_hosts(VmId(7), VmHosts::one(PmId(0)));
         dc.assert_consistent();
         assert_eq!(dc.powered_count(), 4, "failed PM no longer powered");
         assert_eq!(dc.non_idle_count(), 1);
@@ -1281,5 +1395,28 @@ mod tests {
             back.first_fit_available(&vm_demand()),
             dc.first_fit_available(&vm_demand())
         );
+    }
+
+    #[test]
+    fn serde_keeps_the_vm_index_a_map_of_host_lists() {
+        let mut dc = on_fleet();
+        dc.place(VmId(2), PmId(0), vm_demand()).unwrap();
+        dc.place(VmId(1), PmId(1), vm_demand()).unwrap();
+        dc.begin_migration(VmId(2), PmId(3), vm_demand()).unwrap();
+        let json = serde_json::to_string(&dc).unwrap();
+        assert!(
+            json.ends_with(r#""vm_index":{"1":[1],"2":[3,0]}}"#),
+            "{json}"
+        );
+        let back: Datacenter = serde_json::from_str(&json).unwrap();
+        back.assert_consistent();
+        assert_eq!(back.hosts_of(VmId(2)), &[PmId(3), PmId(0)]);
+        assert_eq!(back.hosts_of(VmId(1)), &[PmId(1)]);
+        // A host list the datacenter cannot hold is rejected, not truncated.
+        for bad in ["[3,0,1]", "[]", "[0,0]"] {
+            let json = json.replace("[3,0]", bad);
+            let err = serde_json::from_str::<Datacenter>(&json).err();
+            assert!(err.is_some(), "{bad} accepted");
+        }
     }
 }

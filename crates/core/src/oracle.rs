@@ -37,7 +37,8 @@
 use dvmp_cluster::datacenter::Datacenter;
 use dvmp_cluster::pm::{Pm, PmId};
 use dvmp_cluster::resources::ResourceVector;
-use dvmp_cluster::vm::{Vm, VmId, VmState};
+use dvmp_cluster::vm::{VmId, VmState};
+use dvmp_cluster::VmTable;
 use dvmp_metrics::energy::EnergyMeter;
 use dvmp_metrics::sla::SaturationMeter;
 use dvmp_metrics::violation::{Invariant, OracleSummary, Violation};
@@ -397,7 +398,7 @@ impl Oracle {
         now: SimTime,
         seq: u64,
         dc: &Datacenter,
-        vms: &BTreeMap<VmId, Vm>,
+        vms: &VmTable,
         queue: &VecDeque<VmId>,
         meter: &EnergyMeter,
         sla: &SaturationMeter,
@@ -460,7 +461,7 @@ impl Oracle {
     fn check_touched(
         &mut self,
         dc: &Datacenter,
-        vms: &BTreeMap<VmId, Vm>,
+        vms: &VmTable,
         found: &mut Vec<(Invariant, String)>,
     ) {
         let mut pms = std::mem::take(&mut self.touched_pms);
@@ -490,7 +491,7 @@ impl Oracle {
         mut self,
         horizon: SimTime,
         dc: &Datacenter,
-        vms: &BTreeMap<VmId, Vm>,
+        vms: &VmTable,
         queue: &VecDeque<VmId>,
         meter: &EnergyMeter,
         sla: &SaturationMeter,
@@ -520,7 +521,7 @@ impl Oracle {
     fn check_capacity_and_bijection(
         &mut self,
         dc: &Datacenter,
-        vms: &BTreeMap<VmId, Vm>,
+        vms: &VmTable,
         found: &mut Vec<(Invariant, String)>,
     ) {
         for pm in dc.pms() {
@@ -529,12 +530,7 @@ impl Oracle {
     }
 
     /// Capacity conservation and bijection for one PM.
-    fn check_pm(
-        pm: &Pm,
-        dc: &Datacenter,
-        vms: &BTreeMap<VmId, Vm>,
-        found: &mut Vec<(Invariant, String)>,
-    ) {
+    fn check_pm(pm: &Pm, dc: &Datacenter, vms: &VmTable, found: &mut Vec<(Invariant, String)>) {
         let cap = *pm.capacity();
         let mut sum = ResourceVector::zero(cap.k());
         for vm in pm.hosted_vms() {
@@ -552,7 +548,7 @@ impl Oracle {
                 ));
             }
             // Lifecycle agreement for every VM that holds resources.
-            match vms.get(&vm).map(|v| v.state) {
+            match vms.get(vm).map(|v| v.state) {
                 Some(VmState::Creating { pm: host, .. } | VmState::Running { pm: host }) => {
                     if host != pm.id {
                         found.push((
@@ -616,7 +612,7 @@ impl Oracle {
     fn deep_audit(
         &mut self,
         now: SimTime,
-        vms: &BTreeMap<VmId, Vm>,
+        vms: &VmTable,
         queue: &VecDeque<VmId>,
         meter: &EnergyMeter,
         sla: &SaturationMeter,
@@ -632,7 +628,7 @@ impl Oracle {
             ));
         }
         for &id in queue {
-            match vms.get(&id).map(|v| v.state) {
+            match vms.get(id).map(|v| v.state) {
                 Some(VmState::Queued) => {}
                 other => found.push((
                     Invariant::Conservation,
@@ -745,7 +741,7 @@ mod tests {
     use super::*;
     use dvmp_cluster::datacenter::FleetBuilder;
     use dvmp_cluster::pm::PmClass;
-    use dvmp_cluster::vm::VmSpec;
+    use dvmp_cluster::vm::{Vm, VmSpec};
     use dvmp_simcore::SimDuration;
 
     fn fleet() -> Datacenter {
@@ -760,7 +756,7 @@ mod tests {
         ResourceVector::cpu_mem(1, 512)
     }
 
-    fn running_vm(id: u32, pm: PmId) -> (VmId, Vm) {
+    fn running_vm(id: u32, pm: PmId) -> Vm {
         let mut vm = Vm::new(VmSpec::exact(
             VmId(id),
             SimTime::ZERO,
@@ -768,7 +764,7 @@ mod tests {
             SimDuration::from_secs(1_000),
         ));
         vm.state = VmState::Running { pm };
-        (VmId(id), vm)
+        vm
     }
 
     /// Drives the fleet and the oracle through the same op, so tests stay
@@ -798,7 +794,7 @@ mod tests {
         at: u64,
         seq: u64,
         dc: &Datacenter,
-        vms: &BTreeMap<VmId, Vm>,
+        vms: &VmTable,
         meter: &EnergyMeter,
     ) {
         let before = oracle.violation_count();
@@ -819,7 +815,7 @@ mod tests {
         let mut dc = fleet();
         let mut oracle = Oracle::new(&dc);
         let mut meter = EnergyMeter::new();
-        let mut vms = BTreeMap::new();
+        let mut vms = VmTable::new();
 
         meter.record(SimTime::ZERO, dc.total_power_w());
         exec(
@@ -844,7 +840,7 @@ mod tests {
                 demand: demand(),
             },
         );
-        vms.get_mut(&VmId(1)).unwrap().state = VmState::Migrating {
+        vms.get_mut(VmId(1)).unwrap().state = VmState::Migrating {
             from: PmId(0),
             to: PmId(1),
             done_at: SimTime::from_secs(80),
@@ -860,12 +856,12 @@ mod tests {
                 from: PmId(0),
             },
         );
-        vms.get_mut(&VmId(1)).unwrap().state = VmState::Running { pm: PmId(1) };
+        vms.get_mut(VmId(1)).unwrap().state = VmState::Running { pm: PmId(1) };
         meter.record(SimTime::from_secs(80), dc.total_power_w());
         audit_clean(&mut oracle, 80, 3, &dc, &vms, &meter);
 
         exec(&mut dc, &mut oracle, FleetOp::Remove { vm: VmId(1) });
-        vms.get_mut(&VmId(1)).unwrap().state = VmState::Completed {
+        vms.get_mut(VmId(1)).unwrap().state = VmState::Completed {
             at: SimTime::from_secs(100),
         };
         meter.record(SimTime::from_secs(100), dc.total_power_w());
@@ -878,7 +874,7 @@ mod tests {
         let mut dc = fleet();
         let mut oracle = Oracle::new(&dc);
         let mut meter = EnergyMeter::new();
-        let mut vms = BTreeMap::new();
+        let mut vms = VmTable::new();
         meter.record(SimTime::ZERO, dc.total_power_w());
 
         exec(
@@ -900,7 +896,7 @@ mod tests {
                 demand: demand(),
             },
         );
-        vms.get_mut(&VmId(1)).unwrap().state = VmState::Migrating {
+        vms.get_mut(VmId(1)).unwrap().state = VmState::Migrating {
             from: PmId(0),
             to: PmId(1),
             done_at: SimTime::from_secs(80),
@@ -908,7 +904,7 @@ mod tests {
         // Destination fails mid-flight: the model must retain the source
         // reservation only, exactly like the live fleet.
         exec(&mut dc, &mut oracle, FleetOp::Fail { pm: PmId(1) });
-        vms.get_mut(&VmId(1)).unwrap().state = VmState::Running { pm: PmId(0) };
+        vms.get_mut(VmId(1)).unwrap().state = VmState::Running { pm: PmId(0) };
         meter.record(SimTime::from_secs(30), dc.total_power_w());
         audit_clean(&mut oracle, 30, 1, &dc, &vms, &meter);
         assert_eq!(dc.hosts_of(VmId(1)), &[PmId(0)]);
@@ -925,8 +921,7 @@ mod tests {
         // A reservation taken behind the oracle's back (bypassing the op
         // stream, and bypassing the datacenter's own index).
         dc.pm_mut(PmId(2)).reserve(VmId(9), demand()).unwrap();
-        let (_, vm) = running_vm(9, PmId(2));
-        let vms = BTreeMap::from([(VmId(9), vm)]);
+        let vms = VmTable::from_iter([running_vm(9, PmId(2))]);
         meter.record(SimTime::from_secs(5), dc.total_power_w());
         let sla = SaturationMeter::new();
         oracle.audit(
@@ -981,7 +976,7 @@ mod tests {
             SimTime::ZERO,
             1,
             &dc,
-            &BTreeMap::new(),
+            &VmTable::new(),
             &VecDeque::new(),
             &meter,
             &SaturationMeter::new(),
@@ -995,7 +990,7 @@ mod tests {
         let mut oracle = Oracle::new(&dc);
         let mut meter = EnergyMeter::new();
         meter.record(SimTime::ZERO, dc.total_power_w());
-        let vms = BTreeMap::new();
+        let vms = VmTable::new();
         let q = VecDeque::new();
         let sla = SaturationMeter::new();
         oracle.audit(SimTime::from_secs(100), 1, &dc, &vms, &q, &meter, &sla);
@@ -1012,7 +1007,7 @@ mod tests {
         // and the integral comparisons must fire by the final audit.
         let mut meter = EnergyMeter::new();
         meter.record(SimTime::ZERO, 1.0);
-        let vms = BTreeMap::new();
+        let vms = VmTable::new();
         let q = VecDeque::new();
         let summary = oracle.into_summary(
             SimTime::from_hours(1),
@@ -1034,7 +1029,7 @@ mod tests {
         let mut oracle = Oracle::new(&dc);
         let mut meter = EnergyMeter::new();
         meter.record(SimTime::ZERO, dc.total_power_w());
-        let vms = BTreeMap::new();
+        let vms = VmTable::new();
         let q = VecDeque::new();
         let sla = SaturationMeter::new();
         // One nonsense op per event → one violation per audit; loop enough
@@ -1081,7 +1076,7 @@ mod tests {
         let mut dc = fleet();
         let mut oracle = Oracle::new(&dc);
         let mut meter = EnergyMeter::new();
-        let mut vms = BTreeMap::new();
+        let mut vms = VmTable::new();
         meter.record(SimTime::ZERO, dc.total_power_w());
 
         exec(
@@ -1130,7 +1125,7 @@ mod tests {
             SimTime::ZERO,
             1,
             &dc,
-            &BTreeMap::new(),
+            &VmTable::new(),
             &VecDeque::new(),
             &meter,
             &SaturationMeter::new(),
@@ -1143,7 +1138,7 @@ mod tests {
         let mut dc = fleet();
         let mut oracle = Oracle::new(&dc);
         let mut meter = EnergyMeter::new();
-        let mut vms = BTreeMap::new();
+        let mut vms = VmTable::new();
         meter.record(SimTime::ZERO, dc.total_power_w());
         exec(
             &mut dc,
@@ -1164,7 +1159,7 @@ mod tests {
                 demand: demand(),
             },
         );
-        vms.get_mut(&VmId(1)).unwrap().state = VmState::Migrating {
+        vms.get_mut(VmId(1)).unwrap().state = VmState::Migrating {
             from: PmId(0),
             to: PmId(1),
             done_at: SimTime::from_secs(80),
@@ -1200,7 +1195,7 @@ mod tests {
         let mut oracle = Oracle::new(&dc);
         let mut meter = EnergyMeter::new();
         let mut sla = SaturationMeter::new();
-        let mut vms = BTreeMap::new();
+        let mut vms = VmTable::new();
         meter.record(SimTime::ZERO, dc.total_power_w());
         sla.record(SimTime::ZERO, dc.saturated_count());
 
@@ -1263,7 +1258,7 @@ mod tests {
         let mut dc = overbooked_fleet();
         let mut oracle = Oracle::new(&dc);
         let mut meter = EnergyMeter::new();
-        let mut vms = BTreeMap::new();
+        let mut vms = VmTable::new();
         meter.record(SimTime::ZERO, dc.total_power_w());
         exec(
             &mut dc,
@@ -1312,10 +1307,10 @@ mod tests {
         let dc = fleet();
         let oracle = Oracle::new(&dc);
         let meter = EnergyMeter::new();
-        let mut vms = BTreeMap::new();
-        let (id, mut vm) = running_vm(3, PmId(0));
+        let mut vms = VmTable::new();
+        let mut vm = running_vm(3, PmId(0));
         vm.state = VmState::Queued;
-        vms.insert(id, vm);
+        vms.insert(vm);
         // Queue holds vm3 twice plus a VM the simulator never admitted.
         let queue: VecDeque<VmId> = [VmId(3), VmId(3), VmId(8)].into_iter().collect();
         let summary = oracle.into_summary(

@@ -38,12 +38,13 @@ use dvmp_cluster::pm::{PmId, PmState};
 use dvmp_cluster::reliability::FailureProcess;
 use dvmp_cluster::resources::ResourceVector;
 use dvmp_cluster::vm::{Vm, VmId, VmSpec, VmState};
+use dvmp_cluster::VmTable;
 use dvmp_forecast::spare::SpareServerController;
 use dvmp_metrics::recorder::{RunMeta, RunReport, SimulationRecorder};
 use dvmp_placement::{Migration, PlacementPolicy, PlacementView};
 use dvmp_simcore::event::EventId;
 use dvmp_simcore::{Engine, Scheduler, SimTime, World};
-use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet, VecDeque};
+use std::collections::{BTreeSet, VecDeque};
 
 /// Simulation events.
 #[derive(Debug, Clone, Copy)]
@@ -85,9 +86,27 @@ pub struct ResizeRequest {
     pub new_demand: ResourceVector,
 }
 
+/// The simulator's pending events and QoS flag for one VM.
+#[derive(Debug, Clone, Copy, Default)]
+struct VmEvents {
+    /// The pending `CreationDone`.
+    creation: Option<EventId>,
+    /// The pending `Departure`.
+    departure: Option<EventId>,
+    /// The pending `MigrationDone`.
+    migration: Option<EventId>,
+    /// The request's first start was already counted toward QoS — a VM
+    /// restarted after a PM failure is not a new request.
+    qos_started: bool,
+}
+
 struct SimWorld {
     dc: Datacenter,
-    vms: BTreeMap<VmId, Vm>,
+    /// Every request's VM from its arrival on, with a slot reserved for
+    /// each request up front.
+    vms: VmTable,
+    /// Per-VM events, indexed by the VM's slot in `vms`.
+    vm_events: Vec<VmEvents>,
     requests: Vec<VmSpec>,
     resizes: Vec<ResizeRequest>,
     queue: VecDeque<VmId>,
@@ -97,18 +116,13 @@ struct SimWorld {
     recorder: SimulationRecorder,
     cfg: SimConfig,
     failure: Option<FailureProcess>,
-    departure_events: HashMap<VmId, EventId>,
-    creation_events: HashMap<VmId, EventId>,
-    migration_events: HashMap<VmId, EventId>,
-    failure_events: HashMap<PmId, EventId>,
+    /// The pending `PmFailure` of each PM, indexed by PM id.
+    failure_events: Vec<Option<EventId>>,
     /// `(estimated end, id)` of every active VM, so the spare controller
     /// counts `n_departure` over the VMs ending within its window instead
     /// of scanning every VM ever submitted. Updated wherever a VM's start
     /// or overhead changes or it leaves the active set.
     departure_index: BTreeSet<(SimTime, VmId)>,
-    /// Requests whose first start was already counted toward QoS — a VM
-    /// restarted after a PM failure is not a new request.
-    qos_started: HashSet<VmId>,
     /// Opt-in milestone log (None = no collection overhead).
     timeline: Option<Timeline>,
     /// Checked-mode auditor (None unless `cfg.checked`); boxed to keep the
@@ -140,9 +154,16 @@ impl SimWorld {
         }
     }
 
+    /// `id`'s event bookkeeping.
+    #[inline]
+    fn events(&mut self, id: VmId) -> &mut VmEvents {
+        let slot = self.vms.slot(id).expect("every request has a slot");
+        &mut self.vm_events[slot]
+    }
+
     /// Adds `id`'s current estimated end to the departure index.
     fn index_departure(&mut self, id: VmId) {
-        if let Some(end) = self.vms[&id].estimated_end() {
+        if let Some(end) = self.vms[id].estimated_end() {
             self.departure_index.insert((end, id));
         }
     }
@@ -150,7 +171,7 @@ impl SimWorld {
     /// Drops `id`'s current estimated end from the departure index; call
     /// before its start or overhead changes.
     fn unindex_departure(&mut self, id: VmId) {
-        if let Some(end) = self.vms[&id].estimated_end() {
+        if let Some(end) = self.vms[id].estimated_end() {
             self.departure_index.remove(&(end, id));
         }
     }
@@ -169,7 +190,8 @@ impl SimWorld {
     /// reservation taken is the VM's *current* demand — a VM re-placed
     /// after a failure keeps its resized size, not its original spec.
     fn start_vm(&mut self, id: VmId, pm: PmId, now: SimTime, sched: &mut Scheduler<Event>) {
-        let vm = self.vms.get_mut(&id).expect("VM exists");
+        let slot = self.vms.slot(id).expect("every request has a slot");
+        let vm = self.vms.get_mut(id).expect("VM exists");
         let res = *vm.demand();
         self.dc
             .place(id, pm, res)
@@ -185,13 +207,14 @@ impl SimWorld {
             pm,
             ready_at: ready,
         };
-        if self.qos_started.insert(id) {
+        let events = &mut self.vm_events[slot];
+        if !events.qos_started {
+            events.qos_started = true;
             self.recorder
                 .qos
                 .record_start(now.saturating_since(vm.spec.submit_time));
         }
-        let ev = sched.schedule_at(ready, Event::CreationDone(id));
-        self.creation_events.insert(id, ev);
+        events.creation = Some(sched.schedule_at(ready, Event::CreationDone(id)));
         self.index_departure(id);
         self.note(now, || FleetOp::Place {
             vm: id,
@@ -207,8 +230,9 @@ impl SimWorld {
     fn try_place(&mut self, id: VmId, now: SimTime, sched: &mut Scheduler<Event>) -> bool {
         // Policies see the VM's current demand (resized VMs re-place at
         // their live size); for never-resized VMs this is the spec.
-        let mut spec = self.vms[&id].spec.clone();
-        spec.resources = *self.vms[&id].demand();
+        let vm = &self.vms[id];
+        let mut spec = vm.spec.clone();
+        spec.resources = *vm.demand();
         // Hand the accumulated fleet dirt to stateful policies before they
         // read the view: the class-compressed planner patches its
         // persistent state from exactly this journal (a delta-merging
@@ -260,7 +284,7 @@ impl SimWorld {
     }
 
     fn shutdown_pm(&mut self, id: PmId, now: SimTime, sched: &mut Scheduler<Event>) {
-        if let Some(ev) = self.failure_events.remove(&id) {
+        if let Some(ev) = self.failure_events[id.0 as usize].take() {
             sched.cancel(ev);
         }
         let off_at = {
@@ -347,16 +371,16 @@ impl SimWorld {
         // on its own host, so it is dropped like any other stale plan.
         let valid = m.from != m.to
             && matches!(
-                self.vms.get(&m.vm).map(|vm| &vm.state),
+                self.vms.get(m.vm).map(|vm| &vm.state),
                 Some(VmState::Running { pm }) if *pm == m.from
             )
-            && self.dc.pm(m.to).can_host(self.vms[&m.vm].demand());
+            && self.dc.pm(m.to).can_host(self.vms[m.vm].demand());
         if !valid {
             self.recorder.record_skipped_migration();
             dvmp_obs::note_migration_skipped(m.vm.0 as u64);
             return;
         }
-        let res = *self.vms[&m.vm].demand();
+        let res = *self.vms[m.vm].demand();
         self.dc
             .begin_migration(m.vm, m.to, res)
             .expect("validated migration");
@@ -368,7 +392,7 @@ impl SimWorld {
         let t_mig = self.dc.pm(m.to).class.migration_time;
         let done = now + t_mig;
         self.unindex_departure(m.vm);
-        let vm = self.vms.get_mut(&m.vm).expect("VM exists");
+        let vm = self.vms.get_mut(m.vm).expect("VM exists");
         vm.state = VmState::Migrating {
             from: m.from,
             to: m.to,
@@ -377,8 +401,7 @@ impl SimWorld {
         vm.overhead += t_mig;
         vm.migrations += 1;
         self.index_departure(m.vm);
-        let ev = sched.schedule_at(done, Event::MigrationDone(m.vm));
-        self.migration_events.insert(m.vm, ev);
+        self.events(m.vm).migration = Some(sched.schedule_at(done, Event::MigrationDone(m.vm)));
         self.reschedule_departure(m.vm, sched);
         self.recorder.record_migration(now);
         self.mark(
@@ -404,20 +427,20 @@ impl SimWorld {
         sched: &mut Scheduler<Event>,
     ) {
         let resizable = matches!(
-            self.vms.get(&id).map(|vm| &vm.state),
+            self.vms.get(id).map(|vm| &vm.state),
             Some(VmState::Creating { .. } | VmState::Running { .. })
         );
         if !resizable {
             self.recorder.record_rejected_resize();
             return;
         }
-        let old = *self.vms[&id].demand();
+        let old = *self.vms[id].demand();
         if new == old {
             return; // same-size no-op: no journal dirt, no counters
         }
         match self.dc.resize_vm(id, new) {
             Ok(_) => {
-                let vm = self.vms.get_mut(&id).expect("VM exists");
+                let vm = self.vms.get_mut(id).expect("VM exists");
                 vm.current_demand = Some(new);
                 vm.resizes += 1;
                 self.recorder.record_resize();
@@ -434,13 +457,12 @@ impl SimWorld {
 
     /// Cancels and re-schedules a VM's departure from its projected time.
     fn reschedule_departure(&mut self, id: VmId, sched: &mut Scheduler<Event>) {
-        if let Some(ev) = self.departure_events.remove(&id) {
+        if let Some(ev) = self.events(id).departure.take() {
             sched.cancel(ev);
-            let at = self.vms[&id]
+            let at = self.vms[id]
                 .projected_departure()
                 .expect("running VM has a departure");
-            let ev = sched.schedule_at(at, Event::Departure(id));
-            self.departure_events.insert(id, ev);
+            self.events(id).departure = Some(sched.schedule_at(at, Event::Departure(id)));
         }
     }
 
@@ -472,8 +494,8 @@ impl SimWorld {
     fn schedule_pm_failure(&mut self, pm: PmId, now: SimTime, sched: &mut Scheduler<Event>) {
         if let Some(fp) = &mut self.failure {
             if let Some(at) = fp.next_failure(&self.dc, pm, now) {
-                let ev = sched.schedule_at(at, Event::PmFailure(pm));
-                self.failure_events.insert(pm, ev);
+                self.failure_events[pm.0 as usize] =
+                    Some(sched.schedule_at(at, Event::PmFailure(pm)));
             }
         }
     }
@@ -481,17 +503,18 @@ impl SimWorld {
     /// Resets an evicted VM to the queue (Section III-C: VMs of a failed
     /// PM are treated as new requests).
     fn requeue_vm(&mut self, id: VmId, sched: &mut Scheduler<Event>) {
-        for map in [
-            &mut self.departure_events,
-            &mut self.creation_events,
-            &mut self.migration_events,
+        let events = self.events(id);
+        for ev in [
+            &mut events.departure,
+            &mut events.creation,
+            &mut events.migration,
         ] {
-            if let Some(ev) = map.remove(&id) {
+            if let Some(ev) = ev.take() {
                 sched.cancel(ev);
             }
         }
         self.unindex_departure(id);
-        let vm = self.vms.get_mut(&id).expect("VM exists");
+        let vm = self.vms.get_mut(id).expect("VM exists");
         vm.state = VmState::Queued;
         vm.started_at = None;
         vm.overhead = dvmp_simcore::SimDuration::ZERO;
@@ -499,7 +522,7 @@ impl SimWorld {
     }
 
     fn handle_pm_failure(&mut self, pm: PmId, now: SimTime, sched: &mut Scheduler<Event>) {
-        self.failure_events.remove(&pm);
+        self.failure_events[pm.0 as usize] = None;
         if !self.dc.pm(pm).is_powered() {
             return; // raced with a shutdown
         }
@@ -508,7 +531,7 @@ impl SimWorld {
         self.recorder.record_pm_failure();
         self.mark(now, Milestone::PmFailed(pm));
         for id in evicted {
-            let state = self.vms[&id].state;
+            let state = self.vms[id].state;
             match state {
                 VmState::Creating { .. } | VmState::Running { .. } => {
                     self.requeue_vm(id, sched);
@@ -517,12 +540,12 @@ impl SimWorld {
                     if to == pm {
                         // Destination died: abort the migration, keep
                         // running on the source, refund the overhead.
-                        if let Some(ev) = self.migration_events.remove(&id) {
+                        if let Some(ev) = self.events(id).migration.take() {
                             sched.cancel(ev);
                         }
                         let t_mig = self.dc.pm(to).class.migration_time;
                         self.unindex_departure(id);
-                        let vm = self.vms.get_mut(&id).expect("VM exists");
+                        let vm = self.vms.get_mut(id).expect("VM exists");
                         vm.overhead = vm.overhead.saturating_sub(t_mig);
                         vm.state = VmState::Running { pm: from };
                         self.index_departure(id);
@@ -586,7 +609,7 @@ impl World for SimWorld {
             Event::Arrival(idx) => {
                 let spec = self.requests[idx as usize].clone();
                 let id = spec.id;
-                self.vms.insert(id, Vm::new(spec));
+                self.vms.insert(Vm::new(spec));
                 self.recorder.record_arrival(now);
                 self.mark(now, Milestone::Arrived(id));
                 if let Some(sp) = &mut self.spare {
@@ -602,25 +625,28 @@ impl World for SimWorld {
                 self.enforce_power(now, sched);
             }
             Event::CreationDone(id) => {
-                self.creation_events.remove(&id);
-                if let VmState::Creating { pm, .. } = self.vms[&id].state {
-                    let actual = self.vms[&id].spec.actual_runtime;
-                    self.vms.get_mut(&id).expect("VM exists").state = VmState::Running { pm };
-                    let ev = sched.schedule_at(now + actual, Event::Departure(id));
-                    self.departure_events.insert(id, ev);
+                self.events(id).creation = None;
+                let vm = self.vms.get_mut(id).expect("VM exists");
+                if let VmState::Creating { pm, .. } = vm.state {
+                    vm.state = VmState::Running { pm };
+                    let ev = sched.schedule_at(now + vm.spec.actual_runtime, Event::Departure(id));
+                    self.events(id).departure = Some(ev);
                     self.mark(now, Milestone::Started(id));
                 }
             }
             Event::Departure(id) => {
-                self.departure_events.remove(&id);
+                let events = self.events(id);
+                events.departure = None;
+                let migration = events.migration.take();
                 self.unindex_departure(id);
-                if let Some(ev) = self.migration_events.remove(&id) {
+                if let Some(ev) = migration {
                     sched.cancel(ev);
                 }
                 self.dc.remove_vm(id);
                 self.note(now, || FleetOp::Remove { vm: id });
-                self.vms.get_mut(&id).expect("VM exists").state = VmState::Completed { at: now };
-                let spec = &self.vms[&id].spec;
+                let vm = self.vms.get_mut(id).expect("VM exists");
+                vm.state = VmState::Completed { at: now };
+                let spec = &vm.spec;
                 let core_seconds = spec.actual_runtime.as_secs_f64() * spec.resources.get(0) as f64;
                 self.recorder.record_departure(now, core_seconds);
                 self.mark(now, Milestone::Departed(id));
@@ -631,13 +657,13 @@ impl World for SimWorld {
                 self.enforce_power(now, sched);
             }
             Event::MigrationDone(id) => {
-                self.migration_events.remove(&id);
-                if let VmState::Migrating { from, to, .. } = self.vms[&id].state {
+                self.events(id).migration = None;
+                if let VmState::Migrating { from, to, .. } = self.vms[id].state {
                     self.dc
                         .finish_migration(id, from)
                         .expect("migration bookkeeping consistent");
                     self.note(now, || FleetOp::FinishMigration { vm: id, from });
-                    self.vms.get_mut(&id).expect("VM exists").state = VmState::Running { pm: to };
+                    self.vms.get_mut(id).expect("VM exists").state = VmState::Running { pm: to };
                     self.mark(now, Milestone::MigrationFinished(id));
                     self.drain_queue(now, sched);
                     self.enforce_power(now, sched);
@@ -731,6 +757,8 @@ impl Simulation {
         cfg: SimConfig,
     ) -> Result<Self, String> {
         policy.check_inputs(&fleet, &requests)?;
+        let vms = VmTable::with_ids(requests.iter().map(|r| r.id))
+            .map_err(|id| format!("request id {id} is used by more than one request"))?;
         requests.sort_by_key(|r| (r.submit_time, r.id));
         if cfg.spare.is_none() {
             for id in fleet.pm_ids().collect::<Vec<_>>() {
@@ -750,8 +778,10 @@ impl Simulation {
         }
 
         let world = SimWorld {
+            failure_events: vec![None; fleet.len()],
             dc: fleet,
-            vms: BTreeMap::new(),
+            vm_events: vec![VmEvents::default(); requests.len()],
+            vms,
             requests,
             resizes: Vec::new(),
             queue: VecDeque::new(),
@@ -761,12 +791,7 @@ impl Simulation {
             recorder,
             cfg: cfg.clone(),
             failure,
-            departure_events: HashMap::new(),
-            creation_events: HashMap::new(),
-            migration_events: HashMap::new(),
-            failure_events: HashMap::new(),
             departure_index: BTreeSet::new(),
-            qos_started: HashSet::new(),
             timeline: None,
             oracle: None,
         };
@@ -860,8 +885,9 @@ impl Simulation {
         let world = self.engine.world();
         let policy_name = world.policy.name();
         let mut recorder = world.recorder.clone();
-        for id in &world.queue {
-            if !world.qos_started.contains(id) {
+        for &id in &world.queue {
+            let slot = world.vms.slot(id).expect("every request has a slot");
+            if !world.vm_events[slot].qos_started {
                 recorder.qos.record_never_started();
             }
         }
@@ -960,6 +986,24 @@ mod tests {
         assert!(err.contains("VmId(7)"), "{err}");
         // Policies without a dimension model accept both.
         assert!(Simulation::try_new(fleet, vec![], Box::new(FirstFit), base_cfg()).is_ok());
+    }
+
+    #[test]
+    fn duplicate_request_ids_are_rejected_at_build() {
+        // Two requests sharing an id would share one VM slot: the second
+        // arrival would overwrite the first VM mid-run.
+        let mut scenario = crate::scenario::Scenario::paper(42).with_days(1);
+        let id = scenario.requests()[10].id;
+        scenario.requests_mut()[100].id = id;
+        let err = Simulation::try_new(
+            scenario.fleet().clone(),
+            scenario.requests().to_vec(),
+            Box::new(DynamicPlacement::paper_default()),
+            scenario.sim.clone(),
+        )
+        .err()
+        .expect("a reused request id is contradictory input");
+        assert!(err.contains(&format!("request id {id} ")), "{err}");
     }
 
     #[test]
@@ -1214,7 +1258,7 @@ mod tests {
             sched,
         );
         assert!(
-            !engine.world().vms[&VmId(1)].is_migrating(),
+            !engine.world().vms[VmId(1)].is_migrating(),
             "self-move must not start"
         );
         assert_eq!(engine.world().dc.hosts_of(VmId(1)), &[host]);
@@ -1395,7 +1439,7 @@ mod tests {
         }
 
         pub fn running_on(engine: &Engine<SimWorld>, vm: VmId) -> Option<PmId> {
-            match engine.world().vms.get(&vm)?.state {
+            match engine.world().vms.get(vm)?.state {
                 VmState::Running { pm } => Some(pm),
                 _ => None,
             }
@@ -1405,7 +1449,7 @@ mod tests {
             let from = running_on(engine, vm).expect("vm running");
             let (world, sched) = engine.world_and_scheduler();
             world.apply_migration(Migration { vm, from, to }, now, sched);
-            assert!(world.vms[&vm].is_migrating(), "forced migration started");
+            assert!(world.vms[vm].is_migrating(), "forced migration started");
         }
     }
 
@@ -1425,16 +1469,16 @@ mod tests {
         let source = surgical::running_on(&engine, VmId(1)).expect("running");
         let dest = PmId(if source.0 == 0 { 1 } else { 0 });
 
-        let dep_before = engine.world().vms[&VmId(1)].projected_departure().unwrap();
+        let dep_before = engine.world().vms[VmId(1)].projected_departure().unwrap();
         surgical::force_migration(&mut engine, VmId(1), dest, SimTime::from_secs(100));
-        let dep_mid = engine.world().vms[&VmId(1)].projected_departure().unwrap();
+        let dep_mid = engine.world().vms[VmId(1)].projected_departure().unwrap();
         assert!(dep_mid > dep_before, "migration overhead charged");
 
         // Fail the destination before the migration completes.
         let (world, sched) = engine.world_and_scheduler();
         world.handle_pm_failure(dest, SimTime::from_secs(110), sched);
 
-        let vm = &engine.world().vms[&VmId(1)];
+        let vm = &engine.world().vms[VmId(1)];
         assert_eq!(
             vm.state,
             VmState::Running { pm: source },
@@ -1451,7 +1495,7 @@ mod tests {
         let report_engine = engine.run_until(SimTime::from_days(1));
         let _ = report_engine;
         assert!(matches!(
-            engine.world().vms[&VmId(1)].state,
+            engine.world().vms[VmId(1)].state,
             VmState::Completed { .. }
         ));
     }
@@ -1485,7 +1529,7 @@ mod tests {
         // The run completes: the VM restarts and eventually departs.
         engine.run_until(SimTime::from_days(1));
         assert!(matches!(
-            engine.world().vms[&VmId(1)].state,
+            engine.world().vms[VmId(1)].state,
             VmState::Completed { .. }
         ));
     }
@@ -1534,7 +1578,7 @@ mod tests {
         };
 
         // Migration begin: T_mig pushes VM 1's estimated end out.
-        let end = engine.world().vms[&VmId(1)]
+        let end = engine.world().vms[VmId(1)]
             .estimated_end()
             .expect("started");
         let t1 = end - period + SimDuration::from_secs(20);
@@ -1553,7 +1597,7 @@ mod tests {
         let (world, sched) = engine.world_and_scheduler();
         world.handle_pm_failure(dest, t2, sched);
         assert_eq!(
-            engine.world().vms[&VmId(1)].state,
+            engine.world().vms[VmId(1)].state,
             VmState::Running { pm: source }
         );
         assert_eq!(check(&mut engine, t2), before, "VM 1 is back in the window");
@@ -1566,19 +1610,19 @@ mod tests {
         let (world, sched) = engine.world_and_scheduler();
         world.handle_pm_failure(source, t3, sched);
         assert_ne!(
-            engine.world().vms[&VmId(1)].state,
+            engine.world().vms[VmId(1)].state,
             VmState::Running { pm: source }
         );
         check(&mut engine, t3);
 
         // Departure: VM 2 completes and leaves the index.
-        let end2 = engine.world().vms[&VmId(2)]
+        let end2 = engine.world().vms[VmId(2)]
             .projected_departure()
             .expect("started");
         let t4 = end2 + SimDuration::from_secs(1);
         engine.run_until(t4);
         assert!(matches!(
-            engine.world().vms[&VmId(2)].state,
+            engine.world().vms[VmId(2)].state,
             VmState::Completed { .. }
         ));
         check(&mut engine, t4);
@@ -1608,7 +1652,7 @@ mod tests {
         engine.run_until(SimTime::from_secs(10));
         // At t=10 the PM is still booting (fast on/off = 50 s): the VM is
         // either queued or creating with ready ≥ 80.
-        let vm = &engine.world().vms[&VmId(1)];
+        let vm = &engine.world().vms[VmId(1)];
         match vm.state {
             VmState::Creating { ready_at, .. } => {
                 assert!(ready_at >= SimTime::from_secs(80), "boot + create");
@@ -1619,11 +1663,11 @@ mod tests {
         engine.run_until(SimTime::from_days(1));
         let world = engine.world();
         assert!(matches!(
-            world.vms[&VmId(1)].state,
+            world.vms[VmId(1)].state,
             VmState::Completed { .. }
         ));
         // Departure no earlier than boot (50) + create (30) + run (1000).
-        if let VmState::Completed { at } = world.vms[&VmId(1)].state {
+        if let VmState::Completed { at } = world.vms[VmId(1)].state {
             assert!(at >= SimTime::from_secs(1_080), "at = {at}");
         }
     }

@@ -5,28 +5,38 @@
 //! accumulated with a numerically careful recurrence (terms never over- or
 //! under-flow for the λ ≲ 10⁴ regime the controller operates in).
 
+/// `P(Poisson(lambda) ≤ n)` for `n = 0, 1, 2, …`: the running sum of the
+/// pmf terms, clamped to 1. Terms follow the recurrence
+/// `p_{k+1} = p_k · λ/(k+1)` from `p_0 = e^{-λ}`. For large λ, `e^{-λ}`
+/// underflows, so the terms are carried in log space until they become
+/// representable. The sums are monotone in `n`.
+fn prefix_cdfs(lambda: f64) -> impl Iterator<Item = f64> {
+    let log_lambda = lambda.ln();
+    let mut log_p = -lambda; // ln p_0
+    let mut acc = 0.0f64;
+    (0u64..).map(move |k| {
+        if k > 0 {
+            log_p += log_lambda - (k as f64).ln();
+        }
+        acc += log_p.exp();
+        acc.min(1.0)
+    })
+}
+
 /// `P(Poisson(lambda) ≤ n)`.
 pub fn cdf(lambda: f64, n: u64) -> f64 {
     assert!(lambda >= 0.0 && lambda.is_finite());
     if lambda == 0.0 {
         return 1.0;
     }
-    // Sum pmf terms with the recurrence p_{k+1} = p_k · λ/(k+1), starting
-    // from p_0 = e^{-λ}. For large λ, e^{-λ} underflows, so work in log
-    // space until terms become representable.
-    let log_lambda = lambda.ln();
-    let mut log_p = -lambda; // ln p_0
-    let mut acc = 0.0;
-    for k in 0..=n {
-        if k > 0 {
-            log_p += log_lambda - (k as f64).ln();
-        }
-        acc += log_p.exp();
-        if acc >= 1.0 {
+    let mut last = 0.0;
+    for (_, c) in (0..=n).zip(prefix_cdfs(lambda)) {
+        if c >= 1.0 {
             return 1.0;
         }
+        last = c;
     }
-    acc.min(1.0)
+    last
 }
 
 /// `P(Poisson(lambda) > n)`.
@@ -50,27 +60,17 @@ pub fn upper_quantile(lambda: f64, epsilon: f64) -> u64 {
         (0.0..1.0).contains(&epsilon) && epsilon > 0.0,
         "epsilon must be in (0,1)"
     );
+    assert!(lambda >= 0.0 && lambda.is_finite());
     if lambda == 0.0 {
         return 0;
     }
-    // Start the scan near the mean and walk outward; the quantile is within
-    // a few standard deviations.
-    let mut n = lambda.floor() as u64;
-    if sf(lambda, n) <= epsilon {
-        // Walk down to the smallest satisfying n.
-        while n > 0 && sf(lambda, n - 1) <= epsilon {
-            n -= 1;
-        }
-        n
-    } else {
-        // Walk up until satisfied.
-        loop {
-            n += 1;
-            if sf(lambda, n) <= epsilon {
-                return n;
-            }
-        }
-    }
+    // One pass over the prefix sums `cdf` accumulates: they are monotone,
+    // so the first `n` whose tail is within ε is the smallest.
+    (0u64..)
+        .zip(prefix_cdfs(lambda))
+        .find(|&(_, c)| (1.0 - c).max(0.0) <= epsilon)
+        .map(|(n, _)| n)
+        .expect("the prefix sums reach 1 - ε")
 }
 
 #[cfg(test)]
@@ -144,6 +144,43 @@ mod tests {
     #[test]
     fn tighter_epsilon_needs_more_headroom() {
         assert!(upper_quantile(40.0, 0.01) > upper_quantile(40.0, 0.20));
+    }
+
+    /// The smallest `n` with `sf ≤ ε`, found by calling `sf` at every
+    /// `n` from 0 — the definition `upper_quantile` must reproduce.
+    fn brute_quantile(lambda: f64, epsilon: f64) -> u64 {
+        (0u64..).find(|&n| sf(lambda, n) <= epsilon).unwrap()
+    }
+
+    proptest::proptest! {
+        // The scan is quadratic in λ: a few dozen cases keep it quick.
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(24))]
+
+        #[test]
+        fn quantile_matches_a_brute_force_scan(
+            lambda in 0.0f64..5_000.0,
+            eps_idx in 0usize..5,
+        ) {
+            let epsilon = [0.001, 0.01, 0.05, 0.2, 0.5][eps_idx];
+            proptest::prop_assert_eq!(
+                upper_quantile(lambda, epsilon),
+                brute_quantile(lambda, epsilon),
+                "λ={} ε={}", lambda, epsilon
+            );
+        }
+    }
+
+    #[test]
+    fn quantile_matches_brute_force_at_the_edges() {
+        for &lambda in &[1e-9, 0.05, 0.3, 1.0, 41.0, 900.0, 4_999.5] {
+            for &epsilon in &[1e-6, 0.05, 0.999] {
+                assert_eq!(
+                    upper_quantile(lambda, epsilon),
+                    brute_quantile(lambda, epsilon),
+                    "λ={lambda} ε={epsilon}"
+                );
+            }
+        }
     }
 
     #[test]

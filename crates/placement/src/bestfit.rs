@@ -38,13 +38,13 @@ impl PlacementPolicy for BestFit {
 mod tests {
     use super::*;
     use crate::policy::testutil::*;
+    use dvmp_cluster::VmTable;
     use dvmp_simcore::SimTime;
-    use std::collections::BTreeMap;
 
     #[test]
     fn prefers_the_pm_it_fills_most() {
         let mut dc = small_fleet();
-        let mut vms = BTreeMap::new();
+        let mut vms = VmTable::new();
         // pm2 (slow, 4 cores) holds 3 VMs → adding one fills it to 100% CPU.
         for i in 0..3 {
             install(
@@ -77,7 +77,7 @@ mod tests {
     #[test]
     fn empty_fleet_ties_break_to_lowest_id() {
         let dc = small_fleet();
-        let vms = BTreeMap::new();
+        let vms = VmTable::new();
         let view = PlacementView {
             dc: &dc,
             vms: &vms,
@@ -92,7 +92,7 @@ mod tests {
     #[test]
     fn skips_pms_that_cannot_host() {
         let mut dc = small_fleet();
-        let mut vms = BTreeMap::new();
+        let mut vms = VmTable::new();
         // Fill both slow PMs' memory.
         install(
             &mut dc,
@@ -121,7 +121,7 @@ mod tests {
     #[test]
     fn never_migrates() {
         let dc = small_fleet();
-        let vms = BTreeMap::new();
+        let vms = VmTable::new();
         let view = PlacementView {
             dc: &dc,
             vms: &vms,

@@ -156,7 +156,7 @@ use crate::policy::{Migration, PlacementView};
 use dvmp_cluster::pm::PmId;
 use dvmp_cluster::resources::ResourceVector;
 use dvmp_cluster::vm::{VmId, VmSpec, VmState};
-use dvmp_cluster::FleetDelta;
+use dvmp_cluster::{FleetDelta, VmSlots};
 use dvmp_simcore::{SimDuration, SimTime};
 use std::collections::{BTreeSet, HashMap};
 use std::sync::Arc;
@@ -175,12 +175,6 @@ const INFEASIBLE: u16 = u16::MAX;
 /// per-PM structure (`rows × demand slots`), so it stays narrow: on the
 /// 10k-PM week a `u32` cache measured ~25 % slower end to end.
 pub(crate) const MAX_LEVEL: u64 = INFEASIBLE as u64 - 1;
-/// VM ids up to this one index the flat `VmId → column` table (a 64 MiB
-/// ceiling); every workload generator numbers VMs densely from 0 or 1, far
-/// below it. Larger ids go to a map.
-const DENSE_VM_IDS: usize = (1 << 24) - 1;
-/// Flat-table sentinel: the VM has no column.
-const NO_COL: u32 = u32::MAX;
 /// Round-loop sentinel: the column's `dbar` is a bound, not its exact best.
 const INEXACT: u32 = u32::MAX;
 
@@ -384,52 +378,6 @@ impl Default for Row {
     }
 }
 
-/// `VmId → index into cols`: a flat table for ids up to
-/// [`DENSE_VM_IDS`], a map above it.
-#[derive(Debug, Clone, Default)]
-struct ColSlots {
-    flat: Vec<u32>,
-    far: HashMap<VmId, u32>,
-}
-
-impl ColSlots {
-    fn get(&self, vm: VmId) -> Option<usize> {
-        let id = vm.0 as usize;
-        let slot = if id <= DENSE_VM_IDS {
-            self.flat.get(id).copied().filter(|&i| i != NO_COL)
-        } else {
-            self.far.get(&vm).copied()
-        };
-        slot.map(|i| i as usize)
-    }
-
-    fn set(&mut self, vm: VmId, i: usize) {
-        let id = vm.0 as usize;
-        if id <= DENSE_VM_IDS {
-            if self.flat.len() <= id {
-                self.flat.resize(id + 1, NO_COL);
-            }
-            self.flat[id] = i as u32;
-        } else {
-            self.far.insert(vm, i as u32);
-        }
-    }
-
-    fn unset(&mut self, vm: VmId) {
-        let id = vm.0 as usize;
-        if id <= DENSE_VM_IDS {
-            self.flat[id] = NO_COL;
-        } else {
-            self.far.remove(&vm);
-        }
-    }
-
-    fn clear(&mut self) {
-        self.flat.clear();
-        self.far.clear();
-    }
-}
-
 /// The persistent class-compressed planner. See the module docs.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct CompressedPlanner {
@@ -469,7 +417,8 @@ pub(crate) struct CompressedPlanner {
     snapshots_armed: bool,
     /// Column storage in no particular order (removal is `swap_remove`).
     cols: Vec<Col>,
-    col_slot: ColSlots,
+    /// `VmId → index into cols`.
+    col_slot: VmSlots,
     /// Upper bound on every column's `dbar`: raised with each bound,
     /// re-derived whenever a pass scans all columns, and left
     /// stale-high by drops in between — so the bound check reads one
@@ -1171,7 +1120,7 @@ impl CompressedPlanner {
 
         // Columns: re-read each dirty VM from the authoritative map.
         for &vm_id in &reread {
-            match view.vms.get(&vm_id).map(|vm| (vm, vm.state)) {
+            match view.vms.get(vm_id).map(|vm| (vm, vm.state)) {
                 Some((vm, VmState::Running { pm })) => {
                     let r = pm.0 as usize;
                     if !self.rows.get(r).is_some_and(|row| row.active) {
@@ -1243,7 +1192,7 @@ impl CompressedPlanner {
     #[cfg(debug_assertions)]
     fn assert_col_matches(&self, c: usize, view: &PlacementView<'_>) {
         let col = &self.cols[c];
-        let vm = &view.vms[&col.id];
+        let vm = &view.vms[col.id];
         assert_eq!(
             vm.state,
             VmState::Running {
@@ -1645,6 +1594,7 @@ mod tests {
     use dvmp_cluster::datacenter::{Datacenter, FleetBuilder};
     use dvmp_cluster::pm::PmClass;
     use dvmp_cluster::vm::Vm;
+    use dvmp_cluster::{VmTable, FLAT_VM_IDS};
     use std::collections::BTreeMap;
 
     /// The dense reference with the default configuration.
@@ -1669,7 +1619,7 @@ mod tests {
     /// policy decision.
     struct Twin<P> {
         dc: Datacenter,
-        vms: BTreeMap<VmId, Vm>,
+        vms: VmTable,
         policy: P,
     }
 
@@ -1677,7 +1627,7 @@ mod tests {
     /// fleets in one loop whatever their policies.
     struct World<'a> {
         dc: &'a mut Datacenter,
-        vms: &'a mut BTreeMap<VmId, Vm>,
+        vms: &'a mut VmTable,
     }
 
     impl<P> Twin<P> {
@@ -1702,7 +1652,7 @@ mod tests {
                 .build();
             Twin {
                 dc,
-                vms: BTreeMap::new(),
+                vms: VmTable::new(),
                 policy,
             }
         }
@@ -1766,7 +1716,7 @@ mod tests {
             // only the VM map — the unjournaled transition the stash
             // exists for).
             inflight.retain(|&(vm, from, to, done)| {
-                if !dense.vms.contains_key(&vm) {
+                if !dense.vms.contains(vm) {
                     return false;
                 }
                 if done > now {
@@ -1774,20 +1724,20 @@ mod tests {
                 }
                 for twin in [dense.world(), comp.world()] {
                     twin.dc.finish_migration(vm, from).unwrap();
-                    let v = twin.vms.get_mut(&vm).unwrap();
+                    let v = twin.vms.get_mut(vm).unwrap();
                     v.state = VmState::Running { pm: to };
                 }
                 false
             });
             creating.retain(|&(vm, pm, ready)| {
-                if !dense.vms.contains_key(&vm) {
+                if !dense.vms.contains(vm) {
                     return false;
                 }
                 if ready > now {
                     return true;
                 }
                 for twin in [dense.world(), comp.world()] {
-                    let v = twin.vms.get_mut(&vm).unwrap();
+                    let v = twin.vms.get_mut(vm).unwrap();
                     v.state = VmState::Running { pm };
                     v.started_at = Some(ready);
                 }
@@ -1819,7 +1769,7 @@ mod tests {
                                 vm.state = VmState::Running { pm };
                                 vm.started_at = Some(now);
                             }
-                            twin.vms.insert(spec.id, vm);
+                            twin.vms.insert(vm);
                         }
                         if as_creating {
                             creating.push((spec.id, pm, now + cre));
@@ -1828,12 +1778,12 @@ mod tests {
                 }
                 2 => {
                     // Departure of a random live VM.
-                    let ids: Vec<VmId> = dense.vms.keys().copied().collect();
+                    let ids: Vec<VmId> = dense.vms.ids().collect();
                     if !ids.is_empty() {
                         let vm = ids[(xorshift(&mut rng) % ids.len() as u64) as usize];
                         for twin in [dense.world(), comp.world()] {
                             twin.dc.remove_vm(vm);
-                            twin.vms.remove(&vm);
+                            twin.vms.remove(vm);
                         }
                     }
                 }
@@ -1847,12 +1797,12 @@ mod tests {
                         if xorshift(&mut rng) % 4 == 0 {
                             continue; // skipped by the "simulator"
                         }
-                        let res = dense.vms[&m.vm].spec.resources;
+                        let res = dense.vms[m.vm].spec.resources;
                         // Mirror the simulator's pre-apply validity check:
                         // earlier moves in the batch can use up the room the
                         // planner assumed this one would have.
                         if !matches!(
-                            dense.vms[&m.vm].state,
+                            dense.vms[m.vm].state,
                             VmState::Running { pm } if pm == m.from
                         ) || !dense.dc.pm(m.to).can_host(&res)
                         {
@@ -1861,7 +1811,7 @@ mod tests {
                         let mig = dense.dc.pm(m.to).class.migration_time;
                         for twin in [dense.world(), comp.world()] {
                             twin.dc.begin_migration(m.vm, m.to, res).unwrap();
-                            let v = twin.vms.get_mut(&m.vm).unwrap();
+                            let v = twin.vms.get_mut(m.vm).unwrap();
                             v.state = VmState::Migrating {
                                 from: m.from,
                                 to: m.to,
@@ -1890,8 +1840,8 @@ mod tests {
                             let displaced_b = comp.dc.fail_pm(pm);
                             assert_eq!(displaced_a, displaced_b);
                             for vm in displaced_a {
-                                dense.vms.remove(&vm);
-                                comp.vms.remove(&vm);
+                                dense.vms.remove(vm);
+                                comp.vms.remove(vm);
                             }
                         }
                     }
@@ -1919,7 +1869,7 @@ mod tests {
     fn fleet_twin<P>(dc: Datacenter, policy: P) -> Twin<P> {
         Twin {
             dc,
-            vms: BTreeMap::new(),
+            vms: VmTable::new(),
             policy,
         }
     }
@@ -2040,7 +1990,7 @@ mod tests {
                 let gone = VmId(i);
                 for twin in [dense.world(), comp.world()] {
                     twin.dc.remove_vm(gone);
-                    twin.vms.remove(&gone);
+                    twin.vms.remove(gone);
                 }
             }
             assert_eq!(dense.plan(now), comp.plan(now), "vm {i}");
@@ -2071,7 +2021,7 @@ mod tests {
         };
         Twin {
             dc,
-            vms: BTreeMap::new(),
+            vms: VmTable::new(),
             policy: policy(cfg),
         }
     }
@@ -2103,7 +2053,7 @@ mod tests {
             let mut vm = Vm::new(s);
             vm.state = VmState::Running { pm };
             vm.started_at = Some(SimTime::ZERO);
-            bucketed.vms.insert(vm.spec.id, vm);
+            bucketed.vms.insert(vm);
         }
         let _ = bucketed.plan(SimTime::ZERO);
         assert_eq!(bucketed.policy.compressed_superclasses(), 2);
@@ -2131,7 +2081,7 @@ mod tests {
         // through `pm_mut`): every divergent PM must land in its own
         // superclass and the move sequence must match the dense reference.
         let mut dc = small_fleet();
-        let mut vms = BTreeMap::new();
+        let mut vms = VmTable::new();
         for (i, pm) in [0u32, 1, 2, 3, 2, 3].iter().enumerate() {
             install(
                 &mut dc,
@@ -2165,7 +2115,7 @@ mod tests {
         // (lowest eligible PM id).
         let build = || {
             let mut dc = small_fleet();
-            let mut vms = BTreeMap::new();
+            let mut vms = VmTable::new();
             // Symmetric load: the two fast PMs (and the two slow PMs) are
             // bit-identical rows, so every candidate scan hits ties.
             for (i, pm) in [0u32, 1, 2, 3, 0, 1].iter().enumerate() {
@@ -2219,7 +2169,7 @@ mod tests {
                     let mut vm = Vm::new(s.clone());
                     vm.state = VmState::Running { pm };
                     vm.started_at = Some(now);
-                    vms.insert(s.id, vm);
+                    vms.insert(vm);
                 }
             }
             t += 100;
@@ -2238,7 +2188,7 @@ mod tests {
         // dense reference's.
         let mut dense = Twin::new(dense());
         let mut comp = Twin::new(comp());
-        for (i, id) in [1, DENSE_VM_IDS as u32 + 1].into_iter().enumerate() {
+        for (i, id) in [1, FLAT_VM_IDS as u32].into_iter().enumerate() {
             let s = spec(id, 512, 150_000);
             let pm = PmId(6 + i as u32);
             install(&mut dense.dc, &mut dense.vms, s.clone(), pm, SimTime::ZERO);
@@ -2250,8 +2200,8 @@ mod tests {
         assert_eq!(moves, comp.plan(now));
         assert_eq!(comp.policy.compressed_passes(), 1);
         let slots = &comp.policy.planner().col_slot;
-        assert_eq!(slots.far.len(), 1, "the large id sits in the slot map");
-        assert!(slots.flat.len() <= 2, "the flat table stays small");
+        assert_eq!(slots.far_len(), 1, "the large id sits in the slot map");
+        assert!(slots.flat_len() <= 2, "the flat table stays small");
     }
 
     /// Recomputes every active row's level for every registered demand
@@ -2319,7 +2269,7 @@ mod tests {
         for col in &p.cols {
             assert_eq!(
                 &p.demands[col.demand as usize],
-                twin.vms[&col.id].demand(),
+                twin.vms[col.id].demand(),
                 "a live column's slot was recycled"
             );
         }
@@ -2354,7 +2304,7 @@ mod tests {
                 let gone = live.pop_front().expect("non-empty");
                 for twin in [dense.world(), comp.world()] {
                     twin.dc.remove_vm(gone);
-                    twin.vms.remove(&gone);
+                    twin.vms.remove(gone);
                 }
             }
             assert_eq!(dense.plan(now), comp.plan(now), "vm {i}");
@@ -2373,7 +2323,7 @@ mod tests {
         // size: even a 4-PM fleet runs it, and its plan is the dense
         // kernel's.
         let mut dc = small_fleet();
-        let mut vms = BTreeMap::new();
+        let mut vms = VmTable::new();
         for (i, pm) in [0u32, 1, 2, 3].iter().enumerate() {
             install(
                 &mut dc,
@@ -2513,7 +2463,7 @@ mod tests {
         assert_eq!(p.hmin[0], h_before.min(p.rows[6].h));
 
         twin.dc.remove_vm(VmId(2));
-        twin.vms.remove(&VmId(2));
+        twin.vms.remove(VmId(2));
         let delta = twin.dc.take_fleet_delta();
         let view = PlacementView {
             dc: &twin.dc,
@@ -2557,7 +2507,7 @@ mod tests {
         let mut p = synced_planner(&comp, now, &cfg);
         for twin in [dense.world(), comp.world()] {
             twin.dc.remove_vm(VmId(1));
-            twin.vms.remove(&VmId(1));
+            twin.vms.remove(VmId(1));
         }
         let later = SimTime::from_secs(60);
         let delta = comp.dc.take_fleet_delta();
@@ -2587,7 +2537,7 @@ mod tests {
             .add_class(PmClass::paper_fast(), full as usize + 2, 0.99)
             .initially_on(true)
             .build();
-        let mut vms = BTreeMap::new();
+        let mut vms = VmTable::new();
         let mut id = 1;
         for (pm, count) in (0..full)
             .map(|pm| (pm, 8))
@@ -2640,7 +2590,7 @@ mod tests {
             "one scan per move plus the last"
         );
         let mut host: BTreeMap<VmId, PmId> =
-            vms.keys().map(|&v| (v, dc.host_of(v).unwrap())).collect();
+            vms.ids().map(|v| (v, dc.host_of(v).unwrap())).collect();
         let mut budget = exceeders + 1;
         for (round, &n) in evals.iter().enumerate() {
             assert!(
@@ -2672,10 +2622,10 @@ mod tests {
         for step in 0..240u64 {
             let now = SimTime::from_secs(step * 97);
             if xorshift(&mut rng) % 3 == 0 {
-                let ids: Vec<VmId> = twin.vms.keys().copied().collect();
+                let ids: Vec<VmId> = twin.vms.ids().collect();
                 if let Some(&vm) = ids.get((xorshift(&mut rng) % 8) as usize) {
                     twin.dc.remove_vm(vm);
-                    twin.vms.remove(&vm);
+                    twin.vms.remove(vm);
                 }
             } else {
                 let s = spec(
@@ -2709,13 +2659,13 @@ mod tests {
                 );
             }
             for m in moves {
-                let res = *twin.vms[&m.vm].demand();
+                let res = *twin.vms[m.vm].demand();
                 if !twin.dc.pm(m.to).can_host(&res) {
                     continue;
                 }
                 twin.dc.begin_migration(m.vm, m.to, res).unwrap();
                 twin.dc.finish_migration(m.vm, m.from).unwrap();
-                twin.vms.get_mut(&m.vm).unwrap().state = VmState::Running { pm: m.to };
+                twin.vms.get_mut(m.vm).unwrap().state = VmState::Running { pm: m.to };
             }
         }
         assert!(
@@ -2749,7 +2699,7 @@ mod tests {
                 pm: PmId(3),
                 ready_at: SimTime::from_secs(40),
             };
-            twin.vms.insert(VmId(3), vm);
+            twin.vms.insert(vm);
             let _ = twin_no;
         }
         let m0_dense = dense.plan(SimTime::from_secs(0));
@@ -2757,7 +2707,7 @@ mod tests {
         assert_eq!(m0_dense, m0_comp, "creating VM excluded identically");
         // Promote (no journal traffic at all) and replan.
         for twin in [dense.world(), comp.world()] {
-            let v = twin.vms.get_mut(&VmId(3)).unwrap();
+            let v = twin.vms.get_mut(VmId(3)).unwrap();
             v.state = VmState::Running { pm: PmId(3) };
             v.started_at = Some(SimTime::from_secs(40));
         }

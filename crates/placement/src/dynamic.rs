@@ -190,8 +190,8 @@ mod tests {
     use crate::policy::testutil::*;
     use crate::reference::DenseReference;
     use dvmp_cluster::vm::VmId;
+    use dvmp_cluster::VmTable;
     use dvmp_simcore::SimTime;
-    use std::collections::BTreeMap;
 
     /// The dense reference the production planner must agree with.
     fn dense() -> DenseReference {
@@ -200,7 +200,7 @@ mod tests {
 
     fn view_of<'a>(
         dc: &'a dvmp_cluster::datacenter::Datacenter,
-        vms: &'a BTreeMap<VmId, dvmp_cluster::vm::Vm>,
+        vms: &'a VmTable,
         now: u64,
     ) -> PlacementView<'a> {
         PlacementView {
@@ -213,7 +213,7 @@ mod tests {
     #[test]
     fn consolidates_fragmented_fleet() {
         let mut dc = small_fleet();
-        let mut vms = BTreeMap::new();
+        let mut vms = VmTable::new();
         // One long-lived VM on each of the four PMs: a maximally
         // fragmented state that first-fit/best-fit would leave alone.
         for (i, pm) in [0u32, 1, 2, 3].iter().enumerate() {
@@ -252,7 +252,7 @@ mod tests {
     #[test]
     fn respects_round_cap() {
         let mut dc = small_fleet();
-        let mut vms = BTreeMap::new();
+        let mut vms = VmTable::new();
         for (i, pm) in [0u32, 1, 2, 3].iter().enumerate() {
             install(
                 &mut dc,
@@ -273,7 +273,7 @@ mod tests {
     #[test]
     fn high_threshold_blocks_marginal_moves() {
         let mut dc = small_fleet();
-        let mut vms = BTreeMap::new();
+        let mut vms = VmTable::new();
         for (i, pm) in [0u32, 1, 2, 3].iter().enumerate() {
             install(
                 &mut dc,
@@ -293,7 +293,7 @@ mod tests {
     #[test]
     fn vms_about_to_finish_stay_put() {
         let mut dc = small_fleet();
-        let mut vms = BTreeMap::new();
+        let mut vms = VmTable::new();
         // Two VMs, each alone on a PM, but with almost no remaining time:
         // Eq. 3 zeroes every non-host entry.
         install(&mut dc, &mut vms, spec(1, 512, 60), PmId(0), SimTime::ZERO);
@@ -306,7 +306,7 @@ mod tests {
     #[test]
     fn already_consolidated_fleet_is_stable() {
         let mut dc = small_fleet();
-        let mut vms = BTreeMap::new();
+        let mut vms = VmTable::new();
         for i in 0..4 {
             install(
                 &mut dc,
@@ -324,7 +324,7 @@ mod tests {
     #[test]
     fn place_prefers_fuller_efficient_pm() {
         let mut dc = small_fleet();
-        let mut vms = BTreeMap::new();
+        let mut vms = VmTable::new();
         install(
             &mut dc,
             &mut vms,
@@ -342,7 +342,7 @@ mod tests {
     #[test]
     fn place_falls_back_for_ultra_short_jobs() {
         let dc = small_fleet();
-        let vms = BTreeMap::new();
+        let vms = VmTable::new();
         let mut policy = DynamicPlacement::paper_default();
         // 50 s estimate < T_cre + T_mig on every class: the joint column is
         // all-zero, but capacity exists → fallback must place it.
@@ -353,7 +353,7 @@ mod tests {
     #[test]
     fn place_returns_none_when_fleet_is_full() {
         let mut dc = small_fleet();
-        let mut vms = BTreeMap::new();
+        let mut vms = VmTable::new();
         let mut id = 1;
         for pm in 0..4u32 {
             let cap = dc.pm(PmId(pm)).capacity().get(0);
@@ -379,7 +379,7 @@ mod tests {
     fn planning_is_deterministic() {
         let build = || {
             let mut dc = small_fleet();
-            let mut vms = BTreeMap::new();
+            let mut vms = VmTable::new();
             for (i, pm) in [0u32, 1, 2, 3, 2, 3].iter().enumerate() {
                 install(
                     &mut dc,
@@ -406,7 +406,7 @@ mod tests {
         // Stress: 30 VMs over the fleet, then plan: the batch stays
         // within the round budget and, applied in order, within capacity.
         let mut dc = small_fleet();
-        let mut vms = BTreeMap::new();
+        let mut vms = VmTable::new();
         let mut id = 1u32;
         for pm in [0u32, 1, 2, 3, 0, 1, 2, 3, 0, 1] {
             for _ in 0..2 {
@@ -430,7 +430,7 @@ mod tests {
         assert!(moves.len() <= policy.config().mig_round as usize);
         // Applied in order, every move fits its destination.
         for m in &moves {
-            let res = *vms[&m.vm].demand();
+            let res = *vms[m.vm].demand();
             assert!(dc.pm(m.to).can_host(&res), "{m:?} overfills its target");
             dc.begin_migration(m.vm, m.to, res).unwrap();
             dc.finish_migration(m.vm, m.from).unwrap();
@@ -444,7 +444,7 @@ mod tests {
         // policies — and the dense reference — produce for each pass.
         let build = |extra_on_pm3: bool| {
             let mut dc = small_fleet();
-            let mut vms = BTreeMap::new();
+            let mut vms = VmTable::new();
             for (i, pm) in [0u32, 1, 2].iter().enumerate() {
                 install(
                     &mut dc,
@@ -494,7 +494,7 @@ mod tests {
     fn reference_kernel_plans_identical_moves() {
         let build = || {
             let mut dc = small_fleet();
-            let mut vms = BTreeMap::new();
+            let mut vms = VmTable::new();
             for (i, pm) in [0u32, 1, 2, 3, 2, 3].iter().enumerate() {
                 install(
                     &mut dc,
@@ -545,7 +545,7 @@ mod tests {
                 .add_class(dvmp_cluster::pm::PmClass::paper_slow(), *slow, 0.95)
                 .initially_on(true)
                 .build();
-            let mut vms = BTreeMap::new();
+            let mut vms = VmTable::new();
             for (i, &(pm, mem, est)) in shape.iter().enumerate() {
                 install(
                     &mut dc,
@@ -592,7 +592,7 @@ mod tests {
         // (which rebuilds every pass and never reads the journal) through
         // the same fleet history; every pass must propose identical moves.
         let mut dc = small_fleet();
-        let mut vms = BTreeMap::new();
+        let mut vms = VmTable::new();
         // Consolidated start: four VMs on PM 0, nothing to do in pass 1.
         for i in 0..4 {
             install(
@@ -629,7 +629,7 @@ mod tests {
         // which the pass-2 move endpoints already dirty), plus more time
         // decay.
         dc.remove_vm(VmId(9));
-        vms.remove(&VmId(9));
+        vms.remove(VmId(9));
         inc.note_fleet_delta(dc.take_fleet_delta());
         let m3 = inc.plan_migrations(&view_of(&dc, &vms, 200));
         assert_eq!(m3, full.plan_migrations(&view_of(&dc, &vms, 200)));
@@ -643,7 +643,7 @@ mod tests {
         // all) must rebuild from the view every pass and still plan
         // correctly.
         let mut dc = small_fleet();
-        let mut vms = BTreeMap::new();
+        let mut vms = VmTable::new();
         for (i, pm) in [0u32, 1, 2, 3].iter().enumerate() {
             install(
                 &mut dc,

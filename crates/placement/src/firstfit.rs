@@ -28,13 +28,13 @@ mod tests {
     use super::*;
     use crate::policy::testutil::*;
     use dvmp_cluster::pm::PmState;
+    use dvmp_cluster::VmTable;
     use dvmp_simcore::SimTime;
-    use std::collections::BTreeMap;
 
     #[test]
     fn picks_lowest_id_with_room() {
         let dc = small_fleet();
-        let vms = BTreeMap::new();
+        let vms = VmTable::new();
         let view = PlacementView {
             dc: &dc,
             vms: &vms,
@@ -47,7 +47,7 @@ mod tests {
     #[test]
     fn skips_full_and_off_pms() {
         let mut dc = small_fleet();
-        let mut vms = BTreeMap::new();
+        let mut vms = VmTable::new();
         // Fill pm0 (8 cores) and power off pm1.
         for i in 0..8 {
             install(
@@ -74,7 +74,7 @@ mod tests {
         for id in 0..4u32 {
             dc.pm_mut(PmId(id)).state = PmState::Off;
         }
-        let vms = BTreeMap::new();
+        let vms = VmTable::new();
         let view = PlacementView {
             dc: &dc,
             vms: &vms,
@@ -87,7 +87,7 @@ mod tests {
     #[test]
     fn never_migrates() {
         let dc = small_fleet();
-        let vms = BTreeMap::new();
+        let vms = VmTable::new();
         let view = PlacementView {
             dc: &dc,
             vms: &vms,

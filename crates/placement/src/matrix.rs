@@ -122,12 +122,12 @@ mod tests {
     use crate::policy::PlacementView;
     use dvmp_cluster::pm::PmId;
     use dvmp_cluster::resources::ResourceVector;
+    use dvmp_cluster::VmTable;
     use dvmp_simcore::SimTime;
-    use std::collections::BTreeMap;
 
     fn build_fixture() -> (PlanState, DynamicConfig) {
         let mut dc = small_fleet();
-        let mut vms = BTreeMap::new();
+        let mut vms = VmTable::new();
         // Two VMs on pm0 (fast), one on pm2 (slow).
         install(
             &mut dc,
@@ -274,7 +274,7 @@ mod tests {
     #[test]
     fn full_pm_rows_are_zero_for_foreign_vms() {
         let mut dc = small_fleet();
-        let mut vms = BTreeMap::new();
+        let mut vms = VmTable::new();
         // Fill pm1 with 8 one-core VMs.
         for i in 0..8 {
             install(
@@ -334,7 +334,7 @@ mod tests {
             .add_class(dvmp_cluster::pm::PmClass::paper_fast(), 1, 0.99)
             .initially_on(true)
             .build();
-        let mut vms = BTreeMap::new();
+        let mut vms = VmTable::new();
         install(
             &mut dc,
             &mut vms,

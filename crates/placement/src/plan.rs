@@ -194,13 +194,13 @@ mod tests {
     use crate::policy::PlacementView;
     use dvmp_cluster::pm::PmState;
     use dvmp_cluster::vm::VmState;
+    use dvmp_cluster::VmTable;
     use dvmp_simcore::SimTime;
-    use std::collections::BTreeMap;
 
     #[test]
     fn from_view_captures_available_pms_and_running_vms() {
         let mut dc = small_fleet();
-        let mut vms = BTreeMap::new();
+        let mut vms = VmTable::new();
         install(
             &mut dc,
             &mut vms,
@@ -240,7 +240,7 @@ mod tests {
     #[test]
     fn creating_and_migrating_vms_occupy_but_do_not_move() {
         let mut dc = small_fleet();
-        let mut vms = BTreeMap::new();
+        let mut vms = VmTable::new();
         install(
             &mut dc,
             &mut vms,
@@ -248,7 +248,7 @@ mod tests {
             dvmp_cluster::pm::PmId(0),
             SimTime::ZERO,
         );
-        vms.get_mut(&dvmp_cluster::vm::VmId(1)).unwrap().state = VmState::Creating {
+        vms.get_mut(dvmp_cluster::vm::VmId(1)).unwrap().state = VmState::Creating {
             pm: dvmp_cluster::pm::PmId(0),
             ready_at: SimTime::from_secs(30),
         };
@@ -271,7 +271,7 @@ mod tests {
     #[test]
     fn apply_migration_moves_resources_and_charges_overhead() {
         let mut dc = small_fleet();
-        let mut vms = BTreeMap::new();
+        let mut vms = VmTable::new();
         install(
             &mut dc,
             &mut vms,
@@ -305,7 +305,7 @@ mod tests {
 
         let mut dc = small_fleet();
         dc.pm_mut(PmId(0)).overbook = Some(OverbookRatios::cpu_mem(200, 100));
-        let mut vms = BTreeMap::new();
+        let mut vms = VmTable::new();
         install(
             &mut dc,
             &mut vms,
@@ -316,7 +316,7 @@ mod tests {
         // The VM has since grown to 3 cores.
         dc.resize_vm(VmId(1), ResourceVector::cpu_mem(3, 512))
             .unwrap();
-        vms.get_mut(&VmId(1)).unwrap().current_demand = Some(ResourceVector::cpu_mem(3, 512));
+        vms.get_mut(VmId(1)).unwrap().current_demand = Some(ResourceVector::cpu_mem(3, 512));
 
         let view = PlacementView {
             dc: &dc,
@@ -350,7 +350,7 @@ mod tests {
         for i in 0..n {
             dc.pm_mut(PmId(i as u32)).reliability = 0.949 + 0.002 * (i as f64) / (n as f64);
         }
-        let vms = BTreeMap::new();
+        let vms = VmTable::new();
         let view = PlacementView {
             dc: &dc,
             vms: &vms,
@@ -394,7 +394,7 @@ mod tests {
     #[should_panic(expected = "capacity")]
     fn apply_migration_rejects_overfull_target() {
         let mut dc = small_fleet();
-        let mut vms = BTreeMap::new();
+        let mut vms = VmTable::new();
         // Fill pm1 (fast, 8 cores) completely.
         for i in 0..8 {
             install(

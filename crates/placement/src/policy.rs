@@ -8,17 +8,17 @@
 use dvmp_cluster::datacenter::Datacenter;
 use dvmp_cluster::pm::PmId;
 use dvmp_cluster::vm::{Vm, VmId, VmSpec};
-use dvmp_cluster::FleetDelta;
+use dvmp_cluster::{FleetDelta, VmTable};
 use dvmp_simcore::SimTime;
-use std::collections::BTreeMap;
 
 /// A read-only snapshot of everything a policy may observe.
 #[derive(Clone, Copy)]
 pub struct PlacementView<'a> {
     /// The fleet (states, occupancy, classes, reliability).
     pub dc: &'a Datacenter,
-    /// Every VM the simulator knows about, keyed by id.
-    pub vms: &'a BTreeMap<VmId, Vm>,
+    /// Every VM the simulator knows about, keyed by id and iterated in
+    /// ascending id order.
+    pub vms: &'a VmTable,
     /// Current simulation time.
     pub now: SimTime,
 }
@@ -94,8 +94,8 @@ pub(crate) mod testutil {
     use dvmp_cluster::pm::{PmClass, PmId};
     use dvmp_cluster::resources::ResourceVector;
     use dvmp_cluster::vm::{Vm, VmId, VmSpec, VmState};
+    use dvmp_cluster::VmTable;
     use dvmp_simcore::{SimDuration, SimTime};
-    use std::collections::BTreeMap;
 
     /// 2 fast + 2 slow PMs, all on.
     pub fn small_fleet() -> Datacenter {
@@ -119,7 +119,7 @@ pub(crate) mod testutil {
     /// Places `spec` as Running on `pm` in both the datacenter and the VM map.
     pub fn install(
         dc: &mut Datacenter,
-        vms: &mut BTreeMap<VmId, Vm>,
+        vms: &mut VmTable,
         spec: VmSpec,
         pm: PmId,
         started_at: SimTime,
@@ -128,7 +128,7 @@ pub(crate) mod testutil {
         let mut vm = Vm::new(spec);
         vm.state = VmState::Running { pm };
         vm.started_at = Some(started_at);
-        vms.insert(vm.spec.id, vm);
+        vms.insert(vm);
     }
 }
 
@@ -142,7 +142,7 @@ mod tests {
     #[test]
     fn migratable_vms_filters_states() {
         let mut dc = small_fleet();
-        let mut vms = BTreeMap::new();
+        let mut vms = VmTable::new();
         install(
             &mut dc,
             &mut vms,
@@ -158,13 +158,13 @@ mod tests {
             SimTime::ZERO,
         );
         // VM 2 is mid-migration: not migratable.
-        vms.get_mut(&VmId(2)).unwrap().state = VmState::Migrating {
+        vms.get_mut(VmId(2)).unwrap().state = VmState::Migrating {
             from: PmId(1),
             to: PmId(0),
             done_at: SimTime::from_secs(40),
         };
         // VM 3 is queued: not migratable.
-        vms.insert(VmId(3), Vm::new(spec(3, 512, 1_000)));
+        vms.insert(Vm::new(spec(3, 512, 1_000)));
 
         let view = PlacementView {
             dc: &dc,

@@ -49,13 +49,13 @@ impl PlacementPolicy for RandomFit {
 mod tests {
     use super::*;
     use crate::policy::testutil::*;
+    use dvmp_cluster::VmTable;
     use dvmp_simcore::SimTime;
-    use std::collections::BTreeMap;
 
     #[test]
     fn only_feasible_pms_are_chosen() {
         let mut dc = small_fleet();
-        let mut vms = BTreeMap::new();
+        let mut vms = VmTable::new();
         // Leave room only on pm3.
         for pm in [0u32, 1, 2] {
             let cap = dc.pm(PmId(pm)).capacity().get(0);
@@ -83,7 +83,7 @@ mod tests {
     #[test]
     fn deterministic_per_seed() {
         let dc = small_fleet();
-        let vms = BTreeMap::new();
+        let vms = VmTable::new();
         let view = PlacementView {
             dc: &dc,
             vms: &vms,
@@ -102,7 +102,7 @@ mod tests {
     #[test]
     fn covers_multiple_pms_over_time() {
         let dc = small_fleet();
-        let vms = BTreeMap::new();
+        let vms = VmTable::new();
         let view = PlacementView {
             dc: &dc,
             vms: &vms,
@@ -122,7 +122,7 @@ mod tests {
         for id in 0..4u32 {
             dc.pm_mut(PmId(id)).state = dvmp_cluster::pm::PmState::Off;
         }
-        let vms = BTreeMap::new();
+        let vms = VmTable::new();
         let view = PlacementView {
             dc: &dc,
             vms: &vms,

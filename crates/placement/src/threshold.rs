@@ -178,12 +178,12 @@ impl PlacementPolicy for ThresholdPolicy {
 mod tests {
     use super::*;
     use crate::policy::testutil::*;
+    use dvmp_cluster::VmTable;
     use dvmp_simcore::SimTime;
-    use std::collections::BTreeMap;
 
     fn view_of<'a>(
         dc: &'a dvmp_cluster::datacenter::Datacenter,
-        vms: &'a BTreeMap<dvmp_cluster::vm::VmId, dvmp_cluster::vm::Vm>,
+        vms: &'a VmTable,
     ) -> PlacementView<'a> {
         PlacementView {
             dc,
@@ -195,7 +195,7 @@ mod tests {
     #[test]
     fn drains_underutilized_pms() {
         let mut dc = small_fleet();
-        let mut vms = BTreeMap::new();
+        let mut vms = VmTable::new();
         // pm0 (fast): 4 VMs → u = (4/8)(2048/8192) = 0.125 > low.
         for i in 0..4 {
             install(
@@ -225,7 +225,7 @@ mod tests {
     #[test]
     fn healthy_pms_are_left_alone() {
         let mut dc = small_fleet();
-        let mut vms = BTreeMap::new();
+        let mut vms = VmTable::new();
         for i in 0..6 {
             install(
                 &mut dc,
@@ -243,7 +243,7 @@ mod tests {
     #[test]
     fn respects_high_watermark_on_targets() {
         let mut dc = small_fleet();
-        let mut vms = BTreeMap::new();
+        let mut vms = VmTable::new();
         // pm2 (slow, 4 cores): 3 big-memory VMs → u = (3/4)(3072/4096) = 0.5625.
         for i in 0..3 {
             install(
@@ -275,7 +275,7 @@ mod tests {
     #[test]
     fn budget_caps_moves() {
         let mut dc = small_fleet();
-        let mut vms = BTreeMap::new();
+        let mut vms = VmTable::new();
         // Two donor PMs with 2 VMs each.
         for i in 0..2 {
             install(
@@ -304,7 +304,7 @@ mod tests {
     #[test]
     fn place_prefers_fullest_under_watermark() {
         let mut dc = small_fleet();
-        let mut vms = BTreeMap::new();
+        let mut vms = VmTable::new();
         for i in 0..3 {
             install(
                 &mut dc,
@@ -325,7 +325,7 @@ mod tests {
     #[test]
     fn place_falls_back_when_everything_is_hot() {
         let mut dc = small_fleet();
-        let mut vms = BTreeMap::new();
+        let mut vms = VmTable::new();
         // Fill every PM's memory to ~94%: any addition exceeds 0.85 joint?
         // Simpler: set high watermark very low so everything exceeds it.
         install(

@@ -39,13 +39,13 @@ impl PlacementPolicy for WorstFit {
 mod tests {
     use super::*;
     use crate::policy::testutil::*;
+    use dvmp_cluster::VmTable;
     use dvmp_simcore::SimTime;
-    use std::collections::BTreeMap;
 
     #[test]
     fn spreads_to_emptiest_pm() {
         let mut dc = small_fleet();
-        let mut vms = BTreeMap::new();
+        let mut vms = VmTable::new();
         install(
             &mut dc,
             &mut vms,
@@ -80,7 +80,7 @@ mod tests {
     #[test]
     fn opposite_of_bestfit_on_empty_fleet() {
         let dc = small_fleet();
-        let vms = BTreeMap::new();
+        let vms = VmTable::new();
         let view = PlacementView {
             dc: &dc,
             vms: &vms,
@@ -96,7 +96,7 @@ mod tests {
     #[test]
     fn never_migrates() {
         let dc = small_fleet();
-        let vms = BTreeMap::new();
+        let vms = VmTable::new();
         let view = PlacementView {
             dc: &dc,
             vms: &vms,

@@ -14,12 +14,12 @@ use dvmp_cluster::datacenter::{Datacenter, FleetBuilder};
 use dvmp_cluster::pm::{PmClass, PmId, PmState};
 use dvmp_cluster::resources::ResourceVector;
 use dvmp_cluster::vm::{Vm, VmId, VmSpec, VmState};
+use dvmp_cluster::VmTable;
 use dvmp_placement::{
     DenseReference, DynamicConfig, DynamicPlacement, Migration, PlacementPolicy, PlacementView,
 };
 use dvmp_simcore::{SimDuration, SimTime};
 use proptest::prelude::*;
-use std::collections::BTreeMap;
 
 /// One randomized fleet mutation. `pick`-style fields are resolved modulo
 /// the candidate set at application time, so every generated op is
@@ -62,13 +62,13 @@ fn pick_from<T: Copy>(items: &[T], pick: u8) -> Option<T> {
 }
 
 /// 4 fast + 3 slow PMs, all on, seeded with six running VMs.
-fn seeded_fleet() -> (Datacenter, BTreeMap<VmId, Vm>) {
+fn seeded_fleet() -> (Datacenter, VmTable) {
     let mut dc = FleetBuilder::new()
         .add_class(PmClass::paper_fast(), 4, 0.99)
         .add_class(PmClass::paper_slow(), 3, 0.95)
         .initially_on(true)
         .build();
-    let mut vms = BTreeMap::new();
+    let mut vms = VmTable::new();
     for i in 0..6u32 {
         let res = ResourceVector::cpu_mem(1, 512 * u64::from(1 + i % 3));
         let pm = dc.first_fit_available(&res).expect("seed VM fits");
@@ -82,18 +82,12 @@ fn seeded_fleet() -> (Datacenter, BTreeMap<VmId, Vm>) {
         let mut vm = Vm::new(spec);
         vm.state = VmState::Running { pm };
         vm.started_at = Some(SimTime::ZERO);
-        vms.insert(vm.spec.id, vm);
+        vms.insert(vm);
     }
     (dc, vms)
 }
 
-fn apply_op(
-    dc: &mut Datacenter,
-    vms: &mut BTreeMap<VmId, Vm>,
-    next_id: &mut u32,
-    now: SimTime,
-    op: &Op,
-) {
+fn apply_op(dc: &mut Datacenter, vms: &mut VmTable, next_id: &mut u32, now: SimTime, op: &Op) {
     match *op {
         Op::Arrive { mem_sel, est_secs } => {
             let mem = [256u64, 512, 1_024, 2_048][mem_sel as usize % 4];
@@ -106,7 +100,7 @@ fn apply_op(
                 let mut vm = Vm::new(spec);
                 vm.state = VmState::Running { pm };
                 vm.started_at = Some(now);
-                vms.insert(vm.spec.id, vm);
+                vms.insert(vm);
             }
         }
         Op::Depart { pick } => {
@@ -117,7 +111,7 @@ fn apply_op(
                 .collect();
             if let Some(id) = pick_from(&running, pick) {
                 dc.remove_vm(id);
-                vms.remove(&id);
+                vms.remove(id);
             }
         }
         Op::Migrate { pick, to } => {
@@ -127,7 +121,7 @@ fn apply_op(
                 .map(|v| v.spec.id)
                 .collect();
             if let Some(id) = pick_from(&running, pick) {
-                let res = vms[&id].spec.resources;
+                let res = vms[id].spec.resources;
                 let from = dc.host_of(id).expect("running VM has a host");
                 let targets: Vec<PmId> = dc
                     .available_pms()
@@ -137,7 +131,7 @@ fn apply_op(
                 if let Some(t) = pick_from(&targets, to) {
                     dc.begin_migration(id, t, res).unwrap();
                     dc.finish_migration(id, from).unwrap();
-                    vms.get_mut(&id).unwrap().state = VmState::Running { pm: t };
+                    vms.get_mut(id).unwrap().state = VmState::Running { pm: t };
                 }
             }
         }
@@ -147,7 +141,7 @@ fn apply_op(
             if avail.len() > 2 {
                 if let Some(pm) = pick_from(&avail, pick) {
                     for vm in dc.fail_pm(pm) {
-                        vms.remove(&vm);
+                        vms.remove(vm);
                     }
                 }
             }
@@ -180,13 +174,13 @@ fn apply_op(
 
 /// Applies a planned batch the way the simulator does: re-validate each
 /// move against the live fleet and skip ones invalidated by earlier moves.
-fn apply_moves(dc: &mut Datacenter, vms: &mut BTreeMap<VmId, Vm>, moves: &[Migration]) {
+fn apply_moves(dc: &mut Datacenter, vms: &mut VmTable, moves: &[Migration]) {
     for m in moves {
-        let res = vms[&m.vm].spec.resources;
+        let res = vms[m.vm].spec.resources;
         if dc.host_of(m.vm) == Some(m.from) && dc.pm(m.to).can_host(&res) {
             dc.begin_migration(m.vm, m.to, res).unwrap();
             dc.finish_migration(m.vm, m.from).unwrap();
-            vms.get_mut(&m.vm).unwrap().state = VmState::Running { pm: m.to };
+            vms.get_mut(m.vm).unwrap().state = VmState::Running { pm: m.to };
         }
     }
 }

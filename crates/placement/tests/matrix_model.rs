@@ -15,6 +15,7 @@ use dvmp_cluster::datacenter::{Datacenter, FleetBuilder};
 use dvmp_cluster::pm::{PmClass, PmId};
 use dvmp_cluster::resources::ResourceVector;
 use dvmp_cluster::vm::{Vm, VmId, VmSpec, VmState};
+use dvmp_cluster::VmTable;
 use dvmp_placement::config::DynamicConfig;
 use dvmp_placement::factors::{self, EvalContext};
 use dvmp_placement::matrix::ProbabilityMatrix;
@@ -22,7 +23,6 @@ use dvmp_placement::plan::{PlanPm, PlanState, PlanVm};
 use dvmp_placement::{DenseReference, DynamicPlacement, PlacementPolicy, PlacementView};
 use dvmp_simcore::{SimDuration, SimTime};
 use proptest::prelude::*;
-use std::collections::BTreeMap;
 
 const MAX_VMS: usize = 10;
 
@@ -78,13 +78,13 @@ fn build_fleet(
     cores: &[u64],
     mems: &[u64],
     remainings: &[u64],
-) -> (Datacenter, BTreeMap<VmId, Vm>) {
+) -> (Datacenter, VmTable) {
     let mut dc = FleetBuilder::new()
         .add_class(PmClass::paper_fast(), 3, 0.99)
         .add_class(PmClass::paper_slow(), 2, 0.95)
         .initially_on(true)
         .build();
-    let mut vms = BTreeMap::new();
+    let mut vms = VmTable::new();
     for (i, &h) in hosts.iter().enumerate() {
         let pm = PmId(u32::from(h) % dc.len() as u32);
         let spec = VmSpec::exact(
@@ -98,7 +98,7 @@ fn build_fleet(
             let mut vm = Vm::new(spec);
             vm.state = VmState::Running { pm };
             vm.started_at = Some(SimTime::ZERO);
-            vms.insert(vm.spec.id, vm);
+            vms.insert(vm);
         }
     }
     (dc, vms)

@@ -14,10 +14,10 @@
 
 use dvmp::prelude::*;
 use dvmp_cluster::vm::{Vm, VmState};
+use dvmp_cluster::VmTable;
 use dvmp_placement::factors::EvalContext;
 use dvmp_placement::plan::PlanState;
 use dvmp_placement::ProbabilityMatrix;
-use std::collections::BTreeMap;
 
 fn main() {
     // Three PMs: two fast, one slow — all on.
@@ -30,7 +30,7 @@ fn main() {
     // The paper's mapping (PM ids are 0-based here): VM1→PM1, VM2→PM0,
     // VM3→PM0, VM4→PM2, VM5→PM2.
     let mapping = [(1u32, 1u32), (2, 0), (3, 0), (4, 2), (5, 2)];
-    let mut vms = BTreeMap::new();
+    let mut vms = VmTable::new();
     for &(v, p) in &mapping {
         let spec = VmSpec::exact(
             VmId(v),
@@ -42,7 +42,7 @@ fn main() {
         let mut vm = Vm::new(spec);
         vm.state = VmState::Running { pm: PmId(p) };
         vm.started_at = Some(SimTime::ZERO);
-        vms.insert(vm.spec.id, vm);
+        vms.insert(vm);
     }
 
     let cfg = DynamicConfig::default();

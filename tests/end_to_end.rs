@@ -123,3 +123,28 @@ fn migration_counts_stay_bounded() {
         r.total_arrivals
     );
 }
+
+#[test]
+fn vm_ids_past_the_flat_slot_table_run_like_dense_ids() {
+    // Adding a constant to every id keeps their order, so the run must not
+    // change; the offset puts every id past the flat id→slot tables of the
+    // simulator, the datacenter and the planner, onto their map fallback.
+    let run = |offset: u32| {
+        let mut scenario = Scenario::paper(42).with_days(1);
+        scenario.sim.checked = true;
+        for r in scenario.requests_mut() {
+            r.id = VmId(r.id.0 + offset);
+        }
+        scenario.run(Box::new(DynamicPlacement::paper_default()))
+    };
+    let dense = run(0);
+    let far = run(dvmp_cluster::FLAT_VM_IDS as u32);
+    let oracle = dense.oracle.as_ref().expect("checked run");
+    assert!(oracle.is_clean(), "{oracle:?}");
+    assert!(dense.total_migrations > 0, "the planner moved VMs");
+    assert_eq!(
+        serde_json::to_string(&dense).unwrap(),
+        serde_json::to_string(&far).unwrap(),
+        "offset ids change the run"
+    );
+}

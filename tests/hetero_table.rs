@@ -18,7 +18,7 @@ use dvmp::prelude::*;
 use dvmp_cluster::datacenter::Datacenter;
 use dvmp_cluster::pm::PmState;
 use dvmp_cluster::reliability::ReliabilityModel;
-use std::collections::BTreeMap;
+use dvmp_cluster::VmTable;
 
 /// One plan pass over a powered-on copy of `fleet` with no VMs: registers
 /// every PM's superclass at `tolerance` and reports `C` — the same probe
@@ -29,7 +29,7 @@ fn probe(fleet: &Datacenter, tolerance: f64) -> usize {
     for id in ids {
         dc.pm_mut(id).state = PmState::On;
     }
-    let vms = BTreeMap::new();
+    let vms = VmTable::new();
     let view = dvmp_placement::PlacementView {
         dc: &dc,
         vms: &vms,

@@ -16,10 +16,11 @@
 
 use dvmp::prelude::*;
 use dvmp::{FleetOp, Oracle};
+use dvmp_cluster::VmTable;
 use dvmp_metrics::EnergyMeter;
 use dvmp_simcore::SimTime;
 use proptest::prelude::*;
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::VecDeque;
 
 fn small_fleet() -> dvmp_cluster::datacenter::Datacenter {
     FleetBuilder::new()
@@ -126,7 +127,7 @@ fn violation_injection_dumps_the_flight_recorder() {
 
     // The injected fault: the oracle is told a migration finished that
     // the reference model never saw begin.
-    let vms = BTreeMap::new();
+    let vms = VmTable::new();
     let queue = VecDeque::new();
     oracle.record(
         SimTime::from_secs(123),

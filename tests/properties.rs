@@ -6,12 +6,12 @@ use dvmp::prelude::*;
 use dvmp_cluster::datacenter::Datacenter;
 use dvmp_cluster::reliability::ReliabilityModel;
 use dvmp_cluster::vm::{Vm, VmState};
+use dvmp_cluster::VmTable;
 use dvmp_placement::factors::{EvalContext, KeyedFactor};
 use dvmp_placement::plan::PlanState;
 use dvmp_placement::policy::PlacementView;
 use dvmp_placement::ProbabilityMatrix;
 use proptest::prelude::*;
-use std::collections::BTreeMap;
 use std::sync::Arc;
 
 /// The production planner with its fleet-delta journal dropped: no pass
@@ -121,8 +121,8 @@ fn arb_loads(max: usize) -> impl Strategy<Value = Vec<(u8, u16, u32)>> {
 
 /// Installs loads onto the fleet wherever they fit (round-robin from the
 /// random pm choice), returning the VM map.
-fn populate(dc: &mut Datacenter, loads: &[(u8, u16, u32)]) -> BTreeMap<VmId, Vm> {
-    let mut vms = BTreeMap::new();
+fn populate(dc: &mut Datacenter, loads: &[(u8, u16, u32)]) -> VmTable {
+    let mut vms = VmTable::new();
     let m = dc.len() as u32;
     for (i, &(pm0, mem, est)) in loads.iter().enumerate() {
         let spec = VmSpec::exact(
@@ -139,7 +139,7 @@ fn populate(dc: &mut Datacenter, loads: &[(u8, u16, u32)]) -> BTreeMap<VmId, Vm>
                 let mut vm = Vm::new(spec.clone());
                 vm.state = VmState::Running { pm };
                 vm.started_at = Some(SimTime::ZERO);
-                vms.insert(spec.id, vm);
+                vms.insert(vm);
                 break;
             }
         }
@@ -321,7 +321,7 @@ proptest! {
         let view = PlacementView { dc: &dc, vms: &vms, now };
         let moves = DynamicPlacement::new(cfg).plan_migrations(&view);
         for m in &moves {
-            let remaining = vms[&m.vm].estimated_remaining(now).as_secs();
+            let remaining = vms[m.vm].estimated_remaining(now).as_secs();
             let class = &dc.pm(m.to).class;
             let charged = match mode {
                 OverheadMode::PaperJoint => {
