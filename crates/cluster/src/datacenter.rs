@@ -1285,6 +1285,35 @@ mod tests {
     }
 
     #[test]
+    fn a_second_reservation_is_rejected_and_changes_nothing() {
+        let mut dc = on_fleet();
+        dc.place(VmId(1), PmId(0), vm_demand()).unwrap();
+        dc.take_fleet_delta();
+        assert_eq!(
+            dc.place(VmId(1), PmId(2), vm_demand()),
+            Err(PmError::AlreadyHosted(VmId(1)))
+        );
+        assert_eq!(dc.hosts_of(VmId(1)), &[PmId(0)]);
+        assert_eq!(dc.pm(PmId(2)).reservation_of(VmId(1)), None);
+
+        dc.begin_migration(VmId(1), PmId(1), vm_demand()).unwrap();
+        dc.take_fleet_delta();
+        assert_eq!(
+            dc.begin_migration(VmId(1), PmId(2), vm_demand()),
+            Err(PmError::MigrationInFlight(VmId(1)))
+        );
+        assert_eq!(
+            dc.place(VmId(1), PmId(2), vm_demand()),
+            Err(PmError::AlreadyHosted(VmId(1)))
+        );
+        assert_eq!(dc.hosts_of(VmId(1)), &[PmId(1), PmId(0)]);
+        assert_eq!(dc.pm(PmId(2)).reservation_of(VmId(1)), None);
+        assert_eq!(dc.non_idle_count(), 2);
+        assert!(dc.fleet_delta().is_empty(), "rejections journal nothing");
+        dc.assert_consistent();
+    }
+
+    #[test]
     fn same_size_resize_journals_nothing() {
         let mut dc = on_fleet();
         dc.place(VmId(1), PmId(0), vm_demand()).unwrap();

@@ -107,12 +107,13 @@ impl VmSlots {
 /// The simulator's VMs, keyed by id: O(1) [`get`](Self::get) and
 /// [`get_mut`](Self::get_mut), iteration in ascending [`VmId`] order.
 ///
-/// Slots are kept in ascending id order. [`with_ids`](Self::with_ids)
-/// reserves one for every id a run will ever insert, so inserts only fill
-/// slots and slot numbers never change; a caller can then keep per-VM
-/// state of its own in a vector indexed by [`slot`](Self::slot). Inserting
-/// an id without a reserved slot is allowed: an id above every other one
-/// appends, any other shifts the later slots up (O(n)).
+/// Slots are kept in ascending id order and never move: a caller can keep
+/// per-VM state of its own in a vector indexed by [`slot`](Self::slot).
+/// [`with_ids`](Self::with_ids) reserves a slot for every id a run will
+/// ever insert, so inserts only fill slots. An id without a reserved slot
+/// may be inserted only when it is above every id the table has a slot
+/// for; it then takes a new slot at the end. [`FromIterator`] sorts its
+/// VMs first, so it takes them in any order.
 #[derive(Debug, Clone, Default)]
 pub struct VmTable {
     index: VmSlots,
@@ -192,11 +193,15 @@ impl VmTable {
     }
 
     /// Inserts `vm` under its spec's id, returning the VM it replaces.
+    ///
+    /// # Panics
+    /// Panics when the id has no reserved slot and is not above every id
+    /// that has one.
     pub fn insert(&mut self, vm: Vm) -> Option<Vm> {
         let id = vm.spec.id;
         let slot = match self.index.get(id) {
             Some(slot) => slot,
-            None => self.reserve(id),
+            None => self.append(id),
         };
         let old = self.vms[slot].replace(vm);
         if old.is_none() {
@@ -214,14 +219,18 @@ impl VmTable {
         old
     }
 
-    /// Reserves a slot for an id that has none, at its place in id order.
-    fn reserve(&mut self, id: VmId) -> usize {
-        let slot = self.ids.partition_point(|&x| x < id);
-        self.ids.insert(slot, id);
-        self.vms.insert(slot, None);
-        for (s, &moved) in self.ids.iter().enumerate().skip(slot) {
-            self.index.set(moved, s);
+    /// Gives an id without a slot a new one at the end.
+    fn append(&mut self, id: VmId) -> usize {
+        if let Some(&last) = self.ids.last() {
+            assert!(
+                last < id,
+                "{id} has no reserved slot and is not above {last}: reserve it with VmTable::with_ids"
+            );
         }
+        let slot = self.ids.len();
+        self.ids.push(id);
+        self.vms.push(None);
+        self.index.set(id, slot);
         slot
     }
 
@@ -256,7 +265,10 @@ impl Extend<Vm> for VmTable {
 }
 
 impl FromIterator<Vm> for VmTable {
+    /// Takes the VMs in any order; of two with one id, the later wins.
     fn from_iter<I: IntoIterator<Item = Vm>>(vms: I) -> Self {
+        let mut vms: Vec<Vm> = vms.into_iter().collect();
+        vms.sort_by_key(|vm| vm.spec.id);
         let mut table = VmTable::new();
         table.extend(vms);
         table
@@ -320,6 +332,34 @@ mod tests {
     }
 
     #[test]
+    fn unreserved_ids_above_every_slot_append() {
+        let mut t = VmTable::with_ids([VmId(2), VmId(4)]).unwrap();
+        let far = VmId(FLAT_VM_IDS as u32);
+        t.insert(vm(7));
+        t.insert(vm(far.0));
+        t.insert(vm(2));
+        assert_eq!(
+            [2, 4, 7, far.0].map(|i| t.slot(VmId(i))),
+            [0, 1, 2, 3].map(Some)
+        );
+        assert_eq!(t.ids().collect::<Vec<_>>(), vec![VmId(2), VmId(7), far]);
+    }
+
+    #[test]
+    #[should_panic(expected = "vm3 has no reserved slot and is not above vm4")]
+    fn unreserved_ids_below_the_last_slot_panic() {
+        let mut t = VmTable::with_ids([VmId(2), VmId(4)]).unwrap();
+        t.insert(vm(3));
+    }
+
+    #[test]
+    fn collecting_sorts_the_vms() {
+        let t: VmTable = [9, 1, 5, 1].map(vm).into_iter().collect();
+        assert_eq!(t.len(), 3);
+        assert_eq!(t.ids().collect::<Vec<_>>(), vec![VmId(1), VmId(5), VmId(9)]);
+    }
+
+    #[test]
     #[should_panic(expected = "vm7 is not in the VM table")]
     fn indexing_a_missing_id_panics() {
         let t: VmTable = [vm(1)].into_iter().collect();
@@ -364,6 +404,11 @@ mod tests {
             let mut model: BTreeMap<VmId, Vm> = BTreeMap::new();
             for op in ops {
                 match op {
+                    // An id without a slot below the table's last one has
+                    // nowhere to go (`unreserved_ids_below_the_last_slot_panic`).
+                    Op::Insert(i)
+                        if table.slot(VmId(i)).is_none()
+                            && table.ids.last().is_some_and(|&last| VmId(i) < last) => {}
                     Op::Insert(i) => {
                         let old_t = table.insert(vm(i)).map(|v| v.spec.id);
                         let old_m = model.insert(VmId(i), vm(i)).map(|v| v.spec.id);

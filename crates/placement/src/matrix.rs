@@ -274,7 +274,7 @@ mod tests {
     #[test]
     fn full_pm_rows_are_zero_for_foreign_vms() {
         let mut dc = small_fleet();
-        let mut vms = VmTable::new();
+        let mut vms = VmTable::with_ids((10..18).chain([1]).map(dvmp_cluster::vm::VmId)).unwrap();
         // Fill pm1 with 8 one-core VMs.
         for i in 0..8 {
             install(

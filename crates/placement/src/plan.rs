@@ -394,7 +394,7 @@ mod tests {
     #[should_panic(expected = "capacity")]
     fn apply_migration_rejects_overfull_target() {
         let mut dc = small_fleet();
-        let mut vms = VmTable::new();
+        let mut vms = VmTable::with_ids((10..18).chain([1]).map(VmId)).unwrap();
         // Fill pm1 (fast, 8 cores) completely.
         for i in 0..8 {
             install(

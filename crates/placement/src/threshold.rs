@@ -275,7 +275,7 @@ mod tests {
     #[test]
     fn budget_caps_moves() {
         let mut dc = small_fleet();
-        let mut vms = VmTable::new();
+        let mut vms = VmTable::with_ids([1, 2, 10, 11].map(dvmp_cluster::vm::VmId)).unwrap();
         // Two donor PMs with 2 VMs each.
         for i in 0..2 {
             install(
