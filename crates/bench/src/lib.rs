@@ -22,16 +22,7 @@ impl FigureArgs {
     /// Parses `[seed] [days]` from `std::env::args`, with defaults 42 / 7.
     /// Bad arguments print the usage line to stderr and exit with status 2.
     pub fn parse() -> Self {
-        let mut argv = std::env::args();
-        let program = argv.next().unwrap_or_default();
-        Self::from_args(argv).unwrap_or_else(|e| {
-            let name = std::path::Path::new(&program)
-                .file_name()
-                .map_or("figure".into(), |n| n.to_string_lossy());
-            eprintln!("error: {e}");
-            eprintln!("usage: {name} [seed] [days]  (seed: u64, default 42; days: 1-7, default 7)");
-            std::process::exit(2);
-        })
+        Self::from_args(std::env::args().skip(1)).unwrap_or_else(|e| usage_error(&e))
     }
 
     /// Parses `[seed] [days]` (the arguments after the program name). A
@@ -61,6 +52,18 @@ impl FigureArgs {
     pub fn scenario(&self) -> Scenario {
         Scenario::paper(self.seed).with_days(self.days)
     }
+}
+
+/// Prints `error` and the figure binaries' usage line to stderr, then
+/// exits with status 2.
+pub fn usage_error(error: &str) -> ! {
+    let program = std::env::args().next().unwrap_or_default();
+    let name = std::path::Path::new(&program)
+        .file_name()
+        .map_or("figure".into(), |n| n.to_string_lossy());
+    eprintln!("error: {error}");
+    eprintln!("usage: {name} [seed] [days]  (seed: u64, default 42; days: 1-7, default 7)");
+    std::process::exit(2);
 }
 
 /// A planning fixture for `perf_report`: `pm_count` machines in the

@@ -235,8 +235,7 @@ impl SimWorld {
         spec.resources = *vm.demand();
         // Hand the accumulated fleet dirt to stateful policies before they
         // read the view: the class-compressed planner patches its
-        // persistent state from exactly this journal (a delta-merging
-        // dense policy just banks it for the next planning pass).
+        // persistent state from exactly this journal.
         if self.policy.is_dynamic() {
             let delta = self.dc.take_fleet_delta();
             self.policy.note_fleet_delta(delta);

@@ -12,7 +12,7 @@
 
 use crate::topology::GeoTopology;
 use dvmp_cluster::pm::PmId;
-use dvmp_placement::factors::KeyedFactor;
+use dvmp_placement::KeyedFactor;
 use dvmp_simcore::SimTime;
 use std::sync::Arc;
 

@@ -26,7 +26,7 @@
 //! - [`cost`]: electricity-cost evaluation of a finished run from its
 //!   per-region hourly energy.
 //!
-//! [`KeyedFactor`]: dvmp_placement::factors::KeyedFactor
+//! [`KeyedFactor`]: dvmp_placement::KeyedFactor
 //! [`PriceFactor`]: factor::PriceFactor
 //! [`WanPenaltyFactor`]: factor::WanPenaltyFactor
 //! [`PriceSignal`]: price::PriceSignal

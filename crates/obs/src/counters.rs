@@ -88,9 +88,9 @@ counter_bank! {
     journal_dirty_pms,
     /// Sum of dirty-VM set sizes over non-full journal drains.
     journal_dirty_vms,
-    /// Dense passes that patched a kept matrix (always 0: every dense pass rebuilds).
+    /// Dense passes that patched a kept matrix (always 0: no library planner builds one).
     plan_passes_delta,
-    /// Dense passes that built the full matrix (the `DenseReference` test planner).
+    /// Dense passes that built the full matrix (always 0: no library planner builds one).
     plan_passes_fresh,
     /// Planning passes served by the class-compressed kernel.
     plan_passes_compressed,

@@ -310,15 +310,6 @@ pub fn note_journal_drained(dirty: Option<(u64, u64)>) {
     }
 }
 
-/// A dense reference pass built its full `rows`×`cols` matrix.
-#[inline]
-pub fn note_plan_kernel_fresh(rows: u64, cols: u64) {
-    if enabled() {
-        counters().plan_passes_fresh.fetch_add(1, Ordering::Relaxed);
-        emit(RecordKind::PlanKernelFresh, rows, cols);
-    }
-}
-
 /// Planning pass kernel choice: the class-compressed planner served the
 /// whole pass (`rows`×`cols` in play, never materialized densely).
 #[inline]

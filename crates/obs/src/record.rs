@@ -32,6 +32,8 @@ pub enum RecordKind {
     /// both `u64::MAX` when the journal had overflowed to "full").
     JournalDrained = 8,
     /// Planning pass ran a fresh full matrix rebuild (`a` = rows, `b` = cols).
+    /// No planner in the library emits it any more; the code stays
+    /// reserved so older dumps still decode.
     PlanKernelFresh = 9,
     /// Spare-server controller decision (`a` = forecast arrivals, `b` = spare target).
     SpareDecision = 10,

@@ -3,7 +3,7 @@
 //! pass.
 //!
 //! Eq. 1 defines an M×N probability matrix, and the dense form of it
-//! (kept as the test-only [`DenseReference`](crate::reference::DenseReference))
+//! (stated in the test-only executable specification, `spec/spec.rs`)
 //! is inherently O(M·N) per pass. This module exploits the structural
 //! redundancy of a fleet instead: a matrix entry is a function of
 //! `(class constants, reliability, extension-factor keys, utilization
@@ -14,8 +14,7 @@
 //! efficiency, reliability score and the PM's key under every registered
 //! [`KeyedFactor`]. PMs that diverge from their hardware class (e.g. a
 //! mutated reliability) simply get their own superclass. A row reads its
-//! PM through [`PlanPm::from_pm`] and [`eff_table`], the same definition
-//! the dense reference's rows are built from. Every registry
+//! PM through [`PlanPm::from_pm`] and [`eff_table`]. Every registry
 //! grows on demand — superclasses, demand slots, Eq. 4 levels and the
 //! `VmId → column` table — so no fleet, workload or configuration leaves
 //! this planner. (A PM holding more than 65 534 minimum VMs, past the
@@ -32,7 +31,7 @@
 //!   beyond one ulp — so the top level strictly dominates after rounding).
 //!   Under the `use_eff = false` ablation `p^eff ≡ 1`: every feasible row
 //!   sits on one constant level and the eff multiply is skipped, exactly
-//!   as [`factors::joint`](crate::factors::joint) skips it.
+//!   as the specification's per-entry product skips it.
 //! - Per row: the hosted-entry probability `H = p^rel·p^eff(used)·(factors
 //!   at the host)` and a per-demand level cache, so a candidate probe
 //!   costs one table load.
@@ -51,9 +50,9 @@
 //! key, the instant), so each pass evaluates it once into a `(K+1)×K`
 //! table (row `K` is a new request). A score multiplies the table entries
 //! in one at a time, in registration order, after `p^eff`, each clamped
-//! to `[0, 1]` and stopping at 0 — the float-op order of
-//! [`factors::joint`](crate::factors::joint), so the product is
-//! bit-identical (a pre-multiplied table would not be). A factor that is
+//! to `[0, 1]` and stopping at 0 — the float-op order of the definition
+//! (DESIGN.md §8), so the product is bit-identical (a pre-multiplied
+//! table would not be). A factor that is
 //! `≤ 1` can only lower scores, so every bound below stays valid while the
 //! tables hold still; when any table entry changes between passes (a
 //! tariff step), the planner rebuilds its mirror from the view.
@@ -109,8 +108,8 @@
 //! ## The lazy round loop
 //!
 //! Each round moves the argmax of [`CompressedPlanner::exact_best`] over
-//! every column (ties to the lowest `VmId`) — history-free, the definition
-//! the dense reference runs — but computes it only where the bounds leave
+//! every column (ties to the lowest `VmId`) — history-free, as the
+//! definition states it — but computes it only where the bounds leave
 //! a doubt. A column is *exact* (best row and score known) or *inexact*
 //! (`dbar` bounds its score), always with `dbar ≥ exact`. Every column
 //! enters inexact, and round 1's pass folds the pending caps into each
@@ -150,9 +149,9 @@
 
 use crate::config::DynamicConfig;
 use crate::factors::class_table::{self, ClassEntry};
-use crate::factors::{vir, KeyedFactor};
+use crate::factors::vir;
 use crate::plan::{eff_table, PlanPm};
-use crate::policy::{Migration, PlacementView};
+use crate::policy::{KeyedFactor, Migration, PlacementView};
 use dvmp_cluster::pm::PmId;
 use dvmp_cluster::resources::ResourceVector;
 use dvmp_cluster::vm::{VmId, VmSpec, VmState};
@@ -294,21 +293,6 @@ impl Bucket {
             left &= !(1u64 << w);
         }
         None
-    }
-
-    /// Visits the non-empty levels, lowest first.
-    fn for_each_asc(&self, mut f: impl FnMut(usize)) {
-        let mut left = self.mask;
-        while left != 0 {
-            let w = left.trailing_zeros() as usize;
-            f(w);
-            left &= !(1u64 << w);
-        }
-        for (i, set) in self.high().iter().enumerate() {
-            if !set.is_empty() {
-                f(MASKED_LEVELS + i);
-            }
-        }
     }
 
     #[inline]
@@ -532,8 +516,8 @@ impl CompressedPlanner {
 
     /// Multiplies the factor-table entries for a mapping from a host keyed
     /// `from` (`None`: a new request) onto superclass keys `to` into `p` —
-    /// one at a time, registration order, stopping at 0, like
-    /// [`factors::joint`](crate::factors::joint). The factor loop sits
+    /// one at a time, registration order, stopping at 0, as the definition
+    /// does. The factor loop sits
     /// out of line so the scoring functions that inline this stay as small
     /// as they were before factors existed: with none registered (every
     /// benchmark week) it costs one length test.
@@ -864,9 +848,8 @@ impl CompressedPlanner {
         Some(&self.sclasses[self.rows[host].sclass as usize].keys)
     }
 
-    /// The exact best move for column `c` at `now`: the same
-    /// `(max d, lowest row)` the dense `best_move_for` scan finds, via the
-    /// level buckets.
+    /// The exact best move for column `c` at `now`: the `(max d, lowest
+    /// row)` a scan of the column's entries finds, via the level buckets.
     fn exact_best(&self, c: usize, now: SimTime, cfg: &DynamicConfig) -> Option<(u32, f64)> {
         let col = &self.cols[c];
         let rem = col.deadline.saturating_since(now).as_secs();
@@ -903,26 +886,21 @@ impl CompressedPlanner {
                         best = Some((r, d));
                     }
                 }
-            } else {
-                // Zero current-host probability: every feasible candidate
-                // with a positive entry scores ∞ and the dense scan keeps
-                // the lowest row.
-                let mut min_row: Option<u32> = None;
-                b.for_each_asc(|w| {
-                    if self.level_p(sc, w, va, from, cfg) > 0.0 {
-                        if let Some(r) = candidate(w) {
-                            min_row = Some(min_row.map_or(r, |m| m.min(r)));
-                        }
-                    }
-                });
-                if let Some(r) = min_row {
-                    if best.map_or(true, |(br, _)| r < br) {
-                        best = Some((r, f64::INFINITY));
-                    }
+            } else if let Some((r, w)) = b.find_desc(|w| candidate(w).map(|r| (r, w))) {
+                // Zero current-host probability: every positive entry
+                // scores ∞, and the raw p_ij ranks them (DESIGN.md I6).
+                // `best` carries the raw p until the end.
+                let p = self.level_p(sc, w, va, from, cfg);
+                if p > 0.0 && best.map_or(true, |(br, bp)| p > bp || (p == bp && r < br)) {
+                    best = Some((r, p));
                 }
             }
         }
-        best
+        if h > 0.0 {
+            best
+        } else {
+            best.map(|(r, _)| (r, f64::INFINITY))
+        }
     }
 
     // -------------------------------------------------------------------
@@ -1587,19 +1565,18 @@ impl CompressedPlanner {
 mod tests {
     use super::*;
     use crate::dynamic::DynamicPlacement;
-    use crate::plan::PlanState;
     use crate::policy::testutil::*;
     use crate::policy::PlacementPolicy;
-    use crate::reference::DenseReference;
+    use crate::spec::Spec;
     use dvmp_cluster::datacenter::{Datacenter, FleetBuilder};
     use dvmp_cluster::pm::PmClass;
     use dvmp_cluster::vm::Vm;
     use dvmp_cluster::{VmTable, FLAT_VM_IDS};
     use std::collections::BTreeMap;
 
-    /// The dense reference with the default configuration.
-    fn dense() -> DenseReference {
-        DenseReference::new(DynamicConfig::default())
+    /// The executable specification with the default configuration.
+    fn reference() -> Spec {
+        Spec::new(DynamicConfig::default())
     }
 
     /// The production scheme with the default configuration.
@@ -1683,23 +1660,38 @@ mod tests {
         }
     }
 
-    /// Drives the dense and compressed policies through the same random
-    /// arrival / departure / migration / failure history and asserts
-    /// every placement and every migration batch is identical. Covers the
-    /// persistent patch path (journal dirt, Creating stash, planner
-    /// self-dirt, skipped moves) rather than single fresh passes.
+    /// Drives the specification and the production policy through the
+    /// same random arrival / departure / migration / failure history and
+    /// asserts every placement and every migration batch is identical.
+    /// Covers the persistent patch path (journal dirt, Creating stash,
+    /// planner self-dirt, skipped moves) rather than single fresh passes.
     fn differential_history(seed: u64, steps: u32) {
-        drive_history(seed, steps, Twin::new(dense()), Twin::new(comp()));
+        drive_against_reference(seed, steps, Twin::new(reference()), Twin::new(comp()));
+    }
+
+    /// [`drive_history`] with the specification on one side and the
+    /// production planner, which must actually run, on the other.
+    fn drive_against_reference(
+        seed: u64,
+        steps: u32,
+        mut reference: Twin<Spec>,
+        mut comp: Twin<DynamicPlacement>,
+    ) {
+        drive_history(seed, steps, &mut reference, &mut comp);
+        assert!(
+            comp.policy.compressed_passes() > 0,
+            "seed {seed}: the compressed kernel must actually run"
+        );
     }
 
     /// The scripted-history driver behind the differential tests: both
     /// twins see the same arrivals, departures, commits and failures and
     /// must agree on every placement and every migration batch.
-    fn drive_history(
+    fn drive_history<A: PlacementPolicy, B: PlacementPolicy>(
         seed: u64,
         steps: u32,
-        mut dense: Twin<DenseReference>,
-        mut comp: Twin<DynamicPlacement>,
+        a: &mut Twin<A>,
+        b: &mut Twin<B>,
     ) {
         let mut rng = seed | 1;
         let mut next_vm = 1u32;
@@ -1716,13 +1708,13 @@ mod tests {
             // only the VM map — the unjournaled transition the stash
             // exists for).
             inflight.retain(|&(vm, from, to, done)| {
-                if !dense.vms.contains(vm) {
+                if !a.vms.contains(vm) {
                     return false;
                 }
                 if done > now {
                     return true;
                 }
-                for twin in [dense.world(), comp.world()] {
+                for twin in [a.world(), b.world()] {
                     twin.dc.finish_migration(vm, from).unwrap();
                     let v = twin.vms.get_mut(vm).unwrap();
                     v.state = VmState::Running { pm: to };
@@ -1730,13 +1722,13 @@ mod tests {
                 false
             });
             creating.retain(|&(vm, pm, ready)| {
-                if !dense.vms.contains(vm) {
+                if !a.vms.contains(vm) {
                     return false;
                 }
                 if ready > now {
                     return true;
                 }
-                for twin in [dense.world(), comp.world()] {
+                for twin in [a.world(), b.world()] {
                     let v = twin.vms.get_mut(vm).unwrap();
                     v.state = VmState::Running { pm };
                     v.started_at = Some(ready);
@@ -1751,13 +1743,13 @@ mod tests {
                     let est = 400 + xorshift(&mut rng) % 200_000;
                     let spec = spec(next_vm, mem, est);
                     next_vm += 1;
-                    let pa = dense.place(&spec, now);
-                    let pb = comp.place(&spec, now);
+                    let pa = a.place(&spec, now);
+                    let pb = b.place(&spec, now);
                     assert_eq!(pa, pb, "seed {seed}: placement diverged at t={t}");
                     if let Some(pm) = pa {
                         let as_creating = xorshift(&mut rng) % 2 == 0;
-                        let cre = dense.dc.pm(pm).class.creation_time;
-                        for twin in [dense.world(), comp.world()] {
+                        let cre = a.dc.pm(pm).class.creation_time;
+                        for twin in [a.world(), b.world()] {
                             twin.dc.place(spec.id, pm, spec.resources).unwrap();
                             let mut vm = Vm::new(spec.clone());
                             if as_creating {
@@ -1778,10 +1770,10 @@ mod tests {
                 }
                 2 => {
                     // Departure of a random live VM.
-                    let ids: Vec<VmId> = dense.vms.ids().collect();
+                    let ids: Vec<VmId> = a.vms.ids().collect();
                     if !ids.is_empty() {
                         let vm = ids[(xorshift(&mut rng) % ids.len() as u64) as usize];
-                        for twin in [dense.world(), comp.world()] {
+                        for twin in [a.world(), b.world()] {
                             twin.dc.remove_vm(vm);
                             twin.vms.remove(vm);
                         }
@@ -1790,26 +1782,26 @@ mod tests {
                 3 | 4 => {
                     // Planning pass; apply a random subset of the agreed
                     // moves (the simulator skips moves too).
-                    let ma = dense.plan(now);
-                    let mb = comp.plan(now);
+                    let ma = a.plan(now);
+                    let mb = b.plan(now);
                     assert_eq!(ma, mb, "seed {seed}: plans diverged at t={t}");
                     for m in &ma {
                         if xorshift(&mut rng) % 4 == 0 {
                             continue; // skipped by the "simulator"
                         }
-                        let res = dense.vms[m.vm].spec.resources;
+                        let res = a.vms[m.vm].spec.resources;
                         // Mirror the simulator's pre-apply validity check:
                         // earlier moves in the batch can use up the room the
                         // planner assumed this one would have.
                         if !matches!(
-                            dense.vms[m.vm].state,
+                            a.vms[m.vm].state,
                             VmState::Running { pm } if pm == m.from
-                        ) || !dense.dc.pm(m.to).can_host(&res)
+                        ) || !a.dc.pm(m.to).can_host(&res)
                         {
                             continue;
                         }
-                        let mig = dense.dc.pm(m.to).class.migration_time;
-                        for twin in [dense.world(), comp.world()] {
+                        let mig = a.dc.pm(m.to).class.migration_time;
+                        for twin in [a.world(), b.world()] {
                             twin.dc.begin_migration(m.vm, m.to, res).unwrap();
                             let v = twin.vms.get_mut(m.vm).unwrap();
                             v.state = VmState::Migrating {
@@ -1825,23 +1817,22 @@ mod tests {
                 _ => {
                     // PM failure (bounded so the fleet survives the run).
                     if failures < 2 {
-                        let candidates: Vec<PmId> = dense
-                            .dc
-                            .pms()
-                            .iter()
-                            .filter(|pm| pm.is_available())
-                            .map(|pm| pm.id)
-                            .collect();
+                        let candidates: Vec<PmId> =
+                            a.dc.pms()
+                                .iter()
+                                .filter(|pm| pm.is_available())
+                                .map(|pm| pm.id)
+                                .collect();
                         if candidates.len() > 4 {
                             let pm =
                                 candidates[(xorshift(&mut rng) % candidates.len() as u64) as usize];
                             failures += 1;
-                            let displaced_a = dense.dc.fail_pm(pm);
-                            let displaced_b = comp.dc.fail_pm(pm);
+                            let displaced_a = a.dc.fail_pm(pm);
+                            let displaced_b = b.dc.fail_pm(pm);
                             assert_eq!(displaced_a, displaced_b);
                             for vm in displaced_a {
-                                dense.vms.remove(vm);
-                                comp.vms.remove(vm);
+                                a.vms.remove(vm);
+                                b.vms.remove(vm);
                             }
                         }
                     }
@@ -1851,11 +1842,7 @@ mod tests {
         }
         // A final full pass for good measure.
         let now = SimTime::from_secs(t);
-        assert_eq!(dense.plan(now), comp.plan(now), "seed {seed}: final plan");
-        assert!(
-            comp.policy.compressed_passes() > 0,
-            "seed {seed}: the compressed kernel must actually run"
-        );
+        assert_eq!(a.plan(now), b.plan(now), "seed {seed}: final plan");
     }
 
     #[test]
@@ -1900,21 +1887,49 @@ mod tests {
         }
     }
 
+    /// Out of `[0, 1]` on purpose: 1.5 for a move onto an even PM from an
+    /// odd one, −0.5 the other way, 3.0 for a new request. The planners
+    /// clamp every value to `[0, 1]`.
+    #[derive(Debug)]
+    struct Unclamped;
+
+    impl KeyedFactor for Unclamped {
+        fn name(&self) -> &str {
+            "unclamped"
+        }
+        fn key_count(&self) -> u16 {
+            2
+        }
+        fn key(&self, pm: PmId) -> u16 {
+            (pm.0 % 2) as u16
+        }
+        fn factor(&self, from: Option<u16>, to: u16, _: SimTime) -> f64 {
+            match from {
+                Some(from) if from == to => 1.0,
+                Some(_) if to == 0 => 1.5,
+                Some(_) => -0.5,
+                None => 3.0,
+            }
+        }
+    }
+
     #[test]
     fn keyed_factors_match_dense_over_random_histories() {
-        // Two registered factors (one of them twice over: the product is
-        // taken factor by factor, never pre-multiplied), time-varying
-        // tables that change hourly mid-history: every placement and plan
-        // must stay the dense reference's.
+        // The zone factor registered twice (the product is taken factor by
+        // factor, never pre-multiplied), its tables changing hourly
+        // mid-history, then a factor out of [0, 1]: every placement and
+        // plan must stay the specification's.
         for seed in [3, 29, 131] {
-            let dense = DenseReference::new(DynamicConfig::default())
+            let reference = Spec::new(DynamicConfig::default())
                 .with_factor(Arc::new(ZoneFactor))
-                .with_factor(Arc::new(ZoneFactor));
+                .with_factor(Arc::new(ZoneFactor))
+                .with_factor(Arc::new(Unclamped));
             let comp = DynamicPlacement::paper_default()
                 .with_factor(Arc::new(ZoneFactor))
-                .with_factor(Arc::new(ZoneFactor));
-            assert_eq!(comp.extra_factors().len(), 2);
-            drive_history(seed, 150, Twin::new(dense), Twin::new(comp));
+                .with_factor(Arc::new(ZoneFactor))
+                .with_factor(Arc::new(Unclamped));
+            assert_eq!(comp.extra_factors().len(), 3);
+            drive_against_reference(seed, 150, Twin::new(reference), Twin::new(comp));
         }
     }
 
@@ -1928,16 +1943,61 @@ mod tests {
                 use_rel,
                 ..DynamicConfig::default()
             };
-            let dense = Twin::new(DenseReference::new(cfg.clone()));
+            let reference = Twin::new(Spec::new(cfg.clone()));
             let comp = Twin::new(DynamicPlacement::new(cfg));
-            drive_history(seed, 120, dense, comp);
+            drive_against_reference(seed, 120, reference, comp);
         }
+    }
+
+    #[test]
+    fn split_overheads_match_the_specification() {
+        // I2's Split mode charges a move T_mig alone. VM 9, 100 s from its
+        // end, sits alone on slow PM 2 next to fast PM 0 with seven VMs:
+        // T_cre + T_mig = 70 s leave it p^vir = 0.09 towards PM 0, d ≈ 0.56,
+        // while T_mig = 40 s leaves 0.36, d ≈ 2.25.
+        let mut dc = small_fleet();
+        let mut vms = VmTable::new();
+        for id in 1..=7 {
+            install(
+                &mut dc,
+                &mut vms,
+                spec(id, 512, 200_000),
+                PmId(0),
+                SimTime::ZERO,
+            );
+        }
+        install(&mut dc, &mut vms, spec(9, 512, 100), PmId(2), SimTime::ZERO);
+        let view = PlacementView {
+            dc: &dc,
+            vms: &vms,
+            now: SimTime::ZERO,
+        };
+        let split = DynamicConfig {
+            overhead_mode: crate::config::OverheadMode::Split,
+            ..DynamicConfig::default()
+        };
+        let moves = DynamicPlacement::new(split.clone()).plan_migrations(&view);
+        assert_eq!(moves, Spec::new(split).plan_migrations(&view));
+        let to_pm0 = Migration {
+            vm: VmId(9),
+            from: PmId(2),
+            to: PmId(0),
+        };
+        assert_eq!(moves, [to_pm0]);
+        assert_eq!(
+            comp().plan_migrations(&view),
+            reference().plan_migrations(&view)
+        );
+        assert!(
+            comp().plan_migrations(&view).is_empty(),
+            "joint overheads block it"
+        );
     }
 
     #[test]
     fn superclass_registry_grows_past_64_and_still_matches() {
         // Exact keys over 70 distinct reliabilities: 70 superclasses, every
-        // decision the dense reference's.
+        // decision the specification's.
         let fleet = || {
             let mut dc = FleetBuilder::new()
                 .add_class(PmClass::paper_fast(), 35, 0.99)
@@ -1950,11 +2010,11 @@ mod tests {
             dc
         };
         for seed in [7, 61] {
-            let dense = fleet_twin(fleet(), dense());
+            let reference = fleet_twin(fleet(), reference());
             let mut comp = fleet_twin(fleet(), comp());
             let _ = comp.plan(SimTime::ZERO);
             assert_eq!(comp.policy.compressed_superclasses(), 70);
-            drive_history(seed, 120, dense, comp);
+            drive_against_reference(seed, 120, reference, comp);
         }
     }
 
@@ -1962,7 +2022,7 @@ mod tests {
     fn levels_past_63_stay_compressed_and_match() {
         // A 128-core class with the paper's (1, 512) minimum VM has
         // W_j = 128 Eq. 4 levels; packing one PM past level 63 must keep
-        // every decision the dense reference's.
+        // every decision the specification's.
         let big = PmClass {
             capacity: ResourceVector::cpu_mem(128, 65_536),
             ..PmClass::paper_fast()
@@ -1974,26 +2034,26 @@ mod tests {
                 .initially_on(true)
                 .build()
         };
-        let mut dense = fleet_twin(fleet(), dense());
+        let mut definition = fleet_twin(fleet(), reference());
         let mut comp = fleet_twin(fleet(), comp());
         for i in 0..150u32 {
             let now = SimTime::from_secs(u64::from(i) * 60);
             let s = spec(i + 1, 512, 100_000 + u64::from(i) * 500);
-            let pm = dense.place(&s, now);
+            let pm = definition.place(&s, now);
             assert_eq!(pm, comp.place(&s, now), "vm {i}");
             let pm = pm.expect("the fleet has room");
-            for twin in [dense.world(), comp.world()] {
+            for twin in [definition.world(), comp.world()] {
                 install(twin.dc, twin.vms, s.clone(), pm, now);
             }
             if i % 3 == 2 {
                 // Free a VM on the busiest PM so consolidation has work.
                 let gone = VmId(i);
-                for twin in [dense.world(), comp.world()] {
+                for twin in [definition.world(), comp.world()] {
                     twin.dc.remove_vm(gone);
                     twin.vms.remove(gone);
                 }
             }
-            assert_eq!(dense.plan(now), comp.plan(now), "vm {i}");
+            assert_eq!(definition.plan(now), comp.plan(now), "vm {i}");
         }
         let p = comp.policy.planner();
         let top = p.buckets.iter().filter_map(Bucket::top).max();
@@ -2029,9 +2089,9 @@ mod tests {
     #[test]
     fn bucketed_compressed_matches_dense_on_jittered_fleets() {
         for seed in [5, 19, 73, 211] {
-            let dense = jittered_twin(DenseReference::new, 0.01);
+            let reference = jittered_twin(Spec::new, 0.01);
             let comp = jittered_twin(DynamicPlacement::new, 0.01);
-            drive_history(seed, 100, dense, comp);
+            drive_against_reference(seed, 100, reference, comp);
         }
     }
 
@@ -2067,11 +2127,11 @@ mod tests {
     fn compressed_place_matches_dense_on_fresh_fleet() {
         // Ultra-short estimates exercise the without-vir fallback column.
         for est in [50, 500, 5_000, 50_000] {
-            let mut dense = Twin::new(dense());
+            let mut definition = Twin::new(reference());
             let mut comp = Twin::new(comp());
             let s = spec(1, 512, est);
             let now = SimTime::ZERO;
-            assert_eq!(dense.place(&s, now), comp.place(&s, now), "est {est}");
+            assert_eq!(definition.place(&s, now), comp.place(&s, now), "est {est}");
         }
     }
 
@@ -2079,7 +2139,7 @@ mod tests {
     fn live_view_matches_dense_on_class_divergent_fleets() {
         // PMs whose reliability diverges from their hardware class (set
         // through `pm_mut`): every divergent PM must land in its own
-        // superclass and the move sequence must match the dense reference.
+        // superclass and the move sequence must match the specification.
         let mut dc = small_fleet();
         let mut vms = VmTable::new();
         for (i, pm) in [0u32, 1, 2, 3, 2, 3].iter().enumerate() {
@@ -2100,13 +2160,81 @@ mod tests {
         };
         let mut comp = comp();
         let moves = comp.plan_migrations(&view);
-        assert_eq!(moves, dense().plan_migrations(&view));
+        assert_eq!(moves, reference().plan_migrations(&view));
         assert!(!moves.is_empty(), "divergent fleet still consolidates");
         assert_eq!(
             comp.compressed_superclasses(),
             4,
             "one superclass per hardware class plus one per divergent PM"
         );
+    }
+
+    #[test]
+    fn dead_host_columns_escape_to_the_best_raw_candidate() {
+        // DESIGN.md I6: a host whose own entry is 0 (here p^rel = 0) makes
+        // every positive entry of its columns +∞, and those rank by raw
+        // p_ij. VM 1's best escape is slow PM 2, which two more VMs fill to
+        // its top level, not the lowest-id candidate, empty fast PM 1.
+        let mut dc = small_fleet();
+        let mut vms = VmTable::new();
+        for (id, pm) in [(1, 0), (2, 2), (3, 2)] {
+            install(
+                &mut dc,
+                &mut vms,
+                spec(id, 512, 50_000),
+                PmId(pm),
+                SimTime::ZERO,
+            );
+        }
+        dc.pm_mut(PmId(0)).reliability = 0.0;
+        let view = PlacementView {
+            dc: &dc,
+            vms: &vms,
+            now: SimTime::ZERO,
+        };
+        let moves = comp().plan_migrations(&view);
+        assert_eq!(moves, reference().plan_migrations(&view));
+        assert_eq!(
+            moves[0],
+            Migration {
+                vm: VmId(1),
+                from: PmId(0),
+                to: PmId(2),
+            }
+        );
+    }
+
+    #[test]
+    fn unit_reliability_is_the_rel_ablation_over_random_histories() {
+        // Metamorphic: with exact keys, `use_rel = false` multiplies by
+        // nothing where a fleet whose every reliability is 1.0 multiplies
+        // by exactly 1.0 — so both decide identically, on the production
+        // planner and on the specification alike.
+        let no_rel = DynamicConfig {
+            use_rel: false,
+            ..DynamicConfig::default()
+        };
+        fn unit_fleet<P: PlacementPolicy>(policy: P) -> Twin<P> {
+            let mut twin = Twin::new(policy);
+            for i in 0..twin.dc.len() {
+                twin.dc.pm_mut(PmId(i as u32)).reliability = 1.0;
+            }
+            twin
+        }
+        for seed in [5, 29, 97] {
+            drive_history(
+                seed,
+                120,
+                &mut Twin::new(DynamicPlacement::new(no_rel.clone())),
+                &mut unit_fleet(comp()),
+            );
+            drive_history(
+                seed,
+                120,
+                &mut Twin::new(Spec::new(no_rel.clone())),
+                &mut unit_fleet(reference()),
+            );
+        }
     }
 
     #[test]
@@ -2131,7 +2259,7 @@ mod tests {
         };
         let mut all_moves = Vec::new();
         let mut all_places = Vec::new();
-        let policies: [Box<dyn PlacementPolicy>; 2] = [Box::new(dense()), Box::new(comp())];
+        let policies: [Box<dyn PlacementPolicy>; 2] = [Box::new(reference()), Box::new(comp())];
         for mut policy in policies {
             let (dc, vms) = build();
             let view = PlacementView {
@@ -2142,7 +2270,7 @@ mod tests {
             all_moves.push(policy.plan_migrations(&view));
             all_places.push(policy.place(&view, &spec(99, 256, 120_000)));
         }
-        assert_eq!(all_moves[0], all_moves[1], "dense vs compressed");
+        assert_eq!(all_moves[0], all_moves[1], "specification vs compressed");
         assert_eq!(all_places[0], all_places[1]);
     }
 
@@ -2150,22 +2278,22 @@ mod tests {
     fn demand_registry_grows_past_the_recycle_mark_and_still_matches() {
         // More distinct demand vectors live at once than DEMAND_RECYCLE_AT
         // (on a fleet with room for them all): no slot is free to recycle,
-        // so the registry grows, and every decision stays the dense
-        // reference's.
-        let mut dense = Twin::sized(dense(), 18, 6);
+        // so the registry grows, and every decision stays the
+        // specification's.
+        let mut definition = Twin::sized(reference(), 18, 6);
         let mut comp = Twin::sized(comp(), 18, 6);
         let mut t = 0u64;
         for i in 0..(DEMAND_RECYCLE_AT as u32 + 6) {
             let now = SimTime::from_secs(t);
             let s = spec(i + 1, 256 + i as u64, 100_000);
-            let pa = dense.place(&s, now);
+            let pa = definition.place(&s, now);
             let pb = comp.place(&s, now);
             assert_eq!(pa, pb, "vm {i}");
             if let Some(pm) = pa {
-                for twin in [&mut dense.dc, &mut comp.dc] {
+                for twin in [&mut definition.dc, &mut comp.dc] {
                     twin.place(s.id, pm, s.resources).unwrap();
                 }
-                for vms in [&mut dense.vms, &mut comp.vms] {
+                for vms in [&mut definition.vms, &mut comp.vms] {
                     let mut vm = Vm::new(s.clone());
                     vm.state = VmState::Running { pm };
                     vm.started_at = Some(now);
@@ -2175,7 +2303,11 @@ mod tests {
             t += 100;
         }
         let now = SimTime::from_secs(t);
-        assert_eq!(dense.plan(now), comp.plan(now), "plans past the mark match");
+        assert_eq!(
+            definition.plan(now),
+            comp.plan(now),
+            "plans past the mark match"
+        );
         let demands = comp.policy.planner().demands.len();
         assert!(demands > DEMAND_RECYCLE_AT, "{demands} demand slots");
         assert_eq!(comp.policy.compressed_passes(), 1);
@@ -2185,17 +2317,23 @@ mod tests {
     fn vm_ids_past_the_flat_slot_table_stay_compressed_and_match() {
         // A VM id the flat column slot table does not cover goes to the
         // slot map instead of sizing the table after it; the plan is the
-        // dense reference's.
-        let mut dense = Twin::new(dense());
+        // specification's.
+        let mut definition = Twin::new(reference());
         let mut comp = Twin::new(comp());
         for (i, id) in [1, FLAT_VM_IDS as u32].into_iter().enumerate() {
             let s = spec(id, 512, 150_000);
             let pm = PmId(6 + i as u32);
-            install(&mut dense.dc, &mut dense.vms, s.clone(), pm, SimTime::ZERO);
+            install(
+                &mut definition.dc,
+                &mut definition.vms,
+                s.clone(),
+                pm,
+                SimTime::ZERO,
+            );
             install(&mut comp.dc, &mut comp.vms, s, pm, SimTime::ZERO);
         }
         let now = SimTime::from_secs(60);
-        let moves = dense.plan(now);
+        let moves = definition.plan(now);
         assert!(!moves.is_empty());
         assert_eq!(moves, comp.plan(now));
         assert_eq!(comp.policy.compressed_passes(), 1);
@@ -2280,9 +2418,9 @@ mod tests {
         // Three times DEMAND_RECYCLE_AT distinct demand vectors over the
         // run, but never more than a handful live at once: freed slots
         // must be reused (the registry stops growing), and every decision
-        // must stay the dense reference's. Half the arrivals skip `place` so the patch path
+        // must stay the specification's. Half the arrivals skip `place` so the patch path
         // registers (and recycles) too.
-        let mut dense = Twin::new(dense());
+        let mut definition = Twin::new(reference());
         let mut comp = Twin::new(comp());
         let mut live = std::collections::VecDeque::new();
         for i in 0..(3 * DEMAND_RECYCLE_AT as u32) {
@@ -2290,24 +2428,24 @@ mod tests {
             let s = spec(i + 1, 128 + u64::from(i), 150_000);
             // A fast PM (ids 0–5) holds all six live VMs if it must.
             let pm = if i % 2 == 0 {
-                let pa = dense.place(&s, now);
+                let pa = definition.place(&s, now);
                 assert_eq!(pa, comp.place(&s, now), "vm {i}");
                 pa.expect("the fleet has room")
             } else {
                 PmId(i % 6)
             };
-            for twin in [dense.world(), comp.world()] {
+            for twin in [definition.world(), comp.world()] {
                 install(twin.dc, twin.vms, s.clone(), pm, now);
             }
             live.push_back(s.id);
             if live.len() > 6 {
                 let gone = live.pop_front().expect("non-empty");
-                for twin in [dense.world(), comp.world()] {
+                for twin in [definition.world(), comp.world()] {
                     twin.dc.remove_vm(gone);
                     twin.vms.remove(gone);
                 }
             }
-            assert_eq!(dense.plan(now), comp.plan(now), "vm {i}");
+            assert_eq!(definition.plan(now), comp.plan(now), "vm {i}");
         }
         assert_eq!(comp.policy.planner().demands.len(), DEMAND_RECYCLE_AT);
         assert_eq!(
@@ -2320,8 +2458,8 @@ mod tests {
     #[test]
     fn auto_kernel_runs_compressed_at_paper_scale() {
         // The default scheme is the compressed planner at every fleet
-        // size: even a 4-PM fleet runs it, and its plan is the dense
-        // kernel's.
+        // size: even a 4-PM fleet runs it, and its plan is the
+        // specification's.
         let mut dc = small_fleet();
         let mut vms = VmTable::new();
         for (i, pm) in [0u32, 1, 2, 3].iter().enumerate() {
@@ -2345,7 +2483,7 @@ mod tests {
             policy.compressed_passes() > 0,
             "the default scheme runs compressed at 4 PMs"
         );
-        assert_eq!(moves, dense().plan_migrations(&view));
+        assert_eq!(moves, reference().plan_migrations(&view));
     }
 
     /// A compressed planner synced to `twin`'s fleet at `now`.
@@ -2486,13 +2624,13 @@ mod tests {
     fn tied_winner_is_the_lowest_vm_id_after_swap_remove() {
         // Four identical VMs alone on four identical slow PMs score exactly
         // alike. Removing the first column swaps the last (VM 4) into its
-        // slot, ahead of VMs 2 and 3: the winner must still be the dense
-        // planner's, the lowest id.
-        let mut dense = Twin::new(dense());
+        // slot, ahead of VMs 2 and 3: the winner must still be the
+        // specification's, the lowest id.
+        let mut definition = Twin::new(reference());
         let mut comp = Twin::new(comp());
         let now = SimTime::ZERO;
         let cfg = DynamicConfig::default();
-        for twin in [dense.world(), comp.world()] {
+        for twin in [definition.world(), comp.world()] {
             for i in 0..4u32 {
                 install(
                     twin.dc,
@@ -2505,7 +2643,7 @@ mod tests {
             let _ = twin.dc.take_fleet_delta();
         }
         let mut p = synced_planner(&comp, now, &cfg);
-        for twin in [dense.world(), comp.world()] {
+        for twin in [definition.world(), comp.world()] {
             twin.dc.remove_vm(VmId(1));
             twin.vms.remove(VmId(1));
         }
@@ -2521,7 +2659,7 @@ mod tests {
         assert_eq!(ids, [4, 2, 3], "swap_remove reordered the columns");
         assert!(!moves.is_empty(), "the tied VMs consolidate");
         assert_eq!(moves[0].vm, VmId(2), "lowest id wins the tie");
-        assert_eq!(dense.plan(later), moves);
+        assert_eq!(definition.plan(later), moves);
     }
 
     #[test]
@@ -2560,21 +2698,21 @@ mod tests {
             now: SimTime::ZERO,
         };
         let cfg = DynamicConfig::default();
-        let plan = PlanState::from_view(&view, &cfg);
-        let matrix =
-            crate::matrix::ProbabilityMatrix::build(&plan, &crate::factors::EvalContext::new(&cfg));
-        let exceeders = (0..plan.vms.len())
+        let definition = Spec::new(cfg.clone());
+        let fleet = definition.fleet(&view);
+        let exceeders = (0..fleet.cols.len())
             .filter(|&c| {
-                matrix
-                    .best_move_for(&plan, c)
-                    .is_some_and(|(_, d)| d > cfg.mig_threshold)
+                (0..fleet.rows.len()).any(|r| {
+                    r != fleet.cols[c].host
+                        && definition.normalized(&fleet, r, c) > cfg.mig_threshold
+                })
             })
             .count();
         assert_eq!(exceeders, 1);
 
         let mut policy = comp();
         let moves = policy.plan_migrations(&view);
-        assert_eq!(moves, dense().plan_migrations(&view));
+        assert_eq!(moves, reference().plan_migrations(&view));
         assert_eq!(
             moves,
             vec![Migration {
@@ -2678,10 +2816,10 @@ mod tests {
     fn creation_stash_defers_and_adopts_columns() {
         // A VM mid-creation must not be planned; once its ready time
         // passes (an unjournaled transition), the stash must surface it.
-        let mut dense = Twin::new(dense());
+        let mut definition = Twin::new(reference());
         let mut comp = Twin::new(comp());
         // Fragment: two runners on separate PMs plus one creating.
-        for (twin_no, twin) in [dense.world(), comp.world()].into_iter().enumerate() {
+        for (twin_no, twin) in [definition.world(), comp.world()].into_iter().enumerate() {
             for (i, pm) in [0u32, 2].iter().enumerate() {
                 install(
                     twin.dc,
@@ -2702,18 +2840,18 @@ mod tests {
             twin.vms.insert(vm);
             let _ = twin_no;
         }
-        let m0_dense = dense.plan(SimTime::from_secs(0));
+        let m0_definition = definition.plan(SimTime::from_secs(0));
         let m0_comp = comp.plan(SimTime::from_secs(0));
-        assert_eq!(m0_dense, m0_comp, "creating VM excluded identically");
+        assert_eq!(m0_definition, m0_comp, "creating VM excluded identically");
         // Promote (no journal traffic at all) and replan.
-        for twin in [dense.world(), comp.world()] {
+        for twin in [definition.world(), comp.world()] {
             let v = twin.vms.get_mut(VmId(3)).unwrap();
             v.state = VmState::Running { pm: PmId(3) };
             v.started_at = Some(SimTime::from_secs(40));
         }
-        let m1_dense = dense.plan(SimTime::from_secs(50));
+        let m1_definition = definition.plan(SimTime::from_secs(50));
         let m1_comp = comp.plan(SimTime::from_secs(50));
-        assert_eq!(m1_dense, m1_comp, "stash surfaced the new column");
+        assert_eq!(m1_definition, m1_comp, "stash surfaced the new column");
         assert!(
             m1_comp.iter().any(|m| m.vm == VmId(3)) || !m1_comp.is_empty(),
             "the promoted VM is plannable"

@@ -65,9 +65,9 @@ pub struct DynamicConfig {
     /// [`eff_table`](crate::plan::eff_table)), so a fleet whose per-PM
     /// jitter would fragment the compressed planner's exact-equality class
     /// key toward C = M instead collapses into O(spread / t) superclasses.
-    /// The production planner and the dense reference read the same
-    /// quantized inputs, so they remain bit-identical to *each other* at
-    /// any tolerance; the quantized plan diverges from the exact (t = 0)
+    /// The production planner and the executable specification read the
+    /// same quantized inputs, so they remain bit-identical to *each other*
+    /// at any tolerance; the quantized plan diverges from the exact (t = 0)
     /// plan by a bounded score perturbation (DESIGN.md §12), which
     /// `perf_report` measures.
     #[serde(default = "default_class_tolerance")]
@@ -79,9 +79,9 @@ pub struct DynamicConfig {
 /// the value is not finite. Planning reads every reliability and
 /// relative efficiency through this function (in
 /// [`PlanPm::from_pm`](crate::plan::PlanPm::from_pm) and
-/// [`eff_table`](crate::plan::eff_table)), which is what keeps the
-/// production planner and the dense reference bit-identical at any
-/// tolerance.
+/// [`eff_table`](crate::plan::eff_table)); the executable specification
+/// snaps its inputs through it too, which is what keeps the two
+/// bit-identical at any tolerance.
 #[inline]
 pub fn quantize_score(v: f64, tol: f64) -> f64 {
     if tol <= 0.0 || !v.is_finite() {

@@ -14,14 +14,13 @@
 //! [`DynamicPlacement`] runs every pass on the class-compressed planner
 //! (`compressed.rs`), which never materializes `P`: it keeps the fleet's
 //! rows collapsed into superclass level tables, patched from the
-//! fleet-delta journal, and reproduces the dense definition's moves bit
-//! for bit. That definition itself — the M×N matrix, rebuilt every pass —
-//! lives on as the test reference
-//! [`DenseReference`](crate::reference::DenseReference).
+//! fleet-delta journal, and reproduces the definition's moves bit for
+//! bit. The definition itself — the M×N matrix, recomputed every round —
+//! is the test-only executable specification (`spec/spec.rs`).
 
 use crate::compressed::CompressedPlanner;
 use crate::config::DynamicConfig;
-use crate::factors::KeyedFactor;
+use crate::policy::KeyedFactor;
 use crate::policy::{Migration, PlacementPolicy, PlacementView};
 use dvmp_cluster::datacenter::Datacenter;
 use dvmp_cluster::pm::PmId;
@@ -188,14 +187,15 @@ impl PlacementPolicy for DynamicPlacement {
 mod tests {
     use super::*;
     use crate::policy::testutil::*;
-    use crate::reference::DenseReference;
+    use crate::spec::Spec;
     use dvmp_cluster::vm::VmId;
     use dvmp_cluster::VmTable;
     use dvmp_simcore::SimTime;
 
-    /// The dense reference the production planner must agree with.
-    fn dense() -> DenseReference {
-        DenseReference::new(DynamicConfig::default())
+    /// The executable specification the production planner must agree
+    /// with.
+    fn reference() -> Spec {
+        Spec::new(DynamicConfig::default())
     }
 
     fn view_of<'a>(
@@ -441,7 +441,7 @@ mod tests {
     fn reused_arena_matches_fresh_policy() {
         // One policy planning twice (its planner state reused, second pass
         // over a different fleet state) must produce exactly what fresh
-        // policies — and the dense reference — produce for each pass.
+        // policies — and the specification — produce for each pass.
         let build = |extra_on_pm3: bool| {
             let mut dc = small_fleet();
             let mut vms = VmTable::new();
@@ -474,7 +474,10 @@ mod tests {
         let mut fresh_a = DynamicPlacement::paper_default();
         let mut fresh_b = DynamicPlacement::paper_default();
         assert_eq!(first, fresh_a.plan_migrations(&view_of(&dc_a, &vms_a, 0)));
-        assert_eq!(first, dense().plan_migrations(&view_of(&dc_a, &vms_a, 0)));
+        assert_eq!(
+            first,
+            reference().plan_migrations(&view_of(&dc_a, &vms_a, 0))
+        );
         assert_eq!(
             second,
             fresh_b.plan_migrations(&view_of(&dc_b, &vms_b, 100))
@@ -486,7 +489,7 @@ mod tests {
         assert_eq!(p_reused, p_fresh);
         assert_eq!(
             p_reused,
-            dense().place(&view_of(&dc_b, &vms_b, 100), &spec(50, 512, 100_000))
+            reference().place(&view_of(&dc_b, &vms_b, 100), &spec(50, 512, 100_000))
         );
     }
 
@@ -508,14 +511,11 @@ mod tests {
         };
         let (dc1, vms1) = build();
         let (dc2, vms2) = build();
-        // The dense reference and the production planner.
+        // The specification and the production planner.
         let mut production = DynamicPlacement::paper_default();
-        let mut reference = dense();
-        assert_eq!(
-            production.plan_migrations(&view_of(&dc1, &vms1, 0)),
-            reference.plan_migrations(&view_of(&dc2, &vms2, 0))
-        );
-        assert_eq!(production.total_migrations(), reference.total_migrations());
+        let moves = production.plan_migrations(&view_of(&dc1, &vms1, 0));
+        assert_eq!(moves, reference().plan_migrations(&view_of(&dc2, &vms2, 0)));
+        assert_eq!(production.total_migrations(), moves.len() as u64);
         assert!(production.total_migrations() > 0);
     }
 
@@ -523,8 +523,8 @@ mod tests {
     fn repair_heuristics_match_naive_full_rescan() {
         // Fragmented, stressed and mixed fleets, plus a tie: the production
         // round loop must yield exactly the definition's migration sequence
-        // on each — the dense reference's, which rescans every column's
-        // `best_move_for` each round.
+        // on each — the specification's, which recomputes every entry each
+        // round.
         let uniform = |hosts: &[u32]| -> Vec<(u32, u64, u64)> {
             let spaced = |(i, &pm): (usize, &u32)| (pm, 512, 150_000 + i as u64 * 3_000);
             hosts.iter().enumerate().map(spaced).collect()
@@ -556,7 +556,7 @@ mod tests {
                 );
             }
             let view = view_of(&dc, &vms, 0);
-            let expected = dense().plan_migrations(&view);
+            let expected = reference().plan_migrations(&view);
             assert!(!expected.is_empty(), "shape {shape_no} plans nothing");
             assert_eq!(
                 DynamicPlacement::paper_default().plan_migrations(&view),
@@ -588,7 +588,7 @@ mod tests {
 
     #[test]
     fn incremental_pass_matches_full_rebuild_planner() {
-        // Drive the journal-fed production policy and the dense reference
+        // Drive the journal-fed production policy and the specification
         // (which rebuilds every pass and never reads the journal) through
         // the same fleet history; every pass must propose identical moves.
         let mut dc = small_fleet();
@@ -604,7 +604,7 @@ mod tests {
             );
         }
         let mut inc = DynamicPlacement::paper_default();
-        let mut full = dense();
+        let mut full = reference();
 
         inc.note_fleet_delta(dc.take_fleet_delta());
         let m1 = inc.plan_migrations(&view_of(&dc, &vms, 0));

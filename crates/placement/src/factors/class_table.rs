@@ -13,8 +13,8 @@
 //! Bit-identity with the per-entry definition is a hard requirement
 //! (DESIGN.md §7): [`class_vir`] delegates to [`vir::p_vir`], the level
 //! boundaries reuse [`eff::level_boundary`], and [`class_eff`] computes
-//! the same utilization product in the same order as [`eff::p_eff`]; the
-//! tests below assert `to_bits` equality.
+//! the utilization product in the order the executable specification's
+//! `p_eff` does; the tests below assert `to_bits` equality with it.
 
 use super::eff;
 use super::vir;
@@ -80,8 +80,8 @@ impl ClassEntry {
 }
 
 /// `p^vir` for a cross-machine move to a PM of this class — Eq. 3 with the
-/// class's overheads. Delegates to [`vir::p_vir`] so the value is
-/// bit-identical to the reference path.
+/// class's overheads. Delegates to [`vir::p_vir`], the one statement of
+/// Eq. 3 in the library.
 #[inline]
 pub fn class_vir(entry: &ClassEntry, remaining_secs: u64, mode: OverheadMode) -> f64 {
     vir::p_vir(
@@ -94,9 +94,9 @@ pub fn class_vir(entry: &ClassEntry, remaining_secs: u64, mode: OverheadMode) ->
     )
 }
 
-/// `p^eff` using the class's precomputed slot count and level boundaries —
-/// the same arithmetic as [`eff::p_eff`] minus the per-entry `slots`,
-/// `U_min` and `powf` work.
+/// `p^eff` (Eq. 5 at the prospective level, DESIGN.md I1) using the
+/// class's precomputed slot count and level boundaries — no per-entry
+/// `slots`, `U_min` or `powi` work.
 #[inline]
 pub fn class_eff(pm: &PlanPm, demand: &ResourceVector, hosted: bool, entry: &ClassEntry) -> f64 {
     let prospective = if hosted { pm.used } else { pm.used.add(demand) };
@@ -137,6 +137,7 @@ pub(crate) fn class_level(prospective: &ResourceVector, entry: &ClassEntry) -> u
 mod tests {
     use super::*;
     use crate::config::DynamicConfig;
+    use crate::spec;
     use dvmp_cluster::pm::PmId;
 
     fn pm(cores: u64, mem: u64, cre: u64, mig: u64) -> PlanPm {
@@ -168,6 +169,7 @@ mod tests {
 
     #[test]
     fn cached_factors_are_bit_identical_to_reference() {
+        // The class cache against the specification's per-entry Eq. 5.
         let cfg = DynamicConfig::default();
         let demand = ResourceVector::cpu_mem(1, 512);
         for (cores, mem, eff_c) in [(8, 8_192, 1.0), (4, 4_096, 0.75)] {
@@ -175,12 +177,21 @@ mod tests {
             let entry = ClassEntry::from_pm(&p, eff_c, &cfg.min_vm);
             for used in 0..cores {
                 p.used = ResourceVector::cpu_mem(used, used * 512);
+                let row = spec::Row {
+                    id: p.id,
+                    capacity: p.capacity,
+                    used: p.used,
+                    rel: p.reliability,
+                    cre: p.creation_secs,
+                    mig: p.migration_secs,
+                    eff: eff_c,
+                };
                 for hosted in [false, true] {
                     if hosted && used == 0 {
                         continue;
                     }
                     let fast = class_eff(&p, &demand, hosted, &entry);
-                    let reference = eff::p_eff(&p, &demand, hosted, eff_c, &cfg.min_vm);
+                    let reference = spec::p_eff(&row, &demand, hosted, &cfg.min_vm);
                     assert_eq!(fast.to_bits(), reference.to_bits(), "used {used}");
                 }
             }

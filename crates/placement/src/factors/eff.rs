@@ -1,4 +1,5 @@
-//! `p^eff` — energy efficiency (Eqs. 4–5).
+//! `p^eff` — energy efficiency (Eqs. 4–5): the utilization levels the
+//! compressed planner's per-class tables are built from.
 //!
 //! The paper partitions each PM's joint utilization
 //! `U_j = ∏_k C_j(k)/C_j^max(k)` into `W_j + 1` levels whose boundaries
@@ -17,7 +18,8 @@
 //! PM sits at level `L_0`; read literally no VM could ever be placed on an
 //! empty machine. We therefore evaluate the level *after* hypothetically
 //! hosting the candidate VM: an empty PM then lands at level ≥ 1 and the
-//! gradient ("prefer fuller") is preserved everywhere.
+//! gradient ("prefer fuller") is preserved everywhere. The factor itself
+//! is evaluated per class by [`class_table`](super::class_table).
 
 use crate::plan::PlanPm;
 use dvmp_cluster::resources::ResourceVector;
@@ -29,8 +31,7 @@ pub fn slots(pm: &PlanPm, min_vm: &ResourceVector) -> u64 {
 
 /// The Eq. 4 boundary of level `w`, expressed as a ratio `u / U_min`, with
 /// a tolerance for FP error on exact boundaries (e.g. `u == 8^K · U_min`
-/// must land on level 8). Shared by [`level_for`] and the precomputed
-/// per-class boundary tables so both paths yield bit-identical levels.
+/// must land on level 8, DESIGN.md I1).
 #[inline]
 pub fn level_boundary(w: u64, k: usize) -> f64 {
     (w as f64).powi(k as i32) * (1.0 - 1e-9)
@@ -52,53 +53,10 @@ pub fn level_from_boundaries(ratio: f64, boundaries: &[f64]) -> u64 {
     boundaries.partition_point(|&b| ratio >= b) as u64 + 1
 }
 
-/// The utilization level `w ∈ {1, …, W_j}` for a *prospective* joint
-/// utilization `u` (Eq. 4: largest `w` with `w^K · U_min ≤ u`).
-pub fn level_for(u: f64, u_min: f64, w_max: u64, k: usize) -> u64 {
-    if w_max == 0 {
-        return 0;
-    }
-    if u_min <= 0.0 {
-        return w_max; // degenerate minimum VM: every PM counts as full
-    }
-    let ratio = (u / u_min).max(0.0);
-    // Binary-search the largest level whose boundary the ratio reaches
-    // (instead of inverting via powf, which dominated the entry cost).
-    let (mut lo, mut hi) = (1u64, w_max);
-    while lo < hi {
-        let mid = lo + (hi - lo).div_ceil(2);
-        if ratio >= level_boundary(mid, k) {
-            lo = mid;
-        } else {
-            hi = mid - 1;
-        }
-    }
-    lo
-}
-
-/// Eq. 5 with the prospective-level interpretation. `hosted` marks the
-/// current-host row (whose `used` already includes the VM).
-pub fn p_eff(
-    pm: &PlanPm,
-    demand: &ResourceVector,
-    hosted: bool,
-    eff_j: f64,
-    min_vm: &ResourceVector,
-) -> f64 {
-    let w_max = slots(pm, min_vm);
-    if w_max == 0 || eff_j <= 0.0 {
-        return 0.0;
-    }
-    let prospective = if hosted { pm.used } else { pm.used.add(demand) };
-    let u = prospective.joint_utilization(&pm.capacity);
-    let u_min = min_vm.joint_utilization(&pm.capacity);
-    let w = level_for(u, u_min, w_max, pm.capacity.k());
-    (w as f64 / w_max as f64) * eff_j
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::spec::level_for;
     use dvmp_cluster::pm::PmId;
 
     fn fast(used_cores: u64, used_mem: u64) -> PlanPm {
@@ -129,24 +87,32 @@ mod tests {
 
     #[test]
     fn level_boundaries_follow_eq4() {
-        // U_min for the fast PM with a (1, 512) min VM: (1/8)·(512/8192) = 1/128.
-        let u_min = 1.0 / 128.0;
+        // Ratios u / U_min against the fast PM's W = 8, K = 2 boundaries.
+        let boundaries = level_boundaries(8, 2);
+        let level = |ratio: f64| level_from_boundaries(ratio, &boundaries);
         // One min VM → exactly U_min → level 1.
-        assert_eq!(level_for(u_min, u_min, 8, 2), 1);
+        assert_eq!(level(1.0), 1);
         // Just below 2^K·U_min = 4·U_min → still level 1.
-        assert_eq!(level_for(3.9 * u_min, u_min, 8, 2), 1);
+        assert_eq!(level(3.9), 1);
         // At 4·U_min (= 2²·U_min) → level 2.
-        assert_eq!(level_for(4.0 * u_min, u_min, 8, 2), 2);
+        assert_eq!(level(4.0), 2);
         // At w^2·U_min for w = 8 → level 8 (fully utilized).
-        assert_eq!(level_for(64.0 * u_min, u_min, 8, 2), 8);
+        assert_eq!(level(64.0), 8);
         // Above the last boundary stays clamped at W.
-        assert_eq!(level_for(1.0, u_min, 8, 2), 8);
+        assert_eq!(level(128.0), 8);
+        // Three (1, 1024) VMs on a (5, 5120) PM: (3/5)(3072/5120) over
+        // (1/5)(1024/5120) rounds to just below 3²; the slack keeps it on
+        // level 3 (DESIGN.md I1).
+        let ratio = (3.0 / 5.0) * (3_072.0 / 5_120.0) / ((1.0 / 5.0) * (1_024.0 / 5_120.0));
+        assert!(ratio < 9.0);
+        assert_eq!(level_from_boundaries(ratio, &level_boundaries(5, 2)), 3);
     }
 
     #[test]
     fn precomputed_boundaries_agree_with_level_for() {
-        // The class-table fast path must yield the *same* level as the
-        // direct computation for every (ratio, K, W) it can encounter.
+        // The class-table path must yield the *same* level as the
+        // specification's direct Eq. 4 computation for every (ratio, K, W)
+        // it can encounter.
         for k in 1..=4usize {
             for w_max in 1..=16u64 {
                 let boundaries = level_boundaries(w_max, k);
@@ -162,93 +128,6 @@ mod tests {
                     );
                 }
             }
-        }
-    }
-
-    #[test]
-    fn empty_pm_gets_level_one_prospectively() {
-        // DESIGN.md I1: an empty PM evaluated with a candidate min-VM lands
-        // at level 1, not level 0.
-        let p = p_eff(&fast(0, 0), &min_vm(), false, 1.0, &min_vm());
-        assert!((p - 1.0 / 8.0).abs() < 1e-12, "p = {p}");
-    }
-
-    #[test]
-    fn fuller_pm_has_higher_factor() {
-        let near_full = p_eff(&fast(6, 3_072), &min_vm(), false, 1.0, &min_vm());
-        let emptyish = p_eff(&fast(1, 512), &min_vm(), false, 1.0, &min_vm());
-        assert!(
-            near_full > emptyish,
-            "consolidation gradient: {near_full} vs {emptyish}"
-        );
-    }
-
-    #[test]
-    fn full_pm_reaches_unit_level() {
-        // 7 min-VMs hosted, the 8th arriving: prospective = capacity-filling
-        // in cores → level 8 of 8.
-        let pm = fast(7, 3_584);
-        let p = p_eff(&pm, &min_vm(), false, 1.0, &min_vm());
-        // Prospective u = (8/8)·(4096/8192) = 0.5 = 64·U_min → level 8.
-        assert!((p - 1.0).abs() < 1e-12, "p = {p}");
-    }
-
-    #[test]
-    fn efficiency_parameter_scales_linearly() {
-        let pm = fast(3, 1_536);
-        let p1 = p_eff(&pm, &min_vm(), false, 1.0, &min_vm());
-        let p_scaled = p_eff(&pm, &min_vm(), false, 2.0 / 3.0, &min_vm());
-        assert!((p_scaled - p1 * 2.0 / 3.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn hosted_row_uses_current_occupancy() {
-        // Host with only this VM: used (1, 512) → u = U_min → level 1.
-        let p = p_eff(&fast(1, 512), &min_vm(), true, 1.0, &min_vm());
-        assert!((p - 1.0 / 8.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn zero_slots_or_zero_eff_give_zero() {
-        let tiny = PlanPm {
-            capacity: ResourceVector::cpu_mem(0, 8_192),
-            ..fast(0, 0)
-        };
-        assert_eq!(p_eff(&tiny, &min_vm(), false, 1.0, &min_vm()), 0.0);
-        assert_eq!(p_eff(&fast(0, 0), &min_vm(), false, 0.0, &min_vm()), 0.0);
-    }
-
-    #[test]
-    fn three_dimensional_levels_use_cubic_boundaries() {
-        // K = 3 (cpu, mem, disk): Eq. 4's boundaries grow as w³·U_min.
-        let pm = PlanPm {
-            id: PmId(0),
-            class_idx: 0,
-            capacity: ResourceVector::new(&[8, 8_192, 1_000]),
-            used: ResourceVector::zero(3),
-            reliability: 1.0,
-            creation_secs: 30,
-            migration_secs: 40,
-        };
-        let min3 = ResourceVector::new(&[1, 512, 50]);
-        // W = min(8, 16, 20) = 8; U_min = (1/8)(512/8192)(50/1000).
-        assert_eq!(slots(&pm, &min3), 8);
-        let u_min = (1.0 / 8.0) * (512.0 / 8_192.0) * (50.0 / 1_000.0);
-        // Exactly 2³·U_min lands on level 2; just below stays level 1.
-        assert_eq!(level_for(8.0 * u_min, u_min, 8, 3), 2);
-        assert_eq!(level_for(7.9 * u_min, u_min, 8, 3), 1);
-        assert_eq!(level_for(27.0 * u_min, u_min, 8, 3), 3);
-        // Prospective eff for one min-VM on the empty 3-D machine: 1/8.
-        let p = p_eff(&pm, &min3, false, 1.0, &min3);
-        assert!((p - 0.125).abs() < 1e-12, "p = {p}");
-    }
-
-    #[test]
-    fn factor_is_within_unit_interval() {
-        for cores in 0..8 {
-            let pm = fast(cores, cores * 512);
-            let p = p_eff(&pm, &min_vm(), false, 1.0, &min_vm());
-            assert!((0.0..=1.0).contains(&p), "p = {p} at cores = {cores}");
         }
     }
 }

@@ -34,6 +34,35 @@ impl<'a> PlacementView<'a> {
     }
 }
 
+/// A user-supplied multiplicative factor extending the joint probability
+/// (Section III-B: "easy to be extended to accommodate other
+/// constraints"),
+/// keyed on one per-PM value (a region, a rack, a tariff zone).
+///
+/// The factor of a mapping depends only on the key of the VM's current
+/// host (`from`; `None` for a new request), the key of the candidate PM
+/// (`to`) and the planning instant — so a planning pass evaluates it once
+/// per key pair into a `(K+1)×K` table, and PMs that share a key stay
+/// interchangeable for the compressed planner.
+///
+/// Values are clamped to `[0, 1]` (1 = no objection to this mapping,
+/// 0 = veto). The current-host entry of a column is evaluated too, as
+/// `factor(Some(k), k, now)`.
+pub trait KeyedFactor: Send + Sync + std::fmt::Debug {
+    /// Short name for reports and debugging.
+    fn name(&self) -> &str;
+
+    /// Number of distinct keys; [`key`](Self::key) returns values below it.
+    fn key_count(&self) -> u16;
+
+    /// The key of PM `pm`.
+    fn key(&self, pm: PmId) -> u16;
+
+    /// The factor for hosting a VM on a PM keyed `to` at `now`, when the
+    /// VM currently runs on a PM keyed `from` (`None` for a new request).
+    fn factor(&self, from: Option<u16>, to: u16, now: SimTime) -> f64;
+}
+
 /// One live-migration decision.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Migration {

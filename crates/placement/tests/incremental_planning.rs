@@ -7,19 +7,21 @@
 //! fleet-delta journal — are driven through planners in lockstep: the
 //! production [`DynamicPlacement`] fed the drained journal each pass (so
 //! it patches its persistent compressed mirror), a twin fed no journal
-//! (so it rebuilds every pass), and the [`DenseReference`]. Every pass
-//! must propose the identical migration sequence.
+//! (so it rebuilds every pass), and the executable specification. Every
+//! pass must propose the identical migration sequence.
+
+#[path = "../spec/spec.rs"]
+mod spec;
 
 use dvmp_cluster::datacenter::{Datacenter, FleetBuilder};
 use dvmp_cluster::pm::{PmClass, PmId, PmState};
 use dvmp_cluster::resources::ResourceVector;
 use dvmp_cluster::vm::{Vm, VmId, VmSpec, VmState};
 use dvmp_cluster::VmTable;
-use dvmp_placement::{
-    DenseReference, DynamicConfig, DynamicPlacement, Migration, PlacementPolicy, PlacementView,
-};
+use dvmp_placement::{DynamicConfig, DynamicPlacement, Migration, PlacementPolicy, PlacementView};
 use dvmp_simcore::{SimDuration, SimTime};
 use proptest::prelude::*;
+use spec::Spec;
 
 /// One randomized fleet mutation. `pick`-style fields are resolved modulo
 /// the candidate set at application time, so every generated op is
@@ -192,7 +194,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(CASES))]
 
     /// The journal-driven planner proposes the exact migration sequence of
-    /// a fresh-rebuild twin and of the dense reference on every pass of
+    /// a fresh-rebuild twin and of the specification on every pass of
     /// every random fleet history.
     #[test]
     fn incremental_planner_matches_fresh_rebuild(history in history_strategy()) {
@@ -202,7 +204,7 @@ proptest! {
         // `full` rebuilds its mirror from the view.
         let mut inc = DynamicPlacement::paper_default();
         let mut full = DynamicPlacement::paper_default();
-        let mut dense = DenseReference::new(DynamicConfig::default());
+        let mut reference = Spec::new(DynamicConfig::default());
 
         let mut now_secs = 0u64;
         for (pass, ops) in history.iter().enumerate() {
@@ -215,7 +217,7 @@ proptest! {
             let view = PlacementView { dc: &dc, vms: &vms, now };
             let a = inc.plan_migrations(&view);
             prop_assert_eq!(&a, &full.plan_migrations(&view), "pass {} diverged", pass);
-            prop_assert_eq!(&a, &dense.plan_migrations(&view), "pass {} (dense)", pass);
+            prop_assert_eq!(&a, &reference.plan_migrations(&view), "pass {} (spec)", pass);
             apply_moves(&mut dc, &mut vms, &a);
             dc.assert_consistent();
         }
@@ -223,7 +225,7 @@ proptest! {
     }
 
     /// The class-compressed kernel proposes the exact migration sequence
-    /// of the dense planner on every pass of every random fleet history —
+    /// of the specification on every pass of every random fleet history —
     /// including reliability-drifted (class-divergent) PMs, power
     /// transitions and PM failures, with skipped-move divergence via the
     /// simulator-style re-validation in `apply_moves`.
@@ -232,8 +234,8 @@ proptest! {
         let (mut dc, mut vms) = seeded_fleet();
         let mut next_id = 100u32;
         let mut comp = DynamicPlacement::paper_default();
-        // The dense reference reads no journal: a fresh rebuild every pass.
-        let mut dense = DenseReference::new(DynamicConfig::default());
+        // The specification reads no journal: a fresh rebuild every pass.
+        let mut reference = Spec::new(DynamicConfig::default());
 
         let mut now_secs = 0u64;
         for (pass, ops) in history.iter().enumerate() {
@@ -245,7 +247,7 @@ proptest! {
             let now = SimTime::from_secs(now_secs);
             let view = PlacementView { dc: &dc, vms: &vms, now };
             let a = comp.plan_migrations(&view);
-            let b = dense.plan_migrations(&view);
+            let b = reference.plan_migrations(&view);
             prop_assert_eq!(&a, &b, "pass {} diverged", pass);
             apply_moves(&mut dc, &mut vms, &a);
             dc.assert_consistent();

@@ -1,12 +1,11 @@
-//! Event-queue entries and their total order.
+//! Event-queue entries.
 //!
 //! Discrete-event simulations are only reproducible if simultaneous events
 //! are processed in a deterministic order. Entries therefore carry a
 //! monotonically increasing [`EventId`] assigned at scheduling time, and the
-//! queue orders by `(time, id)` — FIFO among ties.
+//! calendar queue orders them by `(time, id)` — FIFO among ties.
 
 use crate::time::SimTime;
-use std::cmp::Ordering;
 
 /// Unique, monotonically increasing identifier assigned to every scheduled
 /// event. Doubles as the cancellation token.
@@ -30,72 +29,4 @@ pub struct EventEntry<E> {
     pub id: EventId,
     /// The user payload.
     pub payload: E,
-}
-
-impl<E> PartialEq for EventEntry<E> {
-    fn eq(&self, other: &Self) -> bool {
-        self.time == other.time && self.id == other.id
-    }
-}
-
-impl<E> Eq for EventEntry<E> {}
-
-impl<E> PartialOrd for EventEntry<E> {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-impl<E> Ord for EventEntry<E> {
-    /// Reversed so that a max-heap (`std::collections::BinaryHeap`) pops the
-    /// *earliest* entry first.
-    fn cmp(&self, other: &Self) -> Ordering {
-        other
-            .time
-            .cmp(&self.time)
-            .then_with(|| other.id.cmp(&self.id))
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use std::collections::BinaryHeap;
-
-    fn entry(t: u64, id: u64) -> EventEntry<&'static str> {
-        EventEntry {
-            time: SimTime::from_secs(t),
-            id: EventId(id),
-            payload: "x",
-        }
-    }
-
-    #[test]
-    fn heap_pops_earliest_first() {
-        let mut h = BinaryHeap::new();
-        h.push(entry(30, 0));
-        h.push(entry(10, 1));
-        h.push(entry(20, 2));
-        assert_eq!(h.pop().unwrap().time, SimTime::from_secs(10));
-        assert_eq!(h.pop().unwrap().time, SimTime::from_secs(20));
-        assert_eq!(h.pop().unwrap().time, SimTime::from_secs(30));
-    }
-
-    #[test]
-    fn ties_fire_in_scheduling_order() {
-        let mut h = BinaryHeap::new();
-        h.push(entry(10, 7));
-        h.push(entry(10, 3));
-        h.push(entry(10, 5));
-        let order: Vec<u64> = std::iter::from_fn(|| h.pop()).map(|e| e.id.raw()).collect();
-        assert_eq!(order, vec![3, 5, 7]);
-    }
-
-    #[test]
-    fn equality_ignores_payload() {
-        let a = entry(1, 1);
-        let mut b = entry(1, 1);
-        b.payload = "y";
-        assert_eq!(a, b);
-    }
 }

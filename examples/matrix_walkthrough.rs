@@ -6,18 +6,22 @@
 //! VM5 on PM3 (its numeric entries are illustrative; ours come from the
 //! actual Eq. 2–5 factors on a concrete fleet, so the *structure* —
 //! column normalization, 1.0 on host rows, argmax > MIG_threshold —
-//! matches, not the invented numbers).
+//! matches, not the invented numbers). The matrices are printed from the
+//! scheme's executable specification, which computes every entry
+//! straight from the equations; the full pass at the end is the
+//! library's planner.
 //!
 //! ```sh
 //! cargo run --release --example matrix_walkthrough
 //! ```
 
+#[path = "../crates/placement/spec/spec.rs"]
+mod spec;
+
 use dvmp::prelude::*;
 use dvmp_cluster::vm::{Vm, VmState};
 use dvmp_cluster::VmTable;
-use dvmp_placement::factors::EvalContext;
-use dvmp_placement::plan::PlanState;
-use dvmp_placement::ProbabilityMatrix;
+use spec::Spec;
 
 fn main() {
     // Three PMs: two fast, one slow — all on.
@@ -51,12 +55,12 @@ fn main() {
         vms: &vms,
         now: SimTime::ZERO,
     };
-    let plan = PlanState::from_view(&view, &cfg);
-    let matrix = ProbabilityMatrix::build(&plan, &EvalContext::new(&cfg));
+    let scheme = Spec::new(cfg.clone());
+    let fleet = scheme.fleet(&view);
 
     let header = || {
         print!("{:>6}", "");
-        for vm in &plan.vms {
+        for vm in &fleet.cols {
             print!(" {:>7}", format!("VM{}", vm.id.0));
         }
         println!();
@@ -64,47 +68,39 @@ fn main() {
 
     println!("probability matrix (p_ij = p^res · p^vir · p^rel · p^eff):\n");
     header();
-    for (row, pm) in plan.pms.iter().enumerate() {
+    for (row, pm) in fleet.rows.iter().enumerate() {
         print!("{:>6}", format!("PM{}", pm.id.0 + 1));
-        for col in 0..matrix.cols() {
-            print!(" {:>7.3}", matrix.get(row, col));
+        for col in 0..fleet.cols.len() {
+            print!(" {:>7.3}", scheme.entry(&fleet, row, col));
         }
         println!();
     }
 
     println!("\nnormalized matrix (each column ÷ its current host's entry):\n");
     header();
-    for (row, pm) in plan.pms.iter().enumerate() {
+    for (row, pm) in fleet.rows.iter().enumerate() {
         print!("{:>6}", format!("PM{}", pm.id.0 + 1));
-        for col in 0..matrix.cols() {
-            print!(" {:>7.3}", matrix.normalized(&plan, row, col));
+        for col in 0..fleet.cols.len() {
+            print!(" {:>7.3}", scheme.normalized(&fleet, row, col));
         }
         println!();
     }
 
     // The argmax Algorithm 1 takes.
-    let mut best: Option<(usize, usize, f64)> = None;
-    for col in 0..matrix.cols() {
-        if let Some((row, d)) = matrix.best_move_for(&plan, col) {
-            if best.map_or(true, |(_, _, bd)| d > bd) {
-                best = Some((row, col, d));
-            }
-        }
-    }
-    match best {
-        Some((row, col, d)) if d > cfg.mig_threshold => {
+    match scheme.best_move(&fleet) {
+        Some((col, row, d)) => {
             println!(
                 "\nlargest entry: {:.3} → migrate VM{} from PM{} to PM{} \
                  (exceeds MIG_threshold = {}), then refresh the two touched \
                  PM rows and the moved column — exactly the paper's loop.",
                 d,
-                plan.vms[col].id.0,
-                plan.pms[plan.vms[col].host].id.0 + 1,
-                plan.pms[row].id.0 + 1,
+                fleet.cols[col].id.0,
+                fleet.rows[fleet.cols[col].host].id.0 + 1,
+                fleet.rows[row].id.0 + 1,
                 cfg.mig_threshold
             );
         }
-        _ => println!("\nno entry exceeds MIG_threshold — the mapping is stable."),
+        None => println!("\nno entry exceeds MIG_threshold — the mapping is stable."),
     }
 
     // And what the full Algorithm 1 run does from here:

@@ -1,8 +1,12 @@
 //! End-to-end tests of the geo extension: regional energy accounting and
 //! the price-aware factor, exercised through the full simulator.
 
+#[path = "../crates/placement/spec/spec.rs"]
+mod spec;
+
 use dvmp::prelude::*;
 use dvmp_geo::{regional_costs, total_cost, PriceFactor, WanPenaltyFactor};
+use spec::Spec;
 use std::sync::Arc;
 
 fn geo_scenario(shift_hours: u64, seed: u64) -> (Scenario, Arc<dvmp_geo::GeoTopology>) {
@@ -121,8 +125,8 @@ fn core_json(mut report: RunReport) -> String {
 fn keyed_factors_run_identically_on_the_dense_reference() {
     // The two-region week under spare control with both region-keyed
     // factors: the production planner (tables evaluated per pass, rebuilt
-    // when a tariff steps) and the dense reference (factors evaluated per
-    // entry) must produce the same report.
+    // when a tariff steps) and the executable specification (factors
+    // evaluated per entry) must produce the same report.
     let (fleet, topology) = dvmp_geo::topology::two_region_paper_fleet(8);
     let topology = Arc::new(topology);
     let trace = SyntheticGenerator::new(LpcProfile::light(), 42).generate();
@@ -139,7 +143,7 @@ fn keyed_factors_run_identically_on_the_dense_reference() {
     ));
     assert!(production.total_migrations > 0, "the week must migrate");
     let reference = scenario.run(Box::new(
-        DenseReference::new(DynamicConfig::default())
+        Spec::new(DynamicConfig::default())
             .with_factor(price)
             .with_factor(wan),
     ));

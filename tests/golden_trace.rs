@@ -26,10 +26,14 @@
 //! Floats are stored as scaled integers (micro-kWh, milli-servers) so the
 //! JSON is byte-stable and diffs are readable.
 
+#[path = "../crates/placement/spec/spec.rs"]
+mod spec;
+
 use dvmp::prelude::*;
 use dvmp_cluster::Fnv64;
 use dvmp_workload::LpcProfile;
 use serde::{Deserialize, Serialize};
+use spec::Spec;
 use std::path::PathBuf;
 
 /// One scenario's frozen observable behavior.
@@ -258,8 +262,9 @@ fn golden_overbook() {
 )]
 fn acceptance_1k_overbooked_week_is_kernel_invariant() {
     // The DESIGN.md §11 acceptance scenario: 1 000 PMs, 7 days, 150/120
-    // overbooking, moderate elasticity, checked mode on. Both planning
-    // kernels must produce the same digest, the oracle must stay clean
+    // overbooking, moderate elasticity, checked mode on. The production
+    // planner and the executable specification must produce the same
+    // digest, the oracle must stay clean
     // (asserted inside from_report's caller below), the workload must
     // actually resize, and overbooking past 1.0 must meter nonzero
     // SLA-violation seconds.
@@ -271,12 +276,15 @@ fn acceptance_1k_overbooked_week_is_kernel_invariant() {
         assert!(oracle.is_clean(), "{}", oracle.render());
         GoldenTrace::from_report("overbook-1k", 42, 7, &report)
     };
-    let dense = mk(Box::new(DenseReference::new(DynamicConfig::default())));
+    let reference = mk(Box::new(Spec::new(DynamicConfig::default())));
     let compressed = mk(Box::new(DynamicPlacement::paper_default()));
-    assert_eq!(dense, compressed, "kernels diverged on the elastic week");
-    assert!(dense.total_resizes > 0, "no resizes applied");
+    assert_eq!(
+        reference, compressed,
+        "planner diverged from the specification on the elastic week"
+    );
+    assert!(reference.total_resizes > 0, "no resizes applied");
     assert!(
-        dense.sla_violation_milli_seconds > 0,
+        reference.sla_violation_milli_seconds > 0,
         "overbooked week metered zero SLA seconds"
     );
 }
@@ -317,10 +325,10 @@ fn checked_mode_does_not_change_the_trace() {
 
 #[test]
 fn compressed_kernel_does_not_change_the_trace() {
-    // The class-compressed planner must be bit-identical to the dense
-    // reference end to end: same migrations, same energy series, same
-    // digest — on a full simulated day with arrivals, departures,
-    // failures and live migrations.
+    // The class-compressed planner must be bit-identical to the
+    // executable specification end to end: same migrations, same energy
+    // series, same digest — on a full simulated day with arrivals,
+    // departures, failures and live migrations.
     let mk = |policy: Box<dyn PlacementPolicy>| {
         let mut s = Scenario::paper(13).with_days(1);
         s.sim.checked = true;
@@ -329,9 +337,9 @@ fn compressed_kernel_does_not_change_the_trace() {
         GoldenTrace::from_report("kernel-eq", 13, 1, &report)
     };
     assert_eq!(
-        mk(Box::new(DenseReference::new(DynamicConfig::default()))),
+        mk(Box::new(Spec::new(DynamicConfig::default()))),
         mk(Box::new(DynamicPlacement::paper_default())),
-        "compressed kernel drifted from the dense reference"
+        "compressed kernel drifted from the specification"
     );
 }
 

@@ -1,12 +1,16 @@
-//! The default planner against the dense reference kernel, end to end.
-//! The default scheme runs the class-compressed planner at every fleet
-//! size, so these check that it changes nothing but speed: a run must
-//! produce the same report under both kernels, byte for byte — on the
-//! paper's own 100-PM fleet, and on a 1k-PM scaled fleet whose thousands
-//! of live columns exercise the persistent planner's bound bookkeeping,
-//! column churn and tie-breaks at scale.
+//! The default planner against the executable specification of the
+//! scheme, end to end. The default scheme runs the class-compressed
+//! planner at every fleet size, so these check that it changes nothing
+//! but speed: a run must produce the same report under both, byte for
+//! byte — on the paper's own 100-PM fleet, and on a 1k-PM scaled fleet
+//! whose thousands of live columns exercise the persistent planner's
+//! bound bookkeeping, column churn and tie-breaks at scale.
+
+#[path = "../crates/placement/spec/spec.rs"]
+mod spec;
 
 use dvmp::prelude::*;
+use spec::Spec;
 
 /// The report as JSON without its attachment sections (`meta` carries
 /// host details; `obs` and `timeseries` are opt-in telemetry).
@@ -25,7 +29,7 @@ fn assert_kernels_agree(scenario: Scenario) {
     );
     assert_eq!(
         core_json(auto),
-        core_json(scenario.run(Box::new(DenseReference::new(DynamicConfig::default()))))
+        core_json(scenario.run(Box::new(Spec::new(DynamicConfig::default()))))
     );
 }
 
@@ -37,7 +41,7 @@ fn auto_and_dense_kernels_report_identically_on_a_paper_day() {
 #[test]
 #[cfg_attr(
     debug_assertions,
-    ignore = "a 1k-PM dense run is release-only (CI golden job)"
+    ignore = "a 1k-PM run of the specification is release-only (CI golden job)"
 )]
 fn auto_and_dense_kernels_report_identically_on_a_1k_pm_fleet() {
     assert_kernels_agree(Scenario::scaled(1_000, 42));

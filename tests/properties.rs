@@ -2,16 +2,18 @@
 //! and request streams, checked against the invariants the paper's
 //! algorithm must uphold no matter the input.
 
+#[path = "../crates/placement/spec/spec.rs"]
+mod spec;
+
 use dvmp::prelude::*;
 use dvmp_cluster::datacenter::Datacenter;
 use dvmp_cluster::reliability::ReliabilityModel;
 use dvmp_cluster::vm::{Vm, VmState};
 use dvmp_cluster::VmTable;
-use dvmp_placement::factors::{EvalContext, KeyedFactor};
-use dvmp_placement::plan::PlanState;
 use dvmp_placement::policy::PlacementView;
-use dvmp_placement::ProbabilityMatrix;
+use dvmp_placement::KeyedFactor;
 use proptest::prelude::*;
+use spec::Spec;
 use std::sync::Arc;
 
 /// The production planner with its fleet-delta journal dropped: no pass
@@ -38,9 +40,10 @@ impl PlacementPolicy for FreshRebuild {
     }
 }
 
-/// The dense reference planner (full matrix rebuilt every pass).
-fn dense() -> DenseReference {
-    DenseReference::new(DynamicConfig::default())
+/// The executable specification of the scheme (every entry recomputed
+/// every round).
+fn reference() -> Spec {
+    Spec::new(DynamicConfig::default())
 }
 
 /// A hostile dynamic policy: places like first-fit, but answers every
@@ -181,7 +184,7 @@ proptest! {
     /// few memory sizes (so equal scores at different rows are common),
     /// with and without a keyed factor and `p^vir` (without it a score
     /// can reach its bound exactly), the production planner's live
-    /// pass proposes exactly the dense reference's moves.
+    /// pass proposes exactly the specification's moves.
     #[test]
     fn round_loop_matches_the_dense_reference_on_ties(
         fleet in arb_fleet(),
@@ -198,7 +201,7 @@ proptest! {
         let vms = populate(&mut dc, &loads);
         let cfg = DynamicConfig { mig_threshold: threshold, use_vir, ..DynamicConfig::default() };
         let mut production = DynamicPlacement::new(cfg.clone());
-        let mut reference = DenseReference::new(cfg);
+        let mut reference = Spec::new(cfg);
         if keyed {
             production = production.with_factor(Arc::new(ZoneFactor));
             reference = reference.with_factor(Arc::new(ZoneFactor));
@@ -259,7 +262,7 @@ proptest! {
 
     /// The `p^eff` ablation plans on one constant level: with `use_eff`
     /// off (and `use_vir` / `use_rel` randomly off too) the production
-    /// planner proposes exactly the dense reference's moves and
+    /// planner proposes exactly the specification's moves and
     /// placements on random small fleets.
     #[test]
     fn eff_ablation_planner_matches_the_dense_reference(
@@ -282,7 +285,7 @@ proptest! {
         };
         let view = PlacementView { dc: &dc, vms: &vms, now: SimTime::from_secs(now_s) };
         let mut production = DynamicPlacement::new(cfg.clone());
-        let mut reference = DenseReference::new(cfg);
+        let mut reference = Spec::new(cfg);
         prop_assert_eq!(
             production.plan_migrations(&view),
             reference.plan_migrations(&view)
@@ -337,55 +340,35 @@ proptest! {
         }
     }
 
-    /// The probability matrix is always within [0, 1], exactly 1-normalized
-    /// on host rows, and targeted row/column refreshes agree with a full
-    /// rebuild after any single migration.
+    /// The probability matrix is always within [0, 1] and exactly
+    /// 1-normalized on host rows, before and after a planned move updates
+    /// the two rows and the column it touches.
     #[test]
     fn matrix_entries_are_probabilities_and_updates_are_exact(
         fleet in arb_fleet(),
         loads in arb_loads(16),
-        move_choice in any::<u16>(),
     ) {
         let mut dc = fleet;
         let vms = populate(&mut dc, &loads);
-        let cfg = DynamicConfig::default();
         let view = PlacementView { dc: &dc, vms: &vms, now: SimTime::ZERO };
-        let mut plan = PlanState::from_view(&view, &cfg);
-        prop_assume!(!plan.vms.is_empty() && plan.pms.len() >= 2);
+        let one_round = Spec::new(DynamicConfig { mig_round: 1, ..DynamicConfig::default() });
+        let mut fleet = one_round.fleet(&view);
+        prop_assume!(!fleet.cols.is_empty() && fleet.rows.len() >= 2);
 
-        let mut matrix = ProbabilityMatrix::build(&plan, &EvalContext::new(&cfg));
-        for row in 0..matrix.rows() {
-            for col in 0..matrix.cols() {
-                let p = matrix.get(row, col);
-                prop_assert!((0.0..=1.0).contains(&p), "p[{row}][{col}] = {p}");
-            }
-        }
-        for col in 0..matrix.cols() {
-            let host = plan.vms[col].host;
-            if matrix.get(host, col) > 0.0 {
-                prop_assert!((matrix.normalized(&plan, host, col) - 1.0).abs() < 1e-12);
-            }
-        }
-
-        // Apply one feasible move (if any) and check targeted refresh.
-        let col = (move_choice as usize) % plan.vms.len();
-        if let Some((to, _)) = matrix.best_move_for(&plan, col) {
-            let res = plan.vms[col].resources;
-            if plan.pms[to].used.fits_with(&res, &plan.pms[to].capacity) {
-                let (from, to) = plan.apply_migration(col, to);
-                matrix.recompute_row(&plan, &EvalContext::new(&cfg), from);
-                matrix.recompute_row(&plan, &EvalContext::new(&cfg), to);
-                matrix.recompute_col(&plan, &EvalContext::new(&cfg), col);
-                let fresh = ProbabilityMatrix::build(&plan, &EvalContext::new(&cfg));
-                for row in 0..matrix.rows() {
-                    for c in 0..matrix.cols() {
-                        prop_assert!(
-                            (matrix.get(row, c) - fresh.get(row, c)).abs() < 1e-12,
-                            "stale entry at ({row},{c})"
-                        );
-                    }
+        for _pass in 0..2 {
+            for row in 0..fleet.rows.len() {
+                for col in 0..fleet.cols.len() {
+                    let p = one_round.entry(&fleet, row, col);
+                    prop_assert!((0.0..=1.0).contains(&p), "p[{row}][{col}] = {p}");
                 }
             }
+            for col in 0..fleet.cols.len() {
+                let host = fleet.cols[col].host;
+                if one_round.entry(&fleet, host, col) > 0.0 {
+                    prop_assert_eq!(one_round.normalized(&fleet, host, col), 1.0);
+                }
+            }
+            one_round.algorithm1(&mut fleet);
         }
     }
 
@@ -476,7 +459,7 @@ proptest! {
     /// request stream plus a random resize history (grows, shrinks,
     /// no-ops, resizes aimed at queued or departed VMs), optionally under
     /// random overbooking ratios, produces bit-identical reports whether
-    /// the dynamic scheme plans on the dense reference or the
+    /// the dynamic scheme plans on the specification or the
     /// class-compressed planner, journal-driven or with per-pass fresh
     /// rebuilds — and the checked-mode oracle stays clean in every run.
     #[test]
@@ -533,7 +516,7 @@ proptest! {
             scenario.run(policy)
         };
 
-        let base = run(Box::new(dense()));
+        let base = run(Box::new(reference()));
         let oracle = base.oracle.as_ref().expect("checked run attaches a summary");
         prop_assert!(oracle.is_clean(), "{}", oracle.render());
         // Every in-horizon resize is accounted for, applied or rejected.
@@ -565,7 +548,7 @@ proptest! {
     /// Heterogeneous fleets are kernel-invariant: with every PM's
     /// reliability drawn from a continuum (jittered or age-decayed) and a
     /// shared `class_tolerance`, a random elastic history produces
-    /// bit-identical reports on the dense reference and the default
+    /// bit-identical reports on the specification and the default
     /// (class-compressed) planner — and the checked-mode oracle stays
     /// clean throughout. The quantized
     /// choke point is the whole contract: every kernel sees the same
@@ -629,7 +612,7 @@ proptest! {
             scenario.run(policy)
         };
 
-        let base = run(Box::new(DenseReference::new(cfg.clone())));
+        let base = run(Box::new(Spec::new(cfg.clone())));
         let oracle = base.oracle.as_ref().expect("checked run attaches a summary");
         prop_assert!(oracle.is_clean(), "{}", oracle.render());
         let base_json = serde_json::to_string(&base).expect("report serializes");

@@ -5,6 +5,7 @@
 use dvmp::prelude::*;
 use dvmp_workload::swf;
 use dvmp_workload::Job;
+use proptest::prelude::*;
 
 #[test]
 fn synthetic_week_survives_swf_round_trip() {
@@ -79,4 +80,82 @@ fn swf_scenario_runs_end_to_end() {
     assert_eq!(r.total_arrivals, 60);
     assert_eq!(r.total_departures, 60, "all finish inside the day");
     assert!(r.qos.meets_paper_slo());
+}
+
+/// Three well-formed jobs every generated line is appended to.
+const VALID_JOBS: &str = "\
+1 0 0 7200 1 -1 1048576 1 7200 -1 1 -1 -1 -1 -1 -1 -1 -1
+2 600 0 3600 2 -1 524288 2 3600 -1 1 -1 -1 -1 -1 -1 -1 -1
+3 1200 0 900 1 -1 262144 1 1800 -1 1 -1 -1 -1 -1 -1 -1 -1
+";
+
+/// Field values mixed into generated lines, as in the SWF reader's own
+/// arbitrary-line property: the archive's "unknown", boundaries of every
+/// target type, non-finite values and garbage.
+const SPECIAL_FIELDS: [&str; 11] = [
+    "-1",
+    "0",
+    "NaN",
+    "inf",
+    "-inf",
+    "1e300",
+    "-1e300",
+    "4294967297",
+    "18446744073709551616",
+    "x",
+    "1.5e3",
+];
+
+/// Traces that expand into more VM requests than this are not simulated.
+/// A generated processor count reaches 10⁶, and the paper's per-core
+/// split turns one such line into 10⁶ requests — more than a test run
+/// can hold or simulate.
+const MAX_REQUESTS: u64 = 20_000;
+
+proptest! {
+    // Most generated lines fail to parse, which costs next to nothing;
+    // about one case in 25 reaches the simulator.
+    #![proptest_config(ProptestConfig::with_cases(4096))]
+
+    /// Arbitrary SWF lines after a few valid jobs, preprocessed the way
+    /// the CLI's `"swf"` workload does (usable jobs, the memory filter,
+    /// a one-day window) and simulated in checked mode under the dynamic
+    /// scheme: every trace the reader accepts is either rejected by the
+    /// simulation with an error or runs with a clean oracle. None panics.
+    #[test]
+    fn arbitrary_swf_lines_run_clean_or_error(
+        fields in prop::collection::vec(
+            prop_oneof![
+                (-1e6f64..1e6).prop_map(|v| v.to_string()),
+                any::<u64>().prop_map(|v| v.to_string()),
+                (0usize..SPECIAL_FIELDS.len()).prop_map(|i| SPECIAL_FIELDS[i].to_string()),
+            ],
+            11..19,
+        )
+    ) {
+        let text = format!("{VALID_JOBS}{}\n", fields.join(" "));
+        let parsed = swf::parse_swf(&text);
+        prop_assume!(parsed.is_ok());
+        let trace = Trace::new(parsed.unwrap())
+            .filter_usable()
+            .filter_min_memory(0)
+            .extract_window(SimTime::ZERO, SimDuration::from_days(1));
+        let requests: u64 = trace.jobs().iter().map(|j| u64::from(j.cores.max(1))).sum();
+        prop_assume!(requests <= MAX_REQUESTS);
+        let mut sim = SimConfig::default();
+        sim.horizon = SimTime::from_days(1);
+        sim.checked = true;
+        let scenario = Scenario::from_trace("swf-robustness", paper_fleet(), &trace, sim);
+        let built = Simulation::try_new(
+            scenario.fleet().clone(),
+            scenario.requests().to_vec(),
+            Box::new(DynamicPlacement::paper_default()),
+            scenario.sim.clone(),
+        );
+        if let Ok(simulation) = built {
+            let report = simulation.run();
+            let oracle = report.oracle.as_ref().expect("checked run attaches a summary");
+            prop_assert!(oracle.is_clean(), "{}\n{}", fields.join(" "), oracle.render());
+        }
+    }
 }
