@@ -4,7 +4,7 @@
 //!
 //! 1. **tracing on** may cost at most 10 % end-to-end wall time, and
 //! 2. **tracing off** (the default) costs only the per-site disabled
-//!    branch — one relaxed atomic load — which must stay under 1 % of
+//!    branch — one thread-local load — which must stay under 1 % of
 //!    the run, and must leave the simulation bit-identical.
 //!
 //! This binary measures both on a 1k-PM day under the paper's dynamic
@@ -22,7 +22,7 @@
 //!   runs — enabling tracing must never change a simulation result.
 //!
 //! On top of the tracing gates it measures `--obs-summary` telemetry
-//! sampling (counter samples + the control-interval time-series store):
+//! sampling (the control-interval time-series store):
 //! its modelled cost — the recorder's self-metered sampling time per
 //! run over the tracing-enabled wall time — must stay under 2 %, the
 //! sampled report must equal the unsampled one once the
@@ -188,8 +188,7 @@ fn main() {
     let (enabled_seconds, batch_on) = min_wall_seconds(&mut run_enabled);
 
     // Telemetry sampling on top of tracing: `--obs-summary` arms the
-    // recorder's counter samples plus the control-interval time-series
-    // store. Its ~1 % cost sits below the wall-clock noise floor of a
+    // recorder's control-interval time-series store. Its ~1 % cost sits below the wall-clock noise floor of a
     // shared host, so like the disabled-path gate it is *modelled*: the
     // recorder self-meters the nanoseconds spent inside its sampling
     // hooks, and the gate takes per-run sampling time over the enabled

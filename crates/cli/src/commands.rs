@@ -44,7 +44,7 @@ pub fn run(spec_text: &str, opts: &RunOptions) -> Result<String, String> {
     }
     let policy = spec.policy.build(spec.seed)?;
     let started = std::time::Instant::now();
-    let mut report = scenario.run(policy);
+    let mut report = scenario.simulation(policy)?.run();
     // Wall clock lives here, not in the library `execute()`: two
     // same-seed library runs must keep serializing identically.
     if let Some(meta) = &mut report.meta {
@@ -366,7 +366,11 @@ pub fn sweep(spec_text: &str, seeds: usize, json_output: bool) -> Result<String,
     for &seed in &run_seeds {
         let mut spec = base.clone();
         spec.seed = seed;
-        reports.push(spec.build()?.run(base.policy.build(base.seed)?));
+        reports.push(
+            spec.build()?
+                .simulation(base.policy.build(base.seed)?)?
+                .run(),
+        );
     }
 
     let mut energy = OnlineStats::new();
@@ -661,7 +665,6 @@ mod tests {
 
     #[test]
     fn obs_summary_appends_counters_and_profile() {
-        let _guard = dvmp_obs::test_lock();
         let run_opts = RunOptions {
             obs_summary: true,
             ..RunOptions::default()
@@ -687,7 +690,6 @@ mod tests {
 
     #[test]
     fn trace_out_writes_chrome_trace_atomically() {
-        let _guard = dvmp_obs::test_lock();
         let dir = std::env::temp_dir().join("dvmp-cli-trace-test");
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("trace.json");
@@ -710,7 +712,6 @@ mod tests {
 
     #[test]
     fn run_json_carries_meta_and_timeseries() {
-        let _guard = dvmp_obs::test_lock();
         let json = run(
             SPEC,
             &RunOptions {
@@ -745,7 +746,6 @@ mod tests {
 
     #[test]
     fn metrics_out_writes_lintable_openmetrics() {
-        let _guard = dvmp_obs::test_lock();
         let dir = std::env::temp_dir().join("dvmp-cli-metrics-test");
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("metrics.txt");
@@ -849,6 +849,28 @@ mod tests {
     fn bad_spec_errors_cleanly() {
         assert!(run("{", &RunOptions::default()).is_err());
         assert!(compare("not json", true).is_err());
+    }
+
+    /// One PM class with more minimum-size VM slots than the dynamic
+    /// scheme indexes: invalid input, reported as an error by both the
+    /// single run and the sweep instead of a panic.
+    #[test]
+    fn oversized_class_errors_instead_of_panicking() {
+        let spec = r#"{
+            "name": "oversized",
+            "fleet": [
+                { "preset": "custom", "count": 1, "name": "huge",
+                  "cores": 100000, "memory_mib": 25600000,
+                  "active_w": 300.0, "idle_w": 150.0 }
+            ],
+            "workload": { "profile": "light", "days": 1 },
+            "policy": { "kind": "dynamic" },
+            "seed": 42
+        }"#;
+        let err = run(spec, &RunOptions::default()).unwrap_err();
+        assert!(err.contains("more than 65534 minimum VMs"), "{err}");
+        let err = sweep(spec, 2, false).unwrap_err();
+        assert!(err.contains("more than 65534 minimum VMs"), "{err}");
     }
 
     #[test]

@@ -246,10 +246,10 @@ struct FleetStats {
     on_idle: BTreeSet<PmId>,
     /// Per-dimension free-capacity index over available PMs.
     capacity: CapacityIndex,
-    /// Contiguous id range `[start, end]` per class, in class order, when
-    /// the fleet is laid out class-by-class (as [`FleetBuilder`] does);
-    /// `None` disables the range fast path for interleaved fleets.
-    class_ranges: Option<Vec<(u32, u32)>>,
+    /// Virtual-capacity index over `Off` PMs (boot candidates). An off PM
+    /// hosts nothing, so its leaf changes only when the PM's `off` flag
+    /// flips (or a raw [`Datacenter::pm_mut`] edit touches its ratios).
+    off_capacity: CapacityIndex,
 }
 
 impl FleetStats {
@@ -263,36 +263,17 @@ impl FleetStats {
                     .map(|pm| (pm.is_available(), pm.headroom()))
                     .collect::<Vec<_>>(),
             ),
-            class_ranges: Self::contiguous_ranges(classes.len(), pms),
+            off_capacity: CapacityIndex::build(
+                pms.iter()
+                    .map(|pm| (pm.state == PmState::Off, pm.virtual_capacity()))
+                    .collect::<Vec<_>>(),
+            ),
             ..FleetStats::default()
         };
         for pm in pms {
             stats.admit(pm.id, &PmFootprint::of(pm));
         }
         stats
-    }
-
-    /// Per-class `[start, end]` id ranges when every class occupies one
-    /// contiguous block, `None` otherwise.
-    fn contiguous_ranges(n_classes: usize, pms: &[Pm]) -> Option<Vec<(u32, u32)>> {
-        let mut ranges: Vec<Option<(u32, u32)>> = vec![None; n_classes];
-        let mut counts = vec![0usize; n_classes];
-        for pm in pms {
-            let r = ranges.get_mut(pm.class_idx)?;
-            let (lo, hi) = r.get_or_insert((pm.id.0, pm.id.0));
-            *lo = (*lo).min(pm.id.0);
-            *hi = (*hi).max(pm.id.0);
-            counts[pm.class_idx] += 1;
-        }
-        let mut out = Vec::with_capacity(n_classes);
-        for (r, count) in ranges.into_iter().zip(counts) {
-            match r {
-                Some((lo, hi)) if (hi - lo) as usize + 1 == count => out.push((lo, hi)),
-                Some(_) => return None,   // interleaved classes
-                None => out.push((1, 0)), // empty class: inverted range
-            }
-        }
-        Some(out)
     }
 
     /// Adds `f`'s contribution.
@@ -500,41 +481,13 @@ impl Datacenter {
     }
 
     /// Lowest-id `Off` PM whose *virtual capacity* covers `spec` — what a
-    /// boot request scans for. O(#classes · log M) on class-contiguous
-    /// fleets via per-class range probes of the off set: a spec within the
-    /// physical class capacity accepts the range's first off PM outright
-    /// (virtual ≥ physical); only a spec that needs overbooked headroom
-    /// falls back to probing per-PM ratios within the range.
+    /// boot request scans for. O(log M) via the off-capacity index,
+    /// whatever the fleet's class layout.
     pub fn first_off_fitting(&self, spec: &ResourceVector) -> Option<PmId> {
-        if let Some(ranges) = &self.stats.class_ranges {
-            let mut best: Option<PmId> = None;
-            for (class, &(lo, hi)) in self.classes.iter().zip(ranges) {
-                if lo > hi {
-                    continue;
-                }
-                let candidate = if spec.le(&class.capacity) {
-                    self.stats.off.range(PmId(lo)..=PmId(hi)).next().copied()
-                } else {
-                    self.stats
-                        .off
-                        .range(PmId(lo)..=PmId(hi))
-                        .find(|&&id| spec.le(&self.pm(id).virtual_capacity()))
-                        .copied()
-                };
-                if let Some(id) = candidate {
-                    if best.map_or(true, |b| id < b) {
-                        best = Some(id);
-                    }
-                }
-            }
-            best
-        } else {
-            self.stats
-                .off
-                .iter()
-                .find(|&&id| spec.le(&self.pm(id).virtual_capacity()))
-                .copied()
-        }
+        self.stats
+            .off_capacity
+            .first_fit(spec)
+            .map(|idx| PmId(idx as u32))
     }
 
     /// Lowest-id available PM that can host `req` on top of its current
@@ -588,19 +541,31 @@ impl Datacenter {
         let before = PmFootprint::of(&self.pms[idx]);
         let before_rel = self.pms[idx].reliability;
         let result = f(&mut self.pms[idx]);
+        self.fold_pm(idx, &before, before_rel);
+        result
+    }
+
+    /// Folds PM `idx`'s change since `before` into `stats`, the capacity
+    /// indexes and the fleet-delta journal.
+    fn fold_pm(&mut self, idx: usize, before: &PmFootprint, before_rel: f64) {
+        let id = PmId(idx as u32);
         let pm = &self.pms[idx];
         let after = PmFootprint::of(pm);
-        if after != before {
-            self.stats.retire(id, &before);
+        if after != *before {
+            self.stats.retire(id, before);
             self.stats.admit(id, &after);
             self.stats
                 .capacity
                 .set(idx, pm.is_available(), &pm.headroom());
+            if after.off != before.off {
+                self.stats
+                    .off_capacity
+                    .set(idx, after.off, &pm.virtual_capacity());
+            }
         }
-        if after != before || pm.reliability != before_rel {
+        if after != *before || pm.reliability != before_rel {
             self.journal.note_pm(id);
         }
-        result
     }
 
     /// Drains the fleet-delta journal: everything that changed since the
@@ -813,20 +778,14 @@ impl DerefMut for PmMut<'_> {
 
 impl Drop for PmMut<'_> {
     fn drop(&mut self) {
+        self.dc.fold_pm(self.idx, &self.before, self.before_rel);
+        // A raw edit may change the overbooking ratios, and with them an
+        // off PM's virtual capacity.
         let pm = &self.dc.pms[self.idx];
-        let after = PmFootprint::of(pm);
-        let id = PmId(self.idx as u32);
-        if after != self.before {
-            self.dc.stats.retire(id, &self.before);
-            self.dc.stats.admit(id, &after);
-            self.dc
-                .stats
-                .capacity
-                .set(self.idx, pm.is_available(), &pm.headroom());
-        }
-        if after != self.before || pm.reliability != self.before_rel {
-            self.dc.journal.note_pm(id);
-        }
+        self.dc
+            .stats
+            .off_capacity
+            .set(self.idx, pm.state == PmState::Off, &pm.virtual_capacity());
     }
 }
 
@@ -837,7 +796,6 @@ pub struct FleetBuilder {
     counts: Vec<usize>,
     reliability: Vec<f64>,
     class_overbook: Vec<Option<OverbookRatios>>,
-    fleet_overbook: Option<OverbookRatios>,
     initially_on: bool,
 }
 
@@ -873,13 +831,6 @@ impl FleetBuilder {
         self
     }
 
-    /// Overbooks every machine in the fleet with `ratios` (classes added
-    /// with an explicit per-class ratio keep theirs).
-    pub fn overbook_all(mut self, ratios: OverbookRatios) -> Self {
-        self.fleet_overbook = Some(ratios);
-        self
-    }
-
     /// Whether machines start powered on (default: off).
     pub fn initially_on(mut self, on: bool) -> Self {
         self.initially_on = on;
@@ -892,7 +843,7 @@ impl FleetBuilder {
         let mut pms = Vec::new();
         let mut id = 0u32;
         for (idx, class) in self.classes.iter().enumerate() {
-            let overbook = self.class_overbook[idx].or(self.fleet_overbook);
+            let overbook = self.class_overbook[idx];
             for _ in 0..self.counts[idx] {
                 let mut pm = Pm::new(PmId(id), idx, class.clone(), self.reliability[idx]);
                 if self.initially_on {
@@ -1218,10 +1169,10 @@ mod tests {
     }
 
     fn overbooked_fleet() -> Datacenter {
+        let ratios = OverbookRatios::cpu_mem(200, 150);
         FleetBuilder::new()
-            .add_class(PmClass::paper_fast(), 2, 0.99)
-            .add_class(PmClass::paper_slow(), 3, 0.95)
-            .overbook_all(OverbookRatios::cpu_mem(200, 150))
+            .add_class_overbooked(PmClass::paper_fast(), 2, 0.99, ratios)
+            .add_class_overbooked(PmClass::paper_slow(), 3, 0.95, ratios)
             .initially_on(true)
             .build()
     }
@@ -1382,6 +1333,53 @@ mod tests {
             dc.first_off_fitting(&ResourceVector::cpu_mem(20, 512)),
             None
         );
+    }
+
+    #[test]
+    fn first_off_fitting_matches_linear_scan_on_interleaved_classes() {
+        // Classes alternate by id (fast, slow, fast, …), some PMs are
+        // overbooked, and power states change underneath the index.
+        let pms = (0..12u32)
+            .map(|i| {
+                let (idx, class) = if i % 2 == 0 {
+                    (0, PmClass::paper_fast())
+                } else {
+                    (1, PmClass::paper_slow())
+                };
+                let mut pm = Pm::new(PmId(i), idx, class, 0.99);
+                if i % 3 == 0 {
+                    pm.overbook = Some(OverbookRatios::cpu_mem(300, 100));
+                }
+                pm
+            })
+            .collect();
+        let mut dc = Datacenter::new(vec![PmClass::paper_fast(), PmClass::paper_slow()], pms);
+        let linear = |dc: &Datacenter, spec: &ResourceVector| {
+            dc.pms()
+                .iter()
+                .find(|pm| pm.state == PmState::Off && spec.le(&pm.virtual_capacity()))
+                .map(|pm| pm.id)
+        };
+        let specs: Vec<ResourceVector> = [1, 4, 6, 10, 13, 20, 30, 40]
+            .into_iter()
+            .map(|cores| ResourceVector::cpu_mem(cores, 512))
+            .collect();
+        for step in 0..24u32 {
+            for spec in &specs {
+                assert_eq!(
+                    dc.first_off_fitting(spec),
+                    linear(&dc, spec),
+                    "step {step}, spec {spec:?}"
+                );
+            }
+            let id = PmId((step * 5) % 12);
+            dc.pm_mut(id).state = if dc.pm(id).state == PmState::Off {
+                PmState::On
+            } else {
+                PmState::Off
+            };
+            dc.assert_consistent();
+        }
     }
 
     #[test]

@@ -79,11 +79,6 @@ impl FleetDelta {
         self.dirty_vms.insert(id);
     }
 
-    /// Degrades the journal to "everything is dirty", releasing the sets.
-    pub fn mark_full(&mut self) {
-        self.degrade();
-    }
-
     fn degrade(&mut self) {
         self.full = true;
         self.dirty_pms.clear();

@@ -135,16 +135,6 @@ impl Vm {
         self.current_demand.as_ref().unwrap_or(&self.spec.resources)
     }
 
-    /// The PM currently charged with this VM's execution, if any.
-    /// During a migration this is the *source* (pre-copy).
-    pub fn executing_on(&self) -> Option<PmId> {
-        match self.state {
-            VmState::Creating { pm, .. } | VmState::Running { pm } => Some(pm),
-            VmState::Migrating { from, .. } => Some(from),
-            VmState::Queued | VmState::Completed { .. } => None,
-        }
-    }
-
     /// The PM the placement scheme should treat as this VM's *current host*
     /// (the destination once a migration is in flight, so the scheme does
     /// not try to re-migrate a VM already on its way).
@@ -190,12 +180,6 @@ impl Vm {
             Some(end) => end.saturating_since(now),
         }
     }
-
-    /// Time spent waiting in the queue before starting (for QoS accounting).
-    pub fn queue_wait(&self) -> Option<SimDuration> {
-        self.started_at
-            .map(|s| s.saturating_since(self.spec.submit_time))
-    }
 }
 
 #[cfg(test)]
@@ -216,10 +200,8 @@ mod tests {
         let vm = Vm::new(spec());
         assert_eq!(vm.state, VmState::Queued);
         assert!(!vm.is_active());
-        assert_eq!(vm.executing_on(), None);
         assert_eq!(vm.current_host(), None);
         assert_eq!(vm.projected_departure(), None);
-        assert_eq!(vm.queue_wait(), None);
     }
 
     #[test]
@@ -271,17 +253,9 @@ mod tests {
             to: PmId(2),
             done_at: SimTime::from_secs(500),
         };
-        assert_eq!(vm.executing_on(), Some(PmId(1)), "pre-copy: runs on source");
         assert_eq!(vm.current_host(), Some(PmId(2)), "scheme sees destination");
         assert!(vm.is_migrating());
         assert!(vm.is_active());
-    }
-
-    #[test]
-    fn queue_wait_measured_from_submit() {
-        let mut vm = Vm::new(spec());
-        vm.started_at = Some(SimTime::from_secs(150));
-        assert_eq!(vm.queue_wait(), Some(SimDuration::from_secs(50)));
     }
 
     #[test]

@@ -26,12 +26,6 @@ pub struct SimConfig {
     /// for the whole run — the classic static-provisioning assumption,
     /// used by the `ablation_spare` experiment.
     pub spare: Option<SpareConfig>,
-    /// Run a dynamic-migration pass when a new request arrives
-    /// (Section III-C trigger #1).
-    pub consolidate_on_arrival: bool,
-    /// Run a dynamic-migration pass when a job departs
-    /// (Section III-C trigger #2).
-    pub consolidate_on_departure: bool,
     /// Failure injection; `None` (default) matches the paper's evaluation.
     pub failures: Option<FailureConfig>,
     /// Optional fleet partition for per-group energy accounting in the
@@ -46,11 +40,11 @@ pub struct SimConfig {
     /// Costs a constant factor per event; off by default.
     #[serde(default)]
     pub checked: bool,
-    /// Observability summary: arm the global obs layer (counters + flight
-    /// recorder) for this run and attach an
-    /// [`ObsReport`](dvmp_metrics::ObsReport) with per-control-interval
-    /// counter samples to the report. Off by default; tracing-disabled
-    /// runs stay bit-identical (DESIGN.md §10).
+    /// Observability summary: arm the obs layer (counters + flight
+    /// recorder) of the thread running the simulation, attach an
+    /// [`ObsReport`](dvmp_metrics::ObsReport) with the run's counter
+    /// totals and sample the per-control-interval telemetry store. Off by
+    /// default; tracing-disabled runs stay bit-identical (DESIGN.md §10).
     #[serde(default)]
     pub obs_summary: bool,
 }
@@ -60,8 +54,6 @@ impl Default for SimConfig {
         SimConfig {
             horizon: SimTime::from_days(7),
             spare: Some(SpareConfig::default()),
-            consolidate_on_arrival: true,
-            consolidate_on_departure: true,
             failures: None,
             power_groups: None,
             seed: 42,
@@ -82,7 +74,6 @@ mod tests {
         let spare = c.spare.expect("spare control on by default");
         assert_eq!(spare.control_period, SimDuration::HOUR);
         assert_eq!(spare.qos_epsilon, 0.05);
-        assert!(c.consolidate_on_arrival && c.consolidate_on_departure);
         assert!(c.failures.is_none());
         assert!(!c.checked, "checked mode is opt-in");
     }

@@ -133,11 +133,6 @@ impl ReferenceModel {
         Self::default()
     }
 
-    /// Number of VMs currently holding at least one reservation.
-    pub fn active_vms(&self) -> usize {
-        self.hosts.len()
-    }
-
     /// Applies one operation; errors describe ops that are nonsensical
     /// against the model's state (the simulator issuing such an op is
     /// itself a finding).
@@ -866,7 +861,7 @@ mod tests {
         };
         meter.record(SimTime::from_secs(100), dc.total_power_w());
         audit_clean(&mut oracle, 100, 4, &dc, &vms, &meter);
-        assert_eq!(oracle.reference().active_vms(), 0);
+        assert_eq!(oracle.reference().hosts.len(), 0);
     }
 
     #[test]
@@ -908,7 +903,7 @@ mod tests {
         meter.record(SimTime::from_secs(30), dc.total_power_w());
         audit_clean(&mut oracle, 30, 1, &dc, &vms, &meter);
         assert_eq!(dc.hosts_of(VmId(1)), &[PmId(0)]);
-        assert_eq!(oracle.reference().active_vms(), 1);
+        assert_eq!(oracle.reference().hosts.len(), 1);
     }
 
     #[test]

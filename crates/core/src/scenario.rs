@@ -265,30 +265,38 @@ impl Scenario {
         &self.fleet
     }
 
-    /// Runs the scenario under `policy`. The scenario itself is unchanged
-    /// and can be re-run with another policy on identical inputs.
-    pub fn run(&self, policy: Box<dyn PlacementPolicy>) -> RunReport {
-        Simulation::new(
+    /// Builds the simulation of this scenario under `policy`, ready to
+    /// run; an error when the inputs are invalid (see
+    /// [`Simulation::try_new`]). The scenario itself is unchanged.
+    pub fn simulation(&self, policy: Box<dyn PlacementPolicy>) -> Result<Simulation, String> {
+        Ok(Simulation::try_new(
             self.fleet.clone(),
             self.requests.clone(),
             policy,
             self.sim.clone(),
-        )
-        .with_resizes(self.resizes.clone())
-        .run()
+        )?
+        .with_resizes(self.resizes.clone()))
+    }
+
+    fn build(&self, policy: Box<dyn PlacementPolicy>) -> Simulation {
+        self.simulation(policy)
+            .unwrap_or_else(|e| panic!("invalid simulation input: {e}"))
+    }
+
+    /// Runs the scenario under `policy`. The scenario itself is unchanged
+    /// and can be re-run with another policy on identical inputs.
+    ///
+    /// # Panics
+    /// Panics on invalid inputs; [`simulation`](Self::simulation) returns
+    /// the error instead.
+    pub fn run(&self, policy: Box<dyn PlacementPolicy>) -> RunReport {
+        self.build(policy).run()
     }
 
     /// Like [`run`](Self::run), additionally returning the number of
     /// events the engine processed (for events/sec throughput rows).
     pub fn run_counting(&self, policy: Box<dyn PlacementPolicy>) -> (RunReport, u64) {
-        Simulation::new(
-            self.fleet.clone(),
-            self.requests.clone(),
-            policy,
-            self.sim.clone(),
-        )
-        .with_resizes(self.resizes.clone())
-        .run_counting()
+        self.build(policy).run_counting()
     }
 
     /// Like [`run`](Self::run), additionally collecting the milestone
@@ -297,14 +305,7 @@ impl Scenario {
         &self,
         policy: Box<dyn PlacementPolicy>,
     ) -> (RunReport, crate::timeline::Timeline) {
-        Simulation::new(
-            self.fleet.clone(),
-            self.requests.clone(),
-            policy,
-            self.sim.clone(),
-        )
-        .with_resizes(self.resizes.clone())
-        .run_with_timeline()
+        self.build(policy).run_with_timeline()
     }
 
     /// The mean offered load in VM-slots (total core·seconds of work over
@@ -320,16 +321,6 @@ impl Scenario {
             .map(|r| r.actual_runtime.as_secs_f64() * r.resources.get(0) as f64)
             .sum();
         core_secs / horizon
-    }
-
-    /// Total control-period count over the horizon (diagnostics).
-    pub fn control_periods(&self) -> u64 {
-        match &self.sim.spare {
-            Some(sp) if !sp.control_period.is_zero() => {
-                self.sim.horizon.as_secs() / sp.control_period.as_secs()
-            }
-            _ => 0,
-        }
     }
 
     /// A shortened name + seed tag (report labels).
@@ -358,7 +349,6 @@ mod tests {
         // Feasible under the 500-slot fleet.
         let load = s.mean_offered_concurrency();
         assert!(load < 450.0, "offered load {load}");
-        assert_eq!(s.control_periods(), 7 * 24);
     }
 
     #[test]

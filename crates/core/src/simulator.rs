@@ -138,7 +138,7 @@ impl SimWorld {
         if self.cfg.checked && self.oracle.is_none() {
             // Checked mode arms the flight recorder too, so any violation
             // can ship the records leading up to it (DESIGN.md §10). The
-            // switch is sticky and process-global by design.
+            // switch is sticky for the thread running the simulation.
             dvmp_obs::set_enabled(true);
             self.oracle = Some(Box::new(Oracle::new(&self.dc)));
         }
@@ -572,7 +572,6 @@ impl SimWorld {
     }
 
     fn handle_control_period(&mut self, now: SimTime, sched: &mut Scheduler<Event>) {
-        self.recorder.sample_obs(now);
         self.recorder
             .sample_timeseries(now, &self.dc, self.queue.len());
         let Some(sp) = &mut self.spare else { return };
@@ -618,9 +617,7 @@ impl World for SimWorld {
                     self.queue.push_back(id);
                     self.mark(now, Milestone::Queued(id));
                 }
-                if self.cfg.consolidate_on_arrival {
-                    self.consolidate(now, sched);
-                }
+                self.consolidate(now, sched);
                 self.enforce_power(now, sched);
             }
             Event::CreationDone(id) => {
@@ -650,9 +647,7 @@ impl World for SimWorld {
                 self.recorder.record_departure(now, core_seconds);
                 self.mark(now, Milestone::Departed(id));
                 self.drain_queue(now, sched);
-                if self.cfg.consolidate_on_departure {
-                    self.consolidate(now, sched);
-                }
+                self.consolidate(now, sched);
                 self.enforce_power(now, sched);
             }
             Event::MigrationDone(id) => {
@@ -748,7 +743,9 @@ impl Simulation {
     /// [`Simulation::new`] that returns an error instead of panicking
     /// when the policy rejects the fleet or the requests
     /// ([`PlacementPolicy::check_inputs`]) — e.g. resource vectors whose
-    /// dimensions disagree with the dynamic scheme's `min_vm`.
+    /// dimensions disagree with the dynamic scheme's `min_vm` — when two
+    /// requests share an id, or when `cfg.power_groups` does not
+    /// partition the fleet.
     pub fn try_new(
         mut fleet: Datacenter,
         mut requests: Vec<VmSpec>,
@@ -772,7 +769,7 @@ impl Simulation {
         if let Some(groups) = &cfg.power_groups {
             groups
                 .validate(fleet.len())
-                .expect("power_groups must partition the fleet");
+                .map_err(|e| format!("power_groups must partition the fleet: {e}"))?;
             recorder.set_groups(groups.clone());
         }
 
@@ -838,20 +835,10 @@ impl Simulation {
         self
     }
 
-    /// Enables milestone collection for this run (see
-    /// [`crate::timeline::Timeline`]).
-    pub fn with_timeline(mut self) -> Self {
-        self.engine.world_mut().timeline = Some(Timeline::new());
-        self
-    }
-
-    /// Runs to the horizon, returning the report and the collected
-    /// timeline. Milestone collection is enabled automatically if
-    /// `with_timeline` was not already called.
+    /// Runs to the horizon with milestone collection on, returning the
+    /// report and the collected timeline.
     pub fn run_with_timeline(mut self) -> (RunReport, Timeline) {
-        if self.engine.world().timeline.is_none() {
-            self.engine.world_mut().timeline = Some(Timeline::new());
-        }
+        self.engine.world_mut().timeline = Some(Timeline::new());
         let report = self.execute();
         let timeline = self
             .engine
@@ -1006,6 +993,23 @@ mod tests {
     }
 
     #[test]
+    fn power_groups_that_miss_a_pm_are_rejected_at_build() {
+        let mut cfg = base_cfg();
+        cfg.power_groups = Some(dvmp_metrics::recorder::PowerGroups {
+            names: vec!["all".into()],
+            assignment: vec![0; 3], // the fleet has 4 PMs
+        });
+        let err = Simulation::try_new(small_fleet(), vec![spec(1, 0, 60)], Box::new(FirstFit), cfg)
+            .err()
+            .expect("a partition that misses a PM is invalid input");
+        assert!(
+            err.contains("power_groups must partition the fleet"),
+            "{err}"
+        );
+        assert!(err.contains("fleet has 4"), "{err}");
+    }
+
+    #[test]
     fn pms_past_the_level_cache_are_rejected_at_build() {
         // 70 000 minimum VMs per PM: more Eq. 4 levels than the dynamic
         // scheme's planner indexes.
@@ -1030,10 +1034,7 @@ mod tests {
         // Machines start off: the first request pays boot (50 s for the
         // fast class) + creation (30 s) before its 1000 s of work.
         let requests = vec![spec(1, 0, 1_000)];
-        let mut cfg = base_cfg();
-        cfg.consolidate_on_arrival = false;
-        cfg.consolidate_on_departure = false;
-        let sim = Simulation::new(small_fleet(), requests, Box::new(FirstFit), cfg);
+        let sim = Simulation::new(small_fleet(), requests, Box::new(FirstFit), base_cfg());
         let report = sim.run();
         assert_eq!(report.total_departures, 1);
         // The recorder saw a non-idle PM for exactly the VM's residency.
@@ -1241,8 +1242,6 @@ mod tests {
     fn self_move_plans_are_dropped_not_applied() {
         let mut cfg = base_cfg();
         cfg.spare = None;
-        cfg.consolidate_on_arrival = false;
-        cfg.consolidate_on_departure = false;
         let mut engine = surgical::world_with(vec![spec(1, 0, 50_000)], cfg);
         engine.run_until(SimTime::from_secs(100));
         let host = surgical::running_on(&engine, VmId(1)).expect("running");
@@ -1408,14 +1407,8 @@ mod tests {
         let requests = vec![spec(1, 0, 2_000), spec(2, 0, 50_000)];
         let mut cfg = base_cfg();
         cfg.spare = None;
-        cfg.consolidate_on_arrival = false;
-        let mut fleet = small_fleet();
-        // Make placement deterministic and "fragmented": force first-fit
-        // style by using the dynamic policy on an empty fleet — VM 1 and
-        // VM 2 land on the same PM though. Instead pre-check via report:
-        let _ = &mut fleet;
         let sim = Simulation::new(
-            fleet,
+            small_fleet(),
             requests,
             Box::new(DynamicPlacement::paper_default()),
             cfg,
@@ -1456,8 +1449,6 @@ mod tests {
     fn destination_failure_aborts_migration_and_refunds_overhead() {
         let mut cfg = base_cfg();
         cfg.spare = None;
-        cfg.consolidate_on_arrival = false;
-        cfg.consolidate_on_departure = false;
         cfg.failures = Some(FailureConfig {
             base_rate: 0.0, // events injected manually below
             repair_time: SimDuration::from_hours(1),
@@ -1503,8 +1494,6 @@ mod tests {
     fn source_failure_mid_migration_requeues_and_releases_everything() {
         let mut cfg = base_cfg();
         cfg.spare = None;
-        cfg.consolidate_on_arrival = false;
-        cfg.consolidate_on_departure = false;
         cfg.failures = Some(FailureConfig {
             base_rate: 0.0,
             repair_time: SimDuration::from_hours(1),
@@ -1540,8 +1529,6 @@ mod tests {
         // The first checks sit 20 s inside the window edge of VM 1's
         // estimated end, so a missed update moves the count.
         let mut cfg = base_cfg();
-        cfg.consolidate_on_arrival = false;
-        cfg.consolidate_on_departure = false;
         cfg.failures = Some(FailureConfig {
             base_rate: 0.0,
             repair_time: SimDuration::from_hours(1),
@@ -1645,7 +1632,6 @@ mod tests {
         if let Some(sp) = &mut cfg.spare {
             sp.bootstrap_arrivals = 0.0;
         }
-        cfg.consolidate_on_arrival = false;
         let requests = vec![spec(1, 0, 1_000)];
         let mut engine = surgical::world_with(requests, cfg);
         engine.run_until(SimTime::from_secs(10));

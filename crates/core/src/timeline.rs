@@ -114,25 +114,6 @@ impl Timeline {
             .collect()
     }
 
-    /// The milestones concerning one PM, in order.
-    pub fn of_pm(&self, pm: PmId) -> Vec<(SimTime, Milestone)> {
-        self.entries
-            .iter()
-            .filter(|(_, m)| match *m {
-                Milestone::BootStarted(p)
-                | Milestone::BootFinished(p)
-                | Milestone::ShutdownStarted(p)
-                | Milestone::ShutdownFinished(p)
-                | Milestone::PmFailed(p)
-                | Milestone::PmRepaired(p) => p == pm,
-                Milestone::Placed { pm: p, .. } => p == pm,
-                Milestone::MigrationStarted { from, to, .. } => from == pm || to == pm,
-                _ => false,
-            })
-            .copied()
-            .collect()
-    }
-
     /// Renders the log as `t | milestone` lines (debugging aid).
     pub fn render(&self) -> String {
         use std::fmt::Write as _;
@@ -168,26 +149,6 @@ mod tests {
         assert_eq!(vm1.len(), 3);
         assert!(matches!(vm1[0].1, Milestone::Arrived(_)));
         assert!(matches!(vm1[2].1, Milestone::Started(_)));
-        let pm3 = tl.of_pm(PmId(3));
-        assert_eq!(pm3.len(), 1);
-        let pm5 = tl.of_pm(PmId(5));
-        assert_eq!(pm5.len(), 1);
-    }
-
-    #[test]
-    fn migration_milestones_index_both_pms() {
-        let mut tl = Timeline::new();
-        tl.push(
-            SimTime::from_secs(9),
-            Milestone::MigrationStarted {
-                vm: VmId(7),
-                from: PmId(0),
-                to: PmId(1),
-            },
-        );
-        assert_eq!(tl.of_pm(PmId(0)).len(), 1);
-        assert_eq!(tl.of_pm(PmId(1)).len(), 1);
-        assert_eq!(tl.of_vm(VmId(7)).len(), 1);
     }
 
     #[test]

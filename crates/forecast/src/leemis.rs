@@ -78,16 +78,6 @@ impl LeemisEstimator {
         SimDuration::from_secs(self.cycle_secs)
     }
 
-    /// Number of completed cycles `k`.
-    pub fn completed_cycles(&self) -> u64 {
-        self.completed
-    }
-
-    /// Total events in completed cycles `n`.
-    pub fn observed_events(&self) -> usize {
-        self.merged.len()
-    }
-
     /// Records one arrival at absolute time `t`. Arrivals must be fed in
     /// non-decreasing time order.
     pub fn record_arrival(&mut self, t: SimTime) {
@@ -220,7 +210,7 @@ mod tests {
             e.expected_in(SimTime::from_secs(200), SimDuration::HOUR),
             None
         );
-        assert_eq!(e.completed_cycles(), 0);
+        assert_eq!(e.completed, 0);
     }
 
     #[test]
@@ -231,8 +221,8 @@ mod tests {
             e.record_arrival(SimTime::from_secs(s));
         }
         e.roll_to(SimTime::from_days(1));
-        assert_eq!(e.completed_cycles(), 1);
-        assert_eq!(e.observed_events(), 3);
+        assert_eq!(e.completed, 1);
+        assert_eq!(e.merged.len(), 3);
         // Λ̂(S) = n/k · n/(n+1) · (n+1)/n = ... full-cycle value is n/k · (i+frac)
         // with i = n, frac = 1 at the boundary? i counts events ≤ S = all 3,
         // t_i = 30_000, t_next = S, frac = 1 at offset S.
@@ -264,7 +254,7 @@ mod tests {
     fn empty_cycles_estimate_zero() {
         let mut e = LeemisEstimator::new(day());
         e.roll_to(SimTime::from_days(2));
-        assert_eq!(e.completed_cycles(), 2);
+        assert_eq!(e.completed, 2);
         assert_eq!(
             e.expected_in(SimTime::from_days(2), SimDuration::HOUR),
             Some(0.0)
@@ -279,7 +269,7 @@ mod tests {
             e.record_arrival(SimTime::from_secs(s));
         }
         e.roll_to(SimTime::from_days(2));
-        assert_eq!(e.completed_cycles(), 2);
+        assert_eq!(e.completed, 2);
         let full = e.cumulative_at_offset(86_400).unwrap();
         // n = 4 over k = 2 cycles → Λ̂(S) = 2.
         assert!((full - 2.0).abs() < 1e-9, "Λ̂(S) = {full}");

@@ -7,7 +7,7 @@
 //! requests have to queue:
 //!
 //! - [`nhpp`]: NHPP machinery — piecewise-constant rate functions, exact
-//!   cumulative intensity, and a thinning sampler (used to validate the
+//!   cumulative intensity, and an exact sampler (used to validate the
 //!   estimator against known ground truth);
 //! - [`leemis`]: Leemis's (1991) nonparametric estimator of the cumulative
 //!   intensity function from superposed past realizations (Eq. 6–7's

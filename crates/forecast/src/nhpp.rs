@@ -2,9 +2,8 @@
 //!
 //! Supplies the ground truth against which the Leemis estimator is
 //! validated: an exact piecewise-constant intensity with its cumulative
-//! integral (Eq. 6), plus two samplers — per-interval Poisson counts (exact
-//! for piecewise-constant rates) and Lewis–Shedler thinning (for arbitrary
-//! bounded rate functions).
+//! integral (Eq. 6), plus an exact sampler — per-interval Poisson counts
+//! with uniform placement.
 
 use dvmp_simcore::dist::poisson as poisson_draw;
 use dvmp_simcore::{SimDuration, SimTime};
@@ -73,11 +72,6 @@ impl PiecewiseRate {
         }
     }
 
-    /// The maximum rate (thinning majorant).
-    pub fn max_rate(&self) -> f64 {
-        self.rates.iter().fold(0.0, |a, &b| a.max(b))
-    }
-
     /// Exact cumulative intensity `Λ(from, to) = ∫ λ dt` (Eq. 6).
     pub fn cumulative(&self, from: SimTime, to: SimTime) -> f64 {
         if to <= from {
@@ -112,41 +106,6 @@ impl PiecewiseRate {
     }
 }
 
-/// Lewis–Shedler thinning sampler for an arbitrary rate function bounded by
-/// `lambda_max` over `[0, horizon)`. Returns sorted event times.
-pub fn sample_thinning<R, F>(
-    rng: &mut R,
-    rate: F,
-    lambda_max: f64,
-    horizon: SimDuration,
-) -> Vec<SimTime>
-where
-    R: Rng + ?Sized,
-    F: Fn(SimTime) -> f64,
-{
-    assert!(lambda_max > 0.0 && lambda_max.is_finite());
-    let mut events = Vec::new();
-    let mut t = 0.0f64;
-    let horizon_s = horizon.as_secs_f64();
-    loop {
-        let u: f64 = rng.gen_range(f64::MIN_POSITIVE..1.0);
-        t += -u.ln() / lambda_max;
-        if t >= horizon_s {
-            break;
-        }
-        let instant = SimTime::from_secs(t as u64);
-        let lam = rate(instant);
-        debug_assert!(
-            lam <= lambda_max * (1.0 + 1e-9),
-            "rate exceeds the declared majorant"
-        );
-        if rng.gen::<f64>() * lambda_max < lam {
-            events.push(instant);
-        }
-    }
-    events
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -159,7 +118,6 @@ mod tests {
         assert_eq!(r.rate_at(SimTime::from_secs(3_599)), 1.0);
         assert_eq!(r.rate_at(SimTime::from_secs(3_600)), 2.0);
         assert_eq!(r.rate_at(SimTime::from_hours(2)), 0.0);
-        assert_eq!(r.max_rate(), 2.0);
     }
 
     #[test]
@@ -209,32 +167,6 @@ mod tests {
         let ev = r.sample_exact(&mut rng);
         assert!(ev.windows(2).all(|w| w[0] <= w[1]));
         assert!(ev.iter().all(|&t| t < SimTime::from_hours(1)));
-    }
-
-    #[test]
-    fn thinning_matches_cumulative_intensity() {
-        let r = PiecewiseRate::hourly(&[200.0, 600.0]);
-        let mut rng = stream_rng(11, Stream::Custom(3));
-        let mut total = 0usize;
-        let reps = 100;
-        for _ in 0..reps {
-            total += sample_thinning(
-                &mut rng,
-                |t| r.rate_at(t),
-                r.max_rate(),
-                SimDuration::from_hours(2),
-            )
-            .len();
-        }
-        let mean = total as f64 / reps as f64;
-        assert!((mean - 800.0).abs() < 25.0, "mean {mean}");
-    }
-
-    #[test]
-    fn thinning_is_sorted() {
-        let mut rng = stream_rng(13, Stream::Custom(4));
-        let ev = sample_thinning(&mut rng, |_| 0.05, 0.05, SimDuration::from_hours(1));
-        assert!(ev.windows(2).all(|w| w[0] <= w[1]));
     }
 
     #[test]

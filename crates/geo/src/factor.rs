@@ -20,27 +20,16 @@ use std::sync::Arc;
 ///
 /// Mirrors the structure of the paper's `eff_j = min{power}/power_j`:
 /// `p^cost_j = cheapest current price / price at j's region`, so the
-/// cheapest region scores 1 and pricier regions proportionally less. The
-/// `exponent` sharpens (> 1) or softens (< 1) the preference.
+/// cheapest region scores 1 and pricier regions proportionally less.
 #[derive(Debug)]
 pub struct PriceFactor {
     topology: Arc<GeoTopology>,
-    exponent: f64,
 }
 
 impl PriceFactor {
     /// Price factor with linear preference.
     pub fn new(topology: Arc<GeoTopology>) -> Self {
-        PriceFactor {
-            topology,
-            exponent: 1.0,
-        }
-    }
-
-    /// Price factor with a custom preference exponent.
-    pub fn with_exponent(topology: Arc<GeoTopology>, exponent: f64) -> Self {
-        assert!(exponent > 0.0 && exponent.is_finite());
-        PriceFactor { topology, exponent }
+        PriceFactor { topology }
     }
 }
 
@@ -73,7 +62,7 @@ impl KeyedFactor for PriceFactor {
             return 1.0; // free electricity: no objection
         }
         let cheapest = self.topology.cheapest_at(now);
-        (cheapest / price).powf(self.exponent)
+        cheapest / price
     }
 }
 
@@ -145,18 +134,6 @@ mod tests {
         // The current host plays no part: price is a function of the
         // candidate's region and the time only.
         assert_eq!(at(&f, Some(99), 0, t), east);
-    }
-
-    #[test]
-    fn exponent_sharpens_the_preference() {
-        let (_, topo) = two_region_paper_fleet(12);
-        let topo = Arc::new(topo);
-        let lin = PriceFactor::new(topo.clone());
-        let sharp = PriceFactor::with_exponent(topo, 2.0);
-        let t = SimTime::from_hours(18);
-        let e1 = at(&lin, None, 0, t);
-        let e2 = at(&sharp, None, 0, t);
-        assert!((e2 - e1 * e1).abs() < 1e-12);
     }
 
     #[test]

@@ -127,16 +127,6 @@ impl PriceSignal {
         }
         acc / self.period_secs as f64
     }
-
-    /// The cheapest tier.
-    pub fn min_price(&self) -> f64 {
-        self.prices.iter().fold(f64::INFINITY, |a, &b| a.min(b))
-    }
-
-    /// The most expensive tier.
-    pub fn max_price(&self) -> f64 {
-        self.prices.iter().fold(0.0f64, |a, &b| a.max(b))
-    }
 }
 
 #[cfg(test)]
@@ -150,8 +140,6 @@ mod tests {
             assert_eq!(p.price_at(SimTime::from_hours(h)), 0.10);
         }
         assert_eq!(p.mean(), 0.10);
-        assert_eq!(p.min_price(), 0.10);
-        assert_eq!(p.max_price(), 0.10);
     }
 
     #[test]
@@ -179,8 +167,6 @@ mod tests {
         assert_eq!(p.price_at(SimTime::from_hours(10)), 0.12);
         assert_eq!(p.price_at(SimTime::from_hours(18)), 0.30);
         assert_eq!(p.price_at(SimTime::from_hours(22)), 0.12);
-        assert_eq!(p.min_price(), 0.06);
-        assert_eq!(p.max_price(), 0.30);
     }
 
     #[test]

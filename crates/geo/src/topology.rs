@@ -60,11 +60,6 @@ impl GeoTopology {
             .fold(f64::INFINITY, f64::min)
     }
 
-    /// `true` when the two PMs sit in different regions.
-    pub fn cross_region(&self, a: PmId, b: PmId) -> bool {
-        self.region_of(a) != self.region_of(b)
-    }
-
     /// The matching power-group partition for regional energy accounting.
     pub fn power_groups(&self) -> PowerGroups {
         PowerGroups {
@@ -166,8 +161,6 @@ mod tests {
         assert_eq!(topo.region_of(PmId(49)), 0);
         assert_eq!(topo.region_of(PmId(50)), 1);
         assert_eq!(topo.region_of(PmId(99)), 1);
-        assert!(topo.cross_region(PmId(0), PmId(99)));
-        assert!(!topo.cross_region(PmId(1), PmId(2)));
     }
 
     #[test]

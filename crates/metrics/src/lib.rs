@@ -26,8 +26,7 @@ pub mod violation;
 pub use energy::EnergyMeter;
 pub use qos::{QosSummary, QosTracker};
 pub use recorder::{
-    ObsIntervalSample, ObsReport, PowerGroups, RunMeta, RunReport, SimulationRecorder,
-    RUN_REPORT_SCHEMA,
+    ObsReport, PowerGroups, RunMeta, RunReport, SimulationRecorder, RUN_REPORT_SCHEMA,
 };
 pub use sla::SaturationMeter;
 pub use violation::{Invariant, OracleSummary, Violation};

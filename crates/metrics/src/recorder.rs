@@ -17,8 +17,10 @@ use dvmp_simcore::{SimDuration, SimTime};
 use serde::{Deserialize, Serialize};
 
 /// Schema version stamped into [`RunMeta`]; bump when the report shape
-/// changes incompatibly. v7 added the `timeseries` and `meta` sections.
-pub const RUN_REPORT_SCHEMA: u32 = 7;
+/// changes incompatibly. v7 added the `timeseries` and `meta` sections;
+/// v8 dropped `obs.intervals` (the `timeseries` section's `ctr_*`
+/// channels carry the same per-interval counter deltas).
+pub const RUN_REPORT_SCHEMA: u32 = 8;
 
 /// A partition of the fleet for per-group power accounting — per region
 /// in the geo extension, or per hardware class for breakdown reports.
@@ -76,10 +78,9 @@ pub struct SimulationRecorder {
     rejected_resizes: u64,
     served_core_seconds: f64,
     /// Counter state at `enable_obs_sampling` time; `Some` arms per-interval
-    /// observability sampling (the global counters are process-cumulative,
-    /// so per-run numbers are deltas against this baseline).
+    /// observability sampling (the thread's counters are cumulative, so
+    /// per-run numbers are deltas against this baseline).
     obs_baseline: Option<ObsCounters>,
-    obs_intervals: Vec<ObsIntervalSample>,
     /// Phase-histogram state at arming time (latency channels are deltas).
     ts_phase_baseline: Vec<PhaseHistogram>,
     /// Bounded multi-resolution telemetry store; created lazily at the
@@ -118,38 +119,23 @@ impl SimulationRecorder {
             rejected_resizes: 0,
             served_core_seconds: 0.0,
             obs_baseline: None,
-            obs_intervals: Vec::new(),
             ts_phase_baseline: Vec::new(),
             ts_store: None,
             ts_scratch: Vec::new(),
         }
     }
 
-    /// Arms per-interval observability sampling: [`sample_obs`] calls start
-    /// recording counter deltas, and [`finish`] attaches an [`ObsReport`].
-    /// Also ensures the global obs layer is recording.
+    /// Arms per-interval observability sampling:
+    /// [`sample_timeseries`] calls start filling the telemetry store, and
+    /// [`finish`] attaches an [`ObsReport`]. Also turns recording on for
+    /// the calling thread.
     ///
-    /// [`sample_obs`]: SimulationRecorder::sample_obs
+    /// [`sample_timeseries`]: SimulationRecorder::sample_timeseries
     /// [`finish`]: SimulationRecorder::finish
     pub fn enable_obs_sampling(&mut self) {
         dvmp_obs::set_enabled(true);
         self.obs_baseline = Some(dvmp_obs::counters_snapshot());
         self.ts_phase_baseline = dvmp_obs::phase_histograms();
-    }
-
-    /// Samples the live counters (as deltas since arming) at a control
-    /// interval boundary. No-op unless [`enable_obs_sampling`] was called.
-    ///
-    /// [`enable_obs_sampling`]: SimulationRecorder::enable_obs_sampling
-    pub fn sample_obs(&mut self, now: SimTime) {
-        if let Some(base) = &self.obs_baseline {
-            let t = std::time::Instant::now();
-            self.obs_intervals.push(ObsIntervalSample {
-                t_s: now.as_secs(),
-                counters: dvmp_obs::counters_snapshot().delta_from(base),
-            });
-            dvmp_obs::add_sampling_ns(t.elapsed().as_nanos() as u64);
-        }
     }
 
     /// Samples fleet gauges, counter deltas and phase-latency quantiles
@@ -158,8 +144,8 @@ impl SimulationRecorder {
     /// the store is created at the first sample (its channel list depends
     /// on the fleet's resource dimension count).
     ///
-    /// Telemetry only *reads* fleet state and the process-global obs
-    /// layer — it can never influence simulation results (DESIGN.md §13).
+    /// Telemetry only *reads* fleet state and the thread's obs layer — it
+    /// can never influence simulation results (DESIGN.md §13).
     ///
     /// [`enable_obs_sampling`]: SimulationRecorder::enable_obs_sampling
     pub fn sample_timeseries(&mut self, now: SimTime, dc: &Datacenter, queue_depth: usize) {
@@ -228,14 +214,6 @@ impl SimulationRecorder {
         }
         store.sample(now.as_secs(), &self.ts_scratch);
         dvmp_obs::add_sampling_ns(t.elapsed().as_nanos() as u64);
-    }
-
-    /// The telemetry store's current heap footprint in bytes (0 before the
-    /// first sample) — what the bench memory-boundedness gate asserts on.
-    pub fn timeseries_bytes(&self) -> usize {
-        self.ts_store
-            .as_ref()
-            .map_or(0, TimeSeriesStore::approx_bytes)
     }
 
     /// Enables per-group power accounting. Call before the first sample.
@@ -387,7 +365,6 @@ impl SimulationRecorder {
             oracle: None,
             obs: self.obs_baseline.as_ref().map(|base| ObsReport {
                 totals: dvmp_obs::counters_snapshot().delta_from(base),
-                intervals: self.obs_intervals.clone(),
             }),
             timeseries: self.ts_store.as_ref().map(TimeSeriesStore::report),
             meta: None,
@@ -429,24 +406,13 @@ impl RunMeta {
     }
 }
 
-/// One per-interval observability sample: counter values (as deltas since
-/// the run started) at a control-period boundary.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct ObsIntervalSample {
-    /// Sample time, whole seconds.
-    pub t_s: u64,
-    /// Counter deltas since the run's obs baseline.
-    pub counters: ObsCounters,
-}
-
 /// The observability section of a [`RunReport`]: per-run counter totals
-/// plus the per-control-interval series (`--obs-summary`).
+/// (`--obs-summary`). The per-control-interval counter deltas live in the
+/// `timeseries` section's `ctr_*` channels.
 #[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct ObsReport {
     /// Counter deltas over the whole run.
     pub totals: ObsCounters,
-    /// Per-control-interval samples, in time order.
-    pub intervals: Vec<ObsIntervalSample>,
 }
 
 /// Immutable results of one simulation run — everything Figs. 3–5 plot.

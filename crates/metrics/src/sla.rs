@@ -9,7 +9,7 @@
 //! SLA-violation exposure in saturated-PM · seconds.
 
 use dvmp_simcore::series::StepSeries;
-use dvmp_simcore::{SimDuration, SimTime};
+use dvmp_simcore::SimTime;
 use serde::{Deserialize, Serialize};
 
 /// Integrating saturated-PM meter (the SLA analogue of
@@ -56,11 +56,6 @@ impl SaturationMeter {
         self.series.max_over(SimTime::ZERO, horizon)
     }
 
-    /// Violation seconds per hour bucket over `[0, horizon)`.
-    pub fn hourly_violation_seconds(&self, horizon: SimTime) -> Vec<f64> {
-        self.series.bucket_integrals(SimDuration::HOUR, horizon)
-    }
-
     /// The raw saturation step series (for custom analyses).
     pub fn series(&self) -> &StepSeries {
         &self.series
@@ -70,6 +65,7 @@ impl SaturationMeter {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dvmp_simcore::SimDuration;
 
     #[test]
     fn clean_run_integrates_to_zero() {
@@ -98,7 +94,9 @@ mod tests {
         let mut m = SaturationMeter::new();
         m.record(SimTime::from_mins(30), 2);
         m.record(SimTime::from_mins(90), 0);
-        let hourly = m.hourly_violation_seconds(SimTime::from_hours(2));
+        let hourly = m
+            .series()
+            .bucket_integrals(SimDuration::HOUR, SimTime::from_hours(2));
         assert_eq!(hourly.len(), 2);
         assert!((hourly[0] - 3_600.0).abs() < 1e-9, "{hourly:?}");
         assert!((hourly[1] - 3_600.0).abs() < 1e-9, "{hourly:?}");

@@ -1,43 +1,27 @@
 //! Live counters and gauges.
 //!
-//! One process-global [`Counters`] bank of relaxed `AtomicU64`s, bumped by
-//! the `note_*` helpers in the crate root (each behind the single
-//! `enabled()` branch). Counters are cumulative for the process lifetime —
-//! consumers that want per-run or per-interval numbers snapshot before and
-//! after and take [`CounterSnapshot::delta_from`].
+//! One plain-data [`CounterSnapshot`] bank per thread, bumped by the
+//! `note_*` helpers in the crate root (each behind the single `enabled()`
+//! branch). Counters are cumulative for the thread's lifetime — consumers
+//! that want per-run or per-interval numbers snapshot before and after
+//! and take [`CounterSnapshot::delta_from`].
 
 use serde::{Deserialize, Serialize};
+use std::cell::RefCell;
 use std::fmt::Write as _;
-use std::sync::atomic::{AtomicU64, Ordering};
 
 macro_rules! counter_bank {
     ($(#[doc = $doc:literal] $name:ident,)+) => {
-        /// The live atomic counter bank (see module docs).
-        #[derive(Debug, Default)]
-        pub struct Counters {
-            $(#[doc = $doc] pub $name: AtomicU64,)+
-        }
-
         /// A plain-data copy of every counter, taken at one instant.
         #[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
         pub struct CounterSnapshot {
             $(#[doc = $doc] pub $name: u64,)+
         }
 
-        impl Counters {
-            /// Relaxed-read every counter into a snapshot.
-            pub fn snapshot(&self) -> CounterSnapshot {
-                CounterSnapshot {
-                    $($name: self.$name.load(Ordering::Relaxed),)+
-                }
-            }
-
-            pub(crate) fn reset(&self) {
-                $(self.$name.store(0, Ordering::Relaxed);)+
-            }
-        }
-
         impl CounterSnapshot {
+            /// Every counter at 0.
+            pub const ZERO: CounterSnapshot = CounterSnapshot { $($name: 0,)+ };
+
             /// Counter movement since `earlier` (saturating, so snapshots
             /// taken across a [`crate::reset`] never underflow).
             pub fn delta_from(&self, earlier: &CounterSnapshot) -> CounterSnapshot {
@@ -112,40 +96,22 @@ counter_bank! {
     flight_dumps,
 }
 
-/// The process-global counter bank.
-pub fn counters() -> &'static Counters {
-    static BANK: Counters = Counters {
-        events_dispatched: AtomicU64::new(0),
-        vms_placed: AtomicU64::new(0),
-        vms_removed: AtomicU64::new(0),
-        migrations_started: AtomicU64::new(0),
-        migrations_finished: AtomicU64::new(0),
-        migrations_aborted: AtomicU64::new(0),
-        migrations_skipped: AtomicU64::new(0),
-        vms_resized: AtomicU64::new(0),
-        pm_failures: AtomicU64::new(0),
-        journal_drains: AtomicU64::new(0),
-        journal_full_drains: AtomicU64::new(0),
-        journal_dirty_pms: AtomicU64::new(0),
-        journal_dirty_vms: AtomicU64::new(0),
-        plan_passes_delta: AtomicU64::new(0),
-        plan_passes_fresh: AtomicU64::new(0),
-        plan_passes_compressed: AtomicU64::new(0),
-        compressed_patch_rows: AtomicU64::new(0),
-        compressed_patch_cols: AtomicU64::new(0),
-        compressed_round_passes: AtomicU64::new(0),
-        spare_decisions: AtomicU64::new(0),
-        spare_servers_gauge: AtomicU64::new(0),
-        journal_dirty_pms_gauge: AtomicU64::new(0),
-        oracle_violations: AtomicU64::new(0),
-        flight_dumps: AtomicU64::new(0),
-    };
-    &BANK
+thread_local! {
+    static BANK: RefCell<CounterSnapshot> = const { RefCell::new(CounterSnapshot::ZERO) };
 }
 
-/// Snapshot the global counter bank.
+/// Apply `f` to the calling thread's counter bank.
+pub(crate) fn bump(f: impl FnOnce(&mut CounterSnapshot)) {
+    BANK.with(|bank| f(&mut bank.borrow_mut()));
+}
+
+/// Snapshot the calling thread's counter bank.
 pub fn counters_snapshot() -> CounterSnapshot {
-    counters().snapshot()
+    BANK.with(|bank| bank.borrow().clone())
+}
+
+pub(crate) fn reset() {
+    bump(|c| *c = CounterSnapshot::ZERO);
 }
 
 impl CounterSnapshot {
@@ -186,15 +152,14 @@ mod tests {
         assert!(text.contains("events_dispatched"), "{text}");
         assert!(text.contains("25"), "{text}");
         assert!(CounterSnapshot::default().render().contains("all zero"));
+        assert_eq!(CounterSnapshot::ZERO, CounterSnapshot::default());
     }
 
     #[test]
     fn snapshot_reads_the_bank() {
-        // Counters are process-global; only assert monotonicity so this
-        // test stays robust against concurrently running tests.
         let before = counters_snapshot();
-        counters().vms_placed.fetch_add(2, Ordering::Relaxed);
+        bump(|c| c.vms_placed += 2);
         let after = counters_snapshot();
-        assert!(after.vms_placed >= before.vms_placed + 2);
+        assert_eq!(after.vms_placed, before.vms_placed + 2);
     }
 }

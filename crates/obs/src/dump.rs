@@ -18,7 +18,7 @@ pub struct DumpHeader {
     pub state_digest: u64,
     /// Records captured below.
     pub captured: u64,
-    /// Per-thread ring capacity that bounded the capture.
+    /// Ring capacity that bounded the capture.
     pub ring_capacity: u64,
 }
 
@@ -26,7 +26,6 @@ pub struct DumpHeader {
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct DumpRecord {
     pub stamp: u64,
-    pub tid: u64,
     pub time_s: u64,
     pub ordinal: u64,
     pub kind: String,
@@ -39,7 +38,6 @@ impl From<&Record> for DumpRecord {
     fn from(r: &Record) -> DumpRecord {
         DumpRecord {
             stamp: r.stamp,
-            tid: r.tid,
             time_s: r.time_s,
             ordinal: r.ordinal,
             kind: r.kind.name().to_string(),
@@ -54,20 +52,19 @@ impl From<&Record> for DumpRecord {
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct FlightDump {
     pub header: DumpHeader,
-    /// Records in `(stamp, tid)` order — oldest surviving record first.
+    /// Records in emission order — oldest surviving record first.
     pub records: Vec<DumpRecord>,
 }
 
-/// Drain the ring into a dump stamped with the failing check's identity.
+/// Drain the calling thread's ring into a dump stamped with the failing
+/// check's identity.
 pub fn capture_flight_dump(
     reason: &str,
     seq: u64,
     sim_time_s: u64,
     state_digest: u64,
 ) -> FlightDump {
-    crate::counters()
-        .flight_dumps
-        .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+    crate::counters::bump(|c| c.flight_dumps += 1);
     let records: Vec<DumpRecord> = crate::drain_records()
         .iter()
         .map(DumpRecord::from)
@@ -117,7 +114,6 @@ mod tests {
     fn render_elides_old_records() {
         let rec = |stamp| DumpRecord {
             stamp,
-            tid: 1,
             time_s: stamp * 10,
             ordinal: stamp,
             kind: "mark".to_string(),

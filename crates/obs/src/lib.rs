@@ -1,12 +1,12 @@
 //! # dvmp-obs — flight-recorder observability for the dvmp stack
 //!
-//! A structured tracing facade, lock-free flight-recorder ring, phase
-//! profiler and live counter bank, shared by every crate in the workspace.
-//! Nothing here ever influences simulation results: the instrumented
-//! crates only *report* through this crate, and the whole layer is
+//! A structured tracing facade, flight-recorder ring, phase profiler and
+//! live counter bank, shared by every crate in the workspace. Nothing
+//! here ever influences simulation results: the instrumented crates only
+//! *report* through this crate, and the whole layer is
 //! zero-cost-when-disabled — every instrumentation site reduces to one
-//! relaxed atomic load and a predictable branch (see DESIGN.md §10 for
-//! the cost model).
+//! thread-local load and a predictable branch (see DESIGN.md §10 for the
+//! cost model).
 //!
 //! Three independent switches, all off by default:
 //!
@@ -20,11 +20,14 @@
 //! helpers the workspace crates use), drain with [`drain_records`], and
 //! capture a [`FlightDump`] on failure with [`capture_flight_dump`].
 //!
-//! All state is process-global. That is deliberate: the simulator core
-//! stays signature-stable (no context threaded through `World::handle`),
-//! and a crash dump can always see every thread's last records. The cost
-//! is that counters are cumulative across runs in one process — consumers
-//! wanting per-run numbers diff [`CounterSnapshot`]s.
+//! All state is per thread, held as plain data in thread-locals: a
+//! simulation runs on one thread, and the switches, gauges, counters,
+//! histograms, span log and ring it reads and writes are that thread's
+//! alone. The simulator core stays signature-stable (no context threaded
+//! through `World::handle`), and two simulations on two threads never
+//! see each other's switches or counts. Counters are cumulative across
+//! runs on one thread — consumers wanting per-run numbers diff
+//! [`CounterSnapshot`]s.
 
 mod counters;
 mod dump;
@@ -33,7 +36,7 @@ mod record;
 mod ring;
 mod timeseries;
 
-pub use counters::{counters, counters_snapshot, CounterSnapshot, Counters};
+pub use counters::{counters_snapshot, CounterSnapshot};
 pub use dump::{capture_flight_dump, DumpHeader, DumpRecord, FlightDump};
 pub use profile::{
     chrome_trace_json, phase_histograms, profile_report, span_guard, PhaseHistogram, PhaseProfile,
@@ -45,98 +48,83 @@ pub use ring::{
 };
 pub use timeseries::{
     add_sampling_ns, lint_openmetrics, log2_bucket_quantile, sampling_ns, scrape_global,
-    GlobalMetrics, MetricsSource, OpenMetricsEncoder, TierSeries, TimeSeriesReport,
-    TimeSeriesStore, CONSOLIDATION, DEFAULT_TIER_CAPACITY, LATENCY_QUANTILES,
+    OpenMetricsEncoder, TierSeries, TimeSeriesReport, TimeSeriesStore, CONSOLIDATION,
+    DEFAULT_TIER_CAPACITY, LATENCY_QUANTILES,
 };
 
 use std::cell::Cell;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 
-static RECORDING: AtomicBool = AtomicBool::new(false);
-static PROFILING: AtomicBool = AtomicBool::new(false);
-static SPAN_CAPTURE: AtomicBool = AtomicBool::new(false);
+thread_local! {
+    static RECORDING: Cell<bool> = const { Cell::new(false) };
+    static PROFILING: Cell<bool> = const { Cell::new(false) };
+    static SPAN_CAPTURE: Cell<bool> = const { Cell::new(false) };
+    /// Gauges mirrored from the engine at every dispatch so records
+    /// emitted anywhere in the stack carry the simulation's current
+    /// position.
+    static SIM_TIME_S: Cell<u64> = const { Cell::new(0) };
+    static EVENT_ORDINAL: Cell<u64> = const { Cell::new(0) };
+}
 
-/// Gauges mirrored from the engine at every dispatch so records emitted
-/// anywhere in the stack carry the simulation's current position.
-static SIM_TIME_S: AtomicU64 = AtomicU64::new(0);
-static EVENT_ORDINAL: AtomicU64 = AtomicU64::new(0);
-
-/// Is record/counter emission on? The single branch every disabled-path
-/// instrumentation site pays.
+/// Is record/counter emission on for this thread? The single branch
+/// every disabled-path instrumentation site pays.
 #[inline(always)]
 pub fn enabled() -> bool {
-    RECORDING.load(Ordering::Relaxed)
+    RECORDING.with(Cell::get)
 }
 
-/// Is the phase profiler on?
+/// Is the phase profiler on for this thread?
 #[inline(always)]
 pub fn profiling_enabled() -> bool {
-    PROFILING.load(Ordering::Relaxed)
+    PROFILING.with(Cell::get)
 }
 
-/// Is full span capture (chrome trace) on?
+/// Is full span capture (chrome trace) on for this thread?
 #[inline(always)]
 pub fn span_capture_enabled() -> bool {
-    SPAN_CAPTURE.load(Ordering::Relaxed)
+    SPAN_CAPTURE.with(Cell::get)
 }
 
-/// Turn record + counter emission on or off (process-global, sticky).
+/// Turn record + counter emission on or off for this thread (sticky).
 pub fn set_enabled(on: bool) {
-    RECORDING.store(on, Ordering::SeqCst);
+    RECORDING.with(|c| c.set(on));
 }
 
-/// Turn the phase profiler on or off.
+/// Turn this thread's phase profiler on or off.
 pub fn set_profiling(on: bool) {
-    PROFILING.store(on, Ordering::SeqCst);
+    PROFILING.with(|c| c.set(on));
 }
 
-/// Turn chrome-trace span capture on or off. Enabling implies profiling
-/// (spans must be timed to be captured); disabling leaves profiling as-is.
+/// Turn this thread's chrome-trace span capture on or off. Enabling
+/// implies profiling (spans must be timed to be captured); disabling
+/// leaves profiling as-is.
 pub fn set_span_capture(on: bool) {
     if on {
-        PROFILING.store(true, Ordering::SeqCst);
+        set_profiling(true);
     }
-    SPAN_CAPTURE.store(on, Ordering::SeqCst);
+    SPAN_CAPTURE.with(|c| c.set(on));
 }
 
 /// Current simulation time gauge (whole seconds).
 #[inline]
 pub fn sim_time_s() -> u64 {
-    SIM_TIME_S.load(Ordering::Relaxed)
+    SIM_TIME_S.with(Cell::get)
 }
 
 /// Current engine event ordinal gauge (1-based; 0 before the first event).
 #[inline]
 pub fn event_ordinal() -> u64 {
-    EVENT_ORDINAL.load(Ordering::Relaxed)
+    EVENT_ORDINAL.with(Cell::get)
 }
 
-/// Clear counters, ring contents, histograms and captured spans. Gauges
-/// reset too; the global stamp keeps counting (monotone forever). Only
-/// meaningful while emitters are quiescent — a test/bench affordance.
+/// Clear this thread's counters, ring contents, histograms, captured
+/// spans and gauges. The ring's emission count keeps counting (stamps
+/// stay monotone). A test/bench affordance.
 pub fn reset() {
-    counters().reset();
+    counters::reset();
     ring::reset();
     profile::reset();
-    SIM_TIME_S.store(0, Ordering::SeqCst);
-    EVENT_ORDINAL.store(0, Ordering::SeqCst);
-}
-
-static NEXT_TID: AtomicU64 = AtomicU64::new(1);
-
-thread_local! {
-    static TID: Cell<u64> = const { Cell::new(0) };
-}
-
-/// Small dense id for the calling thread (assigned on first use; shared
-/// by ring segments and captured spans).
-pub(crate) fn thread_tid() -> u64 {
-    TID.with(|t| {
-        if t.get() == 0 {
-            t.set(NEXT_TID.fetch_add(1, Ordering::Relaxed));
-        }
-        t.get()
-    })
+    SIM_TIME_S.with(|c| c.set(0));
+    EVENT_ORDINAL.with(|c| c.set(0));
 }
 
 /// Write one record carrying the current gauges and thread phase. Callers
@@ -147,8 +135,8 @@ pub fn emit(kind: RecordKind, a: u64, b: u64) {
     ring::emit(
         kind,
         profile::current_phase(),
-        SIM_TIME_S.load(Ordering::Relaxed),
-        EVENT_ORDINAL.load(Ordering::Relaxed),
+        sim_time_s(),
+        event_ordinal(),
         a,
         b,
     );
@@ -201,9 +189,9 @@ pub fn note_dispatch(time_s: u64, ordinal: u64, pending: u64) {
     if !enabled() {
         return;
     }
-    SIM_TIME_S.store(time_s, Ordering::Relaxed);
-    EVENT_ORDINAL.store(ordinal, Ordering::Relaxed);
-    counters().events_dispatched.fetch_add(1, Ordering::Relaxed);
+    SIM_TIME_S.with(|c| c.set(time_s));
+    EVENT_ORDINAL.with(|c| c.set(ordinal));
+    counters::bump(|c| c.events_dispatched += 1);
     emit(RecordKind::EventDispatched, pending, 0);
 }
 
@@ -211,7 +199,7 @@ pub fn note_dispatch(time_s: u64, ordinal: u64, pending: u64) {
 #[inline]
 pub fn note_vm_placed(vm: u64, pm: u64) {
     if enabled() {
-        counters().vms_placed.fetch_add(1, Ordering::Relaxed);
+        counters::bump(|c| c.vms_placed += 1);
         emit(RecordKind::VmPlaced, vm, pm);
     }
 }
@@ -220,7 +208,7 @@ pub fn note_vm_placed(vm: u64, pm: u64) {
 #[inline]
 pub fn note_vm_removed(vm: u64, hosts: u64) {
     if enabled() {
-        counters().vms_removed.fetch_add(1, Ordering::Relaxed);
+        counters::bump(|c| c.vms_removed += 1);
         emit(RecordKind::VmRemoved, vm, hosts);
     }
 }
@@ -229,9 +217,7 @@ pub fn note_vm_removed(vm: u64, hosts: u64) {
 #[inline]
 pub fn note_migration_started(vm: u64, to_pm: u64) {
     if enabled() {
-        counters()
-            .migrations_started
-            .fetch_add(1, Ordering::Relaxed);
+        counters::bump(|c| c.migrations_started += 1);
         emit(RecordKind::MigrationStarted, vm, to_pm);
     }
 }
@@ -240,9 +226,7 @@ pub fn note_migration_started(vm: u64, to_pm: u64) {
 #[inline]
 pub fn note_migration_finished(vm: u64, from_pm: u64) {
     if enabled() {
-        counters()
-            .migrations_finished
-            .fetch_add(1, Ordering::Relaxed);
+        counters::bump(|c| c.migrations_finished += 1);
         emit(RecordKind::MigrationFinished, vm, from_pm);
     }
 }
@@ -251,7 +235,7 @@ pub fn note_migration_finished(vm: u64, from_pm: u64) {
 #[inline]
 pub fn note_vm_resized(vm: u64, pm: u64) {
     if enabled() {
-        counters().vms_resized.fetch_add(1, Ordering::Relaxed);
+        counters::bump(|c| c.vms_resized += 1);
         emit(RecordKind::VmResized, vm, pm);
     }
 }
@@ -260,9 +244,7 @@ pub fn note_vm_resized(vm: u64, pm: u64) {
 #[inline]
 pub fn note_migration_aborted(vm: u64) {
     if enabled() {
-        counters()
-            .migrations_aborted
-            .fetch_add(1, Ordering::Relaxed);
+        counters::bump(|c| c.migrations_aborted += 1);
         emit(RecordKind::MigrationAborted, vm, 0);
     }
 }
@@ -271,9 +253,7 @@ pub fn note_migration_aborted(vm: u64) {
 #[inline]
 pub fn note_migration_skipped(vm: u64) {
     if enabled() {
-        counters()
-            .migrations_skipped
-            .fetch_add(1, Ordering::Relaxed);
+        counters::bump(|c| c.migrations_skipped += 1);
         emit(RecordKind::MigrationSkipped, vm, 0);
     }
 }
@@ -282,7 +262,7 @@ pub fn note_migration_skipped(vm: u64) {
 #[inline]
 pub fn note_pm_failed(pm: u64, displaced: u64) {
     if enabled() {
-        counters().pm_failures.fetch_add(1, Ordering::Relaxed);
+        counters::bump(|c| c.pm_failures += 1);
         emit(RecordKind::PmFailed, pm, displaced);
     }
 }
@@ -294,20 +274,19 @@ pub fn note_journal_drained(dirty: Option<(u64, u64)>) {
     if !enabled() {
         return;
     }
-    let c = counters();
-    c.journal_drains.fetch_add(1, Ordering::Relaxed);
-    match dirty {
-        Some((pms, vms)) => {
-            c.journal_dirty_pms.fetch_add(pms, Ordering::Relaxed);
-            c.journal_dirty_vms.fetch_add(vms, Ordering::Relaxed);
-            c.journal_dirty_pms_gauge.store(pms, Ordering::Relaxed);
-            emit(RecordKind::JournalDrained, pms, vms);
+    counters::bump(|c| {
+        c.journal_drains += 1;
+        match dirty {
+            Some((pms, vms)) => {
+                c.journal_dirty_pms += pms;
+                c.journal_dirty_vms += vms;
+                c.journal_dirty_pms_gauge = pms;
+            }
+            None => c.journal_full_drains += 1,
         }
-        None => {
-            c.journal_full_drains.fetch_add(1, Ordering::Relaxed);
-            emit(RecordKind::JournalDrained, u64::MAX, u64::MAX);
-        }
-    }
+    });
+    let (a, b) = dirty.unwrap_or((u64::MAX, u64::MAX));
+    emit(RecordKind::JournalDrained, a, b);
 }
 
 /// Planning pass kernel choice: the class-compressed planner served the
@@ -315,9 +294,7 @@ pub fn note_journal_drained(dirty: Option<(u64, u64)>) {
 #[inline]
 pub fn note_plan_kernel_compressed(rows: u64, cols: u64) {
     if enabled() {
-        counters()
-            .plan_passes_compressed
-            .fetch_add(1, Ordering::Relaxed);
+        counters::bump(|c| c.plan_passes_compressed += 1);
         emit(RecordKind::PlanKernelCompressed, rows, cols);
     }
 }
@@ -327,9 +304,10 @@ pub fn note_plan_kernel_compressed(rows: u64, cols: u64) {
 #[inline]
 pub fn note_compressed_patch(rows: u64, cols: u64) {
     if enabled() {
-        let c = counters();
-        c.compressed_patch_rows.fetch_add(rows, Ordering::Relaxed);
-        c.compressed_patch_cols.fetch_add(cols, Ordering::Relaxed);
+        counters::bump(|c| {
+            c.compressed_patch_rows += rows;
+            c.compressed_patch_cols += cols;
+        });
     }
 }
 
@@ -338,9 +316,7 @@ pub fn note_compressed_patch(rows: u64, cols: u64) {
 #[inline]
 pub fn note_compressed_rounds_entered() {
     if enabled() {
-        counters()
-            .compressed_round_passes
-            .fetch_add(1, Ordering::Relaxed);
+        counters::bump(|c| c.compressed_round_passes += 1);
     }
 }
 
@@ -348,9 +324,10 @@ pub fn note_compressed_rounds_entered() {
 #[inline]
 pub fn note_spare_decision(n_arrival: u64, spare: u64) {
     if enabled() {
-        let c = counters();
-        c.spare_decisions.fetch_add(1, Ordering::Relaxed);
-        c.spare_servers_gauge.store(spare, Ordering::Relaxed);
+        counters::bump(|c| {
+            c.spare_decisions += 1;
+            c.spare_servers_gauge = spare;
+        });
         emit(RecordKind::SpareDecision, n_arrival, spare);
     }
 }
@@ -359,9 +336,7 @@ pub fn note_spare_decision(n_arrival: u64, spare: u64) {
 #[inline]
 pub fn note_oracle_violation(seq: u64, count: u64) {
     if enabled() {
-        counters()
-            .oracle_violations
-            .fetch_add(count, Ordering::Relaxed);
+        counters::bump(|c| c.oracle_violations += count);
         emit(RecordKind::OracleViolation, seq, count);
     }
 }
@@ -403,183 +378,115 @@ pub fn host_threads() -> usize {
         .unwrap_or(1)
 }
 
-/// Serializes tests (and downstream integration tests) that flip the
-/// process-global switches or assert on ring/counter contents.
-pub fn test_lock() -> std::sync::MutexGuard<'static, ()> {
-    static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
-    LOCK.lock()
-        .unwrap_or_else(std::sync::PoisonError::into_inner)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::Barrier;
 
-    /// Emit `n` marks from a brand-new thread so the test owns a fresh
-    /// segment, and return that segment's tid (read back from the drain).
-    fn emit_on_fresh_thread(n: u64, marker: u64) -> u64 {
-        let handle = std::thread::spawn(move || {
-            for i in 0..n {
-                event!(RecordKind::Mark, marker, i);
-            }
-            thread_tid()
-        });
-        handle.join().expect("emitter thread panicked")
+    fn emit_marks(n: u64, marker: u64) {
+        for i in 0..n {
+            event!(RecordKind::Mark, marker, i);
+        }
     }
 
     #[test]
     fn disabled_emission_is_dropped() {
-        let _lock = test_lock();
-        set_enabled(false);
-        let tid = emit_on_fresh_thread(10, 0xD15A);
-        let seen = drain_records().iter().filter(|r| r.tid == tid).count();
-        assert_eq!(seen, 0, "disabled event! must not write the ring");
+        assert!(!enabled(), "recording starts off");
+        emit_marks(10, 0xD15A);
+        assert!(
+            drain_records().is_empty(),
+            "disabled event! must not write the ring"
+        );
+        assert_eq!(records_emitted(), 0);
     }
 
     #[test]
     fn wrap_around_overwrites_oldest_first() {
-        let _lock = test_lock();
         set_enabled(true);
         set_ring_capacity(64);
-        let tid = emit_on_fresh_thread(100, 0xCAFE);
-        set_ring_capacity(DEFAULT_RING_CAPACITY);
+        emit_marks(100, 0xCAFE);
         set_enabled(false);
 
-        let mine: Vec<Record> = drain_records()
-            .into_iter()
-            .filter(|r| r.tid == tid)
-            .collect();
-        assert_eq!(mine.len(), 64, "segment retains exactly its capacity");
+        let records = drain_records();
+        assert_eq!(records.len(), 64, "ring retains exactly its capacity");
+        assert_eq!(records_emitted(), 100);
         // The 36 oldest records (b = 0..36) were overwritten; survivors are
         // the last 64 in emission order.
-        let bs: Vec<u64> = mine.iter().map(|r| r.b).collect();
+        let bs: Vec<u64> = records.iter().map(|r| r.b).collect();
         assert_eq!(
             bs,
             (36..100).collect::<Vec<u64>>(),
             "oldest-first overwrite"
         );
-        assert!(
-            mine.windows(2).all(|w| w[0].stamp < w[1].stamp),
-            "stamps monotone"
+        let stamps: Vec<u64> = records.iter().map(|r| r.stamp).collect();
+        assert_eq!(
+            stamps,
+            (37..=100).collect::<Vec<u64>>(),
+            "stamps count emissions"
         );
-        assert!(mine
+        assert!(records
             .iter()
             .all(|r| r.kind == RecordKind::Mark && r.a == 0xCAFE));
-    }
 
-    #[test]
-    fn multi_thread_drain_merges_deterministically() {
-        let _lock = test_lock();
-        set_enabled(true);
-        const THREADS: u64 = 4;
-        const PER_THREAD: u64 = 500;
-        let barrier = std::sync::Arc::new(Barrier::new(THREADS as usize));
-        let mut handles = Vec::new();
-        for t in 0..THREADS {
-            let barrier = std::sync::Arc::clone(&barrier);
-            handles.push(std::thread::spawn(move || {
-                barrier.wait();
-                for i in 0..PER_THREAD {
-                    event!(RecordKind::Mark, 0xBEE5 + t, i);
-                }
-                thread_tid()
-            }));
-        }
-        let tids: Vec<u64> = handles
-            .into_iter()
-            .map(|h| h.join().expect("emitter panicked"))
-            .collect();
-        set_enabled(false);
-
-        let filter = |records: Vec<Record>| -> Vec<Record> {
-            records
-                .into_iter()
-                .filter(|r| tids.contains(&r.tid))
-                .collect()
-        };
-        let first = filter(drain_records());
-        let second = filter(drain_records());
-        assert_eq!(
-            first, second,
-            "drains with quiescent writers are repeatable"
-        );
-
-        assert_eq!(first.len(), (THREADS * PER_THREAD) as usize);
-        // Global (stamp, tid) order is strictly increasing…
-        assert!(first
-            .windows(2)
-            .all(|w| (w[0].stamp, w[0].tid) < (w[1].stamp, w[1].tid)));
-        // …and within it every thread's records appear in emission order.
-        for (t, tid) in tids.iter().enumerate() {
-            let bs: Vec<u64> = first
-                .iter()
-                .filter(|r| r.tid == *tid)
-                .map(|r| r.b)
-                .collect();
-            assert_eq!(
-                bs,
-                (0..PER_THREAD).collect::<Vec<u64>>(),
-                "thread {t} order"
-            );
-        }
+        // Shrinking keeps the newest records, in order.
+        set_ring_capacity(16);
+        let bs: Vec<u64> = drain_records().iter().map(|r| r.b).collect();
+        assert_eq!(bs, (84..100).collect::<Vec<u64>>());
     }
 
     #[test]
     fn records_carry_gauges_and_phase() {
-        let _lock = test_lock();
         set_enabled(true);
         set_profiling(true);
         note_dispatch(1234, 56, 7);
-        let tid = {
+        {
             let _span = span!(Phase::PlanApply);
             event!(RecordKind::Mark, 1u64);
-            thread_tid()
-        };
+        }
         set_profiling(false);
         set_enabled(false);
 
-        let mine: Vec<Record> = drain_records()
-            .into_iter()
-            .filter(|r| r.tid == tid && r.kind == RecordKind::Mark && r.a == 1)
-            .collect();
-        let last = mine.last().expect("mark recorded");
+        let records = drain_records();
+        assert_eq!(records.len(), 2, "{records:?}");
+        let last = records[1];
+        assert_eq!(last.kind, RecordKind::Mark);
         assert_eq!(
             (last.time_s, last.ordinal),
             (1234, 56),
             "gauges from note_dispatch"
         );
         assert_eq!(last.phase, Phase::PlanApply, "innermost span phase");
+        assert_eq!(counters_snapshot().events_dispatched, 1);
         let profile = profile_report();
         assert!(
             profile
                 .phases
                 .iter()
-                .any(|p| p.phase == "plan-apply" && p.count >= 1),
+                .any(|p| p.phase == "plan-apply" && p.count == 1),
             "{profile:?}"
         );
     }
 
     #[test]
     fn flight_dump_captures_ring_tail() {
-        let _lock = test_lock();
         set_enabled(true);
-        let tid = emit_on_fresh_thread(8, 0xF00D);
+        emit_marks(8, 0xF00D);
         let dump = capture_flight_dump("capacity: injected", 42, 4200, 0xABCD);
         set_enabled(false);
         assert_eq!(dump.header.seq, 42);
         assert_eq!(dump.header.sim_time_s, 4200);
-        assert_eq!(dump.header.captured as usize, dump.records.len());
-        let mine: Vec<&DumpRecord> = dump.records.iter().filter(|r| r.tid == tid).collect();
-        assert_eq!(mine.len(), 8);
-        assert!(mine.iter().all(|r| r.kind == "mark" && r.a == 0xF00D));
+        assert_eq!(dump.header.captured, 8);
+        assert_eq!(dump.records.len(), 8);
+        assert!(dump
+            .records
+            .iter()
+            .all(|r| r.kind == "mark" && r.a == 0xF00D));
+        assert_eq!(counters_snapshot().flight_dumps, 1);
         let text = dump.render(4);
         assert!(text.contains("event #42 @ 4200s"), "{text}");
     }
 
     #[test]
     fn span_capture_feeds_chrome_trace() {
-        let _lock = test_lock();
         set_span_capture(true);
         assert!(profiling_enabled(), "span capture implies profiling");
         {
@@ -591,5 +498,21 @@ mod tests {
         assert!(json.contains("\"traceEvents\""), "{json}");
         assert!(json.contains("compressed-plan"), "{json}");
         assert!(json.contains("\"ph\":\"X\""), "{json}");
+    }
+
+    #[test]
+    fn reset_clears_the_calling_threads_state() {
+        set_enabled(true);
+        set_profiling(true);
+        note_dispatch(10, 1, 0);
+        drop(span!(Phase::EventDispatch));
+        reset();
+        set_profiling(false);
+        set_enabled(false);
+        assert_eq!(counters_snapshot(), CounterSnapshot::ZERO);
+        assert!(drain_records().is_empty());
+        assert!(phase_histograms().iter().all(|h| h.count == 0));
+        assert_eq!((sim_time_s(), event_ordinal()), (0, 0));
+        assert_eq!(records_emitted(), 1, "the emission count survives a reset");
     }
 }

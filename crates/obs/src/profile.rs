@@ -3,55 +3,44 @@
 //!
 //! A [`SpanGuard`] (from [`span_guard`] / the `span!` macro) stamps
 //! `Instant::now()` on entry and on drop adds the elapsed nanoseconds to
-//! its phase's count/total/max and a log2 bucket. Guards also maintain a
-//! per-thread *current phase* so flight-recorder records carry the phase
-//! they were emitted under. When span capture is on, every completed span
-//! is additionally appended (under a mutex — capture is a debugging mode,
-//! not a hot path) for export as chrome trace complete events.
+//! its phase's count/total/max and a log2 bucket. Guards also maintain
+//! the thread's *current phase* so flight-recorder records carry the
+//! phase they were emitted under. When span capture is on, every
+//! completed span is additionally appended to the thread's span log for
+//! export as chrome trace complete events. All of it is per thread.
 
 use crate::record::{Phase, PHASE_COUNT};
 use serde::{Deserialize, Serialize};
-use std::cell::Cell;
+use std::cell::{Cell, RefCell};
 use std::fmt::Write as _;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Mutex, OnceLock};
+use std::sync::OnceLock;
 use std::time::Instant;
 
 /// log2 duration buckets: bucket `i` counts spans in `[2^i, 2^{i+1})` ns,
 /// bucket 31 collects everything ≥ ~2.1 s.
 pub const PROFILE_BUCKETS: usize = 32;
 
+#[derive(Clone, Copy)]
 struct PhaseSlot {
-    count: AtomicU64,
-    total_ns: AtomicU64,
-    max_ns: AtomicU64,
-    buckets: [AtomicU64; PROFILE_BUCKETS],
+    count: u64,
+    total_ns: u64,
+    max_ns: u64,
+    buckets: [u64; PROFILE_BUCKETS],
 }
 
 impl PhaseSlot {
-    fn new() -> PhaseSlot {
-        PhaseSlot {
-            count: AtomicU64::new(0),
-            total_ns: AtomicU64::new(0),
-            max_ns: AtomicU64::new(0),
-            buckets: std::array::from_fn(|_| AtomicU64::new(0)),
-        }
-    }
+    const ZERO: PhaseSlot = PhaseSlot {
+        count: 0,
+        total_ns: 0,
+        max_ns: 0,
+        buckets: [0; PROFILE_BUCKETS],
+    };
 
-    fn record(&self, ns: u64) {
-        self.count.fetch_add(1, Ordering::Relaxed);
-        self.total_ns.fetch_add(ns, Ordering::Relaxed);
-        self.max_ns.fetch_max(ns, Ordering::Relaxed);
-        self.buckets[bucket_of(ns)].fetch_add(1, Ordering::Relaxed);
-    }
-
-    fn reset(&self) {
-        self.count.store(0, Ordering::Relaxed);
-        self.total_ns.store(0, Ordering::Relaxed);
-        self.max_ns.store(0, Ordering::Relaxed);
-        for b in &self.buckets {
-            b.store(0, Ordering::Relaxed);
-        }
+    fn record(&mut self, ns: u64) {
+        self.count += 1;
+        self.total_ns = self.total_ns.saturating_add(ns);
+        self.max_ns = self.max_ns.max(ns);
+        self.buckets[bucket_of(ns)] += 1;
     }
 }
 
@@ -64,38 +53,31 @@ fn bucket_of(ns: u64) -> usize {
     }
 }
 
-fn slots() -> &'static [PhaseSlot; PHASE_COUNT] {
-    static SLOTS: OnceLock<[PhaseSlot; PHASE_COUNT]> = OnceLock::new();
-    SLOTS.get_or_init(|| std::array::from_fn(|_| PhaseSlot::new()))
-}
-
-/// Wall-clock origin for chrome-trace timestamps (first profiler touch).
+/// Wall-clock origin for chrome-trace timestamps (first profiler touch
+/// in the process).
 fn epoch() -> Instant {
     static EPOCH: OnceLock<Instant> = OnceLock::new();
     *EPOCH.get_or_init(Instant::now)
-}
-
-thread_local! {
-    static CURRENT_PHASE: Cell<u8> = const { Cell::new(0) };
-}
-
-/// The innermost open span's phase on this thread.
-pub(crate) fn current_phase() -> Phase {
-    Phase::from_u8(CURRENT_PHASE.with(Cell::get))
 }
 
 /// A captured span for chrome://tracing export.
 #[derive(Debug, Clone, Copy)]
 struct CapturedSpan {
     phase: Phase,
-    tid: u64,
     start_ns: u64,
     dur_ns: u64,
 }
 
-fn captured() -> &'static Mutex<Vec<CapturedSpan>> {
-    static CAPTURED: OnceLock<Mutex<Vec<CapturedSpan>>> = OnceLock::new();
-    CAPTURED.get_or_init(|| Mutex::new(Vec::new()))
+thread_local! {
+    static CURRENT_PHASE: Cell<u8> = const { Cell::new(0) };
+    static SLOTS: RefCell<[PhaseSlot; PHASE_COUNT]> =
+        const { RefCell::new([PhaseSlot::ZERO; PHASE_COUNT]) };
+    static CAPTURED: RefCell<Vec<CapturedSpan>> = const { RefCell::new(Vec::new()) };
+}
+
+/// The innermost open span's phase on this thread.
+pub(crate) fn current_phase() -> Phase {
+    Phase::from_u8(CURRENT_PHASE.with(Cell::get))
 }
 
 /// RAII phase timer; see module docs. Obtain via [`span_guard`] or the
@@ -125,7 +107,7 @@ impl Drop for SpanGuard {
     fn drop(&mut self) {
         let ns = u64::try_from(self.start.elapsed().as_nanos()).unwrap_or(u64::MAX);
         CURRENT_PHASE.with(|c| c.set(self.prev_phase));
-        slots()[self.phase as usize].record(ns);
+        SLOTS.with(|slots| slots.borrow_mut()[self.phase as usize].record(ns));
         if crate::span_capture_enabled() {
             let start_ns = u64::try_from(
                 self.start
@@ -134,15 +116,12 @@ impl Drop for SpanGuard {
                     .as_nanos(),
             )
             .unwrap_or(u64::MAX);
-            captured()
-                .lock()
-                .expect("obs span sink poisoned")
-                .push(CapturedSpan {
-                    phase: self.phase,
-                    tid: crate::thread_tid(),
-                    start_ns,
-                    dur_ns: ns,
-                });
+            let span = CapturedSpan {
+                phase: self.phase,
+                start_ns,
+                dur_ns: ns,
+            };
+            let _ = CAPTURED.try_with(|log| log.borrow_mut().push(span));
         }
     }
 }
@@ -168,31 +147,24 @@ pub struct ProfileReport {
 
 /// Aggregate every phase with at least one completed span.
 pub fn profile_report() -> ProfileReport {
-    let mut phases = Vec::new();
-    for phase in Phase::TIMED {
-        let slot = &slots()[phase as usize];
-        let count = slot.count.load(Ordering::Relaxed);
-        if count == 0 {
-            continue;
-        }
-        let total_ns = slot.total_ns.load(Ordering::Relaxed);
-        let mut log2_ns: Vec<u64> = slot
-            .buckets
-            .iter()
-            .map(|b| b.load(Ordering::Relaxed))
-            .collect();
-        while log2_ns.last() == Some(&0) {
-            log2_ns.pop();
-        }
-        phases.push(PhaseProfile {
-            phase: phase.name().to_string(),
-            count,
-            total_ms: total_ns as f64 / 1e6,
-            mean_us: total_ns as f64 / count as f64 / 1e3,
-            max_us: slot.max_ns.load(Ordering::Relaxed) as f64 / 1e3,
-            log2_ns,
-        });
-    }
+    let phases = phase_histograms()
+        .into_iter()
+        .filter(|h| h.count > 0)
+        .map(|h| {
+            let mut log2_ns = h.buckets.to_vec();
+            while log2_ns.last() == Some(&0) {
+                log2_ns.pop();
+            }
+            PhaseProfile {
+                phase: h.phase.to_string(),
+                count: h.count,
+                total_ms: h.total_ns as f64 / 1e6,
+                mean_us: h.total_ns as f64 / h.count as f64 / 1e3,
+                max_us: h.max_ns as f64 / 1e3,
+                log2_ns,
+            }
+        })
+        .collect();
     ProfileReport { phases }
 }
 
@@ -251,16 +223,17 @@ impl PhaseHistogram {
 /// Snapshot every timed phase's raw histogram (including zero-count
 /// phases), in [`Phase::TIMED`] order.
 pub fn phase_histograms() -> Vec<PhaseHistogram> {
+    let slots = SLOTS.with(|slots| *slots.borrow());
     Phase::TIMED
         .iter()
         .map(|&phase| {
-            let slot = &slots()[phase as usize];
+            let slot = &slots[phase as usize];
             PhaseHistogram {
                 phase: phase.name(),
-                count: slot.count.load(Ordering::Relaxed),
-                total_ns: slot.total_ns.load(Ordering::Relaxed),
-                max_ns: slot.max_ns.load(Ordering::Relaxed),
-                buckets: std::array::from_fn(|i| slot.buckets[i].load(Ordering::Relaxed)),
+                count: slot.count,
+                total_ns: slot.total_ns,
+                max_ns: slot.max_ns,
+                buckets: slot.buckets,
             }
         })
         .collect()
@@ -287,34 +260,37 @@ struct ChromeEvent {
     tid: u64,
 }
 
-/// Serialize every captured span as chrome://tracing JSON.
+/// Serialize every span the calling thread captured as chrome://tracing
+/// JSON (one process, one thread).
 pub fn chrome_trace_json() -> String {
-    let spans = captured().lock().expect("obs span sink poisoned");
+    let events = CAPTURED
+        .try_with(|log| {
+            log.borrow()
+                .iter()
+                .map(|s| ChromeEvent {
+                    name: s.phase.name().to_string(),
+                    cat: "dvmp".to_string(),
+                    ph: "X".to_string(),
+                    ts: s.start_ns as f64 / 1e3,
+                    dur: s.dur_ns as f64 / 1e3,
+                    pid: 1,
+                    tid: 1,
+                })
+                .collect()
+        })
+        .unwrap_or_default();
     let trace = ChromeTrace {
-        traceEvents: spans
-            .iter()
-            .map(|s| ChromeEvent {
-                name: s.phase.name().to_string(),
-                cat: "dvmp".to_string(),
-                ph: "X".to_string(),
-                ts: s.start_ns as f64 / 1e3,
-                dur: s.dur_ns as f64 / 1e3,
-                pid: 1,
-                tid: s.tid,
-            })
-            .collect(),
+        traceEvents: events,
         displayTimeUnit: "ms".to_string(),
     };
     serde_json::to_string(&trace).expect("chrome trace serializes")
 }
 
-/// Clear histograms and captured spans (harness affordance; call while
-/// no spans are open).
+/// Clear the calling thread's histograms and captured spans (harness
+/// affordance; call while no spans are open).
 pub(crate) fn reset() {
-    for slot in slots() {
-        slot.reset();
-    }
-    captured().lock().expect("obs span sink poisoned").clear();
+    SLOTS.with(|slots| *slots.borrow_mut() = [PhaseSlot::ZERO; PHASE_COUNT]);
+    let _ = CAPTURED.try_with(|log| log.borrow_mut().clear());
 }
 
 #[cfg(test)]
@@ -333,10 +309,7 @@ mod tests {
 
     #[test]
     fn disabled_profiling_returns_no_guard() {
-        // Profiling defaults to off; other tests in this binary that turn
-        // it on serialize through lib.rs's test lock.
-        let _lock = crate::test_lock();
-        crate::set_profiling(false);
+        assert!(!crate::profiling_enabled(), "profiling starts off");
         assert!(span_guard(Phase::CompressedPlan).is_none());
     }
 }

@@ -1,10 +1,7 @@
 //! The enum-coded, allocation-free trace record.
 //!
-//! A [`Record`] is what the flight recorder stores: eight machine words of
-//! plain data — no strings, no heap. Event kinds and phases are `u8`
-//! discriminants packed into a single word inside the ring (see
-//! [`crate::ring`]); the decoded form here is what drains and dumps hand
-//! back.
+//! A [`Record`] is what the flight recorder stores: plain data — no
+//! strings, no heap. Event kinds and phases are `u8` discriminants.
 
 use std::fmt;
 
@@ -50,26 +47,6 @@ pub enum RecordKind {
 }
 
 impl RecordKind {
-    pub(crate) fn from_u8(v: u8) -> RecordKind {
-        match v {
-            0 => RecordKind::EventDispatched,
-            1 => RecordKind::VmPlaced,
-            2 => RecordKind::VmRemoved,
-            3 => RecordKind::MigrationStarted,
-            4 => RecordKind::MigrationFinished,
-            5 => RecordKind::MigrationAborted,
-            6 => RecordKind::MigrationSkipped,
-            7 => RecordKind::PmFailed,
-            8 => RecordKind::JournalDrained,
-            9 => RecordKind::PlanKernelFresh,
-            10 => RecordKind::SpareDecision,
-            11 => RecordKind::OracleViolation,
-            12 => RecordKind::PlanKernelCompressed,
-            14 => RecordKind::VmResized,
-            _ => RecordKind::Mark,
-        }
-    }
-
     /// Stable lowercase name used in dumps and chrome traces.
     pub fn name(self) -> &'static str {
         match self {
@@ -157,10 +134,8 @@ impl fmt::Display for Phase {
 /// One decoded flight-recorder record.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Record {
-    /// Global emission order (monotone across all threads; the drain sort key).
+    /// 1-based emission count on the recording thread.
     pub stamp: u64,
-    /// Small dense id of the emitting thread (registration order).
-    pub tid: u64,
     /// Simulation time, in whole seconds, of the event being dispatched
     /// when the record was emitted.
     pub time_s: u64,
@@ -177,14 +152,6 @@ pub struct Record {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn kind_roundtrips_through_u8() {
-        for v in 0..=14u8 {
-            let k = RecordKind::from_u8(v);
-            assert_eq!(k as u8, v, "{k}");
-        }
-    }
 
     #[test]
     fn phase_roundtrips_through_u8() {

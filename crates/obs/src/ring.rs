@@ -1,168 +1,118 @@
-//! The lock-free flight-recorder ring.
+//! The flight-recorder ring.
 //!
-//! Each thread that emits records owns a private fixed-capacity *segment*
-//! — a circular array of `WORDS`-word slots it alone writes. A global
-//! monotone stamp counter orders records across threads; a drain reads
-//! every registered segment and merges by `(stamp, tid)`, which is a
-//! deterministic total order (stamps are unique).
-//!
-//! Invariants:
-//! - **single writer**: a segment is only ever written by its owning
-//!   thread, so the head cursor needs no CAS;
-//! - **overwrite order is FIFO** per segment: slot `head` is always the
-//!   oldest record, so wrap-around discards strictly oldest-first;
-//! - **torn reads are impossible to observe**: every slot word is an
-//!   `AtomicU64`; the writer clears the stamp word (0 = invalid), writes
-//!   the payload, then publishes the stamp with `Release`. A drain reads
-//!   the stamp with `Acquire` before and after the payload and discards
-//!   the slot if the two reads disagree (seqlock style). Racing a drain
-//!   against live writers can drop or skip records, never corrupt them.
+//! Each thread records into its own fixed-capacity ring: a `Vec<Record>`
+//! that grows to the capacity, then overwrites its oldest record, which
+//! sits at `head`. Drains read the ring in emission order, oldest first.
+//! A record's `stamp` is the thread's 1-based emission count, so a drain
+//! shows how many older records were overwritten.
 
 use crate::record::{Phase, Record, RecordKind};
 use std::cell::RefCell;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
 
-/// Words per slot: stamp, time_s, ordinal, kind|phase, a, b.
-const WORDS: usize = 6;
-
-/// Default per-thread segment capacity, in records. Chosen to comfortably
-/// exceed the ≥1024-record dump guarantee with one planning interval of
-/// headroom at paper scale.
+/// Default ring capacity, in records. Chosen to comfortably exceed the
+/// ≥1024-record dump guarantee with one planning interval of headroom at
+/// paper scale.
 pub const DEFAULT_RING_CAPACITY: usize = 4096;
 
-static CAPACITY: AtomicUsize = AtomicUsize::new(DEFAULT_RING_CAPACITY);
-/// Global emission stamp; starts at 1 so 0 can mean "slot never written".
-static STAMP: AtomicU64 = AtomicU64::new(1);
-
-/// Per-thread segment capacity used for segments created from now on
-/// (existing segments keep theirs). Clamped to at least 16.
-pub fn set_ring_capacity(records: usize) {
-    CAPACITY.store(records.max(16), Ordering::SeqCst);
-}
-
-/// The segment capacity new emitting threads will get.
-pub fn ring_capacity() -> usize {
-    CAPACITY.load(Ordering::SeqCst)
-}
-
-/// Total records ever emitted (drain can report how many were overwritten).
-pub fn records_emitted() -> u64 {
-    STAMP.load(Ordering::SeqCst) - 1
-}
-
-struct Segment {
-    tid: u64,
+struct Ring {
     cap: usize,
-    /// Next slot to write; only the owning thread stores to it.
-    head: AtomicUsize,
-    slots: Box<[AtomicU64]>,
+    /// The oldest record once the ring is full (0 until then).
+    head: usize,
+    records: Vec<Record>,
+    /// Records ever emitted on this thread (the last stamp handed out).
+    emitted: u64,
 }
 
-impl Segment {
-    fn new(tid: u64, cap: usize) -> Segment {
-        let slots = (0..cap * WORDS).map(|_| AtomicU64::new(0)).collect();
-        Segment {
-            tid,
-            cap,
-            head: AtomicUsize::new(0),
-            slots,
+impl Ring {
+    fn push(&mut self, mut record: Record) {
+        self.emitted += 1;
+        record.stamp = self.emitted;
+        if self.records.len() < self.cap {
+            self.records.push(record);
+        } else {
+            self.records[self.head] = record;
+            self.head = (self.head + 1) % self.cap;
         }
     }
 
-    fn write(&self, kind: RecordKind, phase: Phase, time_s: u64, ordinal: u64, a: u64, b: u64) {
-        let idx = self.head.load(Ordering::Relaxed);
-        self.head.store((idx + 1) % self.cap, Ordering::Relaxed);
-        let s = &self.slots[idx * WORDS..(idx + 1) * WORDS];
-        let stamp = STAMP.fetch_add(1, Ordering::Relaxed);
-        s[0].store(0, Ordering::Release); // invalidate while the payload is torn
-        s[1].store(time_s, Ordering::Relaxed);
-        s[2].store(ordinal, Ordering::Relaxed);
-        s[3].store(kind as u64 | (phase as u64) << 8, Ordering::Relaxed);
-        s[4].store(a, Ordering::Relaxed);
-        s[5].store(b, Ordering::Relaxed);
-        s[0].store(stamp, Ordering::Release);
+    /// Puts the records in emission order at the front (`head` = 0).
+    fn linearize(&mut self) {
+        self.records.rotate_left(self.head);
+        self.head = 0;
     }
-
-    fn read_into(&self, out: &mut Vec<Record>) {
-        for idx in 0..self.cap {
-            let s = &self.slots[idx * WORDS..(idx + 1) * WORDS];
-            let before = s[0].load(Ordering::Acquire);
-            if before == 0 {
-                continue;
-            }
-            let (time_s, ordinal) = (s[1].load(Ordering::Relaxed), s[2].load(Ordering::Relaxed));
-            let packed = s[3].load(Ordering::Relaxed);
-            let (a, b) = (s[4].load(Ordering::Relaxed), s[5].load(Ordering::Relaxed));
-            if s[0].load(Ordering::Acquire) != before {
-                continue; // overwritten mid-read; the newer record will be seen next drain
-            }
-            out.push(Record {
-                stamp: before,
-                tid: self.tid,
-                time_s,
-                ordinal,
-                kind: RecordKind::from_u8(packed as u8),
-                phase: Phase::from_u8((packed >> 8) as u8),
-                a,
-                b,
-            });
-        }
-    }
-
-    fn clear(&self) {
-        for idx in 0..self.cap {
-            self.slots[idx * WORDS].store(0, Ordering::Release);
-        }
-        self.head.store(0, Ordering::Relaxed);
-    }
-}
-
-fn registry() -> &'static Mutex<Vec<Arc<Segment>>> {
-    static REGISTRY: OnceLock<Mutex<Vec<Arc<Segment>>>> = OnceLock::new();
-    REGISTRY.get_or_init(|| Mutex::new(Vec::new()))
 }
 
 thread_local! {
-    static LOCAL: RefCell<Option<Arc<Segment>>> = const { RefCell::new(None) };
+    static RING: RefCell<Ring> = const {
+        RefCell::new(Ring {
+            cap: DEFAULT_RING_CAPACITY,
+            head: 0,
+            records: Vec::new(),
+            emitted: 0,
+        })
+    };
 }
 
-/// Write one record into the calling thread's segment, creating and
-/// registering the segment on first use.
-pub(crate) fn emit(kind: RecordKind, phase: Phase, time_s: u64, ordinal: u64, a: u64, b: u64) {
-    LOCAL.with(|local| {
-        let mut slot = local.borrow_mut();
-        let seg = slot.get_or_insert_with(|| {
-            let seg = Arc::new(Segment::new(crate::thread_tid(), ring_capacity()));
-            registry()
-                .lock()
-                .expect("obs registry poisoned")
-                .push(Arc::clone(&seg));
-            seg
-        });
-        seg.write(kind, phase, time_s, ordinal, a, b);
+/// Resize the calling thread's ring, keeping its newest records.
+/// Clamped to at least 16.
+pub fn set_ring_capacity(records: usize) {
+    let cap = records.max(16);
+    let _ = RING.try_with(|ring| {
+        let mut ring = ring.borrow_mut();
+        ring.linearize();
+        let excess = ring.records.len().saturating_sub(cap);
+        ring.records.drain(..excess);
+        ring.records.shrink_to(cap);
+        ring.cap = cap;
     });
 }
 
-/// Snapshot every registered segment and merge into a single record list
-/// ordered by `(stamp, tid)` — a deterministic total order since stamps
-/// are globally unique. Does not consume the ring: records stay in place
-/// until overwritten (a flight recorder keeps flying).
-pub fn drain_records() -> Vec<Record> {
-    let segments: Vec<Arc<Segment>> = registry().lock().expect("obs registry poisoned").clone();
-    let mut out = Vec::new();
-    for seg in &segments {
-        seg.read_into(&mut out);
-    }
-    out.sort_unstable_by_key(|r| (r.stamp, r.tid));
-    out
+/// The calling thread's ring capacity.
+pub fn ring_capacity() -> usize {
+    RING.try_with(|ring| ring.borrow().cap)
+        .unwrap_or(DEFAULT_RING_CAPACITY)
 }
 
-/// Clear every segment's contents (segments stay registered so live
-/// threads keep their buffers). Only meaningful while emitters are
-/// quiescent — a test/bench harness affordance, not a runtime operation.
+/// Records ever emitted on the calling thread (a drain can report how
+/// many were overwritten).
+pub fn records_emitted() -> u64 {
+    RING.try_with(|ring| ring.borrow().emitted).unwrap_or(0)
+}
+
+/// Write one record into the calling thread's ring. A no-op once the
+/// thread's ring has been torn down.
+pub(crate) fn emit(kind: RecordKind, phase: Phase, time_s: u64, ordinal: u64, a: u64, b: u64) {
+    let _ = RING.try_with(|ring| {
+        ring.borrow_mut().push(Record {
+            stamp: 0,
+            time_s,
+            ordinal,
+            kind,
+            phase,
+            a,
+            b,
+        });
+    });
+}
+
+/// The calling thread's surviving records, oldest first. Does not consume
+/// the ring: records stay in place until overwritten (a flight recorder
+/// keeps flying).
+pub fn drain_records() -> Vec<Record> {
+    RING.try_with(|ring| {
+        let ring = ring.borrow();
+        let (newer, older) = ring.records.split_at(ring.head);
+        older.iter().chain(newer).copied().collect()
+    })
+    .unwrap_or_default()
+}
+
+/// Clear the calling thread's ring contents (capacity and the emission
+/// count stay).
 pub(crate) fn reset() {
-    for seg in registry().lock().expect("obs registry poisoned").iter() {
-        seg.clear();
-    }
+    let _ = RING.try_with(|ring| {
+        let mut ring = ring.borrow_mut();
+        ring.records.clear();
+        ring.head = 0;
+    });
 }

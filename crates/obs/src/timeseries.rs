@@ -18,33 +18,36 @@
 //! The module also carries the two export surfaces the store feeds:
 //! quantile extraction from the profiler's log2-ns histograms
 //! ([`log2_bucket_quantile`]) and the OpenMetrics text encoder
-//! ([`OpenMetricsEncoder`], [`MetricsSource`], [`scrape_global`]) behind
-//! the `dvmp-cli --metrics-out` snapshot and a future `serve` mode's
-//! `/metrics` endpoint.
+//! ([`OpenMetricsEncoder`], [`scrape_global`]) behind the
+//! `dvmp-cli --metrics-out` snapshot.
 
 #[cfg(test)]
 use crate::profile::PROFILE_BUCKETS;
 use serde::{Deserialize, Serialize};
+use std::cell::Cell;
 use std::collections::VecDeque;
 use std::fmt::Write as _;
-use std::sync::atomic::{AtomicU64, Ordering};
 
-/// Wall nanoseconds spent inside the recorder's telemetry-sampling
-/// hooks, process-cumulative. Self-metered by the sampler and read only
-/// by the overhead bench, which models the sampling cost from it the
-/// way the disabled-site gate models the tracing-off cost (sub-percent
-/// effects sit below the wall-clock noise floor of shared CI hosts).
-/// Never serialized anywhere, so same-seed reports stay bit-identical.
-static SAMPLING_NS: AtomicU64 = AtomicU64::new(0);
+thread_local! {
+    /// Wall nanoseconds the calling thread spent inside the recorder's
+    /// telemetry-sampling hooks. Self-metered by the sampler and read
+    /// only by the overhead bench, which models the sampling cost from it
+    /// the way the disabled-site gate models the tracing-off cost
+    /// (sub-percent effects sit below the wall-clock noise floor of
+    /// shared CI hosts). Never serialized anywhere, so same-seed reports
+    /// stay bit-identical.
+    static SAMPLING_NS: Cell<u64> = const { Cell::new(0) };
+}
 
 /// Credits `ns` of wall time to the telemetry sampling self-meter.
 pub fn add_sampling_ns(ns: u64) {
-    SAMPLING_NS.fetch_add(ns, Ordering::Relaxed);
+    SAMPLING_NS.with(|c| c.set(c.get().saturating_add(ns)));
 }
 
-/// Cumulative wall nanoseconds spent in telemetry sampling hooks.
+/// Cumulative wall nanoseconds the calling thread spent in telemetry
+/// sampling hooks.
 pub fn sampling_ns() -> u64 {
-    SAMPLING_NS.load(Ordering::Relaxed)
+    SAMPLING_NS.with(Cell::get)
 }
 
 /// Raw samples folded into one point of the next-coarser tier.
@@ -220,8 +223,7 @@ impl TimeSeriesStore {
     }
 
     /// Upper bound on the store's heap footprint, in bytes. Constant once
-    /// every tier ring has filled — the bounded-memory invariant the
-    /// `obs_overhead` bench asserts under a sampled 10k-PM week.
+    /// every tier ring has filled — the bounded-memory invariant.
     pub fn approx_bytes(&self) -> usize {
         let point = std::mem::size_of::<f64>();
         let tier_bytes = |t: &Tier| {
@@ -478,61 +480,39 @@ pub fn lint_openmetrics(text: &str) -> Result<(), String> {
     Ok(())
 }
 
-// ---------------------------------------------------------------------------
-// MetricsSource: the poll surface a future `serve` mode scrapes.
-// ---------------------------------------------------------------------------
-
-/// Anything that can render a point-in-time OpenMetrics exposition. The
-/// CLI's `--metrics-out` writes one scrape; a future `serve` mode answers
-/// `/metrics` by polling the same trait.
-pub trait MetricsSource {
-    /// Renders the current state as OpenMetrics text (ending in `# EOF`).
-    fn scrape(&self) -> String;
-}
-
-/// The process-global obs state (counter bank, gauges, phase histograms)
-/// as a [`MetricsSource`].
-#[derive(Debug, Clone, Copy, Default)]
-pub struct GlobalMetrics;
-
-impl MetricsSource for GlobalMetrics {
-    fn scrape(&self) -> String {
-        let mut enc = OpenMetricsEncoder::new();
-        enc.gauge(
-            "dvmp_sim_time_seconds",
-            "Simulation-time gauge at the last event dispatch",
-            crate::sim_time_s() as f64,
-        );
-        enc.gauge(
-            "dvmp_event_ordinal",
-            "Engine event ordinal at the last dispatch",
-            crate::event_ordinal() as f64,
-        );
-        for (name, value) in crate::counters_snapshot().entries() {
-            enc.counter(
-                &format!("dvmp_{name}"),
-                "Cumulative process-lifetime count (see dvmp-obs counters)",
-                value,
-            );
-        }
-        for hist in crate::phase_histograms() {
-            if hist.count == 0 {
-                continue;
-            }
-            enc.histogram_log2_ns(
-                &format!("dvmp_phase_{}_seconds", hist.phase.replace('-', "_")),
-                "Span latency of this profiler phase",
-                &hist.buckets,
-                hist.total_ns,
-            );
-        }
-        enc.finish()
-    }
-}
-
-/// One scrape of the process-global obs state.
+/// One OpenMetrics scrape of the calling thread's obs state: gauges,
+/// counter bank and phase histograms (what `--metrics-out` writes).
 pub fn scrape_global() -> String {
-    GlobalMetrics.scrape()
+    let mut enc = OpenMetricsEncoder::new();
+    enc.gauge(
+        "dvmp_sim_time_seconds",
+        "Simulation-time gauge at the last event dispatch",
+        crate::sim_time_s() as f64,
+    );
+    enc.gauge(
+        "dvmp_event_ordinal",
+        "Engine event ordinal at the last dispatch",
+        crate::event_ordinal() as f64,
+    );
+    for (name, value) in crate::counters_snapshot().entries() {
+        enc.counter(
+            &format!("dvmp_{name}"),
+            "Cumulative thread-lifetime count (see dvmp-obs counters)",
+            value,
+        );
+    }
+    for hist in crate::phase_histograms() {
+        if hist.count == 0 {
+            continue;
+        }
+        enc.histogram_log2_ns(
+            &format!("dvmp_phase_{}_seconds", hist.phase.replace('-', "_")),
+            "Span latency of this profiler phase",
+            &hist.buckets,
+            hist.total_ns,
+        );
+    }
+    enc.finish()
 }
 
 #[cfg(test)]
@@ -727,7 +707,6 @@ mod tests {
 
     #[test]
     fn global_scrape_is_lintable() {
-        let _lock = crate::test_lock();
         crate::set_enabled(true);
         crate::note_vm_placed(1, 2);
         crate::set_enabled(false);

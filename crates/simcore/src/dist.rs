@@ -117,20 +117,6 @@ impl<T: Clone> WeightedChoice<T> {
     pub fn items(&self) -> &[T] {
         &self.items
     }
-
-    /// The probability of each item (normalised weights).
-    pub fn probabilities(&self) -> Vec<f64> {
-        let total = *self.cumulative.last().expect("non-empty");
-        let mut prev = 0.0;
-        self.cumulative
-            .iter()
-            .map(|&c| {
-                let p = (c - prev) / total;
-                prev = c;
-                p
-            })
-            .collect()
-    }
 }
 
 #[cfg(test)]
@@ -220,15 +206,6 @@ mod tests {
         assert_eq!(counts.get("c"), None, "zero-weight item never drawn");
         let fa = counts[&"a"] as f64 / n as f64;
         assert!((fa - 0.25).abs() < 0.02, "P(a) {fa}");
-    }
-
-    #[test]
-    fn weighted_choice_probabilities() {
-        let wc = WeightedChoice::new(&[(1, 2.0), (2, 6.0)]);
-        let ps = wc.probabilities();
-        assert!((ps[0] - 0.25).abs() < 1e-12);
-        assert!((ps[1] - 0.75).abs() < 1e-12);
-        assert_eq!(wc.items(), &[1, 2]);
     }
 
     #[test]

@@ -160,16 +160,6 @@ impl<W: World> Engine<W> {
         }
         self.sched.now
     }
-
-    /// Runs until the queue drains completely.
-    pub fn run_to_completion(&mut self) -> SimTime {
-        self.run_until(SimTime::MAX)
-    }
-
-    /// Consumes the engine, returning the world.
-    pub fn into_world(self) -> W {
-        self.world
-    }
 }
 
 #[cfg(test)]
@@ -206,7 +196,7 @@ mod tests {
         engine
             .scheduler_mut()
             .schedule_at(SimTime::from_secs(5), ());
-        engine.run_to_completion();
+        engine.run_until(SimTime::MAX);
         let times: Vec<u64> = engine
             .world()
             .fired_at
@@ -260,7 +250,7 @@ mod tests {
         engine.scheduler_mut().schedule_at(t, 1);
         engine.scheduler_mut().schedule_at(t, 2);
         engine.scheduler_mut().schedule_at(t, 3);
-        engine.run_to_completion();
+        engine.run_until(SimTime::MAX);
         assert_eq!(
             engine.world().0,
             vec![(t, 1), (t, 2), (t, 3)],
@@ -291,7 +281,7 @@ mod tests {
             remaining: 3,
         });
         engine.scheduler_mut().schedule_at(SimTime::ZERO, ());
-        engine.run_to_completion();
+        engine.run_until(SimTime::MAX);
         let seqs: Vec<u64> = engine.world().hooks.iter().map(|&(_, s)| s).collect();
         assert_eq!(seqs, vec![1, 2, 3, 4], "one hook per event, 1-based");
         assert!(
@@ -327,16 +317,5 @@ mod tests {
         // Resuming past the bucket picks the held-back event up.
         engine.run_until(SimTime::from_secs(25));
         assert_eq!(engine.world().fired_at.len(), 2);
-    }
-
-    #[test]
-    fn into_world_returns_state() {
-        let engine = Engine::new(Ticker {
-            fired_at: vec![SimTime::ZERO],
-            remaining: 0,
-            period: SimDuration::SECOND,
-        });
-        let w = engine.into_world();
-        assert_eq!(w.fired_at.len(), 1);
     }
 }

@@ -151,11 +151,6 @@ impl StepSeries {
         m
     }
 
-    /// Number of stored change points.
-    pub fn change_points(&self) -> usize {
-        self.points.len()
-    }
-
     /// Iterates `(time, value)` change points.
     pub fn iter(&self) -> impl Iterator<Item = (SimTime, f64)> + '_ {
         self.points.iter().copied()
@@ -188,26 +183,6 @@ impl CountSeries {
     /// Total events recorded.
     pub fn total(&self) -> usize {
         self.times.len()
-    }
-
-    /// Number of events in `[from, to)`.
-    pub fn count_in(&self, from: SimTime, to: SimTime) -> usize {
-        let lo = self.times.partition_point(|&t| t < from);
-        let hi = self.times.partition_point(|&t| t < to);
-        hi - lo
-    }
-
-    /// Event counts per bucket of width `bucket` covering `[0, horizon)`.
-    pub fn bucket_counts(&self, bucket: SimDuration, horizon: SimTime) -> Vec<usize> {
-        assert!(!bucket.is_zero(), "bucket width must be positive");
-        let mut out = Vec::new();
-        let mut t = SimTime::ZERO;
-        while t < horizon {
-            let end = (t + bucket).min(horizon);
-            out.push(self.count_in(t, end));
-            t = end;
-        }
-        out
     }
 
     /// The raw event times.
@@ -270,7 +245,7 @@ mod tests {
         s.record(SimTime::from_secs(10), 1.0);
         s.record(SimTime::from_secs(10), 7.0);
         assert_eq!(s.value_at(SimTime::from_secs(10)), 7.0);
-        assert_eq!(s.change_points(), 1);
+        assert_eq!(s.iter().count(), 1);
     }
 
     #[test]
@@ -278,10 +253,10 @@ mod tests {
         let mut s = StepSeries::new(5.0);
         s.record(SimTime::from_secs(1), 5.0);
         s.record(SimTime::from_secs(2), 5.0);
-        assert_eq!(s.change_points(), 0);
+        assert_eq!(s.iter().count(), 0);
         s.record(SimTime::from_secs(3), 6.0);
         s.record(SimTime::from_secs(4), 6.0);
-        assert_eq!(s.change_points(), 1);
+        assert_eq!(s.iter().count(), 1);
     }
 
     #[test]
@@ -326,21 +301,6 @@ mod tests {
         assert_eq!(
             s.max_over(SimTime::from_secs(15), SimTime::from_secs(18)),
             9.0
-        );
-    }
-
-    #[test]
-    fn count_series_buckets() {
-        let mut c = CountSeries::new();
-        for t in [0, 100, 3_599, 3_600, 7_300] {
-            c.record(SimTime::from_secs(t));
-        }
-        assert_eq!(c.total(), 5);
-        let counts = c.bucket_counts(SimDuration::HOUR, SimTime::from_hours(3));
-        assert_eq!(counts, vec![3, 1, 1]);
-        assert_eq!(
-            c.count_in(SimTime::from_secs(100), SimTime::from_secs(3_600)),
-            2
         );
     }
 

@@ -157,11 +157,6 @@ impl Histogram {
         *self.counts.last().expect("histogram has bins")
     }
 
-    /// Count in interior bin `i`, i.e. `[edges[i], edges[i+1])`.
-    pub fn bin_count(&self, i: usize) -> u64 {
-        self.counts[i + 1]
-    }
-
     /// Number of interior bins.
     pub fn bins(&self) -> usize {
         self.edges.len() - 1
@@ -387,8 +382,6 @@ mod tests {
             h.push(x);
         }
         assert_eq!(h.underflow(), 1); // -0.5
-        assert_eq!(h.bin_count(0), 2); // 0.0, 0.5
-        assert_eq!(h.bin_count(1), 2); // 1.0, 1.5
         assert_eq!(h.overflow(), 2); // 2.0, 99.0
         assert_eq!(h.total(), 7);
         assert_eq!(h.count_below(1.0), 3);

@@ -87,12 +87,6 @@ impl SimTime {
         SimDuration(self.0.saturating_sub(earlier.0))
     }
 
-    /// Checked difference: `None` if `earlier > self`.
-    #[inline]
-    pub fn checked_since(self, earlier: SimTime) -> Option<SimDuration> {
-        self.0.checked_sub(earlier.0).map(SimDuration)
-    }
-
     /// The earlier of two instants.
     #[inline]
     pub fn min(self, other: SimTime) -> SimTime {
@@ -154,12 +148,6 @@ impl SimDuration {
     #[inline]
     pub fn as_secs_f64(self) -> f64 {
         self.0 as f64
-    }
-
-    /// Length in (fractional) hours.
-    #[inline]
-    pub fn as_hours_f64(self) -> f64 {
-        self.0 as f64 / 3_600.0
     }
 
     /// `true` when the duration is zero seconds.
@@ -310,8 +298,6 @@ mod tests {
         let late = SimTime::from_secs(50);
         assert_eq!(early - late, SimDuration::ZERO);
         assert_eq!(early.saturating_since(late), SimDuration::ZERO);
-        assert_eq!(early.checked_since(late), None);
-        assert_eq!(late.checked_since(early), Some(SimDuration::from_secs(40)));
     }
 
     #[test]
@@ -333,7 +319,6 @@ mod tests {
     fn duration_scaling() {
         assert_eq!(SimDuration::HOUR * 24, SimDuration::DAY);
         assert_eq!(SimDuration::DAY / 24, SimDuration::HOUR);
-        assert_eq!(SimDuration::from_secs(90).as_hours_f64(), 0.025);
     }
 
     #[test]

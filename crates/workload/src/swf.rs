@@ -26,7 +26,6 @@
 use crate::job::{Job, JobStatus};
 use dvmp_simcore::{SimDuration, SimTime};
 use std::fmt::Write as _;
-use std::io::{BufRead, Write};
 
 /// A parse failure, with the 1-based line number where it happened.
 #[derive(Debug)]
@@ -123,22 +122,6 @@ fn parse_line(line: &str, lineno: usize) -> Result<Option<Job>, SwfError> {
     }))
 }
 
-/// Parses an SWF document from a reader. Comment and header lines are
-/// skipped; any malformed data line aborts with a positioned error.
-pub fn read_swf<R: BufRead>(reader: R) -> Result<Vec<Job>, SwfError> {
-    let mut jobs = Vec::new();
-    for (i, line) in reader.lines().enumerate() {
-        let line = line.map_err(|e| SwfError {
-            line: i + 1,
-            message: format!("I/O error: {e}"),
-        })?;
-        if let Some(job) = parse_line(&line, i + 1)? {
-            jobs.push(job);
-        }
-    }
-    Ok(jobs)
-}
-
 /// Parses an SWF document from a string.
 pub fn parse_swf(text: &str) -> Result<Vec<Job>, SwfError> {
     let mut jobs = Vec::new();
@@ -178,11 +161,6 @@ pub fn to_swf_string(jobs: &[Job], header_comment: &str) -> String {
         );
     }
     out
-}
-
-/// Writes jobs as SWF to an `io::Write`.
-pub fn write_swf<W: Write>(mut w: W, jobs: &[Job], header_comment: &str) -> std::io::Result<()> {
-    w.write_all(to_swf_string(jobs, header_comment).as_bytes())
 }
 
 #[cfg(test)]
@@ -378,11 +356,5 @@ mod tests {
                 }
             }
         }
-    }
-
-    #[test]
-    fn read_swf_from_reader() {
-        let jobs = read_swf(std::io::Cursor::new(SAMPLE)).unwrap();
-        assert_eq!(jobs.len(), 3);
     }
 }

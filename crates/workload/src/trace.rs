@@ -84,22 +84,6 @@ impl Trace {
         }
     }
 
-    /// Caps each job's runtime at `max` (long-tail truncation used by some
-    /// sensitivity studies; not part of the paper's default pipeline).
-    pub fn truncate_runtimes(self, max: SimDuration) -> Trace {
-        Trace {
-            jobs: self
-                .jobs
-                .into_iter()
-                .map(|mut j| {
-                    j.runtime = j.runtime.min(max);
-                    j.requested_runtime = j.requested_runtime.min(max);
-                    j
-                })
-                .collect(),
-        }
-    }
-
     /// The paper's normalization: each n-core job becomes n single-core VM
     /// requests, each with `memory/n` MiB and the job's runtime estimate.
     /// VM ids are assigned densely in arrival order starting at
@@ -206,14 +190,6 @@ mod tests {
             .map(|j| (j.id, j.submit.as_secs()))
             .collect();
         assert_eq!(got, vec![(2, 0), (3, 500)]);
-    }
-
-    #[test]
-    fn truncate_runtimes_caps_both_fields() {
-        let t = Trace::new(vec![job(1, 0, 10_000, 1, 100, JobStatus::Completed)])
-            .truncate_runtimes(SimDuration::from_secs(1_000));
-        assert_eq!(t.jobs()[0].runtime.as_secs(), 1_000);
-        assert_eq!(t.jobs()[0].requested_runtime.as_secs(), 1_000);
     }
 
     #[test]

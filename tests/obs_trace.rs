@@ -11,8 +11,9 @@
 //!    the context a bisection needs: the failing event's sim time and
 //!    ordinal, and per-record time / ordinal / phase.
 //!
-//! Every test serializes on `dvmp_obs::test_lock()` because the obs
-//! switches are process-global.
+//! The obs state is per thread and libtest runs every test on a thread
+//! of its own, so each test starts with every switch off and every
+//! counter at 0, whatever the others do.
 
 use dvmp::prelude::*;
 use dvmp::{FleetOp, Oracle};
@@ -47,7 +48,6 @@ proptest! {
     /// Tracing on vs off: bit-identical reports on randomized scenarios.
     #[test]
     fn tracing_does_not_change_run_reports(seed in 0u64..1_000) {
-        let _guard = dvmp_obs::test_lock();
         let untraced = run_serialized(seed, false);
         let traced = run_serialized(seed, true);
         prop_assert_eq!(untraced, traced);
@@ -57,7 +57,6 @@ proptest! {
     /// sequence driven straight into the datacenter.
     #[test]
     fn tracing_does_not_change_state_digest(dials in prop::collection::vec(any::<u8>(), 8..64)) {
-        let _guard = dvmp_obs::test_lock();
         let drive = |tracing: bool| -> u64 {
             dvmp_obs::set_enabled(tracing);
             let mut dc = small_fleet();
@@ -82,7 +81,6 @@ proptest! {
 /// a populated ring to dump, even when nobody passed `--obs-summary`.
 #[test]
 fn checked_mode_arms_the_recorder() {
-    let _guard = dvmp_obs::test_lock();
     dvmp_obs::set_enabled(false);
     let mut scenario = Scenario::paper(42).with_days(1);
     scenario.sim.checked = true;
@@ -102,7 +100,6 @@ fn checked_mode_arms_the_recorder() {
 /// the records carry sim time, event ordinal and phase.
 #[test]
 fn violation_injection_dumps_the_flight_recorder() {
-    let _guard = dvmp_obs::test_lock();
     dvmp_obs::reset();
     dvmp_obs::set_enabled(true);
     dvmp_obs::set_profiling(true);
@@ -178,4 +175,48 @@ fn violation_injection_dumps_the_flight_recorder() {
     assert!(text.contains("flight recorder"), "{text}");
     assert!(text.contains("event #1"), "{text}");
     dvmp_obs::reset();
+}
+
+/// Two simulations on two threads at the same time, one recording and
+/// profiling, the other with every switch off: each thread sees only its
+/// own switches, counters, ring and histograms, and the two reports are
+/// identical.
+#[test]
+fn concurrent_runs_keep_their_own_obs_state() {
+    use std::sync::{Arc, Barrier};
+    let start = Arc::new(Barrier::new(2));
+    let run = |traced: bool, start: Arc<Barrier>| {
+        std::thread::spawn(move || {
+            dvmp_obs::set_enabled(traced);
+            dvmp_obs::set_profiling(traced);
+            start.wait();
+            let (report, events) = Scenario::paper(42)
+                .with_days(1)
+                .run_counting(Box::new(DynamicPlacement::paper_default()));
+            (
+                serde_json::to_string(&report).expect("report serializes"),
+                events,
+                dvmp_obs::counters_snapshot(),
+                dvmp_obs::drain_records().len(),
+                dvmp_obs::phase_histograms(),
+            )
+        })
+    };
+    let on = run(true, Arc::clone(&start));
+    let off = run(false, start);
+    let on = on.join().expect("traced run panicked");
+    let off = off.join().expect("untraced run panicked");
+
+    let (off_report, _, off_counters, off_records, off_phases) = off;
+    assert_eq!(off_counters, dvmp_obs::CounterSnapshot::default());
+    assert_eq!(off_records, 0, "the switched-off thread's ring stays empty");
+    assert!(off_phases.iter().all(|h| h.count == 0), "{off_phases:?}");
+
+    let (on_report, on_events, on_counters, on_records, on_phases) = on;
+    assert!(on_events > 0);
+    assert_eq!(on_counters.events_dispatched, on_events);
+    assert!(on_records > 0);
+    assert!(on_phases.iter().any(|h| h.count > 0), "{on_phases:?}");
+
+    assert_eq!(on_report, off_report);
 }
