@@ -142,7 +142,11 @@ fn calibrate_disabled_site_ns() -> f64 {
     const CALLS: u64 = 20_000_000;
     let t = Instant::now();
     for i in 0..CALLS {
-        dvmp_obs::note_vm_placed(std::hint::black_box(i), std::hint::black_box(i));
+        dvmp_obs::note_fleet(
+            dvmp_obs::RecordKind::VmPlaced,
+            std::hint::black_box(i),
+            std::hint::black_box(i),
+        );
     }
     t.elapsed().as_nanos() as f64 / CALLS as f64
 }

@@ -45,7 +45,7 @@ use dvmp::prelude::*;
 use dvmp_bench::fragmented_fixture;
 use dvmp_cluster::pm::PmId;
 use dvmp_cluster::vm::VmState;
-use dvmp_cluster::FleetDelta;
+use dvmp_cluster::{FleetDelta, FleetOp};
 use serde::Serialize;
 use std::time::Instant;
 
@@ -283,12 +283,13 @@ fn converged_fixture(
         if moves.is_empty() {
             break;
         }
-        for m in &moves {
-            let res = vms[m.vm].spec.resources;
-            if dc.host_of(m.vm) == Some(m.from) && dc.pm(m.to).can_host(&res) {
-                dc.begin_migration(m.vm, m.to, res).unwrap();
-                dc.finish_migration(m.vm, m.from).unwrap();
-                vms.get_mut(m.vm).unwrap().state = VmState::Running { pm: m.to };
+        for &Migration { vm, from, to } in &moves {
+            let demand = vms[vm].spec.resources;
+            if dc.host_of(vm) == Some(from) && dc.pm(to).can_host(&demand) {
+                dc.apply(FleetOp::BeginMigration { vm, to, demand })
+                    .unwrap();
+                dc.apply(FleetOp::FinishMigration { vm, from }).unwrap();
+                vms.get_mut(vm).unwrap().state = VmState::Running { pm: to };
             }
         }
     }

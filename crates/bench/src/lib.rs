@@ -80,6 +80,7 @@ pub fn fragmented_fixture(
     use dvmp_cluster::pm::{PmClass, PmId};
     use dvmp_cluster::resources::ResourceVector;
     use dvmp_cluster::vm::{Vm, VmId, VmSpec, VmState};
+    use dvmp_cluster::FleetOp;
     use dvmp_simcore::{SimDuration, SimTime};
 
     let mut fast = PmClass::paper_fast();
@@ -106,7 +107,8 @@ pub fn fragmented_fixture(
             SimDuration::from_secs(50_000 + placed as u64),
         );
         if dc.pm(pm).can_host(&spec.resources) {
-            dc.place(spec.id, pm, spec.resources).unwrap();
+            let (vm, demand) = (spec.id, spec.resources);
+            dc.apply(FleetOp::Place { vm, pm, demand }).unwrap();
             let mut vm = Vm::new(spec);
             vm.state = VmState::Running { pm };
             vm.started_at = Some(SimTime::ZERO);

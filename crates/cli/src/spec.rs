@@ -262,6 +262,18 @@ impl ScenarioSpec {
         if w.days == 0 {
             return Err("workload `days` must be at least 1".into());
         }
+        for entry in &self.fleet {
+            if !(entry.reliability > 0.0 && entry.reliability <= 1.0) {
+                return Err(format!(
+                    "fleet entry {:?}: `reliability` must be in (0, 1], got {}",
+                    entry.preset, entry.reliability
+                ));
+            }
+            // An incomplete or unknown class is reported by `build`.
+            if let Ok(class) = entry.class() {
+                class.check_power()?;
+            }
+        }
         match (w.profile.as_str(), w.pms) {
             ("scaled", None) => Err("workload profile \"scaled\" needs `pms`".into()),
             ("scaled", Some(pms)) if pms < 4 => Err(format!(
@@ -445,6 +457,66 @@ mod tests {
         }"#;
         let spec = ScenarioSpec::from_json(text).unwrap();
         assert!(spec.build().unwrap_err().contains("cores"));
+    }
+
+    /// Why a spec whose one fleet entry is `entry` (its JSON body) fails
+    /// to build, if it does.
+    fn fleet_error(entry: &str) -> Option<String> {
+        let text = format!(
+            r#"{{
+                "name": "t",
+                "fleet": [ {{ {entry} }} ],
+                "workload": {{ "profile": "light", "days": 1 }},
+                "policy": {{ "kind": "first-fit" }}
+            }}"#
+        );
+        ScenarioSpec::from_json(&text)
+            .and_then(|spec| spec.build())
+            .err()
+    }
+
+    fn power_error(idle_w: &str, active_w: &str) -> Option<String> {
+        fleet_error(&format!(
+            r#""preset": "custom", "count": 2, "cores": 8, "memory_mib": 8192,
+               "idle_w": {idle_w}, "active_w": {active_w}"#
+        ))
+    }
+
+    #[test]
+    fn reliability_above_one_is_rejected() {
+        let err = fleet_error(r#""preset": "paper_fast", "count": 2, "reliability": 1.5"#);
+        assert!(err.unwrap().contains("`reliability` must be in (0, 1]"));
+    }
+
+    #[test]
+    fn zero_reliability_is_rejected() {
+        let err = fleet_error(r#""preset": "paper_slow", "count": 2, "reliability": 0.0"#);
+        assert!(err.unwrap().contains("`reliability` must be in (0, 1]"));
+        let one = fleet_error(r#""preset": "paper_slow", "count": 2, "reliability": 1.0"#);
+        assert_eq!(one, None);
+    }
+
+    #[test]
+    fn idle_power_above_active_is_rejected() {
+        let err = power_error("300.0", "100.0").unwrap();
+        assert!(
+            err.contains("idle power 300 W exceeds active power 100 W"),
+            "{err}"
+        );
+        assert_eq!(power_error("100.0", "100.0"), None, "a flat power model");
+    }
+
+    #[test]
+    fn negative_power_is_rejected() {
+        let err = power_error("-1.0", "100.0").unwrap();
+        assert!(err.contains("finite and non-negative"), "{err}");
+    }
+
+    #[test]
+    fn non_finite_power_is_rejected() {
+        // JSON has no infinity literal; an overflowing number parses to it.
+        let err = power_error("100.0", "1e999").unwrap();
+        assert!(err.contains("finite and non-negative"), "{err}");
     }
 
     #[test]

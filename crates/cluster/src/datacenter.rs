@@ -8,13 +8,14 @@
 //! # Incremental fleet accounting
 //!
 //! The per-event fleet signals (powered / non-idle / idle-available counts,
-//! instantaneous power, powered-core utilization) and the simulator's hot
-//! scans (first off PM that fits, first available PM that fits, idle PMs in
-//! id order) used to be O(M) sweeps over `pms`. They are now answered from
-//! `FleetStats`, an aggregate maintained *incrementally*: every mutation
-//! path — the reservation methods here and arbitrary state edits through
-//! [`Datacenter::pm_mut`]'s drop guard — diffs the touched PM's
-//! `PmFootprint` before/after and applies the delta. `assert_consistent`
+//! instantaneous power, per-dimension utilization of the available fleet)
+//! and the simulator's hot scans (first off PM that fits, first available
+//! PM that fits, idle PMs in id order) used to be O(M) sweeps over `pms`.
+//! They are now answered from `FleetStats`, an aggregate maintained
+//! *incrementally*: every mutation path — [`Datacenter::apply`] and
+//! arbitrary state edits through [`Datacenter::pm_mut`]'s drop guard —
+//! diffs the touched PM's `PmFootprint` before/after and applies the
+//! delta. `assert_consistent`
 //! (and therefore the checked-mode oracle's audits) recomputes the
 //! aggregate from scratch and compares, so drift is a caught invariant
 //! violation, not silent corruption.
@@ -26,9 +27,9 @@
 //! history that reaches the same fleet state.
 
 use crate::index::CapacityIndex;
-use crate::journal::FleetDelta;
+use crate::journal::{FleetDelta, FleetOp};
 use crate::pm::{Pm, PmClass, PmError, PmId, PmState};
-use crate::resources::{OverbookRatios, ResourceVector};
+use crate::resources::{OverbookRatios, ResourceVector, MAX_DIMS};
 use crate::vm::VmId;
 use crate::vm_table::VmSlots;
 use serde::{Deserialize, Serialize};
@@ -39,7 +40,7 @@ use std::ops::{Deref, DerefMut};
 /// two while a live migration is in flight (the destination, then the
 /// source — DESIGN.md I3).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct VmHosts {
+struct VmHosts {
     len: u8,
     pms: [PmId; 2],
 }
@@ -183,10 +184,9 @@ struct PmFootprint {
     available: bool,
     class_idx: usize,
     level: PowerLevel,
-    /// Core-dimension used/capacity charged to the utilization signal
-    /// (zero when the PM is not available).
-    used_cores: u64,
-    cap_cores: u64,
+    /// Physical capacity, charged to the utilization sums while the PM
+    /// is available.
+    capacity: ResourceVector,
     /// Powered and occupying more than its physical capacity (possible
     /// only on overbooked PMs) — the SLA-violation meter's condition.
     saturated: bool,
@@ -218,8 +218,7 @@ impl PmFootprint {
                     }
                 }
             },
-            used_cores: if available { pm.used().get(0) } else { 0 },
-            cap_cores: if available { pm.capacity().get(0) } else { 0 },
+            capacity: *pm.capacity(),
             saturated: pm.is_powered() && pm.is_saturated(),
             used: *pm.used(),
         }
@@ -235,9 +234,9 @@ struct FleetStats {
     /// Powered PMs whose occupancy exceeds physical capacity (overbooked
     /// and saturated) — the instantaneous SLA-violation signal.
     saturated: usize,
-    /// Used / capacity core sums over *available* PMs.
-    avail_used_cores: u64,
-    avail_cap_cores: u64,
+    /// Per-dimension used / capacity sums over *available* PMs.
+    avail_used: [u64; MAX_DIMS],
+    avail_cap: [u64; MAX_DIMS],
     /// Per-class power-level tallies, indexed by `class_idx`.
     class_power: Vec<PowerTally>,
     /// Off PMs in id order (boot candidates).
@@ -282,8 +281,12 @@ impl FleetStats {
         self.non_idle += f.non_idle as usize;
         self.idle_available += f.idle_available as usize;
         self.saturated += f.saturated as usize;
-        self.avail_used_cores += f.used_cores;
-        self.avail_cap_cores += f.cap_cores;
+        if f.available {
+            for d in 0..f.capacity.k() {
+                self.avail_used[d] += f.used.get(d);
+                self.avail_cap[d] += f.capacity.get(d);
+            }
+        }
         match f.level {
             PowerLevel::Dark => {}
             PowerLevel::Idle => self.class_power[f.class_idx].idle += 1,
@@ -303,8 +306,12 @@ impl FleetStats {
         self.non_idle -= f.non_idle as usize;
         self.idle_available -= f.idle_available as usize;
         self.saturated -= f.saturated as usize;
-        self.avail_used_cores -= f.used_cores;
-        self.avail_cap_cores -= f.cap_cores;
+        if f.available {
+            for d in 0..f.capacity.k() {
+                self.avail_used[d] -= f.used.get(d);
+                self.avail_cap[d] -= f.capacity.get(d);
+            }
+        }
         match f.level {
             PowerLevel::Dark => {}
             PowerLevel::Idle => self.class_power[f.class_idx].idle -= 1,
@@ -352,10 +359,10 @@ impl Datacenter {
         &self.pms[id.0 as usize]
     }
 
-    /// Mutable access to a PM (state changes only; use the reservation
-    /// methods below for occupancy so the VM index stays consistent). The
-    /// returned guard diffs the PM's `PmFootprint` on drop so the fleet
-    /// aggregates stay exact under arbitrary edits.
+    /// Mutable access to a PM (state changes only; use
+    /// [`Datacenter::apply`] for occupancy so the VM index stays
+    /// consistent). The returned guard diffs the PM's `PmFootprint` on drop
+    /// so the fleet aggregates stay exact under arbitrary edits.
     pub fn pm_mut(&mut self, id: PmId) -> PmMut<'_> {
         let idx = id.0 as usize;
         let before = PmFootprint::of(&self.pms[idx]);
@@ -431,42 +438,27 @@ impl Datacenter {
     /// This is the packing-quality signal: a consolidating policy keeps it
     /// high by powering exactly as many machines as the load needs. O(1).
     pub fn powered_core_utilization(&self) -> f64 {
-        if self.stats.avail_cap_cores == 0 {
-            0.0
-        } else {
-            self.stats.avail_used_cores as f64 / self.stats.avail_cap_cores as f64
-        }
+        self.available_utilization(0)
     }
 
     /// Per-dimension utilization of the available fleet: summed occupancy
     /// over summed physical capacity in every resource dimension, across
     /// PMs currently accepting reservations (all zeros when none are).
-    /// Unlike [`Datacenter::powered_core_utilization`] this is O(n) — it
-    /// exists for control-interval telemetry sampling, where a fleet walk
-    /// per simulated hour is noise, not for planner hot paths.
-    pub fn available_utilization_per_dim(&self) -> Vec<f64> {
-        let k = self
-            .classes
-            .first()
-            .map(|c| c.capacity.k())
-            .unwrap_or_default();
-        let mut used = vec![0u64; k];
-        let mut cap = vec![0u64; k];
-        for pm in self.available_pms() {
-            for d in 0..k {
-                used[d] += pm.used().get(d);
-                cap[d] += pm.capacity().get(d);
-            }
+    /// O(K): read off the incrementally maintained sums.
+    pub fn available_utilization_per_dim(&self) -> impl ExactSizeIterator<Item = f64> + '_ {
+        let k = self.classes.first().map_or(0, |c| c.capacity.k());
+        (0..k).map(|d| self.available_utilization(d))
+    }
+
+    /// Utilization of dimension `d` over the available fleet (0 when no
+    /// PM is available).
+    fn available_utilization(&self, d: usize) -> f64 {
+        let cap = self.stats.avail_cap[d];
+        if cap == 0 {
+            0.0
+        } else {
+            self.stats.avail_used[d] as f64 / cap as f64
         }
-        (0..k)
-            .map(|d| {
-                if cap[d] == 0 {
-                    0.0
-                } else {
-                    used[d] as f64 / cap[d] as f64
-                }
-            })
-            .collect()
     }
 
     /// Ids of powered-off PMs, in id order. O(1) per step.
@@ -592,116 +584,110 @@ impl Datacenter {
         &self.journal
     }
 
-    /// Reserves `demand` for `vm` on `pm` as its (sole) current host.
-    /// Fails for a VM that already holds a reservation.
-    pub fn place(&mut self, vm: VmId, pm: PmId, demand: ResourceVector) -> Result<(), PmError> {
-        if self.vm_slots.get(vm).is_some() {
-            return Err(PmError::AlreadyHosted(vm));
+    /// Applies one fleet mutation. On success, returns the VMs a
+    /// [`FleetOp::Fail`] evicted (empty for every other op); on failure
+    /// the fleet is unchanged. Every change is journaled and recorded in
+    /// the flight recorder from the op itself (see [`FleetOp`] for what
+    /// each op does and when it fails).
+    pub fn apply(&mut self, op: FleetOp) -> Result<Vec<VmId>, PmError> {
+        let mut evicted = Vec::new();
+        // The second payload word of the op's flight record, or `None`
+        // when the op changed nothing.
+        let b: Option<u64> = match op {
+            FleetOp::Place { vm, pm, demand } => {
+                if self.vm_slots.get(vm).is_some() {
+                    return Err(PmError::AlreadyHosted(vm));
+                }
+                self.update_pm(pm, |p| p.reserve(vm, demand))?;
+                self.insert_hosts(vm, VmHosts::one(pm));
+                Some(pm.0.into())
+            }
+            FleetOp::BeginMigration { vm, to, demand } => {
+                if self.hosts_of(vm).len() >= 2 {
+                    return Err(PmError::MigrationInFlight(vm));
+                }
+                self.update_pm(to, |p| p.reserve(vm, demand))?;
+                match self.hosts_mut(vm) {
+                    Some(hosts) => hosts.push_front(to),
+                    None => self.insert_hosts(vm, VmHosts::one(to)),
+                }
+                Some(to.0.into())
+            }
+            FleetOp::FinishMigration { vm, from } => {
+                self.update_pm(from, |p| p.release(vm))?;
+                self.drop_host(vm, from);
+                Some(from.0.into())
+            }
+            FleetOp::Remove { vm } => {
+                let hosts = self.remove_hosts(vm);
+                for &pm in hosts.iter() {
+                    self.update_pm(pm, |p| p.release(vm))
+                        .expect("index and reservations agree");
+                }
+                (!hosts.is_empty()).then_some(hosts.len() as u64)
+            }
+            FleetOp::Fail { pm } => {
+                evicted = self.update_pm(pm, |p| {
+                    p.state = PmState::Failed;
+                    p.evict_all()
+                });
+                for &vm in &evicted {
+                    self.drop_host(vm, pm);
+                }
+                Some(evicted.len() as u64)
+            }
+            FleetOp::Resize { vm, new } => {
+                let host = match *self.hosts_of(vm) {
+                    [] => return Err(PmError::NotHosted(vm)),
+                    [host] => host,
+                    _ => return Err(PmError::MigrationInFlight(vm)),
+                };
+                // A same-size resize journals nothing, so incremental
+                // planners never recompute for it.
+                if self.pms[host.0 as usize].reservation_of(vm) == Some(&new) {
+                    None
+                } else {
+                    self.update_pm(host, |p| p.resize_reservation(vm, new))?;
+                    Some(host.0.into())
+                }
+            }
+        };
+        if let Some(b) = b {
+            self.project(&op, b, &evicted);
         }
-        self.update_pm(pm, |p| p.reserve(vm, demand))?;
-        self.insert_hosts(vm, VmHosts::one(pm));
-        self.journal.note_vm(vm);
-        dvmp_obs::note_vm_placed(vm.0 as u64, pm.0 as u64);
-        Ok(())
+        Ok(evicted)
     }
 
-    /// Begins a live migration: reserves `demand` on `to` (keeping the
-    /// reservation on the current host) and makes `to` the current host.
-    /// Fails for a VM that already has a migration in flight.
-    pub fn begin_migration(
-        &mut self,
-        vm: VmId,
-        to: PmId,
-        demand: ResourceVector,
-    ) -> Result<(), PmError> {
-        if self.hosts_of(vm).len() >= 2 {
-            return Err(PmError::MigrationInFlight(vm));
-        }
-        self.update_pm(to, |p| p.reserve(vm, demand))?;
-        match self.hosts_mut(vm) {
-            Some(hosts) => hosts.push_front(to),
-            None => self.insert_hosts(vm, VmHosts::one(to)),
-        }
+    /// Projects an applied op onto the fleet-delta journal (its VM, or
+    /// every VM a failure evicted) and one flight-recorder fleet record.
+    fn project(&mut self, op: &FleetOp, b: u64, evicted: &[VmId]) {
+        use dvmp_obs::RecordKind;
+        let (kind, vm) = match *op {
+            FleetOp::Place { vm, .. } => (RecordKind::VmPlaced, vm),
+            FleetOp::BeginMigration { vm, .. } => (RecordKind::MigrationStarted, vm),
+            FleetOp::FinishMigration { vm, .. } => (RecordKind::MigrationFinished, vm),
+            FleetOp::Remove { vm } => (RecordKind::VmRemoved, vm),
+            FleetOp::Resize { vm, .. } => (RecordKind::VmResized, vm),
+            FleetOp::Fail { pm } => {
+                for &vm in evicted {
+                    self.journal.note_vm(vm);
+                }
+                dvmp_obs::note_fleet(RecordKind::PmFailed, pm.0.into(), b);
+                return;
+            }
+        };
         self.journal.note_vm(vm);
-        dvmp_obs::note_migration_started(vm.0 as u64, to.0 as u64);
-        Ok(())
+        dvmp_obs::note_fleet(kind, vm.0.into(), b);
     }
 
-    /// Completes a live migration: releases the reservation on `from`.
-    pub fn finish_migration(&mut self, vm: VmId, from: PmId) -> Result<(), PmError> {
-        self.update_pm(from, |p| p.release(vm))?;
+    /// Drops `pm` from `vm`'s hosts, and the hosts entry once empty.
+    fn drop_host(&mut self, vm: VmId, pm: PmId) {
         if let Some(hosts) = self.hosts_mut(vm) {
-            hosts.remove(from);
+            hosts.remove(pm);
             if hosts.is_empty() {
                 self.remove_hosts(vm);
             }
         }
-        self.journal.note_vm(vm);
-        dvmp_obs::note_migration_finished(vm.0 as u64, from.0 as u64);
-        Ok(())
-    }
-
-    /// Resizes `vm`'s reservation on its (sole) host to `new` — vertical
-    /// elasticity. Returns the previous demand on success. Fails when the
-    /// VM has no reservation, has a migration in flight (two hosts), or
-    /// the grow does not fit the host's virtual capacity; the fleet is
-    /// unchanged on failure. A same-size resize is a true no-op: it
-    /// journals nothing, so incremental planners never recompute for it.
-    pub fn resize_vm(&mut self, vm: VmId, new: ResourceVector) -> Result<ResourceVector, PmError> {
-        let host = {
-            let hosts = self.hosts_of(vm);
-            if hosts.is_empty() {
-                return Err(PmError::NotHosted(vm));
-            }
-            if hosts.len() != 1 {
-                return Err(PmError::MigrationInFlight(vm));
-            }
-            hosts[0]
-        };
-        if self.pms[host.0 as usize].reservation_of(vm) == Some(&new) {
-            return Ok(new);
-        }
-        let old = self.update_pm(host, |p| p.resize_reservation(vm, new))?;
-        self.journal.note_vm(vm);
-        dvmp_obs::note_vm_resized(vm.0 as u64, host.0 as u64);
-        Ok(old)
-    }
-
-    /// Releases every reservation of `vm` (departure), returning the PMs it
-    /// was released from.
-    pub fn remove_vm(&mut self, vm: VmId) -> VmHosts {
-        let hosts = self.remove_hosts(vm);
-        for &pm in hosts.iter() {
-            self.update_pm(pm, |p| p.release(vm))
-                .expect("index and reservations agree");
-        }
-        if !hosts.is_empty() {
-            self.journal.note_vm(vm);
-            dvmp_obs::note_vm_removed(vm.0 as u64, hosts.len() as u64);
-        }
-        hosts
-    }
-
-    /// Marks a PM failed and evicts all of its VMs, returning them. VMs
-    /// that were also reserved elsewhere (mid-migration) keep their other
-    /// reservation.
-    pub fn fail_pm(&mut self, pm: PmId) -> Vec<VmId> {
-        let evicted = self.update_pm(pm, |p| {
-            let evicted = p.evict_all();
-            p.state = PmState::Failed;
-            evicted
-        });
-        for &vm in &evicted {
-            if let Some(hosts) = self.hosts_mut(vm) {
-                hosts.remove(pm);
-                if hosts.is_empty() {
-                    self.remove_hosts(vm);
-                }
-            }
-            self.journal.note_vm(vm);
-        }
-        dvmp_obs::note_pm_failed(pm.0 as u64, evicted.len() as u64);
-        evicted
     }
 
     /// Verifies the global invariants; used by tests and debug assertions.
@@ -887,6 +873,33 @@ mod tests {
         ResourceVector::cpu_mem(1, 512)
     }
 
+    fn place(vm: u32, pm: u32, demand: ResourceVector) -> FleetOp {
+        FleetOp::Place {
+            vm: VmId(vm),
+            pm: PmId(pm),
+            demand,
+        }
+    }
+
+    fn migrate(vm: u32, to: u32) -> FleetOp {
+        FleetOp::BeginMigration {
+            vm: VmId(vm),
+            to: PmId(to),
+            demand: vm_demand(),
+        }
+    }
+
+    fn finish(vm: u32, from: u32) -> FleetOp {
+        FleetOp::FinishMigration {
+            vm: VmId(vm),
+            from: PmId(from),
+        }
+    }
+
+    fn resize(vm: u32, new: ResourceVector) -> FleetOp {
+        FleetOp::Resize { vm: VmId(vm), new }
+    }
+
     #[test]
     fn paper_fleet_matches_table2() {
         let dc = paper_fleet();
@@ -912,14 +925,17 @@ mod tests {
     #[test]
     fn place_and_remove_update_index() {
         let mut dc = on_fleet();
-        dc.place(VmId(1), PmId(0), vm_demand()).unwrap();
+        dc.apply(place(1, 0, vm_demand())).unwrap();
         assert_eq!(dc.host_of(VmId(1)), Some(PmId(0)));
         assert_eq!(dc.active_vm_count(), 1);
         assert_eq!(dc.non_idle_count(), 1);
         dc.assert_consistent();
 
-        let released = dc.remove_vm(VmId(1));
-        assert_eq!(&*released, &[PmId(0)]);
+        assert_eq!(
+            dc.apply(FleetOp::Remove { vm: VmId(1) }),
+            Ok(vec![]),
+            "only a failure evicts"
+        );
         assert_eq!(dc.host_of(VmId(1)), None);
         assert_eq!(dc.non_idle_count(), 0);
         dc.assert_consistent();
@@ -928,15 +944,15 @@ mod tests {
     #[test]
     fn migration_double_reserves_then_releases_source() {
         let mut dc = on_fleet();
-        dc.place(VmId(1), PmId(0), vm_demand()).unwrap();
-        dc.begin_migration(VmId(1), PmId(1), vm_demand()).unwrap();
+        dc.apply(place(1, 0, vm_demand())).unwrap();
+        dc.apply(migrate(1, 1)).unwrap();
         // Reserved on both; current host is the destination.
         assert_eq!(dc.hosts_of(VmId(1)), &[PmId(1), PmId(0)]);
         assert_eq!(dc.host_of(VmId(1)), Some(PmId(1)));
         assert_eq!(dc.non_idle_count(), 2);
         dc.assert_consistent();
 
-        dc.finish_migration(VmId(1), PmId(0)).unwrap();
+        dc.apply(finish(1, 0)).unwrap();
         assert_eq!(dc.hosts_of(VmId(1)), &[PmId(1)]);
         assert_eq!(dc.non_idle_count(), 1);
         dc.assert_consistent();
@@ -945,10 +961,10 @@ mod tests {
     #[test]
     fn departure_mid_migration_releases_both() {
         let mut dc = on_fleet();
-        dc.place(VmId(1), PmId(0), vm_demand()).unwrap();
-        dc.begin_migration(VmId(1), PmId(1), vm_demand()).unwrap();
-        let released = dc.remove_vm(VmId(1));
-        assert_eq!(released.len(), 2);
+        dc.apply(place(1, 0, vm_demand())).unwrap();
+        dc.apply(migrate(1, 1)).unwrap();
+        dc.apply(FleetOp::Remove { vm: VmId(1) }).unwrap();
+        assert_eq!(dc.hosts_of(VmId(1)), &[]);
         assert_eq!(dc.non_idle_count(), 0);
         dc.assert_consistent();
     }
@@ -956,10 +972,10 @@ mod tests {
     #[test]
     fn fail_pm_evicts_and_marks_failed() {
         let mut dc = on_fleet();
-        dc.place(VmId(1), PmId(0), vm_demand()).unwrap();
-        dc.place(VmId(2), PmId(0), vm_demand()).unwrap();
-        dc.place(VmId(3), PmId(1), vm_demand()).unwrap();
-        let evicted = dc.fail_pm(PmId(0));
+        dc.apply(place(1, 0, vm_demand())).unwrap();
+        dc.apply(place(2, 0, vm_demand())).unwrap();
+        dc.apply(place(3, 1, vm_demand())).unwrap();
+        let evicted = dc.apply(FleetOp::Fail { pm: PmId(0) }).unwrap();
         assert_eq!(evicted, vec![VmId(1), VmId(2)]);
         assert_eq!(dc.pm(PmId(0)).state, PmState::Failed);
         assert_eq!(dc.host_of(VmId(1)), None);
@@ -974,10 +990,10 @@ mod tests {
     #[test]
     fn fail_pm_mid_migration_keeps_other_reservation() {
         let mut dc = on_fleet();
-        dc.place(VmId(1), PmId(0), vm_demand()).unwrap();
-        dc.begin_migration(VmId(1), PmId(1), vm_demand()).unwrap();
+        dc.apply(place(1, 0, vm_demand())).unwrap();
+        dc.apply(migrate(1, 1)).unwrap();
         // Destination fails: VM survives on the source.
-        let evicted = dc.fail_pm(PmId(1));
+        let evicted = dc.apply(FleetOp::Fail { pm: PmId(1) }).unwrap();
         assert_eq!(evicted, vec![VmId(1)]);
         assert_eq!(dc.hosts_of(VmId(1)), &[PmId(0)]);
         dc.assert_consistent();
@@ -990,7 +1006,7 @@ mod tests {
         assert_eq!(dc.total_power_w(), 1_020.0);
         assert_eq!(dc.powered_count(), 5);
         assert_eq!(dc.idle_available_count(), 5);
-        dc.place(VmId(1), PmId(0), vm_demand()).unwrap();
+        dc.apply(place(1, 0, vm_demand())).unwrap();
         // pm0 becomes active: +160 W.
         assert_eq!(dc.total_power_w(), 1_180.0);
         dc.pm_mut(PmId(4)).state = PmState::Off;
@@ -1003,7 +1019,7 @@ mod tests {
         let mut dc = on_fleet();
         // 2 fast (8 cores) + 3 slow (4 cores) available = 28 cores.
         assert_eq!(dc.powered_core_utilization(), 0.0);
-        dc.place(VmId(1), PmId(0), ResourceVector::cpu_mem(7, 512))
+        dc.apply(place(1, 0, ResourceVector::cpu_mem(7, 512)))
             .unwrap();
         assert!((dc.powered_core_utilization() - 7.0 / 28.0).abs() < 1e-12);
         // Powering a slow PM off shrinks the denominator.
@@ -1015,7 +1031,7 @@ mod tests {
                 dc.pm_mut(PmId(id)).state = PmState::Off;
             }
         }
-        dc.remove_vm(VmId(1));
+        dc.apply(FleetOp::Remove { vm: VmId(1) }).unwrap();
         dc.pm_mut(PmId(0)).state = PmState::Off;
         assert_eq!(dc.powered_core_utilization(), 0.0);
     }
@@ -1023,7 +1039,7 @@ mod tests {
     #[test]
     fn counts_ignore_unavailable_pms() {
         let mut dc = on_fleet();
-        dc.place(VmId(1), PmId(0), vm_demand()).unwrap();
+        dc.apply(place(1, 0, vm_demand())).unwrap();
         dc.pm_mut(PmId(1)).state = PmState::Off;
         assert_eq!(dc.non_idle_count(), 1);
         assert_eq!(dc.idle_available_count(), 3);
@@ -1060,7 +1076,7 @@ mod tests {
             vec![PmId(0), PmId(1), PmId(2), PmId(3), PmId(4)]
         );
         dc.pm_mut(PmId(1)).state = PmState::Off;
-        dc.place(VmId(1), PmId(0), vm_demand()).unwrap();
+        dc.apply(place(1, 0, vm_demand())).unwrap();
         assert_eq!(dc.off_pm_ids().collect::<Vec<_>>(), vec![PmId(1)]);
         assert_eq!(
             dc.on_idle_pm_ids().rev().collect::<Vec<_>>(),
@@ -1107,7 +1123,7 @@ mod tests {
     #[test]
     fn first_fit_available_matches_linear_scan() {
         let mut dc = on_fleet();
-        dc.place(VmId(1), PmId(0), ResourceVector::cpu_mem(8, 1_024))
+        dc.apply(place(1, 0, ResourceVector::cpu_mem(8, 1_024)))
             .unwrap();
         dc.pm_mut(PmId(1)).state = PmState::Off;
         for req in [
@@ -1127,9 +1143,9 @@ mod tests {
         // Creation starts clean.
         assert!(dc.fleet_delta().is_empty());
 
-        dc.place(VmId(1), PmId(0), vm_demand()).unwrap();
-        dc.begin_migration(VmId(1), PmId(1), vm_demand()).unwrap();
-        dc.finish_migration(VmId(1), PmId(0)).unwrap();
+        dc.apply(place(1, 0, vm_demand())).unwrap();
+        dc.apply(migrate(1, 1)).unwrap();
+        dc.apply(finish(1, 0)).unwrap();
         dc.pm_mut(PmId(3)).state = PmState::Off;
         dc.pm_mut(PmId(4)).reliability = 0.42; // footprint-invisible change
         let d = dc.take_fleet_delta();
@@ -1145,10 +1161,10 @@ mod tests {
 
         // Drain resets; the next window only sees new dirt.
         assert!(dc.fleet_delta().is_empty());
-        dc.place(VmId(2), PmId(2), vm_demand()).unwrap();
-        let evicted = dc.fail_pm(PmId(2));
+        dc.apply(place(2, 2, vm_demand())).unwrap();
+        let evicted = dc.apply(FleetOp::Fail { pm: PmId(2) }).unwrap();
         assert_eq!(evicted, vec![VmId(2)]);
-        dc.remove_vm(VmId(1));
+        dc.apply(FleetOp::Remove { vm: VmId(1) }).unwrap();
         let d = dc.take_fleet_delta();
         assert_eq!(
             d.dirty_pms().iter().copied().collect::<Vec<_>>(),
@@ -1163,7 +1179,7 @@ mod tests {
         // a failed reservation journals nothing.
         drop(dc.pm_mut(PmId(0)));
         assert!(dc
-            .place(VmId(9), PmId(0), ResourceVector::cpu_mem(999, 512))
+            .apply(place(9, 0, ResourceVector::cpu_mem(999, 512)))
             .is_err());
         assert!(dc.fleet_delta().is_empty());
     }
@@ -1182,16 +1198,16 @@ mod tests {
         let mut dc = overbooked_fleet();
         assert_eq!(dc.saturated_count(), 0);
         // Physically full fast PM: 8/8 cores — admissible and unsaturated.
-        dc.place(VmId(1), PmId(0), ResourceVector::cpu_mem(8, 4_096))
+        dc.apply(place(1, 0, ResourceVector::cpu_mem(8, 4_096)))
             .unwrap();
         assert_eq!(dc.saturated_count(), 0);
         // Past physical, within virtual (16 cores): saturated.
-        dc.place(VmId(2), PmId(0), ResourceVector::cpu_mem(6, 4_096))
+        dc.apply(place(2, 0, ResourceVector::cpu_mem(6, 4_096)))
             .unwrap();
         assert_eq!(dc.saturated_count(), 1);
         dc.assert_consistent();
         // Departure de-saturates.
-        dc.remove_vm(VmId(2));
+        dc.apply(FleetOp::Remove { vm: VmId(2) }).unwrap();
         assert_eq!(dc.saturated_count(), 0);
         dc.assert_consistent();
     }
@@ -1199,11 +1215,11 @@ mod tests {
     #[test]
     fn saturated_count_tracks_power_state() {
         let mut dc = overbooked_fleet();
-        dc.place(VmId(1), PmId(0), ResourceVector::cpu_mem(9, 4_096))
+        dc.apply(place(1, 0, ResourceVector::cpu_mem(9, 4_096)))
             .unwrap();
         assert_eq!(dc.saturated_count(), 1);
         // A failed PM evicts its VMs, so saturation clears with the power.
-        dc.fail_pm(PmId(0));
+        dc.apply(FleetOp::Fail { pm: PmId(0) }).unwrap();
         assert_eq!(dc.saturated_count(), 0);
         dc.assert_consistent();
     }
@@ -1211,13 +1227,11 @@ mod tests {
     #[test]
     fn resize_vm_updates_reservation_and_journal() {
         let mut dc = on_fleet();
-        dc.place(VmId(1), PmId(0), vm_demand()).unwrap();
+        dc.apply(place(1, 0, vm_demand())).unwrap();
         dc.take_fleet_delta();
 
-        let old = dc
-            .resize_vm(VmId(1), ResourceVector::cpu_mem(3, 2_048))
+        dc.apply(resize(1, ResourceVector::cpu_mem(3, 2_048)))
             .unwrap();
-        assert_eq!(old, vm_demand());
         assert_eq!(
             dc.pm(PmId(0)).reservation_of(VmId(1)),
             Some(&ResourceVector::cpu_mem(3, 2_048))
@@ -1238,23 +1252,23 @@ mod tests {
     #[test]
     fn a_second_reservation_is_rejected_and_changes_nothing() {
         let mut dc = on_fleet();
-        dc.place(VmId(1), PmId(0), vm_demand()).unwrap();
+        dc.apply(place(1, 0, vm_demand())).unwrap();
         dc.take_fleet_delta();
         assert_eq!(
-            dc.place(VmId(1), PmId(2), vm_demand()),
+            dc.apply(place(1, 2, vm_demand())),
             Err(PmError::AlreadyHosted(VmId(1)))
         );
         assert_eq!(dc.hosts_of(VmId(1)), &[PmId(0)]);
         assert_eq!(dc.pm(PmId(2)).reservation_of(VmId(1)), None);
 
-        dc.begin_migration(VmId(1), PmId(1), vm_demand()).unwrap();
+        dc.apply(migrate(1, 1)).unwrap();
         dc.take_fleet_delta();
         assert_eq!(
-            dc.begin_migration(VmId(1), PmId(2), vm_demand()),
+            dc.apply(migrate(1, 2)),
             Err(PmError::MigrationInFlight(VmId(1)))
         );
         assert_eq!(
-            dc.place(VmId(1), PmId(2), vm_demand()),
+            dc.apply(place(1, 2, vm_demand())),
             Err(PmError::AlreadyHosted(VmId(1)))
         );
         assert_eq!(dc.hosts_of(VmId(1)), &[PmId(1), PmId(0)]);
@@ -1267,11 +1281,10 @@ mod tests {
     #[test]
     fn same_size_resize_journals_nothing() {
         let mut dc = on_fleet();
-        dc.place(VmId(1), PmId(0), vm_demand()).unwrap();
+        dc.apply(place(1, 0, vm_demand())).unwrap();
         dc.take_fleet_delta();
 
-        let old = dc.resize_vm(VmId(1), vm_demand()).unwrap();
-        assert_eq!(old, vm_demand());
+        dc.apply(resize(1, vm_demand())).unwrap();
         assert!(
             dc.take_fleet_delta().is_empty(),
             "no-op resize dirties nothing"
@@ -1283,21 +1296,21 @@ mod tests {
     fn resize_vm_rejections_leave_fleet_unchanged() {
         let mut dc = on_fleet();
         assert_eq!(
-            dc.resize_vm(VmId(9), vm_demand()),
+            dc.apply(resize(9, vm_demand())),
             Err(PmError::NotHosted(VmId(9)))
         );
-        dc.place(VmId(1), PmId(0), vm_demand()).unwrap();
-        dc.begin_migration(VmId(1), PmId(1), vm_demand()).unwrap();
+        dc.apply(place(1, 0, vm_demand())).unwrap();
+        dc.apply(migrate(1, 1)).unwrap();
         assert_eq!(
-            dc.resize_vm(VmId(1), ResourceVector::cpu_mem(2, 512)),
+            dc.apply(resize(1, ResourceVector::cpu_mem(2, 512))),
             Err(PmError::MigrationInFlight(VmId(1)))
         );
         dc.take_fleet_delta();
         // A grow beyond the host's capacity is rejected without dirt.
-        dc.finish_migration(VmId(1), PmId(0)).unwrap();
+        dc.apply(finish(1, 0)).unwrap();
         dc.take_fleet_delta();
         assert_eq!(
-            dc.resize_vm(VmId(1), ResourceVector::cpu_mem(99, 512)),
+            dc.apply(resize(1, ResourceVector::cpu_mem(99, 512))),
             Err(PmError::InsufficientCapacity)
         );
         assert!(
@@ -1385,7 +1398,7 @@ mod tests {
     #[test]
     fn overbooked_serde_round_trip_keeps_ratios_and_stats() {
         let mut dc = overbooked_fleet();
-        dc.place(VmId(1), PmId(0), ResourceVector::cpu_mem(10, 4_096))
+        dc.apply(place(1, 0, ResourceVector::cpu_mem(10, 4_096)))
             .unwrap();
         assert_eq!(dc.saturated_count(), 1);
         let json = serde_json::to_string(&dc).unwrap();
@@ -1411,7 +1424,7 @@ mod tests {
     #[test]
     fn serde_round_trip_rebuilds_stats() {
         let mut dc = on_fleet();
-        dc.place(VmId(1), PmId(0), vm_demand()).unwrap();
+        dc.apply(place(1, 0, vm_demand())).unwrap();
         dc.pm_mut(PmId(4)).state = PmState::Off;
         let json = serde_json::to_string(&dc).unwrap();
         let back: Datacenter = serde_json::from_str(&json).unwrap();
@@ -1427,9 +1440,9 @@ mod tests {
     #[test]
     fn serde_keeps_the_vm_index_a_map_of_host_lists() {
         let mut dc = on_fleet();
-        dc.place(VmId(2), PmId(0), vm_demand()).unwrap();
-        dc.place(VmId(1), PmId(1), vm_demand()).unwrap();
-        dc.begin_migration(VmId(2), PmId(3), vm_demand()).unwrap();
+        dc.apply(place(2, 0, vm_demand())).unwrap();
+        dc.apply(place(1, 1, vm_demand())).unwrap();
+        dc.apply(migrate(2, 3)).unwrap();
         let json = serde_json::to_string(&dc).unwrap();
         assert!(
             json.ends_with(r#""vm_index":{"1":[1],"2":[3,0]}}"#),

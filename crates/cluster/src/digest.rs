@@ -101,6 +101,7 @@ impl Datacenter {
 mod tests {
     use super::*;
     use crate::datacenter::FleetBuilder;
+    use crate::journal::FleetOp;
     use crate::pm::{PmClass, PmId};
     use crate::resources::ResourceVector;
     use crate::vm::VmId;
@@ -136,11 +137,11 @@ mod tests {
 
         // Placement changes the digest; undoing it restores it.
         let mut dc = fleet();
-        dc.place(VmId(1), PmId(0), ResourceVector::cpu_mem(1, 512))
-            .unwrap();
+        let (vm, pm, demand) = (VmId(1), PmId(0), ResourceVector::cpu_mem(1, 512));
+        dc.apply(FleetOp::Place { vm, pm, demand }).unwrap();
         let placed = dc.state_digest();
         assert_ne!(placed, base);
-        dc.remove_vm(VmId(1));
+        dc.apply(FleetOp::Remove { vm: VmId(1) }).unwrap();
         assert_eq!(dc.state_digest(), base);
 
         // A pure power-state change is observable too.
@@ -153,25 +154,26 @@ mod tests {
     fn digest_distinguishes_reservation_owner() {
         // Same occupancy totals, different VM ids → different digests.
         let mut a = fleet();
-        a.place(VmId(1), PmId(0), ResourceVector::cpu_mem(1, 512))
-            .unwrap();
+        let (vm, pm, demand) = (VmId(1), PmId(0), ResourceVector::cpu_mem(1, 512));
+        a.apply(FleetOp::Place { vm, pm, demand }).unwrap();
         let mut b = fleet();
-        b.place(VmId(2), PmId(0), ResourceVector::cpu_mem(1, 512))
-            .unwrap();
+        let (vm, pm, demand) = (VmId(2), PmId(0), ResourceVector::cpu_mem(1, 512));
+        b.apply(FleetOp::Place { vm, pm, demand }).unwrap();
         assert_ne!(a.state_digest(), b.state_digest());
     }
 
     #[test]
     fn digest_sees_migration_double_reservation() {
         let mut dc = fleet();
-        dc.place(VmId(1), PmId(0), ResourceVector::cpu_mem(1, 512))
-            .unwrap();
+        let (vm, pm, to) = (VmId(1), PmId(0), PmId(1));
+        let demand = ResourceVector::cpu_mem(1, 512);
+        dc.apply(FleetOp::Place { vm, pm, demand }).unwrap();
         let single = dc.state_digest();
-        dc.begin_migration(VmId(1), PmId(1), ResourceVector::cpu_mem(1, 512))
+        dc.apply(FleetOp::BeginMigration { vm, to, demand })
             .unwrap();
         let doubled = dc.state_digest();
         assert_ne!(single, doubled);
-        dc.finish_migration(VmId(1), PmId(0)).unwrap();
+        dc.apply(FleetOp::FinishMigration { vm, from: pm }).unwrap();
         assert_ne!(dc.state_digest(), single, "host moved to pm1");
         assert_ne!(dc.state_digest(), doubled);
     }

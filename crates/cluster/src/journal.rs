@@ -1,10 +1,14 @@
-//! The fleet-delta journal: what changed since the last planning pass.
+//! The fleet's mutation vocabulary and the journal of what it changed.
 //!
-//! A [`FleetDelta`] accumulates, between drains, the identity of every PM
-//! whose footprint (occupancy, power state, availability) changed and every
-//! VM that was placed, migrated, evicted or removed. The [`Datacenter`]
+//! A [`FleetOp`] is one reservation mutation, the only thing
+//! [`Datacenter::apply`] accepts: the simulator builds one per change it
+//! asks of the fleet, and the checked-mode oracle replays the same value.
+//!
+//! A [`FleetDelta`] journal accumulates, between drains, the identity of
+//! every PM whose footprint (occupancy, power state, availability) changed
+//! and every VM that was placed, migrated, resized, evicted or removed. The [`Datacenter`]
 //! owns one and feeds it from the same footprint-diff funnel that maintains
-//! `FleetStats`, so *every* mutation path — the reservation methods and
+//! `FleetStats`, so *every* mutation path — `Datacenter::apply` and
 //! arbitrary edits through `pm_mut`'s drop guard — is journaled or the
 //! journal is marked [`full`](FleetDelta::is_full). That conservation
 //! property is what lets `DynamicPlacement` keep its compressed planner
@@ -20,10 +24,70 @@
 //! policy — stays O(1) in journal memory).
 //!
 //! [`Datacenter`]: crate::datacenter::Datacenter
+//! [`Datacenter::apply`]: crate::datacenter::Datacenter::apply
 
 use crate::pm::PmId;
+use crate::resources::ResourceVector;
 use crate::vm::VmId;
 use std::collections::BTreeSet;
+
+/// One fleet mutation: the complete vocabulary of changes to the
+/// datacenter's reservation state. Power-state transitions go through
+/// [`Datacenter::pm_mut`](crate::datacenter::Datacenter::pm_mut) and need
+/// no op.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum FleetOp {
+    /// `vm` reserves `demand` on `pm` as its sole host. Fails for a VM
+    /// that already holds a reservation.
+    Place {
+        /// The placed VM.
+        vm: VmId,
+        /// Its host.
+        pm: PmId,
+        /// Its reservation.
+        demand: ResourceVector,
+    },
+    /// A live migration begins: `demand` is additionally reserved on `to`,
+    /// which becomes the current host. Fails for a VM that already has a
+    /// migration in flight.
+    BeginMigration {
+        /// The migrating VM.
+        vm: VmId,
+        /// The destination PM.
+        to: PmId,
+        /// The reservation taken on the destination.
+        demand: ResourceVector,
+    },
+    /// A live migration completes: the reservation on `from` is released.
+    FinishMigration {
+        /// The migrated VM.
+        vm: VmId,
+        /// The source PM being released.
+        from: PmId,
+    },
+    /// Every reservation of `vm` is released (departure, or restart after
+    /// its source failed). A no-op for a VM with no reservation.
+    Remove {
+        /// The departing VM.
+        vm: VmId,
+    },
+    /// `pm` fails: it is marked failed and its reservations are evicted;
+    /// a mid-migration VM keeps its reservation elsewhere.
+    Fail {
+        /// The failed PM.
+        pm: PmId,
+    },
+    /// The sole reservation of `vm` becomes `new` in place (vertical
+    /// elasticity). Fails when the VM has no reservation, has a migration
+    /// in flight, or the grow does not fit its host's virtual capacity; a
+    /// same-size resize changes nothing.
+    Resize {
+        /// The resized VM.
+        vm: VmId,
+        /// Its new reservation.
+        new: ResourceVector,
+    },
+}
 
 /// Per-set bound on tracked ids; beyond it the journal marks itself full.
 /// Generous enough that only a drain-free run ever hits it (a 10k-PM fleet

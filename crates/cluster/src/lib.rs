@@ -23,10 +23,10 @@ pub mod resources;
 pub mod vm;
 pub mod vm_table;
 
-pub use datacenter::{paper_fleet, Datacenter, FleetBuilder, PmMut, VmHosts};
+pub use datacenter::{paper_fleet, Datacenter, FleetBuilder, PmMut};
 pub use digest::Fnv64;
 pub use index::CapacityIndex;
-pub use journal::FleetDelta;
+pub use journal::{FleetDelta, FleetOp};
 pub use pm::{Pm, PmClass, PmId, PmState};
 pub use power::PowerModel;
 pub use resources::{OverbookRatios, ResourceVector};

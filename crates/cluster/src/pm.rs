@@ -76,6 +76,26 @@ impl PmClass {
             idle_power_w: 180.0,
         }
     }
+
+    /// Checks the two-level power model: both wattages finite and
+    /// non-negative, and idle no higher than active.
+    pub fn check_power(&self) -> Result<(), String> {
+        let (idle, active) = (self.idle_power_w, self.active_power_w);
+        if !(idle.is_finite() && active.is_finite() && idle >= 0.0 && active >= 0.0) {
+            return Err(format!(
+                "class {:?}: wattages must be finite and non-negative, \
+                 got idle {idle} W, active {active} W",
+                self.name
+            ));
+        }
+        if idle > active {
+            return Err(format!(
+                "class {:?}: idle power {idle} W exceeds active power {active} W",
+                self.name
+            ));
+        }
+        Ok(())
+    }
 }
 
 /// Power/availability state of a PM.

@@ -1,11 +1,12 @@
 //! Model-based property test: the datacenter's reservation bookkeeping
-//! (place / migrate / remove / fail) against a flat reference model under
-//! random operation sequences.
+//! (place / migrate / remove / fail, plus power toggles) against a flat
+//! reference model under random operation sequences.
 
 use dvmp_cluster::datacenter::{Datacenter, FleetBuilder};
-use dvmp_cluster::pm::{PmClass, PmId};
+use dvmp_cluster::pm::{PmClass, PmId, PmState};
 use dvmp_cluster::resources::ResourceVector;
 use dvmp_cluster::vm::VmId;
+use dvmp_cluster::FleetOp;
 use proptest::prelude::*;
 use std::collections::HashMap;
 
@@ -21,6 +22,8 @@ enum Op {
     Remove(u8),
     /// Fail PM `pm % fleet`.
     Fail(u8),
+    /// Power PM `pm % fleet` off if it is on and idle, on if it is off.
+    Toggle(u8),
 }
 
 fn arb_ops() -> impl Strategy<Value = Vec<Op>> {
@@ -31,6 +34,7 @@ fn arb_ops() -> impl Strategy<Value = Vec<Op>> {
             2 => any::<u8>().prop_map(Op::FinishMigration),
             2 => any::<u8>().prop_map(Op::Remove),
             1 => any::<u8>().prop_map(Op::Fail),
+            2 => any::<u8>().prop_map(Op::Toggle),
         ],
         1..120,
     )
@@ -46,6 +50,18 @@ fn fleet() -> Datacenter {
 
 /// Reference model: VM → (resources, hosts in current-host-first order).
 type Model = HashMap<VmId, (ResourceVector, Vec<PmId>)>;
+
+/// The utilization signal by a full fleet scan: summed occupancy over
+/// summed capacity of the available PMs, per dimension.
+fn scanned_utilization(dc: &Datacenter) -> Vec<f64> {
+    (0..2)
+        .map(|d| {
+            let used: u64 = dc.available_pms().map(|pm| pm.used().get(d)).sum();
+            let cap: u64 = dc.available_pms().map(|pm| pm.capacity().get(d)).sum();
+            used as f64 / cap.max(1) as f64
+        })
+        .collect()
+}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
@@ -64,8 +80,8 @@ proptest! {
                     let res = ResourceVector::cpu_mem(1, mem as u64);
                     let id = VmId(next_vm);
                     let fits = dc.pm(pm).can_host(&res);
-                    match dc.place(id, pm, res) {
-                        Ok(()) => {
+                    match dc.apply(FleetOp::Place { vm: id, pm, demand: res }) {
+                        Ok(_) => {
                             prop_assert!(fits, "place must only succeed when can_host");
                             model.insert(id, (res, vec![pm]));
                             next_vm += 1;
@@ -87,8 +103,8 @@ proptest! {
                     let to = PmId(p as u32 % m);
                     if to == hosts[0] { continue; }
                     let fits = dc.pm(to).can_host(&res);
-                    match dc.begin_migration(id, to, res) {
-                        Ok(()) => {
+                    match dc.apply(FleetOp::BeginMigration { vm: id, to, demand: res }) {
+                        Ok(_) => {
                             prop_assert!(fits);
                             model.get_mut(&id).unwrap().1.insert(0, to);
                         }
@@ -106,7 +122,7 @@ proptest! {
                     sorted.sort();
                     let id = sorted[v as usize % sorted.len()];
                     let from = model[&id].1[1];
-                    dc.finish_migration(id, from).unwrap();
+                    dc.apply(FleetOp::FinishMigration { vm: id, from }).unwrap();
                     model.get_mut(&id).unwrap().1.retain(|&h| h != from);
                 }
                 Op::Remove(v) => {
@@ -114,16 +130,19 @@ proptest! {
                     let mut ids: Vec<VmId> = model.keys().copied().collect();
                     ids.sort();
                     let id = ids[v as usize % ids.len()];
-                    let released = dc.remove_vm(id);
-                    let (_, hosts) = model.remove(&id).unwrap();
-                    prop_assert_eq!(released.len(), hosts.len());
-                    for h in hosts {
-                        prop_assert!(released.contains(&h));
-                    }
+                    prop_assert_eq!(dc.apply(FleetOp::Remove { vm: id }), Ok(vec![]));
+                    model.remove(&id);
                 }
                 Op::Fail(p) => {
                     let pm = PmId(p as u32 % m);
-                    dc.fail_pm(pm);
+                    let evicted = dc.apply(FleetOp::Fail { pm }).unwrap();
+                    let mut hosted: Vec<VmId> = model
+                        .iter()
+                        .filter(|(_, (_, hosts))| hosts.contains(&pm))
+                        .map(|(&id, _)| id)
+                        .collect();
+                    hosted.sort();
+                    prop_assert_eq!(evicted, hosted);
                     // Model: drop this PM from every VM's host list; VMs
                     // with no hosts left disappear.
                     model.retain(|_, (_, hosts)| {
@@ -131,10 +150,24 @@ proptest! {
                         !hosts.is_empty()
                     });
                 }
+                Op::Toggle(p) => {
+                    let id = PmId(p as u32 % m);
+                    let pm = dc.pm(id);
+                    let next = match pm.state {
+                        PmState::On if pm.is_idle() => PmState::Off,
+                        PmState::Off => PmState::On,
+                        _ => continue,
+                    };
+                    dc.pm_mut(id).state = next;
+                }
             }
 
             // Global agreement after every operation.
             dc.assert_consistent();
+            prop_assert_eq!(
+                dc.available_utilization_per_dim().collect::<Vec<_>>(),
+                scanned_utilization(&dc)
+            );
             prop_assert_eq!(dc.active_vm_count(), model.len());
             for (&id, (_, hosts)) in &model {
                 prop_assert_eq!(dc.hosts_of(id), hosts.as_slice(), "hosts of {}", id);

@@ -38,13 +38,11 @@ pub mod experiment;
 pub mod oracle;
 pub mod scenario;
 pub mod simulator;
-pub mod timeline;
 
 pub use config::{FailureConfig, SimConfig};
-pub use oracle::{FleetOp, Oracle, ReferenceModel};
+pub use oracle::{Oracle, ReferenceModel};
 pub use scenario::Scenario;
 pub use simulator::{ResizeRequest, Simulation};
-pub use timeline::{Milestone, Timeline};
 
 /// Convenient glob import for examples and downstream users.
 pub mod prelude {

@@ -16,11 +16,13 @@
 //!    the VM lifecycle states, event-time monotonicity, and agreement
 //!    between the fleet's instantaneous power draw and the energy meter.
 //! 2. **A reference model**: an obviously-correct replay of the fleet
-//!    state machine. The simulator reports every fleet mutation as a
-//!    [`FleetOp`]; the model applies it to a plain `VmId → [(PmId, demand)]`
-//!    map and is diffed against the live datacenter after each event. A
-//!    bug in the datacenter's incremental bookkeeping (or a mutation that
-//!    bypassed the op stream) surfaces as a divergence.
+//!    state machine. Every fleet mutation is a [`FleetOp`]; the simulator
+//!    hands each op the datacenter accepted to the oracle — the op it
+//!    asked for, never the datacenter's report of what it did. The model
+//!    applies it to a plain `VmId → [(PmId, demand)]` map and is diffed
+//!    against the live datacenter after each event. A bug in the
+//!    datacenter's incremental bookkeeping (or a mutation that bypassed
+//!    the op stream) surfaces as a divergence.
 //! 3. **Sparse deep audits**: checks that scan the whole history — queue /
 //!    request conservation and the energy *integral* (an independent
 //!    re-integration of the power step function vs the meter) — run every
@@ -38,7 +40,7 @@ use dvmp_cluster::datacenter::Datacenter;
 use dvmp_cluster::pm::{Pm, PmId};
 use dvmp_cluster::resources::ResourceVector;
 use dvmp_cluster::vm::{VmId, VmState};
-use dvmp_cluster::VmTable;
+use dvmp_cluster::{FleetOp, VmTable};
 use dvmp_metrics::energy::EnergyMeter;
 use dvmp_metrics::sla::SaturationMeter;
 use dvmp_metrics::violation::{Invariant, OracleSummary, Violation};
@@ -60,62 +62,6 @@ const ENERGY_REL_TOL: f64 = 1e-6;
 /// reasoning as [`ENERGY_REL_TOL`]: identical step function, identical
 /// order, slack for float reassociation only).
 const SLA_REL_TOL: f64 = 1e-6;
-
-/// One fleet mutation, as reported by the simulator to the oracle.
-///
-/// These five operations are the complete mutation vocabulary of the
-/// simulator against the datacenter's reservation state; power-state
-/// transitions are audited directly off the live fleet and need no ops.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum FleetOp {
-    /// `Datacenter::place`: `vm` reserved `demand` on `pm` as sole host.
-    Place {
-        /// The placed VM.
-        vm: VmId,
-        /// Its host.
-        pm: PmId,
-        /// Its reservation.
-        demand: ResourceVector,
-    },
-    /// `Datacenter::begin_migration`: `demand` additionally reserved on
-    /// `to`, which becomes the current host.
-    BeginMigration {
-        /// The migrating VM.
-        vm: VmId,
-        /// The destination PM.
-        to: PmId,
-        /// The reservation taken on the destination.
-        demand: ResourceVector,
-    },
-    /// `Datacenter::finish_migration`: the reservation on `from` released.
-    FinishMigration {
-        /// The migrated VM.
-        vm: VmId,
-        /// The source PM being released.
-        from: PmId,
-    },
-    /// `Datacenter::remove_vm`: every reservation of `vm` released.
-    Remove {
-        /// The departing (or restarted-after-failure) VM.
-        vm: VmId,
-    },
-    /// `Datacenter::fail_pm`: `pm` failed; its reservations evicted, other
-    /// reservations of mid-migration VMs retained.
-    Fail {
-        /// The failed PM.
-        pm: PmId,
-    },
-    /// `Datacenter::resize_vm`: the sole reservation of `vm` changed to
-    /// `new` in place (vertical elasticity). Only a VM with exactly one
-    /// host may resize — the simulator rejects resizes of queued,
-    /// completed or mid-migration VMs before they reach the fleet.
-    Resize {
-        /// The resized VM.
-        vm: VmId,
-        /// Its new reservation.
-        new: ResourceVector,
-    },
-}
 
 /// The obviously-correct fleet state machine: just a map from VM to its
 /// reservation list (current host first), mutated exactly as the
@@ -174,7 +120,7 @@ impl ReferenceModel {
                 Ok(())
             }
             FleetOp::Remove { vm } => {
-                // remove_vm on an unhosted VM is a no-op in the live
+                // Removing an unhosted VM is a no-op in the live
                 // datacenter (the source-failure path relies on it).
                 self.hosts.remove(&vm);
                 Ok(())
@@ -336,23 +282,10 @@ impl Oracle {
     /// the later audit that reports it.
     pub fn record(&mut self, now: SimTime, op: &FleetOp) {
         match *op {
-            FleetOp::Place { vm, pm, .. } => {
-                self.touched_vms.push(vm);
-                self.touched_pms.push(pm);
-            }
-            FleetOp::BeginMigration { vm, to, .. } | FleetOp::FinishMigration { vm, from: to } => {
-                self.touched_vms.push(vm);
-                self.touched_pms.push(to);
-                if let Some(entry) = self.reference.hosts.get(&vm) {
-                    self.touched_pms.extend(entry.iter().map(|&(p, _)| p));
-                }
-            }
-            FleetOp::Remove { vm } => {
-                self.touched_vms.push(vm);
-                if let Some(entry) = self.reference.hosts.get(&vm) {
-                    self.touched_pms.extend(entry.iter().map(|&(p, _)| p));
-                }
-            }
+            FleetOp::Place { vm, pm, .. }
+            | FleetOp::BeginMigration { vm, to: pm, .. }
+            | FleetOp::FinishMigration { vm, from: pm } => self.touch(vm, Some(pm)),
+            FleetOp::Remove { vm } | FleetOp::Resize { vm, .. } => self.touch(vm, None),
             FleetOp::Fail { pm } => {
                 self.touched_pms.push(pm);
                 // Eviction touches every VM holding a reservation there
@@ -362,12 +295,6 @@ impl Oracle {
                     if entry.iter().any(|&(p, _)| p == pm) {
                         self.touched_vms.push(vm);
                     }
-                }
-            }
-            FleetOp::Resize { vm, .. } => {
-                self.touched_vms.push(vm);
-                if let Some(entry) = self.reference.hosts.get(&vm) {
-                    self.touched_pms.extend(entry.iter().map(|&(p, _)| p));
                 }
             }
         }
@@ -380,6 +307,16 @@ impl Oracle {
                 seq: self.events_audited + 1,
                 detail: e,
             });
+        }
+    }
+
+    /// Marks `vm`, the PM `pm` its op names, and every PM the model holds
+    /// it on (before the op applies) for the next audit.
+    fn touch(&mut self, vm: VmId, pm: Option<PmId>) {
+        self.touched_vms.push(vm);
+        self.touched_pms.extend(pm);
+        if let Some(entry) = self.reference.hosts.get(&vm) {
+            self.touched_pms.extend(entry.iter().map(|&(p, _)| p));
         }
     }
 
@@ -762,25 +699,10 @@ mod tests {
         vm
     }
 
-    /// Drives the fleet and the oracle through the same op, so tests stay
-    /// in lock-step with the live datacenter.
+    /// Applies `op` to the fleet and hands the same op to the oracle, as
+    /// the simulator does.
     fn exec(dc: &mut Datacenter, oracle: &mut Oracle, op: FleetOp) {
-        match op {
-            FleetOp::Place { vm, pm, demand } => dc.place(vm, pm, demand).unwrap(),
-            FleetOp::BeginMigration { vm, to, demand } => {
-                dc.begin_migration(vm, to, demand).unwrap()
-            }
-            FleetOp::FinishMigration { vm, from } => dc.finish_migration(vm, from).unwrap(),
-            FleetOp::Remove { vm } => {
-                dc.remove_vm(vm);
-            }
-            FleetOp::Fail { pm } => {
-                dc.fail_pm(pm);
-            }
-            FleetOp::Resize { vm, new } => {
-                dc.resize_vm(vm, new).unwrap();
-            }
-        }
+        dc.apply(op).unwrap();
         oracle.record(SimTime::ZERO, &op);
     }
 

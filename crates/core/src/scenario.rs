@@ -299,15 +299,6 @@ impl Scenario {
         self.build(policy).run_counting()
     }
 
-    /// Like [`run`](Self::run), additionally collecting the milestone
-    /// [`Timeline`](crate::timeline::Timeline) of the run.
-    pub fn run_with_timeline(
-        &self,
-        policy: Box<dyn PlacementPolicy>,
-    ) -> (RunReport, crate::timeline::Timeline) {
-        self.build(policy).run_with_timeline()
-    }
-
     /// The mean offered load in VM-slots (total core·seconds of work over
     /// the horizon) — a quick feasibility check for custom scenarios.
     pub fn mean_offered_concurrency(&self) -> f64 {

@@ -31,14 +31,13 @@
 //! (`skipped_migrations` in the report) rather than violating capacity.
 
 use crate::config::SimConfig;
-use crate::oracle::{FleetOp, Oracle};
-use crate::timeline::{Milestone, Timeline};
+use crate::oracle::Oracle;
 use dvmp_cluster::datacenter::Datacenter;
-use dvmp_cluster::pm::{PmId, PmState};
+use dvmp_cluster::pm::{PmError, PmId, PmState};
 use dvmp_cluster::reliability::FailureProcess;
 use dvmp_cluster::resources::ResourceVector;
 use dvmp_cluster::vm::{Vm, VmId, VmSpec, VmState};
-use dvmp_cluster::VmTable;
+use dvmp_cluster::{FleetOp, VmTable};
 use dvmp_forecast::spare::SpareServerController;
 use dvmp_metrics::recorder::{RunMeta, RunReport, SimulationRecorder};
 use dvmp_placement::{Migration, PlacementPolicy, PlacementView};
@@ -123,8 +122,6 @@ struct SimWorld {
     /// of scanning every VM ever submitted. Updated wherever a VM's start
     /// or overhead changes or it leaves the active set.
     departure_index: BTreeSet<(SimTime, VmId)>,
-    /// Opt-in milestone log (None = no collection overhead).
-    timeline: Option<Timeline>,
     /// Checked-mode auditor (None unless `cfg.checked`); boxed to keep the
     /// hot unchecked path's world small.
     oracle: Option<Box<Oracle>>,
@@ -144,13 +141,6 @@ impl SimWorld {
         }
         if self.cfg.obs_summary {
             self.recorder.enable_obs_sampling();
-        }
-    }
-
-    #[inline]
-    fn mark(&mut self, at: SimTime, m: Milestone) {
-        if let Some(tl) = &mut self.timeline {
-            tl.push(at, m);
         }
     }
 
@@ -176,14 +166,17 @@ impl SimWorld {
         }
     }
 
-    /// Reports one fleet mutation to the oracle's reference model, stamped
-    /// with the sim time of the event performing it. The closure keeps op
-    /// construction off the unchecked path.
-    #[inline]
-    fn note(&mut self, now: SimTime, op: impl FnOnce() -> FleetOp) {
+    /// Applies one fleet mutation and, once the datacenter accepts it,
+    /// hands the same op to the checked-mode oracle, stamped with the sim
+    /// time of the event performing it: the reference model replays what
+    /// the simulator asked for, never the datacenter's account of it.
+    /// Returns the VMs a [`FleetOp::Fail`] evicted.
+    fn apply(&mut self, now: SimTime, op: FleetOp) -> Result<Vec<VmId>, PmError> {
+        let evicted = self.dc.apply(op)?;
         if let Some(o) = &mut self.oracle {
-            o.record(now, &op());
+            o.record(now, &op);
         }
+        Ok(evicted)
     }
 
     /// Places `vm` on `pm` and schedules its creation completion. The
@@ -191,11 +184,10 @@ impl SimWorld {
     /// after a failure keeps its resized size, not its original spec.
     fn start_vm(&mut self, id: VmId, pm: PmId, now: SimTime, sched: &mut Scheduler<Event>) {
         let slot = self.vms.slot(id).expect("every request has a slot");
-        let vm = self.vms.get_mut(id).expect("VM exists");
-        let res = *vm.demand();
-        self.dc
-            .place(id, pm, res)
+        let demand = *self.vms[id].demand();
+        self.apply(now, FleetOp::Place { vm: id, pm, demand })
             .expect("policy returned a PM that can host the request");
+        let vm = self.vms.get_mut(id).expect("VM exists");
         let boot_ready = match self.dc.pm(pm).state {
             PmState::Booting { ready_at } => ready_at.max(now),
             _ => now,
@@ -216,12 +208,6 @@ impl SimWorld {
         }
         events.creation = Some(sched.schedule_at(ready, Event::CreationDone(id)));
         self.index_departure(id);
-        self.note(now, || FleetOp::Place {
-            vm: id,
-            pm,
-            demand: res,
-        });
-        self.mark(now, Milestone::Placed { vm: id, pm });
     }
 
     /// Attempts to place a VM; returns `true` on success. On failure,
@@ -279,7 +265,7 @@ impl SimWorld {
             ready
         };
         sched.schedule_at(ready, Event::BootDone(id));
-        self.mark(now, Milestone::BootStarted(id));
+        dvmp_obs::event!(dvmp_obs::RecordKind::PmBootStarted, id.0, ready.as_secs());
     }
 
     fn shutdown_pm(&mut self, id: PmId, now: SimTime, sched: &mut Scheduler<Event>) {
@@ -294,7 +280,6 @@ impl SimWorld {
             off_at
         };
         sched.schedule_at(off_at, Event::ShutdownDone(id));
-        self.mark(now, Milestone::ShutdownStarted(id));
     }
 
     /// Retries queued requests in FIFO order (later entries may still be
@@ -379,15 +364,12 @@ impl SimWorld {
             dvmp_obs::note_migration_skipped(m.vm.0 as u64);
             return;
         }
-        let res = *self.vms[m.vm].demand();
-        self.dc
-            .begin_migration(m.vm, m.to, res)
-            .expect("validated migration");
-        self.note(now, || FleetOp::BeginMigration {
+        let op = FleetOp::BeginMigration {
             vm: m.vm,
             to: m.to,
-            demand: res,
-        });
+            demand: *self.vms[m.vm].demand(),
+        };
+        self.apply(now, op).expect("validated migration");
         let t_mig = self.dc.pm(m.to).class.migration_time;
         let done = now + t_mig;
         self.unindex_departure(m.vm);
@@ -403,14 +385,6 @@ impl SimWorld {
         self.events(m.vm).migration = Some(sched.schedule_at(done, Event::MigrationDone(m.vm)));
         self.reschedule_departure(m.vm, sched);
         self.recorder.record_migration(now);
-        self.mark(
-            now,
-            Milestone::MigrationStarted {
-                vm: m.vm,
-                from: m.from,
-                to: m.to,
-            },
-        );
     }
 
     /// Applies one vertical-elasticity request: the VM's reservation
@@ -437,14 +411,12 @@ impl SimWorld {
         if new == old {
             return; // same-size no-op: no journal dirt, no counters
         }
-        match self.dc.resize_vm(id, new) {
+        match self.apply(now, FleetOp::Resize { vm: id, new }) {
             Ok(_) => {
                 let vm = self.vms.get_mut(id).expect("VM exists");
                 vm.current_demand = Some(new);
                 vm.resizes += 1;
                 self.recorder.record_resize();
-                self.note(now, || FleetOp::Resize { vm: id, new });
-                self.mark(now, Milestone::Resized(id));
                 if new.le(&old) {
                     // Shrink: capacity was freed — queued requests may fit.
                     self.drain_queue(now, sched);
@@ -525,10 +497,10 @@ impl SimWorld {
         if !self.dc.pm(pm).is_powered() {
             return; // raced with a shutdown
         }
-        let evicted = self.dc.fail_pm(pm);
-        self.note(now, || FleetOp::Fail { pm });
+        let evicted = self
+            .apply(now, FleetOp::Fail { pm })
+            .expect("a failure always applies");
         self.recorder.record_pm_failure();
-        self.mark(now, Milestone::PmFailed(pm));
         for id in evicted {
             let state = self.vms[id].state;
             match state {
@@ -554,8 +526,8 @@ impl SimWorld {
                     } else {
                         // Source died: execution lost; drop the destination
                         // reservation too and restart from the queue.
-                        self.dc.remove_vm(id);
-                        self.note(now, || FleetOp::Remove { vm: id });
+                        self.apply(now, FleetOp::Remove { vm: id })
+                            .expect("a removal always applies");
                         self.requeue_vm(id, sched);
                         self.recorder.record_failure_lost_migration();
                     }
@@ -592,8 +564,6 @@ impl SimWorld {
             "indexed n_departure disagrees with the full scan at t={now}"
         );
         self.spare_target = sp.spare_servers(now, n_dep);
-        let target = self.spare_target;
-        self.mark(now, Milestone::SpareTarget(target));
         self.enforce_power(now, sched);
         sched.schedule_after(period, Event::ControlPeriod);
     }
@@ -609,13 +579,11 @@ impl World for SimWorld {
                 let id = spec.id;
                 self.vms.insert(Vm::new(spec));
                 self.recorder.record_arrival(now);
-                self.mark(now, Milestone::Arrived(id));
                 if let Some(sp) = &mut self.spare {
                     sp.record_arrival(now);
                 }
                 if !self.try_place(id, now, sched) {
                     self.queue.push_back(id);
-                    self.mark(now, Milestone::Queued(id));
                 }
                 self.consolidate(now, sched);
                 self.enforce_power(now, sched);
@@ -627,7 +595,6 @@ impl World for SimWorld {
                     vm.state = VmState::Running { pm };
                     let ev = sched.schedule_at(now + vm.spec.actual_runtime, Event::Departure(id));
                     self.events(id).departure = Some(ev);
-                    self.mark(now, Milestone::Started(id));
                 }
             }
             Event::Departure(id) => {
@@ -638,14 +605,13 @@ impl World for SimWorld {
                 if let Some(ev) = migration {
                     sched.cancel(ev);
                 }
-                self.dc.remove_vm(id);
-                self.note(now, || FleetOp::Remove { vm: id });
+                self.apply(now, FleetOp::Remove { vm: id })
+                    .expect("a removal always applies");
                 let vm = self.vms.get_mut(id).expect("VM exists");
                 vm.state = VmState::Completed { at: now };
                 let spec = &vm.spec;
                 let core_seconds = spec.actual_runtime.as_secs_f64() * spec.resources.get(0) as f64;
                 self.recorder.record_departure(now, core_seconds);
-                self.mark(now, Milestone::Departed(id));
                 self.drain_queue(now, sched);
                 self.consolidate(now, sched);
                 self.enforce_power(now, sched);
@@ -653,12 +619,9 @@ impl World for SimWorld {
             Event::MigrationDone(id) => {
                 self.events(id).migration = None;
                 if let VmState::Migrating { from, to, .. } = self.vms[id].state {
-                    self.dc
-                        .finish_migration(id, from)
+                    self.apply(now, FleetOp::FinishMigration { vm: id, from })
                         .expect("migration bookkeeping consistent");
-                    self.note(now, || FleetOp::FinishMigration { vm: id, from });
                     self.vms.get_mut(id).expect("VM exists").state = VmState::Running { pm: to };
-                    self.mark(now, Milestone::MigrationFinished(id));
                     self.drain_queue(now, sched);
                     self.enforce_power(now, sched);
                 }
@@ -666,7 +629,6 @@ impl World for SimWorld {
             Event::BootDone(id) => {
                 if matches!(self.dc.pm(id).state, PmState::Booting { .. }) {
                     self.dc.pm_mut(id).state = PmState::On;
-                    self.mark(now, Milestone::BootFinished(id));
                     self.schedule_pm_failure(id, now, sched);
                     self.drain_queue(now, sched);
                 }
@@ -674,14 +636,12 @@ impl World for SimWorld {
             Event::ShutdownDone(id) => {
                 if matches!(self.dc.pm(id).state, PmState::ShuttingDown { .. }) {
                     self.dc.pm_mut(id).state = PmState::Off;
-                    self.mark(now, Milestone::ShutdownFinished(id));
                 }
             }
             Event::PmFailure(id) => self.handle_pm_failure(id, now, sched),
             Event::RepairDone(id) => {
                 if self.dc.pm(id).state == PmState::Failed {
                     self.dc.pm_mut(id).state = PmState::Off;
-                    self.mark(now, Milestone::PmRepaired(id));
                 }
             }
             Event::ControlPeriod => self.handle_control_period(now, sched),
@@ -741,6 +701,8 @@ impl Simulation {
     }
 
     /// [`Simulation::new`] that returns an error instead of panicking
+    /// when a PM class's power model is invalid
+    /// ([`PmClass::check_power`](dvmp_cluster::pm::PmClass::check_power)),
     /// when the policy rejects the fleet or the requests
     /// ([`PlacementPolicy::check_inputs`]) — e.g. resource vectors whose
     /// dimensions disagree with the dynamic scheme's `min_vm` — when two
@@ -752,6 +714,9 @@ impl Simulation {
         policy: Box<dyn PlacementPolicy>,
         cfg: SimConfig,
     ) -> Result<Self, String> {
+        for class in fleet.classes() {
+            class.check_power()?;
+        }
         policy.check_inputs(&fleet, &requests)?;
         let vms = VmTable::with_ids(requests.iter().map(|r| r.id))
             .map_err(|id| format!("request id {id} is used by more than one request"))?;
@@ -788,7 +753,6 @@ impl Simulation {
             cfg: cfg.clone(),
             failure,
             departure_index: BTreeSet::new(),
-            timeline: None,
             oracle: None,
         };
         let mut engine = Engine::new(world);
@@ -833,20 +797,6 @@ impl Simulation {
         }
         self.engine.world_mut().resizes = resizes;
         self
-    }
-
-    /// Runs to the horizon with milestone collection on, returning the
-    /// report and the collected timeline.
-    pub fn run_with_timeline(mut self) -> (RunReport, Timeline) {
-        self.engine.world_mut().timeline = Some(Timeline::new());
-        let report = self.execute();
-        let timeline = self
-            .engine
-            .world_mut()
-            .timeline
-            .take()
-            .expect("timeline was enabled above");
-        (report, timeline)
     }
 
     /// Runs to the horizon and produces the report.
@@ -975,6 +925,20 @@ mod tests {
     }
 
     #[test]
+    fn idle_power_above_active_is_rejected_at_build() {
+        let inverted = PmClass {
+            idle_power_w: 300.0,
+            active_power_w: 100.0,
+            ..PmClass::paper_fast()
+        };
+        let fleet = FleetBuilder::new().add_class(inverted, 2, 0.99).build();
+        let err = Simulation::try_new(fleet, vec![], Box::new(FirstFit), base_cfg())
+            .err()
+            .expect("an idle draw above the active draw is invalid input");
+        assert!(err.contains("exceeds active power"), "{err}");
+    }
+
+    #[test]
     fn duplicate_request_ids_are_rejected_at_build() {
         // Two requests sharing an id would share one VM slot: the second
         // arrival would overwrite the first VM mid-run.
@@ -1035,10 +999,22 @@ mod tests {
         // fast class) + creation (30 s) before its 1000 s of work.
         let requests = vec![spec(1, 0, 1_000)];
         let sim = Simulation::new(small_fleet(), requests, Box::new(FirstFit), base_cfg());
+        dvmp_obs::set_enabled(true);
         let report = sim.run();
+        let records = dvmp_obs::drain_records();
+        dvmp_obs::set_enabled(false);
         assert_eq!(report.total_departures, 1);
         // The recorder saw a non-idle PM for exactly the VM's residency.
         assert!(report.hourly_non_idle_servers[0] > 0.0);
+        // Placed on the booting PM at t = 0, released at 50 + 30 + 1000.
+        let at = |kind| {
+            records
+                .iter()
+                .find(|r| r.kind == kind && r.a == 1)
+                .map(|r| r.time_s)
+        };
+        assert_eq!(at(dvmp_obs::RecordKind::VmPlaced), Some(0));
+        assert_eq!(at(dvmp_obs::RecordKind::VmRemoved), Some(1_080));
     }
 
     #[test]

@@ -11,7 +11,7 @@ use crate::sla::SaturationMeter;
 use crate::violation::OracleSummary;
 use dvmp_cluster::datacenter::Datacenter;
 use dvmp_obs::CounterSnapshot as ObsCounters;
-use dvmp_obs::{PhaseHistogram, TimeSeriesReport, TimeSeriesStore, LATENCY_QUANTILES};
+use dvmp_obs::{Phase, PhaseHistogram, TimeSeriesReport, TimeSeriesStore, LATENCY_QUANTILES};
 use dvmp_simcore::series::{CountSeries, StepSeries};
 use dvmp_simcore::{SimDuration, SimTime};
 use serde::{Deserialize, Serialize};
@@ -82,7 +82,7 @@ pub struct SimulationRecorder {
     /// per-run numbers are deltas against this baseline).
     obs_baseline: Option<ObsCounters>,
     /// Phase-histogram state at arming time (latency channels are deltas).
-    ts_phase_baseline: Vec<PhaseHistogram>,
+    ts_phase_baseline: [PhaseHistogram; Phase::TIMED.len()],
     /// Bounded multi-resolution telemetry store; created lazily at the
     /// first control-interval sample (channel list needs the fleet's
     /// resource dimension count). `None` until armed + first sample.
@@ -119,7 +119,7 @@ impl SimulationRecorder {
             rejected_resizes: 0,
             served_core_seconds: 0.0,
             obs_baseline: None,
-            ts_phase_baseline: Vec::new(),
+            ts_phase_baseline: dvmp_obs::phase_histograms(),
             ts_store: None,
             ts_scratch: Vec::new(),
         }
@@ -515,6 +515,7 @@ mod tests {
     use dvmp_cluster::pm::{PmClass, PmId};
     use dvmp_cluster::resources::ResourceVector;
     use dvmp_cluster::vm::VmId;
+    use dvmp_cluster::FleetOp;
 
     fn fleet() -> Datacenter {
         FleetBuilder::new()
@@ -528,8 +529,8 @@ mod tests {
         let mut dc = fleet();
         let mut rec = SimulationRecorder::new();
         rec.sample_fleet(SimTime::ZERO, &dc); // 2 idle fast: 480 W
-        dc.place(VmId(1), PmId(0), ResourceVector::cpu_mem(1, 512))
-            .unwrap();
+        let (vm, pm, demand) = (VmId(1), PmId(0), ResourceVector::cpu_mem(1, 512));
+        dc.apply(FleetOp::Place { vm, pm, demand }).unwrap();
         rec.sample_fleet(SimTime::from_mins(30), &dc); // 400 + 240 = 640 W
 
         let report = rec.finish("test", SimTime::from_hours(1));
@@ -578,8 +579,8 @@ mod tests {
         let mut rec = SimulationRecorder::new();
         rec.sample_fleet(SimTime::ZERO, &dc);
         // 10 cores fits the virtual envelope but saturates the hardware.
-        dc.place(VmId(1), PmId(0), ResourceVector::cpu_mem(10, 4_096))
-            .unwrap();
+        let (vm, pm, demand) = (VmId(1), PmId(0), ResourceVector::cpu_mem(10, 4_096));
+        dc.apply(FleetOp::Place { vm, pm, demand }).unwrap();
         rec.sample_fleet(SimTime::from_mins(30), &dc);
         rec.record_resize();
         rec.record_rejected_resize();

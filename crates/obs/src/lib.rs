@@ -195,48 +195,28 @@ pub fn note_dispatch(time_s: u64, ordinal: u64, pending: u64) {
     emit(RecordKind::EventDispatched, pending, 0);
 }
 
-/// Fleet mutation: VM placed.
+/// Fleet mutation applied by the datacenter: counts it and records it.
+/// `kind` is one of the six fleet kinds (`VmPlaced`, `VmRemoved`,
+/// `MigrationStarted`, `MigrationFinished`, `VmResized`, `PmFailed`);
+/// `a`/`b` carry the payload its [`RecordKind`] variant documents.
+///
+/// # Panics
+/// Panics, while recording is on, if `kind` is not a fleet kind.
 #[inline]
-pub fn note_vm_placed(vm: u64, pm: u64) {
+pub fn note_fleet(kind: RecordKind, a: u64, b: u64) {
     if enabled() {
-        counters::bump(|c| c.vms_placed += 1);
-        emit(RecordKind::VmPlaced, vm, pm);
-    }
-}
-
-/// Fleet mutation: VM removed (`hosts` = PMs it was resident/reserved on).
-#[inline]
-pub fn note_vm_removed(vm: u64, hosts: u64) {
-    if enabled() {
-        counters::bump(|c| c.vms_removed += 1);
-        emit(RecordKind::VmRemoved, vm, hosts);
-    }
-}
-
-/// Fleet mutation: migration double-reservation opened.
-#[inline]
-pub fn note_migration_started(vm: u64, to_pm: u64) {
-    if enabled() {
-        counters::bump(|c| c.migrations_started += 1);
-        emit(RecordKind::MigrationStarted, vm, to_pm);
-    }
-}
-
-/// Fleet mutation: migration committed, source reservation released.
-#[inline]
-pub fn note_migration_finished(vm: u64, from_pm: u64) {
-    if enabled() {
-        counters::bump(|c| c.migrations_finished += 1);
-        emit(RecordKind::MigrationFinished, vm, from_pm);
-    }
-}
-
-/// Fleet mutation: VM reservation resized in place (vertical elasticity).
-#[inline]
-pub fn note_vm_resized(vm: u64, pm: u64) {
-    if enabled() {
-        counters::bump(|c| c.vms_resized += 1);
-        emit(RecordKind::VmResized, vm, pm);
+        counters::bump(|c| {
+            *match kind {
+                RecordKind::VmPlaced => &mut c.vms_placed,
+                RecordKind::VmRemoved => &mut c.vms_removed,
+                RecordKind::MigrationStarted => &mut c.migrations_started,
+                RecordKind::MigrationFinished => &mut c.migrations_finished,
+                RecordKind::VmResized => &mut c.vms_resized,
+                RecordKind::PmFailed => &mut c.pm_failures,
+                other => panic!("{other} is not a fleet mutation"),
+            } += 1;
+        });
+        emit(kind, a, b);
     }
 }
 
@@ -255,15 +235,6 @@ pub fn note_migration_skipped(vm: u64) {
     if enabled() {
         counters::bump(|c| c.migrations_skipped += 1);
         emit(RecordKind::MigrationSkipped, vm, 0);
-    }
-}
-
-/// Fleet mutation: PM failed, displacing `displaced` VMs.
-#[inline]
-pub fn note_pm_failed(pm: u64, displaced: u64) {
-    if enabled() {
-        counters::bump(|c| c.pm_failures += 1);
-        emit(RecordKind::PmFailed, pm, displaced);
     }
 }
 
@@ -464,6 +435,35 @@ mod tests {
                 .any(|p| p.phase == "plan-apply" && p.count == 1),
             "{profile:?}"
         );
+    }
+
+    #[test]
+    fn each_fleet_record_bumps_its_own_counter() {
+        type Count = fn(&CounterSnapshot) -> u64;
+        let kinds: [(RecordKind, Count); 6] = [
+            (RecordKind::VmPlaced, |c| c.vms_placed),
+            (RecordKind::VmRemoved, |c| c.vms_removed),
+            (RecordKind::MigrationStarted, |c| c.migrations_started),
+            (RecordKind::MigrationFinished, |c| c.migrations_finished),
+            (RecordKind::VmResized, |c| c.vms_resized),
+            (RecordKind::PmFailed, |c| c.pm_failures),
+        ];
+        set_enabled(true);
+        for (n, &(kind, _)) in kinds.iter().enumerate() {
+            for _ in 0..=n {
+                note_fleet(kind, n as u64, 7);
+            }
+        }
+        set_enabled(false);
+        let counters = counters_snapshot();
+        for (n, (kind, count)) in kinds.iter().enumerate() {
+            assert_eq!(count(&counters), n as u64 + 1, "{kind}");
+        }
+        let records = drain_records();
+        assert_eq!(records.len(), 21);
+        assert!(records
+            .iter()
+            .all(|r| r.kind == kinds[r.a as usize].0 && r.b == 7));
     }
 
     #[test]

@@ -221,22 +221,20 @@ impl PhaseHistogram {
 }
 
 /// Snapshot every timed phase's raw histogram (including zero-count
-/// phases), in [`Phase::TIMED`] order.
-pub fn phase_histograms() -> Vec<PhaseHistogram> {
+/// phases), in [`Phase::TIMED`] order. Allocation-free: the snapshot is
+/// a fixed-size array, so per-interval samplers can call it freely.
+pub fn phase_histograms() -> [PhaseHistogram; Phase::TIMED.len()] {
     let slots = SLOTS.with(|slots| *slots.borrow());
-    Phase::TIMED
-        .iter()
-        .map(|&phase| {
-            let slot = &slots[phase as usize];
-            PhaseHistogram {
-                phase: phase.name(),
-                count: slot.count,
-                total_ns: slot.total_ns,
-                max_ns: slot.max_ns,
-                buckets: slot.buckets,
-            }
-        })
-        .collect()
+    Phase::TIMED.map(|phase| {
+        let slot = &slots[phase as usize];
+        PhaseHistogram {
+            phase: phase.name(),
+            count: slot.count,
+            total_ns: slot.total_ns,
+            max_ns: slot.max_ns,
+            buckets: slot.buckets,
+        }
+    })
 }
 
 /// chrome://tracing "complete" events (`ph: "X"`, microsecond units) for

@@ -44,6 +44,9 @@ pub enum RecordKind {
     /// Fleet mutation: VM reservation resized in place (`a` = vm id,
     /// `b` = host pm id) — vertical elasticity.
     VmResized = 14,
+    /// A powered-off PM starts booting (`a` = pm id, `b` = sim time it
+    /// will be ready, whole seconds).
+    PmBootStarted = 15,
 }
 
 impl RecordKind {
@@ -65,6 +68,7 @@ impl RecordKind {
             RecordKind::PlanKernelCompressed => "plan-kernel-compressed",
             RecordKind::Mark => "mark",
             RecordKind::VmResized => "vm-resized",
+            RecordKind::PmBootStarted => "pm-boot-started",
         }
     }
 }

@@ -206,19 +206,17 @@ impl TimeSeriesStore {
         self.raw.push(t_s, values.iter().copied(), &[]);
         self.fold10.accumulate(values);
         self.fold100.accumulate(values);
-        if self.fold10.count == CONSOLIDATION {
-            let n = self.fold10.count as f64;
-            let means = self.fold10.sum.iter().map(|s| s / n).collect::<Vec<_>>();
-            let maxes = self.fold10.max.clone();
-            self.mid.push(t_s, means.into_iter(), &maxes);
-            self.fold10.reset();
-        }
-        if self.fold100.count == CONSOLIDATION * CONSOLIDATION {
-            let n = self.fold100.count as f64;
-            let means = self.fold100.sum.iter().map(|s| s / n).collect::<Vec<_>>();
-            let maxes = self.fold100.max.clone();
-            self.coarse.push(t_s, means.into_iter(), &maxes);
-            self.fold100.reset();
+        // Each fold flushes straight from its accumulators: no per-sample
+        // buffers once the rings are full.
+        for (fold, tier) in [
+            (&mut self.fold10, &mut self.mid),
+            (&mut self.fold100, &mut self.coarse),
+        ] {
+            if fold.count as u64 == tier.scale {
+                let n = fold.count as f64;
+                tier.push(t_s, fold.sum.iter().map(|s| s / n), &fold.max);
+                fold.reset();
+            }
         }
     }
 
@@ -708,7 +706,7 @@ mod tests {
     #[test]
     fn global_scrape_is_lintable() {
         crate::set_enabled(true);
-        crate::note_vm_placed(1, 2);
+        crate::note_fleet(crate::RecordKind::VmPlaced, 1, 2);
         crate::set_enabled(false);
         let text = scrape_global();
         lint_openmetrics(&text).expect("global scrape passes the lint");

@@ -11,6 +11,7 @@ use dvmp_cluster::datacenter::{Datacenter, FleetBuilder};
 use dvmp_cluster::pm::{PmClass, PmId, PmState};
 use dvmp_cluster::resources::{OverbookRatios, ResourceVector};
 use dvmp_cluster::vm::{VmId, VmState};
+use dvmp_cluster::FleetOp;
 use dvmp_cluster::VmTable;
 use dvmp_simcore::SimTime;
 use std::sync::Arc;
@@ -445,15 +446,15 @@ fn rows_use_virtual_capacity_and_columns_use_live_demand() {
     let (mut dc, mut vms) = hosting(small_fleet(), &[(1, 0, 10_000)]);
     dc.pm_mut(PmId(0)).overbook = Some(OverbookRatios::cpu_mem(200, 100));
     // The VM has since grown to 3 cores.
-    let grown = ResourceVector::cpu_mem(3, 512);
-    dc.resize_vm(VmId(1), grown).unwrap();
-    vms.get_mut(VmId(1)).unwrap().current_demand = Some(grown);
+    let new = ResourceVector::cpu_mem(3, 512);
+    dc.apply(FleetOp::Resize { vm: VmId(1), new }).unwrap();
+    vms.get_mut(VmId(1)).unwrap().current_demand = Some(new);
 
     let fleet = paper().fleet(&view(&dc, &vms, 0));
     // paper_fast is 8 cores; 200% CPU overbooking doubles the row bound.
     assert_eq!(fleet.rows[0].capacity.get(0), 16);
     // The column carries the resized demand, not the spec.
-    assert_eq!(fleet.cols[0].demand, grown);
+    assert_eq!(fleet.cols[0].demand, new);
     assert_eq!(fleet.rows[0].used.get(0), 3);
 
     // The Physical ablation ignores the ratios.

@@ -1571,7 +1571,7 @@ mod tests {
     use dvmp_cluster::datacenter::{Datacenter, FleetBuilder};
     use dvmp_cluster::pm::PmClass;
     use dvmp_cluster::vm::Vm;
-    use dvmp_cluster::{VmTable, FLAT_VM_IDS};
+    use dvmp_cluster::{FleetOp, VmTable, FLAT_VM_IDS};
     use std::collections::BTreeMap;
 
     /// The executable specification with the default configuration.
@@ -1715,7 +1715,9 @@ mod tests {
                     return true;
                 }
                 for twin in [a.world(), b.world()] {
-                    twin.dc.finish_migration(vm, from).unwrap();
+                    twin.dc
+                        .apply(FleetOp::FinishMigration { vm, from })
+                        .unwrap();
                     let v = twin.vms.get_mut(vm).unwrap();
                     v.state = VmState::Running { pm: to };
                 }
@@ -1749,8 +1751,9 @@ mod tests {
                     if let Some(pm) = pa {
                         let as_creating = xorshift(&mut rng) % 2 == 0;
                         let cre = a.dc.pm(pm).class.creation_time;
+                        let (vm, demand) = (spec.id, spec.resources);
                         for twin in [a.world(), b.world()] {
-                            twin.dc.place(spec.id, pm, spec.resources).unwrap();
+                            twin.dc.apply(FleetOp::Place { vm, pm, demand }).unwrap();
                             let mut vm = Vm::new(spec.clone());
                             if as_creating {
                                 vm.state = VmState::Creating {
@@ -1774,7 +1777,7 @@ mod tests {
                     if !ids.is_empty() {
                         let vm = ids[(xorshift(&mut rng) % ids.len() as u64) as usize];
                         for twin in [a.world(), b.world()] {
-                            twin.dc.remove_vm(vm);
+                            twin.dc.apply(FleetOp::Remove { vm }).unwrap();
                             twin.vms.remove(vm);
                         }
                     }
@@ -1801,8 +1804,11 @@ mod tests {
                             continue;
                         }
                         let mig = a.dc.pm(m.to).class.migration_time;
+                        let (vm, to, demand) = (m.vm, m.to, res);
                         for twin in [a.world(), b.world()] {
-                            twin.dc.begin_migration(m.vm, m.to, res).unwrap();
+                            twin.dc
+                                .apply(FleetOp::BeginMigration { vm, to, demand })
+                                .unwrap();
                             let v = twin.vms.get_mut(m.vm).unwrap();
                             v.state = VmState::Migrating {
                                 from: m.from,
@@ -1827,8 +1833,8 @@ mod tests {
                             let pm =
                                 candidates[(xorshift(&mut rng) % candidates.len() as u64) as usize];
                             failures += 1;
-                            let displaced_a = a.dc.fail_pm(pm);
-                            let displaced_b = b.dc.fail_pm(pm);
+                            let displaced_a = a.dc.apply(FleetOp::Fail { pm }).unwrap();
+                            let displaced_b = b.dc.apply(FleetOp::Fail { pm }).unwrap();
                             assert_eq!(displaced_a, displaced_b);
                             for vm in displaced_a {
                                 a.vms.remove(vm);
@@ -2049,7 +2055,7 @@ mod tests {
                 // Free a VM on the busiest PM so consolidation has work.
                 let gone = VmId(i);
                 for twin in [definition.world(), comp.world()] {
-                    twin.dc.remove_vm(gone);
+                    twin.dc.apply(FleetOp::Remove { vm: gone }).unwrap();
                     twin.vms.remove(gone);
                 }
             }
@@ -2109,11 +2115,8 @@ mod tests {
         let mut bucketed = jittered_twin(DynamicPlacement::new, 0.01);
         let s = spec(1, 512, 50_000);
         if let Some(pm) = bucketed.place(&s, SimTime::ZERO) {
-            bucketed.dc.place(s.id, pm, s.resources).unwrap();
-            let mut vm = Vm::new(s);
-            vm.state = VmState::Running { pm };
-            vm.started_at = Some(SimTime::ZERO);
-            bucketed.vms.insert(vm);
+            let twin = bucketed.world();
+            install(twin.dc, twin.vms, s, pm, SimTime::ZERO);
         }
         let _ = bucketed.plan(SimTime::ZERO);
         assert_eq!(bucketed.policy.compressed_superclasses(), 2);
@@ -2290,14 +2293,8 @@ mod tests {
             let pb = comp.place(&s, now);
             assert_eq!(pa, pb, "vm {i}");
             if let Some(pm) = pa {
-                for twin in [&mut definition.dc, &mut comp.dc] {
-                    twin.place(s.id, pm, s.resources).unwrap();
-                }
-                for vms in [&mut definition.vms, &mut comp.vms] {
-                    let mut vm = Vm::new(s.clone());
-                    vm.state = VmState::Running { pm };
-                    vm.started_at = Some(now);
-                    vms.insert(vm);
+                for twin in [definition.world(), comp.world()] {
+                    install(twin.dc, twin.vms, s.clone(), pm, now);
                 }
             }
             t += 100;
@@ -2441,7 +2438,7 @@ mod tests {
             if live.len() > 6 {
                 let gone = live.pop_front().expect("non-empty");
                 for twin in [definition.world(), comp.world()] {
-                    twin.dc.remove_vm(gone);
+                    twin.dc.apply(FleetOp::Remove { vm: gone }).unwrap();
                     twin.vms.remove(gone);
                 }
             }
@@ -2600,7 +2597,7 @@ mod tests {
         let h_before = p.rows[0].h;
         assert_eq!(p.hmin[0], h_before.min(p.rows[6].h));
 
-        twin.dc.remove_vm(VmId(2));
+        twin.dc.apply(FleetOp::Remove { vm: VmId(2) }).unwrap();
         twin.vms.remove(VmId(2));
         let delta = twin.dc.take_fleet_delta();
         let view = PlacementView {
@@ -2644,7 +2641,7 @@ mod tests {
         }
         let mut p = synced_planner(&comp, now, &cfg);
         for twin in [definition.world(), comp.world()] {
-            twin.dc.remove_vm(VmId(1));
+            twin.dc.apply(FleetOp::Remove { vm: VmId(1) }).unwrap();
             twin.vms.remove(VmId(1));
         }
         let later = SimTime::from_secs(60);
@@ -2762,7 +2759,7 @@ mod tests {
             if xorshift(&mut rng) % 3 == 0 {
                 let ids: Vec<VmId> = twin.vms.ids().collect();
                 if let Some(&vm) = ids.get((xorshift(&mut rng) % 8) as usize) {
-                    twin.dc.remove_vm(vm);
+                    twin.dc.apply(FleetOp::Remove { vm }).unwrap();
                     twin.vms.remove(vm);
                 }
             } else {
@@ -2796,14 +2793,18 @@ mod tests {
                     "step {step}: an unchanged fleet re-entered the round loop"
                 );
             }
-            for m in moves {
-                let res = *twin.vms[m.vm].demand();
-                if !twin.dc.pm(m.to).can_host(&res) {
+            for Migration { vm, from, to } in moves {
+                let demand = *twin.vms[vm].demand();
+                if !twin.dc.pm(to).can_host(&demand) {
                     continue;
                 }
-                twin.dc.begin_migration(m.vm, m.to, res).unwrap();
-                twin.dc.finish_migration(m.vm, m.from).unwrap();
-                twin.vms.get_mut(m.vm).unwrap().state = VmState::Running { pm: m.to };
+                for op in [
+                    FleetOp::BeginMigration { vm, to, demand },
+                    FleetOp::FinishMigration { vm, from },
+                ] {
+                    twin.dc.apply(op).unwrap();
+                }
+                twin.vms.get_mut(vm).unwrap().state = VmState::Running { pm: to };
             }
         }
         assert!(
@@ -2829,10 +2830,10 @@ mod tests {
                     SimTime::ZERO,
                 );
             }
-            twin.dc
-                .place(VmId(3), PmId(3), ResourceVector::cpu_mem(1, 512))
-                .unwrap();
-            let mut vm = Vm::new(spec(3, 512, 200_000));
+            let s = spec(3, 512, 200_000);
+            let (vm, pm, demand) = (s.id, PmId(3), s.resources);
+            twin.dc.apply(FleetOp::Place { vm, pm, demand }).unwrap();
+            let mut vm = Vm::new(s);
             vm.state = VmState::Creating {
                 pm: PmId(3),
                 ready_at: SimTime::from_secs(40),

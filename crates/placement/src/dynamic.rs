@@ -189,7 +189,7 @@ mod tests {
     use crate::policy::testutil::*;
     use crate::spec::Spec;
     use dvmp_cluster::vm::VmId;
-    use dvmp_cluster::VmTable;
+    use dvmp_cluster::{FleetOp, VmTable};
     use dvmp_simcore::SimTime;
 
     /// The executable specification the production planner must agree
@@ -429,11 +429,12 @@ mod tests {
         let moves = policy.plan_migrations(&view_of(&dc, &vms, 0));
         assert!(moves.len() <= policy.config().mig_round as usize);
         // Applied in order, every move fits its destination.
-        for m in &moves {
-            let res = *vms[m.vm].demand();
-            assert!(dc.pm(m.to).can_host(&res), "{m:?} overfills its target");
-            dc.begin_migration(m.vm, m.to, res).unwrap();
-            dc.finish_migration(m.vm, m.from).unwrap();
+        for &Migration { vm, from, to } in &moves {
+            let demand = *vms[vm].demand();
+            assert!(dc.pm(to).can_host(&demand), "{vm} overfills {to}");
+            dc.apply(FleetOp::BeginMigration { vm, to, demand })
+                .unwrap();
+            dc.apply(FleetOp::FinishMigration { vm, from }).unwrap();
         }
     }
 
@@ -628,7 +629,7 @@ mod tests {
         // Pass 3: the straggler departs again (journals its host PM 2,
         // which the pass-2 move endpoints already dirty), plus more time
         // decay.
-        dc.remove_vm(VmId(9));
+        dc.apply(FleetOp::Remove { vm: VmId(9) }).unwrap();
         vms.remove(VmId(9));
         inc.note_fleet_delta(dc.take_fleet_delta());
         let m3 = inc.plan_migrations(&view_of(&dc, &vms, 200));

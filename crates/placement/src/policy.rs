@@ -123,6 +123,7 @@ pub(crate) mod testutil {
     use dvmp_cluster::pm::{PmClass, PmId};
     use dvmp_cluster::resources::ResourceVector;
     use dvmp_cluster::vm::{Vm, VmId, VmSpec, VmState};
+    use dvmp_cluster::FleetOp;
     use dvmp_cluster::VmTable;
     use dvmp_simcore::{SimDuration, SimTime};
 
@@ -153,7 +154,8 @@ pub(crate) mod testutil {
         pm: PmId,
         started_at: SimTime,
     ) {
-        dc.place(spec.id, pm, spec.resources).unwrap();
+        let (vm, demand) = (spec.id, spec.resources);
+        dc.apply(FleetOp::Place { vm, pm, demand }).unwrap();
         let mut vm = Vm::new(spec);
         vm.state = VmState::Running { pm };
         vm.started_at = Some(started_at);

@@ -17,7 +17,7 @@ use dvmp_cluster::datacenter::{Datacenter, FleetBuilder};
 use dvmp_cluster::pm::{PmClass, PmId, PmState};
 use dvmp_cluster::resources::ResourceVector;
 use dvmp_cluster::vm::{Vm, VmId, VmSpec, VmState};
-use dvmp_cluster::VmTable;
+use dvmp_cluster::{FleetOp, VmTable};
 use dvmp_placement::{DynamicConfig, DynamicPlacement, Migration, PlacementPolicy, PlacementView};
 use dvmp_simcore::{SimDuration, SimTime};
 use proptest::prelude::*;
@@ -80,7 +80,8 @@ fn seeded_fleet() -> (Datacenter, VmTable) {
             res,
             SimDuration::from_secs(300_000),
         );
-        dc.place(spec.id, pm, spec.resources).unwrap();
+        let (vm, demand) = (spec.id, spec.resources);
+        dc.apply(FleetOp::Place { vm, pm, demand }).unwrap();
         let mut vm = Vm::new(spec);
         vm.state = VmState::Running { pm };
         vm.started_at = Some(SimTime::ZERO);
@@ -98,7 +99,8 @@ fn apply_op(dc: &mut Datacenter, vms: &mut VmTable, next_id: &mut u32, now: SimT
                 let spec =
                     VmSpec::exact(VmId(*next_id), now, res, SimDuration::from_secs(est_secs));
                 *next_id += 1;
-                dc.place(spec.id, pm, spec.resources).unwrap();
+                let (vm, demand) = (spec.id, spec.resources);
+                dc.apply(FleetOp::Place { vm, pm, demand }).unwrap();
                 let mut vm = Vm::new(spec);
                 vm.state = VmState::Running { pm };
                 vm.started_at = Some(now);
@@ -112,7 +114,7 @@ fn apply_op(dc: &mut Datacenter, vms: &mut VmTable, next_id: &mut u32, now: SimT
                 .map(|v| v.spec.id)
                 .collect();
             if let Some(id) = pick_from(&running, pick) {
-                dc.remove_vm(id);
+                dc.apply(FleetOp::Remove { vm: id }).unwrap();
                 vms.remove(id);
             }
         }
@@ -130,10 +132,12 @@ fn apply_op(dc: &mut Datacenter, vms: &mut VmTable, next_id: &mut u32, now: SimT
                     .filter(|p| p.id != from && p.can_host(&res))
                     .map(|p| p.id)
                     .collect();
-                if let Some(t) = pick_from(&targets, to) {
-                    dc.begin_migration(id, t, res).unwrap();
-                    dc.finish_migration(id, from).unwrap();
-                    vms.get_mut(id).unwrap().state = VmState::Running { pm: t };
+                if let Some(to) = pick_from(&targets, to) {
+                    let (vm, demand) = (id, res);
+                    dc.apply(FleetOp::BeginMigration { vm, to, demand })
+                        .unwrap();
+                    dc.apply(FleetOp::FinishMigration { vm, from }).unwrap();
+                    vms.get_mut(id).unwrap().state = VmState::Running { pm: to };
                 }
             }
         }
@@ -142,7 +146,7 @@ fn apply_op(dc: &mut Datacenter, vms: &mut VmTable, next_id: &mut u32, now: SimT
             // Keep a couple of PMs alive so planning stays interesting.
             if avail.len() > 2 {
                 if let Some(pm) = pick_from(&avail, pick) {
-                    for vm in dc.fail_pm(pm) {
+                    for vm in dc.apply(FleetOp::Fail { pm }).unwrap() {
                         vms.remove(vm);
                     }
                 }
@@ -177,12 +181,13 @@ fn apply_op(dc: &mut Datacenter, vms: &mut VmTable, next_id: &mut u32, now: SimT
 /// Applies a planned batch the way the simulator does: re-validate each
 /// move against the live fleet and skip ones invalidated by earlier moves.
 fn apply_moves(dc: &mut Datacenter, vms: &mut VmTable, moves: &[Migration]) {
-    for m in moves {
-        let res = vms[m.vm].spec.resources;
-        if dc.host_of(m.vm) == Some(m.from) && dc.pm(m.to).can_host(&res) {
-            dc.begin_migration(m.vm, m.to, res).unwrap();
-            dc.finish_migration(m.vm, m.from).unwrap();
-            vms.get_mut(m.vm).unwrap().state = VmState::Running { pm: m.to };
+    for &Migration { vm, from, to } in moves {
+        let demand = vms[vm].spec.resources;
+        if dc.host_of(vm) == Some(from) && dc.pm(to).can_host(&demand) {
+            dc.apply(FleetOp::BeginMigration { vm, to, demand })
+                .unwrap();
+            dc.apply(FleetOp::FinishMigration { vm, from }).unwrap();
+            vms.get_mut(vm).unwrap().state = VmState::Running { pm: to };
         }
     }
 }

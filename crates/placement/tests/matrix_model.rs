@@ -10,7 +10,7 @@ use dvmp_cluster::datacenter::{Datacenter, FleetBuilder};
 use dvmp_cluster::pm::{PmClass, PmId};
 use dvmp_cluster::resources::ResourceVector;
 use dvmp_cluster::vm::{Vm, VmId, VmSpec, VmState};
-use dvmp_cluster::VmTable;
+use dvmp_cluster::{FleetOp, VmTable};
 use dvmp_placement::config::DynamicConfig;
 use dvmp_placement::{DynamicPlacement, PlacementPolicy, PlacementView};
 use dvmp_simcore::{SimDuration, SimTime};
@@ -43,7 +43,8 @@ fn build_fleet(
             SimDuration::from_secs(remainings[i]),
         );
         if dc.pm(pm).can_host(&spec.resources) {
-            dc.place(spec.id, pm, spec.resources).unwrap();
+            let (vm, demand) = (spec.id, spec.resources);
+            dc.apply(FleetOp::Place { vm, pm, demand }).unwrap();
             let mut vm = Vm::new(spec);
             vm.state = VmState::Running { pm };
             vm.started_at = Some(SimTime::ZERO);

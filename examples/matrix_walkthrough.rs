@@ -20,7 +20,7 @@ mod spec;
 
 use dvmp::prelude::*;
 use dvmp_cluster::vm::{Vm, VmState};
-use dvmp_cluster::VmTable;
+use dvmp_cluster::{FleetOp, VmTable};
 use spec::Spec;
 
 fn main() {
@@ -42,7 +42,8 @@ fn main() {
             ResourceVector::cpu_mem(1, 512),
             SimDuration::from_secs(40_000 + v as u64 * 5_000),
         );
-        dc.place(spec.id, PmId(p), spec.resources).unwrap();
+        let (vm, pm, demand) = (spec.id, PmId(p), spec.resources);
+        dc.apply(FleetOp::Place { vm, pm, demand }).unwrap();
         let mut vm = Vm::new(spec);
         vm.state = VmState::Running { pm: PmId(p) };
         vm.started_at = Some(SimTime::ZERO);

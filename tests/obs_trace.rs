@@ -10,14 +10,18 @@
 //!    captures the flight recorder automatically, and the dump carries
 //!    the context a bisection needs: the failing event's sim time and
 //!    ordinal, and per-record time / ordinal / phase.
+//! 3. **Narration** — the counters and the ring tell a run's story: every
+//!    migration the report counts starts and finishes once, the spare
+//!    controller decides once per control period, and boots are on the
+//!    ring.
 //!
 //! The obs state is per thread and libtest runs every test on a thread
 //! of its own, so each test starts with every switch off and every
 //! counter at 0, whatever the others do.
 
 use dvmp::prelude::*;
-use dvmp::{FleetOp, Oracle};
-use dvmp_cluster::VmTable;
+use dvmp::Oracle;
+use dvmp_cluster::{FleetOp, VmTable};
 use dvmp_metrics::EnergyMeter;
 use dvmp_simcore::SimTime;
 use proptest::prelude::*;
@@ -65,9 +69,10 @@ proptest! {
                 let vm = VmId(i as u32);
                 let pm = PmId(u32::from(d) % dc.len() as u32);
                 if d % 3 == 0 {
-                    dc.remove_vm(VmId(u32::from(d) % i.max(1) as u32));
+                    let vm = VmId(u32::from(d) % i.max(1) as u32);
+                    dc.apply(FleetOp::Remove { vm }).unwrap();
                 } else if dc.pm(pm).can_host(&demand) {
-                    dc.place(vm, pm, demand).expect("can_host checked");
+                    dc.apply(FleetOp::Place { vm, pm, demand }).expect("can_host checked");
                 }
             }
             dvmp_obs::set_enabled(false);
@@ -114,7 +119,7 @@ fn violation_injection_dumps_the_flight_recorder() {
     for i in 0..1_500u64 {
         dvmp_obs::note_dispatch(i * 10, i + 1, 0);
         let _span = dvmp_obs::span!(dvmp_obs::Phase::PlanApply);
-        dvmp_obs::note_vm_placed(i, i % 4);
+        dvmp_obs::note_fleet(dvmp_obs::RecordKind::VmPlaced, i, i % 4);
     }
 
     let dc = small_fleet();
@@ -219,4 +224,61 @@ fn concurrent_runs_keep_their_own_obs_state() {
     assert!(on_phases.iter().any(|h| h.count > 0), "{on_phases:?}");
 
     assert_eq!(on_report, off_report);
+}
+
+/// The migrations a run reports are the ones the fleet applied: each
+/// started once and finished once.
+#[test]
+fn migrations_started_and_finished_match_the_report() {
+    // Fragment the fleet: 12 VMs, the short ones depart, the survivors
+    // consolidate.
+    let mut scenario = Scenario::paper(42).with_days(1);
+    scenario.requests_mut().clear();
+    for i in 0..12u32 {
+        let runtime = if (i + 1) % 4 == 0 { 80_000 } else { 2_000 };
+        scenario.requests_mut().push(VmSpec::exact(
+            VmId(i + 1),
+            SimTime::from_secs(i as u64),
+            ResourceVector::cpu_mem(1, 512),
+            SimDuration::from_secs(runtime),
+        ));
+    }
+    scenario.sim.spare = None;
+
+    dvmp_obs::set_enabled(true);
+    let before = dvmp_obs::counters_snapshot();
+    let report = scenario.run(Box::new(DynamicPlacement::paper_default()));
+    let ops = dvmp_obs::counters_snapshot().delta_from(&before);
+    dvmp_obs::set_enabled(false);
+
+    assert!(report.total_migrations > 0);
+    assert_eq!(ops.migrations_started, report.total_migrations);
+    assert_eq!(
+        ops.migrations_finished, report.total_migrations,
+        "every start completes"
+    );
+}
+
+/// Under spare-server control the controller decides once per hourly
+/// control period, and the fleet, which starts powered off, boots.
+#[test]
+fn spare_control_decides_hourly_and_boots_on_demand() {
+    let scenario = Scenario::paper(42).with_days(1);
+    assert!(scenario.sim.spare.is_some());
+    dvmp_obs::set_enabled(true);
+    let before = dvmp_obs::counters_snapshot();
+    scenario.run(Box::new(FirstFit));
+    let ops = dvmp_obs::counters_snapshot().delta_from(&before);
+    let records = dvmp_obs::drain_records();
+    dvmp_obs::set_enabled(false);
+
+    // t = 0 through t = 24 h inclusive (the engine processes events *at*
+    // the horizon): 25 decisions for a 24-hour run.
+    assert_eq!(ops.spare_decisions, 25, "one decision per control period");
+    assert!(
+        records
+            .iter()
+            .any(|r| r.kind == dvmp_obs::RecordKind::PmBootStarted),
+        "machines boot on demand"
+    );
 }

@@ -9,7 +9,7 @@ use dvmp::prelude::*;
 use dvmp_cluster::datacenter::Datacenter;
 use dvmp_cluster::reliability::ReliabilityModel;
 use dvmp_cluster::vm::{Vm, VmState};
-use dvmp_cluster::VmTable;
+use dvmp_cluster::{FleetOp, VmTable};
 use dvmp_placement::policy::PlacementView;
 use dvmp_placement::KeyedFactor;
 use proptest::prelude::*;
@@ -138,7 +138,8 @@ fn populate(dc: &mut Datacenter, loads: &[(u8, u16, u32)]) -> VmTable {
         for k in 0..m {
             let pm = PmId((pm0 as u32 + k) % m);
             if dc.pm(pm).can_host(&spec.resources) {
-                dc.place(spec.id, pm, spec.resources).unwrap();
+                let (vm, demand) = (spec.id, spec.resources);
+                dc.apply(FleetOp::Place { vm, pm, demand }).unwrap();
                 let mut vm = Vm::new(spec.clone());
                 vm.state = VmState::Running { pm };
                 vm.started_at = Some(SimTime::ZERO);
@@ -250,12 +251,12 @@ proptest! {
             let host = dc.host_of(m.vm);
             prop_assert_eq!(host, Some(m.from), "plan tracks hosts correctly");
             let res = *dc.pm(m.from).reservation_of(m.vm).unwrap();
-            dc.remove_vm(m.vm);
+            dc.apply(FleetOp::Remove { vm: m.vm }).unwrap();
             prop_assert!(
                 dc.pm(m.to).can_host(&res),
                 "move of {} to {} violates capacity", m.vm, m.to
             );
-            dc.place(m.vm, m.to, res).unwrap();
+            dc.apply(FleetOp::Place { vm: m.vm, pm: m.to, demand: res }).unwrap();
         }
         dc.assert_consistent();
     }
