@@ -226,6 +226,66 @@ fn concurrent_runs_keep_their_own_obs_state() {
     assert_eq!(on_report, off_report);
 }
 
+/// Each VM's fleet records narrate its life in causal order: placed once
+/// at arrival on an all-on fleet, removed once, exactly creation overhead
+/// (30 s on the fast class) plus runtime later.
+#[test]
+fn lifecycle_records_are_causally_ordered() {
+    let fleet = FleetBuilder::new()
+        .add_class(PmClass::paper_fast(), 2, 0.99)
+        .build();
+    let requests = vec![
+        VmSpec::exact(
+            VmId(1),
+            SimTime::from_secs(10),
+            ResourceVector::cpu_mem(1, 512),
+            SimDuration::from_secs(5_000),
+        ),
+        VmSpec::exact(
+            VmId(2),
+            SimTime::from_secs(20),
+            ResourceVector::cpu_mem(1, 512),
+            SimDuration::from_secs(2_000),
+        ),
+    ];
+    let mut sim = SimConfig::default();
+    sim.horizon = SimTime::from_days(1);
+    sim.spare = None;
+    let scenario = Scenario::new("lifecycle", fleet, requests, sim);
+
+    dvmp_obs::set_enabled(true);
+    let report = scenario.run(Box::new(FirstFit));
+    let records = dvmp_obs::drain_records();
+    dvmp_obs::set_enabled(false);
+    assert_eq!(report.total_departures, 2);
+    assert!(records.windows(2).all(|w| w[0].time_s <= w[1].time_s));
+
+    for (vm, arrival, runtime) in [(1u64, 10, 5_000), (2, 20, 2_000)] {
+        let life: Vec<_> = records
+            .iter()
+            .filter(|r| r.a == vm)
+            .filter(|r| {
+                matches!(
+                    r.kind,
+                    dvmp_obs::RecordKind::VmPlaced
+                        | dvmp_obs::RecordKind::VmRemoved
+                        | dvmp_obs::RecordKind::MigrationStarted
+                        | dvmp_obs::RecordKind::MigrationFinished
+                )
+            })
+            .map(|r| (r.kind, r.time_s))
+            .collect();
+        assert_eq!(
+            life,
+            vec![
+                (dvmp_obs::RecordKind::VmPlaced, arrival),
+                (dvmp_obs::RecordKind::VmRemoved, arrival + 30 + runtime),
+            ],
+            "vm{vm}"
+        );
+    }
+}
+
 /// The migrations a run reports are the ones the fleet applied: each
 /// started once and finished once.
 #[test]
