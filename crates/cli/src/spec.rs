@@ -520,6 +520,14 @@ mod tests {
     }
 
     #[test]
+    fn power_past_the_physical_ceiling_is_rejected() {
+        // Finite, but a week of it overflows the energy sums.
+        let err = power_error("240.0", "1e308").unwrap();
+        assert!(err.contains("exceeds the 1000000 W"), "{err}");
+        assert_eq!(power_error("240.0", "1000000.0"), None, "at the ceiling");
+    }
+
+    #[test]
     fn invalid_dynamic_config_is_rejected() {
         let spec = PolicySpec {
             mig_threshold: Some(0.2),

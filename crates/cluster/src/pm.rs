@@ -77,14 +77,22 @@ impl PmClass {
         }
     }
 
-    /// Checks the two-level power model: both wattages finite and
-    /// non-negative, and idle no higher than active.
+    /// Checks the two-level power model: both wattages finite,
+    /// non-negative and at most [`MAX_POWER_W`], and idle no higher than
+    /// active.
     pub fn check_power(&self) -> Result<(), String> {
         let (idle, active) = (self.idle_power_w, self.active_power_w);
         if !(idle.is_finite() && active.is_finite() && idle >= 0.0 && active >= 0.0) {
             return Err(format!(
                 "class {:?}: wattages must be finite and non-negative, \
                  got idle {idle} W, active {active} W",
+                self.name
+            ));
+        }
+        if active > MAX_POWER_W {
+            return Err(format!(
+                "class {:?}: active power {active:e} W exceeds the {MAX_POWER_W} W \
+                 a single machine can draw",
                 self.name
             ));
         }
@@ -97,6 +105,12 @@ impl PmClass {
         Ok(())
     }
 }
+
+/// The most power one machine may draw, in watts. A server draws
+/// hundreds of watts and a whole rack tens of kilowatts, so a megawatt
+/// is no machine at all; it also keeps a fleet's energy sums finite (a
+/// week of 100 000 such machines is ~6·10¹⁶ J).
+pub const MAX_POWER_W: f64 = 1.0e6;
 
 /// Power/availability state of a PM.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -373,6 +387,22 @@ mod tests {
 
     fn demand(cores: u64, mem: u64) -> ResourceVector {
         ResourceVector::cpu_mem(cores, mem)
+    }
+
+    #[test]
+    fn power_above_the_physical_ceiling_is_rejected() {
+        let class = |idle_power_w, active_power_w| PmClass {
+            idle_power_w,
+            active_power_w,
+            ..PmClass::paper_fast()
+        };
+        assert_eq!(class(0.0, MAX_POWER_W).check_power(), Ok(()));
+        assert_eq!(class(MAX_POWER_W, MAX_POWER_W).check_power(), Ok(()));
+        let err = class(240.0, 1e308).check_power().unwrap_err();
+        assert!(err.contains("exceeds the 1000000 W"), "{err}");
+        assert!(class(240.0, MAX_POWER_W * 1.5).check_power().is_err());
+        let err = class(1e308, 400.0).check_power().unwrap_err();
+        assert!(err.contains("idle power"), "{err}");
     }
 
     #[test]

@@ -80,10 +80,14 @@ counter_bank! {
     plan_passes_compressed,
     /// Sum of rows re-synced by compressed journal patches.
     compressed_patch_rows,
-    /// Sum of columns exactly refreshed by compressed journal patches.
+    /// Sum of columns exactly refreshed (one exact best score each) by compressed journal patches.
     compressed_patch_cols,
-    /// Compressed passes whose bound scan survived to the round loop.
+    /// Compressed passes whose round loop moved at least one VM.
     compressed_round_passes,
+    /// Columns visited by compressed round loops, summed over rounds.
+    compressed_round_visits,
+    /// Exact best-score computations made by compressed round loops.
+    compressed_round_evals,
     /// Spare-server controller decisions taken.
     spare_decisions,
     /// Gauge: most recent spare-server target.

@@ -282,12 +282,17 @@ pub fn note_compressed_patch(rows: u64, cols: u64) {
     }
 }
 
-/// A compressed pass found a genuine threshold exceeder: Algorithm 1's
-/// round loop moved at least one VM.
+/// A compressed pass ran Algorithm 1's round loop: whether it moved at
+/// least one VM, the columns its rounds visited and the exact best scores
+/// they computed (the planner counts both in pass-local integers).
 #[inline]
-pub fn note_compressed_rounds_entered() {
+pub fn note_compressed_rounds(moved: bool, visits: u64, evals: u64) {
     if enabled() {
-        counters::bump(|c| c.compressed_round_passes += 1);
+        counters::bump(|c| {
+            c.compressed_round_passes += u64::from(moved);
+            c.compressed_round_visits += visits;
+            c.compressed_round_evals += evals;
+        });
     }
 }
 

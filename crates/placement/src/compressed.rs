@@ -36,8 +36,10 @@
 //!   at the host)` and a per-demand level cache, so a candidate probe
 //!   costs one table load.
 //! - Per column (one per migratable VM): its demand, host row,
-//!   authoritative completion deadline, and `dbar` — an **upper bound**
-//!   on the column's best normalized score `max_r d(r,c)` (see below).
+//!   authoritative completion deadline, and `dbar` — with the threshold,
+//!   an **upper bound** on the column's best normalized score
+//!   `max_r d(r,c)`: `max(dbar, MIG_threshold) ≥ max_r d(r,c)` (see
+//!   below).
 //!   Columns sit in a slab in no particular order: removal is a
 //!   `swap_remove` plus a `VmId → slot` table update, O(1). The round
 //!   loop's winner scan therefore breaks an exact tie in `d` by the
@@ -91,33 +93,51 @@
 //! previous level are skipped entirely, so no-op churn does not mark
 //! buckets. Removals leave bounds stale-high, which is merely conservative.
 //!
-//! The fold visits no column. Two running values bound every effective
-//! bound at once: `hmin[d]`, a lower bound on `H(host)` over the live
-//! demand-`d` columns (lowered in `refresh_bound`, which every column
-//! whose host's `H` changed passes through), and
-//! `pending_max ≥ max_d pending[d] / hmin[d]`; `dbar_max` covers the
-//! `dbar`s. A planning pass then reduces to: patch; exit if
-//! `max(dbar_max, pending_max) ≤ MIG_threshold` (O(1)); else run
-//! Algorithm 1's round loop, whose first round folds `pending` into each
-//! column's `dbar` as it reaches the column. A looser bound cannot change
-//! the moves: every round's winner is decided on *exact* scores, and a
-//! bound only decides whether a column's exact score gets computed, so any
-//! valid bound yields the same plan — a loose one costs only an extra scan
-//! or an extra [`CompressedPlanner::exact_best`] call.
+//! The fold visits no column. A round loop visits only the columns whose
+//! bound can exceed `MIG_threshold`, so a column it does not visit may keep
+//! a `dbar` below a raise that is itself `≤ MIG_threshold`: the invariant
+//! is `max(effective bound, MIG_threshold) ≥ exact`. Two structures find
+//! the columns that can exceed the threshold without a scan:
+//!
+//! - the **hot list**, which holds every column whose `dbar` exceeds the
+//!   threshold (`refresh_bound` and each round's visited columns feed it;
+//!   departed columns, repeats and bounds since lowered are pruned
+//!   lazily, at the bound check);
+//! - the **row index**, an ordered set of `(H, row)` over the active rows
+//!   that host a column (spare rows stay out; `H ≤ 0` sorts first). A cap
+//!   `cap` lifts a column above the threshold only if `cap / H(host)`
+//!   does, so a walk up from the lowest `H` that stops at the first row
+//!   where `max_d cap[d] / H ≤ MIG_threshold` reaches every such column.
+//!
+//! A planning pass then reduces to: patch; exit if the hot list is empty
+//! and `max_d pending[d] / (lowest H) ≤ MIG_threshold`; else run
+//! Algorithm 1's round loop, whose first round folds `pending` into the
+//! `dbar` of each column it visits. A looser bound cannot change the moves:
+//! every round's winner is decided on *exact* scores, and a bound only
+//! decides whether a column's exact score gets computed, so any valid bound
+//! yields the same plan — a loose one costs only an extra visit or an extra
+//! [`CompressedPlanner::exact_best`] call.
 //!
 //! ## The lazy round loop
 //!
 //! Each round moves the argmax of [`CompressedPlanner::exact_best`] over
 //! every column (ties to the lowest `VmId`) — history-free, as the
-//! definition states it — but computes it only where the bounds leave
-//! a doubt. A column is *exact* (best row and score known) or *inexact*
-//! (`dbar` bounds its score), always with `dbar ≥ exact`. Every column
-//! enters inexact, and round 1's pass folds the pending caps into each
-//! `dbar` as it reaches the column. A round is one flat pass that skips a
-//! column whose bound is `≤ max(MIG_threshold, leader)` (an equal bound
-//! loses on `VmId`) and computes `exact_best` only for an inexact
-//! survivor. A move charges the destination's `T^mig` by pulling the
-//! moved column's deadline in. After a move `from → to`:
+//! definition states it — but visits only the columns that can win and
+//! computes the exact best only where the bounds leave a doubt. With
+//! `cap[d]` the pending caps before round 1 and the last move's caps after
+//! it, a round visits the hot list, the columns on the row-index rows
+//! whose `cap[d] / H` (each column's own demand) exceeds the threshold,
+//! and after a move the moved column and every column on its two rows.
+//! Visit order cannot change the winner, since `(d, VmId)` ranks strictly.
+//! A visited column is *exact* (best row and score known, computed in this
+//! pass) or *inexact* (`dbar` bounds its score); every column enters a
+//! pass inexact, and the pass makes the columns it evaluated inexact again
+//! as it ends. A round skips a visited column whose
+//! bound is `≤ max(MIG_threshold, leader)` (an equal bound loses on
+//! `VmId`) and computes `exact_best` only for an inexact survivor. A move
+//! charges the destination's `T^mig` by pulling the moved column's
+//! deadline in. After a move `from → to`, the next round folds into each
+//! column it visits:
 //!
 //! - the moved column and every column hosted on `from`/`to` (whose `H`
 //!   changed) become inexact at `∞`;
@@ -128,13 +148,15 @@
 //!   `from`/`to` or if the cap reaches its bound (`>=`: a vacated row
 //!   that ties the cached best at a lower row must win the tie).
 //!
-//! The next round's pass folds the move into each column as it reaches
-//! it. Every pass also re-derives `dbar_max` and `hmin` on the way. The
+//! A column the round does not visit has `dbar` and raise both `≤
+//! MIG_threshold`, so its exact score is too, and its `best` is not
+//! trusted again before a visit invalidates it: every exact column above
+//! the threshold is hot, and hot columns are visited every round. The
 //! round that ends the loop has no winner, so it computed every column
-//! whose bound exceeds `MIG_threshold` exactly and leaves
-//! `dbar_max ≤ MIG_threshold`: the next pass over an unchanged fleet stops
-//! at the O(1) check. Only a loop the round cap stopped makes one more
-//! pass, to fold its last move. The bounds leave as `dbar`.
+//! above the threshold exactly and leaves the hot list empty: the next pass
+//! over an unchanged fleet stops at the bound check. A loop the round cap
+//! stops spends one more round folding its last move into the columns it
+//! visits, evaluating none. The bounds leave as `dbar`.
 //!
 //! The planner's own hypothetical row and deadline mutations (and any
 //! divergence from the simulator skipping a proposed move, or the
@@ -332,10 +354,11 @@ struct Col {
     /// Authoritative completion deadline (`now + estimated_remaining`),
     /// so remaining time at any later pass is `deadline − now`.
     deadline: SimTime,
-    /// Upper bound on `max_r d(r, c)`; see the module docs.
+    /// Bound on `max_r d(r, c)`: `max(dbar, MIG_threshold)` is an upper
+    /// bound; see the module docs.
     dbar: f64,
     /// Round loop only: the exact best row, or [`INEXACT`] while `dbar`
-    /// only bounds the score.
+    /// only bounds the score. Every column is inexact between passes.
     best: u32,
 }
 
@@ -349,6 +372,8 @@ struct Row {
     /// Hosted-entry probability `p^rel·p^eff(used)` times the factors at
     /// the host (the normalization denominator for columns hosted here).
     h: f64,
+    /// The row is in the row index (under `h_key(h)`).
+    indexed: bool,
 }
 
 impl Default for Row {
@@ -358,7 +383,19 @@ impl Default for Row {
             sclass: 0,
             used: ResourceVector::zero(1),
             h: 0.0,
+            indexed: false,
         }
+    }
+}
+
+/// The row index's sort key for a row whose `H` is `h`: ascending `H`, with
+/// every `H ≤ 0` (and NaN) first — the rows [`cap_over`] scores ∞. (The
+/// bits of a positive float sort as its value; those of `−0.0` would not.)
+fn h_key(h: f64) -> u64 {
+    if h > 0.0 {
+        h.to_bits()
+    } else {
+        0
     }
 }
 
@@ -403,21 +440,21 @@ pub(crate) struct CompressedPlanner {
     cols: Vec<Col>,
     /// `VmId → index into cols`.
     col_slot: VmSlots,
-    /// Upper bound on every column's `dbar`: raised with each bound,
-    /// re-derived whenever a pass scans all columns, and left
-    /// stale-high by drops in between — so the bound check reads one
-    /// value instead of every column.
-    dbar_max: f64,
+    /// `(h_key(H), row)` of every active row that hosts a column, so a
+    /// round walks the rows a cap can lift above the threshold lowest `H`
+    /// first and stops at the first it cannot.
+    row_index: BTreeSet<(u64, u32)>,
+    /// The hot list: every column whose `dbar` exceeds `MIG_threshold`,
+    /// plus stale entries (departed columns, repeats, bounds since
+    /// lowered) that the bound check prunes.
+    hot: Vec<VmId>,
     /// Per demand slot: the largest `p^rel·level_eff[top]` of a bucket
     /// that gained an insert since the last fold (`-∞`: none). Every
     /// demand-`d` column's effective bound is
     /// `max(dbar, pending[d] / H(host))`; see the module docs.
     pending: Vec<f64>,
-    /// Per demand slot: a lower bound on `H(host)` over the live
-    /// demand-`d` columns (`+∞`: none seen since the last re-derivation).
-    hmin: Vec<f64>,
-    /// Upper bound on `pending[d] / hmin[d]` over every demand slot.
-    pending_max: f64,
+    /// `max_d pending[d]`.
+    pending_cap: f64,
     /// VMs seen mid-creation: re-examined once their ready time passes
     /// (the creation-done transition is not journaled — the datacenter's
     /// occupancy does not change at that instant).
@@ -431,12 +468,14 @@ pub(crate) struct CompressedPlanner {
     // Patch and round-loop scratch, reused across passes.
     reread_cols: Vec<VmId>,
     rescore_cols: Vec<VmId>,
-    /// Round loop: per demand slot, the largest `p^rel·level_eff` the last
-    /// move's two rows offer (`-∞`: neither fits it).
+    /// Round loop: per demand slot, the cap the round folds in — the
+    /// pending caps before round 1, then the largest `p^rel·level_eff`
+    /// the last move's two rows offer (`-∞`: neither fits it).
     move_cap: Vec<f64>,
-    /// `exact_best` calls per round of the last planning pass.
-    #[cfg(test)]
-    round_evals: Vec<u32>,
+    /// Round loop: the columns a round visits, and every column a pass
+    /// made exact (made inexact again when the pass ends).
+    visit: Vec<u32>,
+    exact: Vec<u32>,
 }
 
 impl CompressedPlanner {
@@ -585,6 +624,30 @@ impl CompressedPlanner {
         i
     }
 
+    /// Row `r`'s superclass for its PM's planning inputs `pm`: the one it
+    /// already has when every key field still matches (no hashing), else
+    /// the registered one.
+    fn row_sclass(&mut self, r: usize, pm: &PlanPm, eff_c: f64, cfg: &DynamicConfig) -> u32 {
+        let s = self.rows[r].sclass;
+        let unchanged = self.sclasses.get(s as usize).is_some_and(|sc| {
+            sc.entry.capacity == pm.capacity
+                && sc.entry.creation_secs == pm.creation_secs
+                && sc.entry.migration_secs == pm.migration_secs
+                && sc.entry.eff.to_bits() == eff_c.to_bits()
+                && sc.rel.to_bits() == pm.reliability.to_bits()
+                && self
+                    .factors
+                    .iter()
+                    .zip(&sc.keys)
+                    .all(|(f, &k)| f.key(pm.id) == k)
+        });
+        if unchanged {
+            s
+        } else {
+            self.register_sclass(pm, eff_c, cfg)
+        }
+    }
+
     fn register_sclass(&mut self, pm: &PlanPm, eff_c: f64, cfg: &DynamicConfig) -> u32 {
         debug_assert_eq!(
             pm.capacity.k(),
@@ -648,7 +711,6 @@ impl CompressedPlanner {
                 self.demands.push(*res);
                 self.demand_cols.push(0);
                 self.pending.push(f64::NEG_INFINITY);
-                self.hmin.push(f64::INFINITY);
                 self.demands.len() - 1
             }
         };
@@ -691,7 +753,6 @@ impl CompressedPlanner {
         debug_assert_eq!(self.demand_cols[d], 0);
         self.demand_lookup.remove(&self.demands[d]);
         self.pending[d] = f64::NEG_INFINITY;
-        self.hmin[d] = f64::INFINITY;
         for s in 0..self.sclasses.len() {
             self.buckets[s * self.stride + d].clear();
         }
@@ -784,11 +845,11 @@ impl CompressedPlanner {
                 self.active_rows -= 1;
             }
             self.rows[r].active = false;
-            self.rows[r].h = 0.0;
+            self.reindex(r, 0.0);
             return;
         }
         let eff_c = self.effs[pm.class_idx];
-        let s = self.register_sclass(pm, eff_c, cfg);
+        let s = self.row_sclass(r, pm, eff_c, cfg);
         if self.rows[r].active {
             if self.rows[r].sclass != s {
                 // A row's PM identity is fixed, so this cannot happen; be
@@ -798,25 +859,39 @@ impl CompressedPlanner {
         } else {
             self.active_rows += 1;
         }
-        let h = self.host_prob(s as usize, &pm.used, cfg);
-        self.rows[r] = Row {
-            active: true,
-            sclass: s,
-            used: pm.used,
-            h,
-        };
+        let row = &mut self.rows[r];
+        row.active = true;
+        row.sclass = s;
+        row.used = pm.used;
+        self.refresh_row(r, cfg);
+    }
+
+    /// Refreshes a row's `H`, level buckets and row-index entry after its
+    /// `used` changed (active flag and superclass unchanged).
+    fn refresh_row(&mut self, r: usize, cfg: &DynamicConfig) {
+        let s = self.rows[r].sclass as usize;
+        let h = self.host_prob(s, &self.rows[r].used, cfg);
         for d in 0..self.demands.len() {
             self.bucket_row_demand(r, d, cfg);
         }
+        self.reindex(r, h);
     }
 
-    /// Refreshes a row after a hypothetical `used` mutation (active flag
-    /// and superclass unchanged).
-    fn refresh_row(&mut self, r: usize, cfg: &DynamicConfig) {
-        let s = self.rows[r].sclass as usize;
-        self.rows[r].h = self.host_prob(s, &self.rows[r].used, cfg);
-        for d in 0..self.demands.len() {
-            self.bucket_row_demand(r, d, cfg);
+    /// Sets row `r`'s `H` to `h` and files the row in the row index under
+    /// it if the row is active and hosts a column, or takes it out.
+    fn reindex(&mut self, r: usize, h: f64) {
+        let row = &mut self.rows[r];
+        let old = row.indexed.then(|| h_key(row.h));
+        let new = (row.active && !self.host_vms[r].is_empty()).then(|| h_key(h));
+        row.h = h;
+        row.indexed = new.is_some();
+        if old != new {
+            if let Some(key) = old {
+                self.row_index.remove(&(key, r as u32));
+            }
+            if let Some(key) = new {
+                self.row_index.insert((key, r as u32));
+            }
         }
     }
 
@@ -943,9 +1018,11 @@ impl CompressedPlanner {
         self.row_w.resize(m * self.stride, INFEASIBLE);
         self.host_vms.clear();
         self.host_vms.resize_with(m, BTreeSet::new);
+        self.row_index.clear();
         self.active_rows = 0;
         self.cols.clear();
         self.col_slot.clear();
+        self.hot.clear();
         self.demand_cols.fill(0);
         self.stash.clear();
         self.self_dirty_pms.clear();
@@ -977,26 +1054,20 @@ impl CompressedPlanner {
                 _ => {}
             }
         }
-        self.dbar_max = f64::NEG_INFINITY;
         self.reset_pending();
-        self.hmin.fill(f64::INFINITY);
         for c in 0..self.cols.len() {
             self.refresh_bound(c, view.now, cfg);
         }
     }
 
-    /// Sets column `c`'s bound to its exact best score at `now`. Every
-    /// column whose host's `H` changed passes through here, which is what
-    /// keeps `hmin` a lower bound.
+    /// Sets column `c`'s bound to its exact best score at `now`, and puts
+    /// the column on the hot list if that exceeds the threshold.
     fn refresh_bound(&mut self, c: usize, now: SimTime, cfg: &DynamicConfig) {
         let d = self.exact_best(c, now, cfg).map_or(0.0, |(_, d)| d);
         let col = &mut self.cols[c];
         col.dbar = d;
-        self.dbar_max = self.dbar_max.max(d);
-        let (dm, h) = (col.demand as usize, self.rows[col.host as usize].h);
-        if h < self.hmin[dm] {
-            self.hmin[dm] = h;
-            self.pending_max = self.pending_max.max(cap_over(self.pending[dm], h));
+        if d > cfg.mig_threshold {
+            self.hot.push(col.id);
         }
     }
 
@@ -1004,13 +1075,13 @@ impl CompressedPlanner {
     /// columns' `dbar` or replaced `dbar` with exact scores.
     fn reset_pending(&mut self) {
         self.pending.fill(f64::NEG_INFINITY);
-        self.pending_max = f64::NEG_INFINITY;
+        self.pending_cap = f64::NEG_INFINITY;
     }
 
     /// Column `c`'s effective bound: its `dbar`, raised by the pending cap
     /// of its demand over its host's current `H` — what round 1 folds into
-    /// `dbar` ([`catch_up`](Self::catch_up)). Checked mode and the tests
-    /// read it.
+    /// `dbar` when it visits the column ([`catch_up`](Self::catch_up)).
+    /// Checked mode and the tests read it.
     #[cfg(any(test, debug_assertions))]
     fn effective_bound(&self, c: usize) -> f64 {
         let col = &self.cols[c];
@@ -1031,7 +1102,9 @@ impl CompressedPlanner {
         );
         self.col_slot.set(col.id, self.cols.len());
         self.demand_cols[col.demand as usize] += 1;
-        self.host_vms[col.host as usize].insert(col.id);
+        let host = col.host as usize;
+        self.host_vms[host].insert(col.id);
+        self.reindex(host, self.rows[host].h);
         self.cols.push(col);
     }
 
@@ -1042,7 +1115,9 @@ impl CompressedPlanner {
             if let Some(moved) = self.cols.get(i) {
                 self.col_slot.set(moved.id, i);
             }
-            self.host_vms[col.host as usize].remove(&vm);
+            let host = col.host as usize;
+            self.host_vms[host].remove(&vm);
+            self.reindex(host, self.rows[host].h);
             self.demand_cols[col.demand as usize] -= 1;
         }
     }
@@ -1105,9 +1180,9 @@ impl CompressedPlanner {
                         self.remove_col(vm_id);
                         continue;
                     }
-                    let d = self.register_demand(vm.demand(), cfg);
                     let deadline = view.now + vm.estimated_remaining(view.now);
                     let Some(i) = self.col_index(vm_id) else {
+                        let d = self.register_demand(vm.demand(), cfg);
                         self.insert_col(Col {
                             id: vm_id,
                             demand: d,
@@ -1122,8 +1197,17 @@ impl CompressedPlanner {
                     if old_host != r {
                         self.host_vms[old_host].remove(&vm_id);
                         self.host_vms[r].insert(vm_id);
+                        self.reindex(old_host, self.rows[old_host].h);
+                        self.reindex(r, self.rows[r].h);
                     }
-                    self.demand_cols[self.cols[i].demand as usize] -= 1;
+                    // An unchanged demand keeps its slot without a lookup.
+                    let old_d = self.cols[i].demand;
+                    let d = if self.demands[old_d as usize] == *vm.demand() {
+                        old_d
+                    } else {
+                        self.register_demand(vm.demand(), cfg)
+                    };
+                    self.demand_cols[old_d as usize] -= 1;
                     self.demand_cols[d as usize] += 1;
                     let col = &mut self.cols[i];
                     col.demand = d;
@@ -1220,7 +1304,7 @@ impl CompressedPlanner {
             };
             let cap = self.pending[d].max(Self::level_cap(&self.sclasses[s], top, cfg));
             self.pending[d] = cap;
-            self.pending_max = self.pending_max.max(cap_over(cap, self.hmin[d]));
+            self.pending_cap = self.pending_cap.max(cap);
         }
         self.touched_buckets.clear();
     }
@@ -1237,129 +1321,119 @@ impl CompressedPlanner {
         delta: Option<FleetDelta>,
         cfg: &DynamicConfig,
     ) -> (Vec<Migration>, bool) {
-        #[cfg(test)]
-        self.round_evals.clear();
         self.ensure_synced(view, delta, cfg);
         if self.cols.is_empty() || self.active_rows < 2 {
             return (Vec::new(), false);
         }
-        // Checked mode: in debug builds, prove the effective bounds
-        // dominate the exact scores before trusting the early-out on them.
-        #[cfg(debug_assertions)]
-        for c in 0..self.cols.len() {
-            let col = &self.cols[c];
-            let exact = self.exact_best(c, view.now, cfg).map_or(0.0, |(_, d)| d);
-            let bound = self.effective_bound(c);
-            let h = self.rows[col.host as usize].h;
-            debug_assert!(
-                bound >= exact,
-                "stale-low bound: vm {:?} host {} demand {} bound {} exact {} (t={})",
-                col.id,
-                col.host,
-                col.demand,
-                bound,
-                exact,
-                view.now.as_secs(),
-            );
-            debug_assert!(
-                self.hmin[col.demand as usize] <= h,
-                "hmin above a host's H: vm {:?} host {} h {}",
-                col.id,
-                col.host,
-                h
-            );
-            debug_assert!(
-                bound <= self.dbar_max.max(self.pending_max) || bound.is_nan(),
-                "running maxima below a bound"
-            );
-        }
+        let thr = cfg.mig_threshold;
+        self.prune_hot(thr);
+        // Checked mode: in debug builds, prove the bounds dominate the
+        // exact scores above the threshold, and that the hot list and the
+        // row index find every column whose bound exceeds it, before
+        // trusting the bound check on them.
         #[cfg(debug_assertions)]
         {
+            self.assert_row_index_exact();
+            for c in 0..self.cols.len() {
+                let col = &self.cols[c];
+                let exact = self.exact_best(c, view.now, cfg).map_or(0.0, |(_, d)| d);
+                let bound = self.effective_bound(c);
+                debug_assert!(
+                    bound.max(thr) >= exact,
+                    "stale-low bound: vm {:?} host {} demand {} bound {} exact {} (t={})",
+                    col.id,
+                    col.host,
+                    col.demand,
+                    bound,
+                    exact,
+                    view.now.as_secs(),
+                );
+                debug_assert!(
+                    col.dbar <= thr || self.hot.contains(&col.id),
+                    "vm {:?}: bound {} above the threshold but not on the hot list",
+                    col.id,
+                    col.dbar
+                );
+                debug_assert_eq!(col.best, INEXACT, "vm {:?} entered exact", col.id);
+            }
             let mut live = vec![0u32; self.demand_cols.len()];
             for col in &self.cols {
                 live[col.demand as usize] += 1;
             }
             debug_assert_eq!(live, self.demand_cols, "per-demand column counts");
         }
-        // The bound check: most passes end here. (The maxima are never
-        // NaN: `f64::max` skips NaN bounds, as `bound > thr` would.)
-        if self.dbar_max.max(self.pending_max) <= cfg.mig_threshold {
+        // The bound check: most passes end here. A column can beat the
+        // threshold only if it is hot or a pending cap lifts it there, and
+        // the lowest-`H` row is where a cap lifts highest.
+        let lifted = self
+            .row_index
+            .first()
+            .is_some_and(|&(_, r)| cap_over(self.pending_cap, self.rows[r as usize].h) > thr);
+        if self.hot.is_empty() && !lifted {
             return (Vec::new(), false);
         }
         self.run_rounds(view.now, cfg)
     }
 
+    /// Drops the hot list's stale entries and repeats.
+    fn prune_hot(&mut self, thr: f64) {
+        let mut hot = std::mem::take(&mut self.hot);
+        hot.retain(|&vm| self.col_index(vm).is_some_and(|c| self.cols[c].dbar > thr));
+        hot.sort_unstable();
+        hot.dedup();
+        self.hot = hot;
+    }
+
     /// Algorithm 1's migration rounds as a lazy exact search: each round
     /// moves the argmax of [`exact_best`](Self::exact_best) over every
-    /// column (ties to the lowest `VmId`), but computes it only for a
-    /// column whose bound `dbar` could still beat the leader. Returns the
-    /// move batch and whether the round cap stopped it.
-    ///
-    /// A column is *exact* (`best` holds its best row, `dbar` its score)
-    /// or *inexact* (`dbar` only bounds its score). Every column enters
-    /// inexact; each pass brings a column's bound up to date as it reaches
-    /// it ([`catch_up`](Self::catch_up)) and re-derives `dbar_max` and
-    /// `hmin` on the way.
+    /// column (ties to the lowest `VmId`), but visits only the columns
+    /// whose bound can exceed the threshold and computes the exact best
+    /// only where a bound could still beat the leader. Returns the move
+    /// batch and whether the round cap stopped it.
     fn run_rounds(&mut self, now: SimTime, cfg: &DynamicConfig) -> (Vec<Migration>, bool) {
-        let n = self.cols.len();
-        let mut move_cap = std::mem::take(&mut self.move_cap);
         let thr = cfg.mig_threshold;
+        // Round 1 folds the pending caps; every later round, the caps the
+        // previous move's two rows offer.
+        let mut cap = std::mem::take(&mut self.move_cap);
+        cap.clone_from(&self.pending);
+        let mut cap_max = self.pending_cap;
+        self.reset_pending();
+        let mut visit = std::mem::take(&mut self.visit);
+        let mut exact = std::mem::take(&mut self.exact);
         let mut moves = Vec::new();
-        let mut capped = true;
-        // The previous round's move `(column, from, to)`, which the next
-        // pass folds into the bounds; `None` before round 1, whose pass
-        // folds the pending caps instead.
+        // The previous round's move `(column, from, to)`.
         let mut last: Option<(usize, u32, u32)> = None;
-        let mut hmin = std::mem::take(&mut self.hmin);
-        for _round in 0..cfg.mig_round {
-            #[cfg(test)]
-            let mut evals = 0u32;
-            let mut winner: Option<(usize, u32, f64)> = None;
-            // The winner's score and `VmId`, which a column must outrank.
-            let mut leader: Option<(f64, VmId)> = None;
-            let mut dbar_max = f64::NEG_INFINITY;
-            hmin.fill(f64::INFINITY);
-            for c in 0..n {
-                self.catch_up(c, last, &move_cap, &mut hmin);
-                // Skip a column whose bound cannot beat the leader (an
-                // equal bound loses on `VmId`) or the threshold.
-                let (id, bound) = (self.cols[c].id, self.cols[c].dbar);
-                if bound > thr && outranks(bound, id, leader) {
-                    if self.cols[c].best == INEXACT {
-                        #[cfg(test)]
-                        {
-                            evals += 1;
-                        }
-                        let best = self.exact_best(c, now, cfg);
-                        let col = &mut self.cols[c];
-                        col.dbar = best.map_or(0.0, |(_, d)| d);
-                        col.best = best.map_or(INEXACT, |(row, _)| row);
-                    }
-                    let col = &self.cols[c];
-                    if col.dbar > thr && outranks(col.dbar, id, leader) {
-                        winner = Some((c, col.best, col.dbar));
-                        leader = Some((col.dbar, id));
-                    }
-                }
-                dbar_max = dbar_max.max(self.cols[c].dbar);
+        let mut visits = 0u64;
+        let capped = loop {
+            self.collect_visits(last, &cap, cap_max, thr, &mut visit);
+            visits += visit.len() as u64;
+            for &c in &visit {
+                self.catch_up(c as usize, last, &cap);
             }
-            self.dbar_max = dbar_max;
-            self.reset_pending();
-            #[cfg(test)]
-            self.round_evals.push(evals);
+            // At the cap the round only folds the last move into the bounds.
+            let at_cap = moves.len() == cfg.mig_round as usize;
+            let winner = if at_cap {
+                None
+            } else {
+                self.round_winner(&visit, now, cfg, &mut exact)
+            };
+            self.hot.clear();
+            for &c in &visit {
+                let col = &self.cols[c as usize];
+                if col.dbar > thr {
+                    self.hot.push(col.id);
+                }
+            }
             #[cfg(debug_assertions)]
-            self.assert_round_winner(winner, now, cfg);
+            if !at_cap {
+                self.assert_round_winner(winner, now, cfg);
+            }
             let Some((col, to, _d)) = winner else {
-                capped = false;
-                break;
+                break at_cap;
             };
             let to = to as usize;
             let from = self.cols[col].host as usize;
             let res = self.demands[self.cols[col].demand as usize];
-            self.rows[from].used = self.rows[from].used.saturating_sub(&res);
-            self.rows[to].used = self.rows[to].used.add(&res);
-            self.refresh_row(from, cfg);
-            self.refresh_row(to, cfg);
             let mig_secs = self.sclasses[self.rows[to].sclass as usize]
                 .entry
                 .migration_secs;
@@ -1369,109 +1443,176 @@ impl CompressedPlanner {
             let vm_id = moved.id;
             self.host_vms[from].remove(&vm_id);
             self.host_vms[to].insert(vm_id);
+            self.rows[from].used = self.rows[from].used.saturating_sub(&res);
+            self.rows[to].used = self.rows[to].used.add(&res);
+            self.refresh_row(from, cfg);
+            self.refresh_row(to, cfg);
             moves.push(Migration {
                 vm: vm_id,
                 from: self.row_ids[from],
                 to: self.row_ids[to],
             });
             // What the two changed rows can now offer each demand.
-            move_cap.clear();
-            move_cap.resize(self.demands.len(), f64::NEG_INFINITY);
+            cap.clear();
+            cap.resize(self.demands.len(), f64::NEG_INFINITY);
             for row in [from, to] {
                 let sc = &self.sclasses[self.rows[row].sclass as usize];
-                let levels = &self.row_w[row * self.stride..][..move_cap.len()];
-                for (cap, &w) in move_cap.iter_mut().zip(levels) {
+                let levels = &self.row_w[row * self.stride..][..cap.len()];
+                for (cap, &w) in cap.iter_mut().zip(levels) {
                     if w != INFEASIBLE {
                         *cap = cap.max(Self::level_cap(sc, w.into(), cfg));
                     }
                 }
             }
+            cap_max = cap.iter().copied().fold(f64::NEG_INFINITY, f64::max);
             last = Some((col, from as u32, to as u32));
+        };
+        // Every column leaves the pass inexact: an unvisited column's best
+        // would go stale under later passes' moves.
+        let evals = exact.len() as u64;
+        for c in exact.drain(..) {
+            self.cols[c as usize].best = INEXACT;
         }
-        // A loop without a winnerless round has not folded its last move
-        // (or, at `MIG_round` = 0, the pending caps): one more pass does.
-        if capped {
-            let mut dbar_max = f64::NEG_INFINITY;
-            hmin.fill(f64::INFINITY);
-            for c in 0..n {
-                self.catch_up(c, last, &move_cap, &mut hmin);
-                dbar_max = dbar_max.max(self.cols[c].dbar);
-            }
-            self.dbar_max = dbar_max;
-            self.reset_pending();
-        }
-        self.hmin = hmin;
-        #[cfg(any(test, debug_assertions))]
-        self.assert_hmin_tight();
-        if !moves.is_empty() {
-            dvmp_obs::note_compressed_rounds_entered();
-        }
+        dvmp_obs::note_compressed_rounds(!moves.is_empty(), visits, evals);
         // The pass's own touches are re-read authoritatively next patch.
         for m in &moves {
             self.self_dirty_pms.extend([m.from, m.to]);
             self.self_dirty_vms.push(m.vm);
         }
-        self.move_cap = move_cap;
+        self.move_cap = cap;
+        self.visit = visit;
+        self.exact = exact;
         (moves, capped)
     }
 
-    /// Brings column `c`'s bound up to date at the start of a pass, and
-    /// folds its host's `H` into the `hmin` the pass re-derives.
+    /// Collects into `visit` (sorted, no repeats) the columns whose bound
+    /// can exceed `thr` once a round folds in `cap` (the previous move's
+    /// caps, or before round 1 the pending ones): the hot list; every
+    /// column on a row-index row where its own demand's cap lifts it above
+    /// `thr`, walking rows up from the lowest `H` until `cap_max` no longer
+    /// can; and after a move, the moved column and every column on its
+    /// two rows.
+    fn collect_visits(
+        &self,
+        last: Option<(usize, u32, u32)>,
+        cap: &[f64],
+        cap_max: f64,
+        thr: f64,
+        visit: &mut Vec<u32>,
+    ) {
+        let col_of = |vm: VmId| self.col_index(vm).expect("every hosted VM has a column") as u32;
+        visit.clear();
+        visit.extend(
+            self.hot
+                .iter()
+                .filter_map(|&vm| self.col_index(vm))
+                .map(|c| c as u32),
+        );
+        for &(_, r) in &self.row_index {
+            let h = self.rows[r as usize].h;
+            if cap_over(cap_max, h) <= thr {
+                break;
+            }
+            for &vm in &self.host_vms[r as usize] {
+                let c = col_of(vm);
+                if cap_over(cap[self.cols[c as usize].demand as usize], h) > thr {
+                    visit.push(c);
+                }
+            }
+        }
+        if let Some((moved, from, to)) = last {
+            visit.push(moved as u32);
+            for r in [from, to] {
+                visit.extend(self.host_vms[r as usize].iter().map(|&vm| col_of(vm)));
+            }
+        }
+        visit.sort_unstable();
+        visit.dedup();
+    }
+
+    /// Brings visited column `c`'s bound up to date at the start of a
+    /// round.
     ///
-    /// Before round 1 (`last` is `None`) the column turns inexact at its
-    /// effective bound: the pending cap of its demand is folded in. After
-    /// a move `(moved, from, to)`, the moved column and every column
-    /// hosted on `from`/`to` (their `H` changed) start over at `∞`. Any
-    /// other column's score changed only at `from`/`to`, where it is at
-    /// most `move_cap[d] / H(host)`: a column whose best pointed there, or
+    /// Before round 1 (`last` is `None`) the pending cap of its demand is
+    /// folded in; the column is inexact, as every column is at the start
+    /// of a pass. After a move `(moved, from, to)`, the moved column and
+    /// every column hosted on `from`/`to` (their `H` changed) start over at
+    /// `∞`. Any other column's score changed only at `from`/`to`, where it
+    /// is at most `cap[d] / H(host)`: a column whose best pointed there, or
     /// whose best that cap reaches, becomes inexact (`>=`, so a tie at a
     /// lower row is re-evaluated too) with its bound raised to the cap.
     #[inline]
-    fn catch_up(
-        &mut self,
-        c: usize,
-        last: Option<(usize, u32, u32)>,
-        move_cap: &[f64],
-        hmin: &mut [f64],
-    ) {
+    fn catch_up(&mut self, c: usize, last: Option<(usize, u32, u32)>, cap: &[f64]) {
         let col = &mut self.cols[c];
-        let (d, h) = (col.demand as usize, self.rows[col.host as usize].h);
-        hmin[d] = hmin[d].min(h);
+        let raise = cap_over(cap[col.demand as usize], self.rows[col.host as usize].h);
         let Some((moved, from, to)) = last else {
-            col.dbar = col.dbar.max(cap_over(self.pending[d], h));
-            col.best = INEXACT;
+            col.dbar = col.dbar.max(raise);
             return;
         };
         if c == moved || col.host == from || col.host == to {
             col.dbar = f64::INFINITY;
             col.best = INEXACT;
-        } else {
-            let raise = cap_over(move_cap[d], h);
-            if raise >= col.dbar {
-                col.dbar = raise;
-                col.best = INEXACT;
-            } else if col.best == from || col.best == to {
-                col.best = INEXACT;
-            }
+        } else if raise >= col.dbar {
+            col.dbar = raise;
+            col.best = INEXACT;
+        } else if col.best == from || col.best == to {
+            col.best = INEXACT;
         }
     }
 
-    /// Checked mode: after a pass re-derives `hmin`, each `hmin[d]` is
-    /// exactly the minimum `H(host)` over demand `d`'s columns (`∞` for
-    /// none) — tight, not merely the lower bound the early-out needs.
-    #[cfg(any(test, debug_assertions))]
-    fn assert_hmin_tight(&self) {
-        let mut exact = vec![f64::INFINITY; self.hmin.len()];
-        for col in &self.cols {
-            let d = col.demand as usize;
-            exact[d] = exact[d].min(self.rows[col.host as usize].h);
+    /// One round's winner among the visited columns `visit`: the argmax of
+    /// the exact score above the threshold (ties to the lowest `VmId`),
+    /// computing `exact_best` only for an inexact column whose bound could
+    /// still beat the leader (an equal bound loses on `VmId`). Each such
+    /// column is appended to `exact`.
+    fn round_winner(
+        &mut self,
+        visit: &[u32],
+        now: SimTime,
+        cfg: &DynamicConfig,
+        exact: &mut Vec<u32>,
+    ) -> Option<(usize, u32, f64)> {
+        let thr = cfg.mig_threshold;
+        let mut winner: Option<(usize, u32, f64)> = None;
+        // The winner's score and `VmId`, which a column must outrank.
+        let mut leader: Option<(f64, VmId)> = None;
+        for &c in visit {
+            let c = c as usize;
+            let (id, bound) = (self.cols[c].id, self.cols[c].dbar);
+            if !(bound > thr && outranks(bound, id, leader)) {
+                continue;
+            }
+            if self.cols[c].best == INEXACT {
+                exact.push(c as u32);
+                let best = self.exact_best(c, now, cfg);
+                let col = &mut self.cols[c];
+                col.dbar = best.map_or(0.0, |(_, d)| d);
+                col.best = best.map_or(INEXACT, |(row, _)| row);
+            }
+            let col = &self.cols[c];
+            if col.dbar > thr && outranks(col.dbar, id, leader) {
+                winner = Some((c, col.best, col.dbar));
+                leader = Some((col.dbar, id));
+            }
         }
-        assert_eq!(self.hmin, exact, "hmin is not the minimum H per demand");
+        winner
+    }
+
+    /// Checked mode: the row index holds exactly the active rows that host
+    /// a column, each under its current `H`.
+    #[cfg(any(test, debug_assertions))]
+    fn assert_row_index_exact(&self) {
+        let expected: BTreeSet<(u64, u32)> = (0..self.rows.len())
+            .filter(|&r| self.rows[r].active && !self.host_vms[r].is_empty())
+            .map(|r| (h_key(self.rows[r].h), r as u32))
+            .collect();
+        assert_eq!(self.row_index, expected, "row index out of step");
     }
 
     /// Checked mode: a round's winner is the argmax of `exact_best` over
     /// every column (ties to the lowest `VmId`), every bound dominates its
-    /// exact score and every exact column holds its exact best.
+    /// exact score above the threshold, and every exact column above the
+    /// threshold (all of which the round visited) holds its exact best.
     #[cfg(debug_assertions)]
     fn assert_round_winner(
         &self,
@@ -1479,17 +1620,18 @@ impl CompressedPlanner {
         now: SimTime,
         cfg: &DynamicConfig,
     ) {
+        let thr = cfg.mig_threshold;
         let mut expected: Option<(usize, u32, f64)> = None;
         for (c, col) in self.cols.iter().enumerate() {
             let exact = self.exact_best(c, now, cfg);
             let d = exact.map_or(0.0, |(_, d)| d);
             assert!(
-                col.dbar >= d,
+                col.dbar.max(thr) >= d,
                 "round loop: vm {:?} bound {} below its exact score {d}",
                 col.id,
                 col.dbar
             );
-            if col.best != INEXACT {
+            if col.dbar > thr && col.best != INEXACT {
                 assert_eq!(
                     exact.map(|(r, d)| (r, d.to_bits())),
                     Some((col.best, col.dbar.to_bits())),
@@ -1499,7 +1641,7 @@ impl CompressedPlanner {
             }
             if let Some((row, d)) = exact {
                 let leader = expected.map(|(ec, _, ed)| (ed, self.cols[ec].id));
-                if d > cfg.mig_threshold && outranks(d, col.id, leader) {
+                if d > thr && outranks(d, col.id, leader) {
                     expected = Some((c, row, d));
                 }
             }
@@ -1569,7 +1711,7 @@ mod tests {
     use crate::policy::PlacementPolicy;
     use crate::spec::Spec;
     use dvmp_cluster::datacenter::{Datacenter, FleetBuilder};
-    use dvmp_cluster::pm::PmClass;
+    use dvmp_cluster::pm::{Pm, PmClass, PmState};
     use dvmp_cluster::vm::Vm;
     use dvmp_cluster::{FleetOp, VmTable, FLAT_VM_IDS};
     use std::collections::BTreeMap;
@@ -1856,6 +1998,155 @@ mod tests {
         for seed in [3, 7, 11, 23, 41, 97, 131, 257] {
             differential_history(seed, 120);
         }
+    }
+
+    /// A 1 000-PM random history against the specification, every
+    /// placement and every migration batch compared. Arrivals are placed
+    /// by the policies or pinned to a random PM, which fragments the fleet
+    /// so that rounds stop at the round cap; departures swap-remove hot
+    /// columns; spare PMs switch on and off; and PMs whose reliability
+    /// drops to 0 host columns with `H = 0`. The counts at the end prove
+    /// the history covered each of these.
+    #[test]
+    #[ignore = "release-only: the specification recomputes a 1 000-PM matrix every round"]
+    fn matches_the_specification_at_fleet_scale() {
+        let fleet = || {
+            let mut dc = FleetBuilder::new()
+                .add_class(PmClass::paper_fast(), 400, 0.99)
+                .add_class(PmClass::paper_slow(), 600, 0.95)
+                .build();
+            for i in (0..1_000).step_by(3) {
+                dc.pm_mut(PmId(i)).state = PmState::On;
+            }
+            dc
+        };
+        // A low round cap, so that passes reach it.
+        let cfg = DynamicConfig {
+            mig_round: 4,
+            ..DynamicConfig::default()
+        };
+        let mut a = fleet_twin(fleet(), Spec::new(cfg.clone()));
+        let mut b = fleet_twin(fleet(), DynamicPlacement::new(cfg.clone()));
+        let thr = cfg.mig_threshold;
+        let mut rng = 0x00C0_FFEE_u64;
+        let mut next_vm = 1u32;
+        let mut t = 0u64;
+        let (mut hot_departures, mut dead_host_passes) = (0, 0);
+        let (mut joins, mut leaves) = (0, 0);
+        let random_pm = |rng: &mut u64, dc: &Datacenter, keep: &dyn Fn(&Pm) -> bool| {
+            let ids: Vec<PmId> = dc
+                .pms()
+                .iter()
+                .filter(|pm| keep(pm))
+                .map(|pm| pm.id)
+                .collect();
+            (!ids.is_empty()).then(|| ids[(xorshift(rng) % ids.len() as u64) as usize])
+        };
+        for step in 0..3_000 {
+            let now = SimTime::from_secs(t);
+            match xorshift(&mut rng) % 10 {
+                0..=2 => {
+                    // Arrival: placed by both policies, or pinned.
+                    let mem = 256 << (xorshift(&mut rng) % 3);
+                    let s = spec(next_vm, mem, 2_000 + xorshift(&mut rng) % 200_000);
+                    next_vm += 1;
+                    let pm = if xorshift(&mut rng) % 2 == 0 {
+                        let pm = a.place(&s, now);
+                        assert_eq!(pm, b.place(&s, now), "step {step}: placement diverged");
+                        pm
+                    } else {
+                        random_pm(&mut rng, &a.dc, &|pm| pm.can_host(&s.resources))
+                    };
+                    if let Some(pm) = pm {
+                        for twin in [a.world(), b.world()] {
+                            install(twin.dc, twin.vms, s.clone(), pm, now);
+                        }
+                    }
+                }
+                3 => {
+                    let ids: Vec<VmId> = a.vms.ids().collect();
+                    if !ids.is_empty() {
+                        let vm = ids[(xorshift(&mut rng) % ids.len() as u64) as usize];
+                        let p = b.policy.planner();
+                        if p.col_index(vm).is_some_and(|c| p.cols[c].dbar > thr) {
+                            hot_departures += 1;
+                        }
+                        for twin in [a.world(), b.world()] {
+                            twin.dc.apply(FleetOp::Remove { vm }).unwrap();
+                            twin.vms.remove(vm);
+                        }
+                    }
+                }
+                4..=6 => {
+                    let moves = a.plan(now);
+                    assert_eq!(moves, b.plan(now), "step {step}: plans diverged");
+                    let p = b.policy.planner();
+                    if (0..p.rows.len()).any(|r| {
+                        p.rows[r].active && p.rows[r].h <= 0.0 && !p.host_vms[r].is_empty()
+                    }) {
+                        dead_host_passes += 1;
+                    }
+                    for Migration { vm, from, to } in moves {
+                        let demand = *a.vms[vm].demand();
+                        if !a.dc.pm(to).can_host(&demand) {
+                            continue;
+                        }
+                        for twin in [a.world(), b.world()] {
+                            for op in [
+                                FleetOp::BeginMigration { vm, to, demand },
+                                FleetOp::FinishMigration { vm, from },
+                            ] {
+                                twin.dc.apply(op).unwrap();
+                            }
+                            twin.vms.get_mut(vm).unwrap().state = VmState::Running { pm: to };
+                        }
+                    }
+                }
+                7 | 8 => {
+                    // A spare PM joins, or an empty one leaves.
+                    let join = xorshift(&mut rng) % 2 == 0;
+                    let pm = if join {
+                        random_pm(&mut rng, &a.dc, &|pm| pm.state == PmState::Off)
+                    } else {
+                        random_pm(&mut rng, &a.dc, &|pm| pm.is_available() && pm.is_idle())
+                    };
+                    if let Some(pm) = pm {
+                        let state = if join { PmState::On } else { PmState::Off };
+                        for twin in [a.world(), b.world()] {
+                            twin.dc.pm_mut(pm).state = state;
+                        }
+                        *(if join { &mut joins } else { &mut leaves }) += 1;
+                    }
+                }
+                _ => {
+                    // A PM's reliability drops to 0 (its columns' `H` with
+                    // it) or comes back.
+                    if let Some(pm) = random_pm(&mut rng, &a.dc, &|pm| pm.is_available()) {
+                        let rel = if a.dc.pm(pm).reliability == 0.0 {
+                            0.97
+                        } else {
+                            0.0
+                        };
+                        for twin in [a.world(), b.world()] {
+                            twin.dc.pm_mut(pm).reliability = rel;
+                        }
+                    }
+                }
+            }
+            t += 30 + xorshift(&mut rng) % 400;
+        }
+        let now = SimTime::from_secs(t);
+        assert_eq!(a.plan(now), b.plan(now), "final plan");
+        assert!(
+            b.policy.round_cap_hits() > 0,
+            "no pass stopped at the round cap"
+        );
+        assert!(hot_departures > 0, "no hot column was swap-removed");
+        assert!(dead_host_passes > 0, "no pass saw a host with H = 0");
+        assert!(
+            joins > 0 && leaves > 0,
+            "{joins} spare joins, {leaves} leaves"
+        );
     }
 
     /// A twin over an explicit fleet.
@@ -2500,7 +2791,7 @@ mod tests {
         // Two superclasses (fast, slow) × one demand: fold both buckets as
         // touched at different tops and check every column's effective
         // bound lands on the larger `p_cap / h`, and on ∞ over a zero-`h`
-        // host — and that the running maximum covers it.
+        // host — and that the pending cap the bound check reads covers it.
         let mut twin = Twin::new(comp());
         let now = SimTime::ZERO;
         for (i, pm) in [0u32, 6].iter().enumerate() {
@@ -2526,13 +2817,9 @@ mod tests {
         let cap = caps[0].max(caps[1]);
         let clear = |p: &mut CompressedPlanner| {
             p.reset_pending();
-            p.hmin.fill(f64::INFINITY);
             for c in 0..p.cols.len() {
                 p.cols[c].dbar = 0.0;
-                let (d, h) = (p.cols[c].demand as usize, p.rows[p.cols[c].host as usize].h);
-                p.hmin[d] = p.hmin[d].min(h);
             }
-            p.dbar_max = 0.0;
         };
         // Either touch order must land on the larger cap.
         for order in [[(0, 0), (1, 0)], [(1, 0), (0, 0)]] {
@@ -2549,7 +2836,7 @@ mod tests {
                     "vm {:?}",
                     p.cols[c].id
                 );
-                assert!(bound <= p.pending_max, "pending_max covers the bound");
+                assert_eq!(p.pending_cap, cap, "the pending cap covers the bound");
                 assert_eq!(p.cols[c].dbar, 0.0, "the fold leaves dbar alone");
             }
             assert!(p.touched_buckets.is_empty());
@@ -2560,23 +2847,23 @@ mod tests {
         clear(p);
         let host = p.cols[0].host as usize;
         p.rows[host].h = 0.0;
-        p.hmin[0] = 0.0;
         p.touched_buckets = vec![(1, 0)];
         p.fold_touched(&cfg);
         assert_eq!(p.effective_bound(0), f64::INFINITY);
-        assert_eq!(p.pending_max, f64::INFINITY);
+        assert_eq!(cap_over(p.pending_cap, 0.0), f64::INFINITY);
         clear(p);
         p.fold_touched(&cfg);
         assert_eq!(p.effective_bound(0), 0.0, "nothing touched, nothing raised");
-        assert_eq!(p.pending_max, f64::NEG_INFINITY);
+        assert_eq!(p.pending_cap, f64::NEG_INFINITY);
     }
 
     #[test]
-    fn hmin_follows_a_host_whose_h_drops_after_the_touch() {
+    fn row_index_follows_a_host_whose_h_drops_after_the_touch() {
         // A cap is pending for the only demand; then the host of two of its
         // columns loses one VM, so its `H` drops. The patch re-scores the
-        // surviving column, `hmin` must follow `H` down, and the running
-        // maximum must still cover every effective bound.
+        // surviving column, the row index must re-file the host under its
+        // new `H`, and every column whose effective bound exceeds the
+        // threshold must be hot or on a row the pending cap's walk reaches.
         let mut twin = Twin::new(comp());
         let now = SimTime::ZERO;
         for (i, pm) in [0u32, 0, 6].iter().enumerate() {
@@ -2590,12 +2877,14 @@ mod tests {
         }
         let _ = twin.dc.take_fleet_delta();
         let cfg = DynamicConfig::default();
+        let thr = cfg.mig_threshold;
         let mut p = synced_planner(&twin, now, &cfg);
         p.touched_buckets = vec![(0, 0)];
         p.fold_touched(&cfg);
         assert!(p.pending[0] > 0.0);
         let h_before = p.rows[0].h;
-        assert_eq!(p.hmin[0], h_before.min(p.rows[6].h));
+        assert!(p.row_index.contains(&(h_key(h_before), 0)));
+        p.assert_row_index_exact();
 
         twin.dc.apply(FleetOp::Remove { vm: VmId(2) }).unwrap();
         twin.vms.remove(VmId(2));
@@ -2608,12 +2897,20 @@ mod tests {
         p.ensure_synced(&view, Some(delta), &cfg);
         let h_after = p.rows[0].h;
         assert!(h_after < h_before, "H fell with the host's load");
-        assert!(p.hmin[0] <= h_after, "hmin {} above H {h_after}", p.hmin[0]);
-        let ceiling = p.dbar_max.max(p.pending_max);
+        assert!(p.row_index.contains(&(h_key(h_after), 0)));
+        assert!(!p.row_index.contains(&(h_key(h_before), 0)));
+        p.assert_row_index_exact();
+        p.prune_hot(thr);
         for c in 0..p.cols.len() {
             let exact = p.exact_best(c, now, &cfg).map_or(0.0, |(_, d)| d);
             let bound = p.effective_bound(c);
-            assert!(exact <= bound && bound <= ceiling, "vm {:?}", p.cols[c].id);
+            let h = p.rows[p.cols[c].host as usize].h;
+            assert!(exact <= bound.max(thr), "vm {:?}", p.cols[c].id);
+            assert!(
+                bound <= thr || p.hot.contains(&p.cols[c].id) || cap_over(p.pending_cap, h) > thr,
+                "vm {:?}: bound {bound} found by neither the hot list nor the walk",
+                p.cols[c].id
+            );
         }
     }
 
@@ -2659,14 +2956,30 @@ mod tests {
         assert_eq!(definition.plan(later), moves);
     }
 
+    /// Runs `f` with this thread's obs counters on: its result, and the
+    /// columns the round loops visited and the `exact_best` calls they
+    /// made meanwhile.
+    fn round_work<T>(f: impl FnOnce() -> T) -> (T, u64, u64) {
+        dvmp_obs::set_enabled(true);
+        let before = dvmp_obs::counters_snapshot();
+        let out = f();
+        let work = dvmp_obs::counters_snapshot().delta_from(&before);
+        dvmp_obs::set_enabled(false);
+        (
+            out,
+            work.compressed_round_visits,
+            work.compressed_round_evals,
+        )
+    }
+
     #[test]
     fn round_loop_evaluates_only_columns_that_can_win() {
         // 64 full fast PMs, one with 7 of 8 slots taken and one hosting a
         // lone VM: 520 columns, one of which (the lone VM) exceeds the
-        // threshold. A round may compute `exact_best` only for the
-        // exceeders, the columns the previous move re-hosted or moved
-        // (those on its `from`/`to`), and one more — never for every
-        // column, as an eager best cache does on entry.
+        // threshold. A round may visit, and compute `exact_best` for, only
+        // the exceeders, the columns the previous move re-hosted or moved
+        // (those on its `from`/`to`), and one more — never every column,
+        // as a flat pass over the columns does.
         let full = 64u32;
         let mut dc = FleetBuilder::new()
             .add_class(PmClass::paper_fast(), full as usize + 2, 0.99)
@@ -2708,7 +3021,7 @@ mod tests {
         assert_eq!(exceeders, 1);
 
         let mut policy = comp();
-        let moves = policy.plan_migrations(&view);
+        let (moves, visits, evals) = round_work(|| policy.plan_migrations(&view));
         assert_eq!(moves, reference().plan_migrations(&view));
         assert_eq!(
             moves,
@@ -2718,37 +3031,38 @@ mod tests {
                 to: PmId(full),
             }]
         );
-        let evals = &policy.planner().round_evals;
-        assert_eq!(
-            evals.len(),
-            moves.len() + 1,
-            "one scan per move plus the last"
-        );
+        // The loop ended on a winnerless round: one round per move plus
+        // the last. Each round's budget is summed over the pass, which the
+        // counters report whole.
+        assert_eq!(policy.round_cap_hits(), 0);
         let mut host: BTreeMap<VmId, PmId> =
             vms.ids().map(|v| (v, dc.host_of(v).unwrap())).collect();
         let mut budget = exceeders + 1;
-        for (round, &n) in evals.iter().enumerate() {
-            assert!(
-                n as usize <= budget,
-                "round {round}: {n} exact evaluations over a budget of {budget}"
-            );
-            if let Some(m) = moves.get(round) {
-                host.insert(m.vm, m.to);
-                let on_ends = host.values().filter(|&&h| h == m.from || h == m.to).count();
-                budget = exceeders + on_ends + 1;
-            }
+        for m in &moves {
+            host.insert(m.vm, m.to);
+            let on_ends = host.values().filter(|&&h| h == m.from || h == m.to).count();
+            budget += exceeders + on_ends + 1;
         }
+        assert!(
+            visits as usize <= budget,
+            "{visits} column visits over a budget of {budget}"
+        );
+        assert!(
+            evals as usize <= budget,
+            "{evals} exact evaluations over a budget of {budget}"
+        );
+        assert!(evals >= 1, "the winner was evaluated");
     }
 
     #[test]
     fn a_pass_short_of_the_round_cap_leaves_the_next_one_at_the_bound_check() {
         // A pass that returns fewer than `MIG_round` moves ended on a round
         // without a winner, which computed every column that could beat
-        // the threshold exactly: `dbar_max ≤ MIG_threshold` after it. So a
-        // pass that moved nothing leaves the next pass over the unchanged
-        // fleet (empty journal) at the O(1) bound check — no `exact_best`
-        // call. Checked after every such pass of a random history whose
-        // moves are applied at once.
+        // the threshold exactly: every `dbar ≤ MIG_threshold` after it, and
+        // the hot list is empty. So a pass that moved nothing leaves the
+        // next pass over the unchanged fleet (empty journal) at the bound
+        // check — no round visits a column. Checked after every such pass
+        // of a random history whose moves are applied at once.
         let mut twin = Twin::new(comp());
         let thr = DynamicConfig::default().mig_threshold;
         let mut rng = 0x5eed_u64;
@@ -2773,23 +3087,27 @@ mod tests {
                     install(&mut twin.dc, &mut twin.vms, s, pm, now);
                 }
             }
-            let moves = twin.plan(now);
-            let evals = twin.policy.planner().round_evals.len();
+            let (moves, visits, _) = round_work(|| twin.plan(now));
             assert!(moves.len() < DynamicConfig::default().mig_round as usize);
+            let p = twin.policy.planner();
+            let top = p
+                .cols
+                .iter()
+                .map(|c| c.dbar)
+                .fold(f64::NEG_INFINITY, f64::max);
             assert!(
-                twin.policy.planner().dbar_max <= thr,
-                "step {step}: dbar_max {} above the threshold after {} moves",
-                twin.policy.planner().dbar_max,
+                top <= thr,
+                "step {step}: a bound of {top} above the threshold after {} moves",
                 moves.len()
             );
             if moves.is_empty() {
-                if evals > 0 {
+                if visits > 0 {
                     idle_round_passes += 1;
                 }
-                assert!(twin.plan(now).is_empty(), "step {step}");
+                let (again, visits, _) = round_work(|| twin.plan(now));
+                assert!(again.is_empty(), "step {step}");
                 assert_eq!(
-                    twin.policy.planner().round_evals,
-                    Vec::<u32>::new(),
+                    visits, 0,
                     "step {step}: an unchanged fleet re-entered the round loop"
                 );
             }
