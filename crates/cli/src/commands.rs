@@ -454,13 +454,7 @@ pub fn sweep(spec_text: &str, seeds: usize, json_output: bool) -> Result<String,
 /// `workload <profile> [seed]` — characterise a synthetic profile
 /// (Fig. 2's numbers).
 pub fn workload(profile: &str, seed: u64) -> Result<String, String> {
-    let p = match profile {
-        "paper_calibrated" => LpcProfile::paper_calibrated(),
-        "paper_strict" => LpcProfile::paper_strict(),
-        "light" => LpcProfile::light(),
-        "hpc_mixed" => LpcProfile::hpc_mixed(),
-        other => return Err(format!("unknown profile {other:?}")),
-    };
+    let p = LpcProfile::by_name(profile).ok_or_else(|| format!("unknown profile {profile:?}"))?;
     let days = p.days();
     let trace = SyntheticGenerator::new(p, seed).generate();
     let stats = WorkloadStats::from_trace(&trace, days);
@@ -491,13 +485,7 @@ pub fn workload(profile: &str, seed: u64) -> Result<String, String> {
 
 /// `export-swf <profile> <seed>` — render a synthetic trace as SWF text.
 pub fn export_swf(profile: &str, seed: u64) -> Result<String, String> {
-    let p = match profile {
-        "paper_calibrated" => LpcProfile::paper_calibrated(),
-        "paper_strict" => LpcProfile::paper_strict(),
-        "light" => LpcProfile::light(),
-        "hpc_mixed" => LpcProfile::hpc_mixed(),
-        other => return Err(format!("unknown profile {other:?}")),
-    };
+    let p = LpcProfile::by_name(profile).ok_or_else(|| format!("unknown profile {profile:?}"))?;
     let trace = SyntheticGenerator::new(p, seed).generate();
     Ok(dvmp_workload::swf::to_swf_string(
         trace.jobs(),

@@ -79,12 +79,10 @@ fn main() -> ExitCode {
             })
         }
         ["workload", profile, rest @ ..] => {
-            let seed = rest.first().and_then(|s| s.parse().ok()).unwrap_or(42);
-            commands::workload(profile, seed)
+            seed_arg(rest).and_then(|seed| commands::workload(profile, seed))
         }
         ["export-swf", profile, rest @ ..] => {
-            let seed = rest.first().and_then(|s| s.parse().ok()).unwrap_or(42);
-            commands::export_swf(profile, seed)
+            seed_arg(rest).and_then(|seed| commands::export_swf(profile, seed))
         }
         [] | ["help", ..] => Ok(commands::help()),
         other => Err(format!(
@@ -106,4 +104,12 @@ fn main() -> ExitCode {
             ExitCode::FAILURE
         }
     }
+}
+
+/// The optional `[seed]` after a profile name (default 42).
+fn seed_arg(rest: &[&str]) -> Result<u64, String> {
+    rest.first().map_or(Ok(42), |s| {
+        s.parse()
+            .map_err(|_| format!("seed takes an integer, got {s:?}"))
+    })
 }

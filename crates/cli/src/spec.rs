@@ -330,14 +330,6 @@ impl ScenarioSpec {
         };
 
         let trace = match self.workload.profile.as_str() {
-            "paper_calibrated" => {
-                SyntheticGenerator::new(LpcProfile::paper_calibrated(), self.seed).generate()
-            }
-            "paper_strict" => {
-                SyntheticGenerator::new(LpcProfile::paper_strict(), self.seed).generate()
-            }
-            "light" => SyntheticGenerator::new(LpcProfile::light(), self.seed).generate(),
-            "hpc_mixed" => SyntheticGenerator::new(LpcProfile::hpc_mixed(), self.seed).generate(),
             "swf" => {
                 let path = self
                     .workload
@@ -352,7 +344,11 @@ impl ScenarioSpec {
                     .filter_min_memory(self.workload.min_memory_mib)
                     .extract_window(SimTime::ZERO, SimDuration::from_days(self.workload.days))
             }
-            other => return Err(format!("unknown workload profile {other:?}")),
+            name => {
+                let profile = LpcProfile::by_name(name)
+                    .ok_or_else(|| format!("unknown workload profile {name:?}"))?;
+                SyntheticGenerator::new(profile, self.seed).generate()
+            }
         };
 
         let mut sim = SimConfig::default();

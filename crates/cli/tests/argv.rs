@@ -1,5 +1,6 @@
 //! The `dvmp-cli` binary refuses flags its command does not take: a typo
 //! or a retired flag is a usage error (exit status 2) that runs nothing.
+//! An argument its command cannot parse is an `error:` line (exit 1).
 
 use std::process::Command;
 
@@ -23,4 +24,21 @@ fn unknown_run_flags_exit_with_a_usage_error() {
         assert!(stderr.contains(bad), "{bad}: {stderr}");
         assert!(out.stdout.is_empty(), "{bad}: the run must not start");
     }
+}
+
+#[test]
+fn a_seed_that_is_not_a_number_is_an_error() {
+    for command in ["workload", "export-swf"] {
+        let out = cli(&[command, "light", "abc"]);
+        assert_eq!(out.status.code(), Some(1), "{command}");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            stderr.contains("error: seed takes an integer, got \"abc\""),
+            "{command}: {stderr}"
+        );
+        assert!(out.stdout.is_empty(), "{command}: nothing is generated");
+    }
+    let out = cli(&["workload", "light", "7"]);
+    assert!(out.status.success());
+    assert!(String::from_utf8_lossy(&out.stdout).contains("seed 7"));
 }

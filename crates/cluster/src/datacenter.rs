@@ -15,10 +15,10 @@
 //! *incrementally*: every mutation path — [`Datacenter::apply`] and
 //! arbitrary state edits through [`Datacenter::pm_mut`]'s drop guard —
 //! diffs the touched PM's `PmFootprint` before/after and applies the
-//! delta. `assert_consistent`
-//! (and therefore the checked-mode oracle's audits) recomputes the
-//! aggregate from scratch and compares, so drift is a caught invariant
-//! violation, not silent corruption.
+//! delta. [`Datacenter::check`] rebuilds the aggregate from scratch and
+//! compares; debug builds run it after every event (`assert_consistent`)
+//! and checked mode at every deep and final audit, so drift is a caught
+//! invariant violation, not silent corruption.
 //!
 //! Instantaneous power is kept as per-(class, power-level) *counts* rather
 //! than a running float sum: `total_power_w` multiplies counts by the class
@@ -257,15 +257,10 @@ impl FleetStats {
     fn rebuild(classes: &[PmClass], pms: &[Pm]) -> Self {
         let mut stats = FleetStats {
             class_power: vec![PowerTally::default(); classes.len()],
-            capacity: CapacityIndex::build(
-                pms.iter()
-                    .map(|pm| (pm.is_available(), pm.headroom()))
-                    .collect::<Vec<_>>(),
-            ),
+            capacity: CapacityIndex::build(pms.iter().map(|pm| (pm.is_available(), pm.headroom()))),
             off_capacity: CapacityIndex::build(
                 pms.iter()
-                    .map(|pm| (pm.state == PmState::Off, pm.virtual_capacity()))
-                    .collect::<Vec<_>>(),
+                    .map(|pm| (pm.state == PmState::Off, pm.virtual_capacity())),
             ),
             ..FleetStats::default()
         };
@@ -690,53 +685,111 @@ impl Datacenter {
         }
     }
 
-    /// Verifies the global invariants; used by tests and debug assertions.
-    ///
-    /// # Panics
-    /// Panics if a PM's `used` does not equal the sum of its reservations,
-    /// the VM index disagrees with the per-PM reservation sets, or the
-    /// incremental fleet aggregates have drifted from a fresh recompute.
-    pub fn assert_consistent(&self) {
-        for pm in &self.pms {
-            let mut sum = ResourceVector::zero(pm.capacity().k());
-            for vm in pm.hosted_vms() {
-                let r = pm.reservation_of(vm).expect("hosted VM has reservation");
-                sum = sum.add(r);
-                assert!(
-                    self.hosts_of(vm).contains(&pm.id),
-                    "{vm} reserved on {} but missing from index",
-                    pm.id
-                );
+    /// Checks one PM's invariants, appending one finding per broken
+    /// invariant to `out`: the reservations sum to `used`, `used` stays
+    /// within the virtual capacity, and the VM index names the PM for every
+    /// VM it holds. O(VMs on the PM).
+    pub fn check_pm<F: From<FleetFault>>(&self, id: PmId, out: &mut Vec<(F, String)>) {
+        let pm = self.pm(id);
+        let mut sum = ResourceVector::zero(pm.capacity().k());
+        for (vm, demand) in pm.reservations() {
+            sum = sum.add(demand);
+            if !self.hosts_of(vm).contains(&id) {
+                out.push((
+                    FleetFault::Bijection.into(),
+                    format!("{vm} reserved on {id} but missing from the index"),
+                ));
             }
-            assert_eq!(&sum, pm.used(), "occupancy sum mismatch on {}", pm.id);
-            assert!(
-                sum.le(&pm.virtual_capacity()),
-                "virtual capacity exceeded on {}",
-                pm.id
-            );
+        }
+        let used = pm.used();
+        if sum != *used {
+            out.push((
+                FleetFault::Capacity.into(),
+                format!("{id}: reservations sum to {sum:?} but used is {used:?}"),
+            ));
+        }
+        // Admission is bounded by the virtual capacity (the physical one
+        // unless overbooked); physical saturation of an overbooked PM is
+        // metered as SLA-violation time, not a fault.
+        let fault = if pm.overbook.is_some() {
+            FleetFault::VirtualCapacity
+        } else {
+            FleetFault::Capacity
+        };
+        let vcap = pm.virtual_capacity();
+        for d in 0..vcap.k() {
+            if used.get(d) > vcap.get(d) {
+                out.push((
+                    fault.into(),
+                    format!(
+                        "{id}: dim {d} used {} of virtual {}",
+                        used.get(d),
+                        vcap.get(d)
+                    ),
+                ));
+            }
+        }
+    }
+
+    /// Checks every fleet invariant, appending one finding per broken
+    /// invariant to `out`: [`check_pm`](Self::check_pm) on each PM; each
+    /// indexed VM has one host, or two distinct ones, each holding its
+    /// reservation, and the slot table finds its entry; and the
+    /// incremental aggregates equal a rebuild. O(M log M + VMs).
+    pub fn check<F: From<FleetFault>>(&self, out: &mut Vec<(F, String)>) {
+        for id in self.pm_ids() {
+            self.check_pm(id, out);
         }
         for (i, (vm, hosts)) in self.vm_hosts.iter().enumerate() {
-            let vm = *vm;
-            assert_eq!(self.vm_slots.get(vm), Some(i), "{vm} slot disagrees");
-            assert!(!hosts.is_empty(), "{vm} indexed with no hosts");
-            assert!(
-                hosts.len() == 1 || hosts[0] != hosts[1],
-                "{vm} indexed twice on {}",
-                hosts[0]
-            );
+            let mut fault = |detail: String| out.push((FleetFault::Bijection.into(), detail));
+            if self.vm_slots.get(*vm) != Some(i) {
+                fault(format!("{vm}'s slot disagrees with the index"));
+            }
+            match **hosts {
+                [] => fault(format!("{vm} indexed with no hosts")),
+                [to, from] if to == from => fault(format!("{vm} indexed twice on {to}")),
+                _ => {}
+            }
             for &pm in hosts.iter() {
-                assert!(
-                    self.pms[pm.0 as usize].reservation_of(vm).is_some(),
-                    "{vm} indexed on {pm} without a reservation"
-                );
+                if self.pm(pm).reservation_of(*vm).is_none() {
+                    fault(format!("{vm} indexed on {pm} without a reservation"));
+                }
             }
         }
-        assert_eq!(
-            self.stats,
-            FleetStats::rebuild(&self.classes, &self.pms),
-            "incremental fleet aggregates drifted from recompute"
-        );
+        if self.stats != FleetStats::rebuild(&self.classes, &self.pms) {
+            out.push((
+                FleetFault::AggregateDrift.into(),
+                "incremental fleet aggregates differ from a rebuild".to_owned(),
+            ));
+        }
     }
+
+    /// [`check`](Self::check) for tests and debug assertions.
+    ///
+    /// # Panics
+    /// Panics with the first finding, if any.
+    pub fn assert_consistent(&self) {
+        let mut faults: Vec<(FleetFault, String)> = Vec::new();
+        self.check(&mut faults);
+        if let Some((fault, detail)) = faults.first() {
+            panic!("{fault:?}: {detail}");
+        }
+    }
+}
+
+/// One broken fleet invariant, as [`Datacenter::check_pm`] and
+/// [`Datacenter::check`] report it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum FleetFault {
+    /// A PM's reservations do not sum to its `used`, or a PM that is not
+    /// overbooked holds more than its capacity.
+    Capacity,
+    /// An overbooked PM holds more than its virtual capacity.
+    VirtualCapacity,
+    /// The VM index, its slot table and the per-PM reservations disagree.
+    Bijection,
+    /// The incrementally maintained aggregates differ from a rebuild.
+    AggregateDrift,
 }
 
 /// Drop guard returned by [`Datacenter::pm_mut`]: dereferences to the PM
@@ -765,13 +818,16 @@ impl DerefMut for PmMut<'_> {
 impl Drop for PmMut<'_> {
     fn drop(&mut self) {
         self.dc.fold_pm(self.idx, &self.before, self.before_rel);
-        // A raw edit may change the overbooking ratios, and with them an
-        // off PM's virtual capacity.
+        // A raw edit may change the overbooking ratios, and with them the
+        // PM's virtual capacity and headroom.
         let pm = &self.dc.pms[self.idx];
-        self.dc
-            .stats
+        let stats = &mut self.dc.stats;
+        stats
             .off_capacity
             .set(self.idx, pm.state == PmState::Off, &pm.virtual_capacity());
+        stats
+            .capacity
+            .set(self.idx, pm.is_available(), &pm.headroom());
     }
 }
 
@@ -1222,6 +1278,39 @@ mod tests {
         dc.apply(FleetOp::Fail { pm: PmId(0) }).unwrap();
         assert_eq!(dc.saturated_count(), 0);
         dc.assert_consistent();
+    }
+
+    /// `dc.check`'s findings, in order.
+    fn faults(dc: &Datacenter) -> Vec<FleetFault> {
+        let mut out: Vec<(FleetFault, String)> = Vec::new();
+        dc.check(&mut out);
+        out.into_iter().map(|(fault, _)| fault).collect()
+    }
+
+    #[test]
+    fn check_reports_tampered_aggregates() {
+        let mut dc = on_fleet();
+        dc.apply(place(1, 0, vm_demand())).unwrap();
+        assert_eq!(faults(&dc), vec![]);
+        dc.stats.powered -= 1;
+        assert_eq!(faults(&dc), vec![FleetFault::AggregateDrift]);
+    }
+
+    #[test]
+    fn check_reports_a_pm_pushed_past_its_virtual_capacity() {
+        let mut dc = overbooked_fleet();
+        // 14 of 16 virtual cores on the 8-core fast PM.
+        dc.apply(place(1, 0, ResourceVector::cpu_mem(14, 4_096)))
+            .unwrap();
+        // Tightening the ratio leaves it holding 14 of 12 virtual cores.
+        dc.pm_mut(PmId(0)).overbook = Some(OverbookRatios::cpu_mem(150, 150));
+        assert_eq!(dc.pm(PmId(0)).headroom(), ResourceVector::cpu_mem(0, 8_192));
+        assert_eq!(faults(&dc), vec![FleetFault::VirtualCapacity]);
+        assert_eq!(
+            dc.first_fit_available(&ResourceVector::cpu_mem(1, 512)),
+            Some(PmId(1)),
+            "the capacity index saw the edit"
+        );
     }
 
     #[test]

@@ -236,11 +236,11 @@ impl Pm {
         !self.used.le(&self.class.capacity)
     }
 
-    /// Remaining admission headroom `virtual capacity − C_j`.
+    /// Remaining admission headroom `virtual capacity − C_j`, zero in a
+    /// dimension already at or past the virtual capacity (which only a
+    /// raw overbooking edit can cause; `Datacenter::check_pm` reports it).
     pub fn headroom(&self) -> ResourceVector {
-        self.virtual_capacity()
-            .checked_sub(&self.used)
-            .expect("capacity invariant: used ≤ virtual capacity")
+        self.virtual_capacity().saturating_sub(&self.used)
     }
 
     /// Number of VMs reserved on this PM.
@@ -256,6 +256,11 @@ impl Pm {
     /// VM ids reserved here, in deterministic (id) order.
     pub fn hosted_vms(&self) -> impl Iterator<Item = VmId> + '_ {
         self.reservations.keys().copied()
+    }
+
+    /// `(VM, reservation)` pairs held here, in VM id order.
+    pub fn reservations(&self) -> impl Iterator<Item = (VmId, &ResourceVector)> + '_ {
+        self.reservations.iter().map(|(&vm, demand)| (vm, demand))
     }
 
     /// The reservation held by `vm`, if any.

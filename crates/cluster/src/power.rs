@@ -1,44 +1,12 @@
-//! Power models and the per-VM power-efficiency parameter.
+//! The per-VM power-efficiency parameter.
 //!
-//! The paper's evaluation uses a two-level model (Table II: one active and
-//! one idle wattage per class). A linear utilization-proportional model is
-//! also provided for sensitivity studies; both expose the `power_j` ("per-VM
-//! power consumption", Section III-B-4) needed by the `eff_j` factor.
+//! The paper's evaluation uses a two-level power model (Table II: one
+//! active and one idle wattage per class; `Pm::power_draw_w` and
+//! `Datacenter::total_power_w` implement it). This module derives the
+//! `power_j` ("per-VM power consumption", Section III-B-4) the `eff_j`
+//! factor needs from it.
 
 use crate::pm::PmClass;
-use serde::{Deserialize, Serialize};
-
-/// How a powered-on PM's wattage depends on its load.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub enum PowerModel {
-    /// The paper's model: `active_power_w` when hosting ≥ 1 VM, else
-    /// `idle_power_w` (both taken from the [`PmClass`]).
-    TwoLevel,
-    /// Linear interpolation between idle and active power by joint
-    /// utilization: `P = idle + (active − idle) · U`. An idle-but-on PM
-    /// still draws idle power.
-    Linear,
-}
-
-impl PowerModel {
-    /// Instantaneous draw in watts for a powered-on PM of class `class`
-    /// hosting `vm_count` VMs at joint utilization `util`.
-    pub fn draw_w(&self, class: &PmClass, vm_count: usize, util: f64) -> f64 {
-        match self {
-            PowerModel::TwoLevel => {
-                if vm_count > 0 {
-                    class.active_power_w
-                } else {
-                    class.idle_power_w
-                }
-            }
-            PowerModel::Linear => {
-                class.idle_power_w
-                    + (class.active_power_w - class.idle_power_w) * util.clamp(0.0, 1.0)
-            }
-        }
-    }
-}
 
 /// The paper's `power_j`: active power divided by `W_j`, the maximum number
 /// of minimum VMs the PM can host — i.e. watts per VM slot.
@@ -78,26 +46,6 @@ pub fn relative_efficiencies(
 mod tests {
     use super::*;
     use crate::resources::ResourceVector;
-
-    #[test]
-    fn two_level_matches_paper() {
-        let fast = PmClass::paper_fast();
-        let m = PowerModel::TwoLevel;
-        assert_eq!(m.draw_w(&fast, 0, 0.0), 240.0);
-        assert_eq!(m.draw_w(&fast, 1, 0.01), 400.0);
-        assert_eq!(m.draw_w(&fast, 8, 1.0), 400.0);
-    }
-
-    #[test]
-    fn linear_interpolates() {
-        let fast = PmClass::paper_fast();
-        let m = PowerModel::Linear;
-        assert_eq!(m.draw_w(&fast, 0, 0.0), 240.0);
-        assert_eq!(m.draw_w(&fast, 4, 0.5), 320.0);
-        assert_eq!(m.draw_w(&fast, 8, 1.0), 400.0);
-        // Out-of-range utilization is clamped.
-        assert_eq!(m.draw_w(&fast, 8, 1.5), 400.0);
-    }
 
     #[test]
     fn per_vm_power_uses_w_slots() {

@@ -9,35 +9,38 @@
 //!
 //! Three ingredients (DESIGN.md §9):
 //!
-//! 1. **Per-event invariants** over the live fleet: per-dimension capacity
-//!    (reservation sums equal `used`, `used` never exceeds capacity — with
-//!    in-flight migrations double-reserved on both hosts), the VM ↔ PM
-//!    bijection between the fleet index, the per-PM reservation sets and
-//!    the VM lifecycle states, event-time monotonicity, and agreement
-//!    between the fleet's instantaneous power draw and the energy meter.
+//! 1. **Per-event invariants** over the live fleet: the fleet's own
+//!    self-check ([`Datacenter::check_pm`]: reservation sums equal `used`,
+//!    `used` within the virtual capacity — with in-flight migrations
+//!    double-reserved on both hosts — and the index naming each holder),
+//!    agreement between the reservations and the VM lifecycle states,
+//!    event-time monotonicity, and agreement between the fleet's
+//!    instantaneous power draw and saturation count and the meters.
 //! 2. **A reference model**: an obviously-correct replay of the fleet
 //!    state machine. Every fleet mutation is a [`FleetOp`]; the simulator
 //!    hands each op the datacenter accepted to the oracle — the op it
 //!    asked for, never the datacenter's report of what it did. The model
-//!    applies it to a plain `VmId → [(PmId, demand)]` map and is diffed
-//!    against the live datacenter after each event. A bug in the
-//!    datacenter's incremental bookkeeping (or a mutation that bypassed
+//!    keeps per PM the reservations the ops left there and per VM its
+//!    hosts, and is compared against the live datacenter after each event.
+//!    A bug in the datacenter's bookkeeping (or a mutation that bypassed
 //!    the op stream) surfaces as a divergence.
-//! 3. **Sparse deep audits**: checks that scan the whole history — queue /
-//!    request conservation and the energy *integral* (an independent
-//!    re-integration of the power step function vs the meter) — run every
-//!    [`DEEP_AUDIT_STRIDE`] events and once more at the end of the run, so
-//!    their cost amortizes to ~zero while still bounding drift.
+//! 3. **Sparse deep audits**: the whole-fleet self-check
+//!    ([`Datacenter::check`], which also rebuilds the incremental
+//!    aggregates and compares), queue / request conservation and the
+//!    energy and SLA *integrals* (independent re-integrations of the
+//!    step functions vs the meters) — run every [`DEEP_AUDIT_STRIDE`]
+//!    events and once more at the end of the run, so their cost amortizes
+//!    to ~zero while still bounding drift.
 //!
 //! To keep the end-to-end overhead within the DESIGN.md §9 budget, the
-//! per-event capacity / bijection / reference checks are *incremental*:
-//! each [`FleetOp`] marks the PMs and VMs it touched, and the next audit
-//! verifies exactly those against the live fleet. A mutation that bypasses
-//! the op stream touches nothing — it is caught by the full-fleet sweep
-//! that runs with every deep audit and once more at the end of the run.
+//! per-event fleet and model checks are *incremental*: each [`FleetOp`]
+//! marks the PMs and VMs it touched, and the next audit verifies exactly
+//! those — a PM by one walk of its model and live reservations, a VM by
+//! its host list. A mutation that bypasses the op stream touches nothing;
+//! the deep audits run the same checks over every PM and VM and catch it.
 
 use dvmp_cluster::datacenter::Datacenter;
-use dvmp_cluster::pm::{Pm, PmId};
+use dvmp_cluster::pm::PmId;
 use dvmp_cluster::resources::ResourceVector;
 use dvmp_cluster::vm::{VmId, VmState};
 use dvmp_cluster::{FleetOp, VmTable};
@@ -63,14 +66,18 @@ const ENERGY_REL_TOL: f64 = 1e-6;
 /// order, slack for float reassociation only).
 const SLA_REL_TOL: f64 = 1e-6;
 
-/// The obviously-correct fleet state machine: just a map from VM to its
-/// reservation list (current host first), mutated exactly as the
-/// datacenter documents its operations — no incremental occupancy sums,
-/// no reverse index, nothing clever enough to share a bug with the real
+/// The obviously-correct fleet state machine, shaped like the live fleet
+/// so the two compare PM by PM: per PM the reservations the op stream left
+/// there, per VM its hosts in order (current host first). Each op is
+/// applied exactly as the datacenter documents it — no occupancy sums, no
+/// capacity index, nothing clever enough to share a bug with the real
 /// implementation.
 #[derive(Debug, Default, Clone)]
 pub struct ReferenceModel {
-    hosts: BTreeMap<VmId, Vec<(PmId, ResourceVector)>>,
+    /// `VmId → demand` per PM, indexed by PM id (grown on first use).
+    pms: Vec<BTreeMap<VmId, ResourceVector>>,
+    /// Hosts per VM, current host first; a VM with none has no entry.
+    hosts: BTreeMap<VmId, Vec<PmId>>,
 }
 
 impl ReferenceModel {
@@ -85,122 +92,155 @@ impl ReferenceModel {
     pub fn apply(&mut self, op: &FleetOp) -> Result<(), String> {
         match *op {
             FleetOp::Place { vm, pm, demand } => {
-                let entry = self.hosts.entry(vm).or_default();
-                if !entry.is_empty() {
+                if self.hosts.contains_key(&vm) {
                     return Err(format!("place of {vm} which already has reservations"));
                 }
-                entry.push((pm, demand));
-                Ok(())
+                self.hosts.insert(vm, vec![pm]);
+                self.pm_mut(pm).insert(vm, demand);
             }
             FleetOp::BeginMigration { vm, to, demand } => {
-                let Some(entry) = self.hosts.get_mut(&vm) else {
+                let Some(hosts) = self.hosts.get_mut(&vm) else {
                     return Err(format!("begin_migration of unhosted {vm}"));
                 };
-                if entry.iter().any(|&(p, _)| p == to) {
+                if hosts.contains(&to) {
                     return Err(format!("begin_migration of {vm} onto its own host {to}"));
                 }
                 // Mirrors the datacenter: the destination becomes the
                 // current host (front of the list).
-                entry.insert(0, (to, demand));
-                Ok(())
+                hosts.insert(0, to);
+                self.pm_mut(to).insert(vm, demand);
             }
             FleetOp::FinishMigration { vm, from } => {
-                let Some(entry) = self.hosts.get_mut(&vm) else {
+                let Some(hosts) = self.hosts.get(&vm) else {
                     return Err(format!("finish_migration of unhosted {vm}"));
                 };
-                let before = entry.len();
-                entry.retain(|&(p, _)| p != from);
-                if entry.len() == before {
+                if !hosts.contains(&from) {
                     return Err(format!("finish_migration of {vm} with no hold on {from}"));
                 }
-                if entry.is_empty() {
-                    self.hosts.remove(&vm);
+                if !self.release(vm, from) {
                     return Err(format!("finish_migration left {vm} with no hosts"));
                 }
-                Ok(())
             }
             FleetOp::Remove { vm } => {
                 // Removing an unhosted VM is a no-op in the live
                 // datacenter (the source-failure path relies on it).
-                self.hosts.remove(&vm);
-                Ok(())
+                for pm in self.hosts.remove(&vm).unwrap_or_default() {
+                    self.pm_mut(pm).remove(&vm);
+                }
             }
             FleetOp::Fail { pm } => {
-                self.hosts.retain(|_, entry| {
-                    entry.retain(|&(p, _)| p != pm);
-                    !entry.is_empty()
-                });
-                Ok(())
+                for vm in std::mem::take(self.pm_mut(pm)).into_keys() {
+                    self.release(vm, pm);
+                }
             }
             FleetOp::Resize { vm, new } => {
-                let Some(entry) = self.hosts.get_mut(&vm) else {
-                    return Err(format!("resize of unhosted {vm}"));
+                let host = match self.hosts.get(&vm).map(Vec::as_slice) {
+                    None => return Err(format!("resize of unhosted {vm}")),
+                    Some(&[host]) => host,
+                    Some(hosts) => {
+                        return Err(format!(
+                            "resize of {vm} while it holds {} reservations (mid-migration)",
+                            hosts.len()
+                        ))
+                    }
                 };
-                if entry.len() != 1 {
-                    return Err(format!(
-                        "resize of {vm} while it holds {} reservations (mid-migration)",
-                        entry.len()
-                    ));
-                }
-                entry[0].1 = new;
-                Ok(())
+                self.pm_mut(host).insert(vm, new);
             }
         }
+        Ok(())
     }
 
-    /// Diffs the model against the live fleet, appending one description
-    /// per divergence to `out` (capped by the caller).
-    fn diff(&self, dc: &Datacenter, out: &mut Vec<(Invariant, String)>) {
-        // Model → live: every modeled reservation must exist, in order,
-        // with the same demand.
-        for &vm in self.hosts.keys() {
-            self.diff_vm(dc, vm, out);
-        }
-        // Live → model: no reservation the model does not know about.
-        for pm in dc.pms() {
-            self.check_pm_known(pm, out);
-        }
+    /// The reservations the model holds on `pm`.
+    fn pm(&self, pm: PmId) -> impl Iterator<Item = (&VmId, &ResourceVector)> + '_ {
+        self.pms.get(pm.0 as usize).into_iter().flatten()
     }
 
-    /// Model ↔ live comparison for one VM. A VM absent from the model must
-    /// hold no live reservations either.
-    fn diff_vm(&self, dc: &Datacenter, vm: VmId, out: &mut Vec<(Invariant, String)>) {
-        const EMPTY: &[(PmId, ResourceVector)] = &[];
-        let entry = self.hosts.get(&vm).map_or(EMPTY, Vec::as_slice);
+    fn pm_mut(&mut self, pm: PmId) -> &mut BTreeMap<VmId, ResourceVector> {
+        let i = pm.0 as usize;
+        if i >= self.pms.len() {
+            self.pms.resize_with(i + 1, BTreeMap::new);
+        }
+        &mut self.pms[i]
+    }
+
+    /// Drops `vm`'s reservation on `pm`; returns whether `vm` still has a
+    /// host (its entry goes with its last one).
+    fn release(&mut self, vm: VmId, pm: PmId) -> bool {
+        self.pm_mut(pm).remove(&vm);
+        let Some(hosts) = self.hosts.get_mut(&vm) else {
+            return false;
+        };
+        hosts.retain(|&p| p != pm);
+        if hosts.is_empty() {
+            self.hosts.remove(&vm);
+            return false;
+        }
+        true
+    }
+
+    /// `vm`'s hosts in the model against the live index, in order.
+    fn check_vm(&self, dc: &Datacenter, vm: VmId, out: &mut Vec<(Invariant, String)>) {
+        let model = self.hosts.get(&vm).map_or(&[][..], Vec::as_slice);
         let live = dc.hosts_of(vm);
-        if live.len() != entry.len() || !entry.iter().zip(live).all(|(&(p, _), &l)| p == l) {
+        if model != live {
             out.push((
                 Invariant::ReferenceDivergence,
-                format!("{vm}: model hosts {entry:?} but live index {live:?}"),
+                format!("{vm}: model hosts {model:?} but live index {live:?}"),
             ));
-            return;
-        }
-        for &(pm, demand) in entry {
-            match dc.pm(pm).reservation_of(vm) {
-                Some(r) if *r == demand => {}
-                got => out.push((
-                    Invariant::ReferenceDivergence,
-                    format!("{vm} on {pm}: model demand {demand:?}, live {got:?}"),
-                )),
-            }
         }
     }
 
-    /// Live → model for one PM: every reservation it holds is modeled.
-    fn check_pm_known(&self, pm: &Pm, out: &mut Vec<(Invariant, String)>) {
-        for vm in pm.hosted_vms() {
-            let known = self
-                .hosts
-                .get(&vm)
-                .is_some_and(|e| e.iter().any(|&(p, _)| p == pm.id));
-            if !known {
-                out.push((
-                    Invariant::ReferenceDivergence,
-                    format!("{vm} reserved on {} but unknown to the model", pm.id),
-                ));
+    /// One ordered walk of the model's reservations on `id` against the
+    /// live ones, checking on the way that each VM the PM holds is in a
+    /// lifecycle state that puts it there.
+    fn check_pm(
+        &self,
+        dc: &Datacenter,
+        vms: &VmTable,
+        id: PmId,
+        out: &mut Vec<(Invariant, String)>,
+    ) {
+        let mut model = self.pm(id).peekable();
+        let diverged = |detail: String| (Invariant::ReferenceDivergence, detail);
+        let model_only = |m: &VmId| diverged(format!("model holds {m} on {id}, live does not"));
+        for (vm, live) in dc.pm(id).reservations() {
+            while let Some((m, _)) = model.next_if(|&(&m, _)| m < vm) {
+                out.push(model_only(m));
             }
+            match model.next_if(|&(&m, _)| m == vm) {
+                Some((_, demand)) if demand == live => {}
+                Some((_, demand)) => out.push(diverged(format!(
+                    "{vm} on {id}: model demand {demand:?}, live {live:?}"
+                ))),
+                None => out.push(diverged(format!(
+                    "{vm} reserved on {id} but unknown to the model"
+                ))),
+            }
+            check_lifecycle(vms, vm, id, out);
         }
+        out.extend(model.map(|(m, _)| model_only(m)));
     }
+}
+
+/// A VM holding a reservation on `pm` must be in a lifecycle state that
+/// puts it there.
+fn check_lifecycle(vms: &VmTable, vm: VmId, pm: PmId, out: &mut Vec<(Invariant, String)>) {
+    let detail = match vms.get(vm).map(|v| v.state) {
+        Some(VmState::Creating { pm: host, .. } | VmState::Running { pm: host }) => {
+            if host == pm {
+                return;
+            }
+            format!("{vm} reserved on {pm} but its state names {host}")
+        }
+        Some(VmState::Migrating { from, to, .. }) => {
+            if pm == from || pm == to {
+                return;
+            }
+            format!("{vm} migrating {from}→{to} but also reserved on {pm}")
+        }
+        other => format!("{vm} reserved on {pm} in lifecycle state {other:?}"),
+    };
+    out.push((Invariant::Bijection, detail));
 }
 
 /// The checked-mode auditor. One per simulation run; owned by the
@@ -287,15 +327,10 @@ impl Oracle {
             | FleetOp::FinishMigration { vm, from: pm } => self.touch(vm, Some(pm)),
             FleetOp::Remove { vm } | FleetOp::Resize { vm, .. } => self.touch(vm, None),
             FleetOp::Fail { pm } => {
+                // Eviction touches exactly the VMs the model holds there.
                 self.touched_pms.push(pm);
-                // Eviction touches every VM holding a reservation there
-                // (failures are rare; the scan does not affect the common
-                // path).
-                for (&vm, entry) in &self.reference.hosts {
-                    if entry.iter().any(|&(p, _)| p == pm) {
-                        self.touched_vms.push(vm);
-                    }
-                }
+                self.touched_vms
+                    .extend(self.reference.pm(pm).map(|(&vm, _)| vm));
             }
         }
         if let Err(e) = self.reference.apply(op) {
@@ -315,8 +350,8 @@ impl Oracle {
     fn touch(&mut self, vm: VmId, pm: Option<PmId>) {
         self.touched_vms.push(vm);
         self.touched_pms.extend(pm);
-        if let Some(entry) = self.reference.hosts.get(&vm) {
-            self.touched_pms.extend(entry.iter().map(|&(p, _)| p));
+        if let Some(hosts) = self.reference.hosts.get(&vm) {
+            self.touched_pms.extend(hosts);
         }
     }
 
@@ -376,11 +411,8 @@ impl Oracle {
         if self.events_audited % DEEP_AUDIT_STRIDE == 0 {
             // Full-fleet sweep + the whole-history checks; subsumes the
             // incremental scope.
-            self.check_capacity_and_bijection(dc, vms, &mut found);
-            self.reference.diff(dc, &mut found);
+            self.check_everything(dc, vms, &mut found);
             self.deep_audit(now, vms, queue, meter, sla, &mut found);
-            self.touched_pms.clear();
-            self.touched_vms.clear();
         } else {
             self.check_touched(dc, vms, &mut found);
         }
@@ -388,8 +420,9 @@ impl Oracle {
         self.commit(seq, now, dc, found);
     }
 
-    /// Verifies capacity / bijection / reference agreement for exactly the
-    /// PMs and VMs touched since the last audit.
+    /// Audits exactly the PMs and VMs touched since the last audit: each
+    /// PM by the fleet's own check and the model walk, each VM by its host
+    /// list.
     fn check_touched(
         &mut self,
         dc: &Datacenter,
@@ -402,19 +435,39 @@ impl Oracle {
         pms.dedup();
         vm_ids.sort_unstable();
         vm_ids.dedup();
-        for &pm_id in &pms {
-            let pm = dc.pm(pm_id);
-            Self::check_pm(pm, dc, vms, found);
-            self.reference.check_pm_known(pm, found);
+        for &pm in &pms {
+            dc.check_pm(pm, found);
+            self.reference.check_pm(dc, vms, pm, found);
         }
         for &vm in &vm_ids {
-            self.reference.diff_vm(dc, vm, found);
+            self.reference.check_vm(dc, vm, found);
         }
         // Hand the (cleared) buffers back so their capacity is reused.
         pms.clear();
         vm_ids.clear();
         self.touched_pms = pms;
         self.touched_vms = vm_ids;
+    }
+
+    /// The touched-scope checks over every PM and modelled VM, plus the
+    /// fleet's whole self-check (deep audits and the final audit). A VM
+    /// the live fleet holds but the model does not shows up in the walk
+    /// of a PM holding it.
+    fn check_everything(
+        &mut self,
+        dc: &Datacenter,
+        vms: &VmTable,
+        found: &mut Vec<(Invariant, String)>,
+    ) {
+        dc.check(found);
+        for pm in dc.pm_ids() {
+            self.reference.check_pm(dc, vms, pm, found);
+        }
+        for &vm in self.reference.hosts.keys() {
+            self.reference.check_vm(dc, vm, found);
+        }
+        self.touched_pms.clear();
+        self.touched_vms.clear();
     }
 
     /// Final audit at the horizon; consumes the oracle into its summary.
@@ -435,8 +488,7 @@ impl Oracle {
         self.energy_j += self.last_power_w * dt;
         self.sla_violation_s += self.last_saturated * dt;
         self.last_time = horizon;
-        self.check_capacity_and_bijection(dc, vms, &mut found);
-        self.reference.diff(dc, &mut found);
+        self.check_everything(dc, vms, &mut found);
         self.deep_audit(horizon, vms, queue, meter, sla, &mut found);
         let seq = self.events_audited;
         self.commit(seq, horizon, dc, found);
@@ -445,96 +497,6 @@ impl Oracle {
             violations: self.violations,
             dropped_violations: self.dropped,
             flight_dump: self.flight_dump,
-        }
-    }
-
-    /// Per-dimension capacity conservation and the VM ↔ PM bijection,
-    /// fleet-wide (deep audits and the final audit).
-    fn check_capacity_and_bijection(
-        &mut self,
-        dc: &Datacenter,
-        vms: &VmTable,
-        found: &mut Vec<(Invariant, String)>,
-    ) {
-        for pm in dc.pms() {
-            Self::check_pm(pm, dc, vms, found);
-        }
-    }
-
-    /// Capacity conservation and bijection for one PM.
-    fn check_pm(pm: &Pm, dc: &Datacenter, vms: &VmTable, found: &mut Vec<(Invariant, String)>) {
-        let cap = *pm.capacity();
-        let mut sum = ResourceVector::zero(cap.k());
-        for vm in pm.hosted_vms() {
-            match pm.reservation_of(vm) {
-                Some(r) => sum = sum.add(r),
-                None => found.push((
-                    Invariant::Bijection,
-                    format!("{vm} hosted on {} without a reservation", pm.id),
-                )),
-            }
-            if !dc.hosts_of(vm).contains(&pm.id) {
-                found.push((
-                    Invariant::Bijection,
-                    format!("{vm} reserved on {} but missing from the index", pm.id),
-                ));
-            }
-            // Lifecycle agreement for every VM that holds resources.
-            match vms.get(vm).map(|v| v.state) {
-                Some(VmState::Creating { pm: host, .. } | VmState::Running { pm: host }) => {
-                    if host != pm.id {
-                        found.push((
-                            Invariant::Bijection,
-                            format!("{vm} reserved on {} but its state names {host}", pm.id),
-                        ));
-                    }
-                }
-                Some(VmState::Migrating { from, to, .. }) => {
-                    if pm.id != from && pm.id != to {
-                        found.push((
-                            Invariant::Bijection,
-                            format!("{vm} migrating {from}→{to} but also reserved on {}", pm.id),
-                        ));
-                    }
-                }
-                other => found.push((
-                    Invariant::Bijection,
-                    format!("{vm} reserved on {} in lifecycle state {other:?}", pm.id),
-                )),
-            }
-        }
-        if &sum != pm.used() {
-            found.push((
-                Invariant::Capacity,
-                format!(
-                    "{}: reservations sum to {sum:?} but used is {:?}",
-                    pm.id,
-                    pm.used()
-                ),
-            ));
-        }
-        // Admission is bounded by the *virtual* capacity (physical ×
-        // overbook ratio; identical to physical when not overbooked).
-        // Physical saturation on an overbooked PM is legitimate — it is
-        // metered as SLA-violation time, not flagged here.
-        let vcap = pm.virtual_capacity();
-        for d in 0..vcap.k() {
-            if pm.used().get(d) > vcap.get(d) {
-                let invariant = if pm.overbook.is_some() {
-                    Invariant::VirtualCapacity
-                } else {
-                    Invariant::Capacity
-                };
-                found.push((
-                    invariant,
-                    format!(
-                        "{}: dim {d} used {} of virtual {}",
-                        pm.id,
-                        pm.used().get(d),
-                        vcap.get(d)
-                    ),
-                ));
-            }
         }
     }
 
@@ -874,6 +836,63 @@ mod tests {
             "index bypass also breaks the bijection: {summary:?}"
         );
         assert!(summary.violations.iter().all(|v| v.state_digest != 0));
+    }
+
+    #[test]
+    fn each_side_of_a_model_disagreement_is_reported() {
+        let mut dc = fleet();
+        let mut oracle = Oracle::new(&dc);
+        let mut meter = EnergyMeter::new();
+        meter.record(SimTime::ZERO, dc.total_power_w());
+        // The fleet holds vm1 on pm0 and vm2 on pm1 at one core, but the
+        // op stream put vm1 on pm1 and grew vm2 to two.
+        let place = |vm, pm| FleetOp::Place {
+            vm: VmId(vm),
+            pm: PmId(pm),
+            demand: demand(),
+        };
+        dc.apply(place(1, 0)).unwrap();
+        oracle.record(SimTime::ZERO, &place(1, 1));
+        exec(&mut dc, &mut oracle, place(2, 1));
+        let grown = ResourceVector::cpu_mem(2, 1_024);
+        oracle.record(
+            SimTime::ZERO,
+            &FleetOp::Resize {
+                vm: VmId(2),
+                new: grown,
+            },
+        );
+        let vms = VmTable::from_iter([running_vm(1, PmId(0)), running_vm(2, PmId(1))]);
+        let summary = oracle.into_summary(
+            SimTime::from_secs(1),
+            &dc,
+            &vms,
+            &VecDeque::new(),
+            &meter,
+            &SaturationMeter::new(),
+        );
+        let found: Vec<_> = summary
+            .violations
+            .iter()
+            .map(|v| (v.invariant, v.detail.as_str()))
+            .collect();
+        let one = demand();
+        let diverged = Invariant::ReferenceDivergence;
+        assert_eq!(
+            found,
+            [
+                (diverged, "vm1 reserved on pm0 but unknown to the model"),
+                (diverged, "model holds vm1 on pm1, live does not"),
+                (
+                    diverged,
+                    &format!("vm2 on pm1: model demand {grown:?}, live {one:?}")
+                ),
+                (
+                    diverged,
+                    "vm1: model hosts [PmId(1)] but live index [PmId(0)]"
+                ),
+            ]
+        );
     }
 
     #[test]

@@ -384,7 +384,7 @@ impl SimWorld {
         self.index_departure(m.vm);
         self.events(m.vm).migration = Some(sched.schedule_at(done, Event::MigrationDone(m.vm)));
         self.reschedule_departure(m.vm, sched);
-        self.recorder.record_migration(now);
+        self.recorder.record_migration();
     }
 
     /// Applies one vertical-elasticity request: the VM's reservation
@@ -578,7 +578,7 @@ impl World for SimWorld {
                 let spec = self.requests[idx as usize].clone();
                 let id = spec.id;
                 self.vms.insert(Vm::new(spec));
-                self.recorder.record_arrival(now);
+                self.recorder.record_arrival();
                 if let Some(sp) = &mut self.spare {
                     sp.record_arrival(now);
                 }
@@ -611,7 +611,7 @@ impl World for SimWorld {
                 vm.state = VmState::Completed { at: now };
                 let spec = &vm.spec;
                 let core_seconds = spec.actual_runtime.as_secs_f64() * spec.resources.get(0) as f64;
-                self.recorder.record_departure(now, core_seconds);
+                self.recorder.record_departure(core_seconds);
                 self.drain_queue(now, sched);
                 self.consolidate(now, sched);
                 self.enforce_power(now, sched);
@@ -817,17 +817,16 @@ impl Simulation {
     fn execute(&mut self) -> RunReport {
         self.engine.world_mut().initial_sample();
         self.engine.run_until(self.horizon);
-        let oracle = self.engine.world_mut().oracle.take();
-        let world = self.engine.world();
-        let policy_name = world.policy.name();
-        let mut recorder = world.recorder.clone();
+        let world = self.engine.world_mut();
+        let oracle = world.oracle.take();
         for &id in &world.queue {
             let slot = world.vms.slot(id).expect("every request has a slot");
             if !world.vm_events[slot].qos_started {
-                recorder.qos.record_never_started();
+                world.recorder.qos.record_never_started();
             }
         }
-        let mut report = recorder.finish(policy_name, self.horizon);
+        let world = self.engine.world();
+        let mut report = world.recorder.finish(world.policy.name(), self.horizon);
         // Wall-clock stays out of library runs so same-seed reports
         // serialize identically; the CLI fills `meta.wall_seconds`.
         report.meta = Some(RunMeta::for_run(world.cfg.seed));

@@ -12,7 +12,7 @@ use crate::violation::OracleSummary;
 use dvmp_cluster::datacenter::Datacenter;
 use dvmp_obs::CounterSnapshot as ObsCounters;
 use dvmp_obs::{Phase, PhaseHistogram, TimeSeriesReport, TimeSeriesStore, LATENCY_QUANTILES};
-use dvmp_simcore::series::{CountSeries, StepSeries};
+use dvmp_simcore::series::StepSeries;
 use dvmp_simcore::{SimDuration, SimTime};
 use serde::{Deserialize, Serialize};
 
@@ -65,9 +65,9 @@ pub struct SimulationRecorder {
     energy: EnergyMeter,
     saturation: SaturationMeter,
     groups: Option<(PowerGroups, Vec<StepSeries>)>,
-    arrivals: CountSeries,
-    departures: CountSeries,
-    migrations: CountSeries,
+    arrivals: u64,
+    departures: u64,
+    migrations: u64,
     /// QoS tracker (public so the simulator can record starts directly).
     pub qos: QosTracker,
     skipped_migrations: u64,
@@ -107,9 +107,9 @@ impl SimulationRecorder {
             energy: EnergyMeter::new(),
             saturation: SaturationMeter::new(),
             groups: None,
-            arrivals: CountSeries::new(),
-            departures: CountSeries::new(),
-            migrations: CountSeries::new(),
+            arrivals: 0,
+            departures: 0,
+            migrations: 0,
             qos: QosTracker::new(),
             skipped_migrations: 0,
             pm_failures: 0,
@@ -248,20 +248,20 @@ impl SimulationRecorder {
     }
 
     /// Records one request arrival.
-    pub fn record_arrival(&mut self, now: SimTime) {
-        self.arrivals.record(now);
+    pub fn record_arrival(&mut self) {
+        self.arrivals += 1;
     }
 
     /// Records one VM departure that served `core_seconds` of work
     /// (cores × actual runtime) — the revenue-bearing throughput.
-    pub fn record_departure(&mut self, now: SimTime, core_seconds: f64) {
-        self.departures.record(now);
+    pub fn record_departure(&mut self, core_seconds: f64) {
+        self.departures += 1;
         self.served_core_seconds += core_seconds;
     }
 
     /// Records one started live migration.
-    pub fn record_migration(&mut self, now: SimTime) {
-        self.migrations.record(now);
+    pub fn record_migration(&mut self) {
+        self.migrations += 1;
     }
 
     /// Records a planned migration that could not be applied (capacity was
@@ -349,9 +349,9 @@ impl SimulationRecorder {
             daily_power_kwh: self.energy.daily_kwh(horizon),
             total_energy_kwh: self.energy.total_kwh(horizon),
             mean_power_kw: self.energy.mean_power_w(horizon) / 1_000.0,
-            total_arrivals: self.arrivals.total() as u64,
-            total_departures: self.departures.total() as u64,
-            total_migrations: self.migrations.total() as u64,
+            total_arrivals: self.arrivals,
+            total_departures: self.departures,
+            total_migrations: self.migrations,
             skipped_migrations: self.skipped_migrations,
             pm_failures: self.pm_failures,
             failure_aborted_migrations: self.failure_aborted_migrations,
@@ -547,10 +547,10 @@ mod tests {
         let dc = fleet();
         let mut rec = SimulationRecorder::new();
         rec.sample_fleet(SimTime::ZERO, &dc);
-        rec.record_arrival(SimTime::from_secs(10));
-        rec.record_arrival(SimTime::from_secs(20));
-        rec.record_departure(SimTime::from_secs(500), 7_200.0);
-        rec.record_migration(SimTime::from_secs(600));
+        rec.record_arrival();
+        rec.record_arrival();
+        rec.record_departure(7_200.0);
+        rec.record_migration();
         rec.record_skipped_migration();
         rec.record_pm_failure();
         let r = rec.finish("test", SimTime::from_hours(1));

@@ -8,6 +8,7 @@
 //! state digest), and the run's violations are rolled up into an
 //! [`OracleSummary`] attached to the final report.
 
+use dvmp_cluster::FleetFault;
 use dvmp_simcore::SimTime;
 use serde::{Deserialize, Serialize};
 use std::fmt;
@@ -41,6 +42,21 @@ pub enum Invariant {
     /// diverged from an independent re-integration of the fleet's
     /// physical-saturation step function.
     SlaConservation,
+    /// The fleet's incrementally maintained aggregates (counts, power
+    /// tallies, capacity indexes) differ from a rebuild from scratch.
+    AggregateDrift,
+}
+
+/// The fleet's own findings, one invariant class each.
+impl From<FleetFault> for Invariant {
+    fn from(fault: FleetFault) -> Self {
+        match fault {
+            FleetFault::Capacity => Invariant::Capacity,
+            FleetFault::VirtualCapacity => Invariant::VirtualCapacity,
+            FleetFault::Bijection => Invariant::Bijection,
+            FleetFault::AggregateDrift => Invariant::AggregateDrift,
+        }
+    }
 }
 
 impl fmt::Display for Invariant {
@@ -54,6 +70,7 @@ impl fmt::Display for Invariant {
             Invariant::ReferenceDivergence => "reference-divergence",
             Invariant::VirtualCapacity => "virtual-capacity",
             Invariant::SlaConservation => "sla-conservation",
+            Invariant::AggregateDrift => "aggregate-drift",
         };
         f.write_str(name)
     }

@@ -5,8 +5,6 @@
 //! changes. It supports exact integration over any window — which is exactly
 //! what energy accounting needs (∫ P dt) — plus hourly/daily bucket
 //! averages for the Fig. 3–5 style reports.
-//!
-//! [`CountSeries`] is the companion for point events (arrivals per day).
 
 use crate::time::{SimDuration, SimTime};
 use serde::{Deserialize, Serialize};
@@ -157,40 +155,6 @@ impl StepSeries {
     }
 }
 
-/// Point-event counter with bucketing (e.g. arrivals per hour / day).
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
-pub struct CountSeries {
-    times: Vec<SimTime>,
-}
-
-impl CountSeries {
-    /// Empty counter.
-    pub fn new() -> Self {
-        CountSeries { times: Vec::new() }
-    }
-
-    /// Records one event at `at`.
-    ///
-    /// # Panics
-    /// Panics if `at` precedes the previous event.
-    pub fn record(&mut self, at: SimTime) {
-        if let Some(&last) = self.times.last() {
-            assert!(at >= last, "CountSeries::record out of order");
-        }
-        self.times.push(at);
-    }
-
-    /// Total events recorded.
-    pub fn total(&self) -> usize {
-        self.times.len()
-    }
-
-    /// The raw event times.
-    pub fn times(&self) -> &[SimTime] {
-        &self.times
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -302,13 +266,5 @@ mod tests {
             s.max_over(SimTime::from_secs(15), SimTime::from_secs(18)),
             9.0
         );
-    }
-
-    #[test]
-    #[should_panic(expected = "out of order")]
-    fn count_series_rejects_out_of_order() {
-        let mut c = CountSeries::new();
-        c.record(SimTime::from_secs(10));
-        c.record(SimTime::from_secs(9));
     }
 }

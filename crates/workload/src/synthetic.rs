@@ -151,6 +151,18 @@ impl LpcProfile {
         p
     }
 
+    /// The named profile: `paper_calibrated`, `paper_strict`, `light` or
+    /// `hpc_mixed` (the names the CLI and scenario specs take).
+    pub fn by_name(name: &str) -> Option<Self> {
+        match name {
+            "paper_calibrated" => Some(Self::paper_calibrated()),
+            "paper_strict" => Some(Self::paper_strict()),
+            "light" => Some(Self::light()),
+            "hpc_mixed" => Some(Self::hpc_mixed()),
+            _ => None,
+        }
+    }
+
     /// Expected total arrivals for the whole week.
     pub fn expected_total(&self) -> f64 {
         self.daily_arrivals.iter().sum()
@@ -300,6 +312,18 @@ mod tests {
 
     fn week_trace(seed: u64) -> Trace {
         SyntheticGenerator::new(LpcProfile::paper_calibrated(), seed).generate()
+    }
+
+    #[test]
+    fn profiles_are_found_by_name() {
+        for name in ["paper_calibrated", "paper_strict", "light", "hpc_mixed"] {
+            assert!(LpcProfile::by_name(name).is_some(), "{name}");
+        }
+        assert_eq!(
+            LpcProfile::by_name("light").unwrap().daily_arrivals,
+            LpcProfile::light().daily_arrivals
+        );
+        assert!(LpcProfile::by_name("swf").is_none());
     }
 
     #[test]
