@@ -257,16 +257,34 @@ impl FleetStats {
     fn rebuild(classes: &[PmClass], pms: &[Pm]) -> Self {
         let mut stats = FleetStats {
             class_power: vec![PowerTally::default(); classes.len()],
-            capacity: CapacityIndex::build(pms.iter().map(|pm| (pm.is_available(), pm.headroom()))),
-            off_capacity: CapacityIndex::build(
-                pms.iter()
-                    .map(|pm| (pm.state == PmState::Off, pm.virtual_capacity())),
-            ),
             ..FleetStats::default()
         };
+        // One pass over the PMs, which are large; the id sets and the
+        // indexes are then built in bulk from what it collected.
+        let (mut off, mut on_idle) = (Vec::new(), Vec::new());
+        let mut capacity = Vec::with_capacity(pms.len());
+        let mut off_capacity = Vec::with_capacity(pms.len());
         for pm in pms {
-            stats.admit(pm.id, &PmFootprint::of(pm));
+            let f = PmFootprint::of(pm);
+            if f.off {
+                off.push(pm.id);
+            }
+            if f.on_idle {
+                on_idle.push(pm.id);
+            }
+            let counts_only = PmFootprint {
+                off: false,
+                on_idle: false,
+                ..f
+            };
+            stats.admit(pm.id, &counts_only);
+            capacity.push((f.available, pm.headroom()));
+            off_capacity.push((f.off, pm.virtual_capacity()));
         }
+        stats.off = off.into_iter().collect();
+        stats.on_idle = on_idle.into_iter().collect();
+        stats.capacity = CapacityIndex::build(capacity);
+        stats.off_capacity = CapacityIndex::build(off_capacity);
         stats
     }
 
