@@ -20,8 +20,9 @@
 //! entry marked dirty merely costs a recompute). Under-reporting is the
 //! only hazard, hence the funnel placement and the bounded-size guarantee:
 //! past [`MAX_TRACKED`] distinct ids the journal degrades to `full` instead
-//! of growing without bound (a run that never drains — e.g. a static
-//! policy — stays O(1) in journal memory).
+//! of growing without bound. The simulator drains it at every placement
+//! and planning pass, so in a run it holds only the dirt since the last
+//! of those.
 //!
 //! [`Datacenter`]: crate::datacenter::Datacenter
 //! [`Datacenter::apply`]: crate::datacenter::Datacenter::apply
@@ -90,8 +91,9 @@ pub enum FleetOp {
 }
 
 /// Per-set bound on tracked ids; beyond it the journal marks itself full.
-/// Generous enough that only a drain-free run ever hits it (a 10k-PM fleet
-/// with 50k live VMs stays far below), small enough to bound memory.
+/// Generous enough that only a journal nobody drains ever hits it (a
+/// 10k-PM fleet with 50k live VMs stays far below), small enough to bound
+/// memory.
 pub const MAX_TRACKED: usize = 1 << 20;
 
 /// The set of PMs and VMs touched since the journal was last drained.

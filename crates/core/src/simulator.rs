@@ -219,13 +219,13 @@ impl SimWorld {
         let vm = &self.vms[id];
         let mut spec = vm.spec.clone();
         spec.resources = *vm.demand();
-        // Hand the accumulated fleet dirt to stateful policies before they
-        // read the view: the class-compressed planner patches its
-        // persistent state from exactly this journal.
-        if self.policy.is_dynamic() {
-            let delta = self.dc.take_fleet_delta();
-            self.policy.note_fleet_delta(delta);
-        }
+        // Hand the accumulated fleet dirt to the policy before it reads
+        // the view: the class-compressed planner patches its persistent
+        // state from exactly this journal, and stateless policies drop it.
+        // Draining at every placement keeps the journal to the dirt since
+        // the previous one under every policy.
+        let delta = self.dc.take_fleet_delta();
+        self.policy.note_fleet_delta(delta);
         let chosen = self.policy.place(
             &PlacementView {
                 dc: &self.dc,
@@ -327,10 +327,9 @@ impl SimWorld {
             return;
         }
         // Drain the fleet-delta journal accumulated since the previous
-        // pass and hand it to the policy *before* building the view: an
-        // incremental planner updates its persistent matrix from exactly
-        // this dirt (static policies never drain — the journal saturates
-        // at its cap and stays O(1) there).
+        // pass or placement and hand it to the policy *before* building
+        // the view: an incremental planner updates its persistent matrix
+        // from exactly this dirt.
         let delta = self.dc.take_fleet_delta();
         self.policy.note_fleet_delta(delta);
         let moves = self.policy.plan_migrations(&PlacementView {
@@ -1418,6 +1417,30 @@ mod tests {
             world.apply_migration(Migration { vm, from, to }, now, sched);
             assert!(world.vms[vm].is_migrating(), "forced migration started");
         }
+    }
+
+    #[test]
+    fn static_policies_drain_the_journal_at_every_placement() {
+        // First-fit never plans, but each placement still takes the
+        // journal: after eight staggered arrivals (and no departure) it
+        // holds only what the last placement dirtied.
+        let mut cfg = base_cfg();
+        cfg.spare = None;
+        let requests = (0..8)
+            .map(|i| spec(i + 1, 10 * u64::from(i), 50_000))
+            .collect();
+        let mut engine = surgical::world_with(requests, cfg);
+        engine.run_until(SimTime::from_secs(75));
+        let world = engine.world();
+        assert_eq!(world.dc.active_vm_count(), 8, "every arrival placed");
+        let delta = world.dc.fleet_delta();
+        assert!(!delta.is_full());
+        assert!(
+            delta.dirty_vms().iter().all(|&vm| vm == VmId(8)),
+            "journal kept {:?}, not only the last placement's VM",
+            delta.dirty_vms()
+        );
+        assert!(delta.dirty_pms().len() <= 1, "{:?}", delta.dirty_pms());
     }
 
     #[test]

@@ -28,10 +28,6 @@ pub enum RecordKind {
     /// Fleet-delta journal drained (`a` = dirty PMs, `b` = dirty VMs;
     /// both `u64::MAX` when the journal had overflowed to "full").
     JournalDrained = 8,
-    /// Planning pass ran a fresh full matrix rebuild (`a` = rows, `b` = cols).
-    /// No planner in the library emits it any more; the code stays
-    /// reserved so older dumps still decode.
-    PlanKernelFresh = 9,
     /// Spare-server controller decision (`a` = forecast arrivals, `b` = spare target).
     SpareDecision = 10,
     /// Checked-mode oracle flagged a violation (`a` = event seq, `b` = count).
@@ -62,7 +58,6 @@ impl RecordKind {
             RecordKind::MigrationSkipped => "migration-skipped",
             RecordKind::PmFailed => "pm-failed",
             RecordKind::JournalDrained => "journal-drained",
-            RecordKind::PlanKernelFresh => "plan-kernel-fresh",
             RecordKind::SpareDecision => "spare-decision",
             RecordKind::OracleViolation => "oracle-violation",
             RecordKind::PlanKernelCompressed => "plan-kernel-compressed",

@@ -102,10 +102,10 @@ pub trait PlacementPolicy {
     }
 
     /// Hands the policy the fleet-delta journal drained since its previous
-    /// planning pass: which PMs changed footprint, power state or
-    /// reliability, and which VMs arrived, departed or moved. Incremental
-    /// planners fold it into persistent planning state; the default
-    /// (stateless schemes) discards it.
+    /// placement or planning pass: which PMs changed footprint, power
+    /// state or reliability, and which VMs arrived, departed or moved.
+    /// Incremental planners fold it into persistent planning state; the
+    /// default (stateless schemes) discards it.
     fn note_fleet_delta(&mut self, _delta: FleetDelta) {}
 
     /// Checks, before a simulation starts, that the fleet and the request

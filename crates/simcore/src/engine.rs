@@ -5,8 +5,7 @@
 //! while handling the current one. The [`Engine`] simply advances the clock
 //! monotonically and dispatches.
 
-use crate::calendar::CalendarQueue;
-use crate::event::EventId;
+use crate::event::{EventId, EventQueue};
 use crate::time::SimTime;
 
 /// State machine driven by the engine.
@@ -28,10 +27,10 @@ pub trait World {
 }
 
 /// Handle for scheduling future events from within [`World::handle`] (or
-/// from outside the loop, to seed the simulation). Backed by the
-/// [`CalendarQueue`].
+/// from outside the loop, to seed the simulation). Backed by an
+/// [`EventQueue`].
 pub struct Scheduler<E> {
-    queue: CalendarQueue<E>,
+    queue: EventQueue<E>,
     now: SimTime,
 }
 
@@ -45,7 +44,7 @@ impl<E> Scheduler<E> {
     /// Creates an empty scheduler at t = 0.
     pub fn new() -> Self {
         Scheduler {
-            queue: CalendarQueue::new(),
+            queue: EventQueue::new(),
             now: SimTime::ZERO,
         }
     }
@@ -291,11 +290,10 @@ mod tests {
     }
 
     #[test]
-    fn horizon_inside_a_calendar_bucket() {
-        // Events 10 s apart share a calendar bucket until the first
-        // resize (initial width covers them); a horizon strictly between
-        // two events must stop the run mid-bucket, leave the later event
-        // pending, and pin the clock to the horizon.
+    fn horizon_between_two_pending_events() {
+        // A horizon strictly between two pending events must stop the run
+        // after the first, leave the later event pending, and pin the
+        // clock to the horizon.
         let mut engine = Engine::new(Ticker {
             fired_at: vec![],
             remaining: 0,
@@ -314,7 +312,7 @@ mod tests {
         };
         assert_eq!(world.fired_at, vec![SimTime::from_secs(10)]);
         assert_eq!(engine.scheduler_mut().pending(), 1);
-        // Resuming past the bucket picks the held-back event up.
+        // Resuming past the later event picks it up.
         engine.run_until(SimTime::from_secs(25));
         assert_eq!(engine.world().fired_at.len(), 2);
     }

@@ -1,26 +1,37 @@
-//! Model-based property tests: the calendar event queue and the step
-//! series are checked against trivially correct reference implementations
-//! under random operation sequences.
+//! Model-based property tests: the event queue and the step series are
+//! checked against trivially correct reference implementations under
+//! random operation sequences.
 
 use dvmp_simcore::series::StepSeries;
-use dvmp_simcore::{CalendarQueue, SimDuration, SimTime};
+use dvmp_simcore::{EventQueue, SimDuration, SimTime};
 use proptest::prelude::*;
 
 /// Operations on the event queue.
 #[derive(Debug, Clone)]
 enum QueueOp {
-    /// Schedule at the given time.
-    Schedule(u32),
+    /// Schedule at the given time (whole seconds).
+    Schedule(u64),
     /// Cancel the n-th still-tracked event (mod live count).
     Cancel(u8),
     /// Pop one event.
     Pop,
 }
 
+/// Schedule times: mostly a dense range, so ties and near-ties are
+/// common, plus times drawn from the whole `u64` range and the end of
+/// time itself.
+fn arb_time() -> impl Strategy<Value = u64> {
+    prop_oneof![
+        6 => 0u64..10_000,
+        1 => any::<u64>(),
+        1 => Just(u64::MAX),
+    ]
+}
+
 fn arb_ops() -> impl Strategy<Value = Vec<QueueOp>> {
     prop::collection::vec(
         prop_oneof![
-            (0u32..10_000).prop_map(QueueOp::Schedule),
+            arb_time().prop_map(QueueOp::Schedule),
             any::<u8>().prop_map(QueueOp::Cancel),
             Just(QueueOp::Pop),
         ],
@@ -28,26 +39,46 @@ fn arb_ops() -> impl Strategy<Value = Vec<QueueOp>> {
     )
 }
 
+/// Gaps between up to ~2 000 ascending preloaded times, the way a
+/// simulation seeds every arrival before its first dispatch.
+fn arb_preload() -> impl Strategy<Value = Vec<u64>> {
+    prop::collection::vec(0u64..120, 0..2_000)
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
-    /// The calendar queue behaves exactly like a sorted reference list
-    /// under any interleaving of schedule / cancel / peek / pop: same pop
-    /// order, same ids, same live counts, same cancel return values, and
-    /// the same full dispatch order when drained at the end.
+    /// The event queue behaves exactly like a sorted reference list under
+    /// an ascending preload followed by any interleaving of schedule /
+    /// cancel / peek / pop: same pop order, same ids, same live counts,
+    /// same cancel return values, and the same full dispatch order when
+    /// drained at the end.
     #[test]
-    fn event_queue_matches_reference_model(ops in arb_ops(), peek in any::<bool>()) {
-        let mut q = CalendarQueue::new();
+    fn event_queue_matches_reference_model(
+        preload in arb_preload(),
+        ops in arb_ops(),
+        peek in any::<bool>(),
+    ) {
+        let mut q = EventQueue::new();
         // Reference: Vec of (time, seq, id), sorted by (time, seq) on use.
         let mut model: Vec<(u64, u64, dvmp_simcore::EventId)> = Vec::new();
         let mut retired: Vec<dvmp_simcore::EventId> = Vec::new();
         let mut seq = 0u64;
 
+        let mut t = 0u64;
+        for gap in preload {
+            t += gap;
+            let id = q.schedule(SimTime::from_secs(t), seq);
+            model.push((t, seq, id));
+            seq += 1;
+        }
+        prop_assert_eq!(q.len(), model.len(), "preload is all live");
+
         for op in ops {
             match op {
                 QueueOp::Schedule(t) => {
-                    let id = q.schedule(SimTime::from_secs(t as u64), seq);
-                    model.push((t as u64, seq, id));
+                    let id = q.schedule(SimTime::from_secs(t), seq);
+                    model.push((t, seq, id));
                     seq += 1;
                 }
                 QueueOp::Cancel(n) => {
