@@ -172,49 +172,65 @@ impl<E> EventQueue<E> {
 
 #[cfg(test)]
 mod tests {
-    //! The queue's contract. Each test runs on a fresh queue and on one
-    //! that has already scheduled and drained 64 hourly events, so its ids
-    //! start past zero and its heap has grown and emptied.
+    //! The queue's contract. Each check runs as a test here on a fresh
+    //! queue and, under the same name in `drained`, on a queue that has
+    //! already scheduled and drained 64 hourly events, so its ids start
+    //! past zero and its heap has grown and emptied.
     use super::*;
 
-    /// Runs `check` on a fresh queue and on a drained one.
-    fn on_fresh_and_drained<E: Default>(check: impl Fn(EventQueue<E>)) {
-        check(EventQueue::new());
+    /// A queue that has scheduled and popped an event every hour for 64
+    /// hours.
+    fn drained_queue<E: Default>() -> EventQueue<E> {
         let mut q = EventQueue::new();
         for hour in 0..64 {
             q.schedule(SimTime::from_secs(hour * 3_600), E::default());
         }
         while q.pop().is_some() {}
         assert!(q.is_empty());
-        check(q);
+        q
     }
 
-    #[test]
-    fn pops_in_time_order() {
-        on_fresh_and_drained(|mut q| {
+    /// Declares each check as `check::<name>` and runs it as the test
+    /// `<name>` on a fresh queue and as `drained::<name>` on a drained one.
+    macro_rules! contract {
+        ($($(#[$doc:meta])* fn $name:ident(mut $q:ident: $ty:ty) $body:block)*) => {
+            mod check {
+                use super::*;
+                $($(#[$doc])* pub fn $name(mut $q: $ty) $body)*
+            }
+            $(#[test]
+            fn $name() {
+                check::$name(EventQueue::new());
+            })*
+            mod drained {
+                use super::*;
+                $(#[test]
+                fn $name() {
+                    check::$name(drained_queue());
+                })*
+            }
+        };
+    }
+
+    contract! {
+        fn pops_in_time_order(mut q: EventQueue<&'static str>) {
             q.schedule(SimTime::from_secs(5), "b");
             q.schedule(SimTime::from_secs(1), "a");
             q.schedule(SimTime::from_secs(9), "c");
             let order: Vec<&str> = std::iter::from_fn(|| q.pop()).map(|e| e.payload).collect();
             assert_eq!(order, vec!["a", "b", "c"]);
-        });
-    }
+        }
 
-    #[test]
-    fn simultaneous_events_are_fifo() {
-        on_fresh_and_drained(|mut q| {
+        fn simultaneous_events_are_fifo(mut q: EventQueue<&'static str>) {
             let t = SimTime::from_secs(3);
             for name in ["first", "second", "third"] {
                 q.schedule(t, name);
             }
             let order: Vec<&str> = std::iter::from_fn(|| q.pop()).map(|e| e.payload).collect();
             assert_eq!(order, vec!["first", "second", "third"]);
-        });
-    }
+        }
 
-    #[test]
-    fn cancel_removes_event() {
-        on_fresh_and_drained(|mut q| {
+        fn cancel_removes_event(mut q: EventQueue<&'static str>) {
             let keep = q.schedule(SimTime::from_secs(1), "keep");
             let drop = q.schedule(SimTime::from_secs(2), "drop");
             assert!(q.cancel(drop));
@@ -223,20 +239,14 @@ mod tests {
             let only = q.pop().unwrap();
             assert_eq!(only.id, keep);
             assert!(q.pop().is_none());
-        });
-    }
+        }
 
-    #[test]
-    fn cancel_unknown_id_is_rejected() {
-        on_fresh_and_drained(|mut q: EventQueue<()>| {
+        fn cancel_unknown_id_is_rejected(mut q: EventQueue<()>) {
             assert!(!q.cancel(EventId(42)));
             assert!(!q.cancel(EventId(u64::MAX)));
-        });
-    }
+        }
 
-    #[test]
-    fn cancel_after_fire_is_a_no_op() {
-        on_fresh_and_drained(|mut q| {
+        fn cancel_after_fire_is_a_no_op(mut q: EventQueue<&'static str>) {
             let a = q.schedule(SimTime::from_secs(1), "a");
             q.schedule(SimTime::from_secs(2), "b");
             let fired = q.pop().unwrap();
@@ -245,12 +255,9 @@ mod tests {
             assert_eq!(q.len(), 1);
             assert!(q.pop().is_some());
             assert!(q.is_empty());
-        });
-    }
+        }
 
-    #[test]
-    fn cancel_of_peeked_head_is_honoured() {
-        on_fresh_and_drained(|mut q| {
+        fn cancel_of_peeked_head_is_honoured(mut q: EventQueue<&'static str>) {
             let early = q.schedule(SimTime::from_secs(1), "x");
             q.schedule(SimTime::from_secs(7), "y");
             assert_eq!(q.peek_time(), Some(SimTime::from_secs(1)));
@@ -258,34 +265,25 @@ mod tests {
             assert_eq!(q.peek_time(), Some(SimTime::from_secs(7)));
             assert_eq!(q.pop().unwrap().payload, "y");
             assert!(q.is_empty());
-        });
-    }
+        }
 
-    #[test]
-    fn schedule_earlier_than_peeked_head() {
-        on_fresh_and_drained(|mut q| {
+        fn schedule_earlier_than_peeked_head(mut q: EventQueue<&'static str>) {
             q.schedule(SimTime::from_secs(50), "late");
             assert_eq!(q.peek_time(), Some(SimTime::from_secs(50)));
             q.schedule(SimTime::from_secs(10), "early");
             assert_eq!(q.peek_time(), Some(SimTime::from_secs(10)));
             assert_eq!(q.pop().unwrap().payload, "early");
             assert_eq!(q.pop().unwrap().payload, "late");
-        });
-    }
+        }
 
-    #[test]
-    fn peek_time_skips_cancelled() {
-        on_fresh_and_drained(|mut q| {
+        fn peek_time_skips_cancelled(mut q: EventQueue<&'static str>) {
             let early = q.schedule(SimTime::from_secs(1), "x");
             q.schedule(SimTime::from_secs(7), "y");
             q.cancel(early);
             assert_eq!(q.peek_time(), Some(SimTime::from_secs(7)));
-        });
-    }
+        }
 
-    #[test]
-    fn len_tracks_cancellations() {
-        on_fresh_and_drained(|mut q| {
+        fn len_tracks_cancellations(mut q: EventQueue<i32>) {
             let a = q.schedule(SimTime::from_secs(1), 1);
             q.schedule(SimTime::from_secs(2), 2);
             assert_eq!(q.len(), 2);
@@ -294,12 +292,9 @@ mod tests {
             assert!(!q.is_empty());
             q.pop();
             assert!(q.is_empty());
-        });
-    }
+        }
 
-    #[test]
-    fn clear_empties_queue() {
-        on_fresh_and_drained(|mut q| {
+        fn clear_empties_queue(mut q: EventQueue<()>) {
             q.schedule(SimTime::from_secs(1), ());
             q.schedule(SimTime::from_secs(2), ());
             q.clear();
@@ -308,69 +303,51 @@ mod tests {
             assert!(q.pop().is_none());
             let after = q.schedule(SimTime::from_secs(3), ());
             assert_eq!(q.pop().map(|e| e.id), Some(after), "usable after clear");
-        });
-    }
+        }
 
-    #[test]
-    fn ids_are_unique_and_increasing() {
-        on_fresh_and_drained(|mut q| {
+        fn ids_are_unique_and_increasing(mut q: EventQueue<()>) {
             let a = q.schedule(SimTime::from_secs(1), ());
             let b = q.schedule(SimTime::from_secs(1), ());
             assert!(b.raw() > a.raw());
-        });
-    }
+        }
 
-    #[test]
-    fn year_aliasing_keeps_order() {
-        // 3, 19 and 35 are congruent modulo 16: times that would share a
-        // slot of any 16-way bucketing still pop in time order.
-        on_fresh_and_drained(|mut q| {
+        /// 3, 19 and 35 are congruent modulo 16: times that would share a
+        /// slot of any 16-way bucketing still pop in time order.
+        fn year_aliasing_keeps_order(mut q: EventQueue<&'static str>) {
             q.schedule(SimTime::from_secs(35), "third");
             q.schedule(SimTime::from_secs(3), "first");
             q.schedule(SimTime::from_secs(19), "second");
             let order: Vec<&str> = std::iter::from_fn(|| q.pop()).map(|e| e.payload).collect();
             assert_eq!(order, vec!["first", "second", "third"]);
-        });
-    }
+        }
 
-    #[test]
-    fn sparse_far_future_events_are_found() {
-        on_fresh_and_drained(|mut q| {
+        fn sparse_far_future_events_are_found(mut q: EventQueue<&'static str>) {
             q.schedule(SimTime::from_secs(10), "near");
             q.schedule(SimTime::from_secs(10_000_000), "far");
             assert_eq!(q.pop().unwrap().payload, "near");
             assert_eq!(q.pop().unwrap().payload, "far");
             assert!(q.pop().is_none());
-        });
-    }
+        }
 
-    #[test]
-    fn cursor_jump_over_stale_alias_does_not_block() {
-        // A cancelled entry congruent (mod 16) to a later live one must
-        // neither fire nor hold the live one back.
-        on_fresh_and_drained(|mut q| {
+        /// A cancelled entry congruent (mod 16) to a later live one must
+        /// neither fire nor hold the live one back.
+        fn cursor_jump_over_stale_alias_does_not_block(mut q: EventQueue<&'static str>) {
             let stale = q.schedule(SimTime::from_secs(35), "stale");
             q.schedule(SimTime::from_secs(51), "live");
             assert!(q.cancel(stale));
             assert_eq!(q.pop().unwrap().payload, "live");
             assert!(q.pop().is_none());
-        });
-    }
+        }
 
-    #[test]
-    fn end_of_time_sentinel_event_fires() {
-        on_fresh_and_drained(|mut q| {
+        fn end_of_time_sentinel_event_fires(mut q: EventQueue<&'static str>) {
             q.schedule(SimTime::MAX, "sentinel");
             q.schedule(SimTime::from_secs(1), "normal");
             assert_eq!(q.pop().unwrap().payload, "normal");
             assert_eq!(q.pop().unwrap().payload, "sentinel");
             assert!(q.pop().is_none());
-        });
-    }
+        }
 
-    #[test]
-    fn grow_and_shrink_preserve_order() {
-        on_fresh_and_drained(|mut q| {
+        fn grow_and_shrink_preserve_order(mut q: EventQueue<u64>) {
             let n = 1_000u64;
             // Insert in a scrambled but deterministic order.
             for i in 0..n {
@@ -388,14 +365,11 @@ mod tests {
                 popped += 1;
             }
             assert_eq!(popped, n);
-        });
-    }
+        }
 
-    #[test]
-    fn interleaved_schedule_pop_cancel() {
-        // Deterministic stress: peeks, cancellations and pops interleaved
-        // with late inserts of early times.
-        on_fresh_and_drained(|mut q| {
+        /// Deterministic stress: peeks, cancellations and pops interleaved
+        /// with late inserts of early times.
+        fn interleaved_schedule_pop_cancel(mut q: EventQueue<u64>) {
             let mut tokens = Vec::new();
             for i in 0u64..200 {
                 tokens.push(q.schedule(SimTime::from_secs((i * 37) % 500), i));
@@ -417,6 +391,6 @@ mod tests {
                 last = e.time;
             }
             assert!(q.is_empty());
-        });
+        }
     }
 }
