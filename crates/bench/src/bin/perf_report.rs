@@ -369,10 +369,10 @@ fn probe_superclasses(fleet: &Datacenter, tolerance: f64) -> usize {
     // demand); the probe powers a copy on so every PM registers its class,
     // the same registration a live run performs as the fleet powers up.
     let mut dc = fleet.clone();
-    let ids: Vec<PmId> = dc.pms().iter().map(|p| p.id).collect();
-    for id in ids {
-        dc.pm_mut(id).state = dvmp_cluster::pm::PmState::On;
-    }
+    dc.edit_pms(|pms| {
+        pms.iter_mut()
+            .for_each(|pm| pm.state = dvmp_cluster::pm::PmState::On)
+    });
     let vms = dvmp_cluster::VmTable::new();
     let view = PlacementView {
         dc: &dc,

@@ -509,37 +509,70 @@ fn command_flags(command: &str) -> &'static [(&'static str, bool)] {
     }
 }
 
-/// Rejects every `--` argument the command (the first positional
-/// argument) does not take, so a typo or a retired flag fails loudly
-/// instead of silently running without it. Values of value-taking flags
-/// are skipped, wherever the flag stands.
-pub fn check_flags(args: &[String]) -> Result<(), String> {
+/// A `dvmp-cli` command line, parsed once by [`parse_args`].
+#[derive(Debug, Default, PartialEq, Eq)]
+pub struct Args {
+    /// The positional arguments, the command first.
+    pub positional: Vec<String>,
+    /// The `--` flags in order, each with its value if it takes one.
+    flags: Vec<(String, Option<String>)>,
+}
+
+impl Args {
+    /// Whether `flag` was given.
+    pub fn has(&self, flag: &str) -> bool {
+        self.flags.iter().any(|(f, _)| f == flag)
+    }
+
+    /// The value given to the value-taking `flag`, if it was given.
+    pub fn value(&self, flag: &str) -> Option<&str> {
+        self.flags
+            .iter()
+            .find(|(f, _)| f == flag)
+            .and_then(|(_, v)| v.as_deref())
+    }
+}
+
+/// Splits `args` into positional arguments and `--` flags with their
+/// values, wherever the flags stand. Rejects every flag the command (the
+/// first positional argument) does not take, so a typo or a retired flag
+/// fails loudly instead of silently running without it, and a
+/// value-taking flag whose value is missing or is itself a `--` flag.
+pub fn parse_args(args: &[String]) -> Result<Args, String> {
     let value_flag = |a: &str| {
         ["run", "compare", "sweep"]
             .iter()
             .any(|c| command_flags(c).contains(&(a, true)))
     };
-    let mut positional = Vec::new();
-    let mut flags = Vec::new();
+    let mut parsed = Args::default();
     let mut it = args.iter();
     while let Some(a) = it.next() {
-        if a.starts_with("--") {
-            flags.push(a.as_str());
-            if value_flag(a) {
-                it.next();
+        if !a.starts_with("--") {
+            parsed.positional.push(a.clone());
+            continue;
+        }
+        let value = if value_flag(a) {
+            match it.next() {
+                Some(v) if !v.starts_with("--") => Some(v.clone()),
+                next => {
+                    let got = next.map_or("nothing".into(), |v| format!("the flag {v}"));
+                    return Err(format!("{a} takes a value, got {got}\n\n{}", help()));
+                }
             }
         } else {
-            positional.push(a.as_str());
-        }
+            None
+        };
+        parsed.flags.push((a.clone(), value));
     }
-    let command = positional.first().copied().unwrap_or("help");
+    let command = parsed.positional.first().map_or("help", String::as_str);
     let known = command_flags(command);
-    match flags
-        .into_iter()
-        .find(|f| !known.iter().any(|(k, _)| k == f))
+    match parsed
+        .flags
+        .iter()
+        .find(|(f, _)| !known.iter().any(|(k, _)| k == f))
     {
-        Some(f) => Err(format!("`{command}` does not take {f}\n\n{}", help())),
-        None => Ok(()),
+        Some((f, _)) => Err(format!("`{command}` does not take {f}\n\n{}", help())),
+        None => Ok(parsed),
     }
 }
 
@@ -583,7 +616,8 @@ USAGE:
 
 PROFILES: paper_calibrated | paper_strict | light | hpc_mixed
 SPEC: see crates/cli/src/spec.rs for the JSON schema
-A flag the command does not take is a usage error (exit status 2).
+A flag the command does not take, or a flag value that is missing or is
+itself a flag, is a usage error (exit status 2).
 "
     .to_owned()
 }
@@ -880,17 +914,20 @@ mod tests {
         }
     }
 
+    fn argv(s: &str) -> Vec<String> {
+        s.split(' ').map(String::from).collect()
+    }
+
     #[test]
     fn unknown_flags_are_usage_errors() {
-        let argv = |s: &str| -> Vec<String> { s.split(' ').map(String::from).collect() };
         // A typo and a retired flag both fail, naming the flag.
         for bad in ["--chekced", "--full-replan"] {
-            let err = check_flags(&argv(&format!("run spec.json {bad}"))).unwrap_err();
+            let err = parse_args(&argv(&format!("run spec.json {bad}"))).unwrap_err();
             assert!(err.contains(bad), "{err}");
         }
         // A flag of another command is no flag of this one.
-        assert!(check_flags(&argv("compare spec.json --seeds 3")).is_err());
-        assert!(check_flags(&argv("workload light 42 --json")).is_err());
+        assert!(parse_args(&argv("compare spec.json --seeds 3")).is_err());
+        assert!(parse_args(&argv("workload light 42 --json")).is_err());
         // Known flags pass, and a flag's value is never read as a flag.
         for ok in [
             "run spec.json --json --checked --obs-summary",
@@ -901,8 +938,32 @@ mod tests {
             "workload light 42",
             "help",
         ] {
-            assert_eq!(check_flags(&argv(ok)), Ok(()), "{ok}");
+            assert!(parse_args(&argv(ok)).is_ok(), "{ok}");
         }
-        assert_eq!(check_flags(&[]), Ok(()));
+        assert_eq!(parse_args(&[]), Ok(Args::default()));
+    }
+
+    #[test]
+    fn flag_values_are_never_positional() {
+        let args = parse_args(&argv("sweep --seeds 2 spec.json")).unwrap();
+        assert_eq!(args.positional, ["sweep", "spec.json"]);
+        assert_eq!(args.value("--seeds"), Some("2"));
+        let args = parse_args(&argv("--trace-out t.json run spec.json --json")).unwrap();
+        assert_eq!(args.positional, ["run", "spec.json"]);
+        assert_eq!(args.value("--trace-out"), Some("t.json"));
+        assert!(args.has("--json") && !args.has("--checked"));
+        assert_eq!(args.value("--metrics-out"), None);
+    }
+
+    #[test]
+    fn a_flag_value_must_be_present_and_not_a_flag() {
+        for bad in [
+            "run spec.json --trace-out --json",
+            "run spec.json --metrics-out",
+            "sweep spec.json --seeds --json",
+        ] {
+            let err = parse_args(&argv(bad)).unwrap_err();
+            assert!(err.contains("takes a value"), "{bad}: {err}");
+        }
     }
 }

@@ -5,38 +5,16 @@ use std::io::Write as _;
 use std::process::ExitCode;
 
 fn main() -> ExitCode {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    if let Err(e) = commands::check_flags(&args) {
-        eprintln!("error: {e}");
-        return ExitCode::from(2);
-    }
-    let json = args.iter().any(|a| a == "--json");
-    let checked = args.iter().any(|a| a == "--checked");
-    let obs_summary = args.iter().any(|a| a == "--obs-summary");
-    let trace_out_idx = args.iter().position(|a| a == "--trace-out");
-    let trace_out = trace_out_idx.and_then(|i| args.get(i + 1)).cloned();
-    if trace_out_idx.is_some() && trace_out.is_none() {
-        eprintln!("error: --trace-out takes a file path");
-        return ExitCode::FAILURE;
-    }
-    let metrics_out_idx = args.iter().position(|a| a == "--metrics-out");
-    let metrics_out = metrics_out_idx.and_then(|i| args.get(i + 1)).cloned();
-    if metrics_out_idx.is_some() && metrics_out.is_none() {
-        eprintln!("error: --metrics-out takes a file path");
-        return ExitCode::FAILURE;
-    }
-    // `--trace-out`/`--metrics-out` values are bare paths, so drop them
-    // from the positional view by index rather than by `--` prefix.
-    let positional: Vec<&str> = args
-        .iter()
-        .enumerate()
-        .filter(|(i, a)| {
-            !a.starts_with("--")
-                && trace_out_idx != Some(i.wrapping_sub(1))
-                && metrics_out_idx != Some(i.wrapping_sub(1))
-        })
-        .map(|(_, a)| a.as_str())
-        .collect();
+    let argv: Vec<String> = std::env::args().skip(1).collect();
+    let args = match commands::parse_args(&argv) {
+        Ok(args) => args,
+        Err(e) => {
+            eprintln!("error: {e}");
+            return ExitCode::from(2);
+        }
+    };
+    let json = args.has("--json");
+    let positional: Vec<&str> = args.positional.iter().map(String::as_str).collect();
 
     let result = match positional.as_slice() {
         ["run", path, ..] => std::fs::read_to_string(path)
@@ -46,10 +24,10 @@ fn main() -> ExitCode {
                     &text,
                     &commands::RunOptions {
                         json,
-                        checked,
-                        obs_summary,
-                        trace_out: trace_out.map(Into::into),
-                        metrics_out: metrics_out.map(Into::into),
+                        checked: args.has("--checked"),
+                        obs_summary: args.has("--obs-summary"),
+                        trace_out: args.value("--trace-out").map(Into::into),
+                        metrics_out: args.value("--metrics-out").map(Into::into),
                     },
                 )
             }),
@@ -64,14 +42,10 @@ fn main() -> ExitCode {
             .map_err(|e| format!("cannot read {path}: {e}"))
             .and_then(|text| commands::compare(&text, json)),
         ["sweep", path, ..] => {
-            let seeds = args
-                .iter()
-                .position(|a| a == "--seeds")
-                .and_then(|i| args.get(i + 1))
-                .map_or(Ok(5), |s| {
-                    s.parse::<usize>()
-                        .map_err(|_| format!("--seeds takes a count, got {s:?}"))
-                });
+            let seeds = args.value("--seeds").map_or(Ok(5), |s| {
+                s.parse::<usize>()
+                    .map_err(|_| format!("--seeds takes a count, got {s:?}"))
+            });
             seeds.and_then(|n| {
                 std::fs::read_to_string(path)
                     .map_err(|e| format!("cannot read {path}: {e}"))

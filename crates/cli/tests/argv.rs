@@ -42,3 +42,16 @@ fn a_seed_that_is_not_a_number_is_an_error() {
     assert!(out.status.success());
     assert!(String::from_utf8_lossy(&out.stdout).contains("seed 7"));
 }
+
+#[test]
+fn a_flag_value_that_is_a_flag_is_a_usage_error() {
+    let spec = concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/../../examples/scenario_spec.json"
+    );
+    let out = cli(&["run", spec, "--trace-out", "--json"]);
+    assert_eq!(out.status.code(), Some(2));
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains("--trace-out takes a value"), "{stderr}");
+    assert!(out.stdout.is_empty(), "the run must not start");
+}

@@ -12,13 +12,14 @@
 //! and the simulator's hot scans (first off PM that fits, first available
 //! PM that fits, idle PMs in id order) used to be O(M) sweeps over `pms`.
 //! They are now answered from `FleetStats`, an aggregate maintained
-//! *incrementally*: every mutation path — [`Datacenter::apply`] and
-//! arbitrary state edits through [`Datacenter::pm_mut`]'s drop guard —
-//! diffs the touched PM's `PmFootprint` before/after and applies the
-//! delta. [`Datacenter::check`] rebuilds the aggregate from scratch and
-//! compares; debug builds run it after every event (`assert_consistent`)
-//! and checked mode at every deep and final audit, so drift is a caught
-//! invariant violation, not silent corruption.
+//! *incrementally*: [`Datacenter::apply`], the one mutator during a run,
+//! diffs each touched PM's `PmFootprint` before/after and applies the
+//! delta. The bulk setup edit [`Datacenter::edit_pms`], for per-PM
+//! attributes fixed before a run starts, rebuilds the aggregate instead.
+//! [`Datacenter::check`] rebuilds it from scratch and compares; debug
+//! builds run it after every event (`assert_consistent`) and checked mode
+//! at every deep and final audit, so drift is a caught invariant
+//! violation, not silent corruption.
 //!
 //! Instantaneous power is kept as per-(class, power-level) *counts* rather
 //! than a running float sum: `total_power_w` multiplies counts by the class
@@ -34,7 +35,7 @@ use crate::vm::VmId;
 use crate::vm_table::VmSlots;
 use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, BTreeSet};
-use std::ops::{Deref, DerefMut};
+use std::ops::Deref;
 
 /// The PMs holding one VM's reservations, current host first: one PM, or
 /// two while a live migration is in flight (the destination, then the
@@ -100,10 +101,10 @@ pub struct Datacenter {
     /// state: never serialized, rebuilt on deserialize.
     stats: FleetStats,
     /// Dirt accumulated since the last [`Datacenter::take_fleet_delta`],
-    /// fed from the same footprint-diff funnel as `stats` (plus a
-    /// reliability diff, which the footprint does not cover). Never
-    /// serialized; a deserialized fleet starts with a *full* journal since
-    /// any pre-existing consumer snapshot is of unknown provenance.
+    /// fed from the same footprint-diff funnel as `stats`. Never
+    /// serialized; a deserialized or setup-edited fleet starts with a
+    /// *full* journal since any pre-existing consumer snapshot is of
+    /// unknown provenance.
     journal: FleetDelta,
 }
 
@@ -247,7 +248,7 @@ struct FleetStats {
     capacity: CapacityIndex,
     /// Virtual-capacity index over `Off` PMs (boot candidates). An off PM
     /// hosts nothing, so its leaf changes only when the PM's `off` flag
-    /// flips (or a raw [`Datacenter::pm_mut`] edit touches its ratios).
+    /// flips.
     off_capacity: CapacityIndex,
 }
 
@@ -372,20 +373,16 @@ impl Datacenter {
         &self.pms[id.0 as usize]
     }
 
-    /// Mutable access to a PM (state changes only; use
-    /// [`Datacenter::apply`] for occupancy so the VM index stays
-    /// consistent). The returned guard diffs the PM's `PmFootprint` on drop
-    /// so the fleet aggregates stay exact under arbitrary edits.
-    pub fn pm_mut(&mut self, id: PmId) -> PmMut<'_> {
-        let idx = id.0 as usize;
-        let before = PmFootprint::of(&self.pms[idx]);
-        let before_rel = self.pms[idx].reliability;
-        PmMut {
-            dc: self,
-            idx,
-            before,
-            before_rel,
-        }
+    /// Edits the PMs in bulk before a run — reliability scores,
+    /// overbooking ratios, initial power states — then rebuilds the fleet
+    /// aggregates from scratch and marks the fleet-delta journal full, as
+    /// deserialization does. Per-PM attributes are frozen once a run
+    /// starts: from then on only [`Datacenter::apply`] changes the fleet.
+    /// The VM index is left as it is, so reservations belong to `apply`.
+    pub fn edit_pms(&mut self, edit: impl FnOnce(&mut [Pm])) {
+        edit(&mut self.pms);
+        self.stats = FleetStats::rebuild(&self.classes, &self.pms);
+        self.journal = FleetDelta::new_full();
     }
 
     /// All PMs in id order.
@@ -539,25 +536,16 @@ impl Datacenter {
         hosts
     }
 
-    /// Applies `f` to one PM and folds the footprint delta into `stats`
-    /// and the fleet-delta journal.
+    /// Applies `f` to one PM and folds its footprint delta into `stats`,
+    /// the capacity indexes and the fleet-delta journal.
     fn update_pm<R>(&mut self, id: PmId, f: impl FnOnce(&mut Pm) -> R) -> R {
         let idx = id.0 as usize;
         let before = PmFootprint::of(&self.pms[idx]);
-        let before_rel = self.pms[idx].reliability;
         let result = f(&mut self.pms[idx]);
-        self.fold_pm(idx, &before, before_rel);
-        result
-    }
-
-    /// Folds PM `idx`'s change since `before` into `stats`, the capacity
-    /// indexes and the fleet-delta journal.
-    fn fold_pm(&mut self, idx: usize, before: &PmFootprint, before_rel: f64) {
-        let id = PmId(idx as u32);
         let pm = &self.pms[idx];
         let after = PmFootprint::of(pm);
-        if after != *before {
-            self.stats.retire(id, before);
+        if after != before {
+            self.stats.retire(id, &before);
             self.stats.admit(id, &after);
             self.stats
                 .capacity
@@ -567,10 +555,9 @@ impl Datacenter {
                     .off_capacity
                     .set(idx, after.off, &pm.virtual_capacity());
             }
-        }
-        if after != *before || pm.reliability != before_rel {
             self.journal.note_pm(id);
         }
+        result
     }
 
     /// Drains the fleet-delta journal: everything that changed since the
@@ -597,11 +584,12 @@ impl Datacenter {
         &self.journal
     }
 
-    /// Applies one fleet mutation. On success, returns the VMs a
-    /// [`FleetOp::Fail`] evicted (empty for every other op); on failure
-    /// the fleet is unchanged. Every change is journaled and recorded in
-    /// the flight recorder from the op itself (see [`FleetOp`] for what
-    /// each op does and when it fails).
+    /// Applies one fleet mutation — during a run, the only way the fleet
+    /// changes. On success, returns the VMs a [`FleetOp::Fail`] evicted
+    /// (empty for every other op); on failure the fleet is unchanged.
+    /// Every change is journaled and recorded in the flight recorder from
+    /// the op itself (see [`FleetOp`] for what each op does and when it
+    /// fails).
     pub fn apply(&mut self, op: FleetOp) -> Result<Vec<VmId>, PmError> {
         let mut evicted = Vec::new();
         // The second payload word of the op's flight record, or `None`
@@ -664,6 +652,23 @@ impl Datacenter {
                     Some(host.0.into())
                 }
             }
+            FleetOp::Power { pm, state } => {
+                let p = &self.pms[pm.0 as usize];
+                let refused = match state {
+                    PmState::Failed => true,
+                    PmState::Off | PmState::ShuttingDown { .. } => !p.is_idle(),
+                    PmState::On | PmState::Booting { .. } => false,
+                };
+                if refused {
+                    return Err(PmError::PowerRefused(state));
+                }
+                if p.state == state {
+                    None
+                } else {
+                    self.update_pm(pm, |p| p.state = state);
+                    Some(power_code(state))
+                }
+            }
         };
         if let Some(b) = b {
             self.project(&op, b, &evicted);
@@ -672,7 +677,8 @@ impl Datacenter {
     }
 
     /// Projects an applied op onto the fleet-delta journal (its VM, or
-    /// every VM a failure evicted) and one flight-recorder fleet record.
+    /// every VM a failure evicted; a power op's PM is already journaled)
+    /// and one flight-recorder fleet record.
     fn project(&mut self, op: &FleetOp, b: u64, evicted: &[VmId]) {
         use dvmp_obs::RecordKind;
         let (kind, vm) = match *op {
@@ -686,6 +692,10 @@ impl Datacenter {
                     self.journal.note_vm(vm);
                 }
                 dvmp_obs::note_fleet(RecordKind::PmFailed, pm.0.into(), b);
+                return;
+            }
+            FleetOp::Power { pm, .. } => {
+                dvmp_obs::note_fleet(RecordKind::PmPower, pm.0.into(), b);
                 return;
             }
         };
@@ -750,14 +760,21 @@ impl Datacenter {
     }
 
     /// Checks every fleet invariant, appending one finding per broken
-    /// invariant to `out`: [`check_pm`](Self::check_pm) on each PM; each
-    /// indexed VM has one host, or two distinct ones, each holding its
-    /// reservation, and the slot table finds its entry; and the
-    /// incremental aggregates equal a rebuild. O(M log M + VMs).
+    /// invariant to `out`: [`check_pm`](Self::check_pm) on each PM, then
+    /// [`check_index_and_aggregates`](Self::check_index_and_aggregates).
+    /// O(M log M + VMs).
     pub fn check<F: From<FleetFault>>(&self, out: &mut Vec<(F, String)>) {
         for id in self.pm_ids() {
             self.check_pm(id, out);
         }
+        self.check_index_and_aggregates(out);
+    }
+
+    /// The fleet-wide half of [`check`](Self::check): each indexed VM has
+    /// one host, or two distinct ones, each holding its reservation, and
+    /// the slot table finds its entry; and the incremental aggregates
+    /// equal a rebuild. O(M log M + VMs).
+    pub fn check_index_and_aggregates<F: From<FleetFault>>(&self, out: &mut Vec<(F, String)>) {
         for (i, (vm, hosts)) in self.vm_hosts.iter().enumerate() {
             let mut fault = |detail: String| out.push((FleetFault::Bijection.into(), detail));
             if self.vm_slots.get(*vm) != Some(i) {
@@ -810,42 +827,15 @@ pub enum FleetFault {
     AggregateDrift,
 }
 
-/// Drop guard returned by [`Datacenter::pm_mut`]: dereferences to the PM
-/// and folds whatever changed into the fleet aggregates when dropped.
-#[derive(Debug)]
-pub struct PmMut<'a> {
-    dc: &'a mut Datacenter,
-    idx: usize,
-    before: PmFootprint,
-    before_rel: f64,
-}
-
-impl Deref for PmMut<'_> {
-    type Target = Pm;
-    fn deref(&self) -> &Pm {
-        &self.dc.pms[self.idx]
-    }
-}
-
-impl DerefMut for PmMut<'_> {
-    fn deref_mut(&mut self) -> &mut Pm {
-        &mut self.dc.pms[self.idx]
-    }
-}
-
-impl Drop for PmMut<'_> {
-    fn drop(&mut self) {
-        self.dc.fold_pm(self.idx, &self.before, self.before_rel);
-        // A raw edit may change the overbooking ratios, and with them the
-        // PM's virtual capacity and headroom.
-        let pm = &self.dc.pms[self.idx];
-        let stats = &mut self.dc.stats;
-        stats
-            .off_capacity
-            .set(self.idx, pm.state == PmState::Off, &pm.virtual_capacity());
-        stats
-            .capacity
-            .set(self.idx, pm.is_available(), &pm.headroom());
+/// The second payload word of a [`FleetOp::Power`] flight record: the
+/// new state's code, 0 off, 1 booting, 2 on, 3 shutting down.
+fn power_code(state: PmState) -> u64 {
+    match state {
+        PmState::Off => 0,
+        PmState::Booting { .. } => 1,
+        PmState::On => 2,
+        PmState::ShuttingDown { .. } => 3,
+        PmState::Failed => unreachable!("a failure is FleetOp::Fail"),
     }
 }
 
@@ -974,6 +964,13 @@ mod tests {
         FleetOp::Resize { vm: VmId(vm), new }
     }
 
+    fn power(pm: u32, state: PmState) -> FleetOp {
+        FleetOp::Power {
+            pm: PmId(pm),
+            state,
+        }
+    }
+
     #[test]
     fn paper_fleet_matches_table2() {
         let dc = paper_fleet();
@@ -1083,7 +1080,7 @@ mod tests {
         dc.apply(place(1, 0, vm_demand())).unwrap();
         // pm0 becomes active: +160 W.
         assert_eq!(dc.total_power_w(), 1_180.0);
-        dc.pm_mut(PmId(4)).state = PmState::Off;
+        dc.apply(power(4, PmState::Off)).unwrap();
         assert_eq!(dc.total_power_w(), 1_000.0);
         assert_eq!(dc.powered_count(), 4);
     }
@@ -1097,16 +1094,14 @@ mod tests {
             .unwrap();
         assert!((dc.powered_core_utilization() - 7.0 / 28.0).abs() < 1e-12);
         // Powering a slow PM off shrinks the denominator.
-        dc.pm_mut(PmId(4)).state = PmState::Off;
+        dc.apply(power(4, PmState::Off)).unwrap();
         assert!((dc.powered_core_utilization() - 7.0 / 24.0).abs() < 1e-12);
         // Fully off fleet → 0, not NaN.
-        for id in [0u32, 1, 2, 3] {
-            if dc.pm(PmId(id)).is_idle() {
-                dc.pm_mut(PmId(id)).state = PmState::Off;
-            }
+        for id in [1, 2, 3] {
+            dc.apply(power(id, PmState::Off)).unwrap();
         }
         dc.apply(FleetOp::Remove { vm: VmId(1) }).unwrap();
-        dc.pm_mut(PmId(0)).state = PmState::Off;
+        dc.apply(power(0, PmState::Off)).unwrap();
         assert_eq!(dc.powered_core_utilization(), 0.0);
     }
 
@@ -1114,31 +1109,74 @@ mod tests {
     fn counts_ignore_unavailable_pms() {
         let mut dc = on_fleet();
         dc.apply(place(1, 0, vm_demand())).unwrap();
-        dc.pm_mut(PmId(1)).state = PmState::Off;
+        dc.apply(power(1, PmState::Off)).unwrap();
         assert_eq!(dc.non_idle_count(), 1);
         assert_eq!(dc.idle_available_count(), 3);
     }
 
     #[test]
-    fn stats_survive_raw_state_edits_through_pm_mut() {
-        // The drop guard must fold arbitrary edits (state flips, direct
-        // reservations, reliability tweaks) into the aggregates.
+    fn setup_edits_rebuild_stats_and_fill_the_journal() {
+        // A bulk edit may change anything per PM; the aggregates are
+        // rebuilt and every consumer must treat the fleet as new.
         let mut dc = on_fleet();
-        dc.pm_mut(PmId(2)).state = PmState::ShuttingDown {
-            off_at: dvmp_simcore::SimTime::from_secs(55),
-        };
-        dc.pm_mut(PmId(3)).state = PmState::Failed;
-        {
-            let mut pm = dc.pm_mut(PmId(0));
-            pm.reserve(VmId(7), vm_demand()).unwrap();
-            pm.reliability = 0.5;
-        }
-        // Keep the VM index in sync with the raw reservation so the full
-        // consistency check (index ⇄ reservations) also passes.
-        dc.insert_hosts(VmId(7), VmHosts::one(PmId(0)));
+        dc.apply(place(7, 0, vm_demand())).unwrap();
+        dc.take_fleet_delta();
+        dc.edit_pms(|pms| {
+            pms[2].state = PmState::ShuttingDown {
+                off_at: dvmp_simcore::SimTime::from_secs(55),
+            };
+            pms[3].state = PmState::Failed;
+            pms[0].reliability = 0.5;
+            pms[1].overbook = Some(OverbookRatios::cpu_mem(200, 100));
+        });
         dc.assert_consistent();
+        assert!(dc.fleet_delta().is_full());
         assert_eq!(dc.powered_count(), 4, "failed PM no longer powered");
         assert_eq!(dc.non_idle_count(), 1);
+        assert_eq!(dc.pm(PmId(0)).reliability, 0.5);
+        assert_eq!(
+            dc.first_fit_available(&ResourceVector::cpu_mem(12, 512)),
+            Some(PmId(1)),
+            "the capacity index sees the new ratios"
+        );
+    }
+
+    #[test]
+    fn power_op_refuses_failed_and_hosting_power_downs() {
+        let mut dc = on_fleet();
+        dc.apply(place(1, 0, vm_demand())).unwrap();
+        dc.apply(migrate(1, 1)).unwrap();
+        dc.take_fleet_delta();
+        let digest = dc.state_digest();
+        let off_at = dvmp_simcore::SimTime::from_secs(90);
+        for (pm, state) in [
+            (2, PmState::Failed),
+            (0, PmState::Off),
+            (0, PmState::ShuttingDown { off_at }),
+            (1, PmState::Off),
+        ] {
+            assert_eq!(
+                dc.apply(power(pm, state)),
+                Err(PmError::PowerRefused(state)),
+                "pm{pm} -> {state:?}"
+            );
+        }
+        assert_eq!(dc.state_digest(), digest);
+        assert!(dc.fleet_delta().is_empty(), "rejections journal nothing");
+        dc.assert_consistent();
+
+        // A hosting PM may still change between states that host.
+        let ready_at = dvmp_simcore::SimTime::from_secs(30);
+        dc.apply(power(0, PmState::Booting { ready_at })).unwrap();
+        assert_eq!(dc.pm(PmId(0)).state, PmState::Booting { ready_at });
+        // An idle PM powers down, and comes back from a failure as off.
+        dc.apply(power(2, PmState::ShuttingDown { off_at }))
+            .unwrap();
+        assert_eq!(dc.powered_count(), 5, "shutting down still draws power");
+        dc.apply(FleetOp::Fail { pm: PmId(3) }).unwrap();
+        dc.apply(power(3, PmState::Off)).unwrap();
+        assert_eq!(dc.off_pm_ids().collect::<Vec<_>>(), vec![PmId(3)]);
+        dc.assert_consistent();
     }
 
     #[test]
@@ -1149,7 +1187,7 @@ mod tests {
             dc.on_idle_pm_ids().collect::<Vec<_>>(),
             vec![PmId(0), PmId(1), PmId(2), PmId(3), PmId(4)]
         );
-        dc.pm_mut(PmId(1)).state = PmState::Off;
+        dc.apply(power(1, PmState::Off)).unwrap();
         dc.apply(place(1, 0, vm_demand())).unwrap();
         assert_eq!(dc.off_pm_ids().collect::<Vec<_>>(), vec![PmId(1)]);
         assert_eq!(
@@ -1172,7 +1210,7 @@ mod tests {
             dc.first_off_fitting(&ResourceVector::cpu_mem(6, 512)),
             Some(PmId(0))
         );
-        dc.pm_mut(PmId(0)).state = PmState::On;
+        dc.apply(power(0, PmState::On)).unwrap();
         assert_eq!(
             dc.first_off_fitting(&ResourceVector::cpu_mem(6, 512)),
             Some(PmId(1))
@@ -1185,7 +1223,7 @@ mod tests {
         // Small demand boots the lowest id overall even when fast PMs are
         // exhausted.
         for id in 0..25u32 {
-            dc.pm_mut(PmId(id)).state = PmState::On;
+            dc.apply(power(id, PmState::On)).unwrap();
         }
         assert_eq!(
             dc.first_off_fitting(&ResourceVector::cpu_mem(1, 512)),
@@ -1199,7 +1237,7 @@ mod tests {
         let mut dc = on_fleet();
         dc.apply(place(1, 0, ResourceVector::cpu_mem(8, 1_024)))
             .unwrap();
-        dc.pm_mut(PmId(1)).state = PmState::Off;
+        dc.apply(power(1, PmState::Off)).unwrap();
         for req in [
             ResourceVector::cpu_mem(1, 512),
             ResourceVector::cpu_mem(4, 4_096),
@@ -1220,13 +1258,12 @@ mod tests {
         dc.apply(place(1, 0, vm_demand())).unwrap();
         dc.apply(migrate(1, 1)).unwrap();
         dc.apply(finish(1, 0)).unwrap();
-        dc.pm_mut(PmId(3)).state = PmState::Off;
-        dc.pm_mut(PmId(4)).reliability = 0.42; // footprint-invisible change
+        dc.apply(power(3, PmState::Off)).unwrap();
         let d = dc.take_fleet_delta();
         assert!(!d.is_full());
         assert_eq!(
             d.dirty_pms().iter().copied().collect::<Vec<_>>(),
-            vec![PmId(0), PmId(1), PmId(3), PmId(4)]
+            vec![PmId(0), PmId(1), PmId(3)]
         );
         assert_eq!(
             d.dirty_vms().iter().copied().collect::<Vec<_>>(),
@@ -1249,9 +1286,9 @@ mod tests {
             vec![VmId(1), VmId(2)]
         );
 
-        // A no-op guard (borrow and drop without edits) journals nothing;
-        // a failed reservation journals nothing.
-        drop(dc.pm_mut(PmId(0)));
+        // Setting the state a PM is already in journals nothing; a failed
+        // reservation journals nothing.
+        dc.apply(power(0, PmState::On)).unwrap();
         assert!(dc
             .apply(place(9, 0, ResourceVector::cpu_mem(999, 512)))
             .is_err());
@@ -1321,7 +1358,7 @@ mod tests {
         dc.apply(place(1, 0, ResourceVector::cpu_mem(14, 4_096)))
             .unwrap();
         // Tightening the ratio leaves it holding 14 of 12 virtual cores.
-        dc.pm_mut(PmId(0)).overbook = Some(OverbookRatios::cpu_mem(150, 150));
+        dc.edit_pms(|pms| pms[0].overbook = Some(OverbookRatios::cpu_mem(150, 150)));
         assert_eq!(dc.pm(PmId(0)).headroom(), ResourceVector::cpu_mem(0, 8_192));
         assert_eq!(faults(&dc), vec![FleetFault::VirtualCapacity]);
         assert_eq!(
@@ -1444,7 +1481,7 @@ mod tests {
             dc.first_off_fitting(&ResourceVector::cpu_mem(10, 512)),
             Some(PmId(2))
         );
-        dc.pm_mut(PmId(2)).state = PmState::On;
+        dc.apply(power(2, PmState::On)).unwrap();
         assert_eq!(
             dc.first_off_fitting(&ResourceVector::cpu_mem(10, 512)),
             Some(PmId(3))
@@ -1492,12 +1529,13 @@ mod tests {
                     "step {step}, spec {spec:?}"
                 );
             }
-            let id = PmId((step * 5) % 12);
-            dc.pm_mut(id).state = if dc.pm(id).state == PmState::Off {
+            let id = (step * 5) % 12;
+            let state = if dc.pm(PmId(id)).state == PmState::Off {
                 PmState::On
             } else {
                 PmState::Off
             };
+            dc.apply(power(id, state)).unwrap();
             dc.assert_consistent();
         }
     }
@@ -1532,7 +1570,7 @@ mod tests {
     fn serde_round_trip_rebuilds_stats() {
         let mut dc = on_fleet();
         dc.apply(place(1, 0, vm_demand())).unwrap();
-        dc.pm_mut(PmId(4)).state = PmState::Off;
+        dc.apply(power(4, PmState::Off)).unwrap();
         let json = serde_json::to_string(&dc).unwrap();
         let back: Datacenter = serde_json::from_str(&json).unwrap();
         back.assert_consistent();

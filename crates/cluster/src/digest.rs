@@ -146,7 +146,8 @@ mod tests {
 
         // A pure power-state change is observable too.
         let mut dc = fleet();
-        dc.pm_mut(PmId(3)).state = crate::pm::PmState::Off;
+        let state = crate::pm::PmState::Off;
+        dc.apply(FleetOp::Power { pm: PmId(3), state }).unwrap();
         assert_ne!(dc.state_digest(), base);
     }
 

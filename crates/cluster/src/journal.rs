@@ -1,16 +1,18 @@
 //! The fleet's mutation vocabulary and the journal of what it changed.
 //!
-//! A [`FleetOp`] is one reservation mutation, the only thing
-//! [`Datacenter::apply`] accepts: the simulator builds one per change it
-//! asks of the fleet, and the checked-mode oracle replays the same value.
+//! A [`FleetOp`] is one fleet mutation — a reservation change or a power
+//! transition — and the only thing [`Datacenter::apply`] accepts during a
+//! run: the simulator builds one per change it asks of the fleet, and the
+//! checked-mode oracle replays the same value.
 //!
 //! A [`FleetDelta`] journal accumulates, between drains, the identity of
 //! every PM whose footprint (occupancy, power state, availability) changed
 //! and every VM that was placed, migrated, resized, evicted or removed. The [`Datacenter`]
 //! owns one and feeds it from the same footprint-diff funnel that maintains
-//! `FleetStats`, so *every* mutation path — `Datacenter::apply` and
-//! arbitrary edits through `pm_mut`'s drop guard — is journaled or the
-//! journal is marked [`full`](FleetDelta::is_full). That conservation
+//! `FleetStats`, so every applied op is journaled. The one other way to
+//! change the fleet, the bulk setup edit
+//! [`Datacenter::edit_pms`](crate::datacenter::Datacenter::edit_pms),
+//! marks the journal [`full`](FleetDelta::is_full). That conservation
 //! property is what lets `DynamicPlacement` keep its compressed planner
 //! alive across planning passes and re-read only the journaled rows and
 //! columns (DESIGN.md §8).
@@ -27,15 +29,13 @@
 //! [`Datacenter`]: crate::datacenter::Datacenter
 //! [`Datacenter::apply`]: crate::datacenter::Datacenter::apply
 
-use crate::pm::PmId;
+use crate::pm::{PmId, PmState};
 use crate::resources::ResourceVector;
 use crate::vm::VmId;
 use std::collections::BTreeSet;
 
 /// One fleet mutation: the complete vocabulary of changes to the
-/// datacenter's reservation state. Power-state transitions go through
-/// [`Datacenter::pm_mut`](crate::datacenter::Datacenter::pm_mut) and need
-/// no op.
+/// datacenter's reservation and power state during a run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FleetOp {
     /// `vm` reserves `demand` on `pm` as its sole host. Fails for a VM
@@ -87,6 +87,17 @@ pub enum FleetOp {
         vm: VmId,
         /// Its new reservation.
         new: ResourceVector,
+    },
+    /// `pm` enters power state `state` (a boot, a shutdown, their
+    /// completions, or a repair). Fails for `Failed`, which is
+    /// [`FleetOp::Fail`]'s, and for a state that cannot host (`Off`,
+    /// `ShuttingDown`) while the PM holds reservations; setting the state
+    /// the PM is already in changes nothing.
+    Power {
+        /// The PM.
+        pm: PmId,
+        /// Its new power state.
+        state: PmState,
     },
 }
 

@@ -24,7 +24,7 @@ pub mod resources;
 pub mod vm;
 pub mod vm_table;
 
-pub use datacenter::{paper_fleet, Datacenter, FleetBuilder, FleetFault, PmMut};
+pub use datacenter::{paper_fleet, Datacenter, FleetBuilder, FleetFault};
 pub use digest::Fnv64;
 pub use index::CapacityIndex;
 pub use journal::{FleetDelta, FleetOp};

@@ -147,6 +147,9 @@ pub enum PmError {
     /// The VM holds reservations on more than one PM (live migration in
     /// flight), so a single-host operation such as resize is ill-defined.
     MigrationInFlight(VmId),
+    /// The PM cannot enter this power state: `Failed` (a failure sets
+    /// it), or a state that cannot host while the PM holds reservations.
+    PowerRefused(PmState),
 }
 
 impl fmt::Display for PmError {
@@ -159,6 +162,7 @@ impl fmt::Display for PmError {
             PmError::MigrationInFlight(vm) => {
                 write!(f, "{vm} has a migration in flight")
             }
+            PmError::PowerRefused(s) => write!(f, "PM cannot enter state {s:?}"),
         }
     }
 }

@@ -47,18 +47,19 @@ pub enum ReliabilityModel {
 }
 
 impl ReliabilityModel {
-    /// Applies the model to every PM in `dc` using the scenario `seed`.
+    /// Applies the model to every PM in `dc` using the scenario `seed`, as
+    /// one setup edit ([`Datacenter::edit_pms`]) before a run.
     pub fn apply(&self, dc: &mut Datacenter, seed: u64) {
         match *self {
             ReliabilityModel::PerClass => {}
             ReliabilityModel::Jittered { spread } => {
                 let mut rng = stream_rng(seed, Stream::Reliability);
-                for id in dc.pm_ids().collect::<Vec<_>>() {
-                    let mut pm = dc.pm_mut(id);
-                    let base = pm.reliability;
-                    let jitter: f64 = rng.gen_range(-spread..=spread);
-                    pm.reliability = (base + jitter).clamp(1e-6, 1.0);
-                }
+                dc.edit_pms(|pms| {
+                    for pm in pms {
+                        let jitter: f64 = rng.gen_range(-spread..=spread);
+                        pm.reliability = (pm.reliability + jitter).clamp(1e-6, 1.0);
+                    }
+                });
             }
             ReliabilityModel::AgeDecaying {
                 max_age_years,
@@ -67,12 +68,13 @@ impl ReliabilityModel {
                 assert!(max_age_years >= 0.0 && max_age_years.is_finite());
                 assert!((0.0..1.0).contains(&annual_decay));
                 let mut rng = stream_rng(seed, Stream::Reliability);
-                for id in dc.pm_ids().collect::<Vec<_>>() {
-                    let mut pm = dc.pm_mut(id);
-                    let base = pm.reliability;
-                    let age: f64 = rng.gen_range(0.0..=max_age_years);
-                    pm.reliability = (base * (1.0 - annual_decay).powf(age)).clamp(1e-6, 1.0);
-                }
+                dc.edit_pms(|pms| {
+                    for pm in pms {
+                        let age: f64 = rng.gen_range(0.0..=max_age_years);
+                        let decay = (1.0 - annual_decay).powf(age);
+                        pm.reliability = (pm.reliability * decay).clamp(1e-6, 1.0);
+                    }
+                });
             }
         }
     }
@@ -198,7 +200,7 @@ mod tests {
     #[test]
     fn perfect_reliability_never_fails() {
         let mut dc = fleet();
-        dc.pm_mut(PmId(0)).reliability = 1.0;
+        dc.edit_pms(|pms| pms[0].reliability = 1.0);
         let mut fp = FailureProcess::new(1e-3, 42);
         assert_eq!(fp.next_failure(&dc, PmId(0), SimTime::ZERO), None);
     }
@@ -227,8 +229,10 @@ mod tests {
     #[test]
     fn lower_reliability_fails_sooner_on_average() {
         let mut dc = fleet();
-        dc.pm_mut(PmId(0)).reliability = 0.5;
-        dc.pm_mut(PmId(1)).reliability = 0.99;
+        dc.edit_pms(|pms| {
+            pms[0].reliability = 0.5;
+            pms[1].reliability = 0.99;
+        });
         let mut fp = FailureProcess::new(1e-4, 11);
         let now = SimTime::ZERO;
         let avg = |fp: &mut FailureProcess, dc: &Datacenter, pm: PmId| -> f64 {

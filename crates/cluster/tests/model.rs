@@ -1,9 +1,9 @@
 //! Model-based property test: the datacenter's reservation bookkeeping
-//! (place / migrate / remove / fail, plus power toggles) against a flat
-//! reference model under random operation sequences.
+//! (place / migrate / remove / fail, plus power transitions) against a
+//! flat reference model under random operation sequences.
 
 use dvmp_cluster::datacenter::{Datacenter, FleetBuilder};
-use dvmp_cluster::pm::{PmClass, PmId, PmState};
+use dvmp_cluster::pm::{PmClass, PmError, PmId, PmState};
 use dvmp_cluster::resources::ResourceVector;
 use dvmp_cluster::vm::VmId;
 use dvmp_cluster::FleetOp;
@@ -24,6 +24,9 @@ enum Op {
     Fail(u8),
     /// Power PM `pm % fleet` off if it is on and idle, on if it is off.
     Toggle(u8),
+    /// Power the n-th PM holding reservations off (or, when the flag is
+    /// set, start shutting it down): always refused.
+    PowerDownHosting(u8, bool),
 }
 
 fn arb_ops() -> impl Strategy<Value = Vec<Op>> {
@@ -35,6 +38,7 @@ fn arb_ops() -> impl Strategy<Value = Vec<Op>> {
             2 => any::<u8>().prop_map(Op::Remove),
             1 => any::<u8>().prop_map(Op::Fail),
             2 => any::<u8>().prop_map(Op::Toggle),
+            1 => (any::<u8>(), any::<bool>()).prop_map(|(p, s)| Op::PowerDownHosting(p, s)),
         ],
         1..120,
     )
@@ -158,7 +162,24 @@ proptest! {
                         PmState::Off => PmState::On,
                         _ => continue,
                     };
-                    dc.pm_mut(id).state = next;
+                    dc.apply(FleetOp::Power { pm: id, state: next }).unwrap();
+                }
+                Op::PowerDownHosting(p, shutting_down) => {
+                    let hosting: Vec<PmId> =
+                        dc.pms().iter().filter(|pm| !pm.is_idle()).map(|pm| pm.id).collect();
+                    if hosting.is_empty() { continue; }
+                    let pm = hosting[p as usize % hosting.len()];
+                    let state = if shutting_down {
+                        PmState::ShuttingDown { off_at: dvmp_simcore::SimTime::from_secs(60) }
+                    } else {
+                        PmState::Off
+                    };
+                    let digest = dc.state_digest();
+                    prop_assert_eq!(
+                        dc.apply(FleetOp::Power { pm, state }),
+                        Err(PmError::PowerRefused(state))
+                    );
+                    prop_assert_eq!(dc.state_digest(), digest, "a refused op changes nothing");
                 }
             }
 

@@ -40,7 +40,7 @@
 //! the deep audits run the same checks over every PM and VM and catch it.
 
 use dvmp_cluster::datacenter::Datacenter;
-use dvmp_cluster::pm::PmId;
+use dvmp_cluster::pm::{PmId, PmState};
 use dvmp_cluster::resources::ResourceVector;
 use dvmp_cluster::vm::{VmId, VmState};
 use dvmp_cluster::{FleetOp, VmTable};
@@ -146,6 +146,13 @@ impl ReferenceModel {
                 };
                 self.pm_mut(host).insert(vm, new);
             }
+            FleetOp::Power { pm, state } => match state {
+                PmState::Failed => return Err(format!("power op marks {pm} failed")),
+                PmState::Off | PmState::ShuttingDown { .. } if self.pm(pm).next().is_some() => {
+                    return Err(format!("{pm} set {state:?} while holding reservations"));
+                }
+                _ => {}
+            },
         }
         Ok(())
     }
@@ -326,6 +333,7 @@ impl Oracle {
             | FleetOp::BeginMigration { vm, to: pm, .. }
             | FleetOp::FinishMigration { vm, from: pm } => self.touch(vm, Some(pm)),
             FleetOp::Remove { vm } | FleetOp::Resize { vm, .. } => self.touch(vm, None),
+            FleetOp::Power { pm, .. } => self.touched_pms.push(pm),
             FleetOp::Fail { pm } => {
                 // Eviction touches exactly the VMs the model holds there.
                 self.touched_pms.push(pm);
@@ -450,19 +458,21 @@ impl Oracle {
     }
 
     /// The touched-scope checks over every PM and modelled VM, plus the
-    /// fleet's whole self-check (deep audits and the final audit). A VM
-    /// the live fleet holds but the model does not shows up in the walk
-    /// of a PM holding it.
+    /// fleet's whole self-check (deep audits and the final audit), in one
+    /// walk over the PMs: each PM's own check and its model walk together,
+    /// then the index and aggregate checks once. A VM the live fleet holds
+    /// but the model does not shows up in the walk of a PM holding it.
     fn check_everything(
         &mut self,
         dc: &Datacenter,
         vms: &VmTable,
         found: &mut Vec<(Invariant, String)>,
     ) {
-        dc.check(found);
         for pm in dc.pm_ids() {
+            dc.check_pm(pm, found);
             self.reference.check_pm(dc, vms, pm, found);
         }
+        dc.check_index_and_aggregates(found);
         for &vm in self.reference.hosts.keys() {
             self.reference.check_vm(dc, vm, found);
         }
@@ -799,7 +809,7 @@ mod tests {
 
         // A reservation taken behind the oracle's back (bypassing the op
         // stream, and bypassing the datacenter's own index).
-        dc.pm_mut(PmId(2)).reserve(VmId(9), demand()).unwrap();
+        dc.edit_pms(|pms| pms[2].reserve(VmId(9), demand()).unwrap());
         let vms = VmTable::from_iter([running_vm(9, PmId(2))]);
         meter.record(SimTime::from_secs(5), dc.total_power_w());
         let sla = SaturationMeter::new();
@@ -918,6 +928,41 @@ mod tests {
             &SaturationMeter::new(),
         );
         assert_eq!(oracle.violation_count(), 1);
+    }
+
+    #[test]
+    fn powering_down_a_hosting_pm_is_a_divergence() {
+        let mut dc = fleet();
+        let mut oracle = Oracle::new(&dc);
+        let mut meter = EnergyMeter::new();
+        meter.record(SimTime::ZERO, dc.total_power_w());
+        let place = FleetOp::Place {
+            vm: VmId(1),
+            pm: PmId(0),
+            demand: demand(),
+        };
+        exec(&mut dc, &mut oracle, place);
+        let vms = VmTable::from_iter([running_vm(1, PmId(0))]);
+        meter.record(SimTime::from_secs(10), dc.total_power_w());
+        audit_clean(&mut oracle, 10, 1, &dc, &vms, &meter);
+        // A datacenter that accepted this power-down would have reported
+        // it applied; the model refuses it on its own.
+        let state = PmState::Off;
+        let power_down = FleetOp::Power { pm: PmId(0), state };
+        oracle.record(SimTime::from_secs(10), &power_down);
+        oracle.audit(
+            SimTime::from_secs(10),
+            2,
+            &dc,
+            &vms,
+            &VecDeque::new(),
+            &meter,
+            &SaturationMeter::new(),
+        );
+        assert_eq!(oracle.violation_count(), 1);
+        let v = &oracle.violations[0];
+        assert_eq!(v.invariant, Invariant::ReferenceDivergence);
+        assert_eq!(v.detail, "pm0 set Off while holding reservations");
     }
 
     #[test]
@@ -1165,7 +1210,7 @@ mod tests {
         // Tamper: shrink the overbook ratio below current occupancy — the
         // admission that let 16 cores through now breaches the virtual
         // envelope (virtual = 12 < used = 16).
-        dc.pm_mut(PmId(0)).overbook = Some(OverbookRatios::cpu_mem(150, 100));
+        dc.edit_pms(|pms| pms[0].overbook = Some(OverbookRatios::cpu_mem(150, 100)));
         meter.record(SimTime::from_secs(20), dc.total_power_w());
         sla.record(SimTime::from_secs(20), dc.saturated_count());
         let summary = oracle.into_summary(

@@ -173,9 +173,8 @@ impl Scenario {
     /// leave the fleet unchanged.
     pub fn with_overbooking(mut self, ratios: OverbookRatios) -> Self {
         let overbook = if ratios.is_none() { None } else { Some(ratios) };
-        for id in self.fleet.pm_ids().collect::<Vec<_>>() {
-            self.fleet.pm_mut(id).overbook = overbook;
-        }
+        self.fleet
+            .edit_pms(|pms| pms.iter_mut().for_each(|pm| pm.overbook = overbook));
         self
     }
 

@@ -256,29 +256,27 @@ impl SimWorld {
         }
     }
 
+    /// Sets `pm`'s power state through the op stream; every transition
+    /// the simulator makes is one the datacenter accepts.
+    fn power(&mut self, now: SimTime, pm: PmId, state: PmState) {
+        self.apply(now, FleetOp::Power { pm, state })
+            .expect("the simulator powers down idle PMs only");
+    }
+
     fn boot_pm(&mut self, id: PmId, now: SimTime, sched: &mut Scheduler<Event>) {
-        let ready = {
-            let mut pm = self.dc.pm_mut(id);
-            debug_assert_eq!(pm.state, PmState::Off);
-            let ready = now + pm.class.on_off_time;
-            pm.state = PmState::Booting { ready_at: ready };
-            ready
-        };
-        sched.schedule_at(ready, Event::BootDone(id));
-        dvmp_obs::event!(dvmp_obs::RecordKind::PmBootStarted, id.0, ready.as_secs());
+        debug_assert_eq!(self.dc.pm(id).state, PmState::Off);
+        let ready_at = now + self.dc.pm(id).class.on_off_time;
+        self.power(now, id, PmState::Booting { ready_at });
+        sched.schedule_at(ready_at, Event::BootDone(id));
     }
 
     fn shutdown_pm(&mut self, id: PmId, now: SimTime, sched: &mut Scheduler<Event>) {
         if let Some(ev) = self.failure_events[id.0 as usize].take() {
             sched.cancel(ev);
         }
-        let off_at = {
-            let mut pm = self.dc.pm_mut(id);
-            debug_assert!(pm.is_idle() && pm.state == PmState::On);
-            let off_at = now + pm.class.on_off_time;
-            pm.state = PmState::ShuttingDown { off_at };
-            off_at
-        };
+        debug_assert_eq!(self.dc.pm(id).state, PmState::On);
+        let off_at = now + self.dc.pm(id).class.on_off_time;
+        self.power(now, id, PmState::ShuttingDown { off_at });
         sched.schedule_at(off_at, Event::ShutdownDone(id));
     }
 
@@ -627,20 +625,20 @@ impl World for SimWorld {
             }
             Event::BootDone(id) => {
                 if matches!(self.dc.pm(id).state, PmState::Booting { .. }) {
-                    self.dc.pm_mut(id).state = PmState::On;
+                    self.power(now, id, PmState::On);
                     self.schedule_pm_failure(id, now, sched);
                     self.drain_queue(now, sched);
                 }
             }
             Event::ShutdownDone(id) => {
                 if matches!(self.dc.pm(id).state, PmState::ShuttingDown { .. }) {
-                    self.dc.pm_mut(id).state = PmState::Off;
+                    self.power(now, id, PmState::Off);
                 }
             }
             Event::PmFailure(id) => self.handle_pm_failure(id, now, sched),
             Event::RepairDone(id) => {
                 if self.dc.pm(id).state == PmState::Failed {
-                    self.dc.pm_mut(id).state = PmState::Off;
+                    self.power(now, id, PmState::Off);
                 }
             }
             Event::ControlPeriod => self.handle_control_period(now, sched),
@@ -721,9 +719,7 @@ impl Simulation {
             .map_err(|id| format!("request id {id} is used by more than one request"))?;
         requests.sort_by_key(|r| (r.submit_time, r.id));
         if cfg.spare.is_none() {
-            for id in fleet.pm_ids().collect::<Vec<_>>() {
-                fleet.pm_mut(id).state = PmState::On;
-            }
+            fleet.edit_pms(|pms| pms.iter_mut().for_each(|pm| pm.state = PmState::On));
         }
         let spare = cfg.spare.clone().map(SpareServerController::new);
         let failure = cfg
@@ -1135,9 +1131,8 @@ mod tests {
             repair_time: SimDuration::from_hours(2),
         });
         let mut fleet = small_fleet();
-        for id in fleet.pm_ids().collect::<Vec<_>>() {
-            fleet.pm_mut(id).reliability = 0.5; // failure-prone fleet
-        }
+        // A failure-prone fleet.
+        fleet.edit_pms(|pms| pms.iter_mut().for_each(|pm| pm.reliability = 0.5));
         let sim = Simulation::new(fleet, requests, Box::new(FirstFit), cfg);
         let report = sim.run();
         assert!(report.pm_failures > 0, "failures must fire");
@@ -1202,9 +1197,7 @@ mod tests {
             repair_time: SimDuration::from_hours(2),
         });
         let mut fleet = small_fleet();
-        for id in fleet.pm_ids().collect::<Vec<_>>() {
-            fleet.pm_mut(id).reliability = 0.5;
-        }
+        fleet.edit_pms(|pms| pms.iter_mut().for_each(|pm| pm.reliability = 0.5));
         let sim = Simulation::new(fleet, requests, Box::new(FirstFit), cfg);
         let report = sim.run();
         assert!(report.pm_failures > 0, "failures must fire");
@@ -1666,7 +1659,7 @@ mod tests {
         let mut engine = surgical::world_with(vec![], cfg);
         // Manually power pm0 off, then deliver a stale failure event.
         let (world, sched) = engine.world_and_scheduler();
-        world.dc.pm_mut(PmId(0)).state = PmState::Off;
+        world.power(SimTime::from_secs(5), PmId(0), PmState::Off);
         world.handle_pm_failure(PmId(0), SimTime::from_secs(10), sched);
         assert_eq!(
             engine.world().dc.pm(PmId(0)).state,

@@ -195,10 +195,11 @@ pub fn note_dispatch(time_s: u64, ordinal: u64, pending: u64) {
     emit(RecordKind::EventDispatched, pending, 0);
 }
 
-/// Fleet mutation applied by the datacenter: counts it and records it.
-/// `kind` is one of the six fleet kinds (`VmPlaced`, `VmRemoved`,
-/// `MigrationStarted`, `MigrationFinished`, `VmResized`, `PmFailed`);
-/// `a`/`b` carry the payload its [`RecordKind`] variant documents.
+/// Fleet mutation applied by the datacenter: records it and counts it.
+/// `kind` is one of the seven fleet kinds (`VmPlaced`, `VmRemoved`,
+/// `MigrationStarted`, `MigrationFinished`, `VmResized`, `PmFailed`,
+/// `PmPower`); `a`/`b` carry the payload its [`RecordKind`] variant
+/// documents. Every kind but `PmPower` has a counter.
 ///
 /// # Panics
 /// Panics, while recording is on, if `kind` is not a fleet kind.
@@ -213,6 +214,7 @@ pub fn note_fleet(kind: RecordKind, a: u64, b: u64) {
                 RecordKind::MigrationFinished => &mut c.migrations_finished,
                 RecordKind::VmResized => &mut c.vms_resized,
                 RecordKind::PmFailed => &mut c.pm_failures,
+                RecordKind::PmPower => return,
                 other => panic!("{other} is not a fleet mutation"),
             } += 1;
         });
@@ -469,6 +471,21 @@ mod tests {
         assert!(records
             .iter()
             .all(|r| r.kind == kinds[r.a as usize].0 && r.b == 7));
+    }
+
+    #[test]
+    fn a_power_record_bumps_no_counter() {
+        set_enabled(true);
+        let before = counters_snapshot();
+        note_fleet(RecordKind::PmPower, 3, 1);
+        set_enabled(false);
+        assert_eq!(counters_snapshot(), before);
+        let records = drain_records();
+        assert_eq!(records.len(), 1);
+        assert_eq!(
+            (records[0].kind, records[0].a, records[0].b),
+            (RecordKind::PmPower, 3, 1)
+        );
     }
 
     #[test]

@@ -40,9 +40,9 @@ pub enum RecordKind {
     /// Fleet mutation: VM reservation resized in place (`a` = vm id,
     /// `b` = host pm id) — vertical elasticity.
     VmResized = 14,
-    /// A powered-off PM starts booting (`a` = pm id, `b` = sim time it
-    /// will be ready, whole seconds).
-    PmBootStarted = 15,
+    /// Fleet mutation: PM power state set (`a` = pm id, `b` = the new
+    /// state: 0 off, 1 booting, 2 on, 3 shutting down).
+    PmPower = 15,
 }
 
 impl RecordKind {
@@ -63,7 +63,7 @@ impl RecordKind {
             RecordKind::PlanKernelCompressed => "plan-kernel-compressed",
             RecordKind::Mark => "mark",
             RecordKind::VmResized => "vm-resized",
-            RecordKind::PmBootStarted => "pm-boot-started",
+            RecordKind::PmPower => "pm-power",
         }
     }
 }

@@ -413,7 +413,7 @@ fn hosting(mut dc: Datacenter, placed: &[(u32, u32, u64)]) -> (Datacenter, VmTab
 #[test]
 fn from_view_captures_available_pms_and_running_vms() {
     let (mut dc, vms) = hosting(small_fleet(), &[(1, 0, 10_000), (2, 2, 10_000)]);
-    dc.pm_mut(PmId(3)).state = PmState::Off;
+    power(&mut dc, PmId(3), PmState::Off);
 
     let fleet = paper().fleet(&view(&dc, &vms, 1_000));
     assert_eq!(fleet.rows.len(), 3, "pm3 is off");
@@ -444,7 +444,7 @@ fn creating_and_migrating_vms_occupy_but_do_not_move() {
 #[test]
 fn rows_use_virtual_capacity_and_columns_use_live_demand() {
     let (mut dc, mut vms) = hosting(small_fleet(), &[(1, 0, 10_000)]);
-    dc.pm_mut(PmId(0)).overbook = Some(OverbookRatios::cpu_mem(200, 100));
+    dc.edit_pms(|pms| pms[0].overbook = Some(OverbookRatios::cpu_mem(200, 100)));
     // The VM has since grown to 3 cores.
     let new = ResourceVector::cpu_mem(3, 512);
     dc.apply(FleetOp::Resize { vm: VmId(1), new }).unwrap();
@@ -570,7 +570,7 @@ fn infinite_candidates_rank_by_raw_probability() {
         small_fleet(),
         &[(1, 0, 50_000), (2, 2, 50_000), (3, 2, 50_000)],
     );
-    dc.pm_mut(PmId(0)).reliability = 0.0;
+    dc.edit_pms(|pms| pms[0].reliability = 0.0);
     let fleet = paper().fleet(&view(&dc, &vms, 0));
     assert!(paper().entry(&fleet, 2, 0) > paper().entry(&fleet, 1, 0));
     let (col, row, d) = paper().best_move(&fleet).unwrap();

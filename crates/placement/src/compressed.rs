@@ -13,7 +13,7 @@
 //! column: capacity, creation/migration overheads, relative power
 //! efficiency, reliability score and the PM's key under every registered
 //! [`KeyedFactor`]. PMs that diverge from their hardware class (e.g. a
-//! mutated reliability) simply get their own superclass. A row reads its
+//! per-PM reliability) simply get their own superclass. A row reads its
 //! PM through [`PlanPm::from_pm`] and [`eff_table`]. Every registry
 //! grows on demand — superclasses, demand slots, Eq. 4 levels and the
 //! `VmId → column` table — so no fleet, workload or configuration leaves
@@ -376,11 +376,14 @@ struct Row {
     indexed: bool,
 }
 
+/// The superclass of a row not yet active since the last rebuild.
+const UNREGISTERED: u32 = u32::MAX;
+
 impl Default for Row {
     fn default() -> Self {
         Row {
             active: false,
-            sclass: 0,
+            sclass: UNREGISTERED,
             used: ResourceVector::zero(1),
             h: 0.0,
             indexed: false,
@@ -624,30 +627,6 @@ impl CompressedPlanner {
         i
     }
 
-    /// Row `r`'s superclass for its PM's planning inputs `pm`: the one it
-    /// already has when every key field still matches (no hashing), else
-    /// the registered one.
-    fn row_sclass(&mut self, r: usize, pm: &PlanPm, eff_c: f64, cfg: &DynamicConfig) -> u32 {
-        let s = self.rows[r].sclass;
-        let unchanged = self.sclasses.get(s as usize).is_some_and(|sc| {
-            sc.entry.capacity == pm.capacity
-                && sc.entry.creation_secs == pm.creation_secs
-                && sc.entry.migration_secs == pm.migration_secs
-                && sc.entry.eff.to_bits() == eff_c.to_bits()
-                && sc.rel.to_bits() == pm.reliability.to_bits()
-                && self
-                    .factors
-                    .iter()
-                    .zip(&sc.keys)
-                    .all(|(f, &k)| f.key(pm.id) == k)
-        });
-        if unchanged {
-            s
-        } else {
-            self.register_sclass(pm, eff_c, cfg)
-        }
-    }
-
     fn register_sclass(&mut self, pm: &PlanPm, eff_c: f64, cfg: &DynamicConfig) -> u32 {
         debug_assert_eq!(
             pm.capacity.k(),
@@ -837,7 +816,10 @@ impl CompressedPlanner {
         self.apply_tables(p, Some(&sc.keys), &sc.keys)
     }
 
-    /// Re-derives row `r` entirely from authoritative per-PM fields.
+    /// Re-derives row `r` from authoritative per-PM fields. A row takes
+    /// its superclass on its first activation after a rebuild and keeps
+    /// it: a PM's attributes change only in a setup edit, whose full
+    /// journal forces a rebuild.
     fn sync_row(&mut self, r: usize, active: bool, pm: &PlanPm, cfg: &DynamicConfig) {
         if !active {
             if self.rows[r].active {
@@ -848,20 +830,15 @@ impl CompressedPlanner {
             self.reindex(r, 0.0);
             return;
         }
-        let eff_c = self.effs[pm.class_idx];
-        let s = self.row_sclass(r, pm, eff_c, cfg);
-        if self.rows[r].active {
-            if self.rows[r].sclass != s {
-                // A row's PM identity is fixed, so this cannot happen; be
-                // defensive anyway — the old sclass's buckets must drop it.
-                self.unbucket_row(r);
-            }
-        } else {
+        if !self.rows[r].active {
             self.active_rows += 1;
+        }
+        if self.rows[r].sclass == UNREGISTERED {
+            let eff_c = self.effs[pm.class_idx];
+            self.rows[r].sclass = self.register_sclass(pm, eff_c, cfg);
         }
         let row = &mut self.rows[r];
         row.active = true;
-        row.sclass = s;
         row.used = pm.used;
         self.refresh_row(r, cfg);
     }
@@ -2015,9 +1992,11 @@ mod tests {
                 .add_class(PmClass::paper_fast(), 400, 0.99)
                 .add_class(PmClass::paper_slow(), 600, 0.95)
                 .build();
-            for i in (0..1_000).step_by(3) {
-                dc.pm_mut(PmId(i)).state = PmState::On;
-            }
+            dc.edit_pms(|pms| {
+                for pm in pms.iter_mut().step_by(3) {
+                    pm.state = PmState::On;
+                }
+            });
             dc
         };
         // A low round cap, so that passes reach it.
@@ -2113,14 +2092,14 @@ mod tests {
                     if let Some(pm) = pm {
                         let state = if join { PmState::On } else { PmState::Off };
                         for twin in [a.world(), b.world()] {
-                            twin.dc.pm_mut(pm).state = state;
+                            twin.dc.apply(FleetOp::Power { pm, state }).unwrap();
                         }
                         *(if join { &mut joins } else { &mut leaves }) += 1;
                     }
                 }
                 _ => {
                     // A PM's reliability drops to 0 (its columns' `H` with
-                    // it) or comes back.
+                    // it) or comes back, in a setup edit: a full rebuild.
                     if let Some(pm) = random_pm(&mut rng, &a.dc, &|pm| pm.is_available()) {
                         let rel = if a.dc.pm(pm).reliability == 0.0 {
                             0.97
@@ -2128,7 +2107,7 @@ mod tests {
                             0.0
                         };
                         for twin in [a.world(), b.world()] {
-                            twin.dc.pm_mut(pm).reliability = rel;
+                            twin.dc.edit_pms(|pms| pms[pm.0 as usize].reliability = rel);
                         }
                     }
                 }
@@ -2301,9 +2280,11 @@ mod tests {
                 .add_class(PmClass::paper_slow(), 35, 0.95)
                 .initially_on(true)
                 .build();
-            for i in 0..dc.len() {
-                dc.pm_mut(PmId(i as u32)).reliability = 0.9 + 0.001 * i as f64;
-            }
+            dc.edit_pms(|pms| {
+                for (i, pm) in pms.iter_mut().enumerate() {
+                    pm.reliability = 0.9 + 0.001 * i as f64;
+                }
+            });
             dc
         };
         for seed in [7, 61] {
@@ -2368,10 +2349,12 @@ mod tests {
             .add_class(PmClass::paper_slow(), 6, 0.95)
             .initially_on(true)
             .build();
-        for i in 0..dc.len() {
-            // ±0.004 spread, well inside one 0.01-tolerance bucket.
-            dc.pm_mut(PmId(i as u32)).reliability += 0.002 * ((i % 5) as f64 - 2.0);
-        }
+        // ±0.004 spread, well inside one 0.01-tolerance bucket.
+        dc.edit_pms(|pms| {
+            for (i, pm) in pms.iter_mut().enumerate() {
+                pm.reliability += 0.002 * ((i % 5) as f64 - 2.0);
+            }
+        });
         let cfg = DynamicConfig {
             class_tolerance: tolerance,
             ..DynamicConfig::default()
@@ -2432,7 +2415,7 @@ mod tests {
     #[test]
     fn live_view_matches_dense_on_class_divergent_fleets() {
         // PMs whose reliability diverges from their hardware class (set
-        // through `pm_mut`): every divergent PM must land in its own
+        // in a setup edit): every divergent PM must land in its own
         // superclass and the move sequence must match the specification.
         let mut dc = small_fleet();
         let mut vms = VmTable::new();
@@ -2445,8 +2428,10 @@ mod tests {
                 SimTime::ZERO,
             );
         }
-        dc.pm_mut(PmId(1)).reliability = 0.42;
-        dc.pm_mut(PmId(3)).reliability = 0.77;
+        dc.edit_pms(|pms| {
+            pms[1].reliability = 0.42;
+            pms[3].reliability = 0.77;
+        });
         let view = PlacementView {
             dc: &dc,
             vms: &vms,
@@ -2480,7 +2465,7 @@ mod tests {
                 SimTime::ZERO,
             );
         }
-        dc.pm_mut(PmId(0)).reliability = 0.0;
+        dc.edit_pms(|pms| pms[0].reliability = 0.0);
         let view = PlacementView {
             dc: &dc,
             vms: &vms,
@@ -2510,9 +2495,8 @@ mod tests {
         };
         fn unit_fleet<P: PlacementPolicy>(policy: P) -> Twin<P> {
             let mut twin = Twin::new(policy);
-            for i in 0..twin.dc.len() {
-                twin.dc.pm_mut(PmId(i as u32)).reliability = 1.0;
-            }
+            twin.dc
+                .edit_pms(|pms| pms.iter_mut().for_each(|pm| pm.reliability = 1.0));
             twin
         }
         for seed in [5, 29, 97] {

@@ -58,7 +58,7 @@ mod tests {
                 SimTime::ZERO,
             );
         }
-        dc.pm_mut(PmId(1)).state = PmState::Off;
+        power(&mut dc, PmId(1), PmState::Off);
         let view = PlacementView {
             dc: &dc,
             vms: &vms,
@@ -72,7 +72,7 @@ mod tests {
     fn full_fleet_queues() {
         let mut dc = small_fleet();
         for id in 0..4u32 {
-            dc.pm_mut(PmId(id)).state = PmState::Off;
+            power(&mut dc, PmId(id), PmState::Off);
         }
         let vms = VmTable::new();
         let view = PlacementView {

@@ -73,16 +73,17 @@ pub fn eff_table(classes: &[PmClass], cfg: &DynamicConfig) -> Vec<f64> {
 mod tests {
     use super::*;
     use crate::policy::testutil::*;
-    use dvmp_cluster::pm::PmId;
 
     #[test]
     fn from_pm_quantizes_score_inputs_but_not_capacity() {
         let mut dc = small_fleet();
         // Jitter every PM's reliability inside one tolerance bucket.
         let n = dc.len();
-        for i in 0..n {
-            dc.pm_mut(PmId(i as u32)).reliability = 0.949 + 0.002 * (i as f64) / (n as f64);
-        }
+        dc.edit_pms(|pms| {
+            for (i, pm) in pms.iter_mut().enumerate() {
+                pm.reliability = 0.949 + 0.002 * (i as f64) / (n as f64);
+            }
+        });
         let exact_cfg = DynamicConfig::default();
         let cfg = DynamicConfig {
             class_tolerance: 0.01,

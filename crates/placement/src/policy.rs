@@ -55,7 +55,7 @@ pub trait KeyedFactor: Send + Sync + std::fmt::Debug {
     /// Number of distinct keys; [`key`](Self::key) returns values below it.
     fn key_count(&self) -> u16;
 
-    /// The key of PM `pm`.
+    /// The key of PM `pm`, fixed for the run.
     fn key(&self, pm: PmId) -> u16;
 
     /// The factor for hosting a VM on a PM keyed `to` at `now`, when the
@@ -120,7 +120,7 @@ pub trait PlacementPolicy {
 pub(crate) mod testutil {
     //! Shared fixtures for the policy tests in this crate.
     use dvmp_cluster::datacenter::{Datacenter, FleetBuilder};
-    use dvmp_cluster::pm::{PmClass, PmId};
+    use dvmp_cluster::pm::{PmClass, PmId, PmState};
     use dvmp_cluster::resources::ResourceVector;
     use dvmp_cluster::vm::{Vm, VmId, VmSpec, VmState};
     use dvmp_cluster::FleetOp;
@@ -160,6 +160,11 @@ pub(crate) mod testutil {
         vm.state = VmState::Running { pm };
         vm.started_at = Some(started_at);
         vms.insert(vm);
+    }
+
+    /// Sets `pm`'s power state through the op stream.
+    pub fn power(dc: &mut Datacenter, pm: PmId, state: PmState) {
+        dc.apply(FleetOp::Power { pm, state }).unwrap();
     }
 }
 

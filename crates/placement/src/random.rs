@@ -120,7 +120,7 @@ mod tests {
     fn full_fleet_returns_none() {
         let mut dc = small_fleet();
         for id in 0..4u32 {
-            dc.pm_mut(PmId(id)).state = dvmp_cluster::pm::PmState::Off;
+            power(&mut dc, PmId(id), dvmp_cluster::pm::PmState::Off);
         }
         let vms = VmTable::new();
         let view = PlacementView {

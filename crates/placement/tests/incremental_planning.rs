@@ -2,9 +2,10 @@
 //! (DESIGN.md §8).
 //!
 //! Random fleet histories — arrivals, departures, live migrations, PM
-//! failures, power transitions and reliability drift, all applied through
-//! the real [`Datacenter`] mutation API so every change flows through the
-//! fleet-delta journal — are driven through planners in lockstep: the
+//! failures and power transitions applied as [`FleetOp`]s, so every change
+//! flows through the fleet-delta journal, and reliability drift applied
+//! as a setup edit, which fills it — are driven through planners in
+//! lockstep: the
 //! production [`DynamicPlacement`] fed the drained journal each pass (so
 //! it patches its persistent compressed mirror), a twin fed no journal
 //! (so it rebuilds every pass), and the executable specification. Every
@@ -159,19 +160,23 @@ fn apply_op(dc: &mut Datacenter, vms: &mut VmTable, next_id: &mut u32, now: SimT
                 .map(|p| p.id)
                 .collect();
             if let Some(pm) = pick_from(&idle, pick) {
-                dc.pm_mut(pm).state = PmState::Off;
+                let state = PmState::Off;
+                dc.apply(FleetOp::Power { pm, state }).unwrap();
             }
         }
         Op::PowerOn { pick } => {
             let off: Vec<PmId> = dc.off_pm_ids().collect();
             if let Some(pm) = pick_from(&off, pick) {
-                dc.pm_mut(pm).state = PmState::On;
+                let state = PmState::On;
+                dc.apply(FleetOp::Power { pm, state }).unwrap();
             }
         }
         Op::Drift { pick, rel_milli } => {
+            // Reliability changes only in a setup edit, which forces the
+            // incremental planner to rebuild.
             let all: Vec<PmId> = dc.pm_ids().collect();
             if let Some(pm) = pick_from(&all, pick) {
-                dc.pm_mut(pm).reliability = f64::from(rel_milli) / 1_000.0;
+                dc.edit_pms(|pms| pms[pm.0 as usize].reliability = f64::from(rel_milli) / 1_000.0);
             }
         }
     }

@@ -24,7 +24,6 @@
 //!   resize events with configurable grow/shrink distributions, layered on
 //!   any request stream for the overbooking experiments.
 
-pub mod bootstrap;
 pub mod elasticity;
 pub mod job;
 pub mod stats;
@@ -32,7 +31,6 @@ pub mod swf;
 pub mod synthetic;
 pub mod trace;
 
-pub use bootstrap::BootstrapGenerator;
 pub use elasticity::{ElasticityProfile, ResizeEvent};
 pub use job::{Job, JobStatus};
 pub use stats::WorkloadStats;

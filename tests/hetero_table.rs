@@ -25,10 +25,7 @@ use dvmp_cluster::VmTable;
 /// `perf_report` attaches to every scaling row.
 fn probe(fleet: &Datacenter, tolerance: f64) -> usize {
     let mut dc = fleet.clone();
-    let ids: Vec<PmId> = dc.pms().iter().map(|p| p.id).collect();
-    for id in ids {
-        dc.pm_mut(id).state = PmState::On;
-    }
+    dc.edit_pms(|pms| pms.iter_mut().for_each(|pm| pm.state = PmState::On));
     let vms = VmTable::new();
     let view = dvmp_placement::PlacementView {
         dc: &dc,

@@ -335,10 +335,11 @@ fn spare_control_decides_hourly_and_boots_on_demand() {
     // t = 0 through t = 24 h inclusive (the engine processes events *at*
     // the horizon): 25 decisions for a 24-hour run.
     assert_eq!(ops.spare_decisions, 25, "one decision per control period");
+    // A boot is a power op whose record carries state code 1 (booting).
     assert!(
         records
             .iter()
-            .any(|r| r.kind == dvmp_obs::RecordKind::PmBootStarted),
+            .any(|r| r.kind == dvmp_obs::RecordKind::PmPower && r.b == 1),
         "machines boot on demand"
     );
 }
