@@ -493,19 +493,25 @@ pub fn export_swf(profile: &str, seed: u64) -> Result<String, String> {
     ))
 }
 
-/// `--` flags each command takes, and whether the flag takes a value.
-fn command_flags(command: &str) -> &'static [(&'static str, bool)] {
+/// The most positional arguments each command takes, itself included,
+/// and its `--` flags, each with whether it takes a value. `help` ignores
+/// what follows it, and an unknown command is reported by name.
+fn command_shape(command: &str) -> (usize, &'static [(&'static str, bool)]) {
     match command {
-        "run" => &[
-            ("--json", false),
-            ("--checked", false),
-            ("--obs-summary", false),
-            ("--trace-out", true),
-            ("--metrics-out", true),
-        ],
-        "compare" => &[("--json", false)],
-        "sweep" => &[("--seeds", true), ("--json", false)],
-        _ => &[],
+        "run" => (
+            2,
+            &[
+                ("--json", false),
+                ("--checked", false),
+                ("--obs-summary", false),
+                ("--trace-out", true),
+                ("--metrics-out", true),
+            ],
+        ),
+        "compare" => (3, &[("--json", false)]),
+        "sweep" => (2, &[("--seeds", true), ("--json", false)]),
+        "workload" | "export-swf" => (3, &[]),
+        _ => (usize::MAX, &[]),
     }
 }
 
@@ -536,13 +542,14 @@ impl Args {
 /// Splits `args` into positional arguments and `--` flags with their
 /// values, wherever the flags stand. Rejects every flag the command (the
 /// first positional argument) does not take, so a typo or a retired flag
-/// fails loudly instead of silently running without it, and a
-/// value-taking flag whose value is missing or is itself a `--` flag.
+/// fails loudly instead of silently running without it, a value-taking
+/// flag whose value is missing or is itself a `--` flag, and a positional
+/// argument past the ones the command takes.
 pub fn parse_args(args: &[String]) -> Result<Args, String> {
     let value_flag = |a: &str| {
         ["run", "compare", "sweep"]
             .iter()
-            .any(|c| command_flags(c).contains(&(a, true)))
+            .any(|c| command_shape(c).1.contains(&(a, true)))
     };
     let mut parsed = Args::default();
     let mut it = args.iter();
@@ -565,13 +572,14 @@ pub fn parse_args(args: &[String]) -> Result<Args, String> {
         parsed.flags.push((a.clone(), value));
     }
     let command = parsed.positional.first().map_or("help", String::as_str);
-    let known = command_flags(command);
-    match parsed
+    let (max_positionals, known) = command_shape(command);
+    let unknown_flag = parsed
         .flags
         .iter()
-        .find(|(f, _)| !known.iter().any(|(k, _)| k == f))
-    {
-        Some((f, _)) => Err(format!("`{command}` does not take {f}\n\n{}", help())),
+        .map(|(f, _)| f)
+        .find(|f| !known.iter().any(|(k, _)| k == f));
+    match unknown_flag.or(parsed.positional.get(max_positionals)) {
+        Some(arg) => Err(format!("`{command}` does not take {arg}\n\n{}", help())),
         None => Ok(parsed),
     }
 }
@@ -616,8 +624,8 @@ USAGE:
 
 PROFILES: paper_calibrated | paper_strict | light | hpc_mixed
 SPEC: see crates/cli/src/spec.rs for the JSON schema
-A flag the command does not take, or a flag value that is missing or is
-itself a flag, is a usage error (exit status 2).
+A flag or an extra argument the command does not take, or a flag value
+that is missing or is itself a flag, is a usage error (exit status 2).
 "
     .to_owned()
 }
@@ -941,6 +949,24 @@ mod tests {
             assert!(parse_args(&argv(ok)).is_ok(), "{ok}");
         }
         assert_eq!(parse_args(&[]), Ok(Args::default()));
+    }
+
+    #[test]
+    fn surplus_positionals_are_usage_errors() {
+        for bad in [
+            "run spec.json nonsense.json",
+            "compare a.json b.json c.json",
+            "sweep spec.json --seeds 2 other.json",
+            "workload light 42 7",
+            "export-swf light 42 7",
+        ] {
+            let err = parse_args(&argv(bad)).unwrap_err();
+            let extra = bad.rsplit(' ').next().unwrap();
+            assert!(
+                err.contains(&format!("does not take {extra}")),
+                "{bad}: {err}"
+            );
+        }
     }
 
     #[test]

@@ -17,7 +17,7 @@ fn main() -> ExitCode {
     let positional: Vec<&str> = args.positional.iter().map(String::as_str).collect();
 
     let result = match positional.as_slice() {
-        ["run", path, ..] => std::fs::read_to_string(path)
+        ["run", path] => std::fs::read_to_string(path)
             .map_err(|e| format!("cannot read {path}: {e}"))
             .and_then(|text| {
                 commands::run(
@@ -33,7 +33,7 @@ fn main() -> ExitCode {
             }),
         // Two paths: diff two previously written reports. One path: run
         // the paper trio on the spec's scenario.
-        ["compare", a, b, ..] => {
+        ["compare", a, b] => {
             let read =
                 |p: &str| std::fs::read_to_string(p).map_err(|e| format!("cannot read {p}: {e}"));
             read(a).and_then(|ta| read(b).and_then(|tb| commands::compare_reports(&ta, &tb, json)))
@@ -41,7 +41,7 @@ fn main() -> ExitCode {
         ["compare", path] => std::fs::read_to_string(path)
             .map_err(|e| format!("cannot read {path}: {e}"))
             .and_then(|text| commands::compare(&text, json)),
-        ["sweep", path, ..] => {
+        ["sweep", path] => {
             let seeds = args.value("--seeds").map_or(Ok(5), |s| {
                 s.parse::<usize>()
                     .map_err(|_| format!("--seeds takes a count, got {s:?}"))

@@ -1,5 +1,6 @@
-//! The `dvmp-cli` binary refuses flags its command does not take: a typo
-//! or a retired flag is a usage error (exit status 2) that runs nothing.
+//! The `dvmp-cli` binary refuses flags and positional arguments its
+//! command does not take: a typo, a retired flag or a surplus path is a
+//! usage error (exit status 2) that runs nothing.
 //! An argument its command cannot parse is an `error:` line (exit 1).
 
 use std::process::Command;
@@ -54,4 +55,28 @@ fn a_flag_value_that_is_a_flag_is_a_usage_error() {
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert!(stderr.contains("--trace-out takes a value"), "{stderr}");
     assert!(out.stdout.is_empty(), "the run must not start");
+}
+
+#[test]
+fn surplus_positionals_exit_with_a_usage_error() {
+    let spec = concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/../../examples/scenario_spec.json"
+    );
+    for args in [
+        &["run", spec, "nonsense.json"][..],
+        &["compare", spec, spec, "nonsense.json"],
+        &["sweep", spec, "nonsense.json", "--seeds", "1"],
+        &["workload", "light", "42", "nonsense"],
+    ] {
+        let out = cli(args);
+        assert_eq!(out.status.code(), Some(2), "{args:?}");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            stderr.contains("does not take nonsense"),
+            "{args:?}: {stderr}"
+        );
+        assert!(stderr.contains("USAGE:"), "{args:?}: {stderr}");
+        assert!(out.stdout.is_empty(), "{args:?}: nothing runs");
+    }
 }

@@ -38,7 +38,7 @@ use dvmp_cluster::reliability::FailureProcess;
 use dvmp_cluster::resources::ResourceVector;
 use dvmp_cluster::vm::{Vm, VmId, VmSpec, VmState};
 use dvmp_cluster::{FleetOp, VmTable};
-use dvmp_forecast::spare::SpareServerController;
+use dvmp_forecast::spare::{self, SpareConfig, SpareServerController};
 use dvmp_metrics::recorder::{RunMeta, RunReport, SimulationRecorder};
 use dvmp_placement::{Migration, PlacementPolicy, PlacementView};
 use dvmp_simcore::event::EventId;
@@ -110,8 +110,8 @@ struct SimWorld {
     resizes: Vec<ResizeRequest>,
     queue: VecDeque<VmId>,
     policy: Box<dyn PlacementPolicy>,
+    /// The Section IV controller; `None` keeps every PM on.
     spare: Option<SpareServerController>,
-    spare_target: u64,
     recorder: SimulationRecorder,
     cfg: SimConfig,
     failure: Option<FailureProcess>,
@@ -248,7 +248,7 @@ impl SimWorld {
 
     /// Boots the first `Off` PM whose capacity covers `spec`, if any.
     fn request_boot_for(&mut self, spec: &VmSpec, now: SimTime, sched: &mut Scheduler<Event>) {
-        if self.cfg.spare.is_none() {
+        if self.spare.is_none() {
             return; // all machines are permanently on
         }
         if let Some(pm) = self.dc.first_off_fitting(&spec.resources) {
@@ -434,28 +434,21 @@ impl SimWorld {
         }
     }
 
-    /// Applies the spare-server policy: boot or shut down idle machines so
-    /// the idle-available count matches the current target.
+    /// Boots or shuts down idle machines so the idle-available count
+    /// matches the last tick's spare target.
     fn enforce_power(&mut self, now: SimTime, sched: &mut Scheduler<Event>) {
-        if self.cfg.spare.is_none() {
-            return;
+        let Some(sp) = &self.spare else { return };
+        let (boot, shutdown) = spare::power_plan(
+            sp.decision().map_or(0, |d| d.spare),
+            self.dc.idle_available_count(),
+            self.dc.off_pm_ids(),
+            self.dc.on_idle_pm_ids(),
+        );
+        for id in boot {
+            self.boot_pm(id, now, sched);
         }
-        let desired = self.spare_target as usize;
-        let idle_avail = self.dc.idle_available_count();
-        if idle_avail < desired {
-            let need = desired - idle_avail;
-            let off: Vec<PmId> = self.dc.off_pm_ids().take(need).collect();
-            for id in off {
-                self.boot_pm(id, now, sched);
-            }
-        } else if idle_avail > desired {
-            let excess = idle_avail - desired;
-            // Shut highest ids first: in the paper fleet those are the slow
-            // nodes, keeping the efficient machines warm.
-            let on_idle: Vec<PmId> = self.dc.on_idle_pm_ids().rev().take(excess).collect();
-            for id in on_idle {
-                self.shutdown_pm(id, now, sched);
-            }
+        for id in shutdown {
+            self.shutdown_pm(id, now, sched);
         }
     }
 
@@ -551,16 +544,13 @@ impl SimWorld {
         let n_dep = self.departure_index.range(..=horizon).count() as u64;
         debug_assert_eq!(
             n_dep,
-            dvmp_forecast::departure::departures_within(
-                self.vms
-                    .values()
-                    .filter(|vm| vm.is_active())
-                    .map(|vm| vm.estimated_remaining(now)),
-                period,
-            ),
+            self.vms
+                .values()
+                .filter(|vm| vm.is_active() && vm.estimated_remaining(now) <= period)
+                .count() as u64,
             "indexed n_departure disagrees with the full scan at t={now}"
         );
-        self.spare_target = sp.spare_servers(now, n_dep);
+        sp.tick(now, n_dep);
         self.enforce_power(now, sched);
         sched.schedule_after(period, Event::ControlPeriod);
     }
@@ -703,8 +693,8 @@ impl Simulation {
     /// when the policy rejects the fleet or the requests
     /// ([`PlacementPolicy::check_inputs`]) — e.g. resource vectors whose
     /// dimensions disagree with the dynamic scheme's `min_vm` — when two
-    /// requests share an id, or when `cfg.power_groups` does not
-    /// partition the fleet.
+    /// requests share an id, when `cfg.power_groups` does not partition
+    /// the fleet, or when [`SpareConfig::validate`] rejects `cfg.spare`.
     pub fn try_new(
         mut fleet: Datacenter,
         mut requests: Vec<VmSpec>,
@@ -718,10 +708,11 @@ impl Simulation {
         let vms = VmTable::with_ids(requests.iter().map(|r| r.id))
             .map_err(|id| format!("request id {id} is used by more than one request"))?;
         requests.sort_by_key(|r| (r.submit_time, r.id));
-        if cfg.spare.is_none() {
+        cfg.spare.as_ref().map_or(Ok(()), SpareConfig::validate)?;
+        let spare = cfg.spare.clone().map(SpareServerController::new);
+        if spare.is_none() {
             fleet.edit_pms(|pms| pms.iter_mut().for_each(|pm| pm.state = PmState::On));
         }
-        let spare = cfg.spare.clone().map(SpareServerController::new);
         let failure = cfg
             .failures
             .map(|fc| FailureProcess::new(fc.base_rate, cfg.seed));
@@ -743,7 +734,6 @@ impl Simulation {
             queue: VecDeque::new(),
             policy,
             spare,
-            spare_target: 0,
             recorder,
             cfg: cfg.clone(),
             failure,
@@ -755,7 +745,7 @@ impl Simulation {
         // Seed events: the control loop first (so the t=0 decision runs
         // before the first arrival), then every arrival, then failure
         // clocks for initially-on machines.
-        if engine.world().cfg.spare.is_some() {
+        if engine.world().spare.is_some() {
             engine
                 .scheduler_mut()
                 .schedule_at(SimTime::ZERO, Event::ControlPeriod);
@@ -766,7 +756,7 @@ impl Simulation {
                 .scheduler_mut()
                 .schedule_at(at, Event::Arrival(idx as u32));
         }
-        if cfg.failures.is_some() && cfg.spare.is_none() {
+        if cfg.failures.is_some() && engine.world().spare.is_none() {
             // All-on fleets arm every failure clock at t = 0.
             let (world, sched) = engine.world_and_scheduler();
             for id in world.dc.pm_ids().collect::<Vec<_>>() {
@@ -985,6 +975,67 @@ mod tests {
         .err()
         .expect("a PM past the level cache is rejected");
         assert!(err.contains("minimum VMs"), "{err}");
+    }
+
+    /// The error `try_new` returns for the default spare config after
+    /// `edit`.
+    fn spare_config_error(edit: impl FnOnce(&mut SpareConfig)) -> String {
+        let mut cfg = base_cfg();
+        edit(cfg.spare.as_mut().expect("spare control is on by default"));
+        Simulation::try_new(small_fleet(), vec![spec(1, 0, 60)], Box::new(FirstFit), cfg)
+            .err()
+            .expect("the spare config is invalid input")
+    }
+
+    #[test]
+    fn zero_control_period_is_rejected_at_build() {
+        // A zero period would reschedule the tick at t = 0 forever.
+        let err = spare_config_error(|sp| sp.control_period = SimDuration::ZERO);
+        assert!(err.contains("spare.control_period"), "{err}");
+    }
+
+    #[test]
+    fn qos_epsilon_outside_the_unit_interval_is_rejected_at_build() {
+        let err = spare_config_error(|sp| sp.qos_epsilon = 0.0);
+        assert!(err.contains("spare.qos_epsilon"), "{err}");
+    }
+
+    #[test]
+    fn zero_seasonality_cycle_is_rejected_at_build() {
+        let err = spare_config_error(|sp| sp.cycle = SimDuration::ZERO);
+        assert!(err.contains("spare.cycle"), "{err}");
+    }
+
+    #[test]
+    fn infinite_bootstrap_floor_is_rejected_at_build() {
+        let err = spare_config_error(|sp| sp.bootstrap_arrivals = f64::INFINITY);
+        assert!(err.contains("spare.bootstrap_arrivals"), "{err}");
+    }
+
+    #[test]
+    fn only_dynamic_passes_refresh_the_ticks_n_ave() {
+        // Six long VMs share a PM under either policy. The tick at 1 h
+        // divides by the VMs per non-idle PM under the dynamic scheme, but
+        // static policies run no pass, so N_ave keeps its initial 1.0
+        // (EXPERIMENTS.md D3).
+        let tick_n_ave = |policy: Box<dyn PlacementPolicy>| {
+            let requests = (1..=6)
+                .map(|i| spec(i, 10 * u64::from(i), 30_000))
+                .collect();
+            let mut sim = Simulation::new(small_fleet(), requests, policy, base_cfg());
+            sim.engine.world_mut().initial_sample();
+            sim.engine.run_until(SimTime::from_secs(3_601));
+            let world = sim.engine.world();
+            let decision = world.spare.as_ref().and_then(|sp| sp.decision());
+            let ratio = world.dc.active_vm_count() as f64 / world.dc.non_idle_count() as f64;
+            (decision.expect("ticked at 1 h").inputs.n_ave, ratio)
+        };
+        let (first_fit, ratio) = tick_n_ave(Box::new(FirstFit));
+        assert!(ratio > 1.0, "VMs share PMs: {ratio}");
+        assert_eq!(first_fit, 1.0);
+        let (dynamic, ratio) = tick_n_ave(Box::new(DynamicPlacement::paper_default()));
+        assert!(ratio > 1.0, "VMs share PMs: {ratio}");
+        assert_eq!(dynamic, ratio);
     }
 
     #[test]
@@ -1540,8 +1591,8 @@ mod tests {
                 .values()
                 .filter(|vm| vm.is_active() && vm.estimated_remaining(now) <= period)
                 .count() as u64;
-            let snap = world.spare.as_ref().and_then(|sp| sp.last_forecast());
-            let n = snap.expect("a decision was made").n_departure;
+            let decision = world.spare.as_ref().and_then(|sp| sp.decision());
+            let n = decision.expect("a decision was made").inputs.n_departure;
             assert_eq!(n, brute, "n_departure at t={now}");
             n
         };

@@ -22,7 +22,6 @@
 //! cycle boundary when needed.
 
 use dvmp_simcore::{SimDuration, SimTime};
-use serde::{Deserialize, Serialize};
 
 /// Streaming Leemis estimator with a fixed cycle length.
 ///
@@ -44,7 +43,7 @@ use serde::{Deserialize, Serialize};
 ///     .unwrap();
 /// assert!(busy > 40.0 && quiet < 5.0);
 /// ```
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct LeemisEstimator {
     cycle_secs: u64,
     /// Sorted offsets (seconds within the cycle) of all events from
@@ -53,10 +52,9 @@ pub struct LeemisEstimator {
     /// Events of the cycle currently in progress, buffered until it
     /// completes (kept in arrival order, hence sorted).
     current: Vec<u64>,
-    /// Number of completed cycles `k`.
+    /// Number of completed cycles `k`, which is also the index of the
+    /// cycle currently receiving events.
     completed: u64,
-    /// Index of the cycle currently receiving events.
-    current_cycle: u64,
 }
 
 impl LeemisEstimator {
@@ -69,13 +67,7 @@ impl LeemisEstimator {
             merged: Vec::new(),
             current: Vec::new(),
             completed: 0,
-            current_cycle: 0,
         }
-    }
-
-    /// The cycle length.
-    pub fn cycle(&self) -> SimDuration {
-        SimDuration::from_secs(self.cycle_secs)
     }
 
     /// Records one arrival at absolute time `t`. Arrivals must be fed in
@@ -93,42 +85,31 @@ impl LeemisEstimator {
     /// controller also calls it on control-period boundaries.
     pub fn roll_to(&mut self, t: SimTime) {
         let cycle_idx = t.as_secs() / self.cycle_secs;
-        while self.current_cycle < cycle_idx {
+        while self.completed < cycle_idx {
             let buffered = std::mem::take(&mut self.current);
             self.merge_cycle(buffered);
             self.completed += 1;
-            self.current_cycle += 1;
         }
     }
 
+    /// Merges a completed cycle's sorted offsets into `merged`.
     fn merge_cycle(&mut self, events: Vec<u64>) {
         if events.is_empty() {
             return;
         }
         let mut merged = Vec::with_capacity(self.merged.len() + events.len());
-        let (mut a, mut b) = (self.merged.iter().peekable(), events.iter().peekable());
-        loop {
-            match (a.peek(), b.peek()) {
-                (Some(&&x), Some(&&y)) => {
-                    if x <= y {
-                        merged.push(x);
-                        a.next();
-                    } else {
-                        merged.push(y);
-                        b.next();
-                    }
-                }
-                (Some(&&x), None) => {
-                    merged.push(x);
-                    a.next();
-                }
-                (None, Some(&&y)) => {
-                    merged.push(y);
-                    b.next();
-                }
-                (None, None) => break,
+        let (mut a, mut b) = (&self.merged[..], &events[..]);
+        while let (Some(&x), Some(&y)) = (a.first(), b.first()) {
+            if x <= y {
+                merged.push(x);
+                a = &a[1..];
+            } else {
+                merged.push(y);
+                b = &b[1..];
             }
         }
+        merged.extend_from_slice(a);
+        merged.extend_from_slice(b);
         self.merged = merged;
     }
 
@@ -140,19 +121,11 @@ impl LeemisEstimator {
         }
         let n = self.merged.len();
         let k = self.completed as f64;
-        if n == 0 {
-            return Some(0.0);
-        }
         let s = self.cycle_secs.min(offset_secs);
-        // i = number of superposed events strictly before-or-at... Leemis
-        // indexes t_(i) ≤ t < t_(i+1); use partition point on ≤.
+        // Leemis indexes t_(i) ≤ s < t_(i+1): i events lie at or before s.
         let i = self.merged.partition_point(|&e| e <= s);
         let t_i = if i == 0 { 0 } else { self.merged[i - 1] };
-        let t_next = if i < n {
-            self.merged[i]
-        } else {
-            self.cycle_secs
-        };
+        let t_next = self.merged.get(i).copied().unwrap_or(self.cycle_secs);
         let frac = if t_next > t_i {
             (s - t_i) as f64 / (t_next - t_i) as f64
         } else {
@@ -168,9 +141,6 @@ impl LeemisEstimator {
     pub fn expected_in(&self, from: SimTime, dur: SimDuration) -> Option<f64> {
         if self.completed == 0 {
             return None;
-        }
-        if dur.is_zero() {
-            return Some(0.0);
         }
         let per_cycle = self.cumulative_at_offset(self.cycle_secs)?;
         let full_cycles = dur.as_secs() / self.cycle_secs;

@@ -14,11 +14,10 @@
 //!   `Λ(t, t+T)` estimate);
 //! - [`poisson`]: exact Poisson CDF/quantile, giving the smallest
 //!   `n_arrival` with `P(arrivals > n) ≤ ε` (the paper uses ε = 0.05);
-//! - [`spare`]: the Eq. 8 controller combining the arrival forecast, the
-//!   scheduled departures and the running average VMs-per-PM `N_ave(t)`;
-//! - [`departure`]: the `n_departure(t, t+T)` count from runtime estimates.
+//! - [`spare`]: the per-tick decision as a pure function (Eq. 8 over the
+//!   arrival forecast, the scheduled departures and the average VMs per
+//!   PM `N_ave(t)`), which PMs enforce it, and the controller's state.
 
-pub mod departure;
 pub mod leemis;
 pub mod nhpp;
 pub mod poisson;
@@ -26,4 +25,3 @@ pub mod spare;
 
 pub use leemis::LeemisEstimator;
 pub use nhpp::PiecewiseRate;
-pub use spare::{SpareConfig, SpareServerController};

@@ -1,17 +1,20 @@
-//! The spare-server controller (Section IV, Eq. 8).
+//! The spare-server decision (Section IV, Eq. 8).
 //!
-//! Every control period `T` the simulator decides how many PMs stay
-//! powered: the non-idle count plus
+//! Every control period `T` the simulator keeps powered the non-idle PMs
+//! plus
 //!
 //! ```text
 //! N_spare(t, t+T) = 0                                        if n_arr ≤ n_dep
-//!                   (n_arr − n_dep) / N_ave(t)               otherwise
+//!                   ⌈(n_arr − n_dep) / max(N_ave(t), 1)⌉     otherwise
 //! ```
 //!
 //! where `n_arr` is the 95th-percentile arrival forecast
 //! (`P(Λ(t,t+T) > n_arr) ≤ ε`, ε = 0.05), `n_dep` the scheduled departures,
 //! and `N_ave(t)` the running average number of VMs per non-idle PM,
-//! refreshed after every dynamic-migration pass.
+//! refreshed after every dynamic-migration pass (DESIGN.md I12).
+//!
+//! [`decide`] is the whole decision, a pure function of one tick's
+//! [`TickInputs`]; [`power_plan`] picks the PMs that enforce its target.
 
 use crate::leemis::LeemisEstimator;
 use crate::poisson;
@@ -56,47 +59,113 @@ impl Default for SpareConfig {
     }
 }
 
-/// The Eq. 8 controller.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+impl SpareConfig {
+    /// Rejects parameters the controller cannot run on. A zero control
+    /// period would reschedule the tick at the same instant forever.
+    pub fn validate(&self) -> Result<(), String> {
+        let b = self.bootstrap_arrivals;
+        let rule = if self.control_period.is_zero() {
+            "control_period must be positive"
+        } else if !(self.qos_epsilon > 0.0 && self.qos_epsilon < 1.0) {
+            "qos_epsilon must be in (0,1)"
+        } else if self.cycle.is_zero() {
+            "cycle must be positive"
+        } else if !(b >= 0.0 && b.is_finite()) {
+            "bootstrap_arrivals must be finite and non-negative"
+        } else {
+            return Ok(());
+        };
+        Err(format!("spare.{rule}, got {self:?}"))
+    }
+}
+
+/// The facts one control tick decides on.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct TickInputs {
+    /// `Λ̂(t, t+T)`; `None` until the estimator's first cycle completes.
+    pub lambda_hat: Option<f64>,
+    /// Arrivals since the previous tick.
+    pub recent_arrivals: u64,
+    /// Scheduled departures `n_departure(t, t+T)`.
+    pub n_departure: u64,
+    /// `N_ave(t)` as last refreshed.
+    pub n_ave: f64,
+}
+
+/// One tick's decision and the inputs it was made from.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct SpareDecision {
+    /// What the tick knew; `N_ave` is recorded before its clamp to 1.
+    pub inputs: TickInputs,
+    /// Expected arrivals λ after the I10 floor.
+    pub lambda: f64,
+    /// The ε-quantile arrival count `n_arrival`.
+    pub n_arrival: u64,
+    /// The spare-server target `N_spare` (Eq. 8).
+    pub spare: u64,
+}
+
+/// The Section IV decision for one tick.
+pub fn decide(cfg: &SpareConfig, inputs: &TickInputs) -> SpareDecision {
+    let recent = inputs.recent_arrivals as f64;
+    let lambda = match inputs.lambda_hat {
+        Some(est) if cfg.react_to_recent => est.max(recent),
+        Some(est) => est,
+        None => recent.max(cfg.bootstrap_arrivals),
+    };
+    let n_arrival = poisson::upper_quantile(lambda, cfg.qos_epsilon);
+    let spare = if n_arrival <= inputs.n_departure {
+        0
+    } else {
+        ((n_arrival - inputs.n_departure) as f64 / inputs.n_ave.max(1.0)).ceil() as u64
+    };
+    SpareDecision {
+        inputs: *inputs,
+        lambda,
+        n_arrival,
+        spare,
+    }
+}
+
+/// `(off PMs to boot, idle on PMs to shut down)` so that `target` idle
+/// PMs remain, from candidates listed in ascending id. Boots take the
+/// lowest ids, shutdowns the highest (the paper fleet's slow nodes). A
+/// plan that switches nothing pulls no id and allocates nothing.
+pub fn power_plan<Id>(
+    target: u64,
+    idle_available: usize,
+    off: impl Iterator<Item = Id>,
+    on_idle: impl DoubleEndedIterator<Item = Id>,
+) -> (Vec<Id>, Vec<Id>) {
+    let target = target as usize;
+    match idle_available.checked_sub(target) {
+        None => (off.take(target - idle_available).collect(), Vec::new()),
+        Some(excess) => (Vec::new(), on_idle.rev().take(excess).collect()),
+    }
+}
+
+/// The state Eq. 8 keeps between ticks, and the last decision.
+#[derive(Debug, Clone)]
 pub struct SpareServerController {
     cfg: SpareConfig,
     estimator: LeemisEstimator,
     n_ave: f64,
-    /// Arrivals since the last control decision (adaptive warm-up input).
+    /// Arrivals since the last tick (the I10 floor's input).
     since_last: u64,
-    /// Diagnostics: last forecast components.
-    last_forecast: Option<ForecastSnapshot>,
-}
-
-/// The inputs and output of the most recent spare-server decision.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct ForecastSnapshot {
-    /// Expected arrivals `Λ̂(t, t+T)`.
-    pub lambda: f64,
-    /// 95th-percentile arrival count `n_arrival`.
-    pub n_arrival: u64,
-    /// Scheduled departures `n_departure`.
-    pub n_departure: u64,
-    /// `N_ave(t)` used in the division.
-    pub n_ave: f64,
-    /// The resulting spare-server count.
-    pub spare: u64,
+    decision: Option<SpareDecision>,
 }
 
 impl SpareServerController {
-    /// Creates the controller.
+    /// Creates the controller; panics if [`SpareConfig::validate`] fails.
     pub fn new(cfg: SpareConfig) -> Self {
-        assert!(
-            cfg.qos_epsilon > 0.0 && cfg.qos_epsilon < 1.0,
-            "qos_epsilon must be in (0,1)"
-        );
+        cfg.validate().unwrap_or_else(|e| panic!("{e}"));
         let estimator = LeemisEstimator::new(cfg.cycle);
         SpareServerController {
             cfg,
             estimator,
             n_ave: 1.0,
             since_last: 0,
-            last_forecast: None,
+            decision: None,
         }
     }
 
@@ -120,46 +189,25 @@ impl SpareServerController {
         }
     }
 
-    /// Current `N_ave(t)`.
-    pub fn n_ave(&self) -> f64 {
-        self.n_ave
+    /// The last tick's decision; its `spare` is the target in force.
+    pub fn decision(&self) -> Option<SpareDecision> {
+        self.decision
     }
 
-    /// The last decision's components (for reports).
-    pub fn last_forecast(&self) -> Option<ForecastSnapshot> {
-        self.last_forecast
-    }
-
-    /// Access to the underlying estimator (read-only).
-    pub fn estimator(&self) -> &LeemisEstimator {
-        &self.estimator
-    }
-
-    /// Computes `N_spare(t, t+T)` per Eq. 8.
-    pub fn spare_servers(&mut self, now: SimTime, n_departure: u64) -> u64 {
+    /// Runs the tick at `now`: rolls the estimator, [`decide`]s on this
+    /// tick's inputs and keeps the decision.
+    pub fn tick(&mut self, now: SimTime, n_departure: u64) -> SpareDecision {
         self.estimator.roll_to(now);
-        let recent = std::mem::take(&mut self.since_last) as f64;
-        let lambda = match self.estimator.expected_in(now, self.cfg.control_period) {
-            Some(est) if self.cfg.react_to_recent => est.max(recent),
-            Some(est) => est,
-            None => recent.max(self.cfg.bootstrap_arrivals),
-        };
-        let n_arrival = poisson::upper_quantile(lambda, self.cfg.qos_epsilon);
-        let spare = if n_arrival <= n_departure {
-            0
-        } else {
-            let denom = self.n_ave.max(1.0);
-            ((n_arrival - n_departure) as f64 / denom).ceil() as u64
-        };
-        self.last_forecast = Some(ForecastSnapshot {
-            lambda,
-            n_arrival,
+        let inputs = TickInputs {
+            lambda_hat: self.estimator.expected_in(now, self.cfg.control_period),
+            recent_arrivals: std::mem::take(&mut self.since_last),
             n_departure,
             n_ave: self.n_ave,
-            spare,
-        });
-        dvmp_obs::note_spare_decision(n_arrival, spare);
-        spare
+        };
+        let decision = decide(&self.cfg, &inputs);
+        dvmp_obs::note_spare_decision(decision.n_arrival, decision.spare);
+        self.decision = Some(decision);
+        decision
     }
 }
 
@@ -169,6 +217,16 @@ mod tests {
 
     fn controller() -> SpareServerController {
         SpareServerController::new(SpareConfig::default())
+    }
+
+    /// Inputs with a trained estimate `lambda_hat` and nothing else.
+    fn trained(lambda_hat: f64) -> TickInputs {
+        TickInputs {
+            lambda_hat: Some(lambda_hat),
+            recent_arrivals: 0,
+            n_departure: 0,
+            n_ave: 1.0,
+        }
     }
 
     /// Feeds a uniform day of `per_day` arrivals into the controller and
@@ -186,11 +244,9 @@ mod tests {
 
     #[test]
     fn bootstrap_forecast_is_used_before_first_cycle() {
-        let mut c = controller();
-        let spare = c.spare_servers(SimTime::from_secs(100), 0);
-        let snap = c.last_forecast().unwrap();
-        assert_eq!(snap.lambda, 5.0, "bootstrap floor λ");
-        assert!(spare > 0);
+        let d = controller().tick(SimTime::from_secs(100), 0);
+        assert_eq!(d.lambda, 5.0, "bootstrap floor λ");
+        assert!(d.spare > 0);
     }
 
     #[test]
@@ -200,20 +256,59 @@ mod tests {
         for i in 0..30u64 {
             c.record_arrival(SimTime::from_secs(i * 100));
         }
-        c.spare_servers(SimTime::from_hours(1), 0);
-        let snap = c.last_forecast().unwrap();
-        assert_eq!(snap.lambda, 30.0, "adaptive warm-up uses the last period");
+        let d = c.tick(SimTime::from_hours(1), 0);
+        assert_eq!(d.lambda, 30.0, "adaptive warm-up uses the last period");
         // Counter resets after each decision.
-        c.spare_servers(SimTime::from_hours(2), 0);
-        assert_eq!(c.last_forecast().unwrap().lambda, 5.0, "back to floor");
+        let d = c.tick(SimTime::from_hours(2), 0);
+        assert_eq!(d.lambda, 5.0, "back to floor");
+        assert_eq!(c.decision(), Some(d), "the tick keeps its decision");
+    }
+
+    #[test]
+    fn warmup_floor_is_the_larger_of_recent_and_bootstrap() {
+        let cfg = SpareConfig::default();
+        let warm = |recent| TickInputs {
+            lambda_hat: None,
+            recent_arrivals: recent,
+            ..trained(0.0)
+        };
+        assert_eq!(decide(&cfg, &warm(3)).lambda, 5.0);
+        assert_eq!(decide(&cfg, &warm(30)).lambda, 30.0);
+    }
+
+    #[test]
+    fn trained_floor_applies_only_when_reacting_to_recent() {
+        let surge = TickInputs {
+            recent_arrivals: 40,
+            ..trained(10.0)
+        };
+        let calm = TickInputs {
+            recent_arrivals: 4,
+            ..trained(10.0)
+        };
+        let mut cfg = SpareConfig::default();
+        assert_eq!(decide(&cfg, &surge).lambda, 40.0);
+        assert_eq!(decide(&cfg, &calm).lambda, 10.0);
+        cfg.react_to_recent = false;
+        assert_eq!(decide(&cfg, &surge).lambda, 10.0);
     }
 
     #[test]
     fn more_departures_than_arrivals_means_no_spares() {
         let mut c = controller();
         feed_uniform_day(&mut c, 240); // 10/hour
-        let spare = c.spare_servers(SimTime::from_days(1), 1_000);
-        assert_eq!(spare, 0);
+        assert_eq!(c.tick(SimTime::from_days(1), 1_000).spare, 0);
+        let cfg = SpareConfig::default();
+        let n_arrival = decide(&cfg, &trained(10.0)).n_arrival;
+        let at = |n_departure| {
+            let inputs = TickInputs {
+                n_departure,
+                ..trained(10.0)
+            };
+            decide(&cfg, &inputs).spare
+        };
+        assert_eq!(at(n_arrival), 0, "n_arrival = n_departure");
+        assert_eq!(at(n_arrival - 1), 1);
     }
 
     #[test]
@@ -221,12 +316,29 @@ mod tests {
         let mut c = controller();
         feed_uniform_day(&mut c, 2_400); // 100/hour
         c.update_n_ave(400, 100); // 4 VMs per PM
-        let spare = c.spare_servers(SimTime::from_days(1), 0);
-        let snap = c.last_forecast().unwrap();
+        let d = c.tick(SimTime::from_days(1), 0);
         // λ ≈ 100 → n_arrival ≈ 117; spare = ceil(117/4) ≈ 30.
-        assert!((snap.lambda - 100.0).abs() < 8.0, "λ = {}", snap.lambda);
-        assert!(snap.n_arrival > snap.lambda as u64);
-        assert_eq!(spare, ((snap.n_arrival as f64) / 4.0).ceil() as u64);
+        assert!((d.lambda - 100.0).abs() < 8.0, "λ = {}", d.lambda);
+        assert!(d.n_arrival > d.lambda as u64);
+        assert_eq!(d.inputs.n_ave, 4.0);
+        assert_eq!(d.spare, ((d.n_arrival as f64) / 4.0).ceil() as u64);
+    }
+
+    #[test]
+    fn eq8_rounds_up_and_clamps_n_ave_to_one() {
+        let cfg = SpareConfig::default();
+        let n_arrival = decide(&cfg, &trained(10.0)).n_arrival;
+        let spare = |n_ave: f64| {
+            let inputs = TickInputs {
+                n_ave,
+                ..trained(10.0)
+            };
+            decide(&cfg, &inputs).spare
+        };
+        let n = n_arrival as f64;
+        assert_eq!(spare(n / 2.0), 2, "exactly 2.0 stays 2");
+        assert_eq!(spare(n / 2.01), 3, "2.01 rounds up to 3");
+        assert_eq!(spare(0.25), n_arrival, "N_ave < 1 divides by 1");
     }
 
     #[test]
@@ -234,8 +346,8 @@ mod tests {
         let mut c = controller();
         feed_uniform_day(&mut c, 2_400);
         c.update_n_ave(100, 100); // 1 VM per PM
-        let with_deps = c.spare_servers(SimTime::from_days(1), 50);
-        let without = c.spare_servers(SimTime::from_days(1), 0);
+        let with_deps = c.tick(SimTime::from_days(1), 50).spare;
+        let without = c.tick(SimTime::from_days(1), 0).spare;
         assert_eq!(without - with_deps, 50, "each departure frees one VM slot");
     }
 
@@ -243,11 +355,11 @@ mod tests {
     fn n_ave_update_ignores_empty_system() {
         let mut c = controller();
         c.update_n_ave(0, 0);
-        assert_eq!(c.n_ave(), 1.0, "unchanged default");
+        assert_eq!(c.n_ave, 1.0, "unchanged default");
         c.update_n_ave(12, 3);
-        assert_eq!(c.n_ave(), 4.0);
+        assert_eq!(c.n_ave, 4.0);
         c.update_n_ave(5, 0);
-        assert_eq!(c.n_ave(), 4.0, "zero non-idle PMs leaves N_ave alone");
+        assert_eq!(c.n_ave, 4.0, "zero non-idle PMs leaves N_ave alone");
     }
 
     #[test]
@@ -261,54 +373,92 @@ mod tests {
         c.estimator.roll_to(SimTime::from_days(1));
         c.since_last = 0; // the hourly loop would have flushed these
         c.update_n_ave(100, 100);
-        let night = c.spare_servers(SimTime::from_days(1) + SimDuration::from_hours(2), 0);
-        let afternoon = c.spare_servers(SimTime::from_days(1) + SimDuration::from_hours(13), 0);
+        let night = c.tick(SimTime::from_days(1) + SimDuration::from_hours(2), 0);
+        let afternoon = c.tick(SimTime::from_days(1) + SimDuration::from_hours(13), 0);
         assert!(
-            afternoon > night * 3,
-            "afternoon {afternoon} vs night {night}"
+            afternoon.spare > night.spare * 3,
+            "afternoon {afternoon:?} vs night {night:?}"
         );
     }
 
     #[test]
     fn surge_floor_reacts_within_one_period() {
-        let mut c = controller();
-        feed_uniform_day(&mut c, 240); // calm history: 10/hour
-                                       // A 20× burst lands in the current period.
-        for i in 0..200u64 {
-            c.record_arrival(SimTime::from_days(1) + SimDuration::from_secs(i * 10));
-        }
-        c.update_n_ave(100, 100);
-        c.spare_servers(SimTime::from_days(1) + SimDuration::HOUR, 0);
-        let snap = c.last_forecast().unwrap();
+        let surge = |react_to_recent| {
+            let mut c = SpareServerController::new(SpareConfig {
+                react_to_recent,
+                ..SpareConfig::default()
+            });
+            feed_uniform_day(&mut c, 240); // calm history: 10/hour
+                                           // A 20× burst lands in the current period.
+            for i in 0..200u64 {
+                c.record_arrival(SimTime::from_days(1) + SimDuration::from_secs(i * 10));
+            }
+            c.update_n_ave(100, 100);
+            c.tick(SimTime::from_days(1) + SimDuration::HOUR, 0).lambda
+        };
+        let lambda = surge(true);
         assert!(
-            snap.lambda >= 200.0,
-            "reactive floor must dominate the calm estimate: λ = {}",
-            snap.lambda
+            lambda >= 200.0,
+            "reactive floor must dominate the calm estimate: λ = {lambda}"
         );
-
         // With the floor disabled the stale estimate rules.
-        let mut cfg = SpareConfig::default();
-        cfg.react_to_recent = false;
-        let mut c2 = SpareServerController::new(cfg);
-        feed_uniform_day(&mut c2, 240);
-        for i in 0..200u64 {
-            c2.record_arrival(SimTime::from_days(1) + SimDuration::from_secs(i * 10));
-        }
-        c2.spare_servers(SimTime::from_days(1) + SimDuration::HOUR, 0);
-        assert!(c2.last_forecast().unwrap().lambda < 20.0);
+        assert!(surge(false) < 20.0);
     }
 
     #[test]
     fn tighter_qos_keeps_more_spares() {
         let mk = |eps: f64| {
-            let mut cfg = SpareConfig::default();
-            cfg.qos_epsilon = eps;
-            let mut c = SpareServerController::new(cfg);
+            let mut c = SpareServerController::new(SpareConfig {
+                qos_epsilon: eps,
+                ..SpareConfig::default()
+            });
             feed_uniform_day(&mut c, 2_400);
             c.update_n_ave(100, 100);
-            c.spare_servers(SimTime::from_days(1), 0)
+            c.tick(SimTime::from_days(1), 0).spare
         };
         assert!(mk(0.01) > mk(0.20));
+    }
+
+    #[test]
+    fn power_plan_boots_lowest_off_ids_first() {
+        let off = [2u32, 5, 7];
+        let (boot, shutdown) = power_plan(4, 2, off.into_iter(), [1u32, 3].into_iter());
+        assert_eq!(boot, [2, 5]);
+        assert!(shutdown.is_empty());
+        let (boot, _) = power_plan(9, 2, off.into_iter(), [1u32, 3].into_iter());
+        assert_eq!(boot, off, "never more than exist");
+    }
+
+    #[test]
+    fn power_plan_shuts_highest_idle_ids_first() {
+        let on_idle = [1u32, 3, 4, 8];
+        let (boot, shutdown) = power_plan(1, 4, [0u32].into_iter(), on_idle.into_iter());
+        assert_eq!(shutdown, [8, 4, 3]);
+        assert!(boot.is_empty());
+        let (_, shutdown) = power_plan(0, 9, [0u32].into_iter(), on_idle.into_iter());
+        assert_eq!(shutdown, [8, 4, 3, 1], "never more than exist");
+    }
+
+    /// Candidates that must not be pulled.
+    struct Untouched;
+
+    impl Iterator for Untouched {
+        type Item = u32;
+        fn next(&mut self) -> Option<u32> {
+            panic!("pulled a candidate")
+        }
+    }
+
+    impl DoubleEndedIterator for Untouched {
+        fn next_back(&mut self) -> Option<u32> {
+            panic!("pulled a candidate")
+        }
+    }
+
+    #[test]
+    fn power_plan_on_target_pulls_no_candidate() {
+        let (boot, shutdown) = power_plan(3, 3, Untouched, Untouched);
+        assert!(boot.is_empty() && shutdown.is_empty());
     }
 
     #[test]
